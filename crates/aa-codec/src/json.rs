@@ -229,12 +229,17 @@ impl Parser<'_> {
                     }
                 }
                 Some(_) => {
-                    // Consume one UTF-8 code point.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
+                    // Copy the run up to the next quote or escape in one
+                    // slice. The input came in as a `&str` and both
+                    // delimiters are ASCII, so the run is valid UTF-8 on
+                    // its own.
+                    let start = self.pos;
+                    while self.peek().is_some_and(|b| b != b'"' && b != b'\\') {
+                        self.pos += 1;
+                    }
+                    let run = std::str::from_utf8(&self.bytes[start..self.pos])
                         .map_err(|_| "invalid UTF-8 in string")?;
-                    let c = rest.chars().next().expect("non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    out.push_str(run);
                 }
             }
         }
@@ -352,6 +357,39 @@ mod tests {
             v.get("k").unwrap().as_arr().unwrap()[1].as_str().unwrap(),
             "aA\n"
         );
+    }
+
+    #[test]
+    fn multibyte_code_points_next_to_escapes() {
+        // 2-, 3- and 4-byte code points directly before and after
+        // escapes, and as the whole string.
+        let text = "é\\n✓\\\"€\\u00e9𝄞\\\\ü";
+        let v = Json::parse(&format!("\"{text}\"")).unwrap();
+        assert_eq!(v.as_str().unwrap(), "é\n✓\"€é𝄞\\ü");
+        assert_eq!(Json::parse("\"𝄞\"").unwrap().as_str().unwrap(), "𝄞");
+        // And the renderer's output parses back to the same string.
+        assert_eq!(Json::parse(&v.to_string()).unwrap(), v);
+    }
+
+    #[test]
+    fn unicode_escape_at_end_of_input_is_an_error() {
+        for text in ["\"\\u", "\"\\u00", "\"\\u00e9", "\"\\", "\"é\\u12"] {
+            assert!(Json::parse(text).is_err(), "{text:?} must not parse");
+        }
+        // A `\u` whose four bytes would cut a multi-byte code point.
+        assert!(Json::parse("\"\\u00é\"").is_err());
+    }
+
+    #[test]
+    fn megabyte_string_round_trips() {
+        // Linear in the input: one slice copy per run between escapes,
+        // not one re-validation of the rest of the document per char.
+        let mut body = "0123456789abcdef".repeat(1 << 16);
+        body.push_str("é\n");
+        assert!(body.len() > 1 << 20);
+        let doc = Json::Str(body.clone());
+        let parsed = Json::parse(&doc.to_string()).unwrap();
+        assert_eq!(parsed.as_str().unwrap(), body);
     }
 
     #[test]

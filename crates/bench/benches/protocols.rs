@@ -8,7 +8,7 @@ use async_net::{run_async, AsyncConfig, DelayModel, PassiveAsync};
 use bench::spaced_inputs;
 use byz_agreement::{PhaseKingConfig, PhaseKingParty};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use gradecast::GradecastProtocol;
+use gradecast::BatchGradecastProtocol;
 use sim_net::{run_simulation, Passive, SimConfig};
 use tree_model::generate;
 
@@ -27,7 +27,7 @@ fn bench_protocols(c: &mut Criterion) {
                         t,
                         max_rounds: 8,
                     },
-                    |id, nn| GradecastProtocol::new(id, nn, t, id.index() as u64),
+                    |id, nn| BatchGradecastProtocol::new(id, nn, t, id.index() as u64),
                     Passive,
                 )
                 .unwrap()

@@ -3,11 +3,11 @@
 //! projections) at experiment scale.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use gradecast::{BatchGradecastProtocol, GradecastProtocol};
-use real_aa::{RealAaBatchParty, RealAaConfig, RealAaParty};
+use gradecast::BatchGradecastProtocol;
+use real_aa::{RealAaConfig, RealAaParty};
 use sim_net::{
-    run_simulation, run_simulation_with, EngineConfig, Inbox, Passive, Payload, Protocol, RoundCtx,
-    SimConfig, StepMode,
+    run_simulation_with, EngineConfig, Inbox, Passive, Payload, Protocol, RoundCtx, SimConfig,
+    StepMode,
 };
 use tree_model::{generate, list_construction, LcaTable, ProjectionTable};
 
@@ -20,16 +20,6 @@ fn bench_max_n() -> usize {
         .ok()
         .and_then(|s| s.parse().ok())
         .unwrap_or(256)
-}
-
-/// The unbatched gradecast wire is O(n³) delivered bytes, so a single run
-/// at n = 1024 takes minutes. Legacy protocols are benched up to this cap
-/// by default; set `BENCH_LEGACY_LARGE=1` to lift it when recording
-/// before/after comparisons for `BENCH_engine.json`.
-const UNBATCHED_CAP: usize = 256;
-
-fn legacy_large() -> bool {
-    std::env::var("BENCH_LEGACY_LARGE").as_deref() == Ok("1")
 }
 
 /// A broadcast payload with a real heap body, sized like a protocol
@@ -146,7 +136,7 @@ fn bench_engine(c: &mut Criterion) {
                     b.iter(|| {
                         run_simulation_with(
                             cfg(n, t, pcfg.rounds() + 5),
-                            |id, _| RealAaBatchParty::new(id, pcfg, inputs[id.index()]),
+                            |id, _| RealAaParty::new(id, pcfg, inputs[id.index()]),
                             Passive,
                         )
                         .unwrap()
@@ -154,46 +144,6 @@ fn bench_engine(c: &mut Criterion) {
                 },
             );
         }
-
-        // Legacy unbatched protocols: the before side of the
-        // before/after record. O(n³) delivered bytes — gated above the
-        // cap so routine runs stay fast.
-        if n > UNBATCHED_CAP && !legacy_large() {
-            continue;
-        }
-
-        g.bench_with_input(BenchmarkId::new("gradecast_batch", n), &n, |b, &n| {
-            b.iter(|| {
-                run_simulation(
-                    SimConfig {
-                        n,
-                        t,
-                        max_rounds: 8,
-                    },
-                    |id, nn| GradecastProtocol::new(id, nn, t, id.index() as u64),
-                    Passive,
-                )
-                .unwrap()
-            })
-        });
-
-        g.bench_with_input(BenchmarkId::new("realaa_iteration", n), &n, |b, &n| {
-            // d = 2, eps = 1: exactly one gradecast-based iteration.
-            let cfg = RealAaConfig::new(n, t, 1.0, 2.0).unwrap();
-            let inputs: Vec<f64> = (0..n).map(|i| 2.0 * i as f64 / (n - 1) as f64).collect();
-            b.iter(|| {
-                run_simulation(
-                    SimConfig {
-                        n,
-                        t,
-                        max_rounds: cfg.rounds() + 5,
-                    },
-                    |id, _| RealAaParty::new(id, cfg, inputs[id.index()]),
-                    Passive,
-                )
-                .unwrap()
-            })
-        });
     }
     g.finish();
 }

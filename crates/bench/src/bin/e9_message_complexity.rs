@@ -2,8 +2,12 @@
 //!
 //! The related-work discussion credits the `RealAA` building block with
 //! `O(R · n³)` messages (n parallel gradecasts, each echo/vote phase all-
-//! to-all). This experiment measures total messages and estimated bytes
-//! per protocol and checks the cubic scaling in `n` empirically.
+//! to-all): one message per (sender, leader, recipient). This
+//! implementation packs a sender's slots for all `n` leaders into one
+//! message per phase, so it delivers `Θ(R · n²)` messages carrying
+//! `Θ(R · n³)` slots. The experiment measures both: messages against
+//! `R · n²`, and bytes against `R · n³` — the per-slot cost, which tends
+//! to 12 (an 8-byte echo plus a 4-byte vote hash per leader).
 
 use std::sync::Arc;
 
@@ -20,8 +24,9 @@ fn main() {
         "t",
         "rounds",
         "messages",
-        "messages / (R_iter * n^3)",
+        "messages / (R_iter * n^2)",
         "bytes",
+        "bytes / (R_iter * n^3)",
     ]);
     for t in [1usize, 2, 4, 8] {
         let n = 3 * t + 1;
@@ -39,20 +44,26 @@ fn main() {
         )
         .expect("simulation completes");
         let msgs = report.metrics.total_messages();
-        let norm = msgs as f64 / (cfg.iterations() as f64 * (n as f64).powi(3));
+        let bytes = report.metrics.total_bytes();
+        let iters = cfg.iterations() as f64;
+        let per_pair = msgs as f64 / (iters * (n as f64).powi(2));
+        let per_slot = bytes as f64 / (iters * (n as f64).powi(3));
         table.row(vec![
             n.to_string(),
             t.to_string(),
             report.communication_rounds().to_string(),
             msgs.to_string(),
-            format!("{norm:.2}"),
-            report.metrics.total_bytes().to_string(),
+            format!("{per_pair:.2}"),
+            bytes.to_string(),
+            format!("{per_slot:.2}"),
         ]);
     }
     table.print();
     println!(
-        "\nThe normalized column converging to a constant (~2) confirms the \
-         O(R * n^3) message complexity of the gradecast-based engine.\n"
+        "\nThree messages per ordered pair per iteration (lead, echo batch, vote \
+         batch), and a per-(sender, leader, recipient) slot cost falling toward \
+         12 bytes as the fixed framing amortizes: the O(R * n^3) of the \
+         gradecast-based engine is carried as bytes, not as messages.\n"
     );
 
     println!("## E9b: protocol comparison on one tree (caterpillar, |V| = 513, n = 7, t = 2)\n");

@@ -425,7 +425,7 @@ USAGE:
                 --size <K> [--seed <S>] [--dot]
   treeaa info   --tree <file>
   treeaa run    --tree <file> --inputs <l1,l2,...> [--t <T>]
-                [--protocol treeaa|baseline] [--engine gradecast|gradecast-batched|halving]
+                [--protocol treeaa|baseline] [--engine gradecast|halving]
                 [--adversary none|chaos|crash|omission] [--seed <S>]
   treeaa bounds --diameter <D> --n <N> --t <T>
   treeaa fuzz   [--seed <S>] [--cases <K>] [--minimize] [--faults]
@@ -1208,7 +1208,7 @@ fn run_bundle_bench_sim(
     for j in 0..timed {
         let report = run_simulation(
             sim,
-            |id, _n| real_aa::RealAaBatchParty::new(id, cfg, bench_input(id.index(), j)),
+            |id, _n| real_aa::RealAaParty::new(id, cfg, bench_input(id.index(), j)),
             Passive,
         )
         .map_err(|e| format!("independent run {j} failed: {e}"))?;
@@ -1569,7 +1569,6 @@ pub fn execute(cmd: Command, out: &mut impl std::io::Write) -> Result<(), String
                 .collect::<Result<_, _>>()?;
             let engine = match engine.as_str() {
                 "gradecast" => EngineKind::Gradecast,
-                "gradecast-batched" => EngineKind::GradecastBatched,
                 "halving" => EngineKind::Halving,
                 other => return Err(format!("unknown engine `{other}`")),
             };

@@ -1,19 +1,20 @@
-//! Batched parallel gradecast: the subquadratic-bytes scale path.
+//! Batched parallel gradecast: all `n` instances of a round in one
+//! struct-of-arrays message per sender.
 //!
-//! [`ParallelGradecast`](crate::ParallelGradecast) is faithful to the
-//! textbook protocol but pays O(n³) batch bytes per round: every party
-//! broadcasts one `Echo`/`Vote` message *per instance*, so n² broadcasts
-//! fan out to n recipients each. This module keeps the protocol's
-//! decisions bit-for-bit identical while flattening the encoding: each
-//! party broadcasts **one** message per phase carrying a struct-of-arrays
-//! view of all n instances — a presence bitmap (⌈n/8⌉ wire bytes) plus a
-//! dense vector of per-leader entries — wrapped in an [`Arc`] so cloning
-//! a batch out of an inbox never copies the arrays.
+//! The textbook protocol has every party broadcast one `Echo`/`Vote`
+//! message *per instance* — n² broadcasts fanning out to n recipients
+//! each, O(n³) delivered messages per round. This module keeps the
+//! protocol's decisions bit-for-bit identical (pinned against a
+//! per-leader test oracle in this module's tests) while flattening the
+//! encoding: each party broadcasts **one** message per phase carrying a
+//! struct-of-arrays view of all n instances — a presence bitmap (⌈n/8⌉
+//! wire bytes) plus a dense vector of per-leader entries — wrapped in an
+//! [`Arc`] so cloning a batch out of an inbox never copies the arrays.
 //!
 //! Two levers cut the bytes:
 //!
 //! * **Shared framing.** The per-message tag + leader-id overhead (5 of
-//!   the 13 bytes of a `GcMsg::<u64>::Echo`) is paid once per batch, not
+//!   the 13 bytes of a per-leader `u64` echo) is paid once per batch, not
 //!   once per instance.
 //! * **Votes by hash.** A vote batch carries a 4-byte hash per instance
 //!   instead of the value. Soundness: a vote key can only reach grade
@@ -22,24 +23,28 @@
 //!   and those honest echo broadcasts reached *every* party, so every
 //!   honest receiver already holds the voted value in its echo tally
 //!   with count ≥ n − 2t > t and can resolve the hash locally. Keys that
-//!   resolve to nothing can never exceed t votes and grade `Zero` in
-//!   both protocols. Resolution is exact when [`GcValue::bits64`] is
-//!   injective and [`GcValue::hash32`] collision-free on the candidate
-//!   set; a 32-bit collision between two tallied candidates degrades the
-//!   argmax to collision-resistance (documented, not silent: both
-//!   protocols still only ever output values some party echoed).
+//!   resolve to nothing can never exceed t votes and grade `Zero`.
+//!   Resolution is exact when [`GcValue::bits64`] is injective and
+//!   [`GcValue::hash32`] collision-free on the candidate set; a 32-bit
+//!   collision between two tallied candidates degrades the argmax to
+//!   collision-resistance (documented, not silent: the protocol still
+//!   only ever outputs values some party echoed).
 //!
 //! The tallies themselves are struct-of-arrays (`u64` key per leader +
 //! `u32` count per leader), so absorbing a full honest batch is one
 //! [`aa_kernels::eq_count_u64`] sweep; divergent (Byzantine) slots fall
 //! back to a per-slot path backed by a `BTreeMap` overflow table.
+//!
+//! A Byzantine sender gains nothing by repeating itself on an
+//! authenticated channel: only the first batch per sender per phase is
+//! absorbed.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use sim_net::{PartyId, Payload};
 
-use crate::state::{Grade, GradecastOutput};
+use crate::grade::{Grade, GradecastOutput};
 
 /// A value batched gradecast can tally in struct-of-arrays form.
 ///
@@ -96,6 +101,21 @@ impl<T> GcSlots<T> {
         GcSlots { present, entries }
     }
 
+    /// `n` slots with only `slot` present — the shape of a message that
+    /// speaks about a single leader.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `slot < n`.
+    pub fn single(n: usize, slot: usize, entry: T) -> Self {
+        let mut present = vec![false; n];
+        present[slot] = true;
+        GcSlots {
+            present,
+            entries: vec![entry],
+        }
+    }
+
     /// Number of leader slots (present or not).
     pub fn n(&self) -> usize {
         self.present.len()
@@ -132,7 +152,7 @@ impl<T> GcSlots<T> {
 /// A batched gradecast message: one broadcast per sender per phase.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum GcBatchMsg<V> {
-    /// Round 1: the leader's own value (identical to the unbatched wire).
+    /// Round 1: the leader's own value.
     Lead(V),
     /// Round 2: this sender's echo for every leader it heard, as one
     /// `Arc`-shared struct-of-arrays batch.
@@ -145,8 +165,8 @@ pub enum GcBatchMsg<V> {
 impl<V: Payload> Payload for GcBatchMsg<V> {
     fn size_bytes(&self) -> usize {
         // Tag byte + batch body. Entry payloads are sized through their
-        // own `Payload` impls, exactly like the unbatched messages, so
-        // trace byte accounting reconciles without special cases.
+        // own `Payload` impls so heap-carrying values count their real
+        // wire size and trace byte accounting reconciles.
         match self {
             GcBatchMsg::Lead(v) => 1 + v.size_bytes(),
             GcBatchMsg::Echoes(slots) => 1 + slots.wire_bytes_with(Payload::size_bytes),
@@ -155,11 +175,15 @@ impl<V: Payload> Payload for GcBatchMsg<V> {
     }
 }
 
-/// One batch of `n` parallel gradecast instances over the batched wire
-/// format — the drop-in scale-path replacement for
-/// [`ParallelGradecast`](crate::ParallelGradecast), with the same phase
-/// API, muting semantics, thresholds, and deterministic argmax, verified
-/// equivalent by the tests in this module.
+/// One batch of `n` parallel gradecast instances (every party leads one),
+/// as a pure three-phase state machine.
+///
+/// The caller drives the phases in order, feeding each phase the messages
+/// delivered for it and broadcasting the message each phase returns:
+/// [`BatchGradecast::lead_msg`], [`BatchGradecast::on_leads`],
+/// [`BatchGradecast::on_echoes`], then [`BatchGradecast::on_votes`] for
+/// the final [`GradecastOutput`] per leader. Values are `Ord` so vote
+/// tallies have a deterministic maximum.
 #[derive(Clone, Debug)]
 pub struct BatchGradecast<V> {
     me: PartyId,
@@ -209,8 +233,8 @@ impl<V: GcValue> BatchGradecast<V> {
     ///
     /// # Panics
     ///
-    /// Panics unless `n > 3t` and `me < n`, as
-    /// [`ParallelGradecast::new`](crate::ParallelGradecast::new).
+    /// Panics unless `n > 3t` and `me < n` — gradecast's guarantees need
+    /// `t < n/3`, and constructing it outside that regime is a bug.
     pub fn new(me: PartyId, n: usize, t: usize) -> Self {
         Self::with_muted(me, n, t, vec![false; n])
     }
@@ -404,8 +428,8 @@ impl<V: GcValue> BatchGradecast<V> {
     }
 
     /// Phase 4: consume round-3 vote batches and produce the output for
-    /// every leader (muted ones too — muting suppresses relaying, not
-    /// evaluation, exactly as in the unbatched machine).
+    /// every leader (muted ones too — muting suppresses *relaying*, not
+    /// *evaluation*; see the crate docs on why `RealAA` needs this split).
     pub fn on_votes<'a, I>(&mut self, inbox: I) -> Vec<GradecastOutput<V>>
     where
         I: IntoIterator<Item = (PartyId, &'a GcBatchMsg<V>)>,
@@ -560,11 +584,11 @@ impl<V: GcValue> BatchGradecast<V> {
         best
     }
 
-    /// Applies the unbatched machine's exact grading rule to `leader`'s
-    /// resolved vote tally.
+    /// Grades `leader` from its resolved vote tally: grade 2 at `n − t`
+    /// votes, grade 1 at `t + 1`, grade 0 otherwise.
     fn grade_leader(&self, leader: usize) -> GradecastOutput<V> {
-        // Gather (hash, count) pairs, resolve each to a value, then run
-        // the reference argmax (max count, smallest value on ties).
+        // Gather (hash, count) pairs, resolve each to a value, then take
+        // the deterministic argmax (max count, smallest value on ties).
         // Unresolvable hashes carry ≤ t votes (see module docs) and
         // cannot influence the outcome, so dropping them is exact.
         let first =
@@ -603,10 +627,13 @@ impl<V: GcValue> BatchGradecast<V> {
     }
 }
 
-/// A `sim-net` protocol adapter running one batched parallel gradecast —
-/// the scale-path counterpart of
-/// [`GradecastProtocol`](crate::GradecastProtocol), with the same round
-/// structure, outputs, and `gc.grade` trace events.
+/// Runs a single batch of `n` parallel gradecasts on a simulation: every
+/// party leads one instance with its input value and outputs the vector of
+/// per-leader `(value, grade)` results after 3 communication rounds,
+/// emitting one `gc.grade` trace event per leader.
+///
+/// Primarily a test and measurement harness for the primitive; `RealAA`
+/// embeds [`BatchGradecast`] directly to pipeline iterations.
 #[derive(Clone, Debug)]
 pub struct BatchGradecastProtocol<V> {
     value: V,
@@ -688,8 +715,145 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::msg::GcMsg;
-    use crate::state::ParallelGradecast;
+    /// The textbook per-leader encoding — one `Echo`/`Vote` message per
+    /// instance, `BTreeMap` tallies keyed by value — kept only as the
+    /// reference the batched machine's decisions are compared against.
+    mod oracle {
+        use std::collections::BTreeMap;
+
+        use sim_net::{PartyId, Payload};
+
+        use crate::grade::{Grade, GradecastOutput};
+
+        #[derive(Clone, Debug, PartialEq, Eq)]
+        pub enum GcMsg<V> {
+            Lead(V),
+            /// "leader `ℓ` sent me this value".
+            Echo(PartyId, V),
+            /// "I saw `n − t` matching echoes of this value for `ℓ`".
+            Vote(PartyId, V),
+        }
+
+        impl<V: Payload> Payload for GcMsg<V> {
+            fn size_bytes(&self) -> usize {
+                // Tag byte + optional leader id (4 bytes) + value payload.
+                match self {
+                    GcMsg::Lead(v) => 1 + v.size_bytes(),
+                    GcMsg::Echo(_, v) | GcMsg::Vote(_, v) => 1 + 4 + v.size_bytes(),
+                }
+            }
+        }
+
+        /// `n` parallel instances; per (leader, sender) the first message
+        /// wins.
+        pub struct ParallelGradecast<V> {
+            n: usize,
+            t: usize,
+            muted: Vec<bool>,
+            leads: Vec<Option<V>>,
+            echo_tally: Vec<BTreeMap<V, usize>>,
+            echo_seen: Vec<Vec<bool>>,
+            vote_tally: Vec<BTreeMap<V, usize>>,
+            vote_seen: Vec<Vec<bool>>,
+        }
+
+        impl<V: Clone + Ord> ParallelGradecast<V> {
+            pub fn with_muted(n: usize, t: usize, muted: Vec<bool>) -> Self {
+                ParallelGradecast {
+                    n,
+                    t,
+                    muted,
+                    leads: vec![None; n],
+                    echo_tally: vec![BTreeMap::new(); n],
+                    echo_seen: vec![vec![false; n]; n],
+                    vote_tally: vec![BTreeMap::new(); n],
+                    vote_seen: vec![vec![false; n]; n],
+                }
+            }
+
+            pub fn on_leads(&mut self, inbox: &[(PartyId, GcMsg<V>)]) -> Vec<GcMsg<V>> {
+                for (from, msg) in inbox {
+                    if let GcMsg::Lead(v) = msg {
+                        let leader = from.index();
+                        if !self.muted[leader] && self.leads[leader].is_none() {
+                            self.leads[leader] = Some(v.clone());
+                        }
+                    }
+                }
+                self.leads
+                    .iter()
+                    .enumerate()
+                    .filter_map(|(leader, lead)| {
+                        lead.as_ref()
+                            .map(|v| GcMsg::Echo(PartyId(leader), v.clone()))
+                    })
+                    .collect()
+            }
+
+            pub fn on_echoes(&mut self, inbox: &[(PartyId, GcMsg<V>)]) -> Vec<GcMsg<V>> {
+                for (from, msg) in inbox {
+                    if let GcMsg::Echo(leader, v) = msg {
+                        let (l, s) = (leader.index(), from.index());
+                        if l < self.n && !self.echo_seen[l][s] {
+                            self.echo_seen[l][s] = true;
+                            *self.echo_tally[l].entry(v.clone()).or_insert(0) += 1;
+                        }
+                    }
+                }
+                let mut votes = Vec::new();
+                for l in 0..self.n {
+                    if self.muted[l] {
+                        continue;
+                    }
+                    if let Some((v, _)) = self.echo_tally[l]
+                        .iter()
+                        .find(|&(_, &c)| c >= self.n - self.t)
+                    {
+                        votes.push(GcMsg::Vote(PartyId(l), v.clone()));
+                    }
+                }
+                votes
+            }
+
+            pub fn on_votes(&mut self, inbox: &[(PartyId, GcMsg<V>)]) -> Vec<GradecastOutput<V>> {
+                for (from, msg) in inbox {
+                    if let GcMsg::Vote(leader, v) = msg {
+                        let (l, s) = (leader.index(), from.index());
+                        if l < self.n && !self.vote_seen[l][s] {
+                            self.vote_seen[l][s] = true;
+                            *self.vote_tally[l].entry(v.clone()).or_insert(0) += 1;
+                        }
+                    }
+                }
+                (0..self.n)
+                    .map(|l| {
+                        // Deterministic argmax: max count, smallest value
+                        // on ties.
+                        let best = self.vote_tally[l]
+                            .iter()
+                            .max_by(|a, b| a.1.cmp(b.1).then_with(|| b.0.cmp(a.0)));
+                        match best {
+                            Some((v, &c)) if c >= self.n - self.t => GradecastOutput {
+                                value: Some(v.clone()),
+                                grade: Grade::Two,
+                            },
+                            Some((v, &c)) if c > self.t => GradecastOutput {
+                                value: Some(v.clone()),
+                                grade: Grade::One,
+                            },
+                            _ => GradecastOutput {
+                                value: None,
+                                grade: Grade::Zero,
+                            },
+                        }
+                    })
+                    .collect()
+            }
+        }
+    }
+
+    use oracle::{GcMsg, ParallelGradecast};
+    use sim_net::{run_simulation, AdversaryCtx, Passive, SimConfig, StaticByzantine};
 
     /// Drives `n` machines of both implementations through identical
     /// scenarios (scripted per-recipient leads for equivocation, per-party
@@ -708,7 +872,7 @@ mod tests {
 
     fn run_reference(s: &Scenario) -> Vec<Vec<GradecastOutput<u64>>> {
         let mut ms: Vec<ParallelGradecast<u64>> = (0..s.n)
-            .map(|i| ParallelGradecast::with_muted(PartyId(i), s.n, s.t, s.muted.clone()))
+            .map(|_| ParallelGradecast::with_muted(s.n, s.t, s.muted.clone()))
             .collect();
         // Echoes/votes are broadcast, so every recipient sees one shared
         // list.
@@ -858,20 +1022,14 @@ mod tests {
     fn duplicate_batches_from_same_sender_count_once() {
         let n = 4;
         let mut m = BatchGradecast::<u64>::new(PartyId(0), n, 1);
-        let votes = GcBatchMsg::Votes(Arc::new(GcSlots::from_options(vec![
-            None,
-            Some(9u64.hash32()),
-            None,
-            None,
-        ])));
+        let votes = GcBatchMsg::Votes(Arc::new(GcSlots::single(n, 1, 9u64.hash32())));
         let out = m.on_votes([
             (PartyId(2), &votes),
             (PartyId(2), &votes),
             (PartyId(2), &votes),
         ]);
         // One distinct vote < t + 1, so grade 0 (and the hash resolves to
-        // nothing anyway without echoes — either way Zero, like the
-        // reference).
+        // nothing anyway without echoes — either way Zero).
         assert_eq!(out[1].grade, Grade::Zero);
     }
 
@@ -923,5 +1081,130 @@ mod tests {
         assert_eq!(0u64.hash32(), 0x5d7c_35e6);
         assert_eq!(1u64.hash32(), 0x3a1c_2af7);
         assert_ne!(1u64.hash32(), 2u64.hash32());
+    }
+
+    #[test]
+    fn heap_values_count_their_real_size() {
+        // A 100-byte string must contribute 100 bytes, not the 24-byte
+        // shallow size of the `String` header.
+        let v = "x".repeat(100);
+        let lead: GcBatchMsg<String> = GcBatchMsg::Lead(v.clone());
+        let echoes: GcBatchMsg<String> =
+            GcBatchMsg::Echoes(Arc::new(GcSlots::from_options(vec![None, Some(v), None])));
+        assert_eq!(lead.size_bytes(), 1 + 100);
+        assert_eq!(echoes.size_bytes(), 1 + 1 + 100);
+    }
+
+    #[test]
+    fn two_votes_at_t1_grade_one() {
+        let n = 4; // t = 1: grade 1 needs 2 votes, grade 2 needs 3.
+        let mut m = BatchGradecast::<u64>::new(PartyId(0), n, 1);
+        // The voted value must be in the echo tally for its hash to
+        // resolve.
+        let echo = GcBatchMsg::Echoes(Arc::new(GcSlots::single(n, 3, 7u64)));
+        let _ = m.on_echoes([(PartyId(1), &echo)]);
+        let vote = GcBatchMsg::Votes(Arc::new(GcSlots::single(n, 3, 7u64.hash32())));
+        let out = m.on_votes([(PartyId(1), &vote), (PartyId(2), &vote)]);
+        assert_eq!(out[3].grade, Grade::One);
+        assert_eq!(out[3].value, Some(7));
+    }
+
+    #[test]
+    #[should_panic(expected = "n > 3t")]
+    fn rejects_too_many_faults() {
+        let _ = BatchGradecast::<u64>::new(PartyId(0), 6, 2);
+    }
+
+    #[test]
+    fn first_lead_wins() {
+        let mut m = BatchGradecast::<u64>::new(PartyId(0), 4, 1);
+        let (a, b) = (GcBatchMsg::Lead(5), GcBatchMsg::Lead(6));
+        let echoes = m.on_leads([(PartyId(1), &a), (PartyId(1), &b)]);
+        assert_eq!(
+            echoes,
+            GcBatchMsg::Echoes(Arc::new(GcSlots::single(4, 1, 5)))
+        );
+    }
+
+    fn sim(n: usize, t: usize) -> SimConfig {
+        SimConfig {
+            n,
+            t,
+            max_rounds: 10,
+        }
+    }
+
+    #[test]
+    fn honest_run_three_communication_rounds() {
+        let report = run_simulation(
+            sim(4, 1),
+            |id, n| BatchGradecastProtocol::new(id, n, 1, id.index() as u64),
+            Passive,
+        )
+        .unwrap();
+        assert_eq!(report.communication_rounds(), 3);
+        for out in report.honest_outputs() {
+            for (l, slot) in out.iter().enumerate() {
+                assert_eq!(slot.grade, Grade::Two);
+                assert_eq!(slot.value, Some(l as u64));
+            }
+        }
+    }
+
+    #[test]
+    fn silent_byzantine_leader_grades_zero() {
+        let adv = StaticByzantine {
+            parties: vec![PartyId(0)],
+            behave: |_: &mut AdversaryCtx<'_, GcBatchMsg<u64>>| {},
+        };
+        let report = run_simulation(
+            sim(4, 1),
+            |id, n| BatchGradecastProtocol::new(id, n, 1, id.index() as u64),
+            adv,
+        )
+        .unwrap();
+        for out in report.honest_outputs() {
+            assert_eq!(out[0].grade, Grade::Zero);
+            assert_eq!(out[0].value, None);
+            for slot in &out[1..] {
+                assert_eq!(slot.grade, Grade::Two);
+            }
+        }
+    }
+
+    #[test]
+    fn equivocating_leader_cannot_bind_two_values() {
+        // Leader 0 sends value 111 to parties 1..=3 and 222 to 4..7.
+        let adv = StaticByzantine {
+            parties: vec![PartyId(0)],
+            behave: |ctx: &mut AdversaryCtx<'_, GcBatchMsg<u64>>| {
+                if ctx.round() == 1 {
+                    for i in 1..7 {
+                        let v = if i <= 3 { 111 } else { 222 };
+                        ctx.send(PartyId(0), PartyId(i), GcBatchMsg::Lead(v));
+                    }
+                }
+            },
+        };
+        let report = run_simulation(
+            sim(7, 2),
+            |id, n| BatchGradecastProtocol::new(id, n, 2, id.index() as u64),
+            adv,
+        )
+        .unwrap();
+        // Binding: all honest grades >= 1 share one value; grades differ by
+        // at most 1.
+        let mut bound: Option<u64> = None;
+        let mut grades = Vec::new();
+        for out in &report.honest_outputs() {
+            let slot = &out[0];
+            grades.push(slot.grade.as_u8());
+            if slot.accepted() {
+                let v = slot.value.expect("accepted implies a value");
+                assert_eq!(*bound.get_or_insert(v), v, "two values bound");
+            }
+        }
+        let (min, max) = (grades.iter().min().unwrap(), grades.iter().max().unwrap());
+        assert!(max - min <= 1, "grade gap violated: {grades:?}");
     }
 }

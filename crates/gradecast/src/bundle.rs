@@ -7,7 +7,7 @@
 //! broadcasts **one** message per phase carrying a struct-of-arrays
 //! vector over all k instances — an outer presence bitmap (absent slot =
 //! instance already finished at that sender) whose entries are exactly
-//! the per-instance [`GcBatchMsg`](crate::GcBatchMsg) bodies of PR 6's
+//! the per-instance [`GcBatchMsg`](crate::GcBatchMsg) bodies of the
 //! batched wire, `Arc`-shared so inbox clones never copy the arrays.
 //! Delivered bytes per round stay O(n²) of framing shared across all k
 //! instances, plus the per-instance payload each instance would have
@@ -44,7 +44,7 @@ use std::sync::Arc;
 use sim_net::{PartyId, Payload};
 
 use crate::batch::{BatchGradecast, GcSlots, GcValue};
-use crate::state::GradecastOutput;
+use crate::grade::GradecastOutput;
 
 /// A structurally invalid bundle request.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -296,7 +296,7 @@ impl<V: GcValue> BundleGradecast<V> {
 mod tests {
     use super::*;
     use crate::batch::GcBatchMsg;
-    use crate::state::Grade;
+    use crate::grade::Grade;
     use aa_codec::Json;
 
     /// One lockstep bundled run: every party leads `lead_of(party, inst)`

@@ -25,13 +25,18 @@
 //!
 //! All `n` instances (every party acting as leader once) run *in parallel*
 //! inside the same three rounds — this is how `RealAA` uses them, via
-//! [`ParallelGradecast`]. A standalone [`GradecastProtocol`] adapter runs
-//! one parallel batch on a `sim-net` simulation for testing and message
-//! accounting.
+//! [`BatchGradecast`]: one struct-of-arrays message per sender per phase
+//! carrying that sender's slot for every leader (see the [`batch`] module
+//! docs), so a round delivers O(n²) messages. [`BundleGradecast`] shares
+//! the same three rounds between `k` independent AA instances (see
+//! [`bundle`]). A standalone [`BatchGradecastProtocol`] adapter runs one
+//! parallel batch on a `sim-net` simulation for testing and message
+//! accounting. The textbook one-message-per-leader encoding survives only
+//! as the test oracle the batched tallies are pinned against.
 //!
 //! # Muting
 //!
-//! [`ParallelGradecast::mute`] makes a party *stop relaying* (echoing and
+//! [`BatchGradecast::mute`] makes a party *stop relaying* (echoing and
 //! voting) for a given leader while still evaluating that leader's grades
 //! from other parties' traffic. Muting is how `RealAA` permanently
 //! silences parties caught equivocating: once more than `t` honest parties
@@ -42,14 +47,14 @@
 //! # Example
 //!
 //! ```
-//! use gradecast::{Grade, GradecastProtocol};
+//! use gradecast::{BatchGradecastProtocol, Grade};
 //! use sim_net::{run_simulation, Passive, SimConfig};
 //!
 //! // Seven parties gradecast their ids in parallel; no corruption.
 //! let cfg = SimConfig { n: 7, t: 2, max_rounds: 8 };
 //! let report = run_simulation(
 //!     cfg,
-//!     |id, n| GradecastProtocol::new(id, n, 2, id.index() as u64),
+//!     |id, n| BatchGradecastProtocol::new(id, n, 2, id.index() as u64),
 //!     Passive,
 //! ).unwrap();
 //! for out in report.honest_outputs() {
@@ -60,24 +65,11 @@
 //! }
 //! ```
 
-//!
-//! # Scaling
-//!
-//! [`ParallelGradecast`] sends one `Echo`/`Vote` broadcast per instance —
-//! O(n³) batch bytes per round once fan-out is counted. [`BatchGradecast`]
-//! is the semantically equivalent scale path: one struct-of-arrays
-//! broadcast per sender per phase (see the [`batch`] module docs), used by
-//! `real-aa`'s batched party for n ∈ {1024, 4096} runs.
-
 #![warn(missing_docs)]
 pub mod batch;
 pub mod bundle;
-mod msg;
-mod protocol;
-mod state;
+mod grade;
 
 pub use batch::{BatchGradecast, BatchGradecastProtocol, GcBatchMsg, GcSlots, GcValue};
 pub use bundle::{BundleError, BundleGradecast, GcBundleMsg};
-pub use msg::GcMsg;
-pub use protocol::GradecastProtocol;
-pub use state::{Grade, GradecastOutput, ParallelGradecast};
+pub use grade::{Grade, GradecastOutput};

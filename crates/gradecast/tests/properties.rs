@@ -2,22 +2,36 @@
 //! (randomized) Byzantine behaviour by up to `t` statically corrupted
 //! parties.
 
-use gradecast::{GcMsg, Grade, GradecastProtocol};
+use std::sync::Arc;
+
+use gradecast::{BatchGradecastProtocol, GcBatchMsg, GcSlots, GcValue, Grade};
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use sim_net::{run_simulation, AdversaryCtx, PartyId, Payload, ScriptedAdversary, SimConfig};
 
+/// `n` slots, each present with probability ½.
+fn random_slots<T>(
+    rng: &mut ChaCha8Rng,
+    n: usize,
+    mut entry: impl FnMut(&mut ChaCha8Rng) -> T,
+) -> Arc<GcSlots<T>> {
+    let slots = (0..n).map(|_| rng.gen_bool(0.5).then(|| entry(rng)));
+    Arc::new(GcSlots::from_options(slots.collect()))
+}
+
 /// A chaos adversary: statically corrupts `bad` parties; every round each
 /// corrupted party sprays random gradecast messages (random kinds, leader
-/// tags, values, recipients).
+/// slots, values, recipients). Receivers absorb one batch per sender per
+/// phase, so each message speaks for a random subset of leaders rather
+/// than one.
 fn chaos<V>(
     bad: Vec<PartyId>,
     seed: u64,
     values: Vec<V>,
-) -> impl FnMut(&mut AdversaryCtx<'_, GcMsg<V>>)
+) -> impl FnMut(&mut AdversaryCtx<'_, GcBatchMsg<V>>)
 where
-    V: Payload + Ord,
+    V: Payload + GcValue,
 {
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
     move |ctx| {
@@ -31,12 +45,11 @@ where
             let burst = rng.gen_range(0..2 * n);
             for _ in 0..burst {
                 let to = PartyId(rng.gen_range(0..n));
-                let v = values[rng.gen_range(0..values.len())].clone();
-                let leader = PartyId(rng.gen_range(0..n));
+                let pick = |rng: &mut ChaCha8Rng| values[rng.gen_range(0..values.len())].clone();
                 let msg = match rng.gen_range(0..3) {
-                    0 => GcMsg::Lead(v),
-                    1 => GcMsg::Echo(leader, v),
-                    _ => GcMsg::Vote(leader, v),
+                    0 => GcBatchMsg::Lead(pick(&mut rng)),
+                    1 => GcBatchMsg::Echoes(random_slots(&mut rng, n, pick)),
+                    _ => GcBatchMsg::Votes(random_slots(&mut rng, n, |r| pick(r).hash32())),
                 };
                 ctx.send(p, to, msg);
             }
@@ -64,7 +77,7 @@ fn check_gradecast_properties(n: usize, t: usize, num_bad: usize, seed: u64) {
     let inputs: Vec<u64> = (0..n).map(|i| 100 + i as u64).collect();
     let report = run_simulation(
         cfg,
-        |id, nn| GradecastProtocol::new(id, nn, t, inputs[id.index()]),
+        |id, nn| BatchGradecastProtocol::new(id, nn, t, inputs[id.index()]),
         adv,
     )
     .unwrap();
@@ -140,7 +153,7 @@ fn engineered_grade_split_zero_one() {
         t,
         max_rounds: 10,
     };
-    let adv = ScriptedAdversary(move |ctx: &mut AdversaryCtx<'_, GcMsg<u64>>| {
+    let adv = ScriptedAdversary(move |ctx: &mut AdversaryCtx<'_, GcBatchMsg<u64>>| {
         match ctx.round() {
             1 => {
                 ctx.corrupt(PartyId(0)).unwrap();
@@ -148,15 +161,20 @@ fn engineered_grade_split_zero_one() {
                 // Lead 7 to honest parties 2,3,4 only (3 = n - 2t - ... the
                 // point: only 3 honest echoes will exist).
                 for i in 2..=4 {
-                    ctx.send(PartyId(0), PartyId(i), GcMsg::Lead(7));
+                    ctx.send(PartyId(0), PartyId(i), GcBatchMsg::Lead(7));
                 }
             }
             2 => {
                 // Byzantine echoes top up to the n - t = 5 threshold at
                 // party 2 only: parties 2,3,4 echo (3 honest echoes reach
                 // everyone); p0+p1 echo only to party 2.
+                let echo = Arc::new(GcSlots::single(n, 0, 7));
                 for b in [0, 1] {
-                    ctx.send(PartyId(b), PartyId(2), GcMsg::Echo(PartyId(0), 7));
+                    ctx.send(
+                        PartyId(b),
+                        PartyId(2),
+                        GcBatchMsg::Echoes(Arc::clone(&echo)),
+                    );
                 }
             }
             3 => {
@@ -164,9 +182,10 @@ fn engineered_grade_split_zero_one() {
                 // Byzantine votes go to parties 2 and 3 only, lifting them
                 // to 3 votes = grade 1 while 4,5,6 see a single vote ->
                 // grade 0.
+                let vote = Arc::new(GcSlots::single(n, 0, 7u64.hash32()));
                 for b in [0, 1] {
-                    ctx.send(PartyId(b), PartyId(2), GcMsg::Vote(PartyId(0), 7));
-                    ctx.send(PartyId(b), PartyId(3), GcMsg::Vote(PartyId(0), 7));
+                    ctx.send(PartyId(b), PartyId(2), GcBatchMsg::Votes(Arc::clone(&vote)));
+                    ctx.send(PartyId(b), PartyId(3), GcBatchMsg::Votes(Arc::clone(&vote)));
                 }
             }
             _ => {}
@@ -174,7 +193,7 @@ fn engineered_grade_split_zero_one() {
     });
     let report = run_simulation(
         cfg,
-        |id, nn| GradecastProtocol::new(id, nn, t, id.index() as u64),
+        |id, nn| BatchGradecastProtocol::new(id, nn, t, id.index() as u64),
         adv,
     )
     .unwrap();
@@ -206,7 +225,7 @@ fn grade_semantics_hold_under_equivocation() {
         let inputs: Vec<u64> = (0..n).map(|i| 100 + i as u64).collect();
         let report = run_simulation(
             cfg,
-            |id, nn| GradecastProtocol::new(id, nn, t, inputs[id.index()]),
+            |id, nn| BatchGradecastProtocol::new(id, nn, t, inputs[id.index()]),
             EquivocatingAdversary::new(bad.to_vec(), seed),
         )
         .unwrap();
@@ -262,7 +281,7 @@ fn grade_semantics_hold_under_composed_equivocation_and_crash() {
         max_rounds: 10,
     };
     let inputs: Vec<u64> = (0..n).map(|i| 10 * i as u64).collect();
-    let adv: ComposedAdversary<GcMsg<u64>> = ComposedAdversary::new(vec![
+    let adv: ComposedAdversary<GcBatchMsg<u64>> = ComposedAdversary::new(vec![
         Box::new(EquivocatingAdversary::new(vec![PartyId(2)], 13)),
         Box::new(CrashAdversary {
             crashes: vec![(PartyId(6), 2)],
@@ -270,7 +289,7 @@ fn grade_semantics_hold_under_composed_equivocation_and_crash() {
     ]);
     let report = run_simulation(
         cfg,
-        |id, nn| GradecastProtocol::new(id, nn, t, inputs[id.index()]),
+        |id, nn| BatchGradecastProtocol::new(id, nn, t, inputs[id.index()]),
         adv,
     )
     .unwrap();

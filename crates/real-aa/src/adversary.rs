@@ -11,10 +11,12 @@
 //! `D · Π tᵢ / (n − 2t)^R` — maximized by the near-equal split
 //! `tᵢ ≈ t/R`, which is exactly the supremum in Fekete's bound.
 
+use std::sync::Arc;
+
 use rand::Rng;
 use rand_chacha::ChaCha8Rng;
 
-use gradecast::GcMsg;
+use gradecast::{GcBatchMsg, GcSlots, GcValue};
 use sim_net::{Adversary, AdversaryCtx, PartyId};
 
 use crate::real_aa::RealAaMsg;
@@ -178,7 +180,7 @@ impl BudgetSplitEquivocator {
                 .iter()
                 .chain(outbox.unicasts().iter().map(|e| &e.payload));
             for msg in payloads {
-                if let GcMsg::Lead(v) = &msg.body {
+                if let GcBatchMsg::Lead(v) = &msg.body {
                     base.push(v.get());
                     led = true;
                     if self.honest.contains(&p) {
@@ -284,100 +286,120 @@ impl BudgetSplitEquivocator {
     }
 }
 
+/// `base` (or `n` empty slots when the sender had nothing to say) with
+/// the given leader slots overwritten.
+fn overwrite<T: Clone>(
+    base: Option<&GcSlots<T>>,
+    n: usize,
+    slots: impl Iterator<Item = (usize, T)>,
+) -> Arc<GcSlots<T>> {
+    let mut options = vec![None; n];
+    for (leader, entry) in base.into_iter().flat_map(GcSlots::iter) {
+        options[leader] = Some(entry.clone());
+    }
+    for (leader, entry) in slots {
+        options[leader] = Some(entry);
+    }
+    Arc::new(GcSlots::from_options(options))
+}
+
 impl Adversary<RealAaMsg> for BudgetSplitEquivocator {
     fn round(&mut self, ctx: &mut AdversaryCtx<'_, RealAaMsg>) {
         if ctx.round() == 1 {
-            for &b in &self.byz.clone() {
+            for &b in &self.byz {
                 ctx.corrupt(b).expect("static set within budget");
             }
         }
-        let iter = ((ctx.round() - 1) / 3) as usize;
+        let iter = (ctx.round() - 1) / 3;
         let phase = (ctx.round() - 1) % 3;
         let c = self.byz.len();
         let n = ctx.n();
         let t = ctx.t();
 
         if phase == 0 {
-            self.plan_iteration(iter, ctx, t);
-        }
-
-        // Forward every corrupted machine's honest behaviour, except the
-        // leads of leaders being burned this iteration (replaced below).
-        let burning: Vec<PartyId> = self.plans.iter().map(|&(q, _, _)| q).collect();
-        for &b in &self.byz.clone() {
-            if phase == 0 && burning.contains(&b) {
-                continue;
-            }
-            ctx.forward(b);
-        }
-
-        match phase {
-            0 => {
-                // Selective leads: value x to the first n - t - c honest
-                // parties only.
-                let s_size = n.saturating_sub(t + c).min(self.honest.len());
-                let s: Vec<PartyId> = self.honest[..s_size].to_vec();
-                for (q, _, x) in self.plans.clone() {
-                    for &p in &s {
-                        ctx.send(
-                            q,
-                            p,
-                            RealAaMsg {
-                                iter: iter as u32,
-                                body: GcMsg::Lead(R64::new(x)),
-                            },
-                        );
-                    }
-                }
-            }
-            1 => {
-                // Echo top-up: every corrupted party echoes x to the
-                // designated honest voters V (|V| = t + 1 - c members of
-                // the accepting group).
-                let v_size = (t + 1).saturating_sub(c).max(1);
-                for (q, group, x) in self.plans.clone() {
-                    let voters: Vec<PartyId> = group.iter().copied().take(v_size).collect();
-                    for &b in &self.byz.clone() {
-                        for &v in &voters {
-                            ctx.send(
-                                b,
-                                v,
-                                RealAaMsg {
-                                    iter: iter as u32,
-                                    body: GcMsg::Echo(q, R64::new(x)),
-                                },
-                            );
+            self.plan_iteration(iter as usize, ctx, t);
+            // Every corrupted machine behaves honestly, except that the
+            // leaders being burned lead selectively: value x to the first
+            // n - t - c honest parties only.
+            let s_size = n.saturating_sub(t + c).min(self.honest.len());
+            for &b in &self.byz {
+                match self.plans.iter().find(|&&(q, _, _)| q == b) {
+                    None => ctx.forward(b),
+                    Some(&(q, _, x)) => {
+                        for &p in &self.honest[..s_size] {
+                            let body = GcBatchMsg::Lead(R64::new(x));
+                            ctx.send(q, p, RealAaMsg { iter, body });
                         }
                     }
                 }
             }
-            _ => {
-                // Vote top-up: every corrupted party votes x toward the
-                // whole accepting group, lifting it to t + 1 votes (grade
-                // 1) while the other group sees at most t.
-                for (q, group, x) in self.plans.clone() {
-                    for &b in &self.byz.clone() {
-                        for &a in &group {
-                            ctx.send(
-                                b,
-                                a,
-                                RealAaMsg {
-                                    iter: iter as u32,
-                                    body: GcMsg::Vote(q, R64::new(x)),
-                                },
-                            );
-                        }
+            return;
+        }
+
+        if self.plans.is_empty() {
+            for &b in &self.byz {
+                ctx.forward(b);
+            }
+            return;
+        }
+
+        // Top-ups. A receiver absorbs one batch per sender per phase, so a
+        // top-up cannot ride beside the forwarded batch: each recipient
+        // gets *one* batch per corrupted sender — the corrupted machine's
+        // honest batch, with slot q overwritten for the recipients being
+        // topped up.
+        //
+        // Echo round: every corrupted party echoes x for q to the
+        // designated honest voters V (|V| = t + 1 - c members of the
+        // accepting group), completing their n - t echoes. Vote round:
+        // every corrupted party votes x toward the whole accepting group,
+        // lifting it to t + 1 votes (grade 1) while the other group sees
+        // at most t.
+        let reach = if phase == 1 {
+            (t + 1).saturating_sub(c).max(1)
+        } else {
+            n
+        };
+        for &b in &self.byz {
+            let honest_batch = ctx.tentative_outbox(b).broadcasts().first().cloned();
+            for to in (0..n).map(PartyId) {
+                let mut topups = self
+                    .plans
+                    .iter()
+                    .filter(|(_, group, _)| group.iter().take(reach).any(|&a| a == to))
+                    .map(|&(q, _, x)| (q.index(), R64::new(x)))
+                    .peekable();
+                if topups.peek().is_none() {
+                    if let Some(msg) = &honest_batch {
+                        ctx.send(b, to, msg.clone());
                     }
+                    continue;
                 }
+                let base = honest_batch.as_ref().map(|m| &m.body);
+                let body = if phase == 1 {
+                    let base = match base {
+                        Some(GcBatchMsg::Echoes(slots)) => Some(&**slots),
+                        _ => None,
+                    };
+                    GcBatchMsg::Echoes(overwrite(base, n, topups))
+                } else {
+                    let base = match base {
+                        Some(GcBatchMsg::Votes(slots)) => Some(&**slots),
+                        _ => None,
+                    };
+                    GcBatchMsg::Votes(overwrite(base, n, topups.map(|(q, x)| (q, x.hash32()))))
+                };
+                ctx.send(b, to, RealAaMsg { iter, body });
             }
         }
     }
 }
 
 /// A chaos adversary for `RealAA`: statically corrupts a set and sprays
-/// random, arbitrarily tagged gradecast messages with values drawn from
-/// around the honest input range. Used by the property tests: whatever it
-/// does, validity and ε-agreement must hold.
+/// random, arbitrarily tagged gradecast batches — each speaking for a
+/// random subset of leaders — with values drawn from around the honest
+/// input range. Used by the property tests: whatever it does, validity
+/// and ε-agreement must hold.
 #[derive(Clone, Debug)]
 pub struct RealAaChaos {
     byz: Vec<PartyId>,
@@ -399,29 +421,38 @@ impl RealAaChaos {
     }
 }
 
+/// `n` slots, each present with probability ½.
+fn random_slots<T>(
+    rng: &mut ChaCha8Rng,
+    n: usize,
+    mut entry: impl FnMut(&mut ChaCha8Rng) -> T,
+) -> Arc<GcSlots<T>> {
+    let slots = (0..n).map(|_| rng.gen_bool(0.5).then(|| entry(rng)));
+    Arc::new(GcSlots::from_options(slots.collect()))
+}
+
 impl Adversary<RealAaMsg> for RealAaChaos {
     fn round(&mut self, ctx: &mut AdversaryCtx<'_, RealAaMsg>) {
         if ctx.round() == 1 {
-            for &b in &self.byz.clone() {
+            for &b in &self.byz {
                 ctx.corrupt(b).expect("static set within budget");
             }
         }
         let n = ctx.n();
-        let byz = self.byz.clone();
-        for &b in &byz {
-            let bursts = self.rng.gen_range(0..2 * n);
+        let (lo, hi) = self.value_range;
+        let rng = &mut self.rng;
+        for &b in &self.byz {
+            let bursts = rng.gen_range(0..2 * n);
             for _ in 0..bursts {
-                let to = PartyId(self.rng.gen_range(0..n));
-                let leader = PartyId(self.rng.gen_range(0..n));
-                let (lo, hi) = self.value_range;
-                let x = R64::new(self.rng.gen_range(lo..=hi));
+                let to = PartyId(rng.gen_range(0..n));
                 // Tags near the plausible current iteration, sometimes off.
-                let iter = ((ctx.round() - 1) / 3).saturating_sub(self.rng.gen_range(0..2))
-                    + self.rng.gen_range(0..2u32);
-                let body = match self.rng.gen_range(0..3) {
-                    0 => GcMsg::Lead(x),
-                    1 => GcMsg::Echo(leader, x),
-                    _ => GcMsg::Vote(leader, x),
+                let iter = ((ctx.round() - 1) / 3).saturating_sub(rng.gen_range(0..2))
+                    + rng.gen_range(0..2u32);
+                let x = |rng: &mut ChaCha8Rng| R64::new(rng.gen_range(lo..=hi));
+                let body = match rng.gen_range(0..3) {
+                    0 => GcBatchMsg::Lead(x(rng)),
+                    1 => GcBatchMsg::Echoes(random_slots(rng, n, x)),
+                    _ => GcBatchMsg::Votes(random_slots(rng, n, |rng| x(rng).hash32())),
                 };
                 ctx.send(b, to, RealAaMsg { iter, body });
             }

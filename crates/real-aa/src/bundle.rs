@@ -1,6 +1,6 @@
 //! The bundled `RealAA` party: k in-flight instances over one wire.
 //!
-//! [`RealAaBatchParty`](crate::RealAaBatchParty) amortizes gradecast
+//! [`RealAaParty`](crate::RealAaParty) amortizes gradecast
 //! framing across the n *leaders* of one AA instance;
 //! [`BundledAaParty`] amortizes it across k concurrent *instances* as
 //! well. Every round each party broadcasts **one**
@@ -46,8 +46,8 @@ use crate::value::R64;
 pub use gradecast::BundleError;
 
 /// A bundled `RealAA` wire message: a gradecast bundle tagged with its
-/// iteration, exactly like the batched wire's
-/// [`RealAaBatchMsg`](crate::RealAaBatchMsg).
+/// iteration, exactly like the solo party's
+/// [`RealAaMsg`](crate::RealAaMsg).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct BundledAaMsg {
     /// Iteration index (0-based).
@@ -81,7 +81,7 @@ fn wire_round(msg: &BundledAaMsg) -> u32 {
 /// One party running k bundled `RealAA(ε)` instances in lockstep.
 ///
 /// All instances share the configuration and the round schedule of
-/// [`RealAaBatchParty`](crate::RealAaBatchParty) — iteration `i`
+/// [`RealAaParty`](crate::RealAaParty) — iteration `i`
 /// occupies rounds `3i+1..=3i+3` — but each advances its own value,
 /// muted set, and (with [`RealAaConfig::early_stopping`]) its own
 /// termination round. The party outputs once every instance has.
@@ -457,7 +457,7 @@ mod tests {
     }
 
     #[test]
-    fn bundle_of_one_matches_the_batched_party() {
+    fn bundle_of_one_matches_the_solo_party() {
         let cfg = cfg(7, 2);
         let inputs = [2.0, 9.0, 5.0, 7.0, 3.0, 8.0, 4.0];
         let bundled: Vec<Vec<f64>> =
@@ -468,7 +468,7 @@ mod tests {
                 t: 2,
                 max_rounds: 10 + cfg.rounds(),
             },
-            |id, _| crate::RealAaBatchParty::new(id, cfg, inputs[id.index()]),
+            |id, _| crate::RealAaParty::new(id, cfg, inputs[id.index()]),
             Passive,
         )
         .unwrap();

@@ -14,7 +14,8 @@
 //! The protocol runs a fixed number of 3-round iterations (the count is the
 //! publicly computable [`iterations_for`]). In each iteration every party
 //! gradecasts its current value; all `n` gradecasts share the iteration's
-//! three rounds (see the [`gradecast`] crate). A party then
+//! three rounds, each party sending one slot-vector message per round
+//! that covers all `n` leaders (see the [`gradecast`] crate). A party then
 //!
 //! 1. **accepts** every value with grade ≥ 1 into a multiset (acceptance is
 //!    purely grade-based);
@@ -39,6 +40,9 @@
 //!
 //! * [`RealAaParty`] — the protocol, fixed-round or with sound early
 //!   stopping ([`RealAaConfig::early_stopping`]);
+//! * [`BundledAaParty`] — `k` independent instances of it sharing one
+//!   message per round, instance for instance bit-identical to
+//!   [`RealAaParty`];
 //! * [`IteratedAaParty`] — the classic `O(log(D/ε))`-round
 //!   trim-and-halve baseline of Dolev et al., for the comparisons in the
 //!   paper's introduction;
@@ -71,7 +75,6 @@
 
 #![warn(missing_docs)]
 pub mod adversary;
-mod batch;
 mod bundle;
 mod iterated;
 mod multiset;
@@ -79,7 +82,6 @@ mod real_aa;
 mod rounds;
 mod value;
 
-pub use batch::{RealAaBatchMsg, RealAaBatchParty};
 pub use bundle::{BundleError, BundledAaMsg, BundledAaParty};
 pub use iterated::{IteratedAaConfig, IteratedAaParty, PlainValueMsg};
 pub use multiset::{trimmed, trimmed_mean, trimmed_midpoint};

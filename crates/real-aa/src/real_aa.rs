@@ -1,6 +1,11 @@
 //! The gradecast-based `RealAA` protocol (Theorem 3's building block).
+//!
+//! Each iteration runs all `n` gradecasts over [`BatchGradecast`]'s
+//! struct-of-arrays wire: one `Arc`-shared batch broadcast per sender per
+//! round, quadratic delivered bytes. See `gradecast::batch` for the
+//! encoding and the vote-by-hash soundness argument.
 
-use gradecast::{GcMsg, Grade, ParallelGradecast};
+use gradecast::{BatchGradecast, GcBatchMsg, Grade};
 use sim_net::{Inbox, PartyId, Payload, Protocol, RoundCtx};
 
 use crate::multiset::trimmed_mean;
@@ -122,7 +127,7 @@ impl RealAaConfig {
     }
 }
 
-/// A `RealAA` wire message: a gradecast message tagged with its iteration.
+/// A `RealAA` wire message: a gradecast batch tagged with its iteration.
 ///
 /// Messages with tags other than the receiver's current phase are ignored
 /// (a Byzantine party gains nothing by replaying across iterations).
@@ -130,8 +135,8 @@ impl RealAaConfig {
 pub struct RealAaMsg {
     /// Iteration index (0-based).
     pub iter: u32,
-    /// The gradecast message body.
-    pub body: GcMsg<R64>,
+    /// The batched gradecast body.
+    pub body: GcBatchMsg<R64>,
 }
 
 impl Payload for RealAaMsg {
@@ -153,7 +158,7 @@ pub(crate) struct IterationOutcome {
 
 /// The numeric core of one completed iteration — multiset construction
 /// with the fill rule, muting, accepted-range scan, trimmed mean — shared
-/// verbatim by [`RealAaParty`] and the batched party so their value
+/// verbatim by [`RealAaParty`] and the bundled party so their value
 /// trajectories are bit-identical by construction.
 ///
 /// The accepted-range scan and the trimmed-mean sum run through the
@@ -220,7 +225,8 @@ pub(crate) fn apply_iteration_into(
 /// `3i+3` (vote); the votes are delivered — and the value updated — at the
 /// start of round `3i+4`, which is also the next iteration's lead round, so
 /// iterations are seamlessly pipelined and the protocol uses exactly `3R`
-/// communication rounds.
+/// communication rounds. Emits one `gc.grade` trace event per leader and
+/// one `realaa.iter` event per completed iteration.
 #[derive(Clone, Debug)]
 pub struct RealAaParty {
     cfg: RealAaConfig,
@@ -228,7 +234,7 @@ pub struct RealAaParty {
     value: f64,
     /// Leaders muted so far (carried across iterations).
     muted: Vec<bool>,
-    gc: ParallelGradecast<R64>,
+    gc: BatchGradecast<R64>,
     iterations_done: u32,
     output: Option<f64>,
     /// Spread of the accepted multiset in the last completed iteration.
@@ -248,7 +254,7 @@ impl RealAaParty {
         assert!(input.is_finite(), "honest inputs must be finite");
         assert!(me.index() < cfg.n, "party id out of range");
         let muted = vec![false; cfg.n];
-        let gc = ParallelGradecast::with_muted(me, cfg.n, cfg.t, muted.clone());
+        let gc = BatchGradecast::with_muted(me, cfg.n, cfg.t, muted.clone());
         RealAaParty {
             cfg,
             me,
@@ -287,12 +293,12 @@ impl RealAaParty {
         iter_tag: u32,
         ctx: &mut RoundCtx<RealAaMsg>,
     ) {
-        let votes: Vec<(PartyId, GcMsg<R64>)> = inbox
-            .iter()
-            .filter(|e| e.payload.iter == iter_tag)
-            .map(|e| (e.from, e.payload.body.clone()))
-            .collect();
-        let outputs = self.gc.on_votes(&votes);
+        let outputs = self.gc.on_votes(
+            inbox
+                .iter()
+                .filter(|e| e.payload.iter == iter_tag)
+                .map(|e| (e.from, &e.payload.body)),
+        );
         for (leader, out) in outputs.iter().enumerate() {
             ctx.emit_with(|| {
                 let mut ev = sim_net::ProtoEvent::new("gc.grade")
@@ -305,7 +311,6 @@ impl RealAaParty {
                 ev
             });
         }
-
         let outcome = apply_iteration(&self.cfg, &outputs, &mut self.muted);
         self.last_accepted_spread = if outcome.accepted_lo.is_finite() {
             outcome.accepted_hi - outcome.accepted_lo
@@ -345,14 +350,11 @@ impl RealAaParty {
     }
 
     fn start_iteration(&mut self, ctx: &mut RoundCtx<RealAaMsg>, iter_tag: u32) {
-        self.gc =
-            ParallelGradecast::with_muted(self.me, self.cfg.n, self.cfg.t, self.muted.clone());
-        for body in self.gc.lead_msgs(R64::new(self.value)) {
-            ctx.broadcast(RealAaMsg {
-                iter: iter_tag,
-                body,
-            });
-        }
+        self.gc = BatchGradecast::with_muted(self.me, self.cfg.n, self.cfg.t, self.muted.clone());
+        ctx.broadcast(RealAaMsg {
+            iter: iter_tag,
+            body: self.gc.lead_msg(R64::new(self.value)),
+        });
     }
 }
 
@@ -378,6 +380,14 @@ impl Protocol for RealAaParty {
         }
         let phase = (round - 1) % 3;
         let iter_tag = (round - 1) / 3;
+        // Batches arrive `Arc`-shared, so feeding the gradecast by
+        // reference out of the inbox copies nothing.
+        let tagged = |tag: u32| {
+            inbox
+                .iter()
+                .filter(move |e| e.payload.iter == tag)
+                .map(|e| (e.from, &e.payload.body))
+        };
         match phase {
             0 => {
                 // Finish the previous iteration (if any), then lead the
@@ -391,30 +401,18 @@ impl Protocol for RealAaParty {
                 self.start_iteration(ctx, iter_tag);
             }
             1 => {
-                let leads: Vec<(PartyId, GcMsg<R64>)> = inbox
-                    .iter()
-                    .filter(|e| e.payload.iter == iter_tag)
-                    .map(|e| (e.from, e.payload.body.clone()))
-                    .collect();
-                for body in self.gc.on_leads(&leads) {
-                    ctx.broadcast(RealAaMsg {
-                        iter: iter_tag,
-                        body,
-                    });
-                }
+                let batch = self.gc.on_leads(tagged(iter_tag));
+                ctx.broadcast(RealAaMsg {
+                    iter: iter_tag,
+                    body: batch,
+                });
             }
             _ => {
-                let echoes: Vec<(PartyId, GcMsg<R64>)> = inbox
-                    .iter()
-                    .filter(|e| e.payload.iter == iter_tag)
-                    .map(|e| (e.from, e.payload.body.clone()))
-                    .collect();
-                for body in self.gc.on_echoes(&echoes) {
-                    ctx.broadcast(RealAaMsg {
-                        iter: iter_tag,
-                        body,
-                    });
-                }
+                let batch = self.gc.on_echoes(tagged(iter_tag));
+                ctx.broadcast(RealAaMsg {
+                    iter: iter_tag,
+                    body: batch,
+                });
             }
         }
     }
@@ -437,18 +435,69 @@ mod tests {
 
     #[test]
     fn message_sizes_are_deep() {
-        // 4 iter bytes + the gradecast body's own wire size (which in turn
-        // sizes the R64 value at 8 bytes, not size_of::<R64>() shallow).
+        use std::sync::Arc;
+        // Lead: 4 iter + 1 tag + 8 value (the R64 is sized at 8 bytes,
+        // not size_of::<R64>() shallow).
         let lead = RealAaMsg {
             iter: 0,
-            body: GcMsg::Lead(R64::new(1.0)),
+            body: GcBatchMsg::Lead(R64::new(1.0)),
         };
         assert_eq!(lead.size_bytes(), 4 + 9);
-        let echo = RealAaMsg {
-            iter: 3,
-            body: GcMsg::Echo(PartyId(2), R64::new(0.5)),
+        // Full 8-slot echo batch: 4 iter + 1 tag + 1 bitmap + 8 × 8.
+        let echoes = RealAaMsg {
+            iter: 1,
+            body: GcBatchMsg::Echoes(Arc::new(gradecast::GcSlots::from_options(
+                (0..8).map(|i| Some(R64::new(i as f64))).collect(),
+            ))),
         };
-        assert_eq!(echo.size_bytes(), 4 + 13);
+        assert_eq!(echoes.size_bytes(), 4 + 1 + 1 + 64);
+    }
+
+    #[test]
+    fn step_modes_agree_with_byte_identical_traces_n256() {
+        use sim_net::{run_simulation_traced, EngineConfig, StepMode};
+        // Kernel fast paths genuinely engage here: full echo batches at
+        // n = 256 take the eq_count sweep and the trimmed slice has
+        // n − 2t = 172 ≥ 128 elements, exercising the chunked sum.
+        let n = 256;
+        let t = 42;
+        let cfg = RealAaConfig::new(n, t, 1.0, 2.0).unwrap();
+        let inputs: Vec<f64> = (0..n).map(|i| (i % 17) as f64 / 8.0).collect();
+        let run = |mode| {
+            run_simulation_traced(
+                EngineConfig {
+                    sim: SimConfig {
+                        n,
+                        t,
+                        max_rounds: 10 + cfg.rounds(),
+                    },
+                    step_mode: mode,
+                },
+                |id, _| RealAaParty::new(id, cfg, inputs[id.index()]),
+                CrashAdversary {
+                    crashes: vec![(PartyId(3), 2)],
+                },
+            )
+            .unwrap()
+        };
+        let (ref_report, ref_trace) = run(StepMode::Sequential);
+        let ref_bytes = ref_trace.to_canonical_string();
+        for mode in [
+            StepMode::Parallel { threads: 3 },
+            StepMode::Parallel { threads: 0 },
+        ] {
+            let (report, trace) = run(mode);
+            assert_eq!(report, ref_report, "mode {mode:?} diverged");
+            assert_eq!(
+                trace.to_canonical_string(),
+                ref_bytes,
+                "mode {mode:?} trace not byte-identical"
+            );
+        }
+        // Trace byte accounting reconciles with the metrics.
+        aa_trace::check_round_totals(&ref_trace).unwrap();
+        let totals = aa_trace::recomputed_totals(&ref_trace);
+        assert_eq!(totals.bytes, ref_report.metrics.total_bytes());
     }
 
     fn run_honest(n: usize, t: usize, eps: f64, d: f64, inputs: &[f64]) -> Vec<f64> {

@@ -1,6 +1,6 @@
 //! The bundled-AA equivalence suite: every instance of a
 //! [`BundledAaParty`] bundle must be observably identical to running
-//! that instance alone as a [`RealAaBatchParty`] — same outputs, same
+//! that instance alone as a [`RealAaParty`] — same outputs, same
 //! run length, same degradation verdicts, and the same protocol-level
 //! trace events (grades and iteration summaries) — under honest,
 //! crashing, equivocating, and scheduled-fault executions, in both the
@@ -14,7 +14,7 @@ use std::sync::Arc;
 
 use aa_trace::Json;
 use gradecast::{GcBatchMsg, GcBundleMsg, GcSlots};
-use real_aa::{BundledAaMsg, BundledAaParty, RealAaBatchMsg, RealAaBatchParty, RealAaConfig, R64};
+use real_aa::{BundledAaMsg, BundledAaParty, RealAaConfig, RealAaMsg, RealAaParty, R64};
 use sim_net::{
     run_simulation_faulted_traced, Adversary, AdversaryCtx, CrashAdversary, CrashFault,
     EngineConfig, EventKind, FaultPlan, Partition, PartyId, Passive, SimConfig, StaticByzantine,
@@ -106,7 +106,7 @@ fn solo_events(trace: &Trace) -> Vec<NormEvent> {
 }
 
 /// The differential harness: one bundled run of `k` instances vs `k`
-/// independent batched runs under semantically identical adversaries
+/// independent solo runs under semantically identical adversaries
 /// and the same fault plan, compared per instance on outputs, verdicts,
 /// trace events, and (across the bundle) total run length.
 fn assert_bundle_equivalent<AB, AS>(
@@ -118,7 +118,7 @@ fn assert_bundle_equivalent<AB, AS>(
     mut adv_solo: impl FnMut() -> AS,
 ) where
     AB: Adversary<BundledAaMsg>,
-    AS: Adversary<RealAaBatchMsg>,
+    AS: Adversary<RealAaMsg>,
 {
     let (bundled, btrace) = run_simulation_faulted_traced(
         engine(&cfg, mode),
@@ -136,7 +136,7 @@ fn assert_bundle_equivalent<AB, AS>(
         let (solo, strace) = run_simulation_faulted_traced(
             engine(&cfg, mode),
             plan,
-            |id, _| RealAaBatchParty::new(id, cfg, input(id.index(), j)),
+            |id, _| RealAaParty::new(id, cfg, input(id.index(), j)),
             adv_solo(),
         )
         .expect("solo run");
@@ -222,14 +222,14 @@ fn equivocating_bundles_match_solo_runs() {
             };
             let adv_solo = || StaticByzantine {
                 parties: vec![PartyId(0)],
-                behave: |ctx: &mut AdversaryCtx<'_, RealAaBatchMsg>| {
+                behave: |ctx: &mut AdversaryCtx<'_, RealAaMsg>| {
                     if ctx.round() == 1 {
                         for i in 1..N {
                             let v = if i <= 3 { 0.0 } else { DIAM };
                             ctx.send(
                                 PartyId(0),
                                 PartyId(i),
-                                RealAaBatchMsg {
+                                RealAaMsg {
                                     iter: 0,
                                     body: GcBatchMsg::Lead(R64::new(v)),
                                 },

@@ -414,69 +414,12 @@ mod tests {
             let inputs: Vec<VertexId> = (0..7)
                 .map(|i| tree.vertices().nth((i * 37) % m).unwrap())
                 .collect();
-            for engine in [
-                EngineKind::Gradecast,
-                EngineKind::GradecastBatched,
-                EngineKind::Halving,
-            ] {
+            for engine in [EngineKind::Gradecast, EngineKind::Halving] {
                 let (outputs, _) = run_tree_aa(&tree, 7, 2, engine, &inputs);
                 check_tree_aa(&tree, &inputs, &outputs)
                     .unwrap_or_else(|e| panic!("{engine:?}: {e}"));
             }
         }
-    }
-
-    /// The batched engine is a wire-level change only: every
-    /// `treeaa.path`, `treeaa.pos` and `treeaa.out` event — phase
-    /// boundary index `j`, chosen path, per-round positions, final
-    /// vertex — must be identical to the unbatched gradecast engine's,
-    /// round for round, party for party.
-    #[test]
-    fn batched_engine_pins_the_unbatched_trace() {
-        use sim_net::{run_simulation_traced, EngineConfig, EventKind};
-
-        let tree = Arc::new(generate::caterpillar(7, 2));
-        let m = tree.vertex_count();
-        let n = 7;
-        let inputs: Vec<VertexId> = (0..n)
-            .map(|i| tree.vertices().nth((i * 37) % m).unwrap())
-            .collect();
-        let traced = |engine: EngineKind| {
-            let cfg = TreeAaConfig::new(n, 2, engine, &tree).unwrap();
-            let (report, trace) = run_simulation_traced(
-                EngineConfig::from(SimConfig {
-                    n,
-                    t: 2,
-                    max_rounds: cfg.total_rounds() + 5,
-                }),
-                |id, _| TreeAaParty::new(id, cfg.clone(), Arc::clone(&tree), inputs[id.index()]),
-                Passive,
-            )
-            .unwrap();
-            let events: Vec<_> = trace
-                .events
-                .iter()
-                .filter(|e| {
-                    matches!(&e.kind, EventKind::Proto { event, .. }
-                        if event.label.starts_with("treeaa."))
-                })
-                .cloned()
-                .collect();
-            (report.outputs, report.rounds_executed, events)
-        };
-
-        let (out_plain, rounds_plain, ev_plain) = traced(EngineKind::Gradecast);
-        let (out_batch, rounds_batch, ev_batch) = traced(EngineKind::GradecastBatched);
-        assert_eq!(out_plain, out_batch);
-        assert_eq!(rounds_plain, rounds_batch);
-        assert!(
-            ev_plain.iter().any(|e| matches!(&e.kind,
-                EventKind::Proto { event, .. } if event.label == "treeaa.path"))
-                && ev_plain.iter().any(|e| matches!(&e.kind,
-                    EventKind::Proto { event, .. } if event.label == "treeaa.out")),
-            "trace must contain the pinned event kinds"
-        );
-        assert_eq!(ev_plain, ev_batch);
     }
 
     #[test]

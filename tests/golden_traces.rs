@@ -99,6 +99,50 @@ fn golden_traces_pass_every_invariant_checker() {
     }
 }
 
+/// FNV-1a over the canonical rendering of a trace's protocol events in
+/// recorded order — the part of a recording that does not depend on how
+/// the engine encodes its messages. (Lockstep recordings carry no
+/// `vt`/`pseq` stamps for [`aa_trace::proto_projection`] to sort by; their
+/// recorded order is already canonical.)
+fn proto_fingerprint(trace: &Trace) -> u64 {
+    let protos: Vec<String> = trace
+        .events
+        .iter()
+        .filter(|e| matches!(e.kind, aa_trace::EventKind::Proto { .. }))
+        .map(|e| e.to_json().to_string())
+        .collect();
+    aa_trace::fnv1a_64(protos.join("\n").as_bytes())
+}
+
+/// Protocol-event fingerprints of the four recordings that run the
+/// gradecast engine, computed from the files as recorded on the retired
+/// one-message-per-leader wire. Re-recording them on the slot-vector wire
+/// changed message counts and byte totals only: every grade, iteration
+/// summary, path and output event must still hash to these values.
+const WIRE_INDEPENDENT_PINS: [(&str, u64); 4] = [
+    ("broom-realaa-equivocate.trace.json", 0xba1c_4ff8_61c3_f100),
+    ("caterpillar-equivocate.trace.json", 0x3a2e_8aff_6bf7_602e),
+    ("path-honest.trace.json", 0x1e85_6a03_e94f_eff1),
+    ("star-crash.trace.json", 0x7c65_900e_d202_ce53),
+];
+
+#[test]
+fn protocol_events_survived_the_wire_change() {
+    let files = golden_files();
+    for (file, pinned) in WIRE_INDEPENDENT_PINS {
+        let (_, text) = files
+            .iter()
+            .find(|(name, _)| name == file)
+            .unwrap_or_else(|| panic!("{file}: golden trace missing"));
+        let golden = Trace::parse(text.trim()).expect("parseable golden trace");
+        assert_eq!(
+            proto_fingerprint(&golden),
+            pinned,
+            "{file}: protocol events differ from the pre-port recording"
+        );
+    }
+}
+
 #[test]
 fn golden_traces_cover_every_scenario() {
     let names: Vec<String> = golden_files()

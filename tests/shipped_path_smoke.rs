@@ -1,0 +1,177 @@
+//! Tier-1 smoke of the shipped path: the code every deployment and every
+//! benchmark workload actually runs — the bundled and solo `RealAA`
+//! parties on the slot-vector gradecast wire, `TreeAA` on top of them
+//! under Byzantine traffic, the Fekete-envelope adversary, and the
+//! write-ahead log. Each case is a thin slice of a fuller suite in its
+//! own crate; together they must stay well under 30 s.
+
+use std::sync::Arc;
+
+use net::{read_wal, WalHeader, WalRecord, WalWriter, WIRE_VERSION};
+use tree_aa_repro::real_aa::adversary::{equal_split_schedule, BudgetSplitEquivocator};
+use tree_aa_repro::real_aa::{BundledAaParty, RealAaConfig, RealAaParty};
+use tree_aa_repro::sim_net::{run_simulation, CrashAdversary, PartyId, SimConfig};
+use tree_aa_repro::tree_aa::adversary::TreeAaChaos;
+use tree_aa_repro::tree_aa::{check_tree_aa, EngineKind, TreeAaConfig, TreeAaParty};
+use tree_aa_repro::tree_model::{generate, VertexId};
+
+fn spread(outs: &[f64]) -> f64 {
+    let lo = outs.iter().cloned().fold(f64::INFINITY, f64::min);
+    let hi = outs.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
+    hi - lo
+}
+
+/// Instance `j` of a k = 3 bundle decides exactly what a solo party
+/// running that instance alone decides, honest and under a crash.
+#[test]
+fn bundled_equals_solo_bit_for_bit_at_k3() {
+    let (n, t, k) = (7, 2, 3);
+    let cfg = RealAaConfig::new(n, t, 0.5, 10.0)
+        .unwrap()
+        .with_early_stopping();
+    let sim = SimConfig {
+        n,
+        t,
+        max_rounds: cfg.rounds() + 5,
+    };
+    let input = |p: usize, j: usize| ((p * 31 + j * 17 + 3) % 101) as f64 / 10.0;
+    for crashes in [vec![], vec![(PartyId(4), 5)]] {
+        let bundled = run_simulation(
+            sim,
+            |id, _| {
+                let inputs = (0..k).map(|j| input(id.index(), j)).collect();
+                BundledAaParty::new(id, cfg, inputs).expect("k >= 1")
+            },
+            CrashAdversary {
+                crashes: crashes.clone(),
+            },
+        )
+        .unwrap();
+        for j in 0..k {
+            let solo = run_simulation(
+                sim,
+                |id, _| RealAaParty::new(id, cfg, input(id.index(), j)),
+                CrashAdversary {
+                    crashes: crashes.clone(),
+                },
+            )
+            .unwrap();
+            assert_eq!(solo.corrupted, bundled.corrupted);
+            for p in 0..n {
+                let b = bundled.outputs[p].as_ref().map(|outs| outs[j].to_bits());
+                let s = solo.outputs[p].map(f64::to_bits);
+                assert_eq!(b, s, "instance {j}, party {p}, crashes {crashes:?}");
+            }
+        }
+    }
+}
+
+#[test]
+fn tree_aa_under_chaos_at_n7() {
+    let tree = Arc::new(generate::caterpillar(6, 2));
+    let (n, t) = (7, 2);
+    let cfg = TreeAaConfig::new(n, t, EngineKind::Gradecast, &tree).unwrap();
+    let m = tree.vertex_count();
+    let inputs: Vec<VertexId> = (0..n)
+        .map(|i| tree.vertices().nth((i * 7) % m).unwrap())
+        .collect();
+    for seed in 0..3u64 {
+        let byz = vec![PartyId(seed as usize), PartyId(seed as usize + 3)];
+        let report = run_simulation(
+            SimConfig {
+                n,
+                t,
+                max_rounds: cfg.total_rounds() + 5,
+            },
+            |id, _| TreeAaParty::new(id, cfg.clone(), Arc::clone(&tree), inputs[id.index()]),
+            TreeAaChaos::new(byz.clone(), seed, 2.0 * m as f64),
+        )
+        .unwrap();
+        let honest_inputs: Vec<VertexId> = (0..n)
+            .filter(|&i| !byz.contains(&PartyId(i)))
+            .map(|i| inputs[i])
+            .collect();
+        check_tree_aa(&tree, &honest_inputs, &report.honest_outputs()).unwrap();
+    }
+}
+
+/// After R attacked iterations the honest spread stays within Lemma 5's
+/// `D · Π tᵢ / (n − 2t)^R` — and the first split really bites, so the
+/// bound is being tested against a live adversary.
+#[test]
+fn budget_split_equivocator_stays_within_the_lemma5_envelope() {
+    let (n, t, d) = (10usize, 3usize, 1000.0);
+    for r in 1..=3u32 {
+        let schedule = equal_split_schedule(t, r as usize);
+        let cfg = RealAaConfig::new(n, t, 1e-12, d)
+            .unwrap()
+            .with_fixed_iterations(r);
+        let byz: Vec<PartyId> = (0..t).map(PartyId).collect();
+        let inputs: Vec<f64> = (0..n).map(|i| d * i as f64 / (n - 1) as f64).collect();
+        let report = run_simulation(
+            SimConfig {
+                n,
+                t,
+                max_rounds: cfg.rounds() + 5,
+            },
+            |id, _| RealAaParty::new(id, cfg, inputs[id.index()]),
+            BudgetSplitEquivocator::new(n, byz, schedule.clone()),
+        )
+        .unwrap();
+        let measured = spread(&report.honest_outputs());
+        let envelope = d * schedule
+            .iter()
+            .map(|&ti| ti as f64 / (n - 2 * t) as f64)
+            .product::<f64>();
+        assert!(
+            measured <= envelope + 1e-9,
+            "R = {r}: spread {measured} > {envelope}"
+        );
+        assert!(measured > 0.0, "R = {r}: the equivocator split nothing");
+    }
+}
+
+#[test]
+fn wal_write_torn_tail_read_round_trip() {
+    let path = std::env::temp_dir().join(format!("treeaa-smoke-{}.wal", std::process::id()));
+    let header = WalHeader {
+        config_fp: 0xfeed_beef_cafe_f00d,
+        me: 1,
+        n: 4,
+        t: 1,
+        seed: 7,
+        min_delay_bits: 0.1f64.to_bits(),
+        wire_version: WIRE_VERSION,
+        label: "smoke".into(),
+    };
+    let reserves: Vec<WalRecord> = (0..3)
+        .map(|peer| WalRecord::Reserve {
+            peer,
+            upto: 64 * (peer as u64 + 1),
+        })
+        .collect();
+    let mut wal = WalWriter::create(&path, &header).unwrap();
+    for rec in &reserves {
+        wal.append(rec).unwrap();
+    }
+    drop(wal);
+
+    // A crash mid-append leaves a partial record at the end of the file.
+    let intact = std::fs::read(&path).unwrap();
+    let torn = [&intact[..], &reserves[0].encode()[..7]].concat();
+    std::fs::write(&path, torn).unwrap();
+
+    let scan = read_wal(&path).unwrap();
+    assert_eq!(scan.valid_len, intact.len() as u64);
+    assert_eq!(scan.records[0], WalRecord::Header(header));
+    assert_eq!(scan.records[1..], reserves[..]);
+
+    // Recovery truncates the tail and appends where the valid log ended.
+    let mut wal = WalWriter::append_to(&path, scan.valid_len).unwrap();
+    wal.append(&reserves[2]).unwrap();
+    drop(wal);
+    let rescan = read_wal(&path).unwrap();
+    assert_eq!(rescan.records.len(), scan.records.len() + 1);
+    assert_eq!(rescan.records.last(), Some(&reserves[2]));
+    std::fs::remove_file(&path).unwrap();
+}
