@@ -29,7 +29,7 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-pub use aa_codec::{fnv1a_64, Json};
+pub use aa_codec::{fnv1a_64, fnv1a_64_extend, Json};
 
 /// A protocol-level event emitted by a party during its `step`.
 ///

@@ -223,6 +223,12 @@ pub enum Command {
         /// JSON report file (empty writes the JSON to stdout).
         out: String,
     },
+    /// `wal-dump`: print a node's write-ahead log, one JSON line per
+    /// record.
+    WalDump {
+        /// Path to a WAL file.
+        file: String,
+    },
     /// `help` or no/unknown arguments.
     Help,
 }
@@ -274,6 +280,13 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
     let Some(cmd) = args.first() else {
         return Ok(Command::Help);
     };
+    if cmd == "wal-dump" {
+        // The one subcommand with a positional argument.
+        return match &args[1..] {
+            [file] if !file.starts_with("--") => Ok(Command::WalDump { file: file.clone() }),
+            _ => Err("usage: treeaa wal-dump <file>".into()),
+        };
+    }
     let opts = options(&args[1..])?;
     match cmd.as_str() {
         "gen" => Ok(Command::Gen {
@@ -446,6 +459,7 @@ USAGE:
                 [--seed <S>] [--min-delay <F>] [--secret <K>]
                 [--runs <R>] [--gate] [--supervise] [--chaos <S>]
                 [--kill-after-ready <i,j,...>] [--wal-dir <dir>]
+  treeaa wal-dump <file>
 
 `run` uses one party per input label; with an adversary, the *last* t
 parties are corrupted and their input labels are ignored.
@@ -509,7 +523,9 @@ prints one final machine-readable `OUTCOME` line. All processes of a
 deployment must be launched with identical --tree/--inputs/--t/--seed/
 --min-delay (a fingerprint in the handshake rejects mismatches) and the
 same --secret. With --wal the node appends every protocol-relevant
-state transition to a checksummed write-ahead log; with --recover it
+state transition to a checksummed write-ahead log, flushed to the OS
+per record and not fsynced: it survives a SIGKILL of the process (the
+page cache outlives it), not power loss. With --recover it
 first replays that log (shaving any torn tail a crash left behind),
 re-handshakes under the same config fingerprint, and rejoins the
 protocol exactly where it died — recovery is invisible to the
@@ -538,6 +554,13 @@ children once the whole deployment is READY — the crash-recovery e2e.
 resets, byte corruption, latency stalls, transient blackouts);
 correctness is still refereed, but --gate is refused because chaos
 legitimately shifts the retransmission schedule.
+
+`wal-dump` prints a node's (binary) write-ahead log as one canonical
+JSON line per record — message bodies as length and FNV-1a, not bytes —
+and a final `end` line with the record count, the valid prefix length
+and whether a torn tail follows it. A corrupt, oversized or JSON-era
+record ends the dump with its typed error and a non-zero exit, after
+the records before it.
 ";
 
 fn build_family(family: &str, size: usize, seed: u64) -> Result<Tree, String> {
@@ -1526,6 +1549,24 @@ pub fn execute(cmd: Command, out: &mut impl std::io::Write) -> Result<(), String
                 ));
             }
             Ok(())
+        }
+        Command::WalDump { file } => {
+            let bytes = std::fs::read(&file).map_err(|e| format!("cannot read `{file}`: {e}"))?;
+            let mut cursor = net::WalCursor::new();
+            cursor.push(&bytes);
+            let mut records = 0u64;
+            while let Some(rec) = cursor.next_record().map_err(|e| e.to_string())? {
+                writeln!(out, "{}", rec.to_json()).map_err(io)?;
+                records += 1;
+            }
+            use aa_trace::Json;
+            let end = Json::Obj(vec![
+                ("k".into(), Json::Str("end".into())),
+                ("records".into(), Json::int(records)),
+                ("valid_len".into(), Json::int(cursor.consumed())),
+                ("torn_tail_bytes".into(), Json::int(cursor.pending() as u64)),
+            ]);
+            writeln!(out, "{end}").map_err(io)
         }
         Command::Trace {
             scenario,
@@ -2552,6 +2593,82 @@ mod tests {
         let err =
             execute(cluster("--supervise --kill-after-ready 9"), &mut Vec::new()).unwrap_err();
         assert!(err.contains("out of range"), "{err}");
+    }
+
+    #[test]
+    fn parses_wal_dump_with_its_positional_file() {
+        assert_eq!(
+            parse_args(&argv("wal-dump /tmp/node0.wal")).unwrap(),
+            Command::WalDump {
+                file: "/tmp/node0.wal".into()
+            }
+        );
+        for bad in ["wal-dump", "wal-dump a b", "wal-dump --file x"] {
+            let err = parse_args(&argv(bad)).unwrap_err();
+            assert!(err.contains("wal-dump <file>"), "{bad}: {err}");
+        }
+    }
+
+    #[test]
+    fn wal_dump_prints_records_then_the_valid_length_and_torn_tail() {
+        let path = std::env::temp_dir().join(format!("treeaa-dump-{}.wal", std::process::id()));
+        let header = net::WalHeader {
+            config_fp: 0xfeed,
+            me: 1,
+            n: 4,
+            t: 1,
+            seed: 7,
+            min_delay_bits: 0.5f64.to_bits(),
+            wire_version: net::WIRE_VERSION,
+            label: "dump".into(),
+        };
+        let mut wal = net::WalWriter::create(&path, &header).unwrap();
+        wal.append(&net::WalRecord::Reserve { peer: 2, upto: 64 })
+            .unwrap();
+        drop(wal);
+        let intact = std::fs::read(&path).unwrap();
+        std::fs::write(&path, [&intact[..], &[0, 0, 0, 17, 2]].concat()).unwrap();
+
+        let dump = |file: &std::path::Path| {
+            let mut out = Vec::new();
+            let cmd = Command::WalDump {
+                file: file.display().to_string(),
+            };
+            let status = execute(cmd, &mut out);
+            (String::from_utf8(out).unwrap(), status)
+        };
+        let (text, status) = dump(&path);
+        status.unwrap();
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(lines.len(), 3, "{text}");
+        assert!(lines[0].starts_with(r#"{"k": "hdr", "fp": "000000000000feed""#));
+        assert_eq!(
+            lines[1],
+            r#"{"k": "res", "peer": 2, "upto": "0000000000000040"}"#
+        );
+        assert_eq!(
+            lines[2],
+            format!(
+                r#"{{"k": "end", "records": 2, "valid_len": {}, "torn_tail_bytes": 5}}"#,
+                intact.len()
+            )
+        );
+
+        // Corruption: the records before it, then the typed error.
+        let mut corrupt = intact.clone();
+        let last = corrupt.len() - 1;
+        corrupt[last] ^= 1;
+        std::fs::write(&path, corrupt).unwrap();
+        let (text, status) = dump(&path);
+        assert_eq!(text.lines().count(), 1, "{text}");
+        let err = status.unwrap_err();
+        assert!(err.contains("fails its checksum"), "{err}");
+        std::fs::remove_file(&path).unwrap();
+
+        let err = dump(std::path::Path::new("/nonexistent/treeaa.wal"))
+            .1
+            .unwrap_err();
+        assert!(err.contains("cannot read"), "{err}");
     }
 
     #[test]

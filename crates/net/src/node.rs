@@ -43,7 +43,9 @@
 //! *before* acting on it: `wire_seq` reservations before frames hit the
 //! wire, processed events (with the raw payload for remote deliveries)
 //! before they activate the protocol, and periodic integrity marks
-//! carrying a caller-supplied state probe. A SIGKILLed node restarted
+//! carrying a caller-supplied state probe. Appends are flushed to the
+//! OS, not `fsync`ed: the log survives the process being killed (the
+//! page cache outlives it), not power loss. A SIGKILLed node restarted
 //! with `recover` replays the log through a fresh protocol instance —
 //! deterministically reconstructing its pending heap, per-link `lseq`
 //! ordinals, retention buffers, and trace — then re-handshakes and
@@ -160,7 +162,8 @@ impl ReconnectPolicy {
     }
 }
 
-/// Durable write-ahead logging for a node run.
+/// Write-ahead logging for a node run. Records are flushed to the OS on
+/// append, so the log survives SIGKILL of the process, not power loss.
 #[derive(Clone, Debug)]
 pub struct Durability {
     /// Where this node's WAL lives.
@@ -609,7 +612,9 @@ fn map_handshake_eof(e: io::Error) -> NetError {
 /// WAL attached, sequence numbers are claimed in [`WIRE_SEQ_BLOCK`]-size
 /// reservation blocks whose records hit the log *before* any frame in
 /// the block can hit the wire — so a recovered node resumes past every
-/// sequence number a peer's replay filter might already have seen.
+/// sequence number a peer's replay filter might already have seen. The
+/// append runs under `inner` (lock order `inner` before `wal`) and
+/// allocates nothing.
 fn assign_wire_seq(shared: &Shared, inner: &mut Inner, peer: usize) -> u64 {
     let (s, reserve) = {
         let p = &mut inner.peers[peer];
@@ -1097,7 +1102,8 @@ where
 ///
 /// Everything [`run_node`] returns, plus [`NetError::Recovery`] when an
 /// existing WAL cannot be replayed (corrupt, mismatched configuration,
-/// or diverged) and [`NetError::Io`] when an append fails mid-run.
+/// written by the JSON-era payload format, or diverged) and
+/// [`NetError::Io`] when an append fails mid-run.
 ///
 /// # Panics
 ///
@@ -1704,7 +1710,7 @@ where
 
         // Process the safe prefix in the global VKey order.
         while pending.peek().is_some_and(|Reverse(p)| p.key.time <= bound) {
-            let Reverse(ev) = pending.pop().expect("peeked");
+            let Reverse(mut ev) = pending.pop().expect("peeked");
             vnow = ev.key.time;
             events_processed += 1;
             if events_processed > cfg.max_events {
@@ -1721,14 +1727,16 @@ where
             if wal_on {
                 // Log the activation BEFORE it mutates the protocol:
                 // a crash between the append and the activation just
-                // replays one extra event.
-                let remote = match (&ev.what, &ev.wire) {
+                // replays one extra event. The raw body moves out of
+                // the pending entry into the record: nothing reads it
+                // after the append.
+                let remote = match (&ev.what, ev.wire.take()) {
                     (LocalEv::Deliver(env), Some((vsend, body))) if env.from.index() != me => {
                         Some(WalRemote {
                             from: env.from.index(),
                             lseq: ev.key.c,
                             vsend_bits: vsend.to_bits(),
-                            body: body.clone(),
+                            body,
                         })
                     }
                     _ => None,

@@ -15,11 +15,24 @@
 //! [u32 BE payload length][payload][u64 LE FNV-1a of payload]
 //! ```
 //!
-//! where the payload is the canonical `aa-codec` JSON rendering of the
-//! record (insertion-ordered objects, shortest-roundtrip floats), the
-//! same encoding the trace files use. All 64-bit quantities — sequence
-//! numbers, float bit patterns, fingerprints — are hex strings inside
-//! the JSON, because canonical JSON integers are only exact up to 2⁵³.
+//! where the payload is one tag byte, then fixed-width little-endian
+//! fields (read back with the wire's [`Reader`]):
+//!
+//! ```text
+//! 0x01 Header  format:u8 (= WAL_FORMAT)  config_fp:u64  me:u64  n:u64
+//!              t:u64  seed:u64  min_delay_bits:u64  wire_version:u32
+//!              label_len:u32  label (UTF-8)
+//! 0x02 Reserve peer:u64  upto:u64
+//! 0x03 Event   time_bits:u64  class:u8  a:u64  b:u64  c:u64   (local)
+//! 0x04 Event   the same five fields, then  from:u64  lseq:u64
+//!              vsend_bits:u64  body_len:u32  body (raw)        (remote)
+//! 0x05 Mark    time_bits:u64  events:u64  probe:u64
+//! ```
+//!
+//! No optional fields, no padding, trailing bytes rejected: every record
+//! has exactly one encoding, and a remote event costs its body plus 74
+//! bytes. A payload starting with `{` is refused by name — that is how
+//! the earlier JSON-with-hex payloads began.
 //!
 //! # Reopen policy
 //!
@@ -39,18 +52,33 @@ use std::fs::{File, OpenOptions};
 use std::io::{BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
-use aa_trace::{fnv1a_64, Json};
+use aa_trace::{fnv1a_64, fnv1a_64_extend, Json};
 
-/// Hard cap on a single WAL record's JSON payload (4 MiB: a remote
-/// event's hex-encoded body can be twice `MAX_FRAME`, plus framing).
-pub const MAX_WAL_RECORD: usize = 1 << 22;
+use crate::codec::{CodecError, Reader};
+use crate::frame::MAX_FRAME;
+
+/// Hard cap on a single WAL record's payload: a remote event's body is
+/// at most one frame, plus the 62 bytes of its fixed-width fields.
+pub const MAX_WAL_RECORD: usize = MAX_FRAME + 62;
+
+/// The payload format version, second byte of every header record.
+const WAL_FORMAT: u8 = 2;
+
+const TAG_HEADER: u8 = 1;
+const TAG_RESERVE: u8 = 2;
+const TAG_LOCAL: u8 = 3;
+const TAG_REMOTE: u8 = 4;
+const TAG_MARK: u8 = 5;
+
+const JSON_ERA: &str = "log written by the JSON WAL format, cannot recover across this upgrade";
 
 /// A typed WAL failure.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum WalError {
     /// An underlying filesystem error.
     Io(String),
-    /// A length prefix announced more than [`MAX_WAL_RECORD`] bytes.
+    /// A length prefix announced (or an append would need) more than
+    /// [`MAX_WAL_RECORD`] bytes.
     Oversized {
         /// Byte offset of the offending record.
         offset: u64,
@@ -62,15 +90,15 @@ pub enum WalError {
         /// Byte offset of the corrupt record.
         offset: u64,
     },
-    /// A record decoded but is not valid WAL JSON.
+    /// A record passed its checksum but its payload does not decode.
     Malformed {
         /// Byte offset of the malformed record.
         offset: u64,
         /// What was wrong.
         reason: String,
     },
-    /// The log disagrees with the run it is being replayed into
-    /// (wrong config fingerprint, diverged replay, bad mark).
+    /// The log disagrees with the run it is being replayed into (wrong
+    /// config fingerprint or payload format, diverged replay, bad mark).
     Mismatch(String),
 }
 
@@ -188,62 +216,36 @@ pub enum WalRecord {
     Mark(WalMark),
 }
 
-fn hx(x: u64) -> Json {
-    Json::Str(format!("{x:016x}"))
-}
-
-fn hex_bytes(bytes: &[u8]) -> Json {
-    let mut s = String::with_capacity(bytes.len() * 2);
-    for b in bytes {
-        s.push_str(&format!("{b:02x}"));
+fn put_u64s(out: &mut Vec<u8>, xs: &[u64]) {
+    for x in xs {
+        out.extend_from_slice(&x.to_le_bytes());
     }
-    Json::Str(s)
 }
 
-fn req_hx(json: &Json, key: &str) -> Result<u64, String> {
-    let s = json
-        .get(key)
-        .and_then(Json::as_str)
-        .ok_or_else(|| format!("missing hex field `{key}`"))?;
-    u64::from_str_radix(s, 16).map_err(|_| format!("field `{key}` is not hex: `{s}`"))
+fn bad(what: &'static str) -> CodecError {
+    CodecError::BadValue { what }
 }
 
-fn req_int(json: &Json, key: &str) -> Result<u64, String> {
-    json.get(key)
-        .and_then(Json::as_u64)
-        .ok_or_else(|| format!("missing integer field `{key}`"))
-}
-
-fn req_hex_bytes(json: &Json, key: &str) -> Result<Vec<u8>, String> {
-    let s = json
-        .get(key)
-        .and_then(Json::as_str)
-        .ok_or_else(|| format!("missing byte field `{key}`"))?;
-    if s.len() % 2 != 0 {
-        return Err(format!("field `{key}` has odd hex length"));
-    }
-    (0..s.len())
-        .step_by(2)
-        .map(|i| {
-            u8::from_str_radix(&s[i..i + 2], 16)
-                .map_err(|_| format!("field `{key}` is not hex at byte {i}"))
-        })
-        .collect()
+fn index(r: &mut Reader<'_>) -> Result<usize, CodecError> {
+    usize::try_from(r.u64()?).map_err(|_| bad("wal index"))
 }
 
 impl WalRecord {
-    /// Canonical JSON for this record.
+    /// Display-only canonical JSON (`treeaa wal-dump`): 64-bit fields
+    /// as hex strings, a body as its length and FNV-1a.
     #[must_use]
     pub fn to_json(&self) -> Json {
+        let hx = |x: u64| Json::Str(format!("{x:016x}"));
+        let int = |x: usize| Json::int(x as u64);
         let mut fields: Vec<(String, Json)> = Vec::new();
         let mut put = |k: &str, v: Json| fields.push((k.to_string(), v));
         match self {
             WalRecord::Header(h) => {
                 put("k", Json::Str("hdr".into()));
                 put("fp", hx(h.config_fp));
-                put("me", Json::int(h.me as u64));
-                put("n", Json::int(h.n as u64));
-                put("t", Json::int(h.t as u64));
+                put("me", int(h.me));
+                put("n", int(h.n));
+                put("t", int(h.t));
                 put("seed", hx(h.seed));
                 put("mind", hx(h.min_delay_bits));
                 put("wire", Json::int(u64::from(h.wire_version)));
@@ -251,7 +253,7 @@ impl WalRecord {
             }
             WalRecord::Reserve { peer, upto } => {
                 put("k", Json::Str("res".into()));
-                put("peer", Json::int(*peer as u64));
+                put("peer", int(*peer));
                 put("upto", hx(*upto));
             }
             WalRecord::Event(ev) => {
@@ -262,10 +264,11 @@ impl WalRecord {
                 put("b", hx(ev.b));
                 put("c", hx(ev.c));
                 if let Some(r) = &ev.remote {
-                    put("from", Json::int(r.from as u64));
+                    put("from", int(r.from));
                     put("lseq", hx(r.lseq));
                     put("vsend", hx(r.vsend_bits));
-                    put("body", hex_bytes(&r.body));
+                    put("body_len", int(r.body.len()));
+                    put("body_fnv", hx(fnv1a_64(&r.body)));
                 }
             }
             WalRecord::Mark(m) => {
@@ -278,75 +281,136 @@ impl WalRecord {
         Json::Obj(fields)
     }
 
-    /// Parses one record object.
+    /// Appends the payload, minus a remote event's raw body, to `head`
+    /// and returns that body (empty for every other record).
+    fn encode_head(&self, head: &mut Vec<u8>) -> &[u8] {
+        match self {
+            WalRecord::Header(h) => {
+                head.extend_from_slice(&[TAG_HEADER, WAL_FORMAT]);
+                let (me, n, t) = (h.me as u64, h.n as u64, h.t as u64);
+                put_u64s(head, &[h.config_fp, me, n, t, h.seed, h.min_delay_bits]);
+                head.extend_from_slice(&h.wire_version.to_le_bytes());
+                head.extend_from_slice(&(h.label.len() as u32).to_le_bytes());
+                head.extend_from_slice(h.label.as_bytes());
+            }
+            WalRecord::Reserve { peer, upto } => {
+                head.push(TAG_RESERVE);
+                put_u64s(head, &[*peer as u64, *upto]);
+            }
+            WalRecord::Event(ev) => {
+                head.push(if ev.remote.is_some() {
+                    TAG_REMOTE
+                } else {
+                    TAG_LOCAL
+                });
+                put_u64s(head, &[ev.time_bits]);
+                head.push(ev.class);
+                put_u64s(head, &[ev.a, ev.b, ev.c]);
+                if let Some(r) = &ev.remote {
+                    put_u64s(head, &[r.from as u64, r.lseq, r.vsend_bits]);
+                    head.extend_from_slice(&(r.body.len() as u32).to_le_bytes());
+                    return &r.body;
+                }
+            }
+            WalRecord::Mark(m) => {
+                head.push(TAG_MARK);
+                put_u64s(head, &[m.time_bits, m.events, m.probe]);
+            }
+        }
+        &[]
+    }
+
+    /// Writes the framed record — length prefix, payload, FNV-1a — to
+    /// `out` piece by piece, the body straight from the record. `head` is
+    /// scratch for the fixed-width fields.
     ///
     /// # Errors
     ///
-    /// Returns a message naming the missing or ill-typed field.
-    pub fn from_json(json: &Json) -> Result<WalRecord, String> {
-        let kind = json
-            .get("k")
-            .and_then(Json::as_str)
-            .ok_or("record missing `k`")?;
-        match kind {
-            "hdr" => Ok(WalRecord::Header(WalHeader {
-                config_fp: req_hx(json, "fp")?,
-                me: req_int(json, "me")? as usize,
-                n: req_int(json, "n")? as usize,
-                t: req_int(json, "t")? as usize,
-                seed: req_hx(json, "seed")?,
-                min_delay_bits: req_hx(json, "mind")?,
-                wire_version: req_int(json, "wire")? as u32,
-                label: json
-                    .get("label")
-                    .and_then(Json::as_str)
-                    .ok_or("header missing `label`")?
-                    .to_string(),
-            })),
-            "res" => Ok(WalRecord::Reserve {
-                peer: req_int(json, "peer")? as usize,
-                upto: req_hx(json, "upto")?,
-            }),
-            "ev" => {
-                let remote = if json.get("from").is_some() {
-                    Some(WalRemote {
-                        from: req_int(json, "from")? as usize,
-                        lseq: req_hx(json, "lseq")?,
-                        vsend_bits: req_hx(json, "vsend")?,
-                        body: req_hex_bytes(json, "body")?,
-                    })
-                } else {
-                    None
-                };
-                Ok(WalRecord::Event(WalEvent {
-                    time_bits: req_hx(json, "vt")?,
-                    class: req_int(json, "class")? as u8,
-                    a: req_hx(json, "a")?,
-                    b: req_hx(json, "b")?,
-                    c: req_hx(json, "c")?,
-                    remote,
-                }))
-            }
-            "mark" => Ok(WalRecord::Mark(WalMark {
-                time_bits: req_hx(json, "vt")?,
-                events: req_hx(json, "events")?,
-                probe: req_hx(json, "probe")?,
-            })),
-            other => Err(format!("unknown record kind `{other}`")),
+    /// [`WalError::Oversized`] (offset 0, nothing written) above
+    /// [`MAX_WAL_RECORD`]; otherwise whatever `out` reports.
+    pub fn write_to(&self, head: &mut Vec<u8>, out: &mut impl Write) -> Result<(), WalError> {
+        head.clear();
+        let body = self.encode_head(head);
+        let announced = head.len() + body.len();
+        if announced > MAX_WAL_RECORD {
+            return Err(WalError::Oversized {
+                offset: 0,
+                announced,
+            });
         }
+        out.write_all(&(announced as u32).to_be_bytes())?;
+        out.write_all(head)?;
+        out.write_all(body)?;
+        out.write_all(&fnv1a_64_extend(fnv1a_64(head), body).to_le_bytes())?;
+        Ok(())
     }
 
-    /// Encodes the record as framed bytes: length prefix, canonical JSON
-    /// payload, FNV-1a checksum.
-    #[must_use]
-    pub fn encode(&self) -> Vec<u8> {
-        let payload = self.to_json().to_string().into_bytes();
-        assert!(payload.len() <= MAX_WAL_RECORD, "oversized wal record");
-        let mut out = Vec::with_capacity(4 + payload.len() + 8);
-        out.extend_from_slice(&(payload.len() as u32).to_be_bytes());
-        out.extend_from_slice(&payload);
-        out.extend_from_slice(&fnv1a_64(&payload).to_le_bytes());
-        out
+    /// Decodes one checksummed payload; total, and allocates no more
+    /// than the payload's own length.
+    fn decode(payload: &[u8]) -> Result<WalRecord, CodecError> {
+        let mut r = Reader::new(payload);
+        let rec = match r.u8()? {
+            TAG_HEADER => {
+                if r.u8()? != WAL_FORMAT {
+                    return Err(bad("wal format version"));
+                }
+                WalRecord::Header(WalHeader {
+                    config_fp: r.u64()?,
+                    me: index(&mut r)?,
+                    n: index(&mut r)?,
+                    t: index(&mut r)?,
+                    seed: r.u64()?,
+                    min_delay_bits: r.u64()?,
+                    wire_version: r.u32()?,
+                    label: {
+                        let len = r.u32()? as usize;
+                        let utf8 = std::str::from_utf8(r.bytes(len)?);
+                        utf8.map_err(|_| bad("wal header label"))?.to_string()
+                    },
+                })
+            }
+            TAG_RESERVE => WalRecord::Reserve {
+                peer: index(&mut r)?,
+                upto: r.u64()?,
+            },
+            tag @ (TAG_LOCAL | TAG_REMOTE) => {
+                let mut ev = WalEvent {
+                    time_bits: r.u64()?,
+                    class: r.u8()?,
+                    a: r.u64()?,
+                    b: r.u64()?,
+                    c: r.u64()?,
+                    remote: None,
+                };
+                if tag == TAG_REMOTE {
+                    ev.remote = Some(WalRemote {
+                        from: index(&mut r)?,
+                        lseq: r.u64()?,
+                        vsend_bits: r.u64()?,
+                        body: {
+                            let len = r.u32()? as usize;
+                            r.bytes(len)?.to_vec()
+                        },
+                    });
+                }
+                WalRecord::Event(ev)
+            }
+            TAG_MARK => WalRecord::Mark(WalMark {
+                time_bits: r.u64()?,
+                events: r.u64()?,
+                probe: r.u64()?,
+            }),
+            tag => {
+                return Err(CodecError::BadTag {
+                    what: "wal record",
+                    tag,
+                })
+            }
+        };
+        match r.remaining() {
+            0 => Ok(rec),
+            extra => Err(CodecError::TrailingBytes { extra }),
+        }
     }
 }
 
@@ -399,18 +463,14 @@ impl WalCursor {
         if let Some(err) = &self.poisoned {
             return Err(err.clone());
         }
+        let offset = self.consumed;
         let avail = &self.buf[self.pos..];
         if avail.len() < 4 {
             return Ok(None);
         }
         let announced = u32::from_be_bytes(avail[..4].try_into().expect("4 bytes")) as usize;
         if announced > MAX_WAL_RECORD {
-            let err = WalError::Oversized {
-                offset: self.consumed,
-                announced,
-            };
-            self.poisoned = Some(err.clone());
-            return Err(err);
+            return self.poison(WalError::Oversized { offset, announced });
         }
         let total = 4 + announced + 8;
         if avail.len() < total {
@@ -419,17 +479,12 @@ impl WalCursor {
         let payload = &avail[4..4 + announced];
         let sum = u64::from_le_bytes(avail[4 + announced..total].try_into().expect("8 bytes"));
         if fnv1a_64(payload) != sum {
-            let err = WalError::Checksum {
-                offset: self.consumed,
-            };
-            self.poisoned = Some(err.clone());
-            return Err(err);
+            return self.poison(WalError::Checksum { offset });
         }
-        let parse = std::str::from_utf8(payload)
-            .map_err(|e| e.to_string())
-            .and_then(Json::parse)
-            .and_then(|j| WalRecord::from_json(&j));
-        match parse {
+        if payload.first() == Some(&b'{') {
+            return self.poison(WalError::Mismatch(JSON_ERA.into()));
+        }
+        match WalRecord::decode(payload) {
             Ok(rec) => {
                 self.pos += total;
                 self.consumed += total as u64;
@@ -439,15 +494,16 @@ impl WalCursor {
                 }
                 Ok(Some(rec))
             }
-            Err(reason) => {
-                let err = WalError::Malformed {
-                    offset: self.consumed,
-                    reason,
-                };
-                self.poisoned = Some(err.clone());
-                Err(err)
-            }
+            Err(e) => self.poison(WalError::Malformed {
+                offset,
+                reason: e.to_string(),
+            }),
         }
+    }
+
+    fn poison(&mut self, err: WalError) -> Result<Option<WalRecord>, WalError> {
+        self.poisoned = Some(err.clone());
+        Err(err)
     }
 }
 
@@ -496,6 +552,8 @@ pub fn read_wal(path: &Path) -> Result<WalScan, WalError> {
 pub struct WalWriter {
     out: BufWriter<File>,
     path: PathBuf,
+    /// Scratch for a record's fixed-width fields: appends allocate nothing.
+    head: Vec<u8>,
 }
 
 impl WalWriter {
@@ -509,6 +567,7 @@ impl WalWriter {
         let mut w = WalWriter {
             out: BufWriter::new(file),
             path: path.to_path_buf(),
+            head: Vec::with_capacity(128),
         };
         w.append(&WalRecord::Header(header.clone()))?;
         Ok(w)
@@ -528,16 +587,19 @@ impl WalWriter {
         Ok(WalWriter {
             out: BufWriter::new(file),
             path: path.to_path_buf(),
+            head: Vec::with_capacity(128),
         })
     }
 
-    /// Appends one record and flushes it to the OS.
+    /// Appends one record — prefix, fields, raw body and checksum go
+    /// straight into the buffered file — and flushes it to the OS.
     ///
     /// # Errors
     ///
-    /// Propagates filesystem errors.
+    /// As [`WalRecord::write_to`]: [`WalError::Oversized`] or a
+    /// filesystem error.
     pub fn append(&mut self, rec: &WalRecord) -> Result<(), WalError> {
-        self.out.write_all(&rec.encode())?;
+        rec.write_to(&mut self.head, &mut self.out)?;
         self.out.flush()?;
         Ok(())
     }
@@ -595,16 +657,17 @@ mod tests {
         ]
     }
 
+    fn framed(rec: &WalRecord) -> Vec<u8> {
+        let mut out = Vec::new();
+        rec.write_to(&mut Vec::new(), &mut out).unwrap();
+        out
+    }
+
     #[test]
-    fn records_roundtrip_through_json_and_framing() {
-        for rec in sample_records() {
-            let json = rec.to_json();
-            let back = WalRecord::from_json(&Json::parse(&json.to_string()).unwrap()).unwrap();
-            assert_eq!(back, rec);
-        }
+    fn records_roundtrip_through_framing() {
         let mut cursor = WalCursor::new();
         for rec in sample_records() {
-            cursor.push(&rec.encode());
+            cursor.push(&framed(&rec));
         }
         let mut out = Vec::new();
         while let Some(r) = cursor.next_record().unwrap() {
@@ -612,6 +675,97 @@ mod tests {
         }
         assert_eq!(out, sample_records());
         assert_eq!(cursor.pending(), 0);
+    }
+
+    /// The layout in the module docs, byte for byte.
+    #[test]
+    fn the_documented_layout_is_what_is_written() {
+        let bytes = framed(&WalRecord::Reserve {
+            peer: 3,
+            upto: 0x0102,
+        });
+        let payload = [2, 3, 0, 0, 0, 0, 0, 0, 0, 2, 1, 0, 0, 0, 0, 0, 0];
+        assert_eq!(bytes[..4], [0, 0, 0, 17]);
+        assert_eq!(bytes[4..21], payload);
+        assert_eq!(bytes[21..], fnv1a_64(&payload).to_le_bytes());
+
+        let recs = sample_records();
+        let header = framed(&recs[0]);
+        assert_eq!(header[4..6], [TAG_HEADER, WAL_FORMAT]);
+        assert_eq!(header.len(), 4 + 58 + "serve-7".len() + 8);
+        assert_eq!(framed(&recs[2]).len(), 74 + 4, "remote event: body + 74");
+        assert_eq!(framed(&recs[3]).len(), 4 + 34 + 8, "local event");
+        assert_eq!(framed(&recs[4]).len(), 4 + 25 + 8, "mark");
+    }
+
+    #[test]
+    fn display_json_names_a_body_by_length_and_fnv() {
+        let recs = sample_records();
+        let line = recs[2].to_json().to_string();
+        assert!(line.contains(r#""k": "ev""#) && line.contains(r#""body_len": 4"#));
+        let fnv = format!(r#""body_fnv": "{:016x}""#, fnv1a_64(&[0, 1, 2, 0xff]));
+        assert!(line.contains(&fnv), "{line}");
+        assert!(!line.contains("000102ff"), "no hex body: {line}");
+        assert_eq!(
+            recs[1].to_json().to_string(),
+            r#"{"k": "res", "peer": 0, "upto": "0000000000000100"}"#
+        );
+    }
+
+    #[test]
+    fn an_oversized_record_is_a_typed_error_not_a_panic() {
+        let with_body = |len: usize| {
+            WalRecord::Event(WalEvent {
+                time_bits: 0,
+                class: 0,
+                a: 1,
+                b: 0,
+                c: 0,
+                remote: Some(WalRemote {
+                    from: 1,
+                    lseq: 0,
+                    vsend_bits: 0,
+                    body: vec![0xab; len],
+                }),
+            })
+        };
+        let path = std::env::temp_dir().join(format!("treeaa-wal-big-{}.wal", std::process::id()));
+        let WalRecord::Header(hdr) = &sample_records()[0] else {
+            panic!("first sample is the header")
+        };
+        let mut w = WalWriter::create(&path, hdr).unwrap();
+        // The largest body the frame layer can deliver still fits.
+        w.append(&with_body(MAX_FRAME)).unwrap();
+        let before = std::fs::metadata(&path).unwrap().len();
+        let err = w.append(&with_body(MAX_FRAME + 1)).unwrap_err();
+        assert_eq!(
+            err,
+            WalError::Oversized {
+                offset: 0,
+                announced: MAX_FRAME + 1 + 62
+            }
+        );
+        // Nothing of the refused record reached the file, and the
+        // writer is still usable.
+        w.append(&WalRecord::Reserve { peer: 0, upto: 1 }).unwrap();
+        drop(w);
+        assert_eq!(std::fs::metadata(&path).unwrap().len(), before + 4 + 17 + 8);
+        assert_eq!(read_wal(&path).unwrap().records.len(), 3);
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn a_json_era_payload_is_refused_by_name() {
+        let payload = br#"{"k":"res","peer":1,"upto":"0000000000000200"}"#;
+        let mut bytes = (payload.len() as u32).to_be_bytes().to_vec();
+        bytes.extend_from_slice(payload);
+        bytes.extend_from_slice(&fnv1a_64(payload).to_le_bytes());
+        let mut cursor = WalCursor::new();
+        cursor.push(&bytes);
+        let err = cursor.next_record().unwrap_err();
+        assert_eq!(err, WalError::Mismatch(JSON_ERA.into()));
+        assert_eq!(cursor.next_record().unwrap_err(), err, "poisoned");
+        assert_eq!(cursor.consumed(), 0);
     }
 
     #[test]
@@ -649,7 +803,7 @@ mod tests {
     #[test]
     fn checksum_corruption_is_a_typed_error() {
         let rec = WalRecord::Reserve { peer: 1, upto: 512 };
-        let mut bytes = rec.encode();
+        let mut bytes = framed(&rec);
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0x40;
         let mut cursor = WalCursor::new();
@@ -660,7 +814,7 @@ mod tests {
             "got {err:?}"
         );
         // Poisoned: pushing a clean record afterwards does not recover.
-        cursor.push(&rec.encode());
+        cursor.push(&framed(&rec));
         assert!(cursor.next_record().is_err());
     }
 }

@@ -14,8 +14,9 @@ use std::fs;
 use std::path::{Path, PathBuf};
 
 use net::{
-    differential_gate, proto_fingerprint, read_wal, run_local_cluster_opts, ClusterOpts, GateCase,
-    ReconnectPolicy, WalCursor,
+    differential_gate, node_config, proto_fingerprint, read_wal, run_local_cluster_opts,
+    run_node_durable, ClusterOpts, Durability, GateCase, NetError, ReconnectPolicy, WalCursor,
+    WalError,
 };
 
 const SPIDER9: &str =
@@ -181,4 +182,52 @@ fn a_recovered_wal_is_itself_readable() {
         .expect("stat wal")
         .len();
     assert_eq!(scan.valid_len, on_disk, "no torn tail after a clean exit");
+}
+
+/// A log written before the binary payload format (the checked-in
+/// fixture: header, reservation and remote event as the JSON-era writer
+/// produced them) is refused by name — by the scanner and by
+/// `run_node_durable(.., recover)`, before anything touches the network
+/// — instead of being misparsed, and the file is left as it was.
+#[test]
+fn a_json_era_log_is_refused_by_name() {
+    let fixture = fs::read(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/tests/fixtures/json-era.wal"
+    ))
+    .expect("read fixture");
+    let scratch = TempDir::new("jsonera");
+    let wal_path = scratch.0.join("node2.wal");
+    fs::write(&wal_path, &fixture).expect("place fixture");
+
+    let Err(WalError::Mismatch(why)) = read_wal(&wal_path) else {
+        panic!("the scanner must refuse a JSON-era log as a mismatch");
+    };
+    assert!(why.contains("JSON WAL format"), "{why}");
+
+    let case = GateCase::from_text(SPIDER9, &[0, 5, 8, 3], 1, 42).expect("valid case");
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("addr");
+    let cfg = node_config(&case, 2, vec![addr; 4], 0xd00d_f00d);
+    let durability = Durability {
+        wal_path: wal_path.clone(),
+        recover: true,
+    };
+    let err = run_node_durable(
+        &cfg,
+        listener,
+        case.party(2),
+        Some(&durability),
+        |p| p.state_fingerprint(),
+        || {},
+    )
+    .expect_err("recovery across the format change must be refused");
+    let NetError::Recovery(text) = &err else {
+        panic!("expected NetError::Recovery, got {err:?}");
+    };
+    assert!(
+        text.contains("log written by the JSON WAL format, cannot recover across this upgrade"),
+        "{text}"
+    );
+    assert_eq!(fs::read(&wal_path).expect("reread"), fixture);
 }

@@ -2,13 +2,95 @@
 //! records must round-trip through [`WalCursor`] under arbitrary byte
 //! chunking, a torn final record must be truncated (never fatal), a
 //! checksum flip must surface as the typed [`WalError::Checksum`], and
-//! garbage input must never panic or over-consume. Records are expanded
+//! garbage input must never panic or over-consume. On top of the framing,
+//! the binary payload codec is pinned: one encoding per record, every
+//! single-bit flip rejected, hostile payloads behind a *valid* checksum
+//! rejected without allocating by an announced length, and a remote
+//! event costing its body plus a fixed header. Records are expanded
 //! deterministically from seeds (the vendored proptest has no
 //! collection strategies), so every failure reproduces from integers.
 
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+use aa_trace::fnv1a_64;
 use net::wal::{WalEvent, WalMark, WalRemote};
 use net::{WalCursor, WalError, WalHeader, WalRecord};
 use proptest::prelude::*;
+
+/// Counts the bytes each thread asks the allocator for, so a test can
+/// bound what one decoder call allocates while others run beside it.
+struct CountingAlloc;
+
+thread_local! {
+    static ALLOCATED: Cell<usize> = const { Cell::new(0) };
+}
+
+// SAFETY: every call is forwarded unchanged to `System`, which upholds
+// the `GlobalAlloc` contract; the counter is a const-initialised
+// thread-local `Cell` with no destructor, so touching it neither
+// allocates nor can run during thread teardown. `realloc` keeps its
+// default (alloc + copy + dealloc through these methods), so growth is
+// counted too.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCATED.with(|a| a.set(a.get() + layout.size()));
+        // SAFETY: `layout` is the caller's, passed through as received.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System.alloc` with this `layout`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static COUNTING: CountingAlloc = CountingAlloc;
+
+/// Bytes this thread allocated while `f` ran.
+fn allocated_by<T>(f: impl FnOnce() -> T) -> (T, usize) {
+    let before = ALLOCATED.with(Cell::get);
+    let out = f();
+    (out, ALLOCATED.with(Cell::get) - before)
+}
+
+/// The framed bytes `WalWriter::append` would write for `rec`.
+fn framed(rec: &WalRecord) -> Vec<u8> {
+    let mut out = Vec::new();
+    rec.write_to(&mut Vec::new(), &mut out)
+        .expect("in-range record");
+    out
+}
+
+/// Frames an arbitrary payload with a length prefix and a checksum that
+/// passes: what is left to stop it is the payload decoder alone.
+fn frame_payload(payload: &[u8]) -> Vec<u8> {
+    let mut out = (payload.len() as u32).to_be_bytes().to_vec();
+    out.extend_from_slice(payload);
+    out.extend_from_slice(&fnv1a_64(payload).to_le_bytes());
+    out
+}
+
+fn remote_event(body: Vec<u8>) -> WalRecord {
+    WalRecord::Event(WalEvent {
+        time_bits: 0.375f64.to_bits(),
+        class: 0,
+        a: 1,
+        b: 2,
+        c: 9,
+        remote: Some(WalRemote {
+            from: 1,
+            lseq: 9,
+            vsend_bits: 0.25f64.to_bits(),
+            body,
+        }),
+    })
+}
+
+/// Offset of a remote event's `body_len` inside its payload: tag, the
+/// five key fields (8 + 1 + 8 + 8 + 8), `from`, `lseq`, `vsend_bits`.
+const BODY_LEN_AT: usize = 1 + 33 + 24;
 
 /// splitmix64 — deterministic seed-stream expansion.
 fn next(state: &mut u64) -> u64 {
@@ -74,7 +156,7 @@ fn log_from(seed: u64) -> (Vec<WalRecord>, Vec<u8>, Vec<usize>) {
     let mut wire = Vec::new();
     let mut boundaries = Vec::new();
     for r in &records {
-        wire.extend_from_slice(&r.encode());
+        wire.extend_from_slice(&framed(r));
         boundaries.push(wire.len());
     }
     (records, wire, boundaries)
@@ -109,6 +191,42 @@ proptest! {
         prop_assert_eq!(cursor.next_record().expect("clean tail"), None);
         prop_assert_eq!(cursor.consumed(), wire.len() as u64);
         prop_assert_eq!(cursor.pending(), 0);
+        // Canonical form: what decoded re-encodes to the bytes it came
+        // from, so a log and its re-appended copy have equal length.
+        let again: Vec<u8> = records.iter().flat_map(framed).collect();
+        prop_assert_eq!(again, wire);
+    }
+
+    /// Every single-bit flip of a framed record — prefix, payload or
+    /// checksum — ends in a typed error or "need more bytes": never a
+    /// panic, never a record (which could only be a *different* one).
+    #[test]
+    fn no_single_bit_flip_yields_a_record(seed in any::<u64>()) {
+        let mut s = seed;
+        let bytes = framed(&record(&mut s));
+        for bit in 0..bytes.len() * 8 {
+            let mut flipped = bytes.clone();
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            let mut cursor = WalCursor::new();
+            cursor.push(&flipped);
+            match cursor.next_record() {
+                Ok(None) => prop_assert!(bit < 32, "only a longer prefix waits: bit {}", bit),
+                Ok(Some(rec)) => prop_assert!(false, "bit {} decoded as {:?}", bit, rec),
+                Err(WalError::Checksum { offset: 0 }
+                | WalError::Malformed { offset: 0, .. }
+                | WalError::Oversized { offset: 0, .. }) => {}
+                Err(other) => prop_assert!(false, "bit {}: {:?}", bit, other),
+            }
+            prop_assert_eq!(cursor.consumed(), 0);
+        }
+    }
+
+    /// A remote event costs its body plus a fixed header: the log is as
+    /// large as the traffic it records, not a multiple of it.
+    #[test]
+    fn a_remote_event_frames_to_its_body_plus_a_fixed_header(len in 0usize..70_000) {
+        let bytes = framed(&remote_event(vec![0x5a; len]));
+        prop_assert!(bytes.len() <= len + 96, "{} bytes for a {}-byte body", bytes.len(), len);
     }
 
     /// Cutting the log mid-record (a crash mid-append) loses only the
@@ -176,5 +294,88 @@ proptest! {
         // garbage, but legal; stop on clean-tail or typed error.
         while let Ok(Some(_)) = cursor.next_record() {}
         prop_assert!(cursor.consumed() <= garbage.len() as u64);
+    }
+}
+
+/// Hostile payloads behind a checksum that passes: each is `Malformed`
+/// at its own offset, the cursor consumes nothing, and the decoder
+/// allocates no more than the record's own length — in particular not
+/// the length a field announces.
+#[test]
+fn hostile_payloads_with_a_valid_checksum_are_malformed_and_cheap() {
+    let event = framed(&remote_event(vec![7; 300]));
+    let event = &event[4..event.len() - 8];
+    let local = framed(&WalRecord::Event(WalEvent {
+        time_bits: 1,
+        class: 1,
+        a: 2,
+        b: 3,
+        c: 4,
+        remote: None,
+    }));
+    let local = &local[4..local.len() - 8];
+    let header = framed(&WalRecord::Header(WalHeader {
+        config_fp: 1,
+        me: 2,
+        n: 4,
+        t: 1,
+        seed: 7,
+        min_delay_bits: 0.1f64.to_bits(),
+        wire_version: 2,
+        label: "a-label-long-enough-to-outweigh-an-error-message".repeat(3),
+    }));
+    let header = &header[4..header.len() - 8];
+    let patched = |base: &[u8], at: usize, with: &[u8]| {
+        let mut p = base.to_vec();
+        p[at..at + with.len()].copy_from_slice(with);
+        p
+    };
+    let cases: Vec<(&str, Vec<u8>)> = vec![
+        (
+            "body length one past the payload",
+            patched(event, BODY_LEN_AT, &301u32.to_le_bytes()),
+        ),
+        (
+            "body length of 4 GiB",
+            patched(event, BODY_LEN_AT, &u32::MAX.to_le_bytes()),
+        ),
+        (
+            "body length short of the payload",
+            patched(event, BODY_LEN_AT, &299u32.to_le_bytes()),
+        ),
+        ("trailing payload byte", [event, &[0]].concat()),
+        ("unknown tag 0", patched(event, 0, &[0])),
+        ("unknown tag 9", patched(event, 0, &[9])),
+        ("unknown tag 0xff", patched(event, 0, &[0xff])),
+        ("local tag on a remote payload", patched(event, 0, &[3])),
+        ("remote tag on a local payload", patched(local, 0, &[4])),
+        (
+            "non-UTF-8 header label",
+            patched(header, header.len() - 1, &[0xff]),
+        ),
+        (
+            "label length of 4 GiB",
+            patched(header, 54, &u32::MAX.to_le_bytes()),
+        ),
+        ("unknown header format", patched(header, 1, &[1])),
+        ("empty payload", Vec::new()),
+    ];
+    for (what, payload) in cases {
+        let bytes = frame_payload(&payload);
+        let mut cursor = WalCursor::new();
+        cursor.push(&bytes);
+        let (got, allocated) = allocated_by(|| cursor.next_record());
+        assert!(
+            matches!(got, Err(WalError::Malformed { offset: 0, .. })),
+            "{what}: {got:?}"
+        );
+        assert_eq!(cursor.consumed(), 0, "{what}");
+        // The floor of 128 is the error text (built, then cloned into
+        // the poisoned cursor), which a 12-byte record cannot outweigh.
+        assert!(
+            allocated <= bytes.len().max(128),
+            "{what}: allocated {allocated} bytes for a {}-byte record",
+            bytes.len()
+        );
     }
 }

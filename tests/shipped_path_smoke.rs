@@ -158,7 +158,9 @@ fn wal_write_torn_tail_read_round_trip() {
 
     // A crash mid-append leaves a partial record at the end of the file.
     let intact = std::fs::read(&path).unwrap();
-    let torn = [&intact[..], &reserves[0].encode()[..7]].concat();
+    let mut partial = Vec::new();
+    reserves[0].write_to(&mut Vec::new(), &mut partial).unwrap();
+    let torn = [&intact[..], &partial[..7]].concat();
     std::fs::write(&path, torn).unwrap();
 
     let scan = read_wal(&path).unwrap();
