@@ -1280,32 +1280,24 @@ fn run_tcp_bundle_deployment(
     inputs: &[Vec<f64>],
 ) -> Result<Vec<Vec<f64>>, String> {
     let n = cfg.n;
-    let listeners: Vec<std::net::TcpListener> = (0..n)
-        .map(|_| std::net::TcpListener::bind("127.0.0.1:0").map_err(|e| format!("bench bind: {e}")))
-        .collect::<Result<_, _>>()?;
-    let peers: Vec<std::net::SocketAddr> = listeners
-        .iter()
-        .map(|l| l.local_addr().map_err(|e| format!("bench addr: {e}")))
-        .collect::<Result<_, _>>()?;
-    let mut handles = Vec::with_capacity(n);
-    for (me, listener) in listeners.into_iter().enumerate() {
-        let mut node_cfg = net::NodeConfig::new(me, n, cfg.t, peers.clone(), 0xbe9c_b09d, 0xb1, 7);
-        node_cfg.label = "bench-bundle".into();
-        let party = async_net::Reliable::new(
-            real_aa::BundledAaParty::new(sim_net::PartyId(me), cfg, inputs[me].clone())
-                .map_err(|e| e.to_string())?,
-            n,
-        );
-        handles.push(std::thread::spawn(move || {
-            net::run_node(&node_cfg, listener, party, || {})
-        }));
-    }
+    let reports = net::run_local_nodes(
+        n,
+        &net::ClusterOpts::new(0xbe9c_b09d),
+        |me, peers, secret| {
+            let mut node_cfg = net::NodeConfig::new(me, n, cfg.t, peers, secret, 0xb1, 7);
+            node_cfg.label = "bench-bundle".into();
+            node_cfg
+        },
+        |me| {
+            let party = real_aa::BundledAaParty::new(sim_net::PartyId(me), cfg, inputs[me].clone())
+                .map_err(|e| e.to_string())?;
+            Ok(async_net::Reliable::new(party, n))
+        },
+        |_| 0,
+    )
+    .map_err(|e| format!("bench {e}"))?;
     let mut outputs = Vec::with_capacity(n);
-    for (me, h) in handles.into_iter().enumerate() {
-        let report = h
-            .join()
-            .map_err(|_| format!("bench node {me} panicked"))?
-            .map_err(|e| format!("bench node {me}: {e}"))?;
+    for (me, report) in reports.into_iter().enumerate() {
         if report.stats.rejected_malformed != 0 || report.stats.rejected_mac != 0 {
             return Err(format!("bench node {me} rejected wire messages"));
         }

@@ -15,10 +15,12 @@ use std::thread;
 use std::time::Duration;
 
 use aa_trace::{merge_traces, Trace};
+use async_net::AsyncProtocol;
 use sim_net::{FaultPlan, Outcome};
 use tree_model::VertexId;
 
 use crate::chaos::{spawn_chaos_proxy, ChaosConfig};
+use crate::codec::WireCodec;
 use crate::gate::GateCase;
 use crate::node::{
     run_node_durable, Durability, NetStats, NodeConfig, NodeReport, ReconnectPolicy,
@@ -68,7 +70,7 @@ pub struct ClusterChaos {
     pub round_ms: u64,
 }
 
-/// Optional knobs for [`run_local_cluster_opts`].
+/// Optional knobs for [`run_local_nodes`] and [`run_local_cluster_opts`].
 #[derive(Clone, Debug)]
 pub struct ClusterOpts {
     /// Shared cluster secret.
@@ -127,8 +129,57 @@ pub fn run_local_cluster_opts(
     case: &GateCase,
     opts: &ClusterOpts,
 ) -> Result<ClusterReport, String> {
-    let n = case.n();
     case.protocol_config()?;
+    let reports = run_local_nodes(
+        case.n(),
+        opts,
+        |me, peers, secret| node_config(case, me, peers, secret),
+        |me| Ok(case.party(me)),
+        |p| p.state_fingerprint(),
+    )?;
+    let outcomes = reports
+        .iter()
+        .enumerate()
+        .map(|(me, r)| r.output.clone().ok_or(me))
+        .collect::<Result<Vec<_>, usize>>()
+        .map_err(|me| format!("node {me} terminated without an output"))?;
+    let traces: Vec<Trace> = reports.iter().map(|r| r.trace.clone()).collect();
+    let merged_trace = merge_traces(&traces)?;
+    Ok(ClusterReport {
+        outcomes,
+        merged_trace,
+        stats: reports.iter().map(|r| r.stats).collect(),
+        vtimes: reports.iter().map(|r| r.vtime).collect(),
+    })
+}
+
+/// The loopback launcher under every in-process deployment: binds `n`
+/// listeners, fronts them with chaos relays if asked, runs party `me` of
+/// `party` under `config(me, dial addresses, opts.secret)` on its own
+/// thread — with a WAL and `probe` when `opts` names a directory — and
+/// joins them all.
+///
+/// # Errors
+///
+/// A bind failure, whatever `party` returns, or every node failure
+/// (handshake, timeout, stall, recovery, panic) joined, as text.
+///
+/// # Panics
+///
+/// Panics if a chaos proxy cannot be bound on loopback.
+pub fn run_local_nodes<P, F>(
+    n: usize,
+    opts: &ClusterOpts,
+    config: impl Fn(usize, Vec<SocketAddr>, u64) -> NodeConfig,
+    party: impl FnMut(usize) -> Result<P, String>,
+    probe: F,
+) -> Result<Vec<NodeReport<P::Output>>, String>
+where
+    P: AsyncProtocol + Send + 'static,
+    P::Msg: WireCodec,
+    P::Output: Send + 'static,
+    F: Fn(&P) -> u64 + Clone + Send + 'static,
+{
     let listeners = (0..n)
         .map(|_| TcpListener::bind("127.0.0.1:0"))
         .collect::<Result<Vec<_>, _>>()
@@ -161,9 +212,12 @@ pub fn run_local_cluster_opts(
         real_addrs
     };
 
+    // Every party is built before any thread starts, so a failing factory
+    // leaves nothing running.
+    let parties = (0..n).map(party).collect::<Result<Vec<P>, String>>()?;
     let mut handles = Vec::with_capacity(n);
-    for (me, listener) in listeners.into_iter().enumerate() {
-        let mut cfg = node_config(case, me, peers.clone(), opts.secret);
+    for (me, (listener, party)) in listeners.into_iter().zip(parties).enumerate() {
+        let mut cfg = config(me, peers.clone(), opts.secret);
         if let Some(policy) = opts.reconnect {
             cfg.reconnect = policy;
         }
@@ -174,20 +228,13 @@ pub fn run_local_cluster_opts(
             wal_path: dir.join(format!("node{me}.wal")),
             recover: opts.recover.contains(&me),
         });
-        let party = case.party(me);
+        let probe = probe.clone();
         handles.push(thread::spawn(move || {
-            run_node_durable(
-                &cfg,
-                listener,
-                party,
-                durability.as_ref(),
-                |p| p.state_fingerprint(),
-                || {},
-            )
+            run_node_durable(&cfg, listener, party, durability.as_ref(), probe, || {})
         }));
     }
 
-    let mut reports: Vec<NodeReport<Outcome<VertexId>>> = Vec::with_capacity(n);
+    let mut reports = Vec::with_capacity(n);
     let mut errors = Vec::new();
     for (me, h) in handles.into_iter().enumerate() {
         match h.join() {
@@ -196,22 +243,9 @@ pub fn run_local_cluster_opts(
             Err(_) => errors.push(format!("node {me}: panicked")),
         }
     }
-    if !errors.is_empty() {
-        return Err(errors.join("; "));
+    if errors.is_empty() {
+        Ok(reports)
+    } else {
+        Err(errors.join("; "))
     }
-
-    let outcomes = reports
-        .iter()
-        .enumerate()
-        .map(|(me, r)| r.output.clone().ok_or(me))
-        .collect::<Result<Vec<_>, usize>>()
-        .map_err(|me| format!("node {me} terminated without an output"))?;
-    let traces: Vec<Trace> = reports.iter().map(|r| r.trace.clone()).collect();
-    let merged_trace = merge_traces(&traces)?;
-    Ok(ClusterReport {
-        outcomes,
-        merged_trace,
-        stats: reports.iter().map(|r| r.stats).collect(),
-        vtimes: reports.iter().map(|r| r.vtime).collect(),
-    })
 }

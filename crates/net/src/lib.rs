@@ -13,16 +13,17 @@
 //! * [`codec`] — total binary codecs for the protocol messages;
 //! * [`wire`] — the authenticated [`wire::WrapperMsg`] envelope
 //!   (handshake, data, virtual-time promises, completion);
-//! * [`node`] — the per-party TCP node: connect/accept with peer
-//!   handshakes, per-peer send queues, capped-backoff reconnects, and a
-//!   conservative virtual-time main loop;
 //! * [`wal`] — a per-node write-ahead log of protocol-relevant state
 //!   transitions (checksummed, torn-tail tolerant) that lets a
 //!   SIGKILLed node replay itself back to its crash point;
-//! * [`node`] — the per-party TCP node: connect/accept with peer
-//!   handshakes, per-peer send queues, capped-backoff reconnects,
-//!   WAL-backed crash recovery with handshake gap-resend, and a
-//!   conservative virtual-time main loop;
+//! * `core` (private) — the socket-free node core: the link state
+//!   machine (filters, watermarks, gap-resend retention, control plane)
+//!   and the virtual-time driver with its one activation path, shared
+//!   by the live run and WAL replay;
+//! * [`node`] — the per-party TCP node, a thin shell around the core:
+//!   connect/accept with peer handshakes, per-peer reader/writer
+//!   threads, capped-backoff reconnects, the WAL file, wall-clock
+//!   pacing;
 //! * [`cluster`] — an in-process loopback cluster (n nodes, n threads,
 //!   real sockets) used by the tests and the differential gate;
 //! * [`chaos`] — a seeded fault-injecting TCP relay (resets, stalls,
@@ -36,6 +37,7 @@
 pub mod chaos;
 pub mod cluster;
 pub mod codec;
+mod core;
 pub mod frame;
 pub mod gate;
 pub mod mac;
@@ -45,8 +47,8 @@ pub mod wire;
 
 pub use chaos::{seeded_plan, spawn_chaos_proxy, ChaosConfig, ChaosProxy};
 pub use cluster::{
-    node_config, run_local_cluster, run_local_cluster_opts, ClusterChaos, ClusterOpts,
-    ClusterReport,
+    node_config, run_local_cluster, run_local_cluster_opts, run_local_nodes, ClusterChaos,
+    ClusterOpts, ClusterReport,
 };
 pub use codec::{CodecError, Reader, WireCodec};
 pub use frame::{frame, FrameBuffer, FrameError, MAX_FRAME, PREFIX_LEN};

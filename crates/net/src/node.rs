@@ -65,35 +65,23 @@
 //!   retained and already delivered) are dropped by a per-link dedup
 //!   set without ever touching the replay filter.
 
-use std::cmp::Reverse;
-use std::collections::{BTreeMap, BTreeSet, BinaryHeap, VecDeque};
 use std::fmt;
 use std::io::{self, ErrorKind, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex};
+use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
-use aa_trace::{EventKind, Trace};
-use async_net::{link_delay, AsyncCtx, AsyncProtocol, AsyncRecorder, VKey};
-use sim_net::{Envelope, PartyId};
+use aa_trace::Trace;
+use async_net::AsyncProtocol;
 
 use crate::codec::WireCodec;
-use crate::frame::{frame, FrameBuffer, MAX_FRAME, PREFIX_LEN};
-use crate::mac::{pair_key, MacKey};
-use crate::wal::{self, WalEvent, WalHeader, WalMark, WalRecord, WalRemote, WalWriter};
-use crate::wire::{FrameKind, HelloBody, WrapperMsg, MAX_HAVE_EXTRAS, WIRE_VERSION};
-
-/// `wire_seq` numbers are reserved (and WAL-logged) in blocks this big,
-/// so steady-state sends cost one log append per block, not per frame.
-const WIRE_SEQ_BLOCK: u64 = 256;
-
-/// Cap on retained outgoing Data frames per link. Eviction past the cap
-/// sacrifices gap-resend completeness (a reconnecting peer missing an
-/// evicted frame falls back to `Reliable` retransmission), never safety.
-const RETAIN_CAP: usize = 16_384;
+use crate::core::{DataOut, Driver, Event, LinkId, LinkTable, Outbox, Reject};
+use crate::frame::{FrameBuffer, MAX_FRAME, PREFIX_LEN};
+use crate::wal::{self, WalHeader, WalRecord, WalWriter};
+use crate::wire::{HelloBody, WIRE_VERSION};
 
 /// Consecutive rejected frames after which a connection is cut. A
 /// corrupted byte can desynchronize the frame layer, turning the rest of
@@ -103,15 +91,13 @@ const RETAIN_CAP: usize = 16_384;
 /// tearing down an otherwise healthy connection.
 const REJECT_CUT_THRESHOLD: u32 = 8;
 
-/// A WAL integrity mark is appended every this many processed events.
-const MARK_INTERVAL: u64 = 64;
-
 /// Control-plane keepalive period. Null promises and Done notices are
 /// fire-and-forget; on a live-but-lossy link (chaos corruption without a
 /// reset) a lost one is never retransmitted by `Reliable`, which covers
-/// Data only. Every period the main loop re-announces its current
-/// promise to peers still working and its Done to peers that have not
-/// acknowledged it, so no single lost control frame can stall anyone.
+/// Data only. Every period the main loop tells the link table the
+/// keepalive is due, and it re-announces the current promise to peers
+/// still working and our Done to peers that have not acknowledged it,
+/// so no single lost control frame can stall anyone.
 const KEEPALIVE_MS: u64 = 100;
 
 /// Reconnection behaviour after a link drops.
@@ -258,7 +244,7 @@ impl NodeConfig {
         Ok(())
     }
 
-    fn wal_header(&self) -> WalHeader {
+    pub(crate) fn wal_header(&self) -> WalHeader {
         WalHeader {
             config_fp: self.config_fp,
             me: self.me,
@@ -342,15 +328,17 @@ impl From<wal::WalError> for NetError {
 /// Transport counters, reported per node.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct NetStats {
-    /// Data/Done/Hello frames sent.
+    /// Data, Done and DoneAck frames sent (gap-resends included; Hello
+    /// and Null frames are not).
     pub frames_sent: u64,
     /// Authenticated frames received (all kinds).
     pub frames_received: u64,
     /// Null (virtual-time promise) frames sent.
     pub nulls_sent: u64,
-    /// Payload bytes enqueued to writers.
+    /// Framed bytes (length prefix + envelope) enqueued to writers, Null
+    /// frames included, Hellos not.
     pub bytes_sent: u64,
-    /// Payload bytes received.
+    /// Framed bytes of the authenticated frames received.
     pub bytes_received: u64,
     /// Frames rejected for a bad MAC.
     pub rejected_mac: u64,
@@ -373,7 +361,7 @@ pub struct NetStats {
     pub dup_frames: u64,
     /// Dead peers revived by a successful re-handshake.
     pub revived_peers: u64,
-    /// Retained frames evicted past [`RETAIN_CAP`].
+    /// Retained frames evicted past the per-link retention cap.
     pub retain_evicted: u64,
 }
 
@@ -391,125 +379,36 @@ pub struct NodeReport<O> {
     pub vtime: f64,
 }
 
-/// The set of Data `lseq` ordinals received on one incoming link,
-/// stored as a contiguous prefix plus out-of-order extras — the exact
-/// shape the Hello's gap-resend advertisement uses.
-#[derive(Debug, Default)]
-struct HaveSet {
-    /// Every `lseq < prefix` has been received.
-    prefix: u64,
-    /// Received ordinals at or above `prefix`.
-    extras: BTreeSet<u64>,
-}
-
-impl HaveSet {
-    fn contains(&self, lseq: u64) -> bool {
-        lseq < self.prefix || self.extras.contains(&lseq)
-    }
-
-    fn insert(&mut self, lseq: u64) {
-        if lseq < self.prefix {
-            return;
-        }
-        if lseq == self.prefix {
-            self.prefix += 1;
-            while self.extras.remove(&self.prefix) {
-                self.prefix += 1;
-            }
-        } else {
-            self.extras.insert(lseq);
-        }
-    }
-}
-
-/// A sent Data frame kept for handshake gap-resend: enough to rebuild
-/// the exact wire frame (modulo `wire_seq`, which is always fresh).
-#[derive(Debug)]
-struct Retained {
-    vsend: f64,
-    vdeliver: f64,
-    body: Vec<u8>,
-}
-
-/// A liveness transition observed by a helper thread, queued for the
-/// main loop to record into the trace.
-#[derive(Clone, Copy, Debug)]
-enum Transition {
-    Reconnect { peer: usize, attempt: usize },
-    BackoffExhausted { peer: usize, attempts: usize },
-    DeadPeer { peer: usize },
-}
-
-/// Per-peer shared state, written by reader/acceptor/reconnect threads
-/// and drained by the main loop.
-#[derive(Debug)]
-struct PeerSt {
-    inbox: VecDeque<WrapperMsg>,
-    /// Lower bound on future Data `vdeliver` from this peer.
-    watermark: f64,
-    /// Highest authenticated incoming `wire_seq` (replay filter).
-    last_auth: Option<u64>,
-    /// Next outgoing `wire_seq` on this link.
-    out_wire_seq: u64,
-    /// Exclusive upper bound of the WAL-reserved `wire_seq` block.
-    wire_reserved: u64,
-    /// Highest promise already sent to this peer.
-    last_promised: f64,
-    /// Data `lseq` ordinals received from this peer (dedup + Hello).
-    have: HaveSet,
-    /// Sent Data frames retained for gap-resend, by `lseq`.
-    retain: BTreeMap<u64, Retained>,
-    /// Whether this peer has been sent our Done on the *current*
-    /// connection (a reconnect clears it, so Done is re-announced).
-    done_notified: bool,
-    /// Whether this peer acknowledged our Done. Until then the
-    /// keepalive re-announces it — a Done lost on a live-but-lossy
-    /// link must not stall the peer's termination.
-    done_acked: bool,
-    /// A `Done` arrived from this peer and its `DoneAck` has not been
-    /// sent yet (the main loop drains this on its next pass).
-    ack_owed: bool,
-    done: bool,
-    dead: bool,
-    connected: bool,
-    reconnecting: bool,
-    down_since: Option<Instant>,
-    /// Rejections not yet recorded in the trace (count since last drain).
-    pending_drops: u64,
+/// The shell's end of one link: what the core's `connected` flag stands
+/// for in sockets and channels. Replaced whole on link-up, emptied on
+/// link-down, so a reconnecting peer costs no descriptor per attempt.
+#[derive(Default)]
+struct LinkSlot {
+    /// The writer thread's queue.
     tx: Option<mpsc::Sender<Vec<u8>>>,
+    /// A clone of the connection, kept to unblock its reader.
+    stream: Option<TcpStream>,
+    down_since: Option<Instant>,
 }
 
-impl PeerSt {
-    fn new() -> Self {
-        PeerSt {
-            inbox: VecDeque::new(),
-            watermark: 0.0,
-            last_auth: None,
-            out_wire_seq: 0,
-            wire_reserved: 0,
-            last_promised: 0.0,
-            have: HaveSet::default(),
-            retain: BTreeMap::new(),
-            done_notified: false,
-            done_acked: false,
-            ack_owed: false,
-            done: false,
-            dead: false,
-            connected: false,
-            reconnecting: false,
-            down_since: None,
-            pending_drops: 0,
-            tx: None,
+impl LinkSlot {
+    /// Closes the connection: the writer drains its queue and exits, the
+    /// reader's blocking read returns.
+    fn close(&mut self) {
+        self.tx = None;
+        if let Some(s) = self.stream.take() {
+            let _ = s.shutdown(Shutdown::Both);
         }
     }
 }
 
-#[derive(Debug)]
+/// Everything behind the node's one lock.
 struct Inner {
-    peers: Vec<PeerSt>,
-    stats: NetStats,
-    /// Liveness transitions queued for the main loop's recorder.
-    transitions: Vec<Transition>,
+    table: LinkTable,
+    /// Scratch the table's methods fill and the critical section that
+    /// filled it empties ([`Shared::flush`]; `drive_node`'s Data path).
+    out: Outbox,
+    links: Vec<LinkSlot>,
     /// First WAL append failure (surfaced as a run error).
     wal_error: Option<String>,
 }
@@ -518,74 +417,108 @@ struct Shared {
     inner: Mutex<Inner>,
     cv: Condvar,
     shutdown: AtomicBool,
-    /// The acceptor ignores connections until this is set — a
+    /// Ordering 5: the acceptor serves nobody until this is set — a
     /// recovering node must finish its replay before any handshake can
     /// read the retention/have state the replay rebuilds.
     accepting: AtomicBool,
     /// The write-ahead log, when the run is durable.
     /// Lock order: `inner` before `wal`, never the reverse.
     wal: Mutex<Option<WalWriter>>,
-    /// Stream clones registered for unblocking shutdown.
-    streams: Mutex<Vec<TcpStream>>,
     /// Writer threads: joined *before* the sockets are torn down so
     /// queued frames (the final Done) still reach the wire.
     writer_handles: Mutex<Vec<JoinHandle<()>>>,
-    /// Reader and reconnect threads: unblocked by the socket shutdown
-    /// and the shutdown flag, joined last.
+    /// Reader, handshake and reconnect threads: unblocked by the socket
+    /// shutdown and the shutdown flag, joined last.
     aux_handles: Mutex<Vec<JoinHandle<()>>>,
-    me: usize,
-    n: usize,
-    secret: u64,
-    min_delay: f64,
+    id: LinkId,
 }
 
 impl Shared {
-    fn key(&self, peer: usize) -> MacKey {
-        pair_key(self.secret, self.me, peer)
+    fn new(cfg: &NodeConfig, wal: Option<WalWriter>) -> Arc<Shared> {
+        let id = LinkId::of(cfg);
+        Arc::new(Shared {
+            inner: Mutex::new(Inner {
+                table: LinkTable::new(id),
+                out: Outbox::default(),
+                links: (0..cfg.n).map(|_| LinkSlot::default()).collect(),
+                wal_error: None,
+            }),
+            cv: Condvar::new(),
+            shutdown: AtomicBool::new(false),
+            accepting: AtomicBool::new(false),
+            wal: Mutex::new(wal),
+            writer_handles: Mutex::new(Vec::new()),
+            aux_handles: Mutex::new(Vec::new()),
+            id,
+        })
+    }
+
+    fn lock(&self) -> MutexGuard<'_, Inner> {
+        self.inner.lock().expect("net lock")
+    }
+
+    /// Carries out what the table just decided, inside the critical
+    /// section that decided it: the log first, then the wire (ordering
+    /// 3, see [`Outbox`]). A send error is surfaced by the writer thread.
+    fn flush(&self, inner: &mut Inner) {
+        self.flush_log(inner);
+        for (peer, bytes) in inner.out.frames.drain(..) {
+            if let Some(tx) = &inner.links[peer].tx {
+                let _ = tx.send(bytes);
+            }
+        }
+    }
+
+    /// The log half of [`Shared::flush`].
+    fn flush_log(&self, inner: &mut Inner) {
+        if inner.out.log.is_empty() {
+            return;
+        }
+        let mut wal = self.wal.lock().expect("wal lock");
+        for rec in inner.out.log.drain(..) {
+            if let Some(Err(e)) = wal.as_mut().map(|w| w.append(&rec)) {
+                inner.wal_error.get_or_insert(e.to_string());
+            }
+        }
+    }
+
+    /// Appends one record to the WAL, if one is attached.
+    fn append_wal(&self, rec: &WalRecord) -> Result<(), NetError> {
+        match self.wal.lock().expect("wal lock").as_mut() {
+            Some(w) => w
+                .append(rec)
+                .map_err(|e| NetError::Io(format!("wal append: {e}"))),
+            None => Ok(()),
+        }
     }
 }
 
-/// A locally pending virtual event.
-enum LocalEv<M> {
-    Deliver(Envelope<M>),
-    Timer(u64),
-}
-
-struct Pend<M> {
-    key: VKey,
-    what: LocalEv<M>,
-    /// `(vsend, raw body)` of the frame behind a remote delivery, kept
-    /// only when a WAL is attached (the log must be able to re-inject
-    /// the payload at replay).
-    wire: Option<(f64, Vec<u8>)>,
-}
-
-impl<M> PartialEq for Pend<M> {
-    fn eq(&self, other: &Self) -> bool {
-        self.key == other.key
+/// Keeps a helper thread's handle for the final join, first joining the
+/// ones that already finished — the list tracks live threads, not every
+/// thread the run ever started.
+fn park(handles: &Mutex<Vec<JoinHandle<()>>>, handle: JoinHandle<()>) {
+    let mut hs = handles.lock().expect("net lock");
+    let mut i = 0;
+    while i < hs.len() {
+        if hs[i].is_finished() {
+            let _ = hs.swap_remove(i).join();
+        } else {
+            i += 1;
+        }
     }
-}
-impl<M> Eq for Pend<M> {}
-impl<M> PartialOrd for Pend<M> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<M> Ord for Pend<M> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.key.cmp(&other.key)
-    }
+    hs.push(handle);
 }
 
 /// Reads exactly one frame from `stream` (which must have a read
 /// timeout set), failing on EOF, timeout, or framing errors.
 ///
-/// This must consume EXACTLY the frame's bytes, never more: the peer's
-/// first protocol frames can already sit behind the Hello in the socket
-/// buffer (the peer registers the link the moment its Hello response is
-/// written, and may start the protocol before we finish reading it). A
-/// buffered read here would swallow those frames and silently lose
-/// them — forcing retransmissions that shift the whole delay schedule.
+/// Ordering 4: this must consume EXACTLY the frame's bytes, never more.
+/// The peer's first protocol frames can already sit behind the Hello in
+/// the socket buffer (the peer registers the link the moment its Hello
+/// response is written, and may start the protocol before we finish
+/// reading it). A buffered read here would swallow those frames and
+/// silently lose them — forcing retransmissions that shift the whole
+/// delay schedule.
 fn read_one_frame(stream: &mut TcpStream) -> Result<Vec<u8>, NetError> {
     let mut prefix = [0u8; PREFIX_LEN];
     stream.read_exact(&mut prefix).map_err(map_handshake_eof)?;
@@ -608,241 +541,107 @@ fn map_handshake_eof(e: io::Error) -> NetError {
     }
 }
 
-/// Allocates the next outgoing `wire_seq` on the link to `peer`. With a
-/// WAL attached, sequence numbers are claimed in [`WIRE_SEQ_BLOCK`]-size
-/// reservation blocks whose records hit the log *before* any frame in
-/// the block can hit the wire — so a recovered node resumes past every
-/// sequence number a peer's replay filter might already have seen. The
-/// append runs under `inner` (lock order `inner` before `wal`) and
-/// allocates nothing.
-fn assign_wire_seq(shared: &Shared, inner: &mut Inner, peer: usize) -> u64 {
-    let (s, reserve) = {
-        let p = &mut inner.peers[peer];
-        let s = p.out_wire_seq;
-        p.out_wire_seq += 1;
-        if s >= p.wire_reserved {
-            let upto = s + WIRE_SEQ_BLOCK;
-            p.wire_reserved = upto;
-            (s, Some(upto))
-        } else {
-            (s, None)
-        }
+/// Writes our Hello to `stream`; its `wire_seq` reservation is logged
+/// first.
+fn write_hello(shared: &Shared, peer: usize, stream: &mut TcpStream) -> Result<(), NetError> {
+    let bytes = {
+        let mut guard = shared.lock();
+        let inner = &mut *guard;
+        let bytes = inner.table.hello(peer, &mut inner.out);
+        shared.flush(inner);
+        bytes
     };
-    if let Some(upto) = reserve {
-        let mut wal = shared.wal.lock().expect("wal lock");
-        if let Some(w) = wal.as_mut() {
-            if let Err(e) = w.append(&WalRecord::Reserve { peer, upto }) {
-                drop(wal);
-                inner.wal_error.get_or_insert(e.to_string());
-            }
-        }
-    }
-    s
+    Ok(stream.write_all(&bytes)?)
 }
 
-fn make_hello(shared: &Shared, cfg_fp: u64, peer: usize) -> WrapperMsg {
-    let (wire_seq, have_prefix, have_extras) = {
-        let mut inner = shared.inner.lock().expect("net lock");
-        let s = assign_wire_seq(shared, &mut inner, peer);
-        let p = &inner.peers[peer];
-        // Truncating an absurdly fragmented have-set only costs the
-        // peer some duplicate resends, which the dedup set absorbs.
-        let extras: Vec<u64> = p
-            .have
-            .extras
-            .iter()
-            .copied()
-            .take(MAX_HAVE_EXTRAS)
-            .collect();
-        (s, p.have.prefix, extras)
-    };
-    WrapperMsg {
-        kind: FrameKind::Hello,
-        from: shared.me as u32,
-        to: peer as u32,
-        wire_seq,
-        lseq: 0,
-        vsend: 0.0,
-        vdeliver: 0.0,
-        body: HelloBody {
-            config_fp: cfg_fp,
-            version: WIRE_VERSION,
-            have_prefix,
-            have_extras,
-        }
-        .to_bytes(),
-        mac: 0,
-    }
-    .signed(shared.key(peer))
-}
-
-/// Authenticates an incoming Hello against `expected_from` (or any peer
-/// if `None`), returning the sender and the decoded body. Updates the
-/// replay filter.
-fn check_hello(
+/// Reads and authenticates the peer's Hello (MAC off the lock, replay
+/// filter under it).
+fn read_hello(
     shared: &Shared,
-    cfg_fp: u64,
-    msg: &WrapperMsg,
+    stream: &mut TcpStream,
     expected_from: Option<usize>,
 ) -> Result<(usize, HelloBody), NetError> {
-    if msg.kind != FrameKind::Hello {
-        return Err(NetError::Handshake("first frame is not a Hello".into()));
-    }
-    let from = msg.from as usize;
-    if from >= shared.n || from == shared.me || msg.to != shared.me as u32 {
-        return Err(NetError::Handshake(format!(
-            "hello addressed {} -> {}",
-            msg.from, msg.to
-        )));
-    }
-    if let Some(exp) = expected_from {
-        if from != exp {
-            return Err(NetError::Handshake(format!(
-                "expected hello from {exp}, got {from}"
-            )));
-        }
-    }
-    if !msg.verify(shared.key(from)) {
-        return Err(NetError::Handshake(format!(
-            "hello from {from} failed authentication"
-        )));
-    }
-    let hello = HelloBody::from_bytes(&msg.body).map_err(|e| NetError::Handshake(e.to_string()))?;
-    if hello.version != WIRE_VERSION {
-        return Err(NetError::Handshake(format!(
-            "peer {from} speaks wire version {}, expected {WIRE_VERSION}",
-            hello.version
-        )));
-    }
-    if hello.config_fp != cfg_fp {
-        return Err(NetError::Handshake(format!(
-            "peer {from} runs configuration {:#018x}, expected {cfg_fp:#018x}",
-            hello.config_fp
-        )));
-    }
-    {
-        let mut inner = shared.inner.lock().expect("net lock");
-        let p = &mut inner.peers[from];
-        if p.last_auth.is_some_and(|s| msg.wire_seq <= s) {
-            return Err(NetError::Handshake(format!("replayed hello from {from}")));
-        }
-        p.last_auth = Some(msg.wire_seq);
-    }
+    let payload = read_one_frame(stream)?;
+    let (from, wire_seq, hello) = shared.id.open_hello(&payload, expected_from)?;
+    shared.lock().table.admit_hello(from, wire_seq)?;
     Ok((from, hello))
 }
 
-/// Wires a freshly handshaken stream into the node: registers clones
-/// for shutdown, resends the retained Data frames the peer's Hello says
-/// it is missing, spawns the writer and reader threads, marks the peer
-/// connected (reviving it if it had been declared dead).
+/// Wires a freshly handshaken stream into the node: the table marks the
+/// link up and queues the gap-resend, the slot takes the new sender and
+/// stream (closing a connection it replaces), and the writer and reader
+/// threads start.
 fn register_connection(
     shared: &Arc<Shared>,
     peer: usize,
     stream: TcpStream,
     peer_hello: &HelloBody,
 ) -> Result<(), NetError> {
-    if shared.shutdown.load(Ordering::SeqCst) {
-        return Err(NetError::Handshake("node shutting down".into()));
-    }
     stream.set_nodelay(true).ok();
     stream.set_read_timeout(None)?;
     stream.set_write_timeout(Some(Duration::from_secs(2)))?;
     let reader_stream = stream.try_clone()?;
     let writer_stream = stream.try_clone()?;
-    shared.streams.lock().expect("net lock").push(stream);
-
     let (tx, rx) = mpsc::channel::<Vec<u8>>();
-    {
-        let mut inner = shared.inner.lock().expect("net lock");
-        // Gap-resend, inside the same critical section that publishes
-        // the sender: the resent frames are queued before any new
-        // protocol frame can use this link, and in ascending `lseq`
-        // order, so the peer's watermark only ever sees a monotone
-        // `vsend` sequence. Frames the peer acknowledges are pruned.
-        let lseqs: Vec<u64> = inner.peers[peer].retain.keys().copied().collect();
-        for lseq in lseqs {
-            if peer_hello.has(lseq) {
-                inner.peers[peer].retain.remove(&lseq);
-                continue;
-            }
-            let wire_seq = assign_wire_seq(shared, &mut inner, peer);
-            let (vsend, vdeliver, body) = {
-                let r = &inner.peers[peer].retain[&lseq];
-                (r.vsend, r.vdeliver, r.body.clone())
-            };
-            let msg = WrapperMsg {
-                kind: FrameKind::Data,
-                from: shared.me as u32,
-                to: peer as u32,
-                wire_seq,
-                lseq,
-                vsend,
-                vdeliver,
-                body,
-                mac: 0,
-            }
-            .signed(shared.key(peer));
-            let bytes = frame(&msg.encode());
-            inner.stats.frames_sent += 1;
-            inner.stats.resent_frames += 1;
-            inner.stats.bytes_sent += bytes.len() as u64;
-            let _ = tx.send(bytes);
+    let epoch = {
+        let mut guard = shared.lock();
+        // Checked under the lock teardown takes to close the slots, so a
+        // link is either refused here or closed there.
+        if shared.shutdown.load(Ordering::SeqCst) {
+            return Err(NetError::Handshake("node shutting down".into()));
         }
-        let revived = {
-            let p = &mut inner.peers[peer];
-            p.tx = Some(tx);
-            p.connected = true;
-            p.down_since = None;
-            // A fresh connection starts from a clean promise slate, and
-            // re-announces our Done if we already produced output. An
-            // ack owed on the dropped connection is re-owed here (the
-            // peer is done; its keepalive would re-ask anyway).
-            p.last_promised = 0.0;
-            p.done_notified = false;
-            if p.done {
-                p.ack_owed = true;
-            }
-            std::mem::replace(&mut p.dead, false)
+        let inner = &mut *guard;
+        let epoch = inner.table.link_up(peer, peer_hello, &mut inner.out);
+        inner.links[peer].close();
+        inner.links[peer] = LinkSlot {
+            tx: Some(tx),
+            stream: Some(stream),
+            down_since: None,
         };
-        if revived {
-            inner.stats.revived_peers += 1;
-        }
-    }
-
+        // Still inside the critical section: the gap-resend is in the
+        // new queue before anyone else can see the link (ordering 2).
+        shared.flush(inner);
+        epoch
+    };
     let sh = Arc::clone(shared);
-    let writer = thread::spawn(move || writer_loop(&sh, peer, writer_stream, &rx));
+    let writer = thread::spawn(move || writer_loop(&sh, peer, epoch, writer_stream, &rx));
     let sh = Arc::clone(shared);
-    let reader = thread::spawn(move || reader_loop(&sh, peer, reader_stream));
-    shared.writer_handles.lock().expect("net lock").push(writer);
-    shared.aux_handles.lock().expect("net lock").push(reader);
+    let reader = thread::spawn(move || reader_loop(&sh, peer, epoch, reader_stream));
+    park(&shared.writer_handles, writer);
+    park(&shared.aux_handles, reader);
     shared.cv.notify_all();
     Ok(())
 }
 
-fn mark_disconnected(shared: &Shared, peer: usize) {
-    let mut inner = shared.inner.lock().expect("net lock");
-    let p = &mut inner.peers[peer];
-    if p.connected {
-        p.connected = false;
-        p.tx = None;
-        p.down_since = Some(Instant::now());
+/// A reader or writer of connection `epoch` saw it die.
+fn link_down(shared: &Shared, peer: usize, epoch: u64) {
+    let mut inner = shared.lock();
+    if inner.table.link_down(peer, epoch) {
+        let slot = &mut inner.links[peer];
+        slot.close();
+        slot.down_since = Some(Instant::now());
     }
     drop(inner);
     shared.cv.notify_all();
 }
 
-fn writer_loop(shared: &Shared, peer: usize, mut stream: TcpStream, rx: &mpsc::Receiver<Vec<u8>>) {
+fn writer_loop(
+    shared: &Shared,
+    peer: usize,
+    epoch: u64,
+    mut stream: TcpStream,
+    rx: &mpsc::Receiver<Vec<u8>>,
+) {
     while let Ok(bytes) = rx.recv() {
         if stream.write_all(&bytes).is_err() {
-            mark_disconnected(shared, peer);
+            link_down(shared, peer, epoch);
             return;
         }
     }
     let _ = stream.flush();
 }
 
-fn reader_loop(shared: &Shared, peer: usize, mut stream: TcpStream) {
-    let key = shared.key(peer);
+fn reader_loop(shared: &Shared, peer: usize, epoch: u64, mut stream: TcpStream) {
     let mut fb = FrameBuffer::new();
     let mut buf = [0u8; 65536];
     let mut bad_streak = 0u32;
@@ -858,126 +657,58 @@ fn reader_loop(shared: &Shared, peer: usize, mut stream: TcpStream) {
         loop {
             match fb.next_frame() {
                 Ok(Some(payload)) => {
-                    if handle_frame(shared, peer, key, &payload) {
+                    if handle_frame(shared, peer, &payload) {
                         bad_streak = 0;
-                    } else {
-                        bad_streak += 1;
-                        if bad_streak >= REJECT_CUT_THRESHOLD {
-                            // The stream has desynchronized from the
-                            // frame layer (corruption below us): cut it
-                            // and let reconnect + gap-resend rebuild a
-                            // clean link.
-                            let _ = stream.shutdown(Shutdown::Both);
-                            break 'conn;
-                        }
+                        continue;
                     }
+                    bad_streak += 1;
+                    if bad_streak < REJECT_CUT_THRESHOLD {
+                        continue;
+                    }
+                    // The stream has desynchronized from the frame layer
+                    // (corruption below us).
                 }
                 Ok(None) => break,
-                // Oversized prefix: the stream is garbage; cut the link
-                // (the reconnect machinery takes over).
+                // Oversized prefix: the stream is garbage.
                 Err(_) => {
-                    reject(shared, peer, |s| &mut s.rejected_malformed);
-                    let _ = stream.shutdown(Shutdown::Both);
-                    break 'conn;
+                    shared.lock().table.reject(peer, Reject::Malformed);
+                    shared.cv.notify_all();
                 }
             }
+            // Cut the link and let reconnect + gap-resend rebuild a
+            // clean one.
+            let _ = stream.shutdown(Shutdown::Both);
+            break 'conn;
         }
     }
-    mark_disconnected(shared, peer);
+    link_down(shared, peer, epoch);
 }
 
-/// Counts a rejected frame: bumps the chosen counter and queues a
-/// `fault_drop` trace record for the main loop.
-fn reject(shared: &Shared, peer: usize, counter: impl FnOnce(&mut NetStats) -> &mut u64) {
-    let mut inner = shared.inner.lock().expect("net lock");
-    *counter(&mut inner.stats) += 1;
-    inner.peers[peer].pending_drops += 1;
-    drop(inner);
-    shared.cv.notify_all();
-}
-
-/// Authenticates and sorts one incoming frame. Rejected frames are
-/// counted and traced, never delivered. Returns whether the frame was
-/// accepted (duplicates count as accepted — they prove the stream is
-/// healthy).
-fn handle_frame(shared: &Shared, peer: usize, key: MacKey, payload: &[u8]) -> bool {
-    let Ok(msg) = WrapperMsg::decode(payload) else {
-        reject(shared, peer, |s| &mut s.rejected_malformed);
-        return false;
+/// Authenticates (off the lock) and sorts (under it) one incoming
+/// frame. Rejected frames are counted and traced, never delivered.
+/// Returns whether the frame was accepted.
+fn handle_frame(shared: &Shared, peer: usize, payload: &[u8]) -> bool {
+    let accepted = match shared.id.open_frame(peer, payload) {
+        Ok(msg) => shared.lock().table.accept(peer, msg, payload.len()),
+        Err(why) => {
+            shared.lock().table.reject(peer, why);
+            false
+        }
     };
-    if msg.from != peer as u32 || msg.to != shared.me as u32 || msg.kind == FrameKind::Hello {
-        reject(shared, peer, |s| &mut s.rejected_malformed);
-        return false;
-    }
-    if !msg.verify(key) {
-        reject(shared, peer, |s| &mut s.rejected_mac);
-        return false;
-    }
-    let mut inner = shared.inner.lock().expect("net lock");
-    let stale = inner.peers[peer]
-        .last_auth
-        .is_some_and(|s| msg.wire_seq <= s);
-    if stale {
-        inner.stats.rejected_replay += 1;
-        inner.peers[peer].pending_drops += 1;
-        drop(inner);
-        shared.cv.notify_all();
-        return false;
-    }
-    inner.peers[peer].last_auth = Some(msg.wire_seq);
-    inner.stats.frames_received += 1;
-    inner.stats.bytes_received += payload.len() as u64 + 4;
-    let min_delay = shared.min_delay;
-    let Inner { peers, stats, .. } = &mut *inner;
-    let p = &mut peers[peer];
-    match msg.kind {
-        FrameKind::Data => {
-            // Future Data is sent at a clock ≥ vsend with delay > min.
-            p.watermark = p.watermark.max(msg.vsend + min_delay);
-            if p.have.contains(msg.lseq) {
-                // A gap-resend we already delivered: the watermark gain
-                // is kept, the payload is dropped without a trace event
-                // (it is not a fault, just redundancy).
-                stats.dup_frames += 1;
-            } else {
-                p.have.insert(msg.lseq);
-                p.inbox.push_back(msg);
-            }
-        }
-        FrameKind::Null => {
-            // The promise IS the bound; no extra lookahead on top.
-            p.watermark = p.watermark.max(msg.vsend);
-        }
-        FrameKind::Done => {
-            // Possibly a keepalive re-announcement; setting the flags
-            // again is idempotent, and every copy earns a fresh ack (the
-            // previous ack may itself have been lost).
-            p.done = true;
-            p.ack_owed = true;
-            p.watermark = p.watermark.max(msg.vsend + min_delay);
-        }
-        FrameKind::DoneAck => {
-            p.done_acked = true;
-            p.watermark = p.watermark.max(msg.vsend + min_delay);
-        }
-        FrameKind::Hello => unreachable!("filtered above"),
-    }
-    drop(inner);
     shared.cv.notify_all();
-    true
+    accepted
 }
 
 /// Dials `peer`, performs the mutual Hello exchange, and registers the
 /// connection.
 ///
-/// `patience` is how long to wait for the peer's Hello response. The
-/// initial bring-up passes the whole handshake budget: once our Hello
-/// is written the peer may register this connection at any moment, so
-/// abandoning it early and redialing would let the peer send the first
-/// protocol frames into a dead socket — losing them, forcing a
-/// retransmission, and (fatally for the differential gate) shifting
-/// the delay schedule. Reconnects mid-run use a short patience instead;
-/// a lost frame there is already the fault path `Reliable` covers.
+/// `patience` is how long to wait for the peer's Hello response: the
+/// initial bring-up passes `min(handshake budget, 2 s)` per attempt,
+/// reconnects mid-run 2 s. Giving up on a half-open handshake is safe
+/// since wire v2 — if the peer registered the connection anyway and
+/// sent its first protocol frames into the dead socket, the redial
+/// re-negotiates with the have-set and those frames are gap-resent
+/// with their original schedule.
 fn dial_handshake(
     shared: &Arc<Shared>,
     cfg: &NodeConfig,
@@ -986,35 +717,25 @@ fn dial_handshake(
 ) -> Result<(), NetError> {
     let mut stream = TcpStream::connect_timeout(&cfg.peers[peer], Duration::from_millis(500))?;
     stream.set_nodelay(true).ok();
-    let hello = make_hello(shared, cfg.config_fp, peer);
-    stream.write_all(&frame(&hello.encode()))?;
+    write_hello(shared, peer, &mut stream)?;
     stream.set_read_timeout(Some(patience))?;
-    let payload = read_one_frame(&mut stream)?;
-    let msg = WrapperMsg::decode(&payload).map_err(|e| NetError::Handshake(e.to_string()))?;
-    let (_, peer_hello) = check_hello(shared, cfg.config_fp, &msg, Some(peer))?;
+    let (_, peer_hello) = read_hello(shared, &mut stream, Some(peer))?;
     register_connection(shared, peer, stream, &peer_hello)
 }
 
 /// One accepted connection: identify the dialer by its Hello, answer
 /// with ours, register.
-fn accept_handshake(
-    shared: &Arc<Shared>,
-    cfg: &NodeConfig,
-    mut stream: TcpStream,
-) -> Result<(), NetError> {
+fn accept_handshake(shared: &Arc<Shared>, mut stream: TcpStream) -> Result<(), NetError> {
     stream.set_nodelay(true).ok();
     stream.set_read_timeout(Some(Duration::from_secs(2)))?;
-    let payload = read_one_frame(&mut stream)?;
-    let msg = WrapperMsg::decode(&payload).map_err(|e| NetError::Handshake(e.to_string()))?;
-    let (peer, peer_hello) = check_hello(shared, cfg.config_fp, &msg, None)?;
-    if peer < shared.me {
+    let (peer, peer_hello) = read_hello(shared, &mut stream, None)?;
+    if peer < shared.id.me {
         // Canonical direction: the higher index dials the lower.
         return Err(NetError::Handshake(format!(
             "peer {peer} must accept our dial, not dial us"
         )));
     }
-    let hello = make_hello(shared, cfg.config_fp, peer);
-    stream.write_all(&frame(&hello.encode()))?;
+    write_hello(shared, peer, &mut stream)?;
     register_connection(shared, peer, stream, &peer_hello)
 }
 
@@ -1026,38 +747,21 @@ fn reconnect_loop(shared: &Arc<Shared>, cfg: &NodeConfig, peer: usize) {
         if shared.shutdown.load(Ordering::SeqCst) {
             break;
         }
-        {
-            let mut inner = shared.inner.lock().expect("net lock");
-            inner.transitions.push(Transition::Reconnect {
-                peer,
-                attempt: attempt as usize,
-            });
-            drop(inner);
-            shared.cv.notify_all();
-        }
+        shared
+            .lock()
+            .table
+            .reconnect_attempt(peer, attempt as usize);
+        shared.cv.notify_all();
         if dial_handshake(shared, cfg, peer, Duration::from_secs(2)).is_ok() {
-            let mut inner = shared.inner.lock().expect("net lock");
-            inner.stats.reconnects += 1;
-            inner.peers[peer].reconnecting = false;
-            drop(inner);
+            shared.lock().table.reconnected(peer);
             shared.cv.notify_all();
             return;
         }
     }
-    let mut inner = shared.inner.lock().expect("net lock");
-    inner.transitions.push(Transition::BackoffExhausted {
-        peer,
-        attempts: cfg.reconnect.attempts as usize,
-    });
-    let p = &mut inner.peers[peer];
-    p.reconnecting = false;
-    let newly_dead = !p.dead && !p.connected;
-    if newly_dead {
-        p.dead = true;
-        inner.stats.dead_peers += 1;
-        inner.transitions.push(Transition::DeadPeer { peer });
-    }
-    drop(inner);
+    shared
+        .lock()
+        .table
+        .reconnect_exhausted(peer, cfg.reconnect.attempts as usize);
     shared.cv.notify_all();
 }
 
@@ -1102,8 +806,8 @@ where
 ///
 /// Everything [`run_node`] returns, plus [`NetError::Recovery`] when an
 /// existing WAL cannot be replayed (corrupt, mismatched configuration,
-/// written by the JSON-era payload format, or diverged) and
-/// [`NetError::Io`] when an append fails mid-run.
+/// written by the JSON-era payload format, naming a party outside the
+/// run, or diverged) and [`NetError::Io`] when an append fails mid-run.
 ///
 /// # Panics
 ///
@@ -1123,136 +827,138 @@ where
     F: Fn(&P) -> u64,
 {
     cfg.validate()?;
-
     // Open (or recover) the WAL before anything touches the network.
-    let mut replay: Option<Vec<WalRecord>> = None;
-    let wal_writer = match durability {
-        None => None,
-        Some(d) => {
-            let header = cfg.wal_header();
-            let existing = d.recover && std::fs::metadata(&d.wal_path).is_ok_and(|m| m.len() > 0);
-            if existing {
-                let scan = wal::read_wal(&d.wal_path)?;
-                match scan.records.first() {
-                    Some(WalRecord::Header(h)) if *h == header => {}
-                    Some(WalRecord::Header(h)) => {
-                        return Err(NetError::Recovery(format!(
-                            "wal belongs to another run (config {:#018x}, expected {:#018x})",
-                            h.config_fp, cfg.config_fp
-                        )))
-                    }
-                    _ => return Err(NetError::Recovery("wal has no header record".into())),
-                }
-                let w = WalWriter::append_to(&d.wal_path, scan.valid_len)?;
-                replay = Some(scan.records);
-                Some(w)
-            } else {
-                Some(WalWriter::create(&d.wal_path, &header)?)
-            }
-        }
+    let (wal, replay) = open_wal(cfg, durability)?;
+    let shared = Shared::new(cfg, wal);
+    let acceptor = spawn_acceptor(&shared, listener)?;
+    let result = drive_node(cfg, &shared, proto, replay, &probe, on_ready);
+    teardown(&shared, acceptor);
+    result
+}
+
+/// Opens the run's WAL: a fresh log, or — recovering — the existing
+/// one reopened for append past its valid prefix, with the records to
+/// replay.
+fn open_wal(
+    cfg: &NodeConfig,
+    durability: Option<&Durability>,
+) -> Result<(Option<WalWriter>, Option<Vec<WalRecord>>), NetError> {
+    let Some(d) = durability else {
+        return Ok((None, None));
     };
+    let header = cfg.wal_header();
+    let existing = d.recover && std::fs::metadata(&d.wal_path).is_ok_and(|m| m.len() > 0);
+    if !existing {
+        return Ok((Some(WalWriter::create(&d.wal_path, &header)?), None));
+    }
+    let scan = wal::read_wal(&d.wal_path)?;
+    match scan.records.first() {
+        Some(WalRecord::Header(h)) if *h == header => {}
+        Some(WalRecord::Header(h)) => {
+            return Err(NetError::Recovery(format!(
+                "wal belongs to another run (config {:#018x}, expected {:#018x})",
+                h.config_fp, cfg.config_fp
+            )))
+        }
+        _ => return Err(NetError::Recovery("wal has no header record".into())),
+    }
+    let writer = WalWriter::append_to(&d.wal_path, scan.valid_len)?;
+    Ok((Some(writer), Some(scan.records)))
+}
 
-    let shared = Arc::new(Shared {
-        inner: Mutex::new(Inner {
-            peers: (0..cfg.n).map(|_| PeerSt::new()).collect(),
-            stats: NetStats::default(),
-            transitions: Vec::new(),
-            wal_error: None,
-        }),
-        cv: Condvar::new(),
-        shutdown: AtomicBool::new(false),
-        accepting: AtomicBool::new(false),
-        wal: Mutex::new(wal_writer),
-        streams: Mutex::new(Vec::new()),
-        writer_handles: Mutex::new(Vec::new()),
-        aux_handles: Mutex::new(Vec::new()),
-        me: cfg.me,
-        n: cfg.n,
-        secret: cfg.secret,
-        min_delay: cfg.min_delay,
-    });
-
-    // Lifetime acceptor: serves both the initial handshakes from higher
-    // peers and any re-dials after a drop.
+/// Lifetime acceptor: serves both the initial handshakes from higher
+/// peers and any re-dials after a drop.
+fn spawn_acceptor(shared: &Arc<Shared>, listener: TcpListener) -> Result<JoinHandle<()>, NetError> {
     listener.set_nonblocking(true)?;
-    let acceptor = {
-        let shared = Arc::clone(&shared);
-        let cfg = cfg.clone();
-        thread::spawn(move || loop {
-            if shared.shutdown.load(Ordering::SeqCst) {
-                return;
-            }
-            if !shared.accepting.load(Ordering::SeqCst) {
-                // Replay in progress: let dialers wait in the backlog.
-                thread::sleep(Duration::from_millis(3));
+    let shared = Arc::clone(shared);
+    Ok(thread::spawn(move || loop {
+        if shared.shutdown.load(Ordering::SeqCst) {
+            return;
+        }
+        // Replay in progress (ordering 5): dialers wait in the backlog.
+        if shared.accepting.load(Ordering::SeqCst) {
+            if let Ok((stream, _)) = listener.accept() {
+                // Handshake concurrently: a serial acceptor would block
+                // peer k's Hello behind peer j's, long enough for k to
+                // give up a connection we then register — and the first
+                // frames written into it are lost.
+                stream.set_nonblocking(false).ok();
+                let sh = Arc::clone(&shared);
+                let handle = thread::spawn(move || {
+                    let _ = accept_handshake(&sh, stream);
+                });
+                park(&shared.aux_handles, handle);
                 continue;
             }
-            match listener.accept() {
-                Ok((stream, _)) => {
-                    // Handshake concurrently: a serial acceptor would
-                    // block peer k's Hello behind peer j's, long enough
-                    // for k to give up a connection we then register —
-                    // and the first frames written into it are lost.
-                    stream.set_nonblocking(false).ok();
-                    let sh = Arc::clone(&shared);
-                    let hcfg = cfg.clone();
-                    let h = thread::spawn(move || {
-                        let _ = accept_handshake(&sh, &hcfg, stream);
-                    });
-                    shared.aux_handles.lock().expect("net lock").push(h);
-                }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                    thread::sleep(Duration::from_millis(3))
-                }
-                Err(_) => thread::sleep(Duration::from_millis(3)),
-            }
-        })
-    };
-
-    let result = drive_node(cfg, &shared, proto, replay, &probe, on_ready);
-
-    // Teardown: close writer channels and join the writers first so
-    // queued frames (the final Done) are flushed, then tear down the
-    // sockets to unblock readers, then join everything else.
-    shared.shutdown.store(true, Ordering::SeqCst);
-    {
-        let mut inner = shared.inner.lock().expect("net lock");
-        for p in &mut inner.peers {
-            p.tx = None;
         }
+        thread::sleep(Duration::from_millis(3));
+    }))
+}
+
+/// Ordering 6: close the writer queues and join the writers first, so
+/// queued frames (the final Done) are flushed; only then shut the
+/// sockets down to unblock the readers, and join everything else.
+fn teardown(shared: &Shared, acceptor: JoinHandle<()>) {
+    shared.shutdown.store(true, Ordering::SeqCst);
+    for slot in &mut shared.lock().links {
+        slot.tx = None;
     }
     shared.cv.notify_all();
     let writers = std::mem::take(&mut *shared.writer_handles.lock().expect("net lock"));
     for h in writers {
         let _ = h.join();
     }
-    for s in shared.streams.lock().expect("net lock").iter() {
-        let _ = s.shutdown(Shutdown::Both);
+    for slot in &mut shared.lock().links {
+        slot.close();
     }
     let aux = std::mem::take(&mut *shared.aux_handles.lock().expect("net lock"));
     for h in aux {
         let _ = h.join();
     }
     let _ = acceptor.join();
-    result
 }
 
-/// Appends one record to the WAL, if one is attached.
-fn append_wal(shared: &Shared, rec: &WalRecord) -> Result<(), NetError> {
-    let mut wal = shared.wal.lock().expect("wal lock");
-    if let Some(w) = wal.as_mut() {
-        w.append(rec)
-            .map_err(|e| NetError::Io(format!("wal append: {e}")))?;
+/// Initial link bring-up: dial lower peers (retrying while the cluster
+/// boots), wait for higher peers to dial us. Two robustness rules keep
+/// a lossy (chaos) network from burning the budget: per-attempt
+/// patience is bounded well below the whole budget, and a link that
+/// came up but dropped again while we wait for the rest is redialed —
+/// the main loop's reconnect machinery is not running yet, so the
+/// bring-up must do its own healing.
+fn bring_up(cfg: &NodeConfig, shared: &Arc<Shared>, start: Instant) -> Result<(), NetError> {
+    let attempt_patience = cfg.handshake_timeout.min(Duration::from_secs(2));
+    loop {
+        for peer in 0..cfg.me {
+            if !shared.lock().table.connected(peer) {
+                // A failed dial is retried on the next pass.
+                let _ = dial_handshake(shared, cfg, peer, attempt_patience);
+            }
+        }
+        let inner = shared.lock();
+        let up = inner.table.links_up();
+        if up == cfg.n - 1 {
+            return Ok(());
+        }
+        if start.elapsed() >= cfg.handshake_timeout {
+            return Err(NetError::Handshake(format!(
+                "only {up}/{} links up",
+                cfg.n - 1
+            )));
+        }
+        let _ = shared
+            .cv
+            .wait_timeout(inner, Duration::from_millis(20))
+            .expect("net lock");
     }
-    Ok(())
 }
 
-/// The virtual-time main loop (see the module docs for the invariants).
-#[allow(clippy::too_many_lines)]
+/// The virtual-time main loop (see the module docs for the invariants):
+/// replay, bring-up, then drain → activate the safe prefix → control
+/// plane → liveness, until the table says the run is over.
 fn drive_node<P, R>(
     cfg: &NodeConfig,
     shared: &Arc<Shared>,
-    mut proto: P,
+    proto: P,
     replay: Option<Vec<WalRecord>>,
     probe: &dyn Fn(&P) -> u64,
     on_ready: R,
@@ -1262,664 +968,117 @@ where
     P::Msg: WireCodec,
     R: FnOnce(),
 {
-    let me = cfg.me;
-    let n = cfg.n;
     let start = Instant::now();
-
-    let mut pending: BinaryHeap<Reverse<Pend<P::Msg>>> = BinaryHeap::new();
-    let mut recorder = AsyncRecorder::new(n, cfg.t, &cfg.label);
-    let mut vnow = 0.0f64;
-    let mut timer_seq = 0u64;
-    // Per-destination Data ordinals for my outgoing links (incl. self).
-    let mut out_lseq = vec![0u64; n];
-    let mut done_sent = false;
-    let mut last_keepalive = Instant::now();
-    let mut events_processed = 0u64;
-    let mut retransmissions = 0u64;
-    // Schedule debugging: dump every processed event key to stderr.
-    let debug_events = std::env::var_os("TREEAA_NET_DEBUG").is_some();
-
-    // A reusable closure would borrow too much; plain fn with the lot.
-    // `live` is false during WAL replay: the protocol's reactions are
-    // reconstructed (retention, lseq ordinals, timers, trace) but
-    // nothing touches the wire — those frames were sent pre-crash.
-    #[allow(clippy::too_many_arguments)]
-    fn apply_parts<M: WireCodec + sim_net::Payload>(
-        ctx: AsyncCtx<M>,
-        vnow: f64,
-        cfg: &NodeConfig,
-        shared: &Shared,
-        pending: &mut BinaryHeap<Reverse<Pend<M>>>,
-        recorder: &mut AsyncRecorder,
-        out_lseq: &mut [u64],
-        timer_seq: &mut u64,
-        retransmissions: &mut u64,
-        live: bool,
-    ) {
-        let me = cfg.me;
-        let parts = ctx.into_parts();
-        for event in parts.events {
-            recorder.record_proto(vnow, me, event);
-        }
-        if parts.retransmits > 0 && std::env::var_os("TREEAA_NET_DEBUG").is_some() {
-            eprintln!("RETX node={me} t={vnow:.17} count={}", parts.retransmits);
-        }
-        *retransmissions += parts.retransmits as u64;
-        for (delay, token) in parts.timers {
-            let ts = *timer_seq;
-            *timer_seq += 1;
-            pending.push(Reverse(Pend {
-                key: VKey {
-                    time: vnow + delay,
-                    class: 1,
-                    a: me as u64,
-                    b: ts,
-                    c: token,
-                },
-                what: LocalEv::Timer(token),
-                wire: None,
-            }));
-        }
-        for env in parts.outbox {
-            let to = env.to.index();
-            let lseq = out_lseq[to];
-            out_lseq[to] += 1;
-            let delay = link_delay(cfg.seed, me, to, lseq, cfg.min_delay);
-            let vdeliver = vnow + delay;
-            if to == me {
-                pending.push(Reverse(Pend {
-                    key: VKey {
-                        time: vdeliver,
-                        class: 0,
-                        a: me as u64,
-                        b: me as u64,
-                        c: lseq,
-                    },
-                    what: LocalEv::Deliver(env),
-                    wire: None,
-                }));
-                continue;
-            }
-            let body = env.payload.to_bytes();
-            let mut inner = shared.inner.lock().expect("net lock");
-            {
-                // Retain for handshake gap-resend, whatever the link
-                // state: a reconnecting peer asks for history by lseq.
-                let Inner { peers, stats, .. } = &mut *inner;
-                let p = &mut peers[to];
-                p.retain.insert(
-                    lseq,
-                    Retained {
-                        vsend: vnow,
-                        vdeliver,
-                        body: body.clone(),
-                    },
-                );
-                if p.retain.len() > RETAIN_CAP {
-                    let oldest = *p.retain.keys().next().expect("nonempty");
-                    p.retain.remove(&oldest);
-                    stats.retain_evicted += 1;
-                }
-            }
-            if !live {
-                continue;
-            }
-            let wire_seq = assign_wire_seq(shared, &mut inner, to);
-            let tx = inner.peers[to].tx.clone();
-            match tx {
-                Some(tx) => {
-                    let msg = WrapperMsg {
-                        kind: FrameKind::Data,
-                        from: me as u32,
-                        to: to as u32,
-                        wire_seq,
-                        lseq,
-                        vsend: vnow,
-                        vdeliver,
-                        body,
-                        mac: 0,
-                    }
-                    .signed(pair_key(cfg.secret, me, to));
-                    let bytes = frame(&msg.encode());
-                    inner.stats.frames_sent += 1;
-                    inner.stats.bytes_sent += bytes.len() as u64;
-                    drop(inner);
-                    // A send error is surfaced by the writer thread.
-                    let _ = tx.send(bytes);
-                }
-                None => {
-                    // Link down: the frame is lost; Reliable retransmits
-                    // (and the retention copy covers a later handshake).
-                    inner.stats.send_drops += 1;
-                }
-            }
-        }
-    }
-
-    // Control-frame sender (Null / Done).
-    let send_ctl = |kind: FrameKind, to: usize, vsend: f64, inner: &mut Inner| {
-        let wire_seq = assign_wire_seq(shared, inner, to);
-        if let Some(tx) = inner.peers[to].tx.clone() {
-            let msg = WrapperMsg {
-                kind,
-                from: me as u32,
-                to: to as u32,
-                wire_seq,
-                lseq: 0,
-                vsend,
-                vdeliver: vsend,
-                body: Vec::new(),
-                mac: 0,
-            }
-            .signed(pair_key(cfg.secret, me, to));
-            let bytes = frame(&msg.encode());
-            if kind == FrameKind::Null {
-                inner.stats.nulls_sent += 1;
-            } else {
-                inner.stats.frames_sent += 1;
-            }
-            inner.stats.bytes_sent += bytes.len() as u64;
+    let durable = shared.wal.lock().expect("wal lock").is_some();
+    let mut driver = Driver::new(cfg, proto, durable);
+    // One live activation's message to a remote peer. Its reservation is
+    // logged under the lock, but the frame is queued after the release:
+    // the send wakes the writer thread, and a wake-up taken with the
+    // node's lock held parks every reader of this node behind it.
+    let mut wire = |d: DataOut| {
+        let mut guard = shared.lock();
+        let inner = &mut *guard;
+        inner.table.send_data(d, &mut inner.out);
+        shared.flush_log(inner);
+        let frame = inner.out.frames.pop();
+        let send = frame.and_then(|(peer, bytes)| Some((inner.links[peer].tx.clone()?, bytes)));
+        drop(guard);
+        if let Some((tx, bytes)) = send {
             let _ = tx.send(bytes);
         }
     };
 
-    // ---- WAL replay (crash recovery), before any link comes up ----
+    // Crash recovery, before any link comes up (ordering 5).
     let recovered = replay.is_some();
     if let Some(records) = replay {
-        // The start activation, exactly as the pre-crash process ran it.
-        let mut ctx = AsyncCtx::external(PartyId(me), n, 0.0, true);
-        proto.on_start(&mut ctx);
-        apply_parts(
-            ctx,
-            0.0,
-            cfg,
-            shared,
-            &mut pending,
-            &mut recorder,
-            &mut out_lseq,
-            &mut timer_seq,
-            &mut retransmissions,
-            false,
-        );
-        let mut replayed = 0u64;
-        for rec in records {
-            match rec {
-                WalRecord::Header(_) => {}
-                WalRecord::Reserve { peer, upto } => {
-                    let mut inner = shared.inner.lock().expect("net lock");
-                    let p = &mut inner.peers[peer];
-                    p.out_wire_seq = p.out_wire_seq.max(upto);
-                    p.wire_reserved = p.wire_reserved.max(upto);
-                }
-                WalRecord::Event(ev) => {
-                    let key = VKey {
-                        time: f64::from_bits(ev.time_bits),
-                        class: ev.class,
-                        a: ev.a,
-                        b: ev.b,
-                        c: ev.c,
-                    };
-                    let what = if let Some(r) = ev.remote {
-                        let payload = P::Msg::from_bytes(&r.body).map_err(|e| {
-                            NetError::Recovery(format!(
-                                "wal event {replayed}: undecodable payload: {e}"
-                            ))
-                        })?;
-                        let mut inner = shared.inner.lock().expect("net lock");
-                        let p = &mut inner.peers[r.from];
-                        p.have.insert(r.lseq);
-                        // Re-prove the watermark this frame once proved.
-                        let w = f64::from_bits(r.vsend_bits) + cfg.min_delay;
-                        p.watermark = p.watermark.max(w);
-                        drop(inner);
-                        LocalEv::Deliver(Envelope {
-                            from: PartyId(r.from),
-                            to: PartyId(me),
-                            payload,
-                        })
-                    } else {
-                        // A locally generated event: deterministic
-                        // replay must have it at the head of the heap.
-                        let Some(Reverse(head)) = pending.pop() else {
-                            return Err(NetError::Recovery(format!(
-                                "wal event {replayed}: no pending local event"
-                            )));
-                        };
-                        if head.key != key {
-                            return Err(NetError::Recovery(format!(
-                                "wal event {replayed}: schedule diverged"
-                            )));
-                        }
-                        head.what
-                    };
-                    vnow = key.time;
-                    replayed += 1;
-                    events_processed += 1;
-                    let mut ctx = AsyncCtx::external(PartyId(me), n, vnow, true);
-                    match what {
-                        LocalEv::Deliver(env) => proto.on_message(env, &mut ctx),
-                        LocalEv::Timer(token) => proto.on_timer(token, &mut ctx),
-                    }
-                    apply_parts(
-                        ctx,
-                        vnow,
-                        cfg,
-                        shared,
-                        &mut pending,
-                        &mut recorder,
-                        &mut out_lseq,
-                        &mut timer_seq,
-                        &mut retransmissions,
-                        false,
-                    );
-                }
-                WalRecord::Mark(m) => {
-                    let fp = probe(&proto);
-                    if fp != m.probe {
-                        return Err(NetError::Recovery(format!(
-                            "probe mismatch at {} events: logged {:016x}, replayed {fp:016x}",
-                            m.events, m.probe
-                        )));
-                    }
-                }
-            }
-        }
-        recorder.record_net(
-            vnow,
-            EventKind::NetRecovery {
-                party: me,
-                replayed: replayed as usize,
-            },
-        );
+        driver.replay(records, &mut shared.lock().table, probe)?;
     }
     shared.accepting.store(true, Ordering::SeqCst);
-
-    // Initial link bring-up: dial lower peers (retrying while the
-    // cluster boots), wait for higher peers to dial us. Two robustness
-    // rules keep a lossy (chaos) network from burning the budget:
-    // per-attempt patience is bounded well below the whole budget, and
-    // a link that came up but dropped again while we wait for the rest
-    // is redialed — the main loop's reconnect machinery is not running
-    // yet, so the bring-up must do its own healing. An abandoned
-    // half-open handshake is safe since wire v2: the redial
-    // re-negotiates with the HaveSet, and any frame the peer sent into
-    // the dead socket is gap-resent with its original schedule.
-    let attempt_patience = cfg.handshake_timeout.min(Duration::from_secs(2));
-    loop {
-        for peer in 0..me {
-            let up = {
-                let inner = shared.inner.lock().expect("net lock");
-                inner.peers[peer].connected
-            };
-            if !up {
-                if let Err(e) = dial_handshake(shared, cfg, peer, attempt_patience) {
-                    if debug_events {
-                        eprintln!("DIAL node={me} peer={peer} retry after: {e}");
-                    }
-                }
-            }
-        }
-        let inner = shared.inner.lock().expect("net lock");
-        let up = (0..n)
-            .filter(|&j| j != me)
-            .filter(|&j| inner.peers[j].connected)
-            .count();
-        if up == n - 1 {
-            break;
-        }
-        if start.elapsed() >= cfg.handshake_timeout {
-            return Err(NetError::Handshake(format!("only {up}/{} links up", n - 1)));
-        }
-        let _ = shared
-            .cv
-            .wait_timeout(inner, Duration::from_millis(20))
-            .expect("net lock");
-    }
+    bring_up(cfg, shared, start)?;
     on_ready();
-
-    let wal_on = shared.wal.lock().expect("wal lock").is_some();
-
     if !recovered {
         // Virtual time starts: the protocol's one-shot start activation.
-        let mut ctx = AsyncCtx::external(PartyId(me), n, 0.0, true);
-        proto.on_start(&mut ctx);
-        apply_parts(
-            ctx,
-            0.0,
-            cfg,
-            shared,
-            &mut pending,
-            &mut recorder,
-            &mut out_lseq,
-            &mut timer_seq,
-            &mut retransmissions,
-            true,
-        );
+        driver.activate(0.0, Event::Start, &mut wire);
     }
 
+    let dead_after = Duration::from_millis(cfg.reconnect.dead_after_ms);
+    let mut last_keepalive = start;
     loop {
         if start.elapsed() > cfg.wall_timeout {
             return Err(NetError::WallTimeout {
                 elapsed_ms: start.elapsed().as_millis() as u64,
             });
         }
-
-        // Drain shared state and snapshot the bound in ONE critical
-        // section. The two must be atomic: a frame arriving between a
-        // drain and a later bound computation would already have raised
-        // its peer's watermark while still sitting undrained in the
-        // inbox, letting the bound overtake its delivery time — and an
-        // unrelated pending event could then be processed out of order.
-        // With the atomic snapshot, every frame received after it has
-        // `vdeliver` strictly above the snapshot watermark (FIFO links,
-        // monotone sender clocks, delays > min_delay), hence above the
-        // bound used for this processing pass.
-        let mut frames = Vec::new();
-        let mut drops = Vec::new();
-        let transitions;
-        let (bound, all_peers_finished, all_done_acked) = {
-            let mut inner = shared.inner.lock().expect("net lock");
+        let drained = {
+            let mut inner = shared.lock();
             if let Some(e) = inner.wal_error.take() {
                 return Err(NetError::Io(format!("wal append: {e}")));
             }
-            for j in (0..n).filter(|&j| j != me) {
-                let p = &mut inner.peers[j];
-                while let Some(m) = p.inbox.pop_front() {
-                    frames.push(m);
-                }
-                if p.pending_drops > 0 {
-                    drops.push((j, p.pending_drops));
-                    p.pending_drops = 0;
-                }
-            }
-            transitions = std::mem::take(&mut inner.transitions);
-            let mut bound = f64::INFINITY;
-            let mut finished = true;
-            let mut acked = true;
-            for j in (0..n).filter(|&j| j != me) {
-                let p = &inner.peers[j];
-                if !p.dead {
-                    bound = bound.min(p.watermark);
-                }
-                finished &= p.done || p.dead;
-                // A done peer that hung up has exited; it can no longer
-                // acknowledge, and no longer needs to.
-                acked &= p.done_acked || p.dead || (p.done && !p.connected);
-            }
-            (bound, finished, acked)
+            inner.table.drain()
         };
-        // All peers dead without an output: nothing can ever arrive and
-        // the unbounded `bound` would let retransmission timers spin
-        // the event loop to its cap. Fail fast instead.
-        if bound.is_infinite() && !done_sent && n > 1 {
-            return Err(NetError::Isolated {
-                events: events_processed,
-            });
+        let snap = drained.snap;
+        let mut activity = drained.has_input();
+        let undecodable = driver.absorb(drained)?;
+        if undecodable > 0 {
+            shared.lock().table.stats.rejected_malformed += undecodable;
         }
 
-        let mut activity = !frames.is_empty() || !drops.is_empty();
-        for (j, k) in drops {
-            for _ in 0..k {
-                recorder.record_drop(vnow, j, me);
-            }
+        let mut log = |rec: WalRecord| shared.append_wal(&rec);
+        activity |= driver.run_ready(snap.bound, probe, &mut log, &mut wire)?;
+
+        let keepalive_due = last_keepalive.elapsed() >= Duration::from_millis(KEEPALIVE_MS);
+        if keepalive_due {
+            last_keepalive = Instant::now();
         }
-        for tr in transitions {
-            let kind = match tr {
-                Transition::Reconnect { peer, attempt } => EventKind::NetReconnect {
-                    party: me,
-                    peer,
-                    attempt,
-                },
-                Transition::BackoffExhausted { peer, attempts } => EventKind::NetBackoffExhausted {
-                    party: me,
-                    peer,
-                    attempts,
-                },
-                Transition::DeadPeer { peer } => EventKind::NetDeadPeer { party: me, peer },
+        {
+            let mut guard = shared.lock();
+            let inner = &mut *guard;
+            let (vnow, output_ready) = (driver.vnow(), driver.has_output());
+            let ctl = inner
+                .table
+                .control(vnow, output_ready, keepalive_due, snap, &mut inner.out);
+            shared.flush(inner);
+            if ctl.finished {
+                break;
+            }
+            activity |= ctl.announced;
+
+            // Promote silent links to dead, kick reconnects for peers we dial.
+            let links = &inner.links;
+            let expired = |j: usize| {
+                let down_for = links[j].down_since.map_or(Duration::ZERO, |t| t.elapsed());
+                down_for >= dead_after
             };
-            recorder.record_net(vnow, kind);
-        }
-        for mut m in frames {
-            match P::Msg::from_bytes(&m.body) {
-                Ok(payload) => pending.push(Reverse(Pend {
-                    key: VKey {
-                        time: m.vdeliver,
-                        class: 0,
-                        a: u64::from(m.from),
-                        b: me as u64,
-                        c: m.lseq,
-                    },
-                    what: LocalEv::Deliver(Envelope {
-                        from: PartyId(m.from as usize),
-                        to: PartyId(me),
-                        payload,
-                    }),
-                    wire: wal_on.then(|| (m.vsend, std::mem::take(&mut m.body))),
-                })),
-                Err(_) => {
-                    recorder.record_drop(vnow, m.from as usize, me);
-                    shared
-                        .inner
-                        .lock()
-                        .expect("net lock")
-                        .stats
-                        .rejected_malformed += 1;
-                }
+            for j in inner.table.liveness(snap.all_finished, expired) {
+                let sh = Arc::clone(shared);
+                let th_cfg = cfg.clone();
+                let handle = thread::spawn(move || reconnect_loop(&sh, &th_cfg, j));
+                park(&shared.aux_handles, handle);
             }
         }
-
-        // Process the safe prefix in the global VKey order.
-        while pending.peek().is_some_and(|Reverse(p)| p.key.time <= bound) {
-            let Reverse(mut ev) = pending.pop().expect("peeked");
-            vnow = ev.key.time;
-            events_processed += 1;
-            if events_processed > cfg.max_events {
-                return Err(NetError::Stalled {
-                    events: events_processed,
-                });
-            }
-            if debug_events {
-                eprintln!(
-                    "EV node={me} t={:.17} class={} a={} b={} c={}",
-                    ev.key.time, ev.key.class, ev.key.a, ev.key.b, ev.key.c
-                );
-            }
-            if wal_on {
-                // Log the activation BEFORE it mutates the protocol:
-                // a crash between the append and the activation just
-                // replays one extra event. The raw body moves out of
-                // the pending entry into the record: nothing reads it
-                // after the append.
-                let remote = match (&ev.what, ev.wire.take()) {
-                    (LocalEv::Deliver(env), Some((vsend, body))) if env.from.index() != me => {
-                        Some(WalRemote {
-                            from: env.from.index(),
-                            lseq: ev.key.c,
-                            vsend_bits: vsend.to_bits(),
-                            body,
-                        })
-                    }
-                    _ => None,
-                };
-                append_wal(
-                    shared,
-                    &WalRecord::Event(WalEvent {
-                        time_bits: ev.key.time.to_bits(),
-                        class: ev.key.class,
-                        a: ev.key.a,
-                        b: ev.key.b,
-                        c: ev.key.c,
-                        remote,
-                    }),
-                )?;
-            }
-            let mut ctx = AsyncCtx::external(PartyId(me), n, vnow, true);
-            match ev.what {
-                LocalEv::Deliver(env) => proto.on_message(env, &mut ctx),
-                LocalEv::Timer(token) => proto.on_timer(token, &mut ctx),
-            }
-            apply_parts(
-                ctx,
-                vnow,
-                cfg,
-                shared,
-                &mut pending,
-                &mut recorder,
-                &mut out_lseq,
-                &mut timer_seq,
-                &mut retransmissions,
-                true,
-            );
-            if wal_on && events_processed.is_multiple_of(MARK_INTERVAL) {
-                append_wal(
-                    shared,
-                    &WalRecord::Mark(WalMark {
-                        time_bits: vnow.to_bits(),
-                        events: events_processed,
-                        probe: probe(&proto),
-                    }),
-                )?;
-            }
-            activity = true;
-        }
-
-        // Output reached: tell every peer that has not heard it on its
-        // current connection (a reconnect re-announces).
-        if proto.output().is_some() {
-            let mut inner = shared.inner.lock().expect("net lock");
-            for j in (0..n).filter(|&j| j != me) {
-                let wants = {
-                    let p = &inner.peers[j];
-                    p.connected && !p.done_notified
-                };
-                if wants {
-                    send_ctl(FrameKind::Done, j, vnow, &mut inner);
-                    inner.peers[j].done_notified = true;
-                    activity = true;
-                }
-            }
-            done_sent = true;
-        }
-
-        // Acknowledge received Dones, and run the control-plane
-        // keepalive: re-announce the current promise to peers still
-        // working and our Done to peers that have not acknowledged it.
-        // Control frames have no retransmission layer under them; the
-        // periodic re-send is what makes their loss survivable.
-        {
-            let mut inner = shared.inner.lock().expect("net lock");
-            for j in (0..n).filter(|&j| j != me) {
-                let owed = {
-                    let p = &inner.peers[j];
-                    p.connected && p.ack_owed
-                };
-                if owed {
-                    send_ctl(FrameKind::DoneAck, j, vnow, &mut inner);
-                    inner.peers[j].ack_owed = false;
-                }
-            }
-            if last_keepalive.elapsed() >= Duration::from_millis(KEEPALIVE_MS) {
-                last_keepalive = Instant::now();
-                for j in (0..n).filter(|&j| j != me) {
-                    let (up, acked, peer_done, promised) = {
-                        let p = &inner.peers[j];
-                        (
-                            p.connected && !p.dead,
-                            p.done_acked,
-                            p.done,
-                            p.last_promised,
-                        )
-                    };
-                    if !up {
-                        continue;
-                    }
-                    if done_sent && !acked {
-                        send_ctl(FrameKind::Done, j, vnow, &mut inner);
-                    } else if !peer_done && promised > 0.0 {
-                        send_ctl(FrameKind::Null, j, promised, &mut inner);
-                    }
-                }
-            }
-        }
-
-        if done_sent && all_peers_finished && all_done_acked {
-            break;
-        }
-
-        // Promise the new bound: any future Data from us is strictly
-        // beyond `bound + min_delay` (activations happen after `bound`,
-        // delays strictly exceed `min_delay`).
-        if bound.is_finite() {
-            let promise = bound + cfg.min_delay;
-            let mut inner = shared.inner.lock().expect("net lock");
-            for j in (0..n).filter(|&j| j != me) {
-                let wants = {
-                    let p = &inner.peers[j];
-                    p.connected && !p.dead && promise > p.last_promised
-                };
-                if wants {
-                    send_ctl(FrameKind::Null, j, promise, &mut inner);
-                    inner.peers[j].last_promised = promise;
-                }
-            }
-        }
-
-        // Liveness bookkeeping: promote silent links to dead, kick
-        // reconnects for peers we dial.
-        {
-            let mut inner = shared.inner.lock().expect("net lock");
-            for j in (0..n).filter(|&j| j != me) {
-                let p = &mut inner.peers[j];
-                if p.connected || p.dead {
-                    continue;
-                }
-                // Endgame: every peer is finished and this one hung up
-                // after sending its Done — it has exited. Redialing
-                // would only be refused, and nothing is owed either way.
-                if p.done && done_sent && all_peers_finished {
-                    continue;
-                }
-                let down_for = p.down_since.map_or(Duration::ZERO, |t| t.elapsed());
-                if down_for >= Duration::from_millis(cfg.reconnect.dead_after_ms) {
-                    p.dead = true;
-                    p.reconnecting = false;
-                    inner.stats.dead_peers += 1;
-                    inner.transitions.push(Transition::DeadPeer { peer: j });
-                } else if j < me && !p.reconnecting {
-                    p.reconnecting = true;
-                    let sh = Arc::clone(shared);
-                    let th_cfg = cfg.clone();
-                    let handle = thread::spawn(move || reconnect_loop(&sh, &th_cfg, j));
-                    shared.aux_handles.lock().expect("net lock").push(handle);
-                }
-            }
-        }
-
         if !activity {
-            let inner = shared.inner.lock().expect("net lock");
+            // A critical section of its own, not the guard above carried
+            // into the wait: carried over, no wake-up is ever missed, the
+            // loop turns more often and a run sends more Null frames.
             let _ = shared
                 .cv
-                .wait_timeout(inner, Duration::from_millis(3))
+                .wait_timeout(shared.lock(), Duration::from_millis(3))
                 .expect("net lock");
         }
     }
-
-    let mut stats = {
-        let inner = shared.inner.lock().expect("net lock");
-        inner.stats
-    };
-    stats.retransmissions = retransmissions;
-    Ok(NodeReport {
-        output: proto.output(),
-        trace: recorder.into_trace(),
-        stats,
-        vtime: vnow,
-    })
+    let stats = shared.lock().table.stats;
+    Ok(driver.finish(stats))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::frame::frame;
+    use crate::mac::pair_key;
+    use crate::wire::{FrameKind, WrapperMsg};
+    use aa_trace::EventKind;
+    use async_net::AsyncCtx;
+    use sim_net::Envelope;
 
     #[test]
     fn backoff_doubles_from_base_and_respects_the_cap() {
@@ -1940,27 +1099,6 @@ mod tests {
         assert_eq!(p.backoff(63), Duration::from_millis(400));
     }
 
-    #[test]
-    fn have_set_compacts_the_contiguous_prefix() {
-        let mut h = HaveSet::default();
-        assert!(!h.contains(0));
-        h.insert(0);
-        h.insert(2);
-        h.insert(4);
-        assert_eq!(h.prefix, 1);
-        assert!(h.contains(0) && h.contains(2) && !h.contains(1) && !h.contains(3));
-        h.insert(1);
-        // 1 closes the gap; 2 is absorbed from extras, 3 is still open.
-        assert_eq!(h.prefix, 3);
-        assert_eq!(h.extras.iter().copied().collect::<Vec<_>>(), vec![4]);
-        h.insert(3);
-        assert_eq!(h.prefix, 5);
-        assert!(h.extras.is_empty());
-        // Re-inserting below the prefix is a no-op.
-        h.insert(0);
-        assert_eq!(h.prefix, 5);
-    }
-
     /// A protocol that outputs immediately and never sends anything —
     /// the node's liveness machinery is the entire subject under test.
     struct InstantProto;
@@ -1978,16 +1116,10 @@ mod tests {
         }
     }
 
-    /// Binds a fake peer-0 listener, answers exactly one handshake,
-    /// then goes silent or deaf per the scenario.
-    fn fake_peer_zero(secret: u64, cfg_fp: u64) -> (std::net::TcpListener, SocketAddr) {
-        let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
-        let addr = listener.local_addr().expect("addr");
-        let _ = (secret, cfg_fp);
-        (listener, addr)
-    }
-
-    fn answer_one_handshake(listener: &std::net::TcpListener, secret: u64, cfg_fp: u64) {
+    /// Fake peer 0 answers one handshake from node 1 (its Hello carrying
+    /// `wire_seq`, which the node's replay filter wants increasing),
+    /// lingers, then cuts the connection.
+    fn answer_one_handshake(listener: &TcpListener, secret: u64, cfg_fp: u64, wire_seq: u64) {
         let (mut stream, _) = listener.accept().expect("accept");
         stream
             .set_read_timeout(Some(Duration::from_secs(2)))
@@ -1999,7 +1131,7 @@ mod tests {
             kind: FrameKind::Hello,
             from: 0,
             to: 1,
-            wire_seq: 0,
+            wire_seq,
             lseq: 0,
             vsend: 0.0,
             vdeliver: 0.0,
@@ -2020,17 +1152,34 @@ mod tests {
         let _ = stream.shutdown(Shutdown::Both);
     }
 
-    fn scripted_disconnect_trace(policy: ReconnectPolicy) -> (Trace, NetStats) {
+    /// The shell holds exactly one registered stream and one writer
+    /// queue per live link — `live` of them.
+    fn assert_one_slot_per_live_link(shared: &Shared, live: usize) {
+        let inner = shared.lock();
+        let streams = inner.links.iter().filter(|l| l.stream.is_some()).count();
+        let queues = inner.links.iter().filter(|l| l.tx.is_some()).count();
+        assert_eq!(
+            (streams, queues, inner.table.links_up()),
+            (live, live, live)
+        );
+    }
+
+    /// Runs node 1 of 2 against a fake peer 0 that answers `handshakes`
+    /// handshakes, cutting each connection, then stops listening.
+    fn scripted_disconnect_trace(policy: ReconnectPolicy, handshakes: u64) -> (Trace, NetStats) {
         let secret = 0x5eed;
         let cfg_fp = 0xfeed_f00d;
-        let (peer_listener, peer_addr) = fake_peer_zero(secret, cfg_fp);
-        let my_listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+        let peer_listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let peer_addr = peer_listener.local_addr().expect("addr");
+        let my_listener = TcpListener::bind("127.0.0.1:0").expect("bind");
         let my_addr = my_listener.local_addr().expect("addr");
 
         let fake = thread::spawn(move || {
-            answer_one_handshake(&peer_listener, secret, cfg_fp);
-            // Dropping the listener here makes every reconnect dial
-            // fail fast with a refusal instead of a slow timeout.
+            for k in 0..handshakes {
+                answer_one_handshake(&peer_listener, secret, cfg_fp, k);
+            }
+            // Dropping the listener here makes every further reconnect
+            // dial fail fast with a refusal instead of a slow timeout.
             drop(peer_listener);
         });
 
@@ -2038,7 +1187,18 @@ mod tests {
         cfg.reconnect = policy;
         cfg.handshake_timeout = Duration::from_secs(5);
         cfg.wall_timeout = Duration::from_secs(20);
-        let report = run_node(&cfg, my_listener, InstantProto, || {}).expect("node run");
+        // `run_node`, opened up to look at the slots before teardown.
+        let shared = Shared::new(&cfg, None);
+        let acceptor = spawn_acceptor(&shared, my_listener).expect("acceptor");
+        let at_ready = Arc::clone(&shared);
+        let result = drive_node(&cfg, &shared, InstantProto, None, &|_| 0, move || {
+            assert_one_slot_per_live_link(&at_ready, 1);
+        });
+        // Every forced reconnect replaced the slot and every cut emptied
+        // it: the peer is dead now, and nothing is left registered.
+        assert_one_slot_per_live_link(&shared, 0);
+        teardown(&shared, acceptor);
+        let report = result.expect("node run");
         fake.join().expect("fake peer");
         assert_eq!(report.output, Some(1));
         (report.trace, report.stats)
@@ -2046,12 +1206,13 @@ mod tests {
 
     #[test]
     fn a_scripted_disconnect_traces_reconnects_then_exhaustion_then_death() {
-        let (trace, stats) = scripted_disconnect_trace(ReconnectPolicy {
+        let policy = ReconnectPolicy {
             attempts: 3,
             base_delay_ms: 5,
             max_delay_ms: 20,
             dead_after_ms: 60_000,
-        });
+        };
+        let (trace, stats) = scripted_disconnect_trace(policy, 1);
         let fault_events: Vec<&EventKind> = trace
             .events
             .iter()
@@ -2092,16 +1253,24 @@ mod tests {
         );
         assert_eq!(stats.dead_peers, 1);
         assert_eq!(stats.reconnects, 0);
+
+        // Two forced reconnects before the peer goes away for good: the
+        // slot invariant (checked inside) holds, and both are counted.
+        let (_, stats) = scripted_disconnect_trace(policy, 3);
+        assert_eq!((stats.reconnects, stats.dead_peers), (2, 1));
     }
 
     #[test]
     fn the_dead_peer_deadline_fires_without_waiting_for_backoff_exhaustion() {
-        let (trace, stats) = scripted_disconnect_trace(ReconnectPolicy {
-            attempts: 100,
-            base_delay_ms: 200,
-            max_delay_ms: 200,
-            dead_after_ms: 40,
-        });
+        let (trace, stats) = scripted_disconnect_trace(
+            ReconnectPolicy {
+                attempts: 100,
+                base_delay_ms: 200,
+                max_delay_ms: 200,
+                dead_after_ms: 40,
+            },
+            1,
+        );
         assert!(trace
             .events
             .iter()

@@ -3,11 +3,8 @@
 //! and every node's per-instance outputs match the in-process
 //! synchronous engine exactly.
 
-use std::net::TcpListener;
-use std::thread;
-
 use async_net::Reliable;
-use net::{run_node, NodeConfig};
+use net::{run_local_nodes, ClusterOpts, NodeConfig};
 use real_aa::{BundledAaParty, RealAaConfig};
 use sim_net::{run_simulation, PartyId, Passive, SimConfig};
 
@@ -44,33 +41,25 @@ fn sync_reference() -> Vec<Vec<f64>> {
 #[test]
 fn bundled_party_runs_over_real_sockets() {
     let cfg = aa_config();
-    let listeners: Vec<TcpListener> = (0..N)
-        .map(|_| TcpListener::bind("127.0.0.1:0").expect("bind"))
-        .collect();
-    let peers: Vec<_> = listeners
-        .iter()
-        .map(|l| l.local_addr().expect("addr"))
-        .collect();
-
-    let mut handles = Vec::with_capacity(N);
-    for (me, listener) in listeners.into_iter().enumerate() {
-        let mut node_cfg = NodeConfig::new(me, N, T, peers.clone(), 0xb0bb_1e00, 0x5eed, 7);
-        node_cfg.label = "bundle-loopback".into();
-        let party = Reliable::new(
-            BundledAaParty::new(PartyId(me), cfg, inputs_for(me)).expect("k >= 1"),
-            N,
-        );
-        handles.push(thread::spawn(move || {
-            run_node(&node_cfg, listener, party, || {})
-        }));
-    }
+    let reports = run_local_nodes(
+        N,
+        &ClusterOpts::new(0xb0bb_1e00),
+        |me, peers, secret| {
+            let mut node_cfg = NodeConfig::new(me, N, T, peers, secret, 0x5eed, 7);
+            node_cfg.label = "bundle-loopback".into();
+            node_cfg
+        },
+        |me| {
+            let party =
+                BundledAaParty::new(PartyId(me), cfg, inputs_for(me)).map_err(|e| e.to_string())?;
+            Ok(Reliable::new(party, N))
+        },
+        |_| 0,
+    )
+    .expect("cluster run");
 
     let mut outputs: Vec<Vec<f64>> = Vec::with_capacity(N);
-    for (me, h) in handles.into_iter().enumerate() {
-        let report = h
-            .join()
-            .unwrap_or_else(|_| panic!("node {me} panicked"))
-            .unwrap_or_else(|e| panic!("node {me} failed: {e}"));
+    for (me, report) in reports.into_iter().enumerate() {
         assert_eq!(report.stats.rejected_malformed, 0, "node {me}");
         assert_eq!(report.stats.rejected_mac, 0, "node {me}");
         outputs.push(

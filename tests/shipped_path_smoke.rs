@@ -1,13 +1,17 @@
 //! Tier-1 smoke of the shipped path: the code every deployment and every
 //! benchmark workload actually runs — the bundled and solo `RealAA`
 //! parties on the slot-vector gradecast wire, `TreeAA` on top of them
-//! under Byzantine traffic, the Fekete-envelope adversary, and the
-//! write-ahead log. Each case is a thin slice of a fuller suite in its
+//! under Byzantine traffic, the Fekete-envelope adversary, the
+//! write-ahead log, and the TCP node behind the differential gate. Each
+//! case is a thin slice of a fuller suite in its
 //! own crate; together they must stay well under 30 s.
 
 use std::sync::Arc;
 
-use net::{read_wal, WalHeader, WalRecord, WalWriter, WIRE_VERSION};
+use net::{
+    differential_gate, read_wal, run_local_cluster, GateCase, WalHeader, WalRecord, WalWriter,
+    WIRE_VERSION,
+};
 use tree_aa_repro::real_aa::adversary::{equal_split_schedule, BudgetSplitEquivocator};
 use tree_aa_repro::real_aa::{BundledAaParty, RealAaConfig, RealAaParty};
 use tree_aa_repro::sim_net::{run_simulation, CrashAdversary, PartyId, SimConfig};
@@ -176,4 +180,32 @@ fn wal_write_torn_tail_read_round_trip() {
     assert_eq!(rescan.records.len(), scan.records.len() + 1);
     assert_eq!(rescan.records.last(), Some(&reserves[2]));
     std::fs::remove_file(&path).unwrap();
+}
+
+/// One case of `net/tests/loopback_gate.rs`: four real TCP nodes on
+/// loopback replay the in-process reference schedule event for event,
+/// and a clean run needs none of the transport's failure machinery.
+#[test]
+fn loopback_cluster_passes_the_differential_gate() {
+    let spider9 = "vertex 0\nvertex 1\nvertex 2\nvertex 3\nvertex 4\nvertex 5\nvertex 6\n\
+vertex 7\nvertex 8\nedge 0 1\nedge 1 2\nedge 2 3\nedge 2 4\nedge 4 5\nedge 0 6\nedge 6 7\n\
+edge 7 8\n";
+    let seed = 3;
+    let case = GateCase::from_text(spider9, &[3, 1, 1, 5], 1, seed).expect("valid case");
+    let reference = case.reference_run().expect("reference run");
+    let cluster = run_local_cluster(&case, 0xc0ff_ee03).expect("cluster run");
+
+    assert_eq!(cluster.outcomes, reference.outcomes);
+    let outputs: Vec<VertexId> = cluster.outcomes.iter().map(|o| *o.value()).collect();
+    check_tree_aa(&case.tree, &case.inputs, &outputs).unwrap();
+    let reconciled = differential_gate(&reference.trace, &cluster.merged_trace).unwrap();
+    assert!(reconciled > 0, "gate reconciled no events");
+    for (i, s) in cluster.stats.iter().enumerate() {
+        let rejects = s.rejected_mac + s.rejected_replay + s.rejected_malformed;
+        assert_eq!(
+            (rejects, s.retransmissions, s.dead_peers),
+            (0, 0, 0),
+            "node {i}"
+        );
+    }
 }
