@@ -13,11 +13,11 @@ use bench::Table;
 use byz_agreement::{PhaseKingConfig, PhaseKingParty};
 use sim_net::{run_simulation, Passive, SimConfig};
 use tree_aa::{EngineKind, PathsFinderConfig, PathsFinderParty};
-use tree_model::{generate, list_construction};
+use tree_model::generate;
 
 fn main() {
     let tree = Arc::new(generate::caterpillar(342, 2)); // |V| = 1026
-    let list = list_construction(&tree);
+    let list = tree.euler_list();
     println!(
         "## E12: exact BA vs PathsFinder on |V| = {} (list length {})\n",
         tree.vertex_count(),

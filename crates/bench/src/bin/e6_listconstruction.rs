@@ -14,7 +14,7 @@ use std::sync::Arc;
 use bench::Table;
 use sim_net::{run_simulation, Passive, SimConfig};
 use tree_aa::{EngineKind, PathsFinderConfig, PathsFinderParty};
-use tree_model::{list_construction, Tree, VertexId};
+use tree_model::{Tree, VertexId};
 
 fn figure3() -> Tree {
     Tree::from_labeled_edges(
@@ -34,7 +34,7 @@ fn figure3() -> Tree {
 
 fn main() {
     let tree = Arc::new(figure3());
-    let list = list_construction(&tree);
+    let list = tree.euler_list();
     let labels: Vec<&str> = list
         .entries()
         .iter()

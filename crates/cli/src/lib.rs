@@ -1413,7 +1413,7 @@ pub fn execute(cmd: Command, out: &mut impl std::io::Write) -> Result<(), String
         Command::Info { tree } => {
             let text = std::fs::read_to_string(&tree).map_err(io)?;
             let tree = parse_tree(&text).map_err(|e| e.to_string())?;
-            let list = tree_model::list_construction(&tree);
+            let list = tree.euler_list();
             writeln!(out, "vertices        {}", tree.vertex_count()).map_err(io)?;
             writeln!(out, "diameter        {}", tree.diameter()).map_err(io)?;
             writeln!(out, "root            {}", tree.label(tree.root())).map_err(io)?;

@@ -7,7 +7,7 @@
 use std::sync::Arc;
 
 use sim_net::{Inbox, PartyId, Protocol, RoundCtx};
-use tree_model::{closest_int, list_construction, EulerList, Tree, TreePath, VertexId};
+use tree_model::{closest_int, Tree, TreePath, VertexId};
 
 use crate::engine::{engine_rounds, EngineKind, InnerAa};
 use crate::tree_aa::{filter_phase, forward_phase, TreeMsg};
@@ -65,7 +65,6 @@ pub struct PathsFinderParty {
     cfg: PathsFinderConfig,
     me: PartyId,
     tree: Arc<Tree>,
-    list: EulerList,
     engine: InnerAa,
     output: Option<TreePath>,
 }
@@ -82,8 +81,7 @@ impl PathsFinderParty {
             input.index() < tree.vertex_count(),
             "input vertex out of range"
         );
-        let list = list_construction(&tree);
-        let i = list.first_occurrence(input) as f64;
+        let i = tree.euler_list().first_occurrence(input) as f64;
         let engine = InnerAa::new(
             cfg.engine,
             me,
@@ -97,7 +95,6 @@ impl PathsFinderParty {
             cfg,
             me,
             tree,
-            list,
             engine,
             output: None,
         }
@@ -120,8 +117,9 @@ impl Protocol for PathsFinderParty {
         let out = self.engine.step(self.me, self.cfg.n, round, &inner);
         forward_phase(ctx, out, 1);
         if let Some(j) = self.engine.output() {
-            let idx = closest_int(j).clamp(0, self.list.len() as i64 - 1) as usize;
-            self.output = Some(self.tree.path(self.tree.root(), self.list.get(idx)));
+            let list = self.tree.euler_list();
+            let idx = closest_int(j).clamp(0, list.len() as i64 - 1) as usize;
+            self.output = Some(self.tree.path(self.tree.root(), list.get(idx)));
         }
     }
 

@@ -3,9 +3,7 @@
 use std::sync::Arc;
 
 use sim_net::{Inbox, Outbox, PartyId, Payload, Protocol, Received, RoundCtx};
-use tree_model::{
-    closest_int, list_construction, EulerList, ProjectionTable, Tree, TreePath, VertexId,
-};
+use tree_model::{closest_int, Tree, TreePath, VertexId};
 
 use crate::engine::{engine_rounds, EngineKind, InnerAa, InnerMsg};
 
@@ -113,7 +111,6 @@ pub struct TreeAaParty {
     me: PartyId,
     tree: Arc<Tree>,
     input: VertexId,
-    list: EulerList,
     phase1: InnerAa,
     /// Set at the phase boundary.
     path: Option<TreePath>,
@@ -138,8 +135,7 @@ impl TreeAaParty {
             2 * tree.vertex_count() - 1,
             "config/tree mismatch"
         );
-        let list = list_construction(&tree);
-        let i1 = list.first_occurrence(input) as f64;
+        let i1 = tree.euler_list().first_occurrence(input) as f64;
         let phase1 = InnerAa::new(
             cfg.engine,
             me,
@@ -154,7 +150,6 @@ impl TreeAaParty {
             me,
             tree,
             input,
-            list,
             phase1,
             path: None,
             phase2: None,
@@ -172,10 +167,13 @@ impl TreeAaParty {
         // Clamp defensively: Remark 1 guarantees the index stays within
         // the range of honest inputs, hence within [0, |L| - 1], on every
         // honest execution.
-        let idx = closest_int(j).clamp(0, self.list.len() as i64 - 1) as usize;
-        let path = self.tree.path(self.tree.root(), self.list.get(idx));
-        let proj = ProjectionTable::new(&self.tree, &path);
-        let i2 = proj.position(self.input) as f64;
+        let list = self.tree.euler_list();
+        let idx = closest_int(j).clamp(0, list.len() as i64 - 1) as usize;
+        let x = list.get(idx);
+        let path = self.tree.path(self.tree.root(), x);
+        // P is the root path P(root, x): proj_P(v_IN) = lca(v_IN, x), and
+        // a vertex's position on a root path is its depth.
+        let i2 = f64::from(self.tree.depth(self.tree.lca_naive(self.input, x)));
         let engine = InnerAa::new(
             self.cfg.engine,
             self.me,

@@ -31,8 +31,10 @@ use crate::tree::{Tree, VertexId};
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct EulerList {
     entries: Vec<VertexId>,
-    /// `occ[v]` = sorted list of indices i with `entries[i] == v`.
-    occ: Vec<Vec<usize>>,
+    /// `positions[offsets[v]..offsets[v + 1]]` = sorted list of indices i
+    /// with `entries[i] == v` (one flat vector, not one `Vec` per vertex).
+    offsets: Vec<usize>,
+    positions: Vec<usize>,
 }
 
 impl EulerList {
@@ -63,18 +65,18 @@ impl EulerList {
 
     /// The sorted occurrence set `L(v)`.
     pub fn occurrences(&self, v: VertexId) -> &[usize] {
-        &self.occ[v.index()]
+        &self.positions[self.offsets[v.index()]..self.offsets[v.index() + 1]]
     }
 
     /// `min L(v)` — the index each party feeds into `RealAA` in
     /// `PathsFinder`.
     pub fn first_occurrence(&self, v: VertexId) -> usize {
-        self.occ[v.index()][0]
+        self.positions[self.offsets[v.index()]]
     }
 
     /// `max L(v)`.
     pub fn last_occurrence(&self, v: VertexId) -> usize {
-        *self.occ[v.index()].last().expect("every vertex occurs")
+        self.positions[self.offsets[v.index() + 1] - 1]
     }
 }
 
@@ -89,34 +91,53 @@ impl EulerList {
 ///    `L(u) ⊆ [min L(v), max L(v)]`;
 /// 4. for `i ∈ L(v)`, `i' ∈ L(v')`, the LCA of `v` and `v'` appears among
 ///    `L_k` for `k` between `i` and `i'`.
+///
+/// Protocol code reads the list through [`Tree::euler_list`], which runs
+/// this function at most once per tree.
 pub fn list_construction(tree: &Tree) -> EulerList {
     let n = tree.vertex_count();
     let mut entries = Vec::with_capacity(2 * n - 1);
-    let mut occ = vec![Vec::new(); n];
 
     // Iterative DFS. The stack holds (vertex, next-child-position).
     let root = tree.root();
     let mut stack: Vec<(VertexId, usize)> = vec![(root, 0)];
-    occ[root.index()].push(entries.len());
     entries.push(root);
     while let Some(&mut (v, ref mut next)) = stack.last_mut() {
         let kids = tree.children(v);
         if *next < kids.len() {
             let child = kids[*next];
             *next += 1;
-            occ[child.index()].push(entries.len());
             entries.push(child);
             stack.push((child, 0));
         } else {
             stack.pop();
             if let Some(&(parent, _)) = stack.last() {
-                occ[parent.index()].push(entries.len());
                 entries.push(parent);
             }
         }
     }
 
-    EulerList { entries, occ }
+    // `v` occurs once on arrival and once after each child returns, so the
+    // occurrence sets are laid out before the list is scanned once.
+    let mut offsets = Vec::with_capacity(n + 1);
+    let mut total = 0;
+    for v in tree.vertices() {
+        offsets.push(total);
+        total += tree.children(v).len() + 1;
+    }
+    offsets.push(total);
+    let mut next = offsets.clone();
+    let mut positions = vec![0; entries.len()];
+    for (i, v) in entries.iter().enumerate() {
+        positions[next[v.index()]] = i;
+        next[v.index()] += 1;
+    }
+
+    EulerList {
+        entries,
+        offsets,
+        positions,
+    }
 }
 
 #[cfg(test)]

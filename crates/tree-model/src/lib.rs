@@ -15,7 +15,8 @@
 //! * convex hulls of vertex sets ([`Tree::convex_hull`]) — the smallest
 //!   connected subtree containing the set;
 //! * the Euler-tour list representation ([`EulerList`],
-//!   [`list_construction`]) used by the `PathsFinder` subprotocol, with the
+//!   [`list_construction`], computed once per tree by
+//!   [`Tree::euler_list`]) used by the `PathsFinder` subprotocol, with the
 //!   exact guarantees of Lemma 2 of the paper;
 //! * projections of vertices onto paths ([`ProjectionTable`], Lemma 1);
 //! * the paper's `closestInt` rounding rule ([`closest_int`], Remarks 1–2);

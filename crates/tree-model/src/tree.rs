@@ -1,9 +1,11 @@
 //! The immutable labeled tree and its builder.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::error::Error;
 use std::fmt;
+use std::sync::OnceLock;
 
+use crate::euler::{list_construction, EulerList};
 use crate::label::Label;
 
 /// A handle to a vertex of a [`Tree`].
@@ -87,7 +89,10 @@ impl Error for TreeError {}
 pub struct TreeBuilder {
     labels: Vec<Label>,
     by_label: HashMap<Label, usize>,
+    /// Normalised `(min, max)` index pairs in insertion order.
     edges: Vec<(usize, usize)>,
+    /// The same pairs, for the O(1) duplicate check in `add_edge`.
+    edge_set: HashSet<(usize, usize)>,
 }
 
 impl TreeBuilder {
@@ -133,7 +138,7 @@ impl TreeBuilder {
             return Err(TreeError::SelfLoop(a));
         }
         let key = (ia.min(ib), ia.max(ib));
-        if self.edges.contains(&key) {
+        if !self.edge_set.insert(key) {
             return Err(TreeError::DuplicateEdge(a, b));
         }
         self.edges.push(key);
@@ -231,6 +236,7 @@ impl TreeBuilder {
                 .map(|l| l.into_iter().map(VertexId).collect())
                 .collect(),
             dfs_order: order.into_iter().map(VertexId).collect(),
+            euler: OnceLock::new(),
         })
     }
 }
@@ -266,6 +272,10 @@ pub struct Tree {
     children: Vec<Vec<VertexId>>,
     /// Preorder DFS sequence from the root, children in label order.
     dfs_order: Vec<VertexId>,
+    /// `ListConstruction(T, v_root)`, filled on first use by
+    /// [`Tree::euler_list`]. Derived from the fields above only, so a
+    /// clone may carry it or recompute it.
+    euler: OnceLock<EulerList>,
 }
 
 impl Tree {
@@ -364,6 +374,14 @@ impl Tree {
     /// Preorder DFS sequence from the root (children in label order).
     pub fn dfs_preorder(&self) -> &[VertexId] {
         &self.dfs_order
+    }
+
+    /// The paper's list `L := ListConstruction(T, v_root)`, computed by
+    /// [`list_construction`] on the first call and shared by every later
+    /// one — all parties, instances and commands holding this tree (or an
+    /// `Arc` of it) read the same list.
+    pub fn euler_list(&self) -> &EulerList {
+        self.euler.get_or_init(|| list_construction(self))
     }
 
     /// Whether `a` is an ancestor of `b` (inclusive: every vertex is an
@@ -465,13 +483,41 @@ mod tests {
     #[test]
     fn duplicate_edge_rejected() {
         let mut b = TreeBuilder::new();
-        b.add_vertex("x").unwrap();
-        b.add_vertex("y").unwrap();
+        for v in ["x", "y", "z"] {
+            b.add_vertex(v).unwrap();
+        }
         b.add_edge("x", "y").unwrap();
-        assert!(matches!(
-            b.add_edge("y", "x"),
-            Err(TreeError::DuplicateEdge(_, _))
-        ));
+        b.add_edge("z", "y").unwrap();
+        for (u, v) in [("x", "y"), ("y", "x"), ("y", "z")] {
+            assert_eq!(
+                b.add_edge(u, v),
+                Err(TreeError::DuplicateEdge(u.into(), v.into()))
+            );
+        }
+        // A refused edge leaves the builder as it was.
+        assert_eq!(b.build().unwrap().vertex_count(), 3);
+    }
+
+    #[test]
+    fn euler_list_is_computed_once_and_shared() {
+        use std::sync::Arc;
+        let t = Arc::new(figure3());
+        let other = Arc::clone(&t);
+        let (a, b) = std::thread::scope(|s| {
+            let a = s.spawn(|| t.euler_list());
+            let b = s.spawn(|| other.euler_list());
+            (a.join().unwrap(), b.join().unwrap())
+        });
+        assert!(std::ptr::eq(a, b), "two threads, two Arc clones, one list");
+        assert!(std::ptr::eq(a, t.euler_list()));
+        assert_eq!(*a, list_construction(&t));
+
+        // A clone is its own tree; filled or not, its list is equal.
+        let unfilled = figure3();
+        for copy in [Tree::clone(&t), unfilled.clone()] {
+            assert_eq!(copy.euler_list(), t.euler_list());
+            assert!(!std::ptr::eq(copy.euler_list(), t.euler_list()));
+        }
     }
 
     #[test]

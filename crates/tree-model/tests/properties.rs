@@ -283,6 +283,52 @@ fn lca_table_and_euler_tour_match_ancestor_walk_on_200_trees() {
     }
 }
 
+/// One small tree of every deterministic generator family; the random
+/// families are what [`seeded_trees`] draws from.
+fn family_trees() -> Vec<Tree> {
+    vec![
+        generate::path(1),
+        generate::path(9),
+        generate::star(7),
+        generate::balanced_kary(2, 4),
+        generate::balanced_kary(3, 2),
+        generate::caterpillar(5, 2),
+        generate::spider(4, 3),
+        generate::broom(4, 5),
+    ]
+}
+
+#[test]
+fn root_path_projection_position_is_lca_depth_on_families_and_200_trees() {
+    // What TreeAA computes at the phase boundary: on the root path
+    // P(root, x), v projects onto lca(v, x), which sits at its own depth.
+    for t in family_trees().into_iter().chain(seeded_trees()) {
+        for x in t.vertices() {
+            let path = t.path(t.root(), x);
+            let table = tree_model::ProjectionTable::new(&t, &path);
+            for v in t.vertices() {
+                let lca = t.lca_naive(v, x);
+                assert_eq!(table.project(v), lca);
+                assert_eq!(table.position(v), t.depth(lca) as usize);
+            }
+        }
+    }
+}
+
+#[test]
+fn memoised_euler_list_is_the_fresh_one_with_brute_force_occurrences() {
+    for t in family_trees().into_iter().chain(seeded_trees()) {
+        let l = t.euler_list();
+        assert_eq!(*l, list_construction(&t));
+        for v in t.vertices() {
+            let positions: Vec<usize> = (0..l.len()).filter(|&i| l.get(i) == v).collect();
+            assert_eq!(l.occurrences(v), positions);
+            assert_eq!(l.first_occurrence(v), positions[0]);
+            assert_eq!(l.last_occurrence(v), *positions.last().expect("occurs"));
+        }
+    }
+}
+
 #[test]
 fn distance_and_diameter_match_brute_force_bfs_on_200_trees() {
     for t in seeded_trees() {

@@ -8,7 +8,7 @@ use tree_aa_repro::tree_aa::{
     check_paths_finder, EngineKind, PathsFinderConfig, PathsFinderParty, ProjectionAaConfig,
     ProjectionAaParty,
 };
-use tree_aa_repro::tree_model::{list_construction, Tree, VertexId};
+use tree_aa_repro::tree_model::{Tree, VertexId};
 
 /// Figure 1: hull of {u1, u2, u3} = {u1, ..., u5}.
 #[test]
@@ -91,7 +91,7 @@ fn figure2_projection_protocol() {
 #[test]
 fn figure3_euler_list() {
     let t = figure3_tree();
-    let l = list_construction(&t);
+    let l = t.euler_list();
     let labels: Vec<&str> = l.entries().iter().map(|&v| t.label(v).as_str()).collect();
     assert_eq!(
         labels,

@@ -17,7 +17,7 @@ use tree_aa_repro::real_aa::{BundledAaParty, RealAaConfig, RealAaParty};
 use tree_aa_repro::sim_net::{run_simulation, CrashAdversary, PartyId, SimConfig};
 use tree_aa_repro::tree_aa::adversary::TreeAaChaos;
 use tree_aa_repro::tree_aa::{check_tree_aa, EngineKind, TreeAaConfig, TreeAaParty};
-use tree_aa_repro::tree_model::{generate, VertexId};
+use tree_aa_repro::tree_model::{generate, Tree, VertexId};
 
 fn spread(outs: &[f64]) -> f64 {
     let lo = outs.iter().cloned().fold(f64::INFINITY, f64::min);
@@ -70,33 +70,50 @@ fn bundled_equals_solo_bit_for_bit_at_k3() {
     }
 }
 
+/// `TreeAA` at n = 7, t = 2 with `byz` driven by `TreeAaChaos`: validity,
+/// 1-agreement and the fuzzer's and benchmark's round bound (the decision
+/// lands in the step after the last scheduled communication round).
+fn tree_aa_chaos_run(tree: &Arc<Tree>, stride: usize, byz: Vec<PartyId>, seed: u64) {
+    let (n, t) = (7, 2);
+    let cfg = TreeAaConfig::new(n, t, EngineKind::Gradecast, tree).unwrap();
+    let m = tree.vertex_count();
+    let inputs: Vec<VertexId> = (0..n)
+        .map(|i| tree.vertices().nth((i * stride) % m).unwrap())
+        .collect();
+    let report = run_simulation(
+        SimConfig {
+            n,
+            t,
+            max_rounds: cfg.total_rounds() + 5,
+        },
+        |id, _| TreeAaParty::new(id, cfg.clone(), Arc::clone(tree), inputs[id.index()]),
+        TreeAaChaos::new(byz.clone(), seed, 2.0 * m as f64),
+    )
+    .unwrap();
+    let honest_inputs: Vec<VertexId> = (0..n)
+        .filter(|&i| !byz.contains(&PartyId(i)))
+        .map(|i| inputs[i])
+        .collect();
+    check_tree_aa(tree, &honest_inputs, &report.honest_outputs()).unwrap();
+    assert!(report.rounds_executed <= cfg.total_rounds() + 1);
+}
+
 #[test]
 fn tree_aa_under_chaos_at_n7() {
     let tree = Arc::new(generate::caterpillar(6, 2));
-    let (n, t) = (7, 2);
-    let cfg = TreeAaConfig::new(n, t, EngineKind::Gradecast, &tree).unwrap();
-    let m = tree.vertex_count();
-    let inputs: Vec<VertexId> = (0..n)
-        .map(|i| tree.vertices().nth((i * 7) % m).unwrap())
-        .collect();
     for seed in 0..3u64 {
         let byz = vec![PartyId(seed as usize), PartyId(seed as usize + 3)];
-        let report = run_simulation(
-            SimConfig {
-                n,
-                t,
-                max_rounds: cfg.total_rounds() + 5,
-            },
-            |id, _| TreeAaParty::new(id, cfg.clone(), Arc::clone(&tree), inputs[id.index()]),
-            TreeAaChaos::new(byz.clone(), seed, 2.0 * m as f64),
-        )
-        .unwrap();
-        let honest_inputs: Vec<VertexId> = (0..n)
-            .filter(|&i| !byz.contains(&PartyId(i)))
-            .map(|i| inputs[i])
-            .collect();
-        check_tree_aa(&tree, &honest_inputs, &report.honest_outputs()).unwrap();
+        tree_aa_chaos_run(&tree, 7, byz, seed);
     }
+}
+
+/// The benchmark's `sim-treeaa-bigtree` shape: one shared Euler list and
+/// an LCA climb at the phase boundary, not per-party |V|-sized tables.
+#[test]
+fn tree_aa_under_chaos_on_the_65535_vertex_caterpillar() {
+    let tree = Arc::new(generate::caterpillar(21_845, 2));
+    assert_eq!(tree.vertex_count(), 65_535);
+    tree_aa_chaos_run(&tree, 9_973, vec![PartyId(5), PartyId(6)], 1);
 }
 
 /// After R attacked iterations the honest spread stays within Lemma 5's
