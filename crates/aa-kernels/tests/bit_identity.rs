@@ -6,7 +6,7 @@
 
 use aa_kernels::{
     eq_count_u64, eq_count_u64_ref, min_max_f64, min_max_f64_ref, min_max_usize, min_max_usize_ref,
-    sum_f64, sum_f64_ref, CHUNK_DISPATCH, LANES,
+    sum_f64, sum_f64_ref, tally_eq_u64, tally_eq_u64_ref, CHUNK_DISPATCH, LANES,
 };
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
@@ -55,7 +55,7 @@ fn arb_usizes() -> impl Strategy<Value = Vec<usize>> {
 }
 
 /// Tally-shaped input: slot values, candidate values biased to collide
-/// with them (the honest all-match fast path plus Byzantine divergence),
+/// with them (the honest all-match message plus Byzantine divergence),
 /// and a pre-existing count vector.
 fn arb_tally() -> impl Strategy<Value = (Vec<u64>, Vec<u64>, Vec<u32>)> {
     (0usize..EDGE_LENS.len(), any::<u64>()).prop_map(|(li, seed)| {
@@ -75,6 +75,70 @@ fn arb_tally() -> impl Strategy<Value = (Vec<u64>, Vec<u64>, Vec<u32>)> {
         let counts: Vec<u32> = (0..n).map(|_| rng.gen_range(0u32..100)).collect();
         (vals, cands, counts)
     })
+}
+
+/// The tally sweeps against their scalar references at the lengths around
+/// the SIMD step (4) and the protocol's widths: seeded keys that differ
+/// from the candidate in the low half only, the high half only, or both
+/// (the 64-bit equality is assembled from two 32-bit compares), key 0 and
+/// key `u64::MAX`, absent lanes, zero counts (no candidate yet — a present
+/// key 0 over a zeroed candidate must stay uncounted), and one planted
+/// mismatch in the SIMD body and one in the tail.
+#[test]
+fn tally_sweeps_match_their_references_at_every_edge_length() {
+    const KEYS: [u64; 6] = [0, 1, 1 << 32, u64::MAX, u64::MAX - 1, u64::MAX >> 32];
+    for len in [0usize, 1, 3, 4, 5, 127, 128, 129, 255, 256, 257, 4096] {
+        for seed in 0..8u64 {
+            let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed << 16 | len as u64);
+            let cands: Vec<u64> = (0..len)
+                .map(|_| KEYS[rng.gen_range(0..KEYS.len())])
+                .collect();
+            let mut keys: Vec<u64> = cands
+                .iter()
+                .map(|&c| match rng.gen_range(0u8..8) {
+                    0 => c ^ 1,
+                    1 => c ^ (1 << 32),
+                    2 => KEYS[rng.gen_range(0..KEYS.len())],
+                    _ => c,
+                })
+                .collect();
+            // Seed 0 is the all-match, all-present, all-counted message
+            // apart from the two planted mismatches.
+            let present: Vec<bool> = (0..len).map(|_| seed == 0 || rng.gen_bool(0.7)).collect();
+            let counts: Vec<u32> = (0..len)
+                .map(|_| match rng.gen_range(0u8..4) {
+                    0 if seed != 0 => 0,
+                    _ => rng.gen_range(1u32..300),
+                })
+                .collect();
+            if len > 4 {
+                keys[1] = !cands[1]; // inside the first SIMD step
+                keys[len - 1] = !cands[len - 1]; // the tail (or the last step)
+            }
+
+            let (mut k_counts, mut r_counts) = (counts.clone(), counts.clone());
+            let k = tally_eq_u64(&keys, &present, &cands, &mut k_counts);
+            let r = tally_eq_u64_ref(&keys, &present, &cands, &mut r_counts);
+            assert_eq!(
+                (k, &k_counts),
+                (r, &r_counts),
+                "tally, len {len} seed {seed}"
+            );
+            for i in 0..len {
+                let counted = present[i] && counts[i] != 0 && keys[i] == cands[i];
+                assert_eq!(k_counts[i], counts[i] + u32::from(counted), "slot {i}");
+            }
+
+            let (mut k_counts, mut r_counts) = (counts.clone(), counts);
+            let k = eq_count_u64(&keys, &cands, &mut k_counts);
+            let r = eq_count_u64_ref(&keys, &cands, &mut r_counts);
+            assert_eq!(
+                (k, k_counts),
+                (r, r_counts),
+                "eq_count, len {len} seed {seed}"
+            );
+        }
+    }
 }
 
 proptest! {

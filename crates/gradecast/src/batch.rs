@@ -30,16 +30,45 @@
 //!   collision-resistance (documented, not silent: the protocol still
 //!   only ever outputs values some party echoed).
 //!
-//! The tallies themselves are struct-of-arrays (`u64` key per leader +
-//! `u32` count per leader), so absorbing a full honest batch is one
-//! [`aa_kernels::eq_count_u64`] sweep; divergent (Byzantine) slots fall
-//! back to a per-slot path backed by a `BTreeMap` overflow table.
+//! # Absorbing a batch: sweep, then leftovers
+//!
+//! Every party folds n batches of n slots into its tallies in each echo
+//! and vote round — the protocol's Θ(n²) local work. The tallies are
+//! struct-of-arrays (per leader: the `u64` key of the first value seen,
+//! its `u32` distinct-sender count), and a [`GcBatch`] carries, beside its
+//! wire-shaped [`GcSlots`], the matching **dense view**: an n-wide `u64`
+//! key vector ([`GcValue::bits64`] of an echo entry, the widened hash of
+//! a vote entry, 0 where absent) next to the slots' byte-wide presence
+//! lanes. The view is built once, where the batch is assembled, and rides
+//! the `Arc` all n receivers share; it is not on the wire
+//! ([`Payload::size_bytes`] reports bitmap + present entries only).
+//!
+//! Absorbing a batch is then one [`aa_kernels::tally_eq_u64`] sweep over
+//! those arrays, whatever the presence pattern: it counts every present
+//! slot whose key equals the leader's candidate and reports how many
+//! present slots it could not count. Only when that is non-zero does the
+//! **per-slot rule** run, on exactly those slots, in leader order: adopt
+//! the first value seen for a leader as its candidate (count 1), count a
+//! match, or send a divergent value — Byzantine equivocation — to a
+//! `BTreeMap` overflow table. A count leaves 0 only by adoption and never
+//! returns, so `cnt > 0 ⇔ the leader has a candidate`: no separate
+//! candidate flags exist, and a present key 0 (`+0.0` has `bits64 == 0`)
+//! over a still-zeroed candidate is adopted, not counted, because the
+//! sweep skips count-0 lanes. Slots of one message belong to distinct
+//! leaders, so sweep-then-leftovers leaves the tallies exactly as a single
+//! per-slot pass would.
+//!
+//! Nested per-instance slots of the bundled wire ([`crate::bundle`],
+//! n = 4 and 10⁴ of them per message) carry no dense view; their cores
+//! apply the per-slot rule to every present slot
+//! ([`BatchGradecast::absorb_echo_slots`]).
 //!
 //! A Byzantine sender gains nothing by repeating itself on an
 //! authenticated channel: only the first batch per sender per phase is
 //! absorbed.
 
 use std::collections::BTreeMap;
+use std::fmt;
 use std::sync::Arc;
 
 use sim_net::{PartyId, Payload};
@@ -121,19 +150,16 @@ impl<T> GcSlots<T> {
         self.present.len()
     }
 
-    /// Whether every slot is present (the honest-path fast case).
-    pub fn is_full(&self) -> bool {
-        self.entries.len() == self.present.len()
-    }
-
     /// Iterates `(leader, entry)` over the present slots in leader order.
     pub fn iter(&self) -> impl Iterator<Item = (usize, &T)> {
-        self.present
-            .iter()
-            .enumerate()
-            .filter(|(_, &p)| p)
-            .map(|(l, _)| l)
-            .zip(self.entries.iter())
+        let mut entries = self.entries.iter();
+        self.present.iter().enumerate().filter_map(move |(l, &p)| {
+            if p {
+                entries.next().map(|e| (l, e))
+            } else {
+                None
+            }
+        })
     }
 
     /// Whether `slot` is present. Out-of-range slots are absent.
@@ -149,6 +175,40 @@ impl<T> GcSlots<T> {
     }
 }
 
+/// One sender's echo or vote batch as the batched wire shares it: the
+/// wire-shaped [`GcSlots`] plus their dense view, an n-wide tally-key
+/// vector the receivers' sweep reads in place (see the module docs).
+/// Built only through [`GcBatchMsg::echoes`] / [`GcBatchMsg::votes`], so
+/// the keys always agree with the slots; equality and `Debug` are the
+/// slots'.
+#[derive(Clone, PartialEq, Eq)]
+pub struct GcBatch<T> {
+    slots: GcSlots<T>,
+    /// Per leader: the tally key of its entry, 0 where the slot is absent.
+    keys: Box<[u64]>,
+}
+
+impl<T> GcBatch<T> {
+    fn new(slots: GcSlots<T>, key: impl Fn(&T) -> u64) -> Self {
+        let mut keys = vec![0; slots.n()].into_boxed_slice();
+        for (l, entry) in slots.iter() {
+            keys[l] = key(entry);
+        }
+        GcBatch { slots, keys }
+    }
+
+    /// The wire-shaped slots.
+    pub fn slots(&self) -> &GcSlots<T> {
+        &self.slots
+    }
+}
+
+impl<T: fmt::Debug> fmt::Debug for GcBatch<T> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.slots.fmt(f)
+    }
+}
+
 /// A batched gradecast message: one broadcast per sender per phase.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum GcBatchMsg<V> {
@@ -156,21 +216,34 @@ pub enum GcBatchMsg<V> {
     Lead(V),
     /// Round 2: this sender's echo for every leader it heard, as one
     /// `Arc`-shared struct-of-arrays batch.
-    Echoes(Arc<GcSlots<V>>),
+    Echoes(Arc<GcBatch<V>>),
     /// Round 3: this sender's vote for every leader that reached the
     /// echo threshold — 4 bytes per instance ([`GcValue::hash32`]).
-    Votes(Arc<GcSlots<u32>>),
+    Votes(Arc<GcBatch<u32>>),
+}
+
+impl<V: GcValue> GcBatchMsg<V> {
+    /// The echo batch carrying `slots` (dense view built here, once).
+    pub fn echoes(slots: GcSlots<V>) -> Self {
+        GcBatchMsg::Echoes(Arc::new(GcBatch::new(slots, GcValue::bits64)))
+    }
+
+    /// The vote batch carrying `slots` (dense view built here, once).
+    pub fn votes(slots: GcSlots<u32>) -> Self {
+        GcBatchMsg::Votes(Arc::new(GcBatch::new(slots, |&h| u64::from(h))))
+    }
 }
 
 impl<V: Payload> Payload for GcBatchMsg<V> {
     fn size_bytes(&self) -> usize {
         // Tag byte + batch body. Entry payloads are sized through their
         // own `Payload` impls so heap-carrying values count their real
-        // wire size and trace byte accounting reconciles.
+        // wire size and trace byte accounting reconciles. The dense view
+        // is receiver-side layout, not wire bytes.
         match self {
             GcBatchMsg::Lead(v) => 1 + v.size_bytes(),
-            GcBatchMsg::Echoes(slots) => 1 + slots.wire_bytes_with(Payload::size_bytes),
-            GcBatchMsg::Votes(slots) => 1 + slots.wire_bytes_with(|_| 4),
+            GcBatchMsg::Echoes(batch) => 1 + batch.slots.wire_bytes_with(Payload::size_bytes),
+            GcBatchMsg::Votes(batch) => 1 + batch.slots.wire_bytes_with(|_| 4),
         }
     }
 }
@@ -195,16 +268,13 @@ pub struct BatchGradecast<V> {
 
     /// Per sender: whether an echo batch was already absorbed.
     echo_from: Vec<bool>,
-    /// Per leader: whether an echo candidate exists (`echo_cnt` and
-    /// `echo_bits` are meaningful only where this is set).
-    echo_set: Vec<bool>,
-    /// Leaders still without a candidate (fast path requires 0).
-    echo_missing: usize,
-    /// Per leader: `bits64` of the first value echoed for it.
+    /// Per leader: `bits64` of the first value echoed for it (its
+    /// candidate; meaningful only where `echo_cnt > 0`).
     echo_bits: Vec<u64>,
-    /// Per leader: distinct-sender echo count for the first value.
+    /// Per leader: distinct-sender echo count for the candidate; 0 iff
+    /// no echo for the leader was absorbed yet.
     echo_cnt: Vec<u32>,
-    /// Per leader: the first value echoed for it.
+    /// Per leader: the candidate value (`Some` iff `echo_cnt > 0`).
     echo_val: Vec<Option<V>>,
     /// Rare path: `(leader, bits64)` → (value, count) for second and
     /// further distinct values — only Byzantine equivocation lands here.
@@ -212,19 +282,31 @@ pub struct BatchGradecast<V> {
 
     /// Per sender: whether a vote batch was already absorbed.
     vote_from: Vec<bool>,
-    /// Per leader: whether a vote candidate hash exists.
-    vote_set: Vec<bool>,
-    /// Leaders still without a vote candidate.
-    vote_missing: usize,
-    /// Per leader: the first vote hash seen (widened for the kernel).
+    /// Per leader: the first vote hash seen, widened for the kernel
+    /// (meaningful only where `vote_cnt > 0`).
     vote_bits: Vec<u64>,
-    /// Per leader: distinct-sender vote count for the first hash.
+    /// Per leader: distinct-sender vote count for the first hash; 0 iff
+    /// no vote for the leader was absorbed yet.
     vote_cnt: Vec<u32>,
     /// Rare path: `(leader, hash)` → count for further distinct hashes.
     vote_overflow: BTreeMap<(usize, u32), u32>,
+}
 
-    /// Reused per-batch key buffer for the kernel sweep.
-    scratch: Vec<u64>,
+/// Whether a `width`-slot batch from `sender` is the one to absorb for
+/// its phase — the first of the right width — marking it seen. A wrong
+/// width, a repeat and an out-of-range sender (the engine and the MAC
+/// layer only hand in ids < n; hand-driven cores may not) are dropped.
+fn admit(seen: &mut [bool], sender: usize, width: usize) -> bool {
+    if width != seen.len() {
+        return false;
+    }
+    match seen.get_mut(sender) {
+        Some(seen) if !*seen => {
+            *seen = true;
+            true
+        }
+        _ => false,
+    }
 }
 
 impl<V: GcValue> BatchGradecast<V> {
@@ -257,27 +339,22 @@ impl<V: GcValue> BatchGradecast<V> {
             muted,
             leads: vec![None; n],
             echo_from: vec![false; n],
-            echo_set: vec![false; n],
-            echo_missing: n,
             echo_bits: vec![0; n],
             echo_cnt: vec![0; n],
             echo_val: vec![None; n],
             echo_overflow: BTreeMap::new(),
             vote_from: vec![false; n],
-            vote_set: vec![false; n],
-            vote_missing: n,
             vote_bits: vec![0; n],
             vote_cnt: vec![0; n],
             vote_overflow: BTreeMap::new(),
-            scratch: Vec::new(),
         }
     }
 
     /// Resets every tally to the freshly-constructed state with a new
     /// muted set, reusing the existing buffers. Equivalent to
     /// `*self = BatchGradecast::with_muted(me, n, t, muted.to_vec())`
-    /// without the thirteen heap allocations — the lever that lets a
-    /// bundle of many instances recycle its cores every iteration.
+    /// without the nine heap allocations — how `RealAA` and a bundle of
+    /// many instances recycle their cores every iteration.
     ///
     /// # Panics
     ///
@@ -287,15 +364,11 @@ impl<V: GcValue> BatchGradecast<V> {
         self.muted.copy_from_slice(muted);
         self.leads.fill(None);
         self.echo_from.fill(false);
-        self.echo_set.fill(false);
-        self.echo_missing = self.n;
         self.echo_bits.fill(0);
         self.echo_cnt.fill(0);
         self.echo_val.fill(None);
         self.echo_overflow.clear();
         self.vote_from.fill(false);
-        self.vote_set.fill(false);
-        self.vote_missing = self.n;
         self.vote_bits.fill(0);
         self.vote_cnt.fill(0);
         self.vote_overflow.clear();
@@ -349,16 +422,16 @@ impl<V: GcValue> BatchGradecast<V> {
                 self.absorb_lead(from, v);
             }
         }
-        GcBatchMsg::Echoes(Arc::new(self.echo_slots()))
+        GcBatchMsg::echoes(self.echo_slots())
     }
 
     /// Absorbs one round-1 lead from `from` (first lead per leader wins;
-    /// muted leaders are ignored). The absorb half of
+    /// muted and out-of-range leaders are ignored). The absorb half of
     /// [`BatchGradecast::on_leads`], public so the bundled wire in
     /// [`crate::bundle`] can feed many instances from one message.
     pub fn absorb_lead(&mut self, from: PartyId, v: &V) {
         let leader = from.index();
-        if !self.muted[leader] && self.leads[leader].is_none() {
+        if leader < self.n && !self.muted[leader] && self.leads[leader].is_none() {
             self.leads[leader] = Some(v.clone());
         }
     }
@@ -386,11 +459,11 @@ impl<V: GcValue> BatchGradecast<V> {
         V: 'a,
     {
         for (from, msg) in inbox {
-            if let GcBatchMsg::Echoes(slots) = msg {
-                self.absorb_echo_slots(from, slots);
+            if let GcBatchMsg::Echoes(batch) = msg {
+                self.absorb_echo_batch(from, batch);
             }
         }
-        GcBatchMsg::Votes(Arc::new(self.vote_slots()))
+        GcBatchMsg::votes(self.vote_slots())
     }
 
     /// The vote slots this party would broadcast after absorbing echoes:
@@ -406,11 +479,11 @@ impl<V: GcValue> BatchGradecast<V> {
             // At most one value can reach n − t distinct echoes (two
             // would need 2(n − t) > n senders), so checking the first
             // candidate then the overflow table is order-independent.
-            let vote = if self.echo_set[l] && self.echo_cnt[l] as usize >= self.n - self.t {
+            let vote = if self.echo_cnt[l] as usize >= self.n - self.t {
                 Some(
                     self.echo_val[l]
                         .as_ref()
-                        .expect("set implies value")
+                        .expect("counted implies value")
                         .hash32(),
                 )
             } else {
@@ -436,8 +509,8 @@ impl<V: GcValue> BatchGradecast<V> {
         V: 'a,
     {
         for (from, msg) in inbox {
-            if let GcBatchMsg::Votes(slots) = msg {
-                self.absorb_vote_slots(from, slots);
+            if let GcBatchMsg::Votes(batch) = msg {
+                self.absorb_vote_batch(from, batch);
             }
         }
         self.grade_all()
@@ -457,98 +530,104 @@ impl<V: GcValue> BatchGradecast<V> {
         out.extend((0..self.n).map(|l| self.grade_leader(l)));
     }
 
-    /// Folds one sender's echo batch into the per-leader tallies: a
-    /// single kernel sweep when the batch is full and every leader
-    /// already has a candidate key, per-slot otherwise. The absorb half
-    /// of [`BatchGradecast::on_echoes`]; duplicate batches from the same
-    /// sender are ignored.
+    /// Folds one sender's echo batch into the per-leader tallies: one
+    /// kernel sweep over the batch's dense view, then the per-slot rule
+    /// on the slots the sweep reports uncounted (see the module docs).
+    fn absorb_echo_batch(&mut self, sender: PartyId, batch: &GcBatch<V>) {
+        if !admit(&mut self.echo_from, sender.index(), batch.slots.n()) {
+            return;
+        }
+        let mut uncounted = aa_kernels::tally_eq_u64(
+            &batch.keys,
+            &batch.slots.present,
+            &self.echo_bits,
+            &mut self.echo_cnt,
+        );
+        for (l, v) in batch.slots.iter() {
+            if uncounted == 0 {
+                break;
+            }
+            // The sweep counted exactly the slots with a candidate that
+            // matches; a counted slot fails both tests.
+            if self.echo_cnt[l] == 0 || self.echo_bits[l] != batch.keys[l] {
+                self.tally_echo(l, batch.keys[l], v);
+                uncounted -= 1;
+            }
+        }
+    }
+
+    /// Folds one sender's echo slots into the per-leader tallies slot by
+    /// slot — the absorb path of the bundled wire's nested slots, which
+    /// carry no dense view. Wrong-width slots, an out-of-range sender and
+    /// duplicates from the same sender are ignored.
     pub fn absorb_echo_slots(&mut self, sender: PartyId, slots: &GcSlots<V>) {
-        self.absorb_echoes(sender.index(), slots);
-    }
-
-    fn absorb_echoes(&mut self, sender: usize, slots: &GcSlots<V>) {
-        if slots.n() != self.n || self.echo_from[sender] {
-            return;
-        }
-        self.echo_from[sender] = true;
-        if slots.is_full() && self.echo_missing == 0 {
-            self.scratch.clear();
-            self.scratch.extend(slots.iter().map(|(_, v)| v.bits64()));
-            let mismatches =
-                aa_kernels::eq_count_u64(&self.scratch, &self.echo_bits, &mut self.echo_cnt);
-            if mismatches > 0 {
-                // Rare (Byzantine) path: find the divergent slots and
-                // route them through the overflow table. The kernel
-                // already counted the matching slots.
-                for (l, v) in slots.iter() {
-                    if v.bits64() != self.echo_bits[l] {
-                        self.bump_echo_overflow(l, v);
-                    }
-                }
-            }
-            return;
-        }
-        for (l, v) in slots.iter() {
-            let bits = v.bits64();
-            if !self.echo_set[l] {
-                self.echo_set[l] = true;
-                self.echo_missing -= 1;
-                self.echo_bits[l] = bits;
-                self.echo_cnt[l] = 1;
-                self.echo_val[l] = Some(v.clone());
-            } else if self.echo_bits[l] == bits {
-                self.echo_cnt[l] += 1;
-            } else {
-                self.bump_echo_overflow(l, v);
+        if admit(&mut self.echo_from, sender.index(), slots.n()) {
+            for (l, v) in slots.iter() {
+                self.tally_echo(l, v.bits64(), v);
             }
         }
     }
 
-    fn bump_echo_overflow(&mut self, leader: usize, v: &V) {
-        self.echo_overflow
-            .entry((leader, v.bits64()))
-            .or_insert_with(|| (v.clone(), 0))
-            .1 += 1;
+    /// The per-slot echo rule: the first value seen for `leader` becomes
+    /// its candidate, a match is counted, a divergent value goes to the
+    /// overflow table.
+    fn tally_echo(&mut self, leader: usize, bits: u64, v: &V) {
+        if self.echo_cnt[leader] == 0 {
+            self.echo_bits[leader] = bits;
+            self.echo_cnt[leader] = 1;
+            self.echo_val[leader] = Some(v.clone());
+        } else if self.echo_bits[leader] == bits {
+            self.echo_cnt[leader] += 1;
+        } else {
+            self.echo_overflow
+                .entry((leader, bits))
+                .or_insert_with(|| (v.clone(), 0))
+                .1 += 1;
+        }
     }
 
     /// Folds one sender's vote batch into the per-leader hash tallies,
-    /// mirroring [`BatchGradecast::absorb_echo_slots`]. The absorb half
-    /// of [`BatchGradecast::on_votes`].
-    pub fn absorb_vote_slots(&mut self, sender: PartyId, slots: &GcSlots<u32>) {
-        self.absorb_votes(sender.index(), slots);
+    /// mirroring [`BatchGradecast::absorb_echo_batch`].
+    fn absorb_vote_batch(&mut self, sender: PartyId, batch: &GcBatch<u32>) {
+        if !admit(&mut self.vote_from, sender.index(), batch.slots.n()) {
+            return;
+        }
+        let mut uncounted = aa_kernels::tally_eq_u64(
+            &batch.keys,
+            &batch.slots.present,
+            &self.vote_bits,
+            &mut self.vote_cnt,
+        );
+        for (l, &h) in batch.slots.iter() {
+            if uncounted == 0 {
+                break;
+            }
+            if self.vote_cnt[l] == 0 || self.vote_bits[l] != u64::from(h) {
+                self.tally_vote(l, h);
+                uncounted -= 1;
+            }
+        }
     }
 
-    fn absorb_votes(&mut self, sender: usize, slots: &GcSlots<u32>) {
-        if slots.n() != self.n || self.vote_from[sender] {
-            return;
-        }
-        self.vote_from[sender] = true;
-        if slots.is_full() && self.vote_missing == 0 {
-            self.scratch.clear();
-            self.scratch
-                .extend(slots.iter().map(|(_, &h)| u64::from(h)));
-            let mismatches =
-                aa_kernels::eq_count_u64(&self.scratch, &self.vote_bits, &mut self.vote_cnt);
-            if mismatches > 0 {
-                for (l, &h) in slots.iter() {
-                    if u64::from(h) != self.vote_bits[l] {
-                        *self.vote_overflow.entry((l, h)).or_insert(0) += 1;
-                    }
-                }
+    /// Folds one sender's vote slots into the per-leader hash tallies
+    /// slot by slot, mirroring [`BatchGradecast::absorb_echo_slots`].
+    pub fn absorb_vote_slots(&mut self, sender: PartyId, slots: &GcSlots<u32>) {
+        if admit(&mut self.vote_from, sender.index(), slots.n()) {
+            for (l, &h) in slots.iter() {
+                self.tally_vote(l, h);
             }
-            return;
         }
-        for (l, &h) in slots.iter() {
-            if !self.vote_set[l] {
-                self.vote_set[l] = true;
-                self.vote_missing -= 1;
-                self.vote_bits[l] = u64::from(h);
-                self.vote_cnt[l] = 1;
-            } else if self.vote_bits[l] == u64::from(h) {
-                self.vote_cnt[l] += 1;
-            } else {
-                *self.vote_overflow.entry((l, h)).or_insert(0) += 1;
-            }
+    }
+
+    /// The per-slot vote rule, mirroring [`BatchGradecast::tally_echo`].
+    fn tally_vote(&mut self, leader: usize, hash: u32) {
+        if self.vote_cnt[leader] == 0 {
+            self.vote_bits[leader] = u64::from(hash);
+            self.vote_cnt[leader] = 1;
+        } else if self.vote_bits[leader] == u64::from(hash) {
+            self.vote_cnt[leader] += 1;
+        } else {
+            *self.vote_overflow.entry((leader, hash)).or_insert(0) += 1;
         }
     }
 
@@ -559,12 +638,9 @@ impl<V: GcValue> BatchGradecast<V> {
     /// count tie unreachable for grade-relevant keys).
     fn resolve_hash(&self, leader: usize, hash: u32) -> Option<(V, u32)> {
         let mut best: Option<(V, u32)> = None;
-        let cand = self.echo_set[leader].then(|| {
-            (
-                self.echo_val[leader].clone().expect("set implies value"),
-                self.echo_cnt[leader],
-            )
-        });
+        let cand = self.echo_val[leader]
+            .clone()
+            .map(|v| (v, self.echo_cnt[leader]));
         let overflow = self
             .echo_overflow
             .range((leader, 0)..=(leader, u64::MAX))
@@ -591,8 +667,8 @@ impl<V: GcValue> BatchGradecast<V> {
         // the deterministic argmax (max count, smallest value on ties).
         // Unresolvable hashes carry ≤ t votes (see module docs) and
         // cannot influence the outcome, so dropping them is exact.
-        let first =
-            self.vote_set[leader].then(|| (self.vote_bits[leader] as u32, self.vote_cnt[leader]));
+        let first = (self.vote_cnt[leader] > 0)
+            .then(|| (self.vote_bits[leader] as u32, self.vote_cnt[leader]));
         let overflow = self
             .vote_overflow
             .range((leader, 0)..=(leader, u32::MAX))
@@ -852,6 +928,375 @@ mod tests {
         }
     }
 
+    /// The tallies as the per-slot loop kept them before the dense view
+    /// existed — explicit candidate flags, one three-way branch per present
+    /// slot, no kernel — with its vote and grade rules, verbatim. The
+    /// sweep-then-leftovers path must leave exactly this state.
+    mod model {
+        use std::collections::BTreeMap;
+
+        use super::super::{GcSlots, GcValue};
+        use crate::grade::{Grade, GradecastOutput};
+
+        pub struct PerSlotTallies {
+            pub n: usize,
+            pub t: usize,
+            pub muted: Vec<bool>,
+            pub echo_from: Vec<bool>,
+            pub echo_set: Vec<bool>,
+            pub echo_bits: Vec<u64>,
+            pub echo_cnt: Vec<u32>,
+            pub echo_val: Vec<Option<u64>>,
+            pub echo_overflow: BTreeMap<(usize, u64), (u64, u32)>,
+            pub vote_from: Vec<bool>,
+            pub vote_set: Vec<bool>,
+            pub vote_bits: Vec<u64>,
+            pub vote_cnt: Vec<u32>,
+            pub vote_overflow: BTreeMap<(usize, u32), u32>,
+        }
+
+        impl PerSlotTallies {
+            pub fn new(n: usize, t: usize, muted: Vec<bool>) -> Self {
+                PerSlotTallies {
+                    n,
+                    t,
+                    muted,
+                    echo_from: vec![false; n],
+                    echo_set: vec![false; n],
+                    echo_bits: vec![0; n],
+                    echo_cnt: vec![0; n],
+                    echo_val: vec![None; n],
+                    echo_overflow: BTreeMap::new(),
+                    vote_from: vec![false; n],
+                    vote_set: vec![false; n],
+                    vote_bits: vec![0; n],
+                    vote_cnt: vec![0; n],
+                    vote_overflow: BTreeMap::new(),
+                }
+            }
+
+            pub fn absorb_echoes(&mut self, sender: usize, slots: &GcSlots<u64>) {
+                if slots.n() != self.n || self.echo_from[sender] {
+                    return;
+                }
+                self.echo_from[sender] = true;
+                for (l, v) in slots.iter() {
+                    let bits = v.bits64();
+                    if !self.echo_set[l] {
+                        self.echo_set[l] = true;
+                        self.echo_bits[l] = bits;
+                        self.echo_cnt[l] = 1;
+                        self.echo_val[l] = Some(*v);
+                    } else if self.echo_bits[l] == bits {
+                        self.echo_cnt[l] += 1;
+                    } else {
+                        self.echo_overflow
+                            .entry((l, v.bits64()))
+                            .or_insert_with(|| (*v, 0))
+                            .1 += 1;
+                    }
+                }
+            }
+
+            pub fn absorb_votes(&mut self, sender: usize, slots: &GcSlots<u32>) {
+                if slots.n() != self.n || self.vote_from[sender] {
+                    return;
+                }
+                self.vote_from[sender] = true;
+                for (l, &h) in slots.iter() {
+                    if !self.vote_set[l] {
+                        self.vote_set[l] = true;
+                        self.vote_bits[l] = u64::from(h);
+                        self.vote_cnt[l] = 1;
+                    } else if self.vote_bits[l] == u64::from(h) {
+                        self.vote_cnt[l] += 1;
+                    } else {
+                        *self.vote_overflow.entry((l, h)).or_insert(0) += 1;
+                    }
+                }
+            }
+
+            pub fn vote_slots(&self) -> GcSlots<u32> {
+                let votes = (0..self.n).map(|l| {
+                    if self.muted[l] {
+                        None
+                    } else if self.echo_set[l] && self.echo_cnt[l] as usize >= self.n - self.t {
+                        Some(self.echo_val[l].expect("set implies value").hash32())
+                    } else {
+                        self.echo_overflow
+                            .range((l, 0)..=(l, u64::MAX))
+                            .find(|(_, (_, c))| *c as usize >= self.n - self.t)
+                            .map(|(_, (v, _))| v.hash32())
+                    }
+                });
+                GcSlots::from_options(votes.collect())
+            }
+
+            fn resolve_hash(&self, leader: usize, hash: u32) -> Option<(u64, u32)> {
+                let mut best: Option<(u64, u32)> = None;
+                let cand = self.echo_set[leader].then(|| {
+                    (
+                        self.echo_val[leader].expect("set implies value"),
+                        self.echo_cnt[leader],
+                    )
+                });
+                let overflow = self
+                    .echo_overflow
+                    .range((leader, 0)..=(leader, u64::MAX))
+                    .map(|(_, (v, c))| (*v, *c));
+                for (v, c) in cand.into_iter().chain(overflow) {
+                    if v.hash32() != hash {
+                        continue;
+                    }
+                    let better = match &best {
+                        None => true,
+                        Some((bv, bc)) => c > *bc || (c == *bc && v < *bv),
+                    };
+                    if better {
+                        best = Some((v, c));
+                    }
+                }
+                best
+            }
+
+            pub fn grade_all(&self) -> Vec<GradecastOutput<u64>> {
+                (0..self.n).map(|l| self.grade_leader(l)).collect()
+            }
+
+            fn grade_leader(&self, leader: usize) -> GradecastOutput<u64> {
+                let first = self.vote_set[leader]
+                    .then(|| (self.vote_bits[leader] as u32, self.vote_cnt[leader]));
+                let overflow = self
+                    .vote_overflow
+                    .range((leader, 0)..=(leader, u32::MAX))
+                    .map(|(&(_, h), &c)| (h, c));
+                let mut best: Option<(u64, u32)> = None;
+                for (hash, count) in first.into_iter().chain(overflow) {
+                    let Some((value, _)) = self.resolve_hash(leader, hash) else {
+                        continue;
+                    };
+                    let better = match &best {
+                        None => true,
+                        Some((bv, bc)) => count > *bc || (count == *bc && value < *bv),
+                    };
+                    if better {
+                        best = Some((value, count));
+                    }
+                }
+                match best {
+                    Some((v, c)) if c as usize >= self.n - self.t => GradecastOutput {
+                        value: Some(v),
+                        grade: Grade::Two,
+                    },
+                    Some((v, c)) if c as usize > self.t => GradecastOutput {
+                        value: Some(v),
+                        grade: Grade::One,
+                    },
+                    _ => GradecastOutput {
+                        value: None,
+                        grade: Grade::Zero,
+                    },
+                }
+            }
+        }
+    }
+
+    use model::PerSlotTallies;
+    use rand::{Rng, SeedableRng};
+    use rand_chacha::ChaCha8Rng;
+
+    /// Asserts that `core`'s tallies and everything derived from them
+    /// equal the per-slot model's.
+    fn assert_matches_model(core: &BatchGradecast<u64>, model: &PerSlotTallies, at: &str) {
+        for l in 0..model.n {
+            assert_eq!(
+                core.echo_cnt[l] > 0,
+                model.echo_set[l],
+                "{at}: echo set {l}"
+            );
+            assert_eq!(
+                core.vote_cnt[l] > 0,
+                model.vote_set[l],
+                "{at}: vote set {l}"
+            );
+            if model.echo_set[l] {
+                assert_eq!(core.echo_bits[l], model.echo_bits[l], "{at}: echo key {l}");
+            }
+            if model.vote_set[l] {
+                assert_eq!(core.vote_bits[l], model.vote_bits[l], "{at}: vote key {l}");
+            }
+        }
+        assert_eq!(core.echo_cnt, model.echo_cnt, "{at}: echo counts");
+        assert_eq!(core.echo_val, model.echo_val, "{at}: echo values");
+        assert_eq!(
+            core.echo_overflow, model.echo_overflow,
+            "{at}: echo overflow"
+        );
+        assert_eq!(core.vote_cnt, model.vote_cnt, "{at}: vote counts");
+        assert_eq!(
+            core.vote_overflow, model.vote_overflow,
+            "{at}: vote overflow"
+        );
+        assert_eq!(core.vote_slots(), model.vote_slots(), "{at}: vote slots");
+        assert_eq!(core.grade_all(), model.grade_all(), "{at}: grades");
+    }
+
+    /// One random batch of `width` slots — partial, single-slot, full or
+    /// equivocating — that never names the last leader.
+    fn random_batch<T>(
+        rng: &mut ChaCha8Rng,
+        width: usize,
+        honest: impl Fn(usize) -> T,
+        stray: impl Fn(&mut ChaCha8Rng) -> T,
+    ) -> GcSlots<T> {
+        let shape = rng.gen_range(0u8..5);
+        let single = rng.gen_range(0..width);
+        let options = (0..width).map(|l| {
+            let present = match shape {
+                0 => rng.gen_bool(0.7),
+                1 => l == single,
+                _ => true,
+            };
+            let entry = if shape == 4 && rng.gen_bool(0.3) {
+                stray(rng)
+            } else {
+                honest(l)
+            };
+            (present && l + 1 < width).then_some(entry)
+        });
+        GcSlots::from_options(options.collect())
+    }
+
+    /// A seeded `(sender, slots)` sequence for one phase. The opening
+    /// batch speaks for leader 1 alone (the caller makes its entry the
+    /// key-0 one); then random batches, a sixth of them of the wrong
+    /// width, from repeating senders (all but a sender's first are
+    /// dropped); only the closing batch, from the one sender kept fresh,
+    /// names the last leader.
+    fn random_sequence<T>(
+        rng: &mut ChaCha8Rng,
+        n: usize,
+        honest: impl Fn(usize) -> T + Copy,
+        stray: impl Fn(&mut ChaCha8Rng) -> T + Copy,
+    ) -> Vec<(usize, GcSlots<T>)> {
+        let mut seq = vec![(2 % n, GcSlots::single(n, 1, honest(1)))];
+        for _ in 0..2 * n.min(40) {
+            let width = match rng.gen_range(0u8..12) {
+                0 => n - 1,
+                1 => n + 1,
+                _ => n,
+            };
+            let sender = rng.gen_range(0..n - 1);
+            seq.push((sender, random_batch(rng, width, honest, stray)));
+        }
+        seq.push((n - 1, GcSlots::single(n, n - 1, honest(n - 1))));
+        seq
+    }
+
+    /// Runs one seeded echo sequence and one vote sequence through the
+    /// dense path (`on_echoes` / `on_votes`), the per-slot path
+    /// (`absorb_*_slots`) and the model, comparing after every prefix;
+    /// returns the model for coverage checks.
+    fn run_prefixes(n: usize, seed: u64) -> PerSlotTallies {
+        let t = (n - 1) / 3;
+        let mut rng = ChaCha8Rng::seed_from_u64(seed << 16 | n as u64);
+        let muted: Vec<bool> = (0..n).map(|_| rng.gen_bool(0.1)).collect();
+        let mut dense = BatchGradecast::<u64>::with_muted(PartyId(0), n, t, muted.clone());
+        let mut per_slot = dense.clone();
+        let mut model = PerSlotTallies::new(n, t, muted);
+        // Leader 1's honest value and vote hash are 0 — the initial
+        // content of the zeroed candidate arrays — and its first batch
+        // finds it without a candidate: the sweep must leave that slot to
+        // the rule, which adopts it.
+        let honest = |l: usize| if l == 1 { 0 } else { 1000 + l as u64 };
+        let honest_hash = |l: usize| if l == 1 { 0 } else { honest(l).hash32() };
+        const STRAYS: [u64; 4] = [0, 1, u64::MAX, 1 << 32];
+        let stray = |rng: &mut ChaCha8Rng| STRAYS[rng.gen_range(0..STRAYS.len())];
+        let stray_hash = |rng: &mut ChaCha8Rng| match rng.gen_range(0u8..4) {
+            0 => 0,
+            1 => u32::MAX,
+            _ => stray(rng).hash32(),
+        };
+
+        let echoes = random_sequence(&mut rng, n, honest, stray);
+        for (i, (sender, slots)) in echoes.iter().enumerate() {
+            let msg = GcBatchMsg::echoes(slots.clone());
+            dense.on_echoes([(PartyId(*sender), &msg)]);
+            per_slot.absorb_echo_slots(PartyId(*sender), slots);
+            model.absorb_echoes(*sender, slots);
+            assert_matches_model(&dense, &model, &format!("n {n} dense echo {i}"));
+            assert_matches_model(&per_slot, &model, &format!("n {n} per-slot echo {i}"));
+        }
+        let votes = random_sequence(&mut rng, n, honest_hash, stray_hash);
+        for (i, (sender, slots)) in votes.iter().enumerate() {
+            let msg = GcBatchMsg::<u64>::votes(slots.clone());
+            dense.on_votes([(PartyId(*sender), &msg)]);
+            per_slot.absorb_vote_slots(PartyId(*sender), slots);
+            model.absorb_votes(*sender, slots);
+            assert_matches_model(&dense, &model, &format!("n {n} dense vote {i}"));
+            assert_matches_model(&per_slot, &model, &format!("n {n} per-slot vote {i}"));
+        }
+        model
+    }
+
+    /// Sweep-then-leftovers (and the per-slot path the bundle's cores
+    /// take) against the per-slot model after every prefix of seeded
+    /// random sequences of partial, single-slot, full, equivocating,
+    /// duplicate-sender and wrong-width batches, at widths on both sides
+    /// of a multiple of the SIMD step.
+    #[test]
+    fn dense_and_per_slot_paths_match_the_model_after_every_prefix() {
+        for n in [4usize, 7, 16, 31, 64, 67, 256] {
+            // (an echo counted, an echo diverged, a vote diverged): over
+            // the seeds the sequences reach every branch of the rule.
+            let mut reached = (false, false, false);
+            for seed in 0..(512 / n as u64).clamp(2, 8) {
+                let model = run_prefixes(n, seed);
+                assert!(model.echo_set[1] && model.echo_bits[1] == 0, "key 0");
+                assert!(model.vote_set[1] && model.vote_bits[1] == 0, "hash 0");
+                assert_eq!(model.echo_cnt[n - 1], 1, "last leader echoed last");
+                assert_eq!(model.vote_cnt[n - 1], 1, "last leader voted last");
+                reached.0 |= model.echo_cnt.iter().any(|&c| c > 1);
+                reached.1 |= !model.echo_overflow.is_empty();
+                reached.2 |= !model.vote_overflow.is_empty();
+            }
+            assert_eq!(reached, (true, true, true), "n {n}");
+        }
+    }
+
+    /// Hand-driven cores (the bundle, `aa-check`, tests) may pass any
+    /// `PartyId`: a sender outside `0..n` is dropped like a wrong-width
+    /// batch, in every phase and on both absorb paths.
+    #[test]
+    fn out_of_range_senders_are_ignored() {
+        let n = 4;
+        let mut m = BatchGradecast::<u64>::new(PartyId(0), n, 1);
+        let untouched = format!("{m:?}");
+        for from in [PartyId(n), PartyId(usize::MAX)] {
+            let lead = GcBatchMsg::Lead(5u64);
+            let echo_slots = GcSlots::from_options(vec![Some(5u64); n]);
+            let vote_slots = GcSlots::from_options(vec![Some(5u64.hash32()); n]);
+            m.absorb_lead(from, &5);
+            m.absorb_echo_slots(from, &echo_slots);
+            m.absorb_vote_slots(from, &vote_slots);
+            let echoes = GcBatchMsg::echoes(echo_slots);
+            let votes = GcBatchMsg::<u64>::votes(vote_slots);
+            assert_eq!(
+                m.on_leads([(from, &lead)]),
+                GcBatchMsg::echoes(GcSlots::from_options(vec![None; n]))
+            );
+            assert_eq!(
+                m.on_echoes([(from, &echoes)]),
+                GcBatchMsg::votes(GcSlots::from_options(vec![None; n]))
+            );
+            assert!(m
+                .on_votes([(from, &votes)])
+                .iter()
+                .all(|o| o.grade == Grade::Zero));
+        }
+        assert_eq!(format!("{m:?}"), untouched);
+    }
+
     use oracle::{GcMsg, ParallelGradecast};
     use sim_net::{run_simulation, AdversaryCtx, Passive, SimConfig, StaticByzantine};
 
@@ -1022,7 +1467,7 @@ mod tests {
     fn duplicate_batches_from_same_sender_count_once() {
         let n = 4;
         let mut m = BatchGradecast::<u64>::new(PartyId(0), n, 1);
-        let votes = GcBatchMsg::Votes(Arc::new(GcSlots::single(n, 1, 9u64.hash32())));
+        let votes = GcBatchMsg::votes(GcSlots::single(n, 1, 9u64.hash32()));
         let out = m.on_votes([
             (PartyId(2), &votes),
             (PartyId(2), &votes),
@@ -1047,13 +1492,12 @@ mod tests {
         let unbatched_vote: usize = (0..n)
             .map(|l| GcMsg::Vote(PartyId(l), 7u64).size_bytes())
             .sum();
-        let echo_batch = GcBatchMsg::Echoes(Arc::new(GcSlots::from_options(
-            (0..n).map(|_| Some(7u64)).collect(),
-        )))
-        .size_bytes();
-        let vote_batch = GcBatchMsg::<u64>::Votes(Arc::new(GcSlots::from_options(
+        let echo_batch =
+            GcBatchMsg::echoes(GcSlots::from_options((0..n).map(|_| Some(7u64)).collect()))
+                .size_bytes();
+        let vote_batch = GcBatchMsg::<u64>::votes(GcSlots::from_options(
             (0..n).map(|_| Some(7u64.hash32())).collect(),
-        )))
+        ))
         .size_bytes();
         let unbatched = unbatched_echo + unbatched_vote;
         let batched = echo_batch + vote_batch;
@@ -1070,7 +1514,7 @@ mod tests {
         slots[1] = Some(1u64);
         slots[4] = Some(2u64);
         slots[9] = Some(3u64);
-        let msg = GcBatchMsg::Echoes(Arc::new(GcSlots::from_options(slots)));
+        let msg = GcBatchMsg::echoes(GcSlots::from_options(slots));
         assert_eq!(msg.size_bytes(), 1 + 2 + 24);
     }
 
@@ -1089,8 +1533,10 @@ mod tests {
         // shallow size of the `String` header.
         let v = "x".repeat(100);
         let lead: GcBatchMsg<String> = GcBatchMsg::Lead(v.clone());
-        let echoes: GcBatchMsg<String> =
-            GcBatchMsg::Echoes(Arc::new(GcSlots::from_options(vec![None, Some(v), None])));
+        // `String` is sized as a `Payload` without being a `GcValue`; the
+        // keys play no part in wire bytes.
+        let slots = GcSlots::from_options(vec![None, Some(v), None]);
+        let echoes: GcBatchMsg<String> = GcBatchMsg::Echoes(Arc::new(GcBatch::new(slots, |_| 0)));
         assert_eq!(lead.size_bytes(), 1 + 100);
         assert_eq!(echoes.size_bytes(), 1 + 1 + 100);
     }
@@ -1101,9 +1547,9 @@ mod tests {
         let mut m = BatchGradecast::<u64>::new(PartyId(0), n, 1);
         // The voted value must be in the echo tally for its hash to
         // resolve.
-        let echo = GcBatchMsg::Echoes(Arc::new(GcSlots::single(n, 3, 7u64)));
+        let echo = GcBatchMsg::echoes(GcSlots::single(n, 3, 7u64));
         let _ = m.on_echoes([(PartyId(1), &echo)]);
-        let vote = GcBatchMsg::Votes(Arc::new(GcSlots::single(n, 3, 7u64.hash32())));
+        let vote = GcBatchMsg::votes(GcSlots::single(n, 3, 7u64.hash32()));
         let out = m.on_votes([(PartyId(1), &vote), (PartyId(2), &vote)]);
         assert_eq!(out[3].grade, Grade::One);
         assert_eq!(out[3].value, Some(7));
@@ -1120,10 +1566,7 @@ mod tests {
         let mut m = BatchGradecast::<u64>::new(PartyId(0), 4, 1);
         let (a, b) = (GcBatchMsg::Lead(5), GcBatchMsg::Lead(6));
         let echoes = m.on_leads([(PartyId(1), &a), (PartyId(1), &b)]);
-        assert_eq!(
-            echoes,
-            GcBatchMsg::Echoes(Arc::new(GcSlots::single(4, 1, 5)))
-        );
+        assert_eq!(echoes, GcBatchMsg::echoes(GcSlots::single(4, 1, 5)));
     }
 
     fn sim(n: usize, t: usize) -> SimConfig {

@@ -473,7 +473,7 @@ mod tests {
             (0..k).map(|_| Some(inner.clone())).collect(),
         )))
         .size_bytes();
-        let independent = k * GcBatchMsg::Echoes(Arc::new(inner.clone())).size_bytes();
+        let independent = k * GcBatchMsg::echoes(inner.clone()).size_bytes();
         assert_eq!(
             bundled,
             1 + k.div_ceil(8) + k * inner.wire_bytes_with(|v| v.size_bytes())

@@ -70,6 +70,6 @@ pub mod batch;
 pub mod bundle;
 mod grade;
 
-pub use batch::{BatchGradecast, BatchGradecastProtocol, GcBatchMsg, GcSlots, GcValue};
+pub use batch::{BatchGradecast, BatchGradecastProtocol, GcBatch, GcBatchMsg, GcSlots, GcValue};
 pub use bundle::{BundleError, BundleGradecast, GcBundleMsg};
 pub use grade::{Grade, GradecastOutput};

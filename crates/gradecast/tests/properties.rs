@@ -2,8 +2,6 @@
 //! (randomized) Byzantine behaviour by up to `t` statically corrupted
 //! parties.
 
-use std::sync::Arc;
-
 use gradecast::{BatchGradecastProtocol, GcBatchMsg, GcSlots, GcValue, Grade};
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
@@ -15,9 +13,9 @@ fn random_slots<T>(
     rng: &mut ChaCha8Rng,
     n: usize,
     mut entry: impl FnMut(&mut ChaCha8Rng) -> T,
-) -> Arc<GcSlots<T>> {
+) -> GcSlots<T> {
     let slots = (0..n).map(|_| rng.gen_bool(0.5).then(|| entry(rng)));
-    Arc::new(GcSlots::from_options(slots.collect()))
+    GcSlots::from_options(slots.collect())
 }
 
 /// A chaos adversary: statically corrupts `bad` parties; every round each
@@ -48,8 +46,8 @@ where
                 let pick = |rng: &mut ChaCha8Rng| values[rng.gen_range(0..values.len())].clone();
                 let msg = match rng.gen_range(0..3) {
                     0 => GcBatchMsg::Lead(pick(&mut rng)),
-                    1 => GcBatchMsg::Echoes(random_slots(&mut rng, n, pick)),
-                    _ => GcBatchMsg::Votes(random_slots(&mut rng, n, |r| pick(r).hash32())),
+                    1 => GcBatchMsg::echoes(random_slots(&mut rng, n, pick)),
+                    _ => GcBatchMsg::votes(random_slots(&mut rng, n, |r| pick(r).hash32())),
                 };
                 ctx.send(p, to, msg);
             }
@@ -168,13 +166,9 @@ fn engineered_grade_split_zero_one() {
                 // Byzantine echoes top up to the n - t = 5 threshold at
                 // party 2 only: parties 2,3,4 echo (3 honest echoes reach
                 // everyone); p0+p1 echo only to party 2.
-                let echo = Arc::new(GcSlots::single(n, 0, 7));
+                let echo = GcBatchMsg::echoes(GcSlots::single(n, 0, 7));
                 for b in [0, 1] {
-                    ctx.send(
-                        PartyId(b),
-                        PartyId(2),
-                        GcBatchMsg::Echoes(Arc::clone(&echo)),
-                    );
+                    ctx.send(PartyId(b), PartyId(2), echo.clone());
                 }
             }
             3 => {
@@ -182,10 +176,10 @@ fn engineered_grade_split_zero_one() {
                 // Byzantine votes go to parties 2 and 3 only, lifting them
                 // to 3 votes = grade 1 while 4,5,6 see a single vote ->
                 // grade 0.
-                let vote = Arc::new(GcSlots::single(n, 0, 7u64.hash32()));
+                let vote = GcBatchMsg::votes(GcSlots::single(n, 0, 7u64.hash32()));
                 for b in [0, 1] {
-                    ctx.send(PartyId(b), PartyId(2), GcBatchMsg::Votes(Arc::clone(&vote)));
-                    ctx.send(PartyId(b), PartyId(3), GcBatchMsg::Votes(Arc::clone(&vote)));
+                    ctx.send(PartyId(b), PartyId(2), vote.clone());
+                    ctx.send(PartyId(b), PartyId(3), vote.clone());
                 }
             }
             _ => {}

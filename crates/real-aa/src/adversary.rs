@@ -11,8 +11,6 @@
 //! `D · Π tᵢ / (n − 2t)^R` — maximized by the near-equal split
 //! `tᵢ ≈ t/R`, which is exactly the supremum in Fekete's bound.
 
-use std::sync::Arc;
-
 use rand::Rng;
 use rand_chacha::ChaCha8Rng;
 
@@ -292,7 +290,7 @@ fn overwrite<T: Clone>(
     base: Option<&GcSlots<T>>,
     n: usize,
     slots: impl Iterator<Item = (usize, T)>,
-) -> Arc<GcSlots<T>> {
+) -> GcSlots<T> {
     let mut options = vec![None; n];
     for (leader, entry) in base.into_iter().flat_map(GcSlots::iter) {
         options[leader] = Some(entry.clone());
@@ -300,7 +298,7 @@ fn overwrite<T: Clone>(
     for (leader, entry) in slots {
         options[leader] = Some(entry);
     }
-    Arc::new(GcSlots::from_options(options))
+    GcSlots::from_options(options)
 }
 
 impl Adversary<RealAaMsg> for BudgetSplitEquivocator {
@@ -378,16 +376,16 @@ impl Adversary<RealAaMsg> for BudgetSplitEquivocator {
                 let base = honest_batch.as_ref().map(|m| &m.body);
                 let body = if phase == 1 {
                     let base = match base {
-                        Some(GcBatchMsg::Echoes(slots)) => Some(&**slots),
+                        Some(GcBatchMsg::Echoes(batch)) => Some(batch.slots()),
                         _ => None,
                     };
-                    GcBatchMsg::Echoes(overwrite(base, n, topups))
+                    GcBatchMsg::echoes(overwrite(base, n, topups))
                 } else {
                     let base = match base {
-                        Some(GcBatchMsg::Votes(slots)) => Some(&**slots),
+                        Some(GcBatchMsg::Votes(batch)) => Some(batch.slots()),
                         _ => None,
                     };
-                    GcBatchMsg::Votes(overwrite(base, n, topups.map(|(q, x)| (q, x.hash32()))))
+                    GcBatchMsg::votes(overwrite(base, n, topups.map(|(q, x)| (q, x.hash32()))))
                 };
                 ctx.send(b, to, RealAaMsg { iter, body });
             }
@@ -426,9 +424,9 @@ fn random_slots<T>(
     rng: &mut ChaCha8Rng,
     n: usize,
     mut entry: impl FnMut(&mut ChaCha8Rng) -> T,
-) -> Arc<GcSlots<T>> {
+) -> GcSlots<T> {
     let slots = (0..n).map(|_| rng.gen_bool(0.5).then(|| entry(rng)));
-    Arc::new(GcSlots::from_options(slots.collect()))
+    GcSlots::from_options(slots.collect())
 }
 
 impl Adversary<RealAaMsg> for RealAaChaos {
@@ -451,8 +449,8 @@ impl Adversary<RealAaMsg> for RealAaChaos {
                 let x = |rng: &mut ChaCha8Rng| R64::new(rng.gen_range(lo..=hi));
                 let body = match rng.gen_range(0..3) {
                     0 => GcBatchMsg::Lead(x(rng)),
-                    1 => GcBatchMsg::Echoes(random_slots(rng, n, x)),
-                    _ => GcBatchMsg::Votes(random_slots(rng, n, |rng| x(rng).hash32())),
+                    1 => GcBatchMsg::echoes(random_slots(rng, n, x)),
+                    _ => GcBatchMsg::votes(random_slots(rng, n, |rng| x(rng).hash32())),
                 };
                 ctx.send(b, to, RealAaMsg { iter, body });
             }

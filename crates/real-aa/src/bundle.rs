@@ -40,7 +40,7 @@ use async_net::{AsyncCtx, AsyncProtocol};
 use gradecast::{BundleGradecast, GcBundleMsg, GradecastOutput};
 use sim_net::{Envelope, Inbox, PartyId, Payload, Protocol, Received, RoundCtx};
 
-use crate::real_aa::{apply_iteration_into, RealAaConfig};
+use crate::real_aa::{apply_iteration, RealAaConfig};
 use crate::value::R64;
 
 pub use gradecast::BundleError;
@@ -106,9 +106,9 @@ pub struct BundledAaParty {
     /// instances; allocating k vectors per iteration dominates the
     /// amortized throughput at large k).
     grade_buf: Vec<GradecastOutput<R64>>,
-    /// Reused multiset scratch for [`apply_iteration_into`].
+    /// Reused multiset scratch for [`apply_iteration`].
     multiset_buf: Vec<f64>,
-    /// Reused accepted-values scratch for [`apply_iteration_into`].
+    /// Reused accepted-values scratch for [`apply_iteration`].
     accepted_buf: Vec<f64>,
 }
 
@@ -223,7 +223,7 @@ impl BundledAaParty {
                     ev
                 });
             }
-            let outcome = apply_iteration_into(
+            let outcome = apply_iteration(
                 &self.cfg,
                 outputs,
                 &mut self.muted[inst],

@@ -112,14 +112,13 @@ impl IteratedAaParty {
     }
 }
 
-impl Protocol for IteratedAaParty {
-    type Msg = PlainValueMsg;
-    type Output = f64;
-
-    fn step(
+impl IteratedAaParty {
+    /// [`Protocol::step`] on `(sender, message)` pairs instead of an
+    /// [`Inbox`] (see `RealAaParty::step_on`).
+    pub fn step_on<'a>(
         &mut self,
         round: u32,
-        inbox: &Inbox<PlainValueMsg>,
+        received: impl Iterator<Item = (PartyId, &'a PlainValueMsg)>,
         ctx: &mut RoundCtx<PlainValueMsg>,
     ) {
         if self.output.is_some() {
@@ -143,13 +142,10 @@ impl Protocol for IteratedAaParty {
             // Keep one value per sender for this iteration (first wins).
             let mut seen = vec![false; self.cfg.n];
             let mut values = Vec::with_capacity(self.cfg.n);
-            for e in inbox {
-                if e.payload.iter == iter_tag
-                    && e.payload.value.is_finite()
-                    && !seen[e.from.index()]
-                {
-                    seen[e.from.index()] = true;
-                    values.push(e.payload.value);
+            for (from, msg) in received {
+                if msg.iter == iter_tag && msg.value.is_finite() && !seen[from.index()] {
+                    seen[from.index()] = true;
+                    values.push(msg.value);
                 }
             }
             if let Some(mid) = trimmed_midpoint(&mut values, self.cfg.t) {
@@ -170,6 +166,20 @@ impl Protocol for IteratedAaParty {
             iter: round - 1,
             value: self.value,
         });
+    }
+}
+
+impl Protocol for IteratedAaParty {
+    type Msg = PlainValueMsg;
+    type Output = f64;
+
+    fn step(
+        &mut self,
+        round: u32,
+        inbox: &Inbox<PlainValueMsg>,
+        ctx: &mut RoundCtx<PlainValueMsg>,
+    ) {
+        self.step_on(round, inbox.iter().map(|e| (e.from, &e.payload)), ctx);
     }
 
     fn output(&self) -> Option<f64> {

@@ -159,26 +159,15 @@ pub(crate) struct IterationOutcome {
 /// The numeric core of one completed iteration — multiset construction
 /// with the fill rule, muting, accepted-range scan, trimmed mean — shared
 /// verbatim by [`RealAaParty`] and the bundled party so their value
-/// trajectories are bit-identical by construction.
+/// trajectories are bit-identical by construction. `multiset` and
+/// `accepted` are caller-owned scratch (cleared here), so neither party
+/// allocates per iteration.
 ///
 /// The accepted-range scan and the trimmed-mean sum run through the
 /// `aa-kernels` chunked kernels: exact left-to-right/streaming semantics
 /// below the dispatch threshold (recorded small-n traces unchanged),
 /// auto-vectorized at the n ≥ 1024 scale sizes.
 pub(crate) fn apply_iteration(
-    cfg: &RealAaConfig,
-    outputs: &[gradecast::GradecastOutput<R64>],
-    muted: &mut [bool],
-) -> IterationOutcome {
-    let mut multiset: Vec<f64> = Vec::with_capacity(cfg.n);
-    let mut accepted: Vec<f64> = Vec::with_capacity(cfg.n);
-    apply_iteration_into(cfg, outputs, muted, &mut multiset, &mut accepted)
-}
-
-/// [`apply_iteration`] with caller-owned scratch buffers (cleared here),
-/// so the bundled party can run thousands of instances per round without
-/// two allocations each. Same math, same code path.
-pub(crate) fn apply_iteration_into(
     cfg: &RealAaConfig,
     outputs: &[gradecast::GradecastOutput<R64>],
     muted: &mut [bool],
@@ -230,7 +219,6 @@ pub(crate) fn apply_iteration_into(
 #[derive(Clone, Debug)]
 pub struct RealAaParty {
     cfg: RealAaConfig,
-    me: PartyId,
     value: f64,
     /// Leaders muted so far (carried across iterations).
     muted: Vec<bool>,
@@ -241,6 +229,9 @@ pub struct RealAaParty {
     last_accepted_spread: f64,
     /// Value after each completed iteration (index 0 = input).
     history: Vec<f64>,
+    /// Scratch of [`apply_iteration`], reused every iteration.
+    multiset_buf: Vec<f64>,
+    accepted_buf: Vec<f64>,
 }
 
 impl RealAaParty {
@@ -257,7 +248,6 @@ impl RealAaParty {
         let gc = BatchGradecast::with_muted(me, cfg.n, cfg.t, muted.clone());
         RealAaParty {
             cfg,
-            me,
             value: input,
             muted,
             gc,
@@ -265,6 +255,8 @@ impl RealAaParty {
             output: None,
             last_accepted_spread: f64::INFINITY,
             history: vec![input],
+            multiset_buf: Vec::new(),
+            accepted_buf: Vec::new(),
         }
     }
 
@@ -287,18 +279,13 @@ impl RealAaParty {
         &self.history
     }
 
-    fn finish_iteration(
+    fn finish_iteration<'a>(
         &mut self,
-        inbox: &Inbox<RealAaMsg>,
+        votes: impl Iterator<Item = (PartyId, &'a GcBatchMsg<R64>)>,
         iter_tag: u32,
         ctx: &mut RoundCtx<RealAaMsg>,
     ) {
-        let outputs = self.gc.on_votes(
-            inbox
-                .iter()
-                .filter(|e| e.payload.iter == iter_tag)
-                .map(|e| (e.from, &e.payload.body)),
-        );
+        let outputs = self.gc.on_votes(votes);
         for (leader, out) in outputs.iter().enumerate() {
             ctx.emit_with(|| {
                 let mut ev = sim_net::ProtoEvent::new("gc.grade")
@@ -311,7 +298,13 @@ impl RealAaParty {
                 ev
             });
         }
-        let outcome = apply_iteration(&self.cfg, &outputs, &mut self.muted);
+        let outcome = apply_iteration(
+            &self.cfg,
+            &outputs,
+            &mut self.muted,
+            &mut self.multiset_buf,
+            &mut self.accepted_buf,
+        );
         self.last_accepted_spread = if outcome.accepted_lo.is_finite() {
             outcome.accepted_hi - outcome.accepted_lo
         } else {
@@ -350,19 +343,23 @@ impl RealAaParty {
     }
 
     fn start_iteration(&mut self, ctx: &mut RoundCtx<RealAaMsg>, iter_tag: u32) {
-        self.gc = BatchGradecast::with_muted(self.me, self.cfg.n, self.cfg.t, self.muted.clone());
+        self.gc.reset_with_muted(&self.muted);
         ctx.broadcast(RealAaMsg {
             iter: iter_tag,
             body: self.gc.lead_msg(R64::new(self.value)),
         });
     }
-}
 
-impl Protocol for RealAaParty {
-    type Msg = RealAaMsg;
-    type Output = f64;
-
-    fn step(&mut self, round: u32, inbox: &Inbox<RealAaMsg>, ctx: &mut RoundCtx<RealAaMsg>) {
+    /// [`Protocol::step`] on `(sender, message)` pairs instead of an
+    /// [`Inbox`]: an embedding protocol (`tree-aa`) feeds the batches
+    /// straight out of its own inbox, by reference, the way
+    /// [`BatchGradecast::on_echoes`] is fed here.
+    pub fn step_on<'a>(
+        &mut self,
+        round: u32,
+        received: impl Iterator<Item = (PartyId, &'a RealAaMsg)>,
+        ctx: &mut RoundCtx<RealAaMsg>,
+    ) {
         if self.output.is_some() {
             return;
         }
@@ -380,20 +377,19 @@ impl Protocol for RealAaParty {
         }
         let phase = (round - 1) % 3;
         let iter_tag = (round - 1) / 3;
-        // Batches arrive `Arc`-shared, so feeding the gradecast by
-        // reference out of the inbox copies nothing.
+        // Batches arrive `Arc`-shared and are fed to the gradecast by
+        // reference, so nothing is copied.
         let tagged = |tag: u32| {
-            inbox
-                .iter()
-                .filter(move |e| e.payload.iter == tag)
-                .map(|e| (e.from, &e.payload.body))
+            received
+                .filter(move |(_, m)| m.iter == tag)
+                .map(|(from, m)| (from, &m.body))
         };
         match phase {
             0 => {
                 // Finish the previous iteration (if any), then lead the
                 // next one.
                 if iter_tag > 0 {
-                    self.finish_iteration(inbox, iter_tag - 1, ctx);
+                    self.finish_iteration(tagged(iter_tag - 1), iter_tag - 1, ctx);
                     if self.maybe_terminate() {
                         return;
                     }
@@ -416,6 +412,15 @@ impl Protocol for RealAaParty {
             }
         }
     }
+}
+
+impl Protocol for RealAaParty {
+    type Msg = RealAaMsg;
+    type Output = f64;
+
+    fn step(&mut self, round: u32, inbox: &Inbox<RealAaMsg>, ctx: &mut RoundCtx<RealAaMsg>) {
+        self.step_on(round, inbox.iter().map(|e| (e.from, &e.payload)), ctx);
+    }
 
     fn output(&self) -> Option<f64> {
         self.output
@@ -435,7 +440,6 @@ mod tests {
 
     #[test]
     fn message_sizes_are_deep() {
-        use std::sync::Arc;
         // Lead: 4 iter + 1 tag + 8 value (the R64 is sized at 8 bytes,
         // not size_of::<R64>() shallow).
         let lead = RealAaMsg {
@@ -446,9 +450,9 @@ mod tests {
         // Full 8-slot echo batch: 4 iter + 1 tag + 1 bitmap + 8 × 8.
         let echoes = RealAaMsg {
             iter: 1,
-            body: GcBatchMsg::Echoes(Arc::new(gradecast::GcSlots::from_options(
+            body: GcBatchMsg::echoes(gradecast::GcSlots::from_options(
                 (0..8).map(|i| Some(R64::new(i as f64))).collect(),
-            ))),
+            )),
         };
         assert_eq!(echoes.size_bytes(), 4 + 1 + 1 + 64);
     }
@@ -456,8 +460,9 @@ mod tests {
     #[test]
     fn step_modes_agree_with_byte_identical_traces_n256() {
         use sim_net::{run_simulation_traced, EngineConfig, StepMode};
-        // Kernel fast paths genuinely engage here: full echo batches at
-        // n = 256 take the eq_count sweep and the trimmed slice has
+        // The kernels genuinely engage here: every echo and vote batch at
+        // n = 256 goes through the SSE2 tally sweep (partial ones too:
+        // party 3 crashes in round 2) and the trimmed slice has
         // n − 2t = 172 ≥ 128 elements, exercising the chunked sum.
         let n = 256;
         let t = 42;

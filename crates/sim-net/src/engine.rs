@@ -76,11 +76,15 @@ pub enum StepMode {
 /// party scans an inbox of n 8-byte broadcasts) measures 12 µs at n=256,
 /// 189 µs at n=1024, and 2.9 ms at n=4096 — so a degenerate scan-only
 /// protocol only breaks even near n ≈ 2048. But the protocols this
-/// engine exists to run sit 10–100× above that floor: the recorded
-/// RealAA substrate spends ~440 ms per round at n=256, dwarfing pool
-/// cost from roughly n ≥ 128. The threshold is set between the two
-/// measured crossovers, biased toward the protocol suite; workloads at
-/// either degenerate end can always pin `Sequential` or
+/// engine exists to run sit 10–100× above that floor: a traced TreeAA
+/// run at n=256, t=85 (the `sim-treeaa-wide` benchmark, 2-core host,
+/// gradecast tallies on the SSE2 sweep) spends ≈ 370 ms stepping its 256
+/// parties over 46 rounds — ≈ 8 ms per round, ≈ 11 ms in a round that
+/// absorbs echo or vote batches and ≈ 1.2 ms in one that absorbs only
+/// leads — still 10–100× the pool's cost, so the crossover stays well
+/// below n = 256. The threshold is set between the
+/// two measured crossovers, biased toward the protocol suite; workloads
+/// at either degenerate end can always pin `Sequential` or
 /// `Parallel { threads }` explicitly.
 pub const PARALLEL_THRESHOLD: usize = 256;
 

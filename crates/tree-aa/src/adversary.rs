@@ -1,7 +1,5 @@
 //! Byzantine strategies against the tree protocols.
 
-use std::sync::Arc;
-
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
@@ -58,8 +56,8 @@ impl Adversary<TreeMsg> for TreeAaChaos {
             let x = R64::new(rng.gen_range(span.clone()));
             let bodies = [
                 GcBatchMsg::Lead(x),
-                GcBatchMsg::Echoes(Arc::new(GcSlots::single(n, leader, x))),
-                GcBatchMsg::Votes(Arc::new(GcSlots::single(n, leader, x.hash32()))),
+                GcBatchMsg::echoes(GcSlots::single(n, leader, x)),
+                GcBatchMsg::votes(GcSlots::single(n, leader, x.hash32())),
             ];
             let bursts = rng.gen_range(0..2 * n);
             for _ in 0..bursts {
@@ -140,6 +138,7 @@ mod tests {
     use sim_net::{
         run_simulation, run_simulation_traced, EngineConfig, EventKind, Payload, SimConfig,
     };
+    use std::sync::Arc;
     use tree_model::generate;
     use tree_model::VertexId;
 
@@ -193,7 +192,7 @@ mod tests {
             phase: 1,
             inner: InnerMsg::Real(RealAaMsg {
                 iter: 0,
-                body: GcBatchMsg::Echoes(Arc::new(GcSlots::from_options(honest_leaders.collect()))),
+                body: GcBatchMsg::echoes(GcSlots::from_options(honest_leaders.collect())),
             }),
         };
         for seed in 0..5 {

@@ -17,7 +17,7 @@ use real_aa::{
     halving_iterations, iterations_for, IteratedAaConfig, IteratedAaParty, PlainValueMsg,
     RealAaConfig, RealAaMsg, RealAaParty,
 };
-use sim_net::{step_standalone, Inbox, Outbox, PartyId, Payload, Protocol, Received, RoundCtx};
+use sim_net::{Outbox, PartyId, Payload, Protocol, RoundCtx};
 
 /// Which real-valued AA protocol powers the reduction.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -110,39 +110,39 @@ impl InnerAa {
     }
 
     /// Drives one local round: feeds the engine the inner messages
-    /// delivered this round and returns the traffic it wants delivered
+    /// delivered this round — `(sender, message)` pairs borrowed from the
+    /// embedding protocol's inbox, nothing cloned; traffic of the other
+    /// engine is ignored — and returns the traffic it wants delivered
     /// next round (already wrapped back into [`InnerMsg`]).
     ///
     /// The outbox keeps its shape: inner broadcasts stay broadcasts, so
     /// the embedding protocol can re-broadcast them without expanding to
     /// `n` per-recipient clones.
-    pub fn step(
+    pub fn step<'a>(
         &mut self,
         me: PartyId,
         n: usize,
         local_round: u32,
-        inbox: &Inbox<InnerMsg>,
+        received: impl Iterator<Item = (PartyId, &'a InnerMsg)>,
     ) -> Outbox<InnerMsg> {
         match self {
             InnerAa::Real(p) => {
-                drive(
-                    p.as_mut(),
-                    me,
-                    n,
-                    local_round,
-                    inbox,
-                    InnerMsg::Real,
-                    |m| match m {
-                        InnerMsg::Real(m) => Some(m.clone()),
-                        InnerMsg::Plain(_) => None,
-                    },
-                )
+                let mut ctx = RoundCtx::new(me, n);
+                let own = received.filter_map(|(from, m)| match m {
+                    InnerMsg::Real(m) => Some((from, m)),
+                    InnerMsg::Plain(_) => None,
+                });
+                p.step_on(local_round, own, &mut ctx);
+                rewrap(ctx.into_outbox(), InnerMsg::Real)
             }
             InnerAa::Halving(p) => {
-                drive(p, me, n, local_round, inbox, InnerMsg::Plain, |m| match m {
-                    InnerMsg::Plain(m) => Some(*m),
+                let mut ctx = RoundCtx::new(me, n);
+                let own = received.filter_map(|(from, m)| match m {
+                    InnerMsg::Plain(m) => Some((from, m)),
                     InnerMsg::Real(_) => None,
-                })
+                });
+                p.step_on(local_round, own, &mut ctx);
+                rewrap(ctx.into_outbox(), InnerMsg::Plain)
             }
         }
     }
@@ -166,34 +166,11 @@ impl InnerAa {
     }
 }
 
-/// Steps `engine` on the messages of `inbox` that `unwrap` recognises as
-/// its own (traffic of the other engine is ignored) and re-wraps its
-/// outbox into the composed message type, preserving the unicast/broadcast
-/// split (a broadcast stays one payload, not `n`).
-fn drive<P: Protocol>(
-    engine: &mut P,
-    me: PartyId,
-    n: usize,
-    local_round: u32,
-    inbox: &Inbox<InnerMsg>,
-    wrap: impl Fn(P::Msg) -> InnerMsg,
-    unwrap: impl Fn(&InnerMsg) -> Option<P::Msg>,
-) -> Outbox<InnerMsg> {
-    let own = inbox.iter().filter_map(|r| {
-        unwrap(&r.payload).map(|payload| Received {
-            from: r.from,
-            payload,
-        })
-    });
-    let outbox = step_standalone(
-        engine,
-        me,
-        n,
-        local_round,
-        &Inbox::from_messages(own.collect()),
-    );
+/// Re-wraps an engine's outbox into the composed message type, preserving
+/// the unicast/broadcast split (a broadcast stays one payload, not `n`).
+fn rewrap<M: Payload>(outbox: Outbox<M>, wrap: impl Fn(M) -> InnerMsg) -> Outbox<InnerMsg> {
+    let mut ctx = RoundCtx::new(outbox.sender(), outbox.n());
     let (unicasts, broadcasts) = outbox.into_parts();
-    let mut ctx = RoundCtx::new(me, n);
     for m in broadcasts {
         ctx.broadcast(wrap(m));
     }
@@ -206,6 +183,12 @@ fn drive<P: Protocol>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sim_net::{Inbox, Received};
+
+    /// The `(sender, message)` view of a hand-built inbox.
+    fn pairs(inbox: &Inbox<InnerMsg>) -> impl Iterator<Item = (PartyId, &InnerMsg)> {
+        inbox.iter().map(|r| (r.from, &r.payload))
+    }
 
     /// Drive both engines by hand through their local rounds, all honest.
     fn run_engine(kind: EngineKind, inputs: &[f64], d: f64) -> Vec<f64> {
@@ -220,7 +203,7 @@ mod tests {
             let mut next: Vec<Vec<Received<InnerMsg>>> = vec![Vec::new(); n];
             for (i, eng) in engines.iter_mut().enumerate() {
                 let inbox = std::mem::take(&mut inboxes[i]);
-                for env in eng.step(PartyId(i), n, r, &inbox).envelopes() {
+                for env in eng.step(PartyId(i), n, r, pairs(&inbox)).envelopes() {
                     next[env.to.index()].push(Received {
                         from: env.from,
                         payload: env.payload,
@@ -278,7 +261,7 @@ mod tests {
     fn cross_engine_messages_are_ignored() {
         // A Real engine fed a Plain message must not panic or act on it.
         let mut eng = InnerAa::new(EngineKind::Gradecast, PartyId(0), 4, 1, 1.0, 8.0, 3.0);
-        let _ = eng.step(PartyId(0), 4, 1, &Inbox::empty());
+        let _ = eng.step(PartyId(0), 4, 1, std::iter::empty());
         let stray = Received {
             from: PartyId(1),
             payload: InnerMsg::Plain(PlainValueMsg {
@@ -286,13 +269,13 @@ mod tests {
                 value: 4.0,
             }),
         };
-        let out = eng.step(PartyId(0), 4, 2, &Inbox::from_messages(vec![stray]));
+        let out = eng.step(PartyId(0), 4, 2, pairs(&Inbox::from_messages(vec![stray])));
         // Round 2 of gradecast with no leads echoes for no one.
         match out.broadcasts() {
             [InnerMsg::Real(RealAaMsg {
-                body: gradecast::GcBatchMsg::Echoes(slots),
+                body: gradecast::GcBatchMsg::Echoes(batch),
                 ..
-            })] => assert_eq!(slots.iter().count(), 0),
+            })] => assert_eq!(batch.slots().iter().count(), 0),
             other => panic!("expected one empty echo batch, got {other:?}"),
         }
     }

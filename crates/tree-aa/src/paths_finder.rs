@@ -10,7 +10,7 @@ use sim_net::{Inbox, PartyId, Protocol, RoundCtx};
 use tree_model::{closest_int, Tree, TreePath, VertexId};
 
 use crate::engine::{engine_rounds, EngineKind, InnerAa};
-use crate::tree_aa::{filter_phase, forward_phase, TreeMsg};
+use crate::tree_aa::{forward_phase, phase_traffic, TreeMsg};
 
 /// Public parameters of a standalone `PathsFinder` run.
 #[derive(Clone, Debug)]
@@ -113,8 +113,8 @@ impl Protocol for PathsFinderParty {
             self.output = Some(self.tree.path(self.tree.root(), self.tree.root()));
             return;
         }
-        let inner = filter_phase(inbox, 1);
-        let out = self.engine.step(self.me, self.cfg.n, round, &inner);
+        let traffic = phase_traffic(inbox, 1);
+        let out = self.engine.step(self.me, self.cfg.n, round, traffic);
         forward_phase(ctx, out, 1);
         if let Some(j) = self.engine.output() {
             let list = self.tree.euler_list();

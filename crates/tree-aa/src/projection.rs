@@ -7,7 +7,7 @@ use sim_net::{Inbox, PartyId, Protocol, RoundCtx};
 use tree_model::{closest_int, ProjectionTable, Tree, TreePath, VertexId};
 
 use crate::engine::{engine_rounds, EngineKind, InnerAa};
-use crate::tree_aa::{filter_phase, forward_phase, TreeMsg};
+use crate::tree_aa::{forward_phase, phase_traffic, TreeMsg};
 
 /// Public parameters of a projection-AA run. The path is part of the
 /// public setup (the assumption Section 6 later removes).
@@ -103,8 +103,8 @@ impl Protocol for ProjectionAaParty {
         if self.output.is_some() {
             return;
         }
-        let inner = filter_phase(inbox, 2);
-        let out = self.engine.step(self.me, self.cfg.n, round, &inner);
+        let traffic = phase_traffic(inbox, 2);
+        let out = self.engine.step(self.me, self.cfg.n, round, traffic);
         forward_phase(ctx, out, 2);
         if let Some(j) = self.engine.output() {
             // Remark 1 keeps closestInt(j) within the honest positions,

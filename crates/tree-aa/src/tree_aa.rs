@@ -2,7 +2,7 @@
 
 use std::sync::Arc;
 
-use sim_net::{Inbox, Outbox, PartyId, Payload, Protocol, Received, RoundCtx};
+use sim_net::{Inbox, Outbox, PartyId, Payload, Protocol, RoundCtx};
 use tree_model::{closest_int, Tree, TreePath, VertexId};
 
 use crate::engine::{engine_rounds, EngineKind, InnerAa, InnerMsg};
@@ -203,19 +203,17 @@ impl TreeAaParty {
     }
 }
 
-/// The engine traffic of `phase` delivered in `inbox`, unwrapped for an
-/// inner engine (shared by `TreeAA` and the standalone subprotocols).
-pub(crate) fn filter_phase(inbox: &Inbox<TreeMsg>, phase: u8) -> Inbox<InnerMsg> {
-    Inbox::from_messages(
-        inbox
-            .iter()
-            .filter(|r| r.payload.phase == phase)
-            .map(|r| Received {
-                from: r.from,
-                payload: r.payload.inner.clone(),
-            })
-            .collect(),
-    )
+/// The engine traffic of `phase` delivered in `inbox`, as the borrowed
+/// `(sender, message)` pairs an inner engine steps on (shared by `TreeAA`
+/// and the standalone subprotocols).
+pub(crate) fn phase_traffic(
+    inbox: &Inbox<TreeMsg>,
+    phase: u8,
+) -> impl Iterator<Item = (PartyId, &InnerMsg)> {
+    inbox
+        .iter()
+        .filter(move |r| r.payload.phase == phase)
+        .map(|r| (r.from, &r.payload.inner))
 }
 
 /// Forwards an inner outbox through the outer context with its phase tag,
@@ -267,8 +265,8 @@ impl Protocol for TreeAaParty {
         let r1 = self.cfg.phase1_rounds();
         if round <= r1 {
             // Phase 1, local rounds 1..=r1.
-            let inner = filter_phase(inbox, 1);
-            let out = self.phase1.step(self.me, self.cfg.n, round, &inner);
+            let traffic = phase_traffic(inbox, 1);
+            let out = self.phase1.step(self.me, self.cfg.n, round, traffic);
             forward_phase(ctx, out, 1);
             return;
         }
@@ -276,8 +274,8 @@ impl Protocol for TreeAaParty {
             // The boundary round r1 + 1: finish phase 1 (its final
             // local round processes the last inbox and terminates) and
             // immediately start phase 2 in the same communication round.
-            let inner = filter_phase(inbox, 1);
-            let _ = self.phase1.step(self.me, self.cfg.n, round, &inner);
+            let traffic = phase_traffic(inbox, 1);
+            let _ = self.phase1.step(self.me, self.cfg.n, round, traffic);
             // A benign fault (crash window, partition freeze) can leave
             // phase 1 a local round short at the boundary. Its running
             // estimate never leaves the hull of accepted values, so it
@@ -297,16 +295,15 @@ impl Protocol for TreeAaParty {
                     .u64("root", root.index() as u64)
                     .u64("vertex", vertex.index() as u64)
             });
-            let out = engine.step(self.me, self.cfg.n, 1, &Inbox::empty());
+            let out = engine.step(self.me, self.cfg.n, 1, std::iter::empty());
             forward_phase(ctx, out, 2);
             self.phase2 = Some(engine);
             return;
         }
         // Phase 2, local rounds 2..
         let local = round - r1;
-        let inner = filter_phase(inbox, 2);
         let engine = self.phase2.as_mut().expect("phase 2 running");
-        let out = engine.step(self.me, self.cfg.n, local, &inner);
+        let out = engine.step(self.me, self.cfg.n, local, phase_traffic(inbox, 2));
         forward_phase(ctx, out, 2);
         ctx.emit_with(|| {
             sim_net::ProtoEvent::new("treeaa.pos")
@@ -333,7 +330,7 @@ impl Protocol for TreeAaParty {
 mod tests {
     use super::*;
     use crate::validity::check_tree_aa;
-    use sim_net::{run_simulation, Passive, SimConfig};
+    use sim_net::{run_simulation, Passive, Received, SimConfig};
     use tree_model::generate;
 
     fn run_tree_aa(

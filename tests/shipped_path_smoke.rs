@@ -70,11 +70,12 @@ fn bundled_equals_solo_bit_for_bit_at_k3() {
     }
 }
 
-/// `TreeAA` at n = 7, t = 2 with `byz` driven by `TreeAaChaos`: validity,
-/// 1-agreement and the fuzzer's and benchmark's round bound (the decision
-/// lands in the step after the last scheduled communication round).
-fn tree_aa_chaos_run(tree: &Arc<Tree>, stride: usize, byz: Vec<PartyId>, seed: u64) {
-    let (n, t) = (7, 2);
+/// `TreeAA` at `n` parties with `byz` (at most t = ⌊(n − 1)/3⌋ of them)
+/// driven by `TreeAaChaos`: validity, 1-agreement and the fuzzer's and
+/// benchmark's round bound (the decision lands in the step after the last
+/// scheduled communication round).
+fn tree_aa_chaos_run(tree: &Arc<Tree>, n: usize, stride: usize, byz: Vec<PartyId>, seed: u64) {
+    let t = (n - 1) / 3;
     let cfg = TreeAaConfig::new(n, t, EngineKind::Gradecast, tree).unwrap();
     let m = tree.vertex_count();
     let inputs: Vec<VertexId> = (0..n)
@@ -103,8 +104,19 @@ fn tree_aa_under_chaos_at_n7() {
     let tree = Arc::new(generate::caterpillar(6, 2));
     for seed in 0..3u64 {
         let byz = vec![PartyId(seed as usize), PartyId(seed as usize + 3)];
-        tree_aa_chaos_run(&tree, 7, byz, seed);
+        tree_aa_chaos_run(&tree, 7, 7, byz, seed);
     }
+}
+
+/// The benchmark's `sim-treeaa-wide` shape at a width that is not a
+/// multiple of the tally sweep's SIMD step: every echo and vote batch is
+/// partial (t silent leaders), so each one takes the kernel body, its
+/// scalar tail and the per-slot leftovers.
+#[test]
+fn tree_aa_under_chaos_at_n67() {
+    let tree = Arc::new(generate::caterpillar(6, 2));
+    let byz = (67 - 22..67).map(PartyId).collect();
+    tree_aa_chaos_run(&tree, 67, 7, byz, 3);
 }
 
 /// The benchmark's `sim-treeaa-bigtree` shape: one shared Euler list and
@@ -113,7 +125,7 @@ fn tree_aa_under_chaos_at_n7() {
 fn tree_aa_under_chaos_on_the_65535_vertex_caterpillar() {
     let tree = Arc::new(generate::caterpillar(21_845, 2));
     assert_eq!(tree.vertex_count(), 65_535);
-    tree_aa_chaos_run(&tree, 9_973, vec![PartyId(5), PartyId(6)], 1);
+    tree_aa_chaos_run(&tree, 7, 9_973, vec![PartyId(5), PartyId(6)], 1);
 }
 
 /// After R attacked iterations the honest spread stays within Lemma 5's
