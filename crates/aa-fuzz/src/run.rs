@@ -918,7 +918,7 @@ mod tests {
                 .events
                 .iter()
                 .filter_map(|e| match &e.kind {
-                    sim_net::EventKind::Proto { event, .. } => Some(event.label.clone()),
+                    sim_net::EventKind::Proto { event, .. } => Some(event.label.to_string()),
                     _ => None,
                 })
                 .collect()

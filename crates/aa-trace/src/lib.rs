@@ -14,6 +14,11 @@
 //! therefore be checked as string equality, and golden traces can be diffed
 //! event-by-event.
 //!
+//! Recording contexts do not hold built events: `emit_with` packs each
+//! one into an [`EventLog`] at once, a virtual-time recorder keeps those
+//! logs in a [`TraceRecord`], and the canonical [`Trace`] is expanded
+//! from them only where somebody reads it (see the `log` module).
+//!
 //! The module also ships trace-level invariant checkers used by the fuzz
 //! harness and the conformance suite:
 //!
@@ -26,60 +31,78 @@
 
 #![warn(missing_docs)]
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt;
 
 pub use aa_codec::{fnv1a_64, fnv1a_64_extend, Json};
 
+mod log;
+
+pub use log::{EventLog, TraceRecord};
+
 /// A protocol-level event emitted by a party during its `step`.
 ///
 /// `label` names the event kind (`"gc.grade"`, `"realaa.iter"`,
 /// `"treeaa.path"`, ...); `fields` hold the payload in insertion order so
-/// serialization stays canonical.
+/// serialization stays canonical. Every emit site names its label and
+/// keys with string literals, which are held as they are — building an
+/// event allocates its field list and nothing else; a parsed trace owns
+/// its names.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ProtoEvent {
     /// Event kind, dot-namespaced by protocol (e.g. `"realaa.iter"`).
-    pub label: String,
+    pub label: Cow<'static, str>,
     /// Ordered key/value payload.
-    pub fields: Vec<(String, Json)>,
+    pub fields: Vec<(Cow<'static, str>, Json)>,
 }
+
+/// Room for the widest event any protocol emits (six fields) plus the
+/// `vt`/`pseq` stamps, so a field list is sized once.
+const FIELDS_HINT: usize = 8;
 
 impl ProtoEvent {
     /// Creates an event with no fields.
-    pub fn new(label: &str) -> Self {
+    #[inline]
+    pub fn new(label: &'static str) -> Self {
         ProtoEvent {
-            label: label.to_string(),
-            fields: Vec::new(),
+            label: Cow::Borrowed(label),
+            fields: Vec::with_capacity(FIELDS_HINT),
         }
     }
 
-    /// Appends an unsigned-integer field (builder style).
-    #[must_use]
-    pub fn u64(mut self, key: &str, value: u64) -> Self {
-        self.fields.push((key.to_string(), Json::int(value)));
+    #[inline]
+    fn with(mut self, key: &'static str, value: Json) -> Self {
+        self.fields.push((Cow::Borrowed(key), value));
         self
+    }
+
+    /// Appends an unsigned-integer field (builder style).
+    #[inline]
+    #[must_use]
+    pub fn u64(self, key: &'static str, value: u64) -> Self {
+        self.with(key, Json::int(value))
     }
 
     /// Appends a float field (builder style).
+    #[inline]
     #[must_use]
-    pub fn f64(mut self, key: &str, value: f64) -> Self {
-        self.fields.push((key.to_string(), Json::Num(value)));
-        self
+    pub fn f64(self, key: &'static str, value: f64) -> Self {
+        self.with(key, Json::Num(value))
     }
 
     /// Appends a string field (builder style).
+    #[inline]
     #[must_use]
-    pub fn str(mut self, key: &str, value: &str) -> Self {
-        self.fields
-            .push((key.to_string(), Json::Str(value.to_string())));
-        self
+    pub fn str(self, key: &'static str, value: &str) -> Self {
+        self.with(key, Json::Str(value.to_string()))
     }
 
     /// Appends a boolean field (builder style).
+    #[inline]
     #[must_use]
-    pub fn bool(mut self, key: &str, value: bool) -> Self {
-        self.fields.push((key.to_string(), Json::Bool(value)));
-        self
+    pub fn bool(self, key: &'static str, value: bool) -> Self {
+        self.with(key, Json::Bool(value))
     }
 
     /// Looks up a field by key.
@@ -245,8 +268,9 @@ impl TraceEvent {
             EventKind::Proto { party, event } => {
                 fields.push(kind("proto"));
                 fields.push(("party".to_string(), Json::int(*party as u64)));
-                fields.push(("label".to_string(), Json::Str(event.label.clone())));
-                fields.push(("fields".to_string(), Json::Obj(event.fields.clone())));
+                fields.push(("label".to_string(), Json::Str(event.label.to_string())));
+                let payload = event.fields.iter().map(|(k, v)| (k.to_string(), v.clone()));
+                fields.push(("fields".to_string(), Json::Obj(payload.collect())));
             }
             EventKind::Corrupt { party } => {
                 fields.push(kind("corrupt"));
@@ -371,15 +395,17 @@ impl TraceEvent {
                 let label = json
                     .get("label")
                     .and_then(Json::as_str)
-                    .ok_or("proto event missing `label`")?
-                    .to_string();
-                let fields = match json.get("fields") {
-                    Some(Json::Obj(fields)) => fields.clone(),
-                    _ => return Err("proto event missing `fields` object".into()),
+                    .ok_or("proto event missing `label`")?;
+                let Some(Json::Obj(fields)) = json.get("fields") else {
+                    return Err("proto event missing `fields` object".into());
                 };
+                let owned = |(k, v): &(String, Json)| (Cow::Owned(k.clone()), v.clone());
                 EventKind::Proto {
                     party: req_usize(json, "party")?,
-                    event: ProtoEvent { label, fields },
+                    event: ProtoEvent {
+                        label: Cow::Owned(label.to_string()),
+                        fields: fields.iter().map(owned).collect(),
+                    },
                 }
             }
             "corrupt" => EventKind::Corrupt {

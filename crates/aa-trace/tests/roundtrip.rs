@@ -6,7 +6,7 @@
 //! failure is reproducible from one integer.
 
 use aa_codec::Json;
-use aa_trace::{EventKind, ProtoEvent, Trace, TraceEvent};
+use aa_trace::{EventKind, EventLog, ProtoEvent, Trace, TraceEvent, TraceRecord};
 use proptest::prelude::*;
 
 /// splitmix64 — deterministic seed-stream expansion.
@@ -37,7 +37,7 @@ fn arb_proto(s: &mut u64) -> ProtoEvent {
     let labels = ["gc.grade", "realaa.iter", "treeaa.path", "pk.phase", "x"];
     let mut event = ProtoEvent::new(labels[(next(s) % 5) as usize]);
     for k in 0..next(s) % 4 {
-        event.fields.push((format!("f{k}"), arb_json(s)));
+        event.fields.push((format!("f{k}").into(), arb_json(s)));
     }
     event
 }
@@ -92,6 +92,95 @@ fn arb_trace(seed: u64) -> Trace {
     trace
 }
 
+/// An event as the builders make it — static names, the four value kinds
+/// at their edges — or, one time in four, as a parsed trace holds it:
+/// owned names and any JSON value.
+fn arb_emitted(s: &mut u64) -> ProtoEvent {
+    const KEYS: [&str; 6] = ["iter", "inst", "leader", "grade", "value", "lo"];
+    if next(s).is_multiple_of(4) {
+        let mut parsed = arb_proto(s);
+        parsed.label = parsed.label.into_owned().into();
+        return parsed;
+    }
+    let mut event =
+        ProtoEvent::new(["gc.grade", "realaa.iter", "treeaa.out"][(next(s) % 3) as usize]);
+    for _ in 0..next(s) % 7 {
+        let key = KEYS[(next(s) % 6) as usize];
+        let pick = next(s);
+        event = match next(s) % 4 {
+            0 => event.u64(
+                key,
+                [0, 1, (1 << 53) + 1, u64::MAX, pick][(pick % 5) as usize],
+            ),
+            1 => {
+                let edges = [
+                    -0.0,
+                    0.0,
+                    5e-324,
+                    f64::MIN_POSITIVE / 2.0,
+                    -1e300,
+                    arb_f64(s),
+                ];
+                event.f64(key, edges[(pick % 6) as usize])
+            }
+            2 => event.bool(key, pick.is_multiple_of(2)),
+            _ => {
+                let texts = [String::new(), "\"q\\\n".repeat(256), format!("s{pick}")];
+                event.str(key, &texts[(pick % 3) as usize])
+            }
+        };
+    }
+    event
+}
+
+/// The same seeded run recorded twice: packed, as a virtual-time
+/// recorder keeps it — one log per activation under its `vt`/`pseq`
+/// stamp, some of them assembled from an inner context's log, non-proto
+/// events in between — and built directly, event by stamped event.
+fn arb_recording(seed: u64) -> (TraceRecord, Trace) {
+    let mut s = seed;
+    let n = 1 + (next(&mut s) as usize) % 5;
+    let label = format!("seed:{seed}");
+    let mut record = TraceRecord::new(n, n / 4, &label);
+    let mut direct = Trace::new(n, n / 4, &label);
+    let mut pseq = vec![0u64; n];
+    for _ in 0..next(&mut s) % 24 {
+        let party = (next(&mut s) as usize) % n;
+        let vt = (next(&mut s) % 4096) as f64 / 64.0;
+        let round = vt as u32 + 1;
+        if next(&mut s).is_multiple_of(4) {
+            let kind = match next(&mut s) % 3 {
+                0 => EventKind::FaultDrop { from: party, to: 0 },
+                1 => EventKind::NetDeadPeer { party, peer: 0 },
+                _ => EventKind::NetRecovery { party, replayed: 9 },
+            };
+            record.push_event(round, kind.clone());
+            direct.push(round, kind);
+            continue;
+        }
+        // Zero events: an activation that emitted nothing leaves no entry.
+        let count = next(&mut s) % 6;
+        let split = next(&mut s) % (count + 1);
+        let (mut log, mut inner) = (EventLog::new(), EventLog::new());
+        for i in 0..count {
+            let event = arb_emitted(&mut s);
+            let stamped = event.clone().f64("vt", vt).u64("pseq", pseq[party] + i);
+            direct.push(
+                round,
+                EventKind::Proto {
+                    party,
+                    event: stamped,
+                },
+            );
+            if i < split { &mut log } else { &mut inner }.push(event);
+        }
+        log.append(inner);
+        record.push_activation(round, party, vt, pseq[party], log);
+        pseq[party] += count;
+    }
+    (record, direct)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
@@ -121,5 +210,14 @@ proptest! {
                 .map_err(|e| TestCaseError::fail(format!("{e}: {json}")))?;
             prop_assert_eq!(&back, event);
         }
+    }
+
+    #[test]
+    fn an_expanded_record_is_the_directly_built_trace(seed in any::<u64>()) {
+        let (record, direct) = arb_recording(seed);
+        let expanded = record.to_trace();
+        prop_assert_eq!(expanded.to_canonical_string(), direct.to_canonical_string());
+        // Bit for bit, too: canonical JSON prints -0.0 as 0, `Debug` does not.
+        prop_assert_eq!(format!("{expanded:?}"), format!("{direct:?}"));
     }
 }

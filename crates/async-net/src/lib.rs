@@ -73,7 +73,7 @@ use sim_net::{Envelope, FaultPlan, PartyId, Payload};
 mod reliable;
 mod virtual_time;
 
-pub use aa_trace::ProtoEvent;
+pub use aa_trace::{EventLog, ProtoEvent};
 pub use reliable::{RelMsg, Reliable, ReliableState, RETRANSMIT_BIT};
 pub use virtual_time::{link_delay, splitmix64, AsyncRecorder, VKey, VirtualScheduler};
 
@@ -169,7 +169,7 @@ pub struct AsyncCtx<M> {
     outbox: Vec<Envelope<M>>,
     timers: Vec<(f64, u64)>,
     retransmits: usize,
-    events: Vec<ProtoEvent>,
+    log: EventLog,
     tracing: bool,
 }
 
@@ -182,9 +182,9 @@ pub struct CtxParts<M> {
     pub outbox: Vec<Envelope<M>>,
     /// Timers set during the activation, as `(delay, token)`.
     pub timers: Vec<(f64, u64)>,
-    /// Protocol events emitted during the activation (empty unless the
-    /// context was created with tracing enabled).
-    pub events: Vec<ProtoEvent>,
+    /// The log of the protocol events emitted during the activation
+    /// (empty unless the context was created with tracing enabled).
+    pub log: EventLog,
     /// Retransmissions credited via [`AsyncCtx::note_retransmit`].
     pub retransmits: usize,
 }
@@ -198,7 +198,7 @@ impl<M: Payload> AsyncCtx<M> {
             outbox: Vec::new(),
             timers: Vec::new(),
             retransmits: 0,
-            events: Vec::new(),
+            log: EventLog::new(),
             tracing: false,
         }
     }
@@ -219,7 +219,7 @@ impl<M: Payload> AsyncCtx<M> {
         CtxParts {
             outbox: self.outbox,
             timers: self.timers,
-            events: self.events,
+            log: self.log,
             retransmits: self.retransmits,
         }
     }
@@ -290,10 +290,20 @@ impl<M: Payload> AsyncCtx<M> {
 
     /// Emits a protocol-level trace event. Zero-cost when the run is not
     /// recorded: the closure is only evaluated under an active
-    /// [`AsyncRecorder`] (mirroring `sim_net::RoundCtx::emit_with`).
+    /// [`AsyncRecorder`] (mirroring `sim_net::RoundCtx::emit_with`), and
+    /// then the built event is packed into the activation's log at once.
     pub fn emit_with(&mut self, f: impl FnOnce() -> ProtoEvent) {
         if self.tracing {
-            self.events.push(f());
+            self.log.push(f());
+        }
+    }
+
+    /// Hands over the log of an inner context this activation drove (a
+    /// synchronous protocol's `RoundCtx`), as if its events had been
+    /// emitted here. Dropped when the run is not recorded.
+    pub fn absorb_log(&mut self, log: EventLog) {
+        if self.tracing {
+            self.log.append(log);
         }
     }
 }
@@ -845,13 +855,11 @@ fn flush_ctx<M: Payload, S: Scheduler<M>>(
         outbox,
         timers,
         retransmits,
-        events,
+        log,
         ..
     } = ctx;
     if let Some(rec) = recorder {
-        for event in events {
-            rec.record_proto(now, me.index(), event);
-        }
+        rec.record_activation(now, me.index(), log);
     }
     sched.metrics_mut().retransmissions += retransmits;
     for env in outbox {
@@ -1120,6 +1128,22 @@ mod tests {
         fn output(&self) -> Option<usize> {
             (self.heard >= self.need).then_some(self.heard)
         }
+    }
+
+    #[test]
+    fn only_a_recorded_activation_evaluates_or_stores_an_event() {
+        let mut inner = EventLog::new();
+        inner.push(ProtoEvent::new("gc.grade").u64("leader", 1));
+        let mut plain: AsyncCtx<u64> = AsyncCtx::external(PartyId(0), 2, 0.0, false);
+        plain.emit_with(|| unreachable!("unrecorded: the closure must not run"));
+        plain.absorb_log(inner.clone());
+        assert_eq!(plain.into_parts().log.heap_bytes(), 0);
+
+        let mut recorded: AsyncCtx<u64> = AsyncCtx::external(PartyId(0), 2, 0.0, true);
+        recorded.absorb_log(inner);
+        recorded.emit_with(|| ProtoEvent::new("realaa.iter").u64("iter", 0));
+        let labels: Vec<_> = recorded.into_parts().log.iter().map(|e| e.label).collect();
+        assert_eq!(labels, ["gc.grade", "realaa.iter"]);
     }
 
     #[test]

@@ -230,7 +230,7 @@ impl<P: AsyncProtocol> Reliable<P> {
         inner_ctx.tracing = ctx.tracing;
         f(&mut self.inner, &mut inner_ctx);
         ctx.retransmits += inner_ctx.retransmits;
-        ctx.events.append(&mut inner_ctx.events);
+        ctx.log.append(inner_ctx.log);
         for (delay, token) in inner_ctx.timers {
             debug_assert!(
                 token & RETRANSMIT_BIT == 0,

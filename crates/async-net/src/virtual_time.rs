@@ -22,15 +22,15 @@
 //!   link knows no future delivery on it can occur at or before
 //!   `w + min`.
 //!
-//! [`AsyncRecorder`] captures protocol-level [`ProtoEvent`]s during a run,
-//! stamping each with its virtual time and a per-party emission counter so
-//! per-process traces can be merged and compared event-for-event
-//! (`aa_trace::reconcile_proto`).
+//! [`AsyncRecorder`] keeps the protocol-level events of a run — each
+//! activation's packed [`EventLog`] under its virtual time and the party's
+//! emission counter — so per-process traces can be merged and compared
+//! event-for-event (`aa_trace::reconcile_proto`).
 
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap};
 
-use aa_trace::{EventKind, ProtoEvent, Trace};
+use aa_trace::{EventKind, EventLog, Trace, TraceRecord};
 use sim_net::{Envelope, PartyId, Payload};
 
 use crate::{round_of, AsyncMetrics, SchedEvent, Scheduler};
@@ -236,14 +236,16 @@ impl<M: Payload> Scheduler<M> for VirtualScheduler<M> {
     }
 }
 
-/// Collects protocol events during a virtual-time run, stamping each with
-/// the virtual time (`vt`) it was emitted at and a per-party emission
-/// ordinal (`pseq`). Sorting the stamped events by `(vt, party, pseq)`
-/// yields a canonical projection that is identical between an in-process
-/// run and a merged per-process networked run of the same schedule.
+/// Collects protocol events during a virtual-time run: each activation's
+/// log is kept as it was written, under the virtual time (`vt`) it ran at
+/// and the party's emission ordinal (`pseq`) of its first event. The
+/// stamps become fields when the record is expanded; sorting the stamped
+/// events by `(vt, party, pseq)` yields a canonical projection that is
+/// identical between an in-process run and a merged per-process networked
+/// run of the same schedule.
 #[derive(Clone, Debug)]
 pub struct AsyncRecorder {
-    trace: Trace,
+    record: TraceRecord,
     pseq: Vec<u64>,
 }
 
@@ -252,31 +254,24 @@ impl AsyncRecorder {
     #[must_use]
     pub fn new(n: usize, t: usize, label: &str) -> Self {
         AsyncRecorder {
-            trace: Trace::new(n, t, label),
+            record: TraceRecord::new(n, t, label),
             pseq: vec![0; n],
         }
     }
 
-    /// Records `event` emitted by `party` at virtual time `vt`, appending
-    /// the `vt`/`pseq` stamps the reconciliation order is built on.
-    pub fn record_proto(&mut self, vt: f64, party: usize, event: ProtoEvent) {
-        let pseq = self.pseq[party];
-        self.pseq[party] += 1;
-        let stamped = event.f64("vt", vt).u64("pseq", pseq);
-        self.trace.push(
-            round_of(vt),
-            EventKind::Proto {
-                party,
-                event: stamped,
-            },
-        );
+    /// Records everything one activation of `party` at virtual time `vt`
+    /// emitted, by moving its log in.
+    pub fn record_activation(&mut self, vt: f64, party: usize, log: EventLog) {
+        let first_pseq = self.pseq[party];
+        self.pseq[party] += log.len() as u64;
+        self.record
+            .push_activation(round_of(vt), party, vt, first_pseq, log);
     }
 
     /// Records a transport-level rejection (tampered MAC, replay, garbage
     /// frame) as a `fault_drop` on `from → to` at virtual time `vt`.
     pub fn record_drop(&mut self, vt: f64, from: usize, to: usize) {
-        self.trace
-            .push(round_of(vt), EventKind::FaultDrop { from, to });
+        self.record_net(vt, EventKind::FaultDrop { from, to });
     }
 
     /// Records a transport-level state transition (reconnect attempt,
@@ -285,19 +280,25 @@ impl AsyncRecorder {
     /// gate's proto projection ignores them, so forensics gain the
     /// transport timeline without perturbing reconciliation.
     pub fn record_net(&mut self, vt: f64, kind: EventKind) {
-        self.trace.push(round_of(vt), kind);
+        self.record.push_event(round_of(vt), kind);
     }
 
-    /// Read access to the trace recorded so far.
+    /// Read access to what has been recorded so far.
     #[must_use]
-    pub fn trace(&self) -> &Trace {
-        &self.trace
+    pub fn record(&self) -> &TraceRecord {
+        &self.record
     }
 
-    /// Consumes the recorder, yielding the recorded trace.
+    /// Consumes the recorder, yielding the packed record.
+    #[must_use]
+    pub fn into_record(self) -> TraceRecord {
+        self.record
+    }
+
+    /// Consumes the recorder, yielding the expanded trace.
     #[must_use]
     pub fn into_trace(self) -> Trace {
-        self.trace
+        self.record.to_trace()
     }
 }
 
@@ -306,6 +307,7 @@ mod tests {
     use super::*;
     use crate::{
         run_async_recorded, AsyncConfig, AsyncCtx, AsyncProtocol, DelayModel, PassiveAsync,
+        ProtoEvent,
     };
 
     #[test]

@@ -1781,7 +1781,7 @@ pub fn execute(cmd: Command, out: &mut impl std::io::Write) -> Result<(), String
             )
             .map_err(|e| format!("party {party_id}: {e}"))?;
             if !trace_out.is_empty() {
-                let json = report.trace.to_canonical_string();
+                let json = report.trace.to_trace().to_canonical_string();
                 std::fs::write(&trace_out, format!("{json}\n")).map_err(io)?;
             }
             let outcome = report

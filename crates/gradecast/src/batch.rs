@@ -130,6 +130,14 @@ impl<T> GcSlots<T> {
         GcSlots { present, entries }
     }
 
+    /// Builds slots from the presence vector and the entries of the
+    /// present slots in leader order (what a wire decoder has in hand).
+    /// `None` unless there is exactly one entry per present slot.
+    pub fn from_parts(present: Vec<bool>, entries: Vec<T>) -> Option<Self> {
+        let expected = present.iter().filter(|&&p| p).count();
+        (entries.len() == expected).then_some(GcSlots { present, entries })
+    }
+
     /// `n` slots with only `slot` present — the shape of a message that
     /// speaks about a single leader.
     ///
@@ -1237,6 +1245,18 @@ mod tests {
             assert_matches_model(&per_slot, &model, &format!("n {n} per-slot vote {i}"));
         }
         model
+    }
+
+    #[test]
+    fn from_parts_wants_one_entry_per_present_slot() {
+        let options = vec![Some(7u64), None, Some(9)];
+        let parts = GcSlots::from_parts(vec![true, false, true], vec![7, 9]);
+        assert_eq!(parts, Some(GcSlots::from_options(options)));
+        assert_eq!(
+            GcSlots::from_parts(vec![true, false, true], vec![7u64]),
+            None
+        );
+        assert_eq!(GcSlots::from_parts(vec![false], vec![7u64]), None);
     }
 
     /// Sweep-then-leftovers (and the per-slot path the bundle's cores

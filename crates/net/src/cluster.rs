@@ -143,7 +143,7 @@ pub fn run_local_cluster_opts(
         .map(|(me, r)| r.output.clone().ok_or(me))
         .collect::<Result<Vec<_>, usize>>()
         .map_err(|me| format!("node {me} terminated without an output"))?;
-    let traces: Vec<Trace> = reports.iter().map(|r| r.trace.clone()).collect();
+    let traces: Vec<Trace> = reports.iter().map(|r| r.trace.to_trace()).collect();
     let merged_trace = merge_traces(&traces)?;
     Ok(ClusterReport {
         outcomes,

@@ -294,12 +294,10 @@ impl<T: WireCodec> WireCodec for GcSlots<T> {
     fn encode(&self, out: &mut Vec<u8>) {
         let n = self.n();
         out.extend_from_slice(&(n as u32).to_le_bytes());
-        let mut bitmap = vec![0u8; n.div_ceil(8)];
-        for (slot, _) in self.iter() {
-            bitmap[slot / 8] |= 1 << (slot % 8);
-        }
-        out.extend_from_slice(&bitmap);
-        for (_, v) in self.iter() {
+        let bitmap = out.len();
+        out.resize(bitmap + n.div_ceil(8), 0);
+        for (slot, v) in self.iter() {
+            out[bitmap + slot / 8] |= 1 << (slot % 8);
             v.encode(out);
         }
     }
@@ -311,25 +309,24 @@ impl<T: WireCodec> WireCodec for GcSlots<T> {
         if n.div_ceil(8) > r.remaining() {
             return Err(CodecError::BadLength { announced: n });
         }
-        let bitmap = r.bytes(n.div_ceil(8))?.to_vec();
+        let bitmap = r.bytes(n.div_ceil(8))?;
+        let bit = |slot: usize| bitmap[slot / 8] & (1 << (slot % 8)) != 0;
         // Padding bits past slot n−1 must be zero so encode∘decode is
         // the identity on bytes, not just on values.
-        for pad in n..bitmap.len() * 8 {
-            if bitmap[pad / 8] & (1 << (pad % 8)) != 0 {
-                return Err(CodecError::BadValue {
-                    what: "GcSlots padding",
-                });
-            }
+        if (n..bitmap.len() * 8).any(bit) {
+            return Err(CodecError::BadValue {
+                what: "GcSlots padding",
+            });
         }
-        let mut slots = Vec::with_capacity(n);
-        for slot in 0..n {
-            if bitmap[slot / 8] & (1 << (slot % 8)) != 0 {
-                slots.push(Some(T::decode(r)?));
-            } else {
-                slots.push(None);
-            }
+        let present: Vec<bool> = (0..n).map(bit).collect();
+        let count = present.iter().filter(|&&p| p).count();
+        // An entry is at least a byte on the wire: the input bounds the
+        // capacity whatever the bitmap claims.
+        let mut entries = Vec::with_capacity(count.min(r.remaining()));
+        for _ in 0..count {
+            entries.push(T::decode(r)?);
         }
-        Ok(GcSlots::from_options(slots))
+        Ok(GcSlots::from_parts(present, entries).expect("one entry was decoded per set bit"))
     }
 }
 
@@ -527,6 +524,17 @@ mod tests {
             Err(CodecError::BadValue {
                 what: "GcSlots padding"
             })
+        );
+    }
+
+    #[test]
+    fn slot_bytes_are_width_bitmap_then_present_entries() {
+        let bytes = slots(&[Some(1u32), None, Some(2)]).to_bytes();
+        assert_eq!(bytes, [3, 0, 0, 0, 0b101, 1, 0, 0, 0, 2, 0, 0, 0]);
+        // A bitmap that promises more entries than follow is a short read.
+        assert_eq!(
+            GcSlots::<u32>::from_bytes(&bytes[..9]),
+            Err(CodecError::Truncated)
         );
     }
 

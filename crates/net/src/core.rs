@@ -819,9 +819,7 @@ where
             Event::Timer(token) => self.proto.on_timer(token, &mut ctx),
         }
         let parts = ctx.into_parts();
-        for event in parts.events {
-            self.recorder.record_proto(time, me, event);
-        }
+        self.recorder.record_activation(time, me, parts.log);
         self.retransmissions += parts.retransmits as u64;
         for (delay, token) in parts.timers {
             let key = VKey {
@@ -1070,7 +1068,7 @@ where
         stats.retransmissions = self.retransmissions;
         NodeReport {
             output: self.proto.output(),
-            trace: self.recorder.into_trace(),
+            trace: self.recorder.into_record(),
             stats,
             vtime: self.vnow,
         }
@@ -1586,14 +1584,12 @@ mod tests {
             .expect("replay");
 
         // Identical canonical traces, but for replay's closing marker.
-        let (marker, replayed) = re
-            .driver
-            .recorder
-            .trace()
-            .events
-            .split_last()
-            .expect("marker");
-        assert_eq!(replayed, &live.driver.recorder.trace().events[..]);
+        let re_trace = re.driver.recorder.record().to_trace();
+        let (marker, replayed) = re_trace.events.split_last().expect("marker");
+        assert_eq!(
+            replayed,
+            &live.driver.recorder.record().to_trace().events[..]
+        );
         let recovery = EventKind::NetRecovery {
             party: x,
             replayed: live.driver.events as usize,

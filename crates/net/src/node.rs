@@ -74,7 +74,7 @@ use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
-use aa_trace::Trace;
+use aa_trace::TraceRecord;
 use async_net::AsyncProtocol;
 
 use crate::codec::WireCodec;
@@ -370,9 +370,12 @@ pub struct NetStats {
 pub struct NodeReport<O> {
     /// The protocol's output, if it decided.
     pub output: Option<O>,
-    /// This node's recorded trace (its own proto events + transport
-    /// drops), ready for [`aa_trace::merge_traces`].
-    pub trace: Trace,
+    /// What this node recorded (its own proto events + transport drops
+    /// and notes), packed as it was written — tens of bytes per proto
+    /// event. [`TraceRecord::to_trace`] expands it into the canonical
+    /// trace [`aa_trace::merge_traces`] takes; a caller that never reads
+    /// the trace never pays for one.
+    pub trace: TraceRecord,
     /// Transport counters.
     pub stats: NetStats,
     /// Final virtual time.
@@ -1166,7 +1169,10 @@ mod tests {
 
     /// Runs node 1 of 2 against a fake peer 0 that answers `handshakes`
     /// handshakes, cutting each connection, then stops listening.
-    fn scripted_disconnect_trace(policy: ReconnectPolicy, handshakes: u64) -> (Trace, NetStats) {
+    fn scripted_disconnect_trace(
+        policy: ReconnectPolicy,
+        handshakes: u64,
+    ) -> (aa_trace::Trace, NetStats) {
         let secret = 0x5eed;
         let cfg_fp = 0xfeed_f00d;
         let peer_listener = TcpListener::bind("127.0.0.1:0").expect("bind");
@@ -1201,7 +1207,7 @@ mod tests {
         let report = result.expect("node run");
         fake.join().expect("fake peer");
         assert_eq!(report.output, Some(1));
-        (report.trace, report.stats)
+        (report.trace.to_trace(), report.stats)
     }
 
     #[test]

@@ -186,6 +186,7 @@ fn tampered_wrong_key_and_replayed_frames_are_rejected_never_delivered() {
     // And surfaced as traced fault_drop events, one per attack.
     let drops = report
         .trace
+        .to_trace()
         .events
         .iter()
         .filter(|e| matches!(e.kind, EventKind::FaultDrop { from: 1, to: 0 }))

@@ -372,9 +372,7 @@ impl BundledAaParty {
             RoundCtx::new(self.me, self.cfg.n)
         };
         Protocol::step(self, round, &inbox, &mut rctx);
-        for ev in rctx.take_events() {
-            ctx.emit_with(|| ev);
-        }
+        ctx.absorb_log(rctx.take_log());
         let out = rctx.into_outbox();
         for msg in out.broadcasts() {
             ctx.broadcast(msg.clone());

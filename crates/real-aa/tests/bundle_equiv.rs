@@ -62,7 +62,10 @@ fn engine(cfg: &RealAaConfig, mode: StepMode) -> EngineConfig {
 
 /// `(round, party, label, fields)` — a protocol event with enough
 /// context to compare across runs.
-type NormEvent = (u32, usize, String, Vec<(String, Json)>);
+type NormEvent = (u32, usize, Name, Vec<(Name, Json)>);
+
+/// How `ProtoEvent` holds its label and keys.
+type Name = std::borrow::Cow<'static, str>;
 
 /// The bundled trace restricted to instance `inst`, with the `inst`
 /// field stripped: what that instance "saw" of the run.

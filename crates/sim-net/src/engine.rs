@@ -20,7 +20,7 @@ use std::error::Error;
 use std::fmt;
 use std::sync::Arc;
 
-use aa_trace::{EventKind, ProtoEvent, Trace};
+use aa_trace::{EventKind, EventLog, Trace};
 
 use crate::adversary::{Adversary, AdversaryCtx};
 use crate::fault::FaultPlan;
@@ -209,7 +209,7 @@ fn step_sequential<P: Protocol>(
     n: usize,
     tracing: bool,
     down: &[bool],
-) -> (Vec<Outbox<P::Msg>>, Vec<Vec<ProtoEvent>>) {
+) -> (Vec<Outbox<P::Msg>>, Vec<EventLog>) {
     let mut outboxes = Vec::with_capacity(parties.len());
     let mut events = if tracing {
         Vec::with_capacity(parties.len())
@@ -226,16 +226,16 @@ fn step_sequential<P: Protocol>(
             party.step(round, &inboxes[i], &mut ctx);
         }
         if tracing {
-            events.push(ctx.take_events());
+            events.push(ctx.take_log());
         }
         outboxes.push(ctx.into_outbox());
     }
     (outboxes, events)
 }
 
-/// What one party produces in one step: its outbox plus any protocol
-/// events it emitted while tracing.
-type StepOutput<M> = (Outbox<M>, Vec<ProtoEvent>);
+/// What one party produces in one step: its outbox plus the log of any
+/// protocol events it emitted while tracing.
+type StepOutput<M> = (Outbox<M>, EventLog);
 
 /// A raw pointer a scoped worker may carry across its thread boundary.
 ///
@@ -281,7 +281,7 @@ fn step_parallel<P>(
     threads: usize,
     tracing: bool,
     down: &[bool],
-) -> (Vec<Outbox<P::Msg>>, Vec<Vec<ProtoEvent>>)
+) -> (Vec<Outbox<P::Msg>>, Vec<EventLog>)
 where
     P: Protocol + Send,
     P::Msg: Send + Sync,
@@ -328,7 +328,7 @@ where
                         if !down[i] {
                             party.step(round, &inboxes[i], &mut ctx);
                         }
-                        let events = ctx.take_events();
+                        let events = ctx.take_log();
                         *slot = Some((ctx.into_outbox(), events));
                     }
                 }
@@ -605,8 +605,8 @@ where
             for &party in &newly_recovered {
                 tr.push(round, EventKind::FaultRecover { party });
             }
-            for (party, events) in party_events.into_iter().enumerate() {
-                for event in events {
+            for (party, log) in party_events.iter().enumerate() {
+                for event in log.iter() {
                     tr.push(round, EventKind::Proto { party, event });
                 }
             }

@@ -92,4 +92,4 @@ pub use party::{step_standalone, Protocol, RoundCtx};
 
 // Flight-recorder types, re-exported so protocol crates can emit events
 // through their existing `sim-net` dependency.
-pub use aa_trace::{EventKind, ProtoEvent, Trace, TraceEvent};
+pub use aa_trace::{EventKind, EventLog, ProtoEvent, Trace, TraceEvent};

@@ -1,6 +1,6 @@
 //! The protocol (party state machine) abstraction.
 
-use aa_trace::ProtoEvent;
+use aa_trace::{EventLog, ProtoEvent};
 
 use crate::mailbox::{Inbox, Outbox};
 use crate::message::{Envelope, PartyId, Payload};
@@ -49,7 +49,7 @@ pub struct RoundCtx<M> {
     unicasts: Vec<Envelope<M>>,
     broadcasts: Vec<M>,
     tracing: bool,
-    events: Vec<ProtoEvent>,
+    log: EventLog,
 }
 
 impl<M: Payload> RoundCtx<M> {
@@ -66,13 +66,13 @@ impl<M: Payload> RoundCtx<M> {
             unicasts: Vec::new(),
             broadcasts: Vec::new(),
             tracing: false,
-            events: Vec::new(),
+            log: EventLog::new(),
         }
     }
 
     /// Creates a context with flight-recorder tracing enabled: protocol
-    /// events passed to [`RoundCtx::emit_with`] are collected and can be
-    /// drained with [`RoundCtx::take_events`].
+    /// events passed to [`RoundCtx::emit_with`] are packed into the
+    /// context's log, which [`RoundCtx::take_log`] hands over.
     pub fn traced(me: PartyId, n: usize) -> Self {
         RoundCtx {
             tracing: true,
@@ -91,16 +91,27 @@ impl<M: Payload> RoundCtx<M> {
     ///
     /// The closure is invoked **only when tracing is enabled**, so an
     /// instrumented protocol pays nothing — not even the event's string
-    /// formatting — on ordinary untraced runs.
+    /// formatting — on ordinary untraced runs. When it is, the built
+    /// event is packed into the log at once and dropped: no built event
+    /// outlives this call.
     pub fn emit_with<F: FnOnce() -> ProtoEvent>(&mut self, build: F) {
         if self.tracing {
-            self.events.push(build());
+            self.record(build);
         }
     }
 
-    /// Drains the protocol events recorded this round (emission order).
-    pub fn take_events(&mut self) -> Vec<ProtoEvent> {
-        std::mem::take(&mut self.events)
+    /// The traced half of [`RoundCtx::emit_with`], kept out of line: an
+    /// emit site sits in a protocol's hottest loops, and an untraced run
+    /// should carry a test and a call there, not the event's builder.
+    #[inline(never)]
+    fn record<F: FnOnce() -> ProtoEvent>(&mut self, build: F) {
+        self.log.push(build());
+    }
+
+    /// Takes the log of the protocol events recorded this round
+    /// (emission order), leaving an empty one.
+    pub fn take_log(&mut self) -> EventLog {
+        std::mem::take(&mut self.log)
     }
 
     /// The stepping party's own id.
@@ -196,6 +207,20 @@ mod tests {
             }]
         );
         assert_eq!(out.message_count(), 1);
+    }
+
+    #[test]
+    fn only_a_traced_context_evaluates_or_stores_an_event() {
+        let emit = |ctx: &mut RoundCtx<u64>| {
+            ctx.emit_with(|| ProtoEvent::new("gc.grade").u64("leader", 1));
+            ctx.take_log()
+        };
+        let mut plain = RoundCtx::new(PartyId(0), 2);
+        plain.emit_with(|| unreachable!("untraced: the closure must not run"));
+        assert_eq!(emit(&mut plain).heap_bytes(), 0);
+        let log = emit(&mut RoundCtx::traced(PartyId(0), 2));
+        assert_eq!(log.len(), 1);
+        assert_eq!(log.iter().next().unwrap().label, "gc.grade");
     }
 
     #[test]

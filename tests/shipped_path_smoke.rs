@@ -2,19 +2,24 @@
 //! benchmark workload actually runs — the bundled and solo `RealAA`
 //! parties on the slot-vector gradecast wire, `TreeAA` on top of them
 //! under Byzantine traffic, the Fekete-envelope adversary, the
-//! write-ahead log, and the TCP node behind the differential gate. Each
-//! case is a thin slice of a fuller suite in its
-//! own crate; together they must stay well under 30 s.
+//! write-ahead log, the TCP node behind the differential gate, and the
+//! flight recorder of a bundled TCP deployment. Each case is a thin slice
+//! of a fuller suite in its own crate; together they must stay well
+//! under 30 s.
 
 use std::sync::Arc;
 
+use aa_trace::{merge_traces, EventKind, Trace};
 use net::{
-    differential_gate, read_wal, run_local_cluster, GateCase, WalHeader, WalRecord, WalWriter,
-    WIRE_VERSION,
+    differential_gate, read_wal, run_local_cluster, run_local_nodes, ClusterOpts, GateCase,
+    NodeConfig, WalHeader, WalRecord, WalWriter, WIRE_VERSION,
 };
+use tree_aa_repro::async_net::Reliable;
 use tree_aa_repro::real_aa::adversary::{equal_split_schedule, BudgetSplitEquivocator};
 use tree_aa_repro::real_aa::{BundledAaParty, RealAaConfig, RealAaParty};
-use tree_aa_repro::sim_net::{run_simulation, CrashAdversary, PartyId, SimConfig};
+use tree_aa_repro::sim_net::{
+    run_simulation, run_simulation_traced, CrashAdversary, PartyId, Passive, SimConfig,
+};
 use tree_aa_repro::tree_aa::adversary::TreeAaChaos;
 use tree_aa_repro::tree_aa::{check_tree_aa, EngineKind, TreeAaConfig, TreeAaParty};
 use tree_aa_repro::tree_model::{generate, Tree, VertexId};
@@ -237,4 +242,63 @@ edge 7 8\n";
             "node {i}"
         );
     }
+}
+
+/// One case of `net/tests/bundle_cluster.rs`: every node of a k = 3
+/// `Reliable<BundledAaParty>` deployment records exactly the protocol
+/// events its party emits in the lockstep engine, each under its
+/// `vt`/`pseq` stamp, and the four records merge. (`Reliable` hands the
+/// inner party's log on; with that step missing every output check
+/// still passes and the traces are silently empty.)
+#[test]
+fn bundled_tcp_nodes_record_every_event_their_party_emits() {
+    let (n, t, k) = (4, 1, 3);
+    let cfg = RealAaConfig::new(n, t, 0.5, 8.0).unwrap();
+    let party = |id: PartyId| {
+        let inputs = (0..k).map(|j| (id.index() * 2) as f64 + j as f64 * 0.71);
+        BundledAaParty::new(id, cfg, inputs.collect()).expect("k >= 1")
+    };
+    let sim = SimConfig {
+        n,
+        t,
+        max_rounds: 500,
+    };
+    let (_, lockstep) = run_simulation_traced(sim.into(), |id, _| party(id), Passive).unwrap();
+    let emitted_by = |trace: &Trace, me: usize| {
+        let events = trace.events.iter();
+        events
+            .filter(|e| matches!(&e.kind, EventKind::Proto { party, .. } if *party == me))
+            .count()
+    };
+
+    let reports = run_local_nodes(
+        n,
+        &ClusterOpts::new(0xb0bb_1e03),
+        |me, peers, secret| NodeConfig::new(me, n, t, peers, secret, 0x5eed, 7),
+        |me| Ok(Reliable::new(party(PartyId(me)), n)),
+        |_| 0,
+    )
+    .expect("cluster run");
+    let traces: Vec<Trace> = reports.iter().map(|r| r.trace.to_trace()).collect();
+    for (me, trace) in traces.iter().enumerate() {
+        assert!(emitted_by(&lockstep, me) > 0, "party {me} emits nothing");
+        assert_eq!(
+            emitted_by(trace, me),
+            emitted_by(&lockstep, me),
+            "node {me}"
+        );
+        for e in &trace.events {
+            if let EventKind::Proto { event, .. } = &e.kind {
+                assert!(
+                    event.field("vt").is_some() && event.field("pseq").is_some(),
+                    "node {me}: unstamped {e}"
+                );
+            }
+        }
+    }
+    let merged = merge_traces(&traces).expect("stamped traces of one run merge");
+    assert_eq!(
+        merged.events.len(),
+        traces.iter().map(|t| t.events.len()).sum()
+    );
 }
