@@ -74,7 +74,7 @@ mod reliable;
 mod virtual_time;
 
 pub use aa_trace::{EventLog, ProtoEvent};
-pub use reliable::{RelMsg, Reliable, ReliableState, RETRANSMIT_BIT};
+pub use reliable::{RelMsg, Reliable, RETRANSMIT_BIT};
 pub use virtual_time::{link_delay, splitmix64, AsyncRecorder, VKey, VirtualScheduler};
 
 /// How message delays are drawn. All models produce delays in `(0, 1]`

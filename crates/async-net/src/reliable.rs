@@ -75,23 +75,6 @@ struct InFlight<M> {
     attempt: u32,
 }
 
-/// A snapshot of the reliability sublayer's mutable state, detached from
-/// the wrapped protocol. Produced by [`Reliable::export_state`] and
-/// consumed by [`Reliable::restore_state`]; durable transports persist it
-/// (alongside the inner protocol's own recovery story) so a restarted
-/// node resumes retransmission duty for exactly the frames that were
-/// unacknowledged when it went down.
-#[derive(Clone, Debug, PartialEq)]
-pub struct ReliableState<M> {
-    /// The sequence number the next outgoing `Data` frame will carry.
-    pub next_seq: u64,
-    /// Unacknowledged in-flight frames as `(seq, to, attempt, payload)`.
-    pub unacked: Vec<(u64, usize, u32, M)>,
-    /// Per-sender sequence numbers already delivered to the inner
-    /// protocol.
-    pub seen: Vec<Vec<u64>>,
-}
-
 /// Wraps an [`AsyncProtocol`] with acks, retransmission, and duplicate
 /// suppression. Wire type becomes [`RelMsg<P::Msg>`]; everything else —
 /// including the inner protocol's own timers — is passed through.
@@ -135,54 +118,6 @@ impl<P: AsyncProtocol> Reliable<P> {
     /// The sequence number the next outgoing `Data` frame will carry.
     pub fn next_seq(&self) -> u64 {
         self.next_seq
-    }
-
-    /// Snapshots the sublayer's mutable state (sequence counter,
-    /// unacknowledged frames, per-sender seen-sets).
-    pub fn export_state(&self) -> ReliableState<P::Msg> {
-        ReliableState {
-            next_seq: self.next_seq,
-            unacked: self
-                .unacked
-                .iter()
-                .map(|(&seq, m)| (seq, m.to.index(), m.attempt, m.payload.clone()))
-                .collect(),
-            seen: self
-                .seen
-                .iter()
-                .map(|s| s.iter().copied().collect())
-                .collect(),
-        }
-    }
-
-    /// Restores a snapshot taken by [`Reliable::export_state`]. The
-    /// wrapped protocol's state is untouched — callers recover it
-    /// separately (e.g. by deterministic event replay) and then restore
-    /// the sublayer on top.
-    pub fn restore_state(&mut self, state: ReliableState<P::Msg>) {
-        self.next_seq = state.next_seq & !RETRANSMIT_BIT;
-        self.unacked = state
-            .unacked
-            .into_iter()
-            .map(|(seq, to, attempt, payload)| {
-                (
-                    seq,
-                    InFlight {
-                        to: PartyId(to),
-                        payload,
-                        attempt,
-                    },
-                )
-            })
-            .collect();
-        self.seen = state
-            .seen
-            .into_iter()
-            .map(|s| s.into_iter().collect())
-            .collect();
-        if self.seen.len() != self.n {
-            self.seen.resize_with(self.n, BTreeSet::new);
-        }
     }
 
     /// A structural FNV-1a fingerprint of the sublayer state: the
@@ -573,51 +508,6 @@ mod tests {
             r.inner().heard.len(),
             1,
             "inner protocol saw the payload exactly once"
-        );
-    }
-
-    #[test]
-    fn state_roundtrips_through_export_and_restore() {
-        let mut r = Reliable::new(fresh(3), 3);
-        let mut c = ctx(0, 3);
-        r.on_start(&mut c); // three unacked frames
-        r.on_message(ack(1, 0, 1), &mut ctx(0, 3)); // one acked
-        r.on_message(
-            Envelope {
-                from: PartyId(2),
-                to: PartyId(0),
-                payload: RelMsg::Data { seq: 7, inner: 9 },
-            },
-            &mut ctx(0, 3),
-        );
-        let snapshot = r.export_state();
-        let fp = r.state_fingerprint();
-
-        let mut restored = Reliable::new(fresh(3), 3);
-        assert_ne!(restored.state_fingerprint(), fp, "fresh state differs");
-        restored.restore_state(snapshot.clone());
-        assert_eq!(restored.state_fingerprint(), fp);
-        assert_eq!(restored.export_state(), snapshot);
-        assert_eq!(restored.next_seq(), r.next_seq());
-
-        // The restored layer still retransmits the surviving frames and
-        // still filters the seen duplicate.
-        let mut c = ctx(0, 3);
-        restored.on_timer(RETRANSMIT_BIT | 2, &mut c);
-        assert_eq!(c.outbox.len(), 1, "unacked frame is retransmitted");
-        let before = restored.inner().heard.len();
-        restored.on_message(
-            Envelope {
-                from: PartyId(2),
-                to: PartyId(0),
-                payload: RelMsg::Data { seq: 7, inner: 9 },
-            },
-            &mut ctx(0, 3),
-        );
-        assert_eq!(
-            restored.inner().heard.len(),
-            before,
-            "restored seen-set keeps filtering duplicates"
         );
     }
 

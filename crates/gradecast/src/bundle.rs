@@ -193,15 +193,6 @@ impl<V: GcValue> BundleGradecast<V> {
         &self.cores[inst]
     }
 
-    /// The per-instance core, mutably.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `inst >= k`.
-    pub fn core_mut(&mut self, inst: usize) -> &mut BatchGradecast<V> {
-        &mut self.cores[inst]
-    }
-
     /// Phase 1: the bundled lead message — this party's own value per
     /// instance, `None` for instances it has finished.
     ///

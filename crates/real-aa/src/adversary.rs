@@ -20,6 +20,10 @@ use sim_net::{Adversary, AdversaryCtx, PartyId};
 use crate::real_aa::RealAaMsg;
 use crate::value::R64;
 
+/// The public fill constant of [`crate::RealAaConfig::new`], which the
+/// adversary assumes when it predicts the honest update rule.
+const FILL: f64 = 0.0;
+
 /// Splits `budget` into `rounds` near-equal positive parts (the maximizer
 /// of `Π tᵢ` under `Σ tᵢ ≤ budget`, restricted to using every iteration).
 /// When `budget < rounds`, only the first `budget` iterations get one unit
@@ -60,10 +64,6 @@ pub struct BudgetSplitEquivocator {
     honest: Vec<PartyId>,
     low_group: Vec<PartyId>,
     high_group: Vec<PartyId>,
-    /// The protocol's public fill constant (see
-    /// `RealAaConfig::fill_value`), which the full-information adversary
-    /// uses to predict the honest update rule exactly.
-    fill_value: f64,
     /// Attack the same leaders every scheduled iteration instead of
     /// burning fresh ones — only useful against the no-muting ablation,
     /// where detection has no consequences.
@@ -97,7 +97,6 @@ impl BudgetSplitEquivocator {
             schedule,
             next_fresh: 0,
             plans: Vec::new(),
-            fill_value: 0.0,
             reuse_leaders: false,
             model_variable_multisets: false,
         }
@@ -131,13 +130,6 @@ impl BudgetSplitEquivocator {
         self
     }
 
-    /// Sets the fill constant assumed for the honest update rule (must
-    /// match `RealAaConfig::fill_value`; defaults to 0).
-    pub fn with_fill(mut self, fill_value: f64) -> Self {
-        self.fill_value = fill_value;
-        self
-    }
-
     fn plan_iteration(&mut self, iter: usize, ctx: &AdversaryCtx<'_, RealAaMsg>, t: usize) {
         self.plans.clear();
         let burn = self.schedule.get(iter).copied().unwrap_or(0);
@@ -167,7 +159,7 @@ impl BudgetSplitEquivocator {
                 // honest party substitutes the public constant; under the
                 // ablated rule the slot simply disappears.
                 if !self.model_variable_multisets {
-                    base.push(self.fill_value);
+                    base.push(FILL);
                 }
                 continue;
             }
@@ -189,7 +181,7 @@ impl BudgetSplitEquivocator {
                 }
             }
             if !led && !self.model_variable_multisets {
-                base.push(self.fill_value); // terminated party: graded 0
+                base.push(FILL); // terminated party: graded 0
             }
         }
         if fresh.is_empty() || !lo.is_finite() || !hi.is_finite() {
@@ -212,7 +204,6 @@ impl BudgetSplitEquivocator {
             .flat_map(|&x| [(true, x), (false, x)])
             .collect();
 
-        let fill = self.fill_value;
         let variable = self.model_variable_multisets;
         let eval = |assign: &[(bool, f64)]| -> f64 {
             let mut m_high = base.clone();
@@ -221,11 +212,11 @@ impl BudgetSplitEquivocator {
                 if to_high {
                     m_high.push(x);
                     if !variable {
-                        m_low.push(fill);
+                        m_low.push(FILL);
                     }
                 } else {
                     if !variable {
-                        m_high.push(fill);
+                        m_high.push(FILL);
                     }
                     m_low.push(x);
                 }

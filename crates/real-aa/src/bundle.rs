@@ -11,28 +11,24 @@
 //!
 //! # Equivalence
 //!
-//! Instance `j` of a bundle is driven by its own
-//! [`BatchGradecast`](gradecast::BatchGradecast) core and its own
-//! muted set, value, history, and early-stopping state, all fed through
-//! the literal [`apply_iteration`] shared with the standalone parties.
-//! The differential suite in `tests/bundle_equiv.rs` checks the
-//! resulting guarantee end to end: outputs, round counts, hull
-//! trajectories, and per-instance trace events (keyed by the `inst`
-//! field) are bit-identical to running each instance alone under
-//! honest, crash, equivocating, and scheduled-fault adversaries, in
-//! both engine step modes.
+//! Literal: a bundle is k copies of the solo party's per-instance machine
+//! and round schedule (`crate::instance`), each fed by its own
+//! [`BatchGradecast`](gradecast::BatchGradecast) core and muted set; this
+//! module is only the wire. `tests/bundle_equiv.rs` checks it end to end:
+//! outputs, round counts, trajectories and per-instance trace events
+//! (keyed by `inst`) equal each instance run alone, under every adversary
+//! and configuration edge it tries, in both engine step modes.
 //!
 //! # Async wiring
 //!
-//! The party also implements [`AsyncProtocol`] as a timer-paced
-//! lockstep adapter: each message's round is recomputed from its
-//! content (`Leads` → 3i+1, `Echoes` → 3i+2, `Votes` → 3i+3), arrivals
-//! are buffered per round, and a local round timer — one and a half
-//! delay bounds, so every in-round send lands before the next tick —
-//! drives the same `step` function the synchronous engine calls. Late
-//! arrivals are omissions, exactly the synchronous model's reading, so
-//! `Reliable<BundledAaParty>` runs unchanged over the real sockets in
-//! `crates/net`.
+//! [`AsyncProtocol`] is a timer-paced lockstep adapter: a message's round
+//! is recomputed from its content (`Leads` → 3i+1, `Echoes` → 3i+2,
+//! `Votes` → 3i+3; a tag outside the schedule is dropped), arrivals are
+//! buffered per round, and a local round timer — one and a half delay
+//! bounds, so every in-round send lands before the next tick — drives the
+//! same `step` the synchronous engine calls. Late arrivals are omissions,
+//! as in the synchronous model, so `Reliable<BundledAaParty>` runs
+//! unchanged over the real sockets in `crates/net`.
 
 use std::collections::BTreeMap;
 
@@ -40,7 +36,8 @@ use async_net::{AsyncCtx, AsyncProtocol};
 use gradecast::{BundleGradecast, GcBundleMsg, GradecastOutput};
 use sim_net::{Envelope, Inbox, PartyId, Payload, Protocol, Received, RoundCtx};
 
-use crate::real_aa::{apply_iteration, RealAaConfig};
+use crate::instance::{Instance, Phase, Scratch};
+use crate::real_aa::RealAaConfig;
 use crate::value::R64;
 
 pub use gradecast::BundleError;
@@ -68,14 +65,15 @@ impl Payload for BundledAaMsg {
 const ROUND_LEN: f64 = 1.5;
 
 /// The wire round a bundled message belongs to, recomputed from its
-/// content (phase within the 3-round iteration).
-fn wire_round(msg: &BundledAaMsg) -> u32 {
-    3 * msg.iter
-        + match msg.body {
-            GcBundleMsg::Leads(_) => 1,
-            GcBundleMsg::Echoes(_) => 2,
-            GcBundleMsg::Votes(_) => 3,
-        }
+/// content (phase within the 3-round iteration); `None` when the
+/// sender-chosen tag names no `u32` round at all.
+fn wire_round(msg: &BundledAaMsg) -> Option<u32> {
+    let phase = match msg.body {
+        GcBundleMsg::Leads(_) => 1,
+        GcBundleMsg::Echoes(_) => 2,
+        GcBundleMsg::Votes(_) => 3,
+    };
+    msg.iter.checked_mul(3)?.checked_add(phase)
 }
 
 /// One party running k bundled `RealAA(ε)` instances in lockstep.
@@ -89,27 +87,19 @@ fn wire_round(msg: &BundledAaMsg) -> u32 {
 pub struct BundledAaParty {
     cfg: RealAaConfig,
     me: PartyId,
-    values: Vec<f64>,
+    insts: Vec<Instance>,
+    /// Per instance: leaders muted so far.
     muted: Vec<Vec<bool>>,
     gc: BundleGradecast<R64>,
-    iterations_done: u32,
-    outputs: Vec<Option<f64>>,
-    last_accepted_spread: Vec<f64>,
-    histories: Vec<Vec<f64>>,
     output: Option<Vec<f64>>,
+    /// Grading buffer and scratch, shared by all k instances.
+    grades: Vec<GradecastOutput<R64>>,
+    scratch: Scratch,
     /// Async adapter: the last round stepped (0 before `on_start`).
     async_round: u32,
     /// Async adapter: arrivals bucketed by wire round, consumed when the
     /// following round's timer fires.
     async_buf: BTreeMap<u32, Vec<Received<BundledAaMsg>>>,
-    /// Reused per-instance grading buffer (round 3i+4 grades k
-    /// instances; allocating k vectors per iteration dominates the
-    /// amortized throughput at large k).
-    grade_buf: Vec<GradecastOutput<R64>>,
-    /// Reused multiset scratch for [`apply_iteration`].
-    multiset_buf: Vec<f64>,
-    /// Reused accepted-values scratch for [`apply_iteration`].
-    accepted_buf: Vec<f64>,
 }
 
 impl BundledAaParty {
@@ -125,236 +115,53 @@ impl BundledAaParty {
     /// As [`RealAaParty::new`](crate::RealAaParty::new): every input
     /// must be finite and `me` in range.
     pub fn new(me: PartyId, cfg: RealAaConfig, inputs: Vec<f64>) -> Result<Self, BundleError> {
-        assert!(
-            inputs.iter().all(|v| v.is_finite()),
-            "honest inputs must be finite"
-        );
+        let insts: Vec<Instance> = inputs
+            .into_iter()
+            .enumerate()
+            .map(|(j, v)| Instance::new(v, Some(j)))
+            .collect();
         assert!(me.index() < cfg.n, "party id out of range");
-        let k = inputs.len();
-        let muted = vec![vec![false; cfg.n]; k];
-        let gc = BundleGradecast::with_muted(me, cfg.n, cfg.t, muted.clone())?;
+        let muted = vec![vec![false; cfg.n]; insts.len()];
         Ok(BundledAaParty {
             cfg,
             me,
-            histories: inputs.iter().map(|&v| vec![v]).collect(),
-            values: inputs,
+            insts,
+            gc: BundleGradecast::with_muted(me, cfg.n, cfg.t, muted.clone())?,
             muted,
-            gc,
-            iterations_done: 0,
-            outputs: vec![None; k],
-            last_accepted_spread: vec![f64::INFINITY; k],
             output: None,
+            grades: Vec::new(),
+            scratch: Scratch::default(),
             async_round: 0,
             async_buf: BTreeMap::new(),
-            grade_buf: Vec::new(),
-            multiset_buf: Vec::new(),
-            accepted_buf: Vec::new(),
         })
     }
 
     /// Number of bundled instances.
     pub fn k(&self) -> usize {
-        self.values.len()
+        self.insts.len()
     }
 
-    /// Current values, one per instance.
-    pub fn current_values(&self) -> &[f64] {
-        &self.values
-    }
-
-    /// Instance `inst`'s value trajectory (`[0]` = input).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `inst >= k`.
+    /// Instance `inst`'s value trajectory (`[0]` = input); panics if
+    /// `inst >= k`.
     pub fn history(&self, inst: usize) -> &[f64] {
-        &self.histories[inst]
+        &self.insts[inst].history
     }
 
-    /// How many parties instance `inst` has muted so far.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `inst >= k`.
+    /// How many parties instance `inst` has muted so far; panics if
+    /// `inst >= k`.
     pub fn muted_count(&self, inst: usize) -> usize {
         self.muted[inst].iter().filter(|&&m| m).count()
     }
 
     /// Which instances are still running here.
     fn active(&self) -> Vec<bool> {
-        self.outputs.iter().map(Option::is_none).collect()
+        self.insts.iter().map(|i| i.output.is_none()).collect()
     }
 
-    fn finish_iteration(
-        &mut self,
-        inbox: &Inbox<BundledAaMsg>,
-        iter_tag: u32,
-        ctx: &mut RoundCtx<BundledAaMsg>,
-    ) {
-        self.gc.absorb_vote_bundles(
-            inbox
-                .iter()
-                .filter(|e| e.payload.iter == iter_tag)
-                .map(|e| (e.from, &e.payload.body)),
-        );
-        // Grade instance by instance into reused scratch buffers — the
-        // same grades, events, and numeric updates `on_votes` plus
-        // `apply_iteration` would produce, without per-instance
-        // allocations.
-        let mut outputs_buf = std::mem::take(&mut self.grade_buf);
-        let mut multiset = std::mem::take(&mut self.multiset_buf);
-        let mut accepted = std::mem::take(&mut self.accepted_buf);
-        for inst in 0..self.k() {
-            if self.outputs[inst].is_some() {
-                continue;
-            }
-            self.gc.core(inst).grade_into(&mut outputs_buf);
-            let outputs = &outputs_buf;
-            for (leader, out) in outputs.iter().enumerate() {
-                ctx.emit_with(|| {
-                    let mut ev = sim_net::ProtoEvent::new("gc.grade")
-                        .u64("iter", u64::from(iter_tag))
-                        .u64("inst", inst as u64)
-                        .u64("leader", leader as u64)
-                        .u64("grade", u64::from(out.grade.as_u8()));
-                    if let Some(v) = out.value {
-                        ev = ev.f64("value", v.get());
-                    }
-                    ev
-                });
-            }
-            let outcome = apply_iteration(
-                &self.cfg,
-                outputs,
-                &mut self.muted[inst],
-                &mut multiset,
-                &mut accepted,
-            );
-            self.last_accepted_spread[inst] = if outcome.accepted_lo.is_finite() {
-                outcome.accepted_hi - outcome.accepted_lo
-            } else {
-                f64::INFINITY
-            };
-            if let Some(mean) = outcome.new_value {
-                self.values[inst] = mean;
-            }
-            self.histories[inst].push(self.values[inst]);
-            ctx.emit_with(|| {
-                let mut ev = sim_net::ProtoEvent::new("realaa.iter")
-                    .u64("iter", u64::from(iter_tag))
-                    .u64("inst", inst as u64);
-                if outcome.accepted_lo.is_finite() {
-                    ev = ev
-                        .f64("lo", outcome.accepted_lo)
-                        .f64("hi", outcome.accepted_hi)
-                        .f64("spread", outcome.accepted_hi - outcome.accepted_lo);
-                }
-                ev.f64("value", self.values[inst])
-            });
-        }
-        self.grade_buf = outputs_buf;
-        self.multiset_buf = multiset;
-        self.accepted_buf = accepted;
-        self.iterations_done += 1;
+    fn decide(&mut self) {
+        self.output = Some(self.insts.iter_mut().map(Instance::decide).collect());
     }
 
-    /// Applies each running instance's termination rule; returns true
-    /// when the whole bundle has output.
-    fn maybe_terminate(&mut self) -> bool {
-        let fixed_done = self.iterations_done >= self.cfg.iterations();
-        for inst in 0..self.k() {
-            if self.outputs[inst].is_some() {
-                continue;
-            }
-            let early = self.cfg.early_stopping
-                && self.iterations_done >= 1
-                && self.last_accepted_spread[inst] <= self.cfg.eps;
-            if fixed_done || early {
-                self.outputs[inst] = Some(self.values[inst]);
-            }
-        }
-        if self.outputs.iter().all(Option::is_some) {
-            self.output = Some(self.outputs.iter().map(|o| o.expect("all some")).collect());
-            true
-        } else {
-            false
-        }
-    }
-
-    fn start_iteration(&mut self, ctx: &mut RoundCtx<BundledAaMsg>, iter_tag: u32) {
-        self.gc.reset_with_muted(&self.muted);
-        let leads = (0..self.k())
-            .map(|j| self.outputs[j].is_none().then(|| R64::new(self.values[j])))
-            .collect();
-        ctx.broadcast(BundledAaMsg {
-            iter: iter_tag,
-            body: self.gc.lead_msg(leads),
-        });
-    }
-}
-
-impl Protocol for BundledAaParty {
-    type Msg = BundledAaMsg;
-    type Output = Vec<f64>;
-
-    fn step(&mut self, round: u32, inbox: &Inbox<BundledAaMsg>, ctx: &mut RoundCtx<BundledAaMsg>) {
-        if self.output.is_some() {
-            return;
-        }
-        if round == 1 && self.cfg.iterations() == 0 {
-            self.output = Some(self.values.clone());
-            return;
-        }
-        if round > self.cfg.rounds() + 1 {
-            let finals = (0..self.k())
-                .map(|j| self.outputs[j].unwrap_or(self.values[j]))
-                .collect();
-            self.output = Some(finals);
-            return;
-        }
-        let phase = (round - 1) % 3;
-        let iter_tag = (round - 1) / 3;
-        let tagged = |tag: u32| {
-            inbox
-                .iter()
-                .filter(move |e| e.payload.iter == tag)
-                .map(|e| (e.from, &e.payload.body))
-        };
-        match phase {
-            0 => {
-                if iter_tag > 0 {
-                    self.finish_iteration(inbox, iter_tag - 1, ctx);
-                    if self.maybe_terminate() {
-                        return;
-                    }
-                }
-                self.start_iteration(ctx, iter_tag);
-            }
-            1 => {
-                let active = self.active();
-                let batch = self.gc.on_leads(tagged(iter_tag), &active);
-                ctx.broadcast(BundledAaMsg {
-                    iter: iter_tag,
-                    body: batch,
-                });
-            }
-            _ => {
-                let active = self.active();
-                let batch = self.gc.on_echoes(tagged(iter_tag), &active);
-                ctx.broadcast(BundledAaMsg {
-                    iter: iter_tag,
-                    body: batch,
-                });
-            }
-        }
-    }
-
-    fn output(&self) -> Option<Vec<f64>> {
-        self.output.clone()
-    }
-}
-
-impl BundledAaParty {
     /// Drives one synchronous round from the async run loop, replaying
     /// the resulting sends, events, and (unless the party terminated)
     /// the next round's timer into the async context.
@@ -386,6 +193,59 @@ impl BundledAaParty {
     }
 }
 
+impl Protocol for BundledAaParty {
+    type Msg = BundledAaMsg;
+    type Output = Vec<f64>;
+
+    fn step(&mut self, round: u32, inbox: &Inbox<BundledAaMsg>, ctx: &mut RoundCtx<BundledAaMsg>) {
+        if self.output.is_some() {
+            return;
+        }
+        let tagged = |tag: u32| {
+            inbox
+                .iter()
+                .filter(move |e| e.payload.iter == tag)
+                .map(|e| (e.from, &e.payload.body))
+        };
+        let (iter, body) = match Phase::of(&self.cfg, round) {
+            Phase::Decide => {
+                self.decide();
+                return;
+            }
+            Phase::Lead { grade, iter } => {
+                if let Some(at) = grade {
+                    self.gc.absorb_vote_bundles(tagged(at.iter));
+                    for (j, inst) in self.insts.iter_mut().enumerate() {
+                        if inst.output.is_none() {
+                            self.gc.core(j).grade_into(&mut self.grades);
+                            let muted = &mut self.muted[j];
+                            inst.finish(&self.cfg, at, &self.grades, muted, &mut self.scratch, ctx);
+                        }
+                    }
+                    if self.insts.iter().all(|i| i.output.is_some()) {
+                        self.decide();
+                        return;
+                    }
+                }
+                self.gc.reset_with_muted(&self.muted);
+                let leads = self
+                    .insts
+                    .iter()
+                    .map(|i| i.output.is_none().then(|| R64::new(i.value)))
+                    .collect();
+                (iter, self.gc.lead_msg(leads))
+            }
+            Phase::Echo(iter) => (iter, self.gc.on_leads(tagged(iter), &self.active())),
+            Phase::Vote(iter) => (iter, self.gc.on_echoes(tagged(iter), &self.active())),
+        };
+        ctx.broadcast(BundledAaMsg { iter, body });
+    }
+
+    fn output(&self) -> Option<Vec<f64>> {
+        self.output.clone()
+    }
+}
+
 impl AsyncProtocol for BundledAaParty {
     type Msg = BundledAaMsg;
     type Output = Vec<f64>;
@@ -394,17 +254,20 @@ impl AsyncProtocol for BundledAaParty {
         self.run_async_round(1, Vec::new(), ctx);
     }
 
-    fn on_message(&mut self, env: Envelope<BundledAaMsg>, ctx: &mut AsyncCtx<BundledAaMsg>) {
-        let _ = ctx;
-        let r = wire_round(&env.payload);
+    fn on_message(&mut self, env: Envelope<BundledAaMsg>, _ctx: &mut AsyncCtx<BundledAaMsg>) {
         // A round-r message is consumed when stepping round r + 1; once
         // that has happened the arrival is late — an omission, exactly
-        // as in the synchronous model.
-        if r >= self.async_round {
-            self.async_buf.entry(r).or_default().push(Received {
-                from: env.from,
-                payload: env.payload,
-            });
+        // as in the synchronous model. No honest message names a round
+        // outside the schedule, so one that does is dropped here rather
+        // than kept until the run ends.
+        match wire_round(&env.payload) {
+            Some(r) if r >= self.async_round && r <= self.cfg.rounds() => {
+                self.async_buf.entry(r).or_default().push(Received {
+                    from: env.from,
+                    payload: env.payload,
+                });
+            }
+            _ => {}
         }
     }
 
@@ -427,8 +290,13 @@ impl AsyncProtocol for BundledAaParty {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use async_net::{run_async, AsyncConfig, DelayModel, PassiveAsync, Reliable, SilentAsync};
-    use sim_net::{run_simulation, Passive, SimConfig};
+    use std::sync::Arc;
+
+    use async_net::{
+        run_async, AsyncAdversary, AsyncConfig, DelayModel, PassiveAsync, Reliable, SilentAsync,
+    };
+    use gradecast::GcSlots;
+    use sim_net::{run_simulation, AdversaryCtx, Passive, SimConfig, StaticByzantine};
 
     fn cfg(n: usize, t: usize) -> RealAaConfig {
         RealAaConfig::new(n, t, 0.5, 10.0).unwrap()
@@ -542,10 +410,115 @@ mod tests {
         let mut rctx = RoundCtx::new(PartyId(0), 4);
         Protocol::step(&mut party, 1, &Inbox::empty(), &mut rctx);
         let out = rctx.into_outbox();
-        assert_eq!(wire_round(&out.broadcasts()[0]), 1);
+        assert_eq!(wire_round(&out.broadcasts()[0]), Some(1));
         let mut rctx = RoundCtx::new(PartyId(0), 4);
         Protocol::step(&mut party, 2, &Inbox::empty(), &mut rctx);
         let out = rctx.into_outbox();
-        assert_eq!(wire_round(&out.broadcasts()[0]), 2);
+        assert_eq!(wire_round(&out.broadcasts()[0]), Some(2));
+    }
+
+    /// Bundles whose iteration tags a Byzantine sender picks: `3 * iter +
+    /// phase` overflows `u32` for the first two tags and names a round
+    /// far past any schedule for the last two.
+    fn hostile_bundles(n: usize, k: usize) -> Vec<BundledAaMsg> {
+        let v = R64::new(1e9);
+        let bodies = [
+            GcBundleMsg::Leads(Arc::new(GcSlots::from_options(vec![Some(v); k]))),
+            GcBundleMsg::Echoes(Arc::new(GcSlots::from_options(vec![
+                Some(
+                    GcSlots::from_options(vec![Some(v); n])
+                );
+                k
+            ]))),
+            GcBundleMsg::Votes(Arc::new(GcSlots::from_options(vec![
+                Some(
+                    GcSlots::from_options(vec![Some(7); n])
+                );
+                k
+            ]))),
+        ];
+        [u32::MAX, 0x5555_5556, 0x5555_5554, 1000]
+            .into_iter()
+            .flat_map(|iter| {
+                bodies.iter().map(move |body| BundledAaMsg {
+                    iter,
+                    body: body.clone(),
+                })
+            })
+            .collect()
+    }
+
+    /// Party 3 sends `hostile_bundles` to everyone at time 0, then
+    /// nothing.
+    struct Hostile(Vec<BundledAaMsg>);
+
+    impl AsyncAdversary<BundledAaMsg> for Hostile {
+        fn corrupted(&self) -> Vec<PartyId> {
+            vec![PartyId(3)]
+        }
+        fn on_start(&mut self, sends: &mut Vec<(PartyId, PartyId, BundledAaMsg)>) {
+            for to in 0..3 {
+                sends.extend(self.0.iter().map(|m| (PartyId(3), PartyId(to), m.clone())));
+            }
+        }
+        fn on_deliver(
+            &mut self,
+            _env: &Envelope<BundledAaMsg>,
+            _sends: &mut Vec<(PartyId, PartyId, BundledAaMsg)>,
+        ) {
+        }
+    }
+
+    #[test]
+    fn hostile_iteration_tags_are_dropped_without_panicking() {
+        let cfg = cfg(4, 1);
+        let inputs: Vec<Vec<f64>> = (0..4).map(|i| vec![i as f64, 10.0 - i as f64]).collect();
+        let hostile = hostile_bundles(4, 2);
+
+        // Straight through `on_message`: nothing overflows, nothing is
+        // kept for a round that never comes.
+        let mut party = BundledAaParty::new(PartyId(0), cfg, inputs[0].clone()).unwrap();
+        let mut ctx = AsyncCtx::external(PartyId(0), 4, 0.0, false);
+        for payload in hostile.clone() {
+            let env = Envelope {
+                from: PartyId(3),
+                to: PartyId(0),
+                payload,
+            };
+            AsyncProtocol::on_message(&mut party, env, &mut ctx);
+        }
+        assert!(party.async_buf.is_empty(), "hostile bundles were buffered");
+
+        // In a run: the honest outputs are the synchronous engine's with
+        // party 3 silent.
+        let sync = run_simulation(
+            SimConfig {
+                n: 4,
+                t: 1,
+                max_rounds: 10 + cfg.rounds(),
+            },
+            |id, _| BundledAaParty::new(id, cfg, inputs[id.index()].clone()).unwrap(),
+            StaticByzantine {
+                parties: vec![PartyId(3)],
+                behave: |_: &mut AdversaryCtx<'_, BundledAaMsg>| {},
+            },
+        )
+        .unwrap()
+        .honest_outputs();
+        for seed in [1, 7] {
+            let report = run_async(
+                AsyncConfig {
+                    n: 4,
+                    t: 1,
+                    seed,
+                    delay: DelayModel::Uniform { min: 0.1 },
+                    max_events: 200_000,
+                },
+                |id, _| BundledAaParty::new(id, cfg, inputs[id.index()].clone()).unwrap(),
+                Hostile(hostile.clone()),
+            )
+            .unwrap();
+            assert_eq!(report.honest_outputs(), sync, "seed {seed}");
+        }
     }
 }

@@ -40,9 +40,9 @@
 //!
 //! * [`RealAaParty`] — the protocol, fixed-round or with sound early
 //!   stopping ([`RealAaConfig::early_stopping`]);
-//! * [`BundledAaParty`] — `k` independent instances of it sharing one
-//!   message per round, instance for instance bit-identical to
-//!   [`RealAaParty`];
+//! * [`BundledAaParty`] — `k` instances sharing one message per round:
+//!   the per-instance machine and round schedule of [`RealAaParty`]
+//!   (private module `instance`, written once) on a bundled wire;
 //! * [`IteratedAaParty`] — the classic `O(log(D/ε))`-round
 //!   trim-and-halve baseline of Dolev et al., for the comparisons in the
 //!   paper's introduction;
@@ -76,6 +76,7 @@
 #![warn(missing_docs)]
 pub mod adversary;
 mod bundle;
+mod instance;
 mod iterated;
 mod multiset;
 mod real_aa;

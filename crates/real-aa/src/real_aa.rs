@@ -1,14 +1,16 @@
-//! The gradecast-based `RealAA` protocol (Theorem 3's building block).
-//!
-//! Each iteration runs all `n` gradecasts over [`BatchGradecast`]'s
-//! struct-of-arrays wire: one `Arc`-shared batch broadcast per sender per
-//! round, quadratic delivered bytes. See `gradecast::batch` for the
-//! encoding and the vote-by-hash soundness argument.
+//! The gradecast-based `RealAA` protocol (Theorem 3's building block):
+//! its public configuration and the solo party's wire. The iteration rule,
+//! termination, trace events and round schedule are `crate::instance`'s,
+//! shared with the bundled party. Here each iteration runs all `n`
+//! gradecasts over [`BatchGradecast`]'s struct-of-arrays wire: one
+//! `Arc`-shared batch broadcast per sender per round, quadratic delivered
+//! bytes. See `gradecast::batch` for the encoding and the vote-by-hash
+//! soundness argument.
 
-use gradecast::{BatchGradecast, GcBatchMsg, Grade};
+use gradecast::{BatchGradecast, GcBatchMsg};
 use sim_net::{Inbox, PartyId, Payload, Protocol, RoundCtx};
 
-use crate::multiset::trimmed_mean;
+use crate::instance::{Instance, Phase, Scratch};
 use crate::rounds::iterations_for;
 use crate::value::R64;
 
@@ -145,93 +147,18 @@ impl Payload for RealAaMsg {
     }
 }
 
-/// The numeric outcome of one completed iteration.
-pub(crate) struct IterationOutcome {
-    /// The trimmed mean to adopt; `None` only off the honest path (the
-    /// caller keeps its current value, preserving validity).
-    pub new_value: Option<f64>,
-    /// Minimum accepted value (`+∞` when nothing was accepted).
-    pub accepted_lo: f64,
-    /// Maximum accepted value (`−∞` when nothing was accepted).
-    pub accepted_hi: f64,
-}
-
-/// The numeric core of one completed iteration — multiset construction
-/// with the fill rule, muting, accepted-range scan, trimmed mean — shared
-/// verbatim by [`RealAaParty`] and the bundled party so their value
-/// trajectories are bit-identical by construction. `multiset` and
-/// `accepted` are caller-owned scratch (cleared here), so neither party
-/// allocates per iteration.
-///
-/// The accepted-range scan and the trimmed-mean sum run through the
-/// `aa-kernels` chunked kernels: exact left-to-right/streaming semantics
-/// below the dispatch threshold (recorded small-n traces unchanged),
-/// auto-vectorized at the n ≥ 1024 scale sizes.
-pub(crate) fn apply_iteration(
-    cfg: &RealAaConfig,
-    outputs: &[gradecast::GradecastOutput<R64>],
-    muted: &mut [bool],
-    multiset: &mut Vec<f64>,
-    accepted: &mut Vec<f64>,
-) -> IterationOutcome {
-    // Build the size-n multiset: one slot per leader, the accepted value
-    // for grades >= 1 and the public fill constant otherwise. Keeping
-    // every honest multiset at exactly n entries is essential: two honest
-    // multisets then differ in at most t_i *replacements* (the leaders
-    // burned this iteration), and the trimmed means of equal-size
-    // multisets differing in k replacements diverge by at most
-    // k * range / (n - 2t) — the envelope behind Theorem 3. (With
-    // variable-size multisets, one planted extreme value shifts the whole
-    // trim window and the divergence can reach range/2.)
-    multiset.clear();
-    accepted.clear();
-    for (leader, out) in outputs.iter().enumerate() {
-        // Acceptance is purely grade-based; muting below only affects
-        // future relaying (see crate docs).
-        if out.accepted() {
-            let v = out.value.expect("accepted implies value").get();
-            multiset.push(v);
-            accepted.push(v);
-        } else if !cfg.ablate_variable_multisets {
-            multiset.push(cfg.fill_value);
-        }
-        if out.grade <= Grade::One && !cfg.ablate_no_muting {
-            muted[leader] = true;
-        }
-    }
-    let (accepted_lo, accepted_hi) =
-        aa_kernels::min_max_f64(accepted).unwrap_or((f64::INFINITY, f64::NEG_INFINITY));
-    IterationOutcome {
-        new_value: trimmed_mean(multiset, cfg.t),
-        accepted_lo,
-        accepted_hi,
-    }
-}
-
-/// One party of the `RealAA(ε)` protocol.
-///
-/// Iteration `i` (0-based) occupies rounds `3i+1` (lead), `3i+2` (echo) and
-/// `3i+3` (vote); the votes are delivered — and the value updated — at the
-/// start of round `3i+4`, which is also the next iteration's lead round, so
-/// iterations are seamlessly pipelined and the protocol uses exactly `3R`
-/// communication rounds. Emits one `gc.grade` trace event per leader and
-/// one `realaa.iter` event per completed iteration.
+/// One party of the `RealAA(ε)` protocol: one per-instance machine behind a
+/// [`BatchGradecast`], on the shared round schedule (iteration `i` on
+/// rounds `3i+1..=3i+3`, `3R` rounds in all). Emits one `gc.grade` trace
+/// event per leader and one `realaa.iter` event per completed iteration.
 #[derive(Clone, Debug)]
 pub struct RealAaParty {
     cfg: RealAaConfig,
-    value: f64,
+    inst: Instance,
     /// Leaders muted so far (carried across iterations).
     muted: Vec<bool>,
     gc: BatchGradecast<R64>,
-    iterations_done: u32,
-    output: Option<f64>,
-    /// Spread of the accepted multiset in the last completed iteration.
-    last_accepted_spread: f64,
-    /// Value after each completed iteration (index 0 = input).
-    history: Vec<f64>,
-    /// Scratch of [`apply_iteration`], reused every iteration.
-    multiset_buf: Vec<f64>,
-    accepted_buf: Vec<f64>,
+    scratch: Scratch,
 }
 
 impl RealAaParty {
@@ -242,28 +169,21 @@ impl RealAaParty {
     /// Panics if `input` is not finite or `me` is out of range (honest
     /// inputs are real values; a non-finite input is a harness bug).
     pub fn new(me: PartyId, cfg: RealAaConfig, input: f64) -> Self {
-        assert!(input.is_finite(), "honest inputs must be finite");
         assert!(me.index() < cfg.n, "party id out of range");
         let muted = vec![false; cfg.n];
-        let gc = BatchGradecast::with_muted(me, cfg.n, cfg.t, muted.clone());
         RealAaParty {
             cfg,
-            value: input,
+            inst: Instance::new(input, None),
+            gc: BatchGradecast::with_muted(me, cfg.n, cfg.t, muted.clone()),
             muted,
-            gc,
-            iterations_done: 0,
-            output: None,
-            last_accepted_spread: f64::INFINITY,
-            history: vec![input],
-            multiset_buf: Vec::new(),
-            accepted_buf: Vec::new(),
+            scratch: Scratch::default(),
         }
     }
 
     /// The party's current value (its input before round 1, its running
     /// estimate afterwards).
     pub fn current_value(&self) -> f64 {
-        self.value
+        self.inst.value
     }
 
     /// How many parties this party has muted so far — the observable trace
@@ -276,78 +196,7 @@ impl RealAaParty {
     /// `history()[i]` the value after iteration `i`. Convergence
     /// experiments read per-iteration contraction factors off this.
     pub fn history(&self) -> &[f64] {
-        &self.history
-    }
-
-    fn finish_iteration<'a>(
-        &mut self,
-        votes: impl Iterator<Item = (PartyId, &'a GcBatchMsg<R64>)>,
-        iter_tag: u32,
-        ctx: &mut RoundCtx<RealAaMsg>,
-    ) {
-        let outputs = self.gc.on_votes(votes);
-        for (leader, out) in outputs.iter().enumerate() {
-            ctx.emit_with(|| {
-                let mut ev = sim_net::ProtoEvent::new("gc.grade")
-                    .u64("iter", u64::from(iter_tag))
-                    .u64("leader", leader as u64)
-                    .u64("grade", u64::from(out.grade.as_u8()));
-                if let Some(v) = out.value {
-                    ev = ev.f64("value", v.get());
-                }
-                ev
-            });
-        }
-        let outcome = apply_iteration(
-            &self.cfg,
-            &outputs,
-            &mut self.muted,
-            &mut self.multiset_buf,
-            &mut self.accepted_buf,
-        );
-        self.last_accepted_spread = if outcome.accepted_lo.is_finite() {
-            outcome.accepted_hi - outcome.accepted_lo
-        } else {
-            f64::INFINITY
-        };
-        if let Some(mean) = outcome.new_value {
-            self.value = mean;
-        }
-        // else: unreachable (the multiset always has n > 3t > 2t entries);
-        // keeping the current value would preserve validity regardless.
-        self.history.push(self.value);
-        self.iterations_done += 1;
-        ctx.emit_with(|| {
-            let mut ev = sim_net::ProtoEvent::new("realaa.iter").u64("iter", u64::from(iter_tag));
-            if outcome.accepted_lo.is_finite() {
-                ev = ev
-                    .f64("lo", outcome.accepted_lo)
-                    .f64("hi", outcome.accepted_hi)
-                    .f64("spread", outcome.accepted_hi - outcome.accepted_lo);
-            }
-            ev.f64("value", self.value)
-        });
-    }
-
-    fn maybe_terminate(&mut self) -> bool {
-        let fixed_done = self.iterations_done >= self.cfg.iterations();
-        let early = self.cfg.early_stopping
-            && self.iterations_done >= 1
-            && self.last_accepted_spread <= self.cfg.eps;
-        if fixed_done || early {
-            self.output = Some(self.value);
-            true
-        } else {
-            false
-        }
-    }
-
-    fn start_iteration(&mut self, ctx: &mut RoundCtx<RealAaMsg>, iter_tag: u32) {
-        self.gc.reset_with_muted(&self.muted);
-        ctx.broadcast(RealAaMsg {
-            iter: iter_tag,
-            body: self.gc.lead_msg(R64::new(self.value)),
-        });
+        &self.inst.history
     }
 
     /// [`Protocol::step`] on `(sender, message)` pairs instead of an
@@ -360,23 +209,9 @@ impl RealAaParty {
         received: impl Iterator<Item = (PartyId, &'a RealAaMsg)>,
         ctx: &mut RoundCtx<RealAaMsg>,
     ) {
-        if self.output.is_some() {
+        if self.inst.output.is_some() {
             return;
         }
-        if round == 1 && self.cfg.iterations() == 0 {
-            // Inputs are promised ε-close already.
-            self.output = Some(self.value);
-            return;
-        }
-        if round > self.cfg.rounds() + 1 {
-            // Past the schedule (a benign fault froze us through the
-            // decision round): adopt the current value, which never
-            // leaves the hull of accepted values.
-            self.output = Some(self.value);
-            return;
-        }
-        let phase = (round - 1) % 3;
-        let iter_tag = (round - 1) / 3;
         // Batches arrive `Arc`-shared and are fed to the gradecast by
         // reference, so nothing is copied.
         let tagged = |tag: u32| {
@@ -384,33 +219,26 @@ impl RealAaParty {
                 .filter(move |(_, m)| m.iter == tag)
                 .map(|(from, m)| (from, &m.body))
         };
-        match phase {
-            0 => {
-                // Finish the previous iteration (if any), then lead the
-                // next one.
-                if iter_tag > 0 {
-                    self.finish_iteration(tagged(iter_tag - 1), iter_tag - 1, ctx);
-                    if self.maybe_terminate() {
+        let (iter, body) = match Phase::of(&self.cfg, round) {
+            Phase::Decide => {
+                self.inst.decide();
+                return;
+            }
+            Phase::Lead { grade, iter } => {
+                if let Some(at) = grade {
+                    let grades = self.gc.on_votes(tagged(at.iter));
+                    let (cfg, muted, scratch) = (&self.cfg, &mut self.muted, &mut self.scratch);
+                    if self.inst.finish(cfg, at, &grades, muted, scratch, ctx) {
                         return;
                     }
                 }
-                self.start_iteration(ctx, iter_tag);
+                self.gc.reset_with_muted(&self.muted);
+                (iter, self.gc.lead_msg(R64::new(self.inst.value)))
             }
-            1 => {
-                let batch = self.gc.on_leads(tagged(iter_tag));
-                ctx.broadcast(RealAaMsg {
-                    iter: iter_tag,
-                    body: batch,
-                });
-            }
-            _ => {
-                let batch = self.gc.on_echoes(tagged(iter_tag));
-                ctx.broadcast(RealAaMsg {
-                    iter: iter_tag,
-                    body: batch,
-                });
-            }
-        }
+            Phase::Echo(iter) => (iter, self.gc.on_leads(tagged(iter))),
+            Phase::Vote(iter) => (iter, self.gc.on_echoes(tagged(iter))),
+        };
+        ctx.broadcast(RealAaMsg { iter, body });
     }
 }
 
@@ -423,7 +251,7 @@ impl Protocol for RealAaParty {
     }
 
     fn output(&self) -> Option<f64> {
-        self.output
+        self.inst.output
     }
 }
 

@@ -3,8 +3,9 @@
 //! that instance alone as a [`RealAaParty`] — same outputs, same
 //! run length, same degradation verdicts, and the same protocol-level
 //! trace events (grades and iteration summaries) — under honest,
-//! crashing, equivocating, and scheduled-fault executions, in both the
-//! sequential and the parallel stepping engine.
+//! crashing, equivocating, and scheduled-fault executions and at the
+//! configuration edges (no iterations, fixed counts, ablations), in both
+//! the sequential and the parallel stepping engine.
 //!
 //! This is the proof obligation that makes bundling safe to use for
 //! throughput: amortizing k instances over one wire must not change any
@@ -249,6 +250,36 @@ fn equivocating_bundles_match_solo_runs() {
                 adv_bundle,
                 adv_solo,
             );
+        }
+    }
+}
+
+#[test]
+fn configuration_edges_match_solo_runs() {
+    // The rules the shared per-instance machine and round schedule own,
+    // at their edges: no iterations at all (D ≤ ε, so both parties
+    // output their inputs at round 1), a fixed count of one and of four,
+    // and both ablations. Honest runs, and the crash pattern of
+    // `crashing_bundles_match_solo_runs`, which puts grade-0 leaders into
+    // the later iterations (fill rule, muting).
+    let base = cfg(false);
+    let zero = RealAaConfig::new(N, T, EPS, EPS).expect("valid config");
+    assert_eq!(zero.iterations(), 0);
+    let crashes = || CrashAdversary {
+        crashes: vec![(PartyId(1), 2), (PartyId(4), 3)],
+    };
+    for cfg in [
+        zero,
+        base.with_fixed_iterations(1),
+        base.with_fixed_iterations(4),
+        base.with_ablated_muting(),
+        base.with_ablated_fill_rule(),
+    ] {
+        for k in [1, 3] {
+            for mode in MODES {
+                assert_bundle_equivalent(cfg, k, mode, &FaultPlan::none(), Passive, || Passive);
+                assert_bundle_equivalent(cfg, k, mode, &FaultPlan::none(), crashes(), crashes);
+            }
         }
     }
 }

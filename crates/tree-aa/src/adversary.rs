@@ -117,18 +117,6 @@ impl Adversary<PlainVertexMsg> for NrChaos {
     }
 }
 
-/// A value-steering adversary against `TreeAA`: its corrupted parties run
-/// the protocol *honestly* but with adversary-chosen input vertices —
-/// the cheapest way to pull the agreed value toward a target region of
-/// the tree (used by the E6 "valid subtree, invalid vertex" experiment).
-///
-/// Because the corrupted parties follow the protocol, this adversary is
-/// implemented purely at the harness level: construct the corrupted
-/// parties with the steering inputs and run [`sim_net::Passive`]. The
-/// type exists to make that pattern explicit and reusable.
-#[derive(Clone, Copy, Debug)]
-pub struct SteeringByInput;
-
 #[cfg(test)]
 mod tests {
     use super::*;
