@@ -23,6 +23,8 @@
 //!   turns it into a frame loss), and `delay_spike_permille` a
 //!   per-chunk forwarding stall.
 //!
+//! The proxy's acceptor blocks in `accept()`; stopping dials it awake.
+//!
 //! Everything is deterministic in `(plan.seed, node, connection
 //! ordinal, direction)`, so a chaos run can be rerun with the same
 //! fault script — though wall-clock interleaving keeps byte-level
@@ -109,8 +111,11 @@ impl ChaosProxy {
 
     fn shutdown(&mut self) {
         self.shared.stop.store(true, Ordering::SeqCst);
+        // A failed wake-up dial detaches the acceptor instead of joining it.
         if let Some(h) = self.acceptor.take() {
-            let _ = h.join();
+            if TcpStream::connect_timeout(&self.addr, Duration::from_secs(1)).is_ok() {
+                let _ = h.join();
+            }
         }
         let relays = std::mem::take(&mut *self.shared.relays.lock().expect("chaos lock"));
         for h in relays {
@@ -134,7 +139,6 @@ impl Drop for ChaosProxy {
 pub fn spawn_chaos_proxy(target: SocketAddr, cfg: ChaosConfig) -> std::io::Result<ChaosProxy> {
     let listener = TcpListener::bind("127.0.0.1:0")?;
     let addr = listener.local_addr()?;
-    listener.set_nonblocking(true)?;
     let shared = Arc::new(ProxyShared {
         cfg,
         target: Mutex::new(target),
@@ -155,28 +159,22 @@ pub fn spawn_chaos_proxy(target: SocketAddr, cfg: ChaosConfig) -> std::io::Resul
 }
 
 fn accept_loop(listener: &TcpListener, shared: &Arc<ProxyShared>) {
-    loop {
+    for client in listener.incoming().flatten() {
         if shared.stop.load(Ordering::SeqCst) {
             return;
         }
-        match listener.accept() {
-            Ok((client, _)) => {
-                if shared.blackout() {
-                    // Refuse: the fronted node is "crashed"/"severed".
-                    let _ = client.shutdown(Shutdown::Both);
-                    continue;
-                }
-                let target = *shared.target.lock().expect("chaos lock");
-                let Ok(server) = TcpStream::connect_timeout(&target, Duration::from_millis(250))
-                else {
-                    let _ = client.shutdown(Shutdown::Both);
-                    continue;
-                };
-                let conn = shared.conn_counter.fetch_add(1, Ordering::SeqCst);
-                spawn_relay_pair(shared, client, server, conn);
-            }
-            Err(_) => thread::sleep(Duration::from_millis(3)),
+        if shared.blackout() {
+            // Refuse: the fronted node is "crashed"/"severed".
+            let _ = client.shutdown(Shutdown::Both);
+            continue;
         }
+        let target = *shared.target.lock().expect("chaos lock");
+        let Ok(server) = TcpStream::connect_timeout(&target, Duration::from_millis(250)) else {
+            let _ = client.shutdown(Shutdown::Both);
+            continue;
+        };
+        let conn = shared.conn_counter.fetch_add(1, Ordering::SeqCst);
+        spawn_relay_pair(shared, client, server, conn);
     }
 }
 

@@ -34,7 +34,8 @@
 //! backoff reconnects by the dialing side (`i` dials every `j < i`);
 //! a peer unreachable past the policy's deadline is declared dead and
 //! excluded from the bound, leaving protocol-level degradation to the
-//! silence-evidence machinery above the transport.
+//! silence-evidence machinery above the transport. The shell's threads
+//! block on sockets, queues and the node's condvar, never on a sleep.
 //!
 //! # Durability and crash recovery
 //!
@@ -66,8 +67,8 @@
 //!   set without ever touching the replay filter.
 
 use std::fmt;
-use std::io::{self, ErrorKind, Read, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::io::{Read, Write};
+use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard};
@@ -420,10 +421,8 @@ struct Shared {
     inner: Mutex<Inner>,
     cv: Condvar,
     shutdown: AtomicBool,
-    /// Ordering 5: the acceptor serves nobody until this is set — a
-    /// recovering node must finish its replay before any handshake can
-    /// read the retention/have state the replay rebuilds.
-    accepting: AtomicBool,
+    /// The acceptor thread and the address that wakes it from `accept()`.
+    acceptor: Mutex<Option<(JoinHandle<()>, SocketAddr)>>,
     /// The write-ahead log, when the run is durable.
     /// Lock order: `inner` before `wal`, never the reverse.
     wal: Mutex<Option<WalWriter>>,
@@ -448,7 +447,7 @@ impl Shared {
             }),
             cv: Condvar::new(),
             shutdown: AtomicBool::new(false),
-            accepting: AtomicBool::new(false),
+            acceptor: Mutex::new(None),
             wal: Mutex::new(wal),
             writer_handles: Mutex::new(Vec::new()),
             aux_handles: Mutex::new(Vec::new()),
@@ -524,7 +523,7 @@ fn park(handles: &Mutex<Vec<JoinHandle<()>>>, handle: JoinHandle<()>) {
 /// delay schedule.
 fn read_one_frame(stream: &mut TcpStream) -> Result<Vec<u8>, NetError> {
     let mut prefix = [0u8; PREFIX_LEN];
-    stream.read_exact(&mut prefix).map_err(map_handshake_eof)?;
+    stream.read_exact(&mut prefix)?;
     let len = u32::from_be_bytes(prefix) as usize;
     if len > MAX_FRAME {
         return Err(NetError::Handshake(format!(
@@ -532,16 +531,8 @@ fn read_one_frame(stream: &mut TcpStream) -> Result<Vec<u8>, NetError> {
         )));
     }
     let mut payload = vec![0u8; len];
-    stream.read_exact(&mut payload).map_err(map_handshake_eof)?;
+    stream.read_exact(&mut payload)?;
     Ok(payload)
-}
-
-fn map_handshake_eof(e: io::Error) -> NetError {
-    if e.kind() == ErrorKind::UnexpectedEof {
-        NetError::Handshake("connection closed mid-handshake".into())
-    } else {
-        NetError::from(e)
-    }
 }
 
 /// Writes our Hello to `stream`; its `wire_seq` reservation is logged
@@ -719,7 +710,6 @@ fn dial_handshake(
     patience: Duration,
 ) -> Result<(), NetError> {
     let mut stream = TcpStream::connect_timeout(&cfg.peers[peer], Duration::from_millis(500))?;
-    stream.set_nodelay(true).ok();
     write_hello(shared, peer, &mut stream)?;
     stream.set_read_timeout(Some(patience))?;
     let (_, peer_hello) = read_hello(shared, &mut stream, Some(peer))?;
@@ -729,7 +719,6 @@ fn dial_handshake(
 /// One accepted connection: identify the dialer by its Hello, answer
 /// with ours, register.
 fn accept_handshake(shared: &Arc<Shared>, mut stream: TcpStream) -> Result<(), NetError> {
-    stream.set_nodelay(true).ok();
     stream.set_read_timeout(Some(Duration::from_secs(2)))?;
     let (peer, peer_hello) = read_hello(shared, &mut stream, None)?;
     if peer < shared.id.me {
@@ -745,10 +734,13 @@ fn accept_handshake(shared: &Arc<Shared>, mut stream: TcpStream) -> Result<(), N
 /// Background reconnect attempts for a dialed peer; declares it dead
 /// when the policy is exhausted.
 fn reconnect_loop(shared: &Arc<Shared>, cfg: &NodeConfig, peer: usize) {
+    let cv = &shared.cv;
+    let running = |_: &mut Inner| !shared.shutdown.load(Ordering::SeqCst);
     for attempt in 0..cfg.reconnect.attempts {
-        thread::sleep(cfg.reconnect.backoff(attempt));
+        // On the condvar, not a sleep: teardown's notify ends the backoff.
+        let _ = cv.wait_timeout_while(shared.lock(), cfg.reconnect.backoff(attempt), running);
         if shared.shutdown.load(Ordering::SeqCst) {
-            break;
+            return;
         }
         shared
             .lock()
@@ -833,9 +825,8 @@ where
     // Open (or recover) the WAL before anything touches the network.
     let (wal, replay) = open_wal(cfg, durability)?;
     let shared = Shared::new(cfg, wal);
-    let acceptor = spawn_acceptor(&shared, listener)?;
-    let result = drive_node(cfg, &shared, proto, replay, &probe, on_ready);
-    teardown(&shared, acceptor);
+    let result = drive_node(cfg, &shared, listener, proto, replay, &probe, on_ready);
+    teardown(&shared);
     result
 }
 
@@ -870,39 +861,47 @@ fn open_wal(
 }
 
 /// Lifetime acceptor: serves both the initial handshakes from higher
-/// peers and any re-dials after a drop.
-fn spawn_acceptor(shared: &Arc<Shared>, listener: TcpListener) -> Result<JoinHandle<()>, NetError> {
-    listener.set_nonblocking(true)?;
-    let shared = Arc::clone(shared);
-    Ok(thread::spawn(move || loop {
-        if shared.shutdown.load(Ordering::SeqCst) {
-            return;
-        }
-        // Replay in progress (ordering 5): dialers wait in the backlog.
-        if shared.accepting.load(Ordering::SeqCst) {
-            if let Ok((stream, _)) = listener.accept() {
-                // Handshake concurrently: a serial acceptor would block
-                // peer k's Hello behind peer j's, long enough for k to
-                // give up a connection we then register — and the first
-                // frames written into it are lost.
-                stream.set_nonblocking(false).ok();
-                let sh = Arc::clone(&shared);
-                let handle = thread::spawn(move || {
-                    let _ = accept_handshake(&sh, stream);
-                });
-                park(&shared.aux_handles, handle);
-                continue;
+/// peers and any re-dials after a drop. It blocks in `accept()` until
+/// [`teardown`] dials it; an unspecified IP is dialed on loopback.
+fn spawn_acceptor(shared: &Arc<Shared>, listener: TcpListener) -> Result<(), NetError> {
+    let mut wake = listener.local_addr()?;
+    match &mut wake {
+        SocketAddr::V4(a) if a.ip().is_unspecified() => a.set_ip(Ipv4Addr::LOCALHOST),
+        SocketAddr::V6(a) if a.ip().is_unspecified() => a.set_ip(Ipv6Addr::LOCALHOST),
+        _ => {}
+    }
+    let sh = Arc::clone(shared);
+    let handle = thread::spawn(move || {
+        for stream in listener.incoming().flatten() {
+            if sh.shutdown.load(Ordering::SeqCst) {
+                return;
             }
+            // Handshake concurrently: a serial acceptor would block
+            // peer k's Hello behind peer j's, long enough for k to give
+            // up a connection we then register — and the first frames
+            // written into it are lost.
+            let shared = Arc::clone(&sh);
+            let handle = thread::spawn(move || {
+                let _ = accept_handshake(&shared, stream);
+            });
+            park(&sh.aux_handles, handle);
         }
-        thread::sleep(Duration::from_millis(3));
-    }))
+    });
+    *shared.acceptor.lock().expect("net lock") = Some((handle, wake));
+    Ok(())
 }
 
-/// Ordering 6: close the writer queues and join the writers first, so
+/// The acceptor goes first (woken by one dial, detached if that fails).
+/// Then ordering 6: close the writer queues and join the writers, so
 /// queued frames (the final Done) are flushed; only then shut the
 /// sockets down to unblock the readers, and join everything else.
-fn teardown(shared: &Shared, acceptor: JoinHandle<()>) {
+fn teardown(shared: &Shared) {
     shared.shutdown.store(true, Ordering::SeqCst);
+    if let Some((acceptor, wake)) = shared.acceptor.lock().expect("net lock").take() {
+        if TcpStream::connect_timeout(&wake, Duration::from_secs(1)).is_ok() {
+            let _ = acceptor.join();
+        }
+    }
     for slot in &mut shared.lock().links {
         slot.tx = None;
     }
@@ -918,7 +917,6 @@ fn teardown(shared: &Shared, acceptor: JoinHandle<()>) {
     for h in aux {
         let _ = h.join();
     }
-    let _ = acceptor.join();
 }
 
 /// Initial link bring-up: dial lower peers (retrying while the cluster
@@ -956,11 +954,12 @@ fn bring_up(cfg: &NodeConfig, shared: &Arc<Shared>, start: Instant) -> Result<()
 }
 
 /// The virtual-time main loop (see the module docs for the invariants):
-/// replay, bring-up, then drain → activate the safe prefix → control
-/// plane → liveness, until the table says the run is over.
+/// replay, the acceptor, bring-up, then drain → activate the safe prefix
+/// → control plane → liveness, until the table says the run is over.
 fn drive_node<P, R>(
     cfg: &NodeConfig,
     shared: &Arc<Shared>,
+    listener: TcpListener,
     proto: P,
     replay: Option<Vec<WalRecord>>,
     probe: &dyn Fn(&P) -> u64,
@@ -991,12 +990,13 @@ where
         }
     };
 
-    // Crash recovery, before any link comes up (ordering 5).
+    // Ordering 5: replay rebuilds what a Hello reads before the acceptor
+    // exists (dialers wait in the kernel backlog).
     let recovered = replay.is_some();
     if let Some(records) = replay {
         driver.replay(records, &mut shared.lock().table, probe)?;
     }
-    shared.accepting.store(true, Ordering::SeqCst);
+    spawn_acceptor(shared, listener)?;
     bring_up(cfg, shared, start)?;
     on_ready();
     if !recovered {
@@ -1195,15 +1195,22 @@ mod tests {
         cfg.wall_timeout = Duration::from_secs(20);
         // `run_node`, opened up to look at the slots before teardown.
         let shared = Shared::new(&cfg, None);
-        let acceptor = spawn_acceptor(&shared, my_listener).expect("acceptor");
         let at_ready = Arc::clone(&shared);
-        let result = drive_node(&cfg, &shared, InstantProto, None, &|_| 0, move || {
-            assert_one_slot_per_live_link(&at_ready, 1);
-        });
+        let result = drive_node(
+            &cfg,
+            &shared,
+            my_listener,
+            InstantProto,
+            None,
+            &|_| 0,
+            move || {
+                assert_one_slot_per_live_link(&at_ready, 1);
+            },
+        );
         // Every forced reconnect replaced the slot and every cut emptied
         // it: the peer is dead now, and nothing is left registered.
         assert_one_slot_per_live_link(&shared, 0);
-        teardown(&shared, acceptor);
+        teardown(&shared);
         let report = result.expect("node run");
         fake.join().expect("fake peer");
         assert_eq!(report.output, Some(1));
@@ -1268,15 +1275,20 @@ mod tests {
 
     #[test]
     fn the_dead_peer_deadline_fires_without_waiting_for_backoff_exhaustion() {
+        let started = Instant::now();
         let (trace, stats) = scripted_disconnect_trace(
             ReconnectPolicy {
                 attempts: 100,
-                base_delay_ms: 200,
-                max_delay_ms: 200,
+                base_delay_ms: 30_000,
+                max_delay_ms: 30_000,
                 dead_after_ms: 40,
             },
             1,
         );
+        // Teardown included: the reconnect thread is parked in its first
+        // 30 s backoff when the run ends, and teardown's notify ends it.
+        let elapsed = started.elapsed();
+        assert!(elapsed < Duration::from_secs(5), "took {elapsed:?}");
         assert!(trace
             .events
             .iter()
@@ -1286,5 +1298,39 @@ mod tests {
             .iter()
             .any(|e| matches!(e.kind, EventKind::NetBackoffExhausted { .. })));
         assert_eq!(stats.dead_peers, 1);
+    }
+
+    /// `treeaa serve --bind 0.0.0.0:0` hands the node such a listener:
+    /// teardown's wake-up dial must reach it through loopback.
+    #[test]
+    fn teardown_wakes_an_acceptor_on_the_unspecified_address() {
+        let listener = TcpListener::bind("0.0.0.0:0").expect("bind");
+        let addr = listener.local_addr().expect("addr");
+        let cfg = NodeConfig::new(0, 1, 0, vec![addr], 0x5eed, 0xfeed_f00d, 7);
+        let node_cfg = cfg.clone();
+        let (tx, rx) = mpsc::channel();
+        thread::spawn(move || {
+            let _ = tx.send(run_node(&node_cfg, listener, InstantProto, || {}).map(|r| r.output));
+        });
+        // The watchdog: a run whose teardown hangs on its acceptor fails
+        // here instead of wedging the suite.
+        let output = rx
+            .recv_timeout(Duration::from_secs(5))
+            .expect("run_node returned within 5 s");
+        assert_eq!(output.expect("node run"), Some(1));
+
+        // Linux also routes a dial to 0.0.0.0 to loopback; hosts that
+        // refuse one need the mapping, so the wake address is checked too.
+        let shared = Shared::new(&cfg, None);
+        let listener = TcpListener::bind("0.0.0.0:0").expect("bind");
+        spawn_acceptor(&shared, listener).expect("acceptor");
+        let wake = shared
+            .acceptor
+            .lock()
+            .expect("net lock")
+            .as_ref()
+            .map(|a| a.1);
+        assert!(wake.is_some_and(|a| a.ip().is_loopback()), "{wake:?}");
+        teardown(&shared);
     }
 }
