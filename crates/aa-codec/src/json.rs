@@ -94,6 +94,8 @@ impl fmt::Display for Json {
         match self {
             Json::Null => f.write_str("null"),
             Json::Bool(b) => write!(f, "{b}"),
+            // JSON has no token for ±inf or NaN: they render as `null`.
+            Json::Num(x) if !x.is_finite() => f.write_str("null"),
             Json::Num(x) => {
                 if x.fract() == 0.0 && x.abs() <= 2f64.powi(53) {
                     write!(f, "{}", *x as i64)
@@ -399,6 +401,24 @@ mod tests {
         assert!(Json::parse("1 2").is_err());
         assert!(Json::parse("\"abc").is_err());
         assert!(Json::parse("nul").is_err());
+    }
+
+    #[test]
+    fn non_finite_numbers_render_as_null_and_read_back() {
+        let doc = Json::Arr(vec![
+            Json::Num(f64::INFINITY),
+            Json::Num(f64::NEG_INFINITY),
+            Json::Num(f64::NAN),
+            Json::Num(f64::MAX),
+        ]);
+        let text = doc.to_string();
+        assert_eq!(text, format!("[null, null, null, {}]", f64::MAX));
+        let back = Json::parse(&text).unwrap();
+        assert_eq!(
+            back.as_arr().unwrap()[..3],
+            [Json::Null, Json::Null, Json::Null]
+        );
+        assert_eq!(back.to_string(), text);
     }
 
     #[test]

@@ -221,3 +221,23 @@ proptest! {
         prop_assert_eq!(format!("{expanded:?}"), format!("{direct:?}"));
     }
 }
+
+/// An accepted spread of ±`f64::MAX` makes a RealAA iteration's spread
+/// +inf; the trace it lands in must still read back.
+#[test]
+fn a_trace_with_an_infinite_spread_reads_back() {
+    let mut trace = Trace::new(7, 2, "inf-spread");
+    trace.push(
+        3,
+        EventKind::Proto {
+            party: 0,
+            event: ProtoEvent::new("realaa.iter")
+                .f64("spread", f64::INFINITY)
+                .f64("value", 1.5),
+        },
+    );
+    let text = trace.to_canonical_string();
+    let back = Trace::parse(&text).expect("reads back");
+    assert_eq!(back.to_canonical_string(), text);
+    assert_eq!(back.fingerprint(), trace.fingerprint());
+}

@@ -185,9 +185,8 @@ pub enum Command {
         /// reference, event for event.
         gate: bool,
         /// Supervise the children: run every node durably behind a
-        /// stable supervisor-owned relay, restart crashed nodes into
-        /// `--recover` mode with capped backoff, and watchdog the whole
-        /// deployment against silent stalls.
+        /// stable supervisor-owned relay and restart crashed nodes into
+        /// `--recover` mode with capped backoff.
         supervise: bool,
         /// Seed of a chaos fault plan injected by the relays (resets,
         /// corruption, stalls, transient blackouts). Implies relays;
@@ -201,27 +200,6 @@ pub enum Command {
         /// Directory for the children's WALs in supervised mode (empty
         /// uses a per-run scratch directory).
         wal_dir: String,
-    },
-    /// `bench`: measure bundled many-instance AA throughput against
-    /// independent single-instance runs, with a differential output gate.
-    Bench {
-        /// Number of in-flight AA instances sharing one gradecast wire.
-        bundle: usize,
-        /// Number of parties.
-        n: usize,
-        /// Corruption bound.
-        t: usize,
-        /// `sim` (in-process synchronous engine) or `tcp` (real loopback
-        /// deployment through the `net` crate).
-        transport: String,
-        /// Cap on independent baseline runs actually timed; the baseline
-        /// total is linearly extrapolated when `bundle` exceeds it.
-        baseline_cap: usize,
-        /// Minimum required bundled-vs-independent speedup; exits
-        /// non-zero below it (0 disables the gate).
-        min_speedup: f64,
-        /// JSON report file (empty writes the JSON to stdout).
-        out: String,
     },
     /// `wal-dump`: print a node's write-ahead log, one JSON line per
     /// record.
@@ -403,22 +381,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
             kill_after_ready: opts.get("kill-after-ready").cloned().unwrap_or_default(),
             wal_dir: opts.get("wal-dir").cloned().unwrap_or_default(),
         }),
-        "bench" => Ok(Command::Bench {
-            bundle: parse_num(req(&opts, "bundle")?, "bundle")?,
-            n: opts.get("n").map_or(Ok(4), |s| parse_num(s, "n"))?,
-            t: opts.get("t").map_or(Ok(1), |s| parse_num(s, "t"))?,
-            transport: opts
-                .get("transport")
-                .cloned()
-                .unwrap_or_else(|| "sim".into()),
-            baseline_cap: opts
-                .get("baseline-cap")
-                .map_or(Ok(64), |s| parse_num(s, "baseline-cap"))?,
-            min_speedup: opts
-                .get("min-speedup")
-                .map_or(Ok(0.0), |s| parse_num(s, "min-speedup"))?,
-            out: opts.get("out").cloned().unwrap_or_default(),
-        }),
         "trace" => Ok(Command::Trace {
             scenario: req(&opts, "scenario")?.to_string(),
             seed: opts.get("seed").map_or(Ok(0), |s| parse_num(s, "seed"))?,
@@ -448,8 +410,6 @@ USAGE:
                 [--max-runs <K>] [--threads <W>] [--symmetry]
                 [--out <file>]
   treeaa trace  --scenario <name> [--seed <S>] [--out <file>]
-  treeaa bench  --bundle <K> [--n <N>] [--t <T>] [--transport sim|tcp]
-                [--baseline-cap <C>] [--min-speedup <X>] [--out <file>]
   treeaa serve  --tree <familyK|file> --inputs <l1,l2,...> --party-id <I>
                 [--t <T>] [--seed <S>] [--min-delay <F>] [--secret <K>]
                 [--bind <addr:port>] [--peers <a0,a1,...>]
@@ -498,22 +458,6 @@ the canonical trace JSON — every round, send, delivery and protocol
 decision. The trace is byte-identical across step modes and runs, so
 `(scenario, seed)` reproduces the file exactly.
 
-`bench` measures amortized many-instance throughput: one run of the
-bundled party (--bundle K instances sharing each gradecast round's
-struct-of-arrays wire) against K independent single-instance runs on
-the same inputs. --transport sim times the in-process synchronous
-engine (CPU-bound amortization); --transport tcp times real loopback
-deployments through the `net` crate — n MAC-authenticated TCP
-processes per run — where each independent instance also pays its own
-handshakes, round pacing, and per-message syscalls, the costs bundling
-amortizes. At most --baseline-cap independent runs are timed and the
-baseline total is linearly extrapolated beyond that (the per-run cost
-is constant). Every timed independent run's outputs must be
-bit-identical to the matching bundled instance — any divergence is an
-error, so the bench doubles as a differential gate. Emits a JSON
-report (agreements/sec for both sides and the speedup); with
---min-speedup X, exits non-zero if the speedup falls below X.
-
 `serve` runs one party of a real multi-process deployment: it binds a
 TCP listener, prints `PORT <p>`, learns the full index-aligned address
 vector from --peers or from a `PEERS a0,...,an-1` stdin line, completes
@@ -540,16 +484,17 @@ runs the in-process reference simulator on the same case, demands that
 the merged networked trace reconciles with the reference trace event
 for event — the differential gate — and prints the schedule-blind
 `proto fingerprint` of the merged trace. --runs repeats the whole
-deployment as a load driver; every run must pass. Exits non-zero on any
-disagreement, degradation, or gate divergence.
+deployment as a load driver; every run must pass. A liveness watchdog
+turns a silent stall into a diagnostic dump and a non-zero exit instead
+of a hang. Exits non-zero on any disagreement, degradation, or gate
+divergence.
 
 With --supervise every child runs durably (a WAL under --wal-dir)
 behind a stable supervisor-owned relay; a child that exits before its
 OUTCOME is restarted with --recover under capped backoff (at most 3
-restarts), its relay is retargeted to the new incarnation, and a
-liveness watchdog turns a silent stall into a diagnostic dump and a
-non-zero exit instead of a hang. --kill-after-ready i,j SIGKILLs those
-children once the whole deployment is READY — the crash-recovery e2e.
+restarts) and its relay is retargeted to the new incarnation.
+--kill-after-ready i,j SIGKILLs those children once the whole
+deployment is READY — the crash-recovery e2e.
 --chaos S drives the relays with the seeded fault plan S (connection
 resets, byte corruption, latency stalls, transient blackouts);
 correctness is still refereed, but --gate is refused because chaos
@@ -756,83 +701,7 @@ fn spawn_serve_child(
     Ok((child, stdout))
 }
 
-/// Launches `n` `serve` processes on loopback, wires them over the
-/// PORT/PEERS protocol, and collects their outcomes (and traces, when
-/// `trace_files` names one file per party).
-fn run_cluster_once(
-    spec: &ClusterSpec<'_>,
-    n: usize,
-    trace_files: Option<&[std::path::PathBuf]>,
-) -> Result<Vec<ServeOutcome>, String> {
-    use std::io::{BufRead, BufReader, Write};
-    use std::process::Child;
-
-    let mut children: Vec<Child> = Vec::with_capacity(n);
-    let mut stdouts = Vec::with_capacity(n);
-    let spawn_err = |i: usize, e: &dyn std::fmt::Display| format!("party {i}: {e}");
-    for i in 0..n {
-        let launch = ChildLaunch {
-            trace_file: trace_files.map(|files| files[i].as_path()),
-            ..ChildLaunch::default()
-        };
-        let (child, stdout) = spawn_serve_child(spec, i, &launch)?;
-        stdouts.push(BufReader::new(stdout));
-        children.push(child);
-    }
-    // Kill everything on any error so a partial deployment can't linger.
-    let result = (|| {
-        let mut ports = Vec::with_capacity(n);
-        for (i, rd) in stdouts.iter_mut().enumerate() {
-            let mut line = String::new();
-            rd.read_line(&mut line).map_err(|e| spawn_err(i, &e))?;
-            let port = line
-                .trim()
-                .strip_prefix("PORT ")
-                .ok_or_else(|| format!("party {i}: expected a PORT line, got `{line}`"))?;
-            ports.push(format!("127.0.0.1:{port}"));
-        }
-        let peers = ports.join(",");
-        for (i, child) in children.iter_mut().enumerate() {
-            let stdin = child.stdin.as_mut().expect("piped stdin");
-            writeln!(stdin, "PEERS {peers}").map_err(|e| spawn_err(i, &e))?;
-        }
-        let mut outcomes = Vec::with_capacity(n);
-        for (i, rd) in stdouts.iter_mut().enumerate() {
-            loop {
-                let mut line = String::new();
-                if rd.read_line(&mut line).map_err(|e| spawn_err(i, &e))? == 0 {
-                    // EOF before an OUTCOME: reap the child right here
-                    // (no zombie) and report how it actually died.
-                    let status = children[i].wait().map_err(|e| spawn_err(i, &e))?;
-                    return Err(format!(
-                        "party {i}: exited with {status} before an OUTCOME line"
-                    ));
-                }
-                if line.starts_with("OUTCOME ") {
-                    outcomes.push(parse_outcome_line(&line)?);
-                    break;
-                }
-            }
-        }
-        for (i, child) in children.iter_mut().enumerate() {
-            let status = child.wait().map_err(|e| spawn_err(i, &e))?;
-            if !status.success() {
-                return Err(format!("party {i}: exited with {status}"));
-            }
-        }
-        outcomes.sort_by_key(|o| o.party);
-        Ok(outcomes)
-    })();
-    if result.is_err() {
-        for child in &mut children {
-            let _ = child.kill();
-            let _ = child.wait();
-        }
-    }
-    result
-}
-
-/// One stdout event from a supervised child.
+/// One stdout event from a cluster child.
 enum ChildEvent {
     Line(String),
     Eof,
@@ -859,7 +728,7 @@ fn spawn_stdout_reader(
 }
 
 /// Supervision state of one child slot (across incarnations).
-struct Supervised {
+struct ChildSlot {
     child: Option<std::process::Child>,
     port: Option<u16>,
     ready: bool,
@@ -877,25 +746,39 @@ const MAX_RESTARTS: u32 = 3;
 /// instead of hanging.
 const WATCHDOG: std::time::Duration = std::time::Duration::from_secs(30);
 
-/// The supervised (and/or chaos-injected) cluster runner.
+/// What a managed (`--supervise` and/or `--chaos`) cluster run adds to
+/// the plain launch.
+struct Managed<'a> {
+    /// Directory of the children's WALs.
+    wal_dir: &'a std::path::Path,
+    /// Seed of the relays' fault plan.
+    chaos: Option<u64>,
+    /// Parties to SIGKILL once the deployment is READY.
+    kills: &'a [usize],
+    /// Restart children that die before their OUTCOME.
+    supervise: bool,
+}
+
+/// The cluster launcher and referee: spawns `n` `serve` children, wires
+/// them over the PORT/PEERS protocol, and collects their outcomes (and
+/// traces, when `trace_files` names one file per party). A watchdog
+/// turns a silent stall into a diagnostic dump and an error.
 ///
-/// Every child is fronted by a supervisor-owned relay with a *stable*
-/// address: the PEERS vector names the relays, so when a crashed child
+/// A plain run hands the children each other's ports. A managed run
+/// fronts every child with a supervisor-owned relay with a *stable*
+/// address and hands out the relays instead, so when a crashed child
 /// restarts on a fresh ephemeral port (binding the old port would race
 /// lingering TIME_WAIT sockets), the supervisor simply retargets its
 /// relay and the peers' reconnect dials reach the new incarnation.
-/// Children run durably (a WAL each under `wal_dir`) and restarts pass
-/// `--recover`, so a restarted node replays its prefix and rejoins
-/// mid-protocol. With `chaos = Some(seed)` the same relays also inject
-/// the seeded fault plan.
-fn run_cluster_supervised(
+/// Managed children run durably (a WAL each under `wal_dir`) and
+/// restarts pass `--recover`, so a restarted node replays its prefix
+/// and rejoins mid-protocol. With `chaos = Some(seed)` the same relays
+/// also inject the seeded fault plan.
+fn run_cluster(
     spec: &ClusterSpec<'_>,
     n: usize,
     trace_files: Option<&[std::path::PathBuf]>,
-    wal_dir: &std::path::Path,
-    chaos: Option<u64>,
-    kills: &[usize],
-    supervise: bool,
+    managed: Option<&Managed<'_>>,
 ) -> Result<Vec<ServeOutcome>, String> {
     use std::io::Write;
     use std::sync::mpsc;
@@ -906,27 +789,34 @@ fn run_cluster_supervised(
     // otherwise be waited on until the wall timeout. Plain supervision
     // needs the opposite — few retries, but a deadline long enough to
     // sit out a capped-backoff restart plus a WAL replay.
-    let reconnect = if chaos.is_some() {
-        (200u32, 15_000u64)
+    let reconnect = managed.map(|m| {
+        if m.chaos.is_some() {
+            (200u32, 15_000u64)
+        } else {
+            (60u32, 20_000u64)
+        }
+    });
+    let max_restarts = if managed.is_some_and(|m| m.supervise) {
+        MAX_RESTARTS
     } else {
-        (60u32, 20_000u64)
+        0
     };
-    let max_restarts = if supervise { MAX_RESTARTS } else { 0 };
-    let wal_file = |i: usize| wal_dir.join(format!("node{i}.wal"));
+    let kills = managed.map_or(&[][..], |m| m.kills);
+    let wal_file = |i: usize| managed.map(|m| m.wal_dir.join(format!("node{i}.wal")));
 
     let (tx, rx) = mpsc::channel::<(usize, ChildEvent)>();
-    let mut slots: Vec<Supervised> = Vec::with_capacity(n);
+    let mut slots: Vec<ChildSlot> = Vec::with_capacity(n);
     for i in 0..n {
         let wal = wal_file(i);
         let launch = ChildLaunch {
             trace_file: trace_files.map(|files| files[i].as_path()),
-            wal: Some((&wal, false)),
-            reconnect: Some(reconnect),
+            wal: wal.as_deref().map(|w| (w, false)),
+            reconnect,
             ..ChildLaunch::default()
         };
         let (child, stdout) = spawn_serve_child(spec, i, &launch)?;
         spawn_stdout_reader(i, stdout, tx.clone());
-        slots.push(Supervised {
+        slots.push(ChildSlot {
             child: Some(child),
             port: None,
             ready: false,
@@ -942,7 +832,7 @@ fn run_cluster_supervised(
     let mut kills_fired = kills.is_empty();
     let mut idle_strikes = 0u32;
 
-    let dump = |slots: &[Supervised], note: &str| {
+    let dump = |slots: &[ChildSlot], note: &str| {
         eprintln!("supervisor: {note}");
         for (i, s) in slots.iter().enumerate() {
             eprintln!(
@@ -993,32 +883,41 @@ fn run_cluster_supervised(
                             // relay over to the fresh port.
                             proxy.retarget(addr);
                             eprintln!("supervisor: party {i} back up on {addr}, relay retargeted");
-                        } else if slots.iter().all(|s| s.port.is_some()) && proxies.is_empty() {
-                            // Bring-up complete: front every child with
-                            // a relay and hand out the relay addresses.
-                            for (j, slot) in slots.iter().enumerate() {
-                                let target = std::net::SocketAddr::from((
+                        } else if peer_list.is_empty() && slots.iter().all(|s| s.port.is_some()) {
+                            // Bring-up complete: hand out the children's
+                            // own addresses or, managed, front every child
+                            // with a relay and hand out the relays'.
+                            let ports = slots.iter().map(|s| {
+                                std::net::SocketAddr::from((
                                     [127, 0, 0, 1],
-                                    slot.port.expect("all ports known"),
-                                ));
-                                let plan = match chaos {
-                                    Some(seed) => net::seeded_plan(seed, n),
-                                    None => sim_net::FaultPlan::none(),
-                                };
-                                let proxy = net::spawn_chaos_proxy(
-                                    target,
-                                    net::ChaosConfig {
-                                        plan,
-                                        node: j,
-                                        round_ms: 40,
-                                    },
-                                )
-                                .map_err(|e| format!("relay for party {j}: {e}"))?;
-                                proxies.push(proxy);
-                            }
-                            peer_list = proxies
+                                    s.port.expect("all ports known"),
+                                ))
+                            });
+                            let peers: Vec<std::net::SocketAddr> = match managed {
+                                None => ports.collect(),
+                                Some(m) => {
+                                    for (j, target) in ports.enumerate() {
+                                        let plan = match m.chaos {
+                                            Some(seed) => net::seeded_plan(seed, n),
+                                            None => sim_net::FaultPlan::none(),
+                                        };
+                                        let proxy = net::spawn_chaos_proxy(
+                                            target,
+                                            net::ChaosConfig {
+                                                plan,
+                                                node: j,
+                                                round_ms: 40,
+                                            },
+                                        )
+                                        .map_err(|e| format!("relay for party {j}: {e}"))?;
+                                        proxies.push(proxy);
+                                    }
+                                    proxies.iter().map(|p| p.addr).collect()
+                                }
+                            };
+                            peer_list = peers
                                 .iter()
-                                .map(|p| p.addr.to_string())
+                                .map(ToString::to_string)
                                 .collect::<Vec<_>>()
                                 .join(",");
                             for (j, slot) in slots.iter_mut().enumerate() {
@@ -1062,7 +961,8 @@ fn run_cluster_supervised(
                     }
                     if slots[i].restarts >= max_restarts {
                         return Err(format!(
-                            "party {i}: exited with {status} and exhausted {max_restarts} restart(s)"
+                            "party {i}: exited with {status} before its OUTCOME \
+                             ({max_restarts} restart(s) allowed)"
                         ));
                     }
                     let backoff = std::time::Duration::from_millis(
@@ -1078,8 +978,8 @@ fn run_cluster_supervised(
                     let launch = ChildLaunch {
                         peers: Some(&peer_list),
                         trace_file: trace_files.map(|files| files[i].as_path()),
-                        wal: Some((&wal, true)),
-                        reconnect: Some(reconnect),
+                        wal: wal.as_deref().map(|w| (w, true)),
+                        reconnect,
                     };
                     let (child, stdout) = spawn_serve_child(spec, i, &launch)?;
                     spawn_stdout_reader(i, stdout, tx.clone());
@@ -1108,283 +1008,6 @@ fn run_cluster_supervised(
         .collect();
     outcomes.sort_by_key(|o| o.party);
     Ok(outcomes)
-}
-
-/// Result of one bundled-vs-independent throughput comparison.
-#[derive(Debug)]
-pub struct BundleBenchReport {
-    /// `sim` or `tcp`.
-    pub transport: String,
-    /// Instances bundled onto one wire.
-    pub k: usize,
-    /// Parties / corruption bound of every run.
-    pub n: usize,
-    /// Corruption bound.
-    pub t: usize,
-    /// Synchronous rounds each run executes (no early stopping).
-    pub rounds: u32,
-    /// Wall-clock seconds of the single bundled simulation.
-    pub bundled_secs: f64,
-    /// Bundled agreements per second (`k / bundled_secs`).
-    pub bundled_rate: f64,
-    /// Independent baseline runs actually timed (`min(k, cap)`).
-    pub timed: usize,
-    /// Wall-clock seconds of the timed independent runs.
-    pub independent_secs: f64,
-    /// Independent agreements per second (`timed / independent_secs`).
-    pub independent_rate: f64,
-    /// Linear extrapolation of the full k-run independent baseline.
-    pub independent_total_secs_extrapolated: f64,
-    /// `bundled_rate / independent_rate`.
-    pub speedup: f64,
-}
-
-impl BundleBenchReport {
-    /// Renders the report as a self-describing JSON object.
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\n  \"transport\": \"{}\",\n  \"k\": {},\n  \"n\": {},\n  \"t\": {},\n  \
-             \"rounds\": {},\n  \
-             \"bundled\": {{ \"wall_s\": {:.6}, \"agreements_per_sec\": {:.1} }},\n  \
-             \"independent\": {{ \"runs_timed\": {}, \"wall_s\": {:.6}, \
-             \"agreements_per_sec\": {:.1}, \"extrapolated_total_s\": {:.3} }},\n  \
-             \"speedup\": {:.2}\n}}",
-            self.transport,
-            self.k,
-            self.n,
-            self.t,
-            self.rounds,
-            self.bundled_secs,
-            self.bundled_rate,
-            self.timed,
-            self.independent_secs,
-            self.independent_rate,
-            self.independent_total_secs_extrapolated,
-            self.speedup,
-        )
-    }
-}
-
-/// Deterministic per-(party, instance) bench input in `[0, 8)`.
-fn bench_input(p: usize, j: usize) -> f64 {
-    ((p * 31 + j * 17 + 3) % 101) as f64 / 100.0 * 8.0
-}
-
-/// Times one bundled k-instance run against `min(k, baseline_cap)`
-/// independent single-instance runs on identical inputs, demanding
-/// bit-identical outputs for every timed pair (the differential gate).
-fn run_bundle_bench(
-    k: usize,
-    n: usize,
-    t: usize,
-    transport: &str,
-    baseline_cap: usize,
-) -> Result<BundleBenchReport, String> {
-    if k == 0 {
-        return Err("--bundle must be at least 1".into());
-    }
-    if baseline_cap == 0 {
-        return Err("--baseline-cap must be at least 1".into());
-    }
-    match transport {
-        "sim" => run_bundle_bench_sim(k, n, t, baseline_cap),
-        "tcp" => run_bundle_bench_tcp(k, n, t, baseline_cap),
-        other => Err(format!("unknown transport `{other}`; use sim or tcp")),
-    }
-}
-
-fn run_bundle_bench_sim(
-    k: usize,
-    n: usize,
-    t: usize,
-    baseline_cap: usize,
-) -> Result<BundleBenchReport, String> {
-    // No early stopping: every instance runs the full round count, so
-    // both sides time an identical, deterministic workload.
-    let cfg = real_aa::RealAaConfig::new(n, t, 0.5, 8.0)?;
-    let sim = SimConfig {
-        n,
-        t,
-        max_rounds: cfg.rounds() + 8,
-    };
-
-    let start = std::time::Instant::now();
-    let bundled = run_simulation(
-        sim,
-        |id, _n| {
-            let inputs = (0..k).map(|j| bench_input(id.index(), j)).collect();
-            real_aa::BundledAaParty::new(id, cfg, inputs).expect("k >= 1 checked above")
-        },
-        Passive,
-    )
-    .map_err(|e| format!("bundled run failed: {e}"))?;
-    let bundled_secs = start.elapsed().as_secs_f64().max(1e-9);
-    let bundled_outputs = bundled.honest_outputs();
-    if bundled_outputs.len() != n {
-        return Err("bundled run lost a party".into());
-    }
-
-    let timed = k.min(baseline_cap);
-    let start = std::time::Instant::now();
-    let mut solo_outputs: Vec<Vec<f64>> = Vec::with_capacity(timed);
-    for j in 0..timed {
-        let report = run_simulation(
-            sim,
-            |id, _n| real_aa::RealAaParty::new(id, cfg, bench_input(id.index(), j)),
-            Passive,
-        )
-        .map_err(|e| format!("independent run {j} failed: {e}"))?;
-        solo_outputs.push(report.honest_outputs());
-    }
-    let independent_secs = start.elapsed().as_secs_f64().max(1e-9);
-
-    // Differential gate: each timed independent run must reproduce its
-    // bundled instance bit for bit.
-    for (j, solo) in solo_outputs.iter().enumerate() {
-        for (p, &v) in solo.iter().enumerate() {
-            let b = bundled_outputs[p][j];
-            if b.to_bits() != v.to_bits() {
-                return Err(format!(
-                    "differential gate: instance {j} party {p} diverged \
-                     (bundled {b}, independent {v})"
-                ));
-            }
-        }
-    }
-
-    let bundled_rate = k as f64 / bundled_secs;
-    let independent_rate = timed as f64 / independent_secs;
-    Ok(BundleBenchReport {
-        transport: "sim".into(),
-        k,
-        n,
-        t,
-        rounds: cfg.rounds(),
-        bundled_secs,
-        bundled_rate,
-        timed,
-        independent_secs,
-        independent_rate,
-        independent_total_secs_extrapolated: independent_secs / timed as f64 * k as f64,
-        speedup: bundled_rate / independent_rate,
-    })
-}
-
-/// One real loopback deployment of `Reliable<BundledAaParty>`: n TCP
-/// processes (threads) on ephemeral 127.0.0.1 ports, MAC-authenticated
-/// handshakes, conservative virtual-time synchronisation. Returns every
-/// party's per-instance outputs.
-fn run_tcp_bundle_deployment(
-    cfg: real_aa::RealAaConfig,
-    inputs: &[Vec<f64>],
-) -> Result<Vec<Vec<f64>>, String> {
-    let n = cfg.n;
-    let reports = net::run_local_nodes(
-        n,
-        &net::ClusterOpts::new(0xbe9c_b09d),
-        |me, peers, secret| {
-            let mut node_cfg = net::NodeConfig::new(me, n, cfg.t, peers, secret, 0xb1, 7);
-            node_cfg.label = "bench-bundle".into();
-            node_cfg
-        },
-        |me| {
-            let party = real_aa::BundledAaParty::new(sim_net::PartyId(me), cfg, inputs[me].clone())
-                .map_err(|e| e.to_string())?;
-            Ok(async_net::Reliable::new(party, n))
-        },
-        |_| 0,
-    )
-    .map_err(|e| format!("bench {e}"))?;
-    let mut outputs = Vec::with_capacity(n);
-    for (me, report) in reports.into_iter().enumerate() {
-        if report.stats.rejected_malformed != 0 || report.stats.rejected_mac != 0 {
-            return Err(format!("bench node {me} rejected wire messages"));
-        }
-        outputs.push(
-            report
-                .output
-                .ok_or_else(|| format!("bench node {me} had no output"))?,
-        );
-    }
-    Ok(outputs)
-}
-
-fn run_bundle_bench_tcp(
-    k: usize,
-    n: usize,
-    t: usize,
-    baseline_cap: usize,
-) -> Result<BundleBenchReport, String> {
-    let cfg = real_aa::RealAaConfig::new(n, t, 0.5, 8.0)?;
-    let inputs: Vec<Vec<f64>> = (0..n)
-        .map(|p| (0..k).map(|j| bench_input(p, j)).collect())
-        .collect();
-
-    let start = std::time::Instant::now();
-    let bundled_outputs = run_tcp_bundle_deployment(cfg, &inputs)?;
-    let bundled_secs = start.elapsed().as_secs_f64().max(1e-9);
-
-    // Differential gate, part 1: the networked run must reproduce the
-    // in-process synchronous engine bit for bit.
-    let reference = run_simulation(
-        SimConfig {
-            n,
-            t,
-            max_rounds: cfg.rounds() + 8,
-        },
-        |id, _n| {
-            real_aa::BundledAaParty::new(id, cfg, inputs[id.index()].clone())
-                .expect("k >= 1 checked above")
-        },
-        Passive,
-    )
-    .map_err(|e| format!("reference run failed: {e}"))?
-    .honest_outputs();
-    if bundled_outputs != reference {
-        return Err("differential gate: networked bundle diverged from the engine".into());
-    }
-
-    // Independent baseline: one full deployment per instance (its own
-    // sockets, handshakes, and round pacing), carrying exactly one
-    // instance.
-    let timed = k.min(baseline_cap);
-    let start = std::time::Instant::now();
-    // `j` indexes instances (inputs AND expected outputs), not a slice.
-    #[allow(clippy::needless_range_loop)]
-    for j in 0..timed {
-        let solo_inputs: Vec<Vec<f64>> = (0..n).map(|p| vec![bench_input(p, j)]).collect();
-        let solo = run_tcp_bundle_deployment(cfg, &solo_inputs)?;
-        // Differential gate, part 2: a deployment carrying only
-        // instance j must reproduce the bundled instance j bit for bit.
-        for (p, out) in solo.iter().enumerate() {
-            if out[0].to_bits() != bundled_outputs[p][j].to_bits() {
-                return Err(format!(
-                    "differential gate: instance {j} party {p} diverged \
-                     (bundled {}, independent {})",
-                    bundled_outputs[p][j], out[0]
-                ));
-            }
-        }
-    }
-    let independent_secs = start.elapsed().as_secs_f64().max(1e-9);
-
-    let bundled_rate = k as f64 / bundled_secs;
-    let independent_rate = timed as f64 / independent_secs;
-    Ok(BundleBenchReport {
-        transport: "tcp".into(),
-        k,
-        n,
-        t,
-        rounds: cfg.rounds(),
-        bundled_secs,
-        bundled_rate,
-        timed,
-        independent_secs,
-        independent_rate,
-        independent_total_secs_extrapolated: independent_secs / timed as f64 * k as f64,
-        speedup: bundled_rate / independent_rate,
-    })
 }
 
 /// Executes a command, writing human-readable output to `out`.
@@ -1510,37 +1133,6 @@ pub fn execute(cmd: Command, out: &mut impl std::io::Write) -> Result<(), String
                     Err(format!("property violation: {}", cex.violation))
                 }
             }
-        }
-        Command::Bench {
-            bundle,
-            n,
-            t,
-            transport,
-            baseline_cap,
-            min_speedup,
-            out: out_path,
-        } => {
-            let report = run_bundle_bench(bundle, n, t, &transport, baseline_cap)?;
-            let json = report.to_json();
-            if out_path.is_empty() {
-                writeln!(out, "{json}").map_err(io)?;
-            } else {
-                std::fs::write(&out_path, format!("{json}\n")).map_err(io)?;
-            }
-            writeln!(
-                out,
-                "bench: k={bundle} bundled {:.1} agreements/s, independent {:.1} \
-                 agreements/s, speedup {:.2}x (baseline timed {} of {} runs)",
-                report.bundled_rate, report.independent_rate, report.speedup, report.timed, bundle
-            )
-            .map_err(io)?;
-            if min_speedup > 0.0 && report.speedup < min_speedup {
-                return Err(format!(
-                    "speedup gate failed: {:.2}x < required {min_speedup}x",
-                    report.speedup
-                ));
-            }
-            Ok(())
         }
         Command::WalDump { file } => {
             let bytes = std::fs::read(&file).map_err(|e| format!("cannot read `{file}`: {e}"))?;
@@ -1868,33 +1460,29 @@ pub fn execute(cmd: Command, out: &mut impl std::io::Write) -> Result<(), String
                         })
                         .collect()
                 });
-                let outcomes = if managed {
-                    let (wdir, scratch) = if wal_dir.is_empty() {
-                        let dir = std::env::temp_dir()
-                            .join(format!("treeaa-wal-{}-{run}", std::process::id()));
-                        (dir, true)
+                let wdir = managed.then(|| {
+                    if wal_dir.is_empty() {
+                        std::env::temp_dir()
+                            .join(format!("treeaa-wal-{}-{run}", std::process::id()))
                     } else {
-                        (std::path::PathBuf::from(&wal_dir), false)
-                    };
-                    std::fs::create_dir_all(&wdir).map_err(io)?;
-                    let result = run_cluster_supervised(
-                        &spec,
-                        n,
-                        trace_files.as_deref(),
-                        &wdir,
-                        chaos,
-                        &kills,
-                        supervise,
-                    );
-                    // A failed run keeps its WALs around for diagnosis.
-                    if scratch && result.is_ok() {
-                        let _ = std::fs::remove_dir_all(&wdir);
+                        std::path::PathBuf::from(&wal_dir)
                     }
-                    result
-                } else {
-                    run_cluster_once(&spec, n, trace_files.as_deref())
+                });
+                if let Some(dir) = &wdir {
+                    std::fs::create_dir_all(dir).map_err(io)?;
                 }
-                .map_err(|e| format!("run {run}: {e}"))?;
+                let managed = wdir.as_deref().map(|dir| Managed {
+                    wal_dir: dir,
+                    chaos,
+                    kills: &kills,
+                    supervise,
+                });
+                let result = run_cluster(&spec, n, trace_files.as_deref(), managed.as_ref());
+                // A failed run keeps its WALs around for diagnosis.
+                if let (Some(dir), true, true) = (&wdir, wal_dir.is_empty(), result.is_ok()) {
+                    let _ = std::fs::remove_dir_all(dir);
+                }
+                let outcomes = result.map_err(|e| format!("run {run}: {e}"))?;
                 for o in &outcomes {
                     if o.degraded {
                         return Err(format!(
@@ -1982,96 +1570,6 @@ mod tests {
             }
             other => panic!("unexpected {other:?}"),
         }
-    }
-
-    #[test]
-    fn parses_bench_with_defaults() {
-        let cmd = parse_args(&argv("bench --bundle 100")).unwrap();
-        assert_eq!(
-            cmd,
-            Command::Bench {
-                bundle: 100,
-                n: 4,
-                t: 1,
-                transport: "sim".into(),
-                baseline_cap: 64,
-                min_speedup: 0.0,
-                out: String::new(),
-            }
-        );
-        let cmd = parse_args(&argv(
-            "bench --bundle 17 --n 7 --t 2 --transport tcp --baseline-cap 5 \
-             --min-speedup 1.5 --out b.json",
-        ))
-        .unwrap();
-        assert_eq!(
-            cmd,
-            Command::Bench {
-                bundle: 17,
-                n: 7,
-                t: 2,
-                transport: "tcp".into(),
-                baseline_cap: 5,
-                min_speedup: 1.5,
-                out: "b.json".into(),
-            }
-        );
-    }
-
-    #[test]
-    fn bench_times_both_sides_and_passes_the_differential_gate() {
-        let mut buf = Vec::new();
-        execute(
-            Command::Bench {
-                bundle: 8,
-                n: 4,
-                t: 1,
-                transport: "sim".into(),
-                baseline_cap: 3,
-                min_speedup: 0.0,
-                out: String::new(),
-            },
-            &mut buf,
-        )
-        .unwrap();
-        let text = String::from_utf8(buf).unwrap();
-        assert!(text.contains("\"k\": 8"), "{text}");
-        assert!(text.contains("\"runs_timed\": 3"), "{text}");
-        assert!(text.contains("\"speedup\""), "{text}");
-        assert!(text.contains("bench: k=8"), "{text}");
-    }
-
-    #[test]
-    fn bench_rejects_an_empty_bundle_and_gates_on_min_speedup() {
-        let err = execute(
-            Command::Bench {
-                bundle: 0,
-                n: 4,
-                t: 1,
-                transport: "sim".into(),
-                baseline_cap: 64,
-                min_speedup: 0.0,
-                out: String::new(),
-            },
-            &mut Vec::new(),
-        )
-        .unwrap_err();
-        assert!(err.contains("--bundle"), "{err}");
-        // An impossible gate must fail the command after printing the report.
-        let err = execute(
-            Command::Bench {
-                bundle: 2,
-                n: 4,
-                t: 1,
-                transport: "sim".into(),
-                baseline_cap: 1,
-                min_speedup: 1e12,
-                out: String::new(),
-            },
-            &mut Vec::new(),
-        )
-        .unwrap_err();
-        assert!(err.contains("speedup gate failed"), "{err}");
     }
 
     #[test]

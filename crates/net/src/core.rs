@@ -910,8 +910,15 @@ where
     }
 
     /// Processes the safe prefix of the global [`VKey`] order: every
-    /// pending event whose time is inside `bound`. Returns whether
+    /// pending event whose time is inside `snap.bound`. Returns whether
     /// there was any.
+    ///
+    /// Once this node has output and every peer has died, nothing is
+    /// left to process: no frame can arrive, `bound` is infinite, and
+    /// the pending events are retransmission timers that re-arm
+    /// themselves — processing them would spin to the event cap before
+    /// [`LinkTable::control`] could end the run. The twin of
+    /// [`Snapshot::isolated`], after the output instead of before it.
     ///
     /// Ordering 3, second half: in a durable run each event's record
     /// goes to `log` BEFORE the event activates the protocol — a crash
@@ -926,11 +933,15 @@ where
     /// [`NetError::Stalled`] past the event cap; whatever `log` returns.
     pub(crate) fn run_ready(
         &mut self,
-        bound: f64,
+        snap: Snapshot,
         probe: &dyn Fn(&P) -> u64,
         log: &mut impl FnMut(WalRecord) -> Result<(), NetError>,
         wire: &mut impl FnMut(DataOut),
     ) -> Result<bool, NetError> {
+        let bound = snap.bound;
+        if bound.is_infinite() && self.has_output() {
+            return Ok(false);
+        }
         let mut any = false;
         while self
             .pending
@@ -1282,9 +1293,9 @@ mod tests {
             result
         }
 
-        /// The safe prefix up to `bound` (`None`: the start activation),
+        /// The safe prefix of `snap` (`None`: the start activation),
         /// each message flushed as the shell's `send_data` does.
-        fn activate(&mut self, bound: Option<f64>, wires: &mut Wires) -> bool {
+        fn activate(&mut self, snap: Option<Snapshot>, wires: &mut Wires) -> bool {
             let Node {
                 me,
                 table,
@@ -1298,13 +1309,13 @@ mod tests {
                 table.send_data(d, out);
                 flush(*me, out, &mut log.borrow_mut(), wires);
             };
-            let Some(bound) = bound else {
+            let Some(snap) = snap else {
                 driver.activate(0.0, Event::Start, &mut wire);
                 return true;
             };
             let mut append = |rec| log.borrow_mut().append(rec);
             driver
-                .run_ready(bound, &probe, &mut append, &mut wire)
+                .run_ready(snap, &probe, &mut append, &mut wire)
                 .unwrap_or(true)
         }
 
@@ -1330,7 +1341,7 @@ mod tests {
             let drained = self.table.drain();
             let snap = drained.snap;
             assert_eq!(self.driver.absorb(drained).expect("peers alive"), 0);
-            progress |= self.activate(Some(snap.bound), wires);
+            progress |= self.activate(Some(snap), wires);
             let (vnow, ready) = (self.driver.vnow(), self.driver.has_output());
             let (finished, sent) = self.on_table(wires, |t, out| {
                 let ctl = t.control(vnow, ready, false, snap, out);
@@ -1564,8 +1575,12 @@ mod tests {
                 assert!(live.read_wires(&mut wires));
             }
             let drained = live.table.drain();
+            let snap = Snapshot {
+                bound: time,
+                ..drained.snap
+            };
             assert_eq!(live.driver.absorb(drained).expect("peers alive"), 0);
-            assert!(live.activate(Some(time), &mut wires));
+            assert!(live.activate(Some(snap), &mut wires));
         }
         let steps = |log: &[WalRecord]| -> Vec<WalRecord> {
             let keep = |r: &&WalRecord| matches!(r, WalRecord::Event(_) | WalRecord::Mark(_));
@@ -1859,5 +1874,52 @@ mod tests {
             sent(&mut out),
             vec![(Done, 1.0), (DoneAck, 1.0), (Null, 3.0)]
         );
+    }
+
+    /// Outputs at once, then re-arms a retransmission timer forever:
+    /// `Reliable` waiting for acknowledgements that will never come.
+    struct Nagging;
+
+    impl AsyncProtocol for Nagging {
+        type Msg = u64;
+        type Output = u64;
+
+        fn on_start(&mut self, ctx: &mut AsyncCtx<u64>) {
+            ctx.set_timer(1.0, 0);
+        }
+
+        fn on_message(&mut self, _: Envelope<u64>, _: &mut AsyncCtx<u64>) {}
+
+        fn on_timer(&mut self, token: u64, ctx: &mut AsyncCtx<u64>) {
+            ctx.set_timer(1.0, token);
+        }
+
+        fn output(&self) -> Option<u64> {
+            Some(0)
+        }
+    }
+
+    #[test]
+    fn a_node_that_output_and_then_lost_every_peer_ends_its_run() {
+        let mut cfg = config(0);
+        cfg.max_events = 1_000;
+        let mut table = LinkTable::new(LinkId::of(&cfg));
+        let mut driver = Driver::new(&cfg, Nagging, false);
+        let mut out = Outbox::default();
+        driver.activate(0.0, Event::Start, &mut |_| unreachable!("sends nothing"));
+        let snap = table.drain().snap;
+        let ctl = table.control(driver.vnow(), driver.has_output(), false, snap, &mut out);
+        assert!(!ctl.finished, "the peers have not finished");
+
+        // After the output, every peer is declared dead.
+        assert!(table.liveness(false, |_| true).is_empty());
+        let drained = table.drain();
+        let snap = drained.snap;
+        assert!(snap.bound.is_infinite() && snap.all_finished && !snap.isolated);
+        assert_eq!(driver.absorb(drained).expect("output came first"), 0);
+        let ran = driver.run_ready(snap, &|_| 0, &mut |_| Ok(()), &mut |_| unreachable!());
+        assert!(matches!(ran, Ok(false)), "{ran:?}");
+        let ctl = table.control(driver.vnow(), driver.has_output(), false, snap, &mut out);
+        assert!(ctl.finished);
     }
 }

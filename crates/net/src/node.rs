@@ -1027,7 +1027,7 @@ where
         }
 
         let mut log = |rec: WalRecord| shared.append_wal(&rec);
-        activity |= driver.run_ready(snap.bound, probe, &mut log, &mut wire)?;
+        activity |= driver.run_ready(snap, probe, &mut log, &mut wire)?;
 
         let keepalive_due = last_keepalive.elapsed() >= Duration::from_millis(KEEPALIVE_MS);
         if keepalive_due {

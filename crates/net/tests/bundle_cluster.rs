@@ -14,10 +14,6 @@ const N: usize = 4;
 const T: usize = 1;
 const K: usize = 3;
 
-fn inputs_for(me: usize) -> Vec<f64> {
-    bundle_inputs(me, K)
-}
-
 fn bundle_inputs(me: usize, k: usize) -> Vec<f64> {
     // Distinct geometry per instance so agreement is non-trivial.
     (0..k)
@@ -29,7 +25,7 @@ fn aa_config() -> RealAaConfig {
     RealAaConfig::new(N, T, 0.5, 8.0).expect("valid config")
 }
 
-fn sync_reference() -> Vec<Vec<f64>> {
+fn sync_reference(k: usize) -> Vec<Vec<f64>> {
     let cfg = aa_config();
     let report = run_simulation(
         SimConfig {
@@ -37,7 +33,7 @@ fn sync_reference() -> Vec<Vec<f64>> {
             t: T,
             max_rounds: 500,
         },
-        |id, _n| BundledAaParty::new(id, cfg, inputs_for(id.index())).expect("k >= 1"),
+        |id, _n| BundledAaParty::new(id, cfg, bundle_inputs(id.index(), k)).expect("k >= 1"),
         Passive,
     )
     .expect("reference simulation");
@@ -66,39 +62,42 @@ fn deploy(k: usize) -> Vec<NodeReport<Vec<f64>>> {
     .expect("cluster run")
 }
 
+/// A deployment carrying one instance and one carrying `K` both
+/// reproduce the engine.
 #[test]
 fn bundled_party_runs_over_real_sockets() {
-    let reports = deploy(K);
+    for k in [1, K] {
+        let mut outputs: Vec<Vec<f64>> = Vec::with_capacity(N);
+        for (me, report) in deploy(k).into_iter().enumerate() {
+            assert_eq!(report.stats.rejected_malformed, 0, "k={k} node {me}");
+            assert_eq!(report.stats.rejected_mac, 0, "k={k} node {me}");
+            outputs.push(
+                report
+                    .output
+                    .unwrap_or_else(|| panic!("k={k} node {me} had no output")),
+            );
+        }
 
-    let mut outputs: Vec<Vec<f64>> = Vec::with_capacity(N);
-    for (me, report) in reports.into_iter().enumerate() {
-        assert_eq!(report.stats.rejected_malformed, 0, "node {me}");
-        assert_eq!(report.stats.rejected_mac, 0, "node {me}");
-        outputs.push(
-            report
-                .output
-                .unwrap_or_else(|| panic!("node {me} had no output")),
-        );
+        // Per-instance ε-agreement and validity over real sockets.
+        for j in 0..k {
+            let vals: Vec<f64> = outputs.iter().map(|o| o[j]).collect();
+            let lo = vals.iter().cloned().fold(f64::MAX, f64::min);
+            let hi = vals.iter().cloned().fold(f64::MIN, f64::max);
+            assert!(hi - lo <= 0.5, "instance {j}: spread {} too wide", hi - lo);
+            let ins: Vec<f64> = (0..N).map(|m| bundle_inputs(m, k)[j]).collect();
+            let in_lo = ins.iter().cloned().fold(f64::MAX, f64::min);
+            let in_hi = ins.iter().cloned().fold(f64::MIN, f64::max);
+            assert!(
+                vals.iter().all(|v| (in_lo..=in_hi).contains(v)),
+                "instance {j}: output left the input hull"
+            );
+        }
+
+        // The networked run is not just correct — it is the same run: the
+        // codec, framing, and virtual-time loop reproduce the in-process
+        // synchronous engine's outputs bit for bit.
+        assert_eq!(outputs, sync_reference(k), "k={k}");
     }
-
-    // Per-instance ε-agreement and validity over real sockets.
-    for j in 0..K {
-        let vals: Vec<f64> = outputs.iter().map(|o| o[j]).collect();
-        let lo = vals.iter().cloned().fold(f64::MAX, f64::min);
-        let hi = vals.iter().cloned().fold(f64::MIN, f64::max);
-        assert!(hi - lo <= 0.5, "instance {j}: spread {} too wide", hi - lo);
-        let in_lo = (0..N).map(|m| inputs_for(m)[j]).fold(f64::MAX, f64::min);
-        let in_hi = (0..N).map(|m| inputs_for(m)[j]).fold(f64::MIN, f64::max);
-        assert!(
-            vals.iter().all(|v| (in_lo..=in_hi).contains(v)),
-            "instance {j}: output left the input hull"
-        );
-    }
-
-    // The networked run is not just correct — it is the same run: the
-    // codec, framing, and virtual-time loop reproduce the in-process
-    // synchronous engine's outputs bit for bit.
-    assert_eq!(outputs, sync_reference());
 }
 
 /// `party`'s proto events of `trace`, in recorded order.
