@@ -13,37 +13,41 @@
 //! instances, plus the per-instance payload each instance would have
 //! paid anyway.
 //!
-//! # Equivalence by construction
+//! # One core, k lanes
 //!
-//! [`BundleGradecast`] holds one [`BatchGradecast`] core per instance
-//! and routes each inner slot of an incoming bundle to the matching
-//! core through the absorb halves
-//! ([`BatchGradecast::absorb_lead`] /
-//! [`BatchGradecast::absorb_echo_slots`] /
-//! [`BatchGradecast::absorb_vote_slots`]). The cores share no state, so
-//! instance j's tallies, grades, and outputs are — by construction —
-//! exactly what a standalone [`BatchGradecast`] fed the same slots
-//! would produce. Two corollaries the tests pin down:
+//! [`BundleGradecast`] is the crate's one tally core at `k` instances
+//! (lane `j·n + ℓ` is leader `ℓ` of instance `j`);
+//! [`BatchGradecast`](crate::BatchGradecast) is the same core at `k = 1`. A [`GcBundle`]
+//! carries, beside its nested wire slots, one flat dense view — the key
+//! and presence lanes of its present instances, back to back — built
+//! once where it is assembled or decoded. A sender's bundle is absorbed by
+//! one kernel sweep per run of consecutive instances (one sweep when all
+//! are present) and the same per-slot rule on the leftovers, so instance
+//! `j` ends with exactly the grades a standalone batch fed the same slots
+//! would, and a Byzantine sender equivocating in one instance perturbs
+//! only that instance's lanes. `crates/real-aa/tests/bundle_equiv.rs`
+//! extends this to outcomes, trajectories and trace events.
 //!
-//! * **Differential equivalence.** A bundled run of k instances equals
-//!   k independent runs, slot for slot (and the `real-aa` layer extends
-//!   this to outcomes, hull trajectories, and trace events — see
-//!   `crates/real-aa/tests/bundle_equiv.rs`).
-//! * **Corruption isolation.** A Byzantine sender equivocating in only
-//!   one instance of its bundle perturbs only that instance's core;
-//!   every other instance is bit-identical to the honest baseline.
+//! An absent *outer* slot means the sender had nothing to say for that
+//! instance — as if it were silent in a standalone run, which is what
+//! early-stopped instances need. Admission is per instance: a sender's
+//! first slot in an instance is absorbed, a later one dropped alone.
 //!
-//! An absent *outer* slot simply means the sender had nothing to say
-//! for that instance — indistinguishable from that sender being silent
-//! in a standalone run of the instance, which is exactly the semantics
-//! early-stopped instances need.
+//! # Malformed bundles
+//!
+//! A bundle is `k` instances of `n` slots or nothing: one whose outer
+//! width is not `k` (so also one naming an instance `≥ k`), or any of
+//! whose present inner slots is not `n` wide, is dropped **whole**, like
+//! a wrong-width batch, and claims no instance. An honest bundle from the
+//! same sender is still absorbed after it.
 
 use std::fmt;
 use std::sync::Arc;
 
 use sim_net::{PartyId, Payload};
 
-use crate::batch::{BatchGradecast, GcSlots, GcValue};
+use crate::arena::Arena;
+use crate::batch::{GcSlots, GcValue};
 use crate::grade::GradecastOutput;
 
 /// A structurally invalid bundle request.
@@ -63,6 +67,57 @@ impl fmt::Display for BundleError {
 
 impl std::error::Error for BundleError {}
 
+/// One sender's echo or vote bundle as the bundled wire shares it: the
+/// nested wire slots (outer over instances, inner over leaders) plus
+/// their flat dense view (see the module docs). Built only through
+/// [`GcBundleMsg::echoes`] / [`GcBundleMsg::votes`], so the view always
+/// agrees with the slots; equality and `Debug` are the slots'.
+#[derive(Clone, PartialEq, Eq)]
+pub struct GcBundle<T> {
+    slots: GcSlots<GcSlots<T>>,
+    /// The width every present inner slot has; `None` when they differ
+    /// or none is present (nothing to absorb either way).
+    width: Option<usize>,
+    /// The present instances' tally keys, back to back (0 where absent).
+    keys: Box<[u64]>,
+    /// The present instances' presence lanes, back to back.
+    present: Box<[bool]>,
+}
+
+impl<T> GcBundle<T> {
+    fn new(slots: GcSlots<GcSlots<T>>, key: impl Fn(&T) -> u64) -> Self {
+        let widths = || slots.iter().map(|(_, inner)| inner.n());
+        let width = widths().next().filter(|&w| widths().all(|x| x == w));
+        let mut keys = Vec::with_capacity(widths().sum());
+        let mut present = Vec::with_capacity(keys.capacity());
+        for (_, inner) in slots.iter() {
+            let at = keys.len();
+            keys.resize(at + inner.n(), 0);
+            present.extend_from_slice(&inner.present);
+            for (l, entry) in inner.iter() {
+                keys[at + l] = key(entry);
+            }
+        }
+        GcBundle {
+            slots,
+            width,
+            keys: keys.into(),
+            present: present.into(),
+        }
+    }
+
+    /// The wire-shaped slots.
+    pub fn slots(&self) -> &GcSlots<GcSlots<T>> {
+        &self.slots
+    }
+}
+
+impl<T: fmt::Debug> fmt::Debug for GcBundle<T> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.slots.fmt(f)
+    }
+}
+
 /// A bundled gradecast message: one broadcast per sender per phase,
 /// shared by all k instances. The outer [`GcSlots`] ranges over
 /// instances (absent = the sender has finished that instance); inner
@@ -73,9 +128,21 @@ pub enum GcBundleMsg<V> {
     Leads(Arc<GcSlots<V>>),
     /// Round 3i+2: per active instance, the sender's echo slots over all
     /// n leaders.
-    Echoes(Arc<GcSlots<GcSlots<V>>>),
+    Echoes(Arc<GcBundle<V>>),
     /// Round 3i+3: per active instance, the sender's vote hashes.
-    Votes(Arc<GcSlots<GcSlots<u32>>>),
+    Votes(Arc<GcBundle<u32>>),
+}
+
+impl<V: GcValue> GcBundleMsg<V> {
+    /// The echo bundle carrying `slots` (dense view built here, once).
+    pub fn echoes(slots: GcSlots<GcSlots<V>>) -> Self {
+        GcBundleMsg::Echoes(Arc::new(GcBundle::new(slots, GcValue::bits64)))
+    }
+
+    /// The vote bundle carrying `slots` (dense view built here, once).
+    pub fn votes(slots: GcSlots<GcSlots<u32>>) -> Self {
+        GcBundleMsg::Votes(Arc::new(GcBundle::new(slots, |&h| u64::from(h))))
+    }
 }
 
 impl<V: Payload> Payload for GcBundleMsg<V> {
@@ -85,21 +152,29 @@ impl<V: Payload> Payload for GcBundleMsg<V> {
         // wire so trace byte totals reconcile across both formats.
         match self {
             GcBundleMsg::Leads(slots) => 1 + slots.wire_bytes_with(Payload::size_bytes),
-            GcBundleMsg::Echoes(outer) => {
-                1 + outer.wire_bytes_with(|inner| inner.wire_bytes_with(Payload::size_bytes))
+            GcBundleMsg::Echoes(b) => {
+                1 + b
+                    .slots
+                    .wire_bytes_with(|inner| inner.wire_bytes_with(Payload::size_bytes))
             }
-            GcBundleMsg::Votes(outer) => {
-                1 + outer.wire_bytes_with(|inner| inner.wire_bytes_with(|_| 4))
+            GcBundleMsg::Votes(b) => {
+                1 + b
+                    .slots
+                    .wire_bytes_with(|inner| inner.wire_bytes_with(|_| 4))
             }
         }
     }
 }
 
 /// k parallel-gradecast batches driven by one bundled wire message per
-/// phase: one independent [`BatchGradecast`] core per instance.
+/// phase: the crate's tally core at k instances.
+///
+/// Every phase takes `active[j]` per instance: finished instances get no
+/// outer slot and no grades, exactly like a terminated standalone party.
+/// Phases panic unless `active` (and `lead_msg`'s values) has length `k`.
 #[derive(Clone, Debug)]
 pub struct BundleGradecast<V> {
-    cores: Vec<BatchGradecast<V>>,
+    pub(crate) arena: Arena<V>,
 }
 
 impl<V: GcValue> BundleGradecast<V> {
@@ -112,106 +187,48 @@ impl<V: GcValue> BundleGradecast<V> {
     ///
     /// # Panics
     ///
-    /// As [`BatchGradecast::new`]: requires `n > 3t` and `me < n`.
+    /// As [`BatchGradecast::new`](crate::BatchGradecast::new): requires
+    /// `n > 3t` and `me < n`.
     pub fn new(me: PartyId, n: usize, t: usize, k: usize) -> Result<Self, BundleError> {
-        Self::with_muted(me, n, t, vec![vec![false; n]; k])
-    }
-
-    /// Creates a bundle with a per-instance initial muted set (carried
-    /// over between `RealAA` iterations); `k = muted.len()`.
-    ///
-    /// # Errors
-    ///
-    /// [`BundleError::Empty`] if `muted` is empty.
-    ///
-    /// # Panics
-    ///
-    /// As [`BatchGradecast::with_muted`] for each instance.
-    pub fn with_muted(
-        me: PartyId,
-        n: usize,
-        t: usize,
-        muted: Vec<Vec<bool>>,
-    ) -> Result<Self, BundleError> {
-        if muted.is_empty() {
+        if k == 0 {
             return Err(BundleError::Empty);
         }
         Ok(BundleGradecast {
-            cores: muted
-                .into_iter()
-                .map(|m| BatchGradecast::with_muted(me, n, t, m))
-                .collect(),
+            arena: Arena::new(me, n, t, vec![false; k * n]),
         })
     }
 
     /// Number of bundled instances.
     pub fn k(&self) -> usize {
-        self.cores.len()
+        self.arena.k
     }
 
-    /// Resets every core to a fresh batch with its next muted set,
-    /// reusing all per-core buffers (see
-    /// [`BatchGradecast::reset_with_muted`]) — how a long-lived bundle
-    /// starts each `RealAA` iteration without reallocating k cores.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `muted.len() == k` and each entry covers `n`.
-    pub fn reset_with_muted(&mut self, muted: &[Vec<bool>]) {
-        assert_eq!(muted.len(), self.k(), "one muted set per instance");
-        for (core, m) in self.cores.iter_mut().zip(muted) {
-            core.reset_with_muted(m);
-        }
+    /// Starts the next round of batches in place: every tally emptied,
+    /// every instance's muted set kept.
+    pub fn reset(&mut self) {
+        self.arena.reset();
     }
 
-    /// Absorbs round-3i+3 vote bundles without grading, so the caller
-    /// can grade instance by instance through
-    /// [`BatchGradecast::grade_into`] into a reused buffer. The absorb
-    /// half of [`BundleGradecast::on_votes`].
-    pub fn absorb_vote_bundles<'a, I>(&mut self, inbox: I)
-    where
-        I: IntoIterator<Item = (PartyId, &'a GcBundleMsg<V>)>,
-        V: 'a,
-    {
-        for (from, msg) in inbox {
-            if let GcBundleMsg::Votes(outer) = msg {
-                for (inst, inner) in outer.iter() {
-                    if let Some(core) = self.cores.get_mut(inst) {
-                        core.absorb_vote_slots(from, inner);
-                    }
-                }
-            }
-        }
+    /// Instance `inst`'s muted set; panics if `inst >= k`.
+    pub fn muted(&self, inst: usize) -> &[bool] {
+        self.arena.muted(inst)
     }
 
-    /// The per-instance core (for muting and inspection).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `inst >= k`.
-    pub fn core(&self, inst: usize) -> &BatchGradecast<V> {
-        &self.cores[inst]
+    /// Whether `bundle` is `k` instances of `n` slots (see the module
+    /// docs on malformed bundles).
+    fn shaped<T>(&self, bundle: &GcBundle<T>) -> bool {
+        bundle.slots.n() == self.k() && bundle.width == Some(self.arena.n)
     }
 
     /// Phase 1: the bundled lead message — this party's own value per
     /// instance, `None` for instances it has finished.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `values.len() == k`.
     pub fn lead_msg(&self, values: Vec<Option<V>>) -> GcBundleMsg<V> {
         assert_eq!(values.len(), self.k(), "one lead slot per instance");
         GcBundleMsg::Leads(Arc::new(GcSlots::from_options(values)))
     }
 
     /// Phase 2: consume round-3i+1 lead bundles, return the echo bundle
-    /// to broadcast. `active[j]` gates which instances get an outer slot
-    /// (finished instances send nothing, exactly like a terminated
-    /// standalone party).
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `active.len() == k`.
+    /// to broadcast.
     pub fn on_leads<'a, I>(&mut self, inbox: I, active: &[bool]) -> GcBundleMsg<V>
     where
         I: IntoIterator<Item = (PartyId, &'a GcBundleMsg<V>)>,
@@ -220,25 +237,19 @@ impl<V: GcValue> BundleGradecast<V> {
         assert_eq!(active.len(), self.k(), "one active flag per instance");
         for (from, msg) in inbox {
             if let GcBundleMsg::Leads(slots) = msg {
-                for (inst, v) in slots.iter() {
-                    if let Some(core) = self.cores.get_mut(inst) {
-                        core.absorb_lead(from, v);
+                if slots.n() == self.k() {
+                    for (inst, v) in slots.iter() {
+                        self.arena.absorb_lead(inst, from, v);
                     }
                 }
             }
         }
-        let echoes = (0..self.k())
-            .map(|j| active[j].then(|| self.cores[j].echo_slots()))
-            .collect();
-        GcBundleMsg::Echoes(Arc::new(GcSlots::from_options(echoes)))
+        let echoes = (0..self.k()).map(|j| active[j].then(|| self.arena.echo_slots(j)));
+        GcBundleMsg::echoes(echoes.collect())
     }
 
     /// Phase 3: consume round-3i+2 echo bundles, return the vote bundle
     /// to broadcast.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `active.len() == k`.
     pub fn on_echoes<'a, I>(&mut self, inbox: I, active: &[bool]) -> GcBundleMsg<V>
     where
         I: IntoIterator<Item = (PartyId, &'a GcBundleMsg<V>)>,
@@ -246,26 +257,19 @@ impl<V: GcValue> BundleGradecast<V> {
     {
         assert_eq!(active.len(), self.k(), "one active flag per instance");
         for (from, msg) in inbox {
-            if let GcBundleMsg::Echoes(outer) = msg {
-                for (inst, inner) in outer.iter() {
-                    if let Some(core) = self.cores.get_mut(inst) {
-                        core.absorb_echo_slots(from, inner);
-                    }
+            if let GcBundleMsg::Echoes(b) = msg {
+                if self.shaped(b) {
+                    let insts = b.slots.iter().map(|(j, _)| j);
+                    self.arena.echo.absorb(from, insts, &b.keys, &b.present);
                 }
             }
         }
-        let votes = (0..self.k())
-            .map(|j| active[j].then(|| self.cores[j].vote_slots()))
-            .collect();
-        GcBundleMsg::Votes(Arc::new(GcSlots::from_options(votes)))
+        let votes = (0..self.k()).map(|j| active[j].then(|| self.arena.vote_slots(j)));
+        GcBundleMsg::votes(votes.collect())
     }
 
     /// Phase 4: consume round-3i+3 vote bundles and grade every leader
     /// of every active instance (`None` for inactive instances).
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `active.len() == k`.
     pub fn on_votes<'a, I>(
         &mut self,
         inbox: I,
@@ -275,18 +279,41 @@ impl<V: GcValue> BundleGradecast<V> {
         I: IntoIterator<Item = (PartyId, &'a GcBundleMsg<V>)>,
         V: 'a,
     {
+        let mut out = vec![None; self.k()];
+        self.on_votes_with(inbox, active, |j, grades, _| out[j] = Some(grades.to_vec()));
+        out
+    }
+
+    /// [`BundleGradecast::on_votes`] without a vector per instance: calls
+    /// `f(j, grades, muted)` for every active instance `j` in order, with
+    /// its grades and its muted set, for the caller's muting rule.
+    pub fn on_votes_with<'a, I, F>(&mut self, inbox: I, active: &[bool], mut f: F)
+    where
+        I: IntoIterator<Item = (PartyId, &'a GcBundleMsg<V>)>,
+        V: 'a,
+        F: FnMut(usize, &[GradecastOutput<V>], &mut [bool]),
+    {
         assert_eq!(active.len(), self.k(), "one active flag per instance");
-        self.absorb_vote_bundles(inbox);
-        (0..self.k())
-            .map(|j| active[j].then(|| self.cores[j].grade_all()))
-            .collect()
+        for (from, msg) in inbox {
+            if let GcBundleMsg::Votes(b) = msg {
+                if self.shaped(b) {
+                    let insts = b.slots.iter().map(|(j, _)| j);
+                    self.arena.vote.absorb(from, insts, &b.keys, &b.present);
+                }
+            }
+        }
+        let mut grades = Vec::with_capacity(self.arena.n);
+        for j in (0..self.k()).filter(|&j| active[j]) {
+            self.arena.grade(j, &mut grades);
+            f(j, &grades, self.arena.muted_mut(j));
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::batch::GcBatchMsg;
+    use crate::batch::{BatchGradecast, GcBatchMsg};
     use crate::grade::Grade;
     use aa_codec::Json;
 
@@ -377,10 +404,6 @@ mod tests {
             BundleGradecast::<u64>::new(PartyId(0), 4, 1, 0).unwrap_err(),
             BundleError::Empty
         );
-        assert_eq!(
-            BundleGradecast::<u64>::with_muted(PartyId(0), 4, 1, Vec::new()).unwrap_err(),
-            BundleError::Empty
-        );
         let msg = BundleError::Empty.to_string();
         assert!(msg.contains("k = 0"), "unhelpful error: {msg}");
     }
@@ -426,7 +449,13 @@ mod tests {
             };
             let rewritten = (0..k)
                 .map(|j| {
-                    let inner = outer.iter().find(|(i, _)| *i == j).unwrap().1.clone();
+                    let inner = outer
+                        .slots()
+                        .iter()
+                        .find(|(i, _)| *i == j)
+                        .unwrap()
+                        .1
+                        .clone();
                     if j == 1 {
                         Some(GcSlots::from_options(vec![Some(0xbad); n]))
                     } else {
@@ -434,7 +463,7 @@ mod tests {
                     }
                 })
                 .collect();
-            GcBundleMsg::Echoes(Arc::new(GcSlots::from_options(rewritten)))
+            GcBundleMsg::echoes(GcSlots::from_options(rewritten))
         };
         let tampered = run_bundled(n, t, k, lead_of, &silent, tamper);
         let honest = run_bundled(n, t, k, lead_of, &silent, |_, m| m);
@@ -460,10 +489,8 @@ mod tests {
         // delivery instead of k.
         let (n, k) = (64usize, 16usize);
         let inner = GcSlots::from_options((0..n).map(|l| Some(l as u64)).collect());
-        let bundled = GcBundleMsg::Echoes(Arc::new(GcSlots::from_options(
-            (0..k).map(|_| Some(inner.clone())).collect(),
-        )))
-        .size_bytes();
+        let bundled =
+            GcBundleMsg::echoes((0..k).map(|_| Some(inner.clone())).collect()).size_bytes();
         let independent = k * GcBatchMsg::echoes(inner.clone()).size_bytes();
         assert_eq!(
             bundled,

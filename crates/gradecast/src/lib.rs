@@ -34,15 +34,25 @@
 //! accounting. The textbook one-message-per-leader encoding survives only
 //! as the test oracle the batched tallies are pinned against.
 //!
+//! # One core
+//!
+//! Both wires drive one tally core, an arena of `k × n` instance-major
+//! lanes allocated once per party and reset in place each iteration:
+//! [`BatchGradecast`] is the core at `k = 1` behind [`GcBatchMsg`],
+//! [`BundleGradecast`] the core at `k` behind [`GcBundleMsg`]. Every
+//! message is absorbed by one rule (a masked kernel sweep, then a per-slot
+//! rule on the leftovers) and graded by one routine.
+//!
 //! # Muting
 //!
-//! [`BatchGradecast::mute`] makes a party *stop relaying* (echoing and
-//! voting) for a given leader while still evaluating that leader's grades
-//! from other parties' traffic. Muting is how `RealAA` permanently
-//! silences parties caught equivocating: once more than `t` honest parties
-//! mute a leader, no value of that leader can gather the `n − t` echoes
-//! needed for a single honest vote, so every honest party grades it 0
-//! forever after.
+//! A muted leader gets no relaying (echoing and voting) from a party, which
+//! still evaluates that leader's grades from other parties' traffic.
+//! Muting is how `RealAA` permanently silences parties caught
+//! equivocating: once more than `t` honest parties mute a leader, no value
+//! of that leader can gather the `n − t` echoes needed for a single honest
+//! vote, so every honest party grades it 0 forever after. The muted sets
+//! live in the core and survive its reset; `RealAA` writes them through
+//! [`BatchGradecast::muted_mut`] and [`BundleGradecast::on_votes_with`].
 //!
 //! # Example
 //!
@@ -66,10 +76,11 @@
 //! ```
 
 #![warn(missing_docs)]
+mod arena;
 pub mod batch;
 pub mod bundle;
 mod grade;
 
 pub use batch::{BatchGradecast, BatchGradecastProtocol, GcBatch, GcBatchMsg, GcSlots, GcValue};
-pub use bundle::{BundleError, BundleGradecast, GcBundleMsg};
+pub use bundle::{BundleError, BundleGradecast, GcBundle, GcBundleMsg};
 pub use grade::{Grade, GradecastOutput};

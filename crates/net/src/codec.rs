@@ -337,13 +337,13 @@ impl WireCodec for GcBundleMsg<R64> {
                 out.push(0);
                 s.encode(out);
             }
-            GcBundleMsg::Echoes(s) => {
+            GcBundleMsg::Echoes(b) => {
                 out.push(1);
-                s.encode(out);
+                b.slots().encode(out);
             }
-            GcBundleMsg::Votes(s) => {
+            GcBundleMsg::Votes(b) => {
                 out.push(2);
-                s.encode(out);
+                b.slots().encode(out);
             }
         }
     }
@@ -351,8 +351,8 @@ impl WireCodec for GcBundleMsg<R64> {
     fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
         match r.u8()? {
             0 => Ok(GcBundleMsg::Leads(Arc::new(GcSlots::decode(r)?))),
-            1 => Ok(GcBundleMsg::Echoes(Arc::new(GcSlots::decode(r)?))),
-            2 => Ok(GcBundleMsg::Votes(Arc::new(GcSlots::decode(r)?))),
+            1 => Ok(GcBundleMsg::echoes(GcSlots::decode(r)?)),
+            2 => Ok(GcBundleMsg::votes(GcSlots::decode(r)?)),
             tag => Err(CodecError::BadTag {
                 what: "GcBundleMsg",
                 tag,
@@ -484,15 +484,15 @@ mod tests {
             Some(R64::new(0.25)),
             None,
         ]))));
-        roundtrip(GcBundleMsg::Echoes(Arc::new(slots(&[
+        roundtrip(GcBundleMsg::echoes(slots(&[
             Some(slots(&[Some(R64::new(7.0)), None, Some(R64::new(0.0))])),
             None,
             Some(slots(&[None, None, None])),
-        ]))));
-        roundtrip(GcBundleMsg::Votes(Arc::new(slots(&[
+        ])));
+        roundtrip(GcBundleMsg::<R64>::votes(slots(&[
             None,
             Some(slots(&[Some(0xdead_u32), Some(1), None])),
-        ]))));
+        ])));
         roundtrip(RelMsg::Data {
             seq: 7,
             inner: BundledAaMsg {
@@ -500,6 +500,83 @@ mod tests {
                 body: GcBundleMsg::Leads(Arc::new(slots(&[Some(R64::new(4.0))]))),
             },
         });
+    }
+
+    /// Two colluding leaders (n = 7, t = 2) lead ∓`f64::MAX` in every
+    /// instance through bundles that went through the codec, and follow
+    /// the protocol otherwise: `R64` decodes both extremes, both are
+    /// accepted, and every logged `realaa.iter` spread stays finite while
+    /// the honest outputs stay in the hull and ε-agree.
+    #[test]
+    fn decoded_extreme_bundles_log_a_finite_spread() {
+        use real_aa::{BundledAaParty, RealAaConfig};
+        use sim_net::StaticByzantine;
+        use sim_net::{run_simulation_traced, AdversaryCtx, EngineConfig, EventKind, SimConfig};
+        let (n, t, k) = (7, 2, 3);
+        let cfg = RealAaConfig::new(n, t, 1.0, 8.0).unwrap();
+        let input = |p: usize, j: usize| match p {
+            0 => -f64::MAX,
+            1 => f64::MAX,
+            _ => ((p * 3 + j) % 9) as f64,
+        };
+        let (report, trace) = run_simulation_traced(
+            EngineConfig::from(SimConfig {
+                n,
+                t,
+                max_rounds: 10 + cfg.rounds(),
+            }),
+            |id, _| {
+                BundledAaParty::new(id, cfg, (0..k).map(|j| input(id.index(), j)).collect())
+                    .unwrap()
+            },
+            StaticByzantine {
+                parties: vec![PartyId(0), PartyId(1)],
+                behave: |ctx: &mut AdversaryCtx<'_, BundledAaMsg>| {
+                    for p in [PartyId(0), PartyId(1)] {
+                        let own: Vec<_> = ctx.tentative_outbox(p).envelopes().collect();
+                        for env in own {
+                            let wire = BundledAaMsg::from_bytes(&env.payload.to_bytes());
+                            ctx.send(p, env.to, wire.expect("an honest bundle decodes"));
+                        }
+                    }
+                },
+            },
+        )
+        .unwrap();
+        let spreads: Vec<f64> = trace
+            .events
+            .iter()
+            .filter_map(|e| match &e.kind {
+                EventKind::Proto { event, .. } if event.label == "realaa.iter" => {
+                    match event.field("spread") {
+                        Some(aa_trace::Json::Num(x)) => Some(*x),
+                        _ => None,
+                    }
+                }
+                _ => None,
+            })
+            .collect();
+        assert!(
+            spreads.contains(&f64::MAX),
+            "extremes not accepted: {spreads:?}"
+        );
+        assert!(spreads.iter().all(|s| s.is_finite()), "{spreads:?}");
+        let outs = report.honest_outputs();
+        for j in 0..k {
+            let hull = (2..n).map(|p| input(p, j));
+            let (lo, hi) = (
+                hull.clone().fold(f64::MAX, f64::min),
+                hull.fold(f64::MIN, f64::max),
+            );
+            let vals: Vec<f64> = outs.iter().map(|o| o[j]).collect();
+            assert!(
+                vals.iter().all(|v| (lo..=hi).contains(v)),
+                "instance {j}: {vals:?}"
+            );
+            let spread = vals.iter().fold(f64::MIN, |a, &b| a.max(b))
+                - vals.iter().fold(f64::MAX, |a, &b| a.min(b));
+            assert!(spread <= cfg.eps, "instance {j}: {vals:?}");
+        }
     }
 
     #[test]

@@ -12,12 +12,13 @@
 //! # Equivalence
 //!
 //! Literal: a bundle is k copies of the solo party's per-instance machine
-//! and round schedule (`crate::instance`), each fed by its own
-//! [`BatchGradecast`](gradecast::BatchGradecast) core and muted set; this
-//! module is only the wire. `tests/bundle_equiv.rs` checks it end to end:
-//! outputs, round counts, trajectories and per-instance trace events
-//! (keyed by `inst`) equal each instance run alone, under every adversary
-//! and configuration edge it tries, in both engine step modes.
+//! and round schedule (`crate::instance`), each fed by its own lanes and
+//! muted set of the one gradecast core the solo party runs at `k = 1`
+//! ([`BundleGradecast`]); this module is only the wire.
+//! `tests/bundle_equiv.rs` checks it end to end: outputs, round counts,
+//! trajectories and per-instance trace events (keyed by `inst`) equal
+//! each instance run alone, under every adversary and configuration edge
+//! it tries, in both engine step modes.
 //!
 //! # Async wiring
 //!
@@ -29,11 +30,16 @@
 //! same `step` the synchronous engine calls. Late arrivals are omissions,
 //! as in the synchronous model, so `Reliable<BundledAaParty>` runs
 //! unchanged over the real sockets in `crates/net`.
+//!
+//! A malformed bundle — outer width ≠ k, an inner width ≠ n — is dropped
+//! whole by the gradecast core and claims no instance (see
+//! `gradecast::bundle`); the tests below send every such shape under both
+//! engines.
 
 use std::collections::BTreeMap;
 
 use async_net::{AsyncCtx, AsyncProtocol};
-use gradecast::{BundleGradecast, GcBundleMsg, GradecastOutput};
+use gradecast::{BundleGradecast, GcBundleMsg};
 use sim_net::{Envelope, Inbox, PartyId, Payload, Protocol, Received, RoundCtx};
 
 use crate::instance::{Instance, Phase, Scratch};
@@ -88,12 +94,11 @@ pub struct BundledAaParty {
     cfg: RealAaConfig,
     me: PartyId,
     insts: Vec<Instance>,
-    /// Per instance: leaders muted so far.
-    muted: Vec<Vec<bool>>,
+    /// The gradecast core; its per-instance muted sets carry across
+    /// iterations.
     gc: BundleGradecast<R64>,
     output: Option<Vec<f64>>,
-    /// Grading buffer and scratch, shared by all k instances.
-    grades: Vec<GradecastOutput<R64>>,
+    /// Scratch shared by all k instances.
     scratch: Scratch,
     /// Async adapter: the last round stepped (0 before `on_start`).
     async_round: u32,
@@ -121,15 +126,12 @@ impl BundledAaParty {
             .map(|(j, v)| Instance::new(v, Some(j)))
             .collect();
         assert!(me.index() < cfg.n, "party id out of range");
-        let muted = vec![vec![false; cfg.n]; insts.len()];
         Ok(BundledAaParty {
             cfg,
             me,
+            gc: BundleGradecast::new(me, cfg.n, cfg.t, insts.len())?,
             insts,
-            gc: BundleGradecast::with_muted(me, cfg.n, cfg.t, muted.clone())?,
-            muted,
             output: None,
-            grades: Vec::new(),
             scratch: Scratch::default(),
             async_round: 0,
             async_buf: BTreeMap::new(),
@@ -150,7 +152,7 @@ impl BundledAaParty {
     /// How many parties instance `inst` has muted so far; panics if
     /// `inst >= k`.
     pub fn muted_count(&self, inst: usize) -> usize {
-        self.muted[inst].iter().filter(|&&m| m).count()
+        self.gc.muted(inst).iter().filter(|&&m| m).count()
     }
 
     /// Which instances are still running here.
@@ -214,20 +216,18 @@ impl Protocol for BundledAaParty {
             }
             Phase::Lead { grade, iter } => {
                 if let Some(at) = grade {
-                    self.gc.absorb_vote_bundles(tagged(at.iter));
-                    for (j, inst) in self.insts.iter_mut().enumerate() {
-                        if inst.output.is_none() {
-                            self.gc.core(j).grade_into(&mut self.grades);
-                            let muted = &mut self.muted[j];
-                            inst.finish(&self.cfg, at, &self.grades, muted, &mut self.scratch, ctx);
-                        }
-                    }
+                    let active = self.active();
+                    let (insts, scratch) = (&mut self.insts, &mut self.scratch);
+                    self.gc
+                        .on_votes_with(tagged(at.iter), &active, |j, grades, muted| {
+                            insts[j].finish(&self.cfg, at, grades, muted, scratch, ctx);
+                        });
                     if self.insts.iter().all(|i| i.output.is_some()) {
                         self.decide();
                         return;
                     }
                 }
-                self.gc.reset_with_muted(&self.muted);
+                self.gc.reset();
                 let leads = self
                     .insts
                     .iter()
@@ -293,10 +293,14 @@ mod tests {
     use std::sync::Arc;
 
     use async_net::{
-        run_async, AsyncAdversary, AsyncConfig, DelayModel, PassiveAsync, Reliable, SilentAsync,
+        run_async, AsyncAdversary, AsyncConfig, DelayModel, PassiveAsync, RelMsg, Reliable,
+        SilentAsync,
     };
-    use gradecast::GcSlots;
-    use sim_net::{run_simulation, AdversaryCtx, Passive, SimConfig, StaticByzantine};
+    use gradecast::{GcSlots, GcValue};
+    use sim_net::{
+        run_simulation, run_simulation_traced, AdversaryCtx, EngineConfig, EventKind, Passive,
+        SimConfig, StaticByzantine, Trace,
+    };
 
     fn cfg(n: usize, t: usize) -> RealAaConfig {
         RealAaConfig::new(n, t, 0.5, 10.0).unwrap()
@@ -422,20 +426,12 @@ mod tests {
     /// far past any schedule for the last two.
     fn hostile_bundles(n: usize, k: usize) -> Vec<BundledAaMsg> {
         let v = R64::new(1e9);
+        let echoes = GcSlots::from_options(vec![Some(v); n]);
+        let votes = GcSlots::from_options(vec![Some(7); n]);
         let bodies = [
             GcBundleMsg::Leads(Arc::new(GcSlots::from_options(vec![Some(v); k]))),
-            GcBundleMsg::Echoes(Arc::new(GcSlots::from_options(vec![
-                Some(
-                    GcSlots::from_options(vec![Some(v); n])
-                );
-                k
-            ]))),
-            GcBundleMsg::Votes(Arc::new(GcSlots::from_options(vec![
-                Some(
-                    GcSlots::from_options(vec![Some(7); n])
-                );
-                k
-            ]))),
+            GcBundleMsg::echoes(GcSlots::from_options(vec![Some(echoes); k])),
+            GcBundleMsg::votes(GcSlots::from_options(vec![Some(votes); k])),
         ];
         [u32::MAX, 0x5555_5556, 0x5555_5554, 1000]
             .into_iter()
@@ -519,6 +515,216 @@ mod tests {
             )
             .unwrap();
             assert_eq!(report.honest_outputs(), sync, "seed {seed}");
+        }
+    }
+
+    /// A `phase` bundle (1 leads, 2 echoes, 3 votes) whose outer slot `j`
+    /// is absent for `None` and otherwise carries 1e9 — outside every
+    /// honest hull — in an all-present inner slot of width `w`.
+    fn junk(phase: u32, outer: &[Option<usize>]) -> GcBundleMsg<R64> {
+        fn full<T: Clone>(e: T, w: usize) -> GcSlots<T> {
+            GcSlots::from_options(vec![Some(e); w])
+        }
+        let v = R64::new(1e9);
+        let slots = outer.iter();
+        match phase {
+            1 => GcBundleMsg::Leads(Arc::new(slots.map(|w| w.map(|_| v)).collect())),
+            2 => GcBundleMsg::echoes(slots.map(|w| w.map(|w| full(v, w))).collect()),
+            _ => GcBundleMsg::votes(slots.map(|w| w.map(|w| full(v.hash32(), w))).collect()),
+        }
+    }
+
+    /// `phase` bundles for `k` instances of `n` leaders, in sending
+    /// order: ones dropped whole (outer width k ∓ 1, the wider naming
+    /// instance k; for echoes and votes, instance 1 at inner width n ∓ 1),
+    /// one carrying nothing (an empty outer bitmap), then one speaking in
+    /// instance 1 alone, with an all-present inner bitmap.
+    fn hostile_shapes(phase: u32, n: usize, k: usize) -> Vec<GcBundleMsg<R64>> {
+        let mut shapes = vec![vec![Some(n); k - 1], vec![Some(n); k + 1]];
+        if phase > 1 {
+            for w in [n - 1, n + 1] {
+                shapes.push((0..k).map(|j| Some(if j == 1 { w } else { n })).collect());
+            }
+        }
+        shapes.push(vec![None; k]);
+        shapes.push((0..k).map(|j| (j == 1).then_some(n)).collect());
+        shapes.iter().map(|s| junk(phase, s)).collect()
+    }
+
+    fn phase(body: &GcBundleMsg<R64>) -> u32 {
+        match body {
+            GcBundleMsg::Leads(_) => 1,
+            GcBundleMsg::Echoes(_) => 2,
+            GcBundleMsg::Votes(_) => 3,
+        }
+    }
+
+    /// Inputs of the hostile-shape runs: `n` parties × 3 instances.
+    fn shape_inputs(n: usize) -> Vec<Vec<f64>> {
+        (0..n)
+            .map(|p| (0..3).map(|j| ((p * 7 + j * 3) % 11) as f64).collect())
+            .collect()
+    }
+
+    /// Instance `inst`'s honest outputs (parties 0..3) lie in the hull of
+    /// its honest inputs and agree within ε.
+    fn assert_valid(cfg: RealAaConfig, inputs: &[Vec<f64>], outs: &[Vec<f64>], inst: usize) {
+        let ins: Vec<f64> = inputs[..3].iter().map(|i| i[inst]).collect();
+        let vals: Vec<f64> = outs.iter().map(|o| o[inst]).collect();
+        let (lo, hi) = (
+            ins.iter().cloned().fold(f64::MAX, f64::min),
+            ins.iter().cloned().fold(f64::MIN, f64::max),
+        );
+        assert!(
+            vals.iter().all(|v| (lo..=hi).contains(v)),
+            "instance {inst}: {vals:?}"
+        );
+        let spread = vals.iter().cloned().fold(f64::MIN, f64::max)
+            - vals.iter().cloned().fold(f64::MAX, f64::min);
+        assert!(spread <= cfg.eps, "instance {inst}: {vals:?}");
+    }
+
+    /// Instance `inst`'s protocol events at parties 0..3.
+    fn instance_events(trace: &Trace, inst: u64) -> Vec<String> {
+        let of_inst = |e: &sim_net::ProtoEvent| {
+            e.field("inst").and_then(aa_trace::Json::as_u64) == Some(inst)
+        };
+        trace
+            .events
+            .iter()
+            .filter_map(|e| match &e.kind {
+                EventKind::Proto { party, event } if *party < 3 && of_inst(event) => {
+                    Some(format!("{} {party} {event:?}", e.round))
+                }
+                _ => None,
+            })
+            .collect()
+    }
+
+    /// Party 3 sends, in every round and ahead of its honest bundle, the
+    /// `hostile_shapes`, and after it an all-present junk bundle (a
+    /// repeat in every instance). Instances 0 and 2 must be bit-identical
+    /// to the all-honest run; instance 1, where the junk spoke first,
+    /// stays valid.
+    #[test]
+    fn malformed_bundles_leave_untouched_instances_bit_identical() {
+        let (n, k) = (4, 3);
+        let cfg = cfg(n, 1);
+        let inputs = shape_inputs(n);
+        let engine = EngineConfig::from(SimConfig {
+            n,
+            t: 1,
+            max_rounds: 10 + cfg.rounds(),
+        });
+        let party =
+            |id: PartyId, _| BundledAaParty::new(id, cfg, inputs[id.index()].clone()).unwrap();
+        let (honest, honest_trace) = run_simulation_traced(engine, party, Passive).unwrap();
+        let hostile = StaticByzantine {
+            parties: vec![PartyId(3)],
+            behave: |ctx: &mut AdversaryCtx<'_, BundledAaMsg>| {
+                let own: Vec<_> = ctx.tentative_outbox(PartyId(3)).envelopes().collect();
+                for env in own {
+                    let BundledAaMsg { iter, body } = env.payload;
+                    let mut bodies = hostile_shapes(phase(&body), n, k);
+                    bodies.push(junk(phase(&body), &vec![Some(n); k]));
+                    bodies.insert(bodies.len() - 1, body);
+                    for body in bodies {
+                        ctx.send(PartyId(3), env.to, BundledAaMsg { iter, body });
+                    }
+                }
+            },
+        };
+        let (report, trace) = run_simulation_traced(engine, party, hostile).unwrap();
+        let (outs, want) = (report.honest_outputs(), honest.honest_outputs());
+        for j in [0, 2] {
+            for p in 0..3 {
+                assert_eq!(outs[p][j], want[p][j], "instance {j}, party {p}");
+            }
+            assert_eq!(
+                instance_events(&trace, j as u64),
+                instance_events(&honest_trace, j as u64)
+            );
+        }
+        assert_ne!(
+            instance_events(&trace, 1),
+            instance_events(&honest_trace, 1)
+        );
+        assert_valid(cfg, &inputs, &outs, 1);
+    }
+
+    /// Party 3 sends `Reliable` data frames carrying these bundles to
+    /// everyone at time 0, then nothing.
+    struct HostileFrames(Vec<BundledAaMsg>);
+
+    impl AsyncAdversary<RelMsg<BundledAaMsg>> for HostileFrames {
+        fn corrupted(&self) -> Vec<PartyId> {
+            vec![PartyId(3)]
+        }
+        fn on_start(&mut self, sends: &mut Vec<(PartyId, PartyId, RelMsg<BundledAaMsg>)>) {
+            for to in 0..3 {
+                for (seq, inner) in (0..).zip(&self.0) {
+                    let inner = inner.clone();
+                    sends.push((PartyId(3), PartyId(to), RelMsg::Data { seq, inner }));
+                }
+            }
+        }
+        fn on_deliver(
+            &mut self,
+            _env: &Envelope<RelMsg<BundledAaMsg>>,
+            _sends: &mut Vec<(PartyId, PartyId, RelMsg<BundledAaMsg>)>,
+        ) {
+        }
+    }
+
+    /// The same shapes for iteration 0 through `Reliable` over lossy
+    /// async links, party 3 otherwise silent: instances 0 and 2 equal the
+    /// lockstep run with party 3 silent; instance 1 stays valid.
+    #[test]
+    fn malformed_bundles_over_reliable_links_touch_only_their_instance() {
+        let (n, k) = (4, 3);
+        let cfg = cfg(n, 1);
+        let inputs = shape_inputs(n);
+        let party = |id: PartyId| BundledAaParty::new(id, cfg, inputs[id.index()].clone()).unwrap();
+        let silent = run_simulation(
+            SimConfig {
+                n,
+                t: 1,
+                max_rounds: 10 + cfg.rounds(),
+            },
+            |id, _| party(id),
+            StaticByzantine {
+                parties: vec![PartyId(3)],
+                behave: |_: &mut AdversaryCtx<'_, BundledAaMsg>| {},
+            },
+        )
+        .unwrap()
+        .honest_outputs();
+        let frames: Vec<BundledAaMsg> = (1..=3)
+            .flat_map(|phase| hostile_shapes(phase, n, k))
+            .map(|body| BundledAaMsg { iter: 0, body })
+            .collect();
+        for seed in [1, 7] {
+            let report = run_async(
+                AsyncConfig {
+                    n,
+                    t: 1,
+                    seed,
+                    delay: DelayModel::Uniform { min: 0.1 },
+                    max_events: 400_000,
+                },
+                |id, _| Reliable::new(party(id), n),
+                HostileFrames(frames.clone()),
+            )
+            .unwrap();
+            let outs = report.honest_outputs();
+            for p in 0..3 {
+                assert_eq!(
+                    [outs[p][0], outs[p][2]],
+                    [silent[p][0], silent[p][2]],
+                    "seed {seed}"
+                );
+            }
+            assert_valid(cfg, &inputs, &outs, 1);
         }
     }
 }

@@ -131,17 +131,20 @@ impl Instance {
         // entries); keeping the current value would preserve validity.
         self.value = mean.unwrap_or(self.value);
         self.history.push(self.value);
+        // Saturated: two accepted values at ∓`f64::MAX` (colluding leaders,
+        // t ≥ 2) are `+inf` apart, and a logged spread stays finite.
+        let spread = accepted.map(|(lo, hi)| (hi - lo).min(f64::MAX));
         ctx.emit_with(|| {
             let mut ev = head("realaa.iter");
-            if let Some((lo, hi)) = accepted {
-                ev = ev.f64("lo", lo).f64("hi", hi).f64("spread", hi - lo);
+            if let (Some((lo, hi)), Some(spread)) = (accepted, spread) {
+                ev = ev.f64("lo", lo).f64("hi", hi).f64("spread", spread);
             }
             ev.f64("value", self.value)
         });
         // The termination rule: the fixed count, or (early stopping) an
         // accepted spread within ε.
         let fixed_done = self.history.len() > at.iterations as usize;
-        let early = cfg.early_stopping && accepted.is_some_and(|(lo, hi)| hi - lo <= cfg.eps);
+        let early = cfg.early_stopping && spread.is_some_and(|s| s <= cfg.eps);
         if fixed_done || early {
             self.output = Some(self.value);
         }

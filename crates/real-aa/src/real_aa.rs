@@ -155,8 +155,7 @@ impl Payload for RealAaMsg {
 pub struct RealAaParty {
     cfg: RealAaConfig,
     inst: Instance,
-    /// Leaders muted so far (carried across iterations).
-    muted: Vec<bool>,
+    /// The gradecast core; its muted set carries across iterations.
     gc: BatchGradecast<R64>,
     scratch: Scratch,
 }
@@ -169,13 +168,10 @@ impl RealAaParty {
     /// Panics if `input` is not finite or `me` is out of range (honest
     /// inputs are real values; a non-finite input is a harness bug).
     pub fn new(me: PartyId, cfg: RealAaConfig, input: f64) -> Self {
-        assert!(me.index() < cfg.n, "party id out of range");
-        let muted = vec![false; cfg.n];
         RealAaParty {
             cfg,
             inst: Instance::new(input, None),
-            gc: BatchGradecast::with_muted(me, cfg.n, cfg.t, muted.clone()),
-            muted,
+            gc: BatchGradecast::new(me, cfg.n, cfg.t),
             scratch: Scratch::default(),
         }
     }
@@ -189,7 +185,7 @@ impl RealAaParty {
     /// How many parties this party has muted so far — the observable trace
     /// of Byzantine detection.
     pub fn muted_count(&self) -> usize {
-        self.muted.iter().filter(|&&m| m).count()
+        self.gc.muted().iter().filter(|&&m| m).count()
     }
 
     /// The party's value trajectory: `history()[0]` is the input,
@@ -227,12 +223,15 @@ impl RealAaParty {
             Phase::Lead { grade, iter } => {
                 if let Some(at) = grade {
                     let grades = self.gc.on_votes(tagged(at.iter));
-                    let (cfg, muted, scratch) = (&self.cfg, &mut self.muted, &mut self.scratch);
-                    if self.inst.finish(cfg, at, &grades, muted, scratch, ctx) {
+                    let muted = self.gc.muted_mut();
+                    if self
+                        .inst
+                        .finish(&self.cfg, at, &grades, muted, &mut self.scratch, ctx)
+                    {
                         return;
                     }
                 }
-                self.gc.reset_with_muted(&self.muted);
+                self.gc.reset();
                 (iter, self.gc.lead_msg(R64::new(self.inst.value)))
             }
             Phase::Echo(iter) => (iter, self.gc.on_leads(tagged(iter))),
@@ -440,6 +439,55 @@ mod tests {
         )
         .unwrap();
         assert_eq!(report.communication_rounds(), cfg.rounds());
+    }
+
+    /// Two colluding leaders (n = 7, t = 2) lead ∓`f64::MAX` and follow
+    /// the protocol otherwise: both values are accepted, so `hi − lo`
+    /// overflows, and the logged spread must saturate at `f64::MAX`.
+    #[test]
+    fn colluding_extreme_leads_log_a_finite_spread() {
+        use sim_net::StaticByzantine;
+        use sim_net::{run_simulation_traced, AdversaryCtx, EngineConfig, EventKind};
+        let (n, t) = (7, 2);
+        let cfg = RealAaConfig::new(n, t, 1.0, 8.0).unwrap();
+        let inputs = [-f64::MAX, f64::MAX, 0.0, 8.0, 3.0, 5.0, 2.0];
+        let (report, trace) = run_simulation_traced(
+            EngineConfig::from(SimConfig {
+                n,
+                t,
+                max_rounds: 10 + cfg.rounds(),
+            }),
+            |id, _| RealAaParty::new(id, cfg, inputs[id.index()]),
+            StaticByzantine {
+                parties: vec![PartyId(0), PartyId(1)],
+                behave: |ctx: &mut AdversaryCtx<'_, RealAaMsg>| {
+                    ctx.forward(PartyId(0));
+                    ctx.forward(PartyId(1));
+                },
+            },
+        )
+        .unwrap();
+        let spreads: Vec<f64> = trace
+            .events
+            .iter()
+            .filter_map(|e| match &e.kind {
+                EventKind::Proto { event, .. } if event.label == "realaa.iter" => {
+                    match event.field("spread") {
+                        Some(aa_trace::Json::Num(x)) => Some(*x),
+                        _ => None,
+                    }
+                }
+                _ => None,
+            })
+            .collect();
+        assert!(
+            spreads.contains(&f64::MAX),
+            "extremes not accepted: {spreads:?}"
+        );
+        assert!(spreads.iter().all(|s| s.is_finite()), "{spreads:?}");
+        let outs = report.honest_outputs();
+        assert!(spread(&outs) <= cfg.eps);
+        assert!(outs.iter().all(|o| (0.0..=8.0).contains(o)), "{outs:?}");
     }
 
     #[test]

@@ -87,9 +87,14 @@ impl sim_net::Payload for R64 {
 
 impl gradecast::GcValue for R64 {
     /// The IEEE-754 bit pattern — injective on the finite values `R64`
-    /// admits, as batched gradecast's tallying requires.
+    /// admits, and inverted by `from_bits64`, as batched gradecast's
+    /// tallying requires.
     fn bits64(&self) -> u64 {
         self.0.to_bits()
+    }
+
+    fn from_bits64(bits: u64) -> Self {
+        R64::new(f64::from_bits(bits))
     }
 }
 
