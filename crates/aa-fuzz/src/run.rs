@@ -7,7 +7,7 @@
 //!
 //! * **round bound** — `rounds_executed ≤ bound + 1`, where `bound` is the
 //!   protocol's publicly computable round count ([`TreeAaConfig::total_rounds`],
-//!   [`NowakRybickiConfig::rounds`], [`RealAaConfig::rounds`]) and the `+1`
+//!   [`NowakRybickiConfig::rounds`], [`RealAaConfig::rounds`](real_aa::RealAaConfig::rounds)) and the `+1`
 //!   is the terminal processing round in which parties consume the last
 //!   messages and output;
 //! * **validity** — every honest output lies in the convex hull (interval,

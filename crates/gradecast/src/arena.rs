@@ -3,15 +3,16 @@
 //! `j·n + ℓ` is leader `ℓ` of instance `j`), allocated once per party and
 //! reset in place each iteration. [`BatchGradecast`](crate::BatchGradecast)
 //! is an arena with `k = 1`, [`BundleGradecast`](crate::BundleGradecast)
-//! one with `k` lanes per leader; both feed it dense lane views through
-//! [`Tally::absorb`] (see the [`crate::batch`] module docs for the rule).
+//! one with `k` lanes per leader. It writes echo and vote messages as
+//! presence and key lanes and [`Tally::absorb`] reads them in that form
+//! (see the [`crate::batch`] module docs for the rule).
 
 use std::collections::BTreeMap;
 use std::ops::Range;
 
 use sim_net::PartyId;
 
-use crate::batch::{GcSlots, GcValue};
+use crate::batch::{GcBatch, GcValue};
 use crate::grade::{Grade, GradecastOutput};
 
 /// One phase's tallies (echoes or votes) over the arena's lanes. Keys are
@@ -19,7 +20,7 @@ use crate::grade::{Grade, GradecastOutput};
 #[derive(Clone, Debug)]
 pub(crate) struct Tally {
     n: usize,
-    /// Per (instance, sender): whether that sender's slots were absorbed.
+    /// Per (instance, sender): whether that sender's lanes were absorbed.
     from: Vec<bool>,
     /// Per lane: the key of the first entry absorbed — the candidate,
     /// meaningful only where `cnt > 0`.
@@ -52,42 +53,41 @@ impl Tally {
     }
 
     /// Folds in one sender's message: `insts` are the instances it
-    /// carries, in increasing order, and `keys` / `present` their `n`
-    /// lanes each, back to back. An instance the sender already spoke in
-    /// is skipped; the rest are absorbed by one kernel sweep per run of
-    /// consecutive instances, then the per-slot rule on the lanes the
-    /// sweep reports uncounted. An out-of-range sender is dropped.
-    pub(crate) fn absorb(
+    /// carries, in increasing order, and `msg` their `n` lanes each, back
+    /// to back. An instance the sender already spoke in is skipped; the
+    /// rest are absorbed by one kernel sweep per run of consecutive
+    /// instances, then the per-slot rule on the lanes the sweep reports
+    /// uncounted. An out-of-range sender is dropped.
+    pub(crate) fn absorb<T>(
         &mut self,
         from: PartyId,
         insts: impl IntoIterator<Item = usize>,
-        keys: &[u64],
-        present: &[bool],
+        msg: &GcBatch<T>,
     ) {
         let (n, sender) = (self.n, from.index());
         if sender >= n {
             return;
         }
-        // The current run: its first arena lane, first view lane, length.
+        // The current run: its first arena lane, first message lane, length.
         let (mut lane, mut at, mut len) = (0, 0, 0);
         for (i, j) in insts.into_iter().enumerate() {
             if std::mem::replace(&mut self.from[j * n + sender], true) {
                 continue;
             }
             if lane + len != j * n {
-                self.sweep(lane..lane + len, at, keys, present);
+                self.sweep(lane..lane + len, at, msg);
                 (lane, at, len) = (j * n, i * n, 0);
             }
             len += n;
         }
-        self.sweep(lane..lane + len, at, keys, present);
+        self.sweep(lane..lane + len, at, msg);
     }
 
-    /// Sweep, then leftovers, over arena `lanes` against the view lanes
+    /// Sweep, then leftovers, over arena `lanes` against the message lanes
     /// from `at` on.
-    fn sweep(&mut self, lanes: Range<usize>, at: usize, keys: &[u64], present: &[bool]) {
+    fn sweep<T>(&mut self, lanes: Range<usize>, at: usize, msg: &GcBatch<T>) {
         let view = at..at + lanes.len();
-        let (keys, present) = (&keys[view.clone()], &present[view]);
+        let (keys, present) = (&msg.keys[view.clone()], &msg.present[view]);
         let mut uncounted = aa_kernels::tally_eq_u64(
             keys,
             present,
@@ -149,8 +149,8 @@ pub(crate) struct Arena<V> {
     t: usize,
     pub(crate) k: usize,
     muted: Vec<bool>,
-    /// Per lane: the lead received (first lead wins).
-    leads: Vec<Option<V>>,
+    /// Per lane: the lead received (first lead wins) — the echo lanes.
+    leads: GcBatch<V>,
     pub(crate) echo: Tally,
     pub(crate) vote: Tally,
 }
@@ -172,7 +172,7 @@ impl<V: GcValue> Arena<V> {
             t,
             k: lanes / n,
             muted,
-            leads: vec![None; lanes],
+            leads: GcBatch::new(vec![false; lanes], vec![0; lanes]),
             echo: Tally::new(n, lanes),
             vote: Tally::new(n, lanes),
         }
@@ -180,7 +180,8 @@ impl<V: GcValue> Arena<V> {
 
     /// Starts the next batch: empties every tally, keeps the muted sets.
     pub(crate) fn reset(&mut self) {
-        self.leads.fill(None);
+        self.leads.present.fill(false);
+        self.leads.keys.fill(0);
         self.echo.reset();
         self.vote.reset();
     }
@@ -204,32 +205,35 @@ impl<V: GcValue> Arena<V> {
     pub(crate) fn absorb_lead(&mut self, inst: usize, from: PartyId, v: &V) {
         if from.index() < self.n {
             let lane = inst * self.n + from.index();
-            if !self.muted[lane] && self.leads[lane].is_none() {
-                self.leads[lane] = Some(v.clone());
+            if !self.muted[lane] && !self.leads.present[lane] {
+                self.leads.present[lane] = true;
+                self.leads.keys[lane] = v.bits64();
             }
         }
     }
 
-    /// Instance `inst`'s echo slots: the leads absorbed.
-    pub(crate) fn echo_slots(&self, inst: usize) -> GcSlots<V> {
-        self.leads[self.lanes(inst)].iter().cloned().collect()
+    /// Appends instance `inst`'s echo lanes, the leads absorbed, to `out`.
+    pub(crate) fn push_echoes(&self, inst: usize, out: &mut GcBatch<V>) {
+        let lanes = self.lanes(inst);
+        out.present
+            .extend_from_slice(&self.leads.present[lanes.clone()]);
+        out.keys.extend_from_slice(&self.leads.keys[lanes]);
     }
 
-    /// Instance `inst`'s vote slots: a vote for leader `ℓ` iff `n − t`
-    /// distinct parties echoed one value for `ℓ` and `ℓ` is not muted. At
-    /// most one value can reach `n − t` echoes (two would need
-    /// `2(n − t) > n` senders), so the first one found is the one.
-    pub(crate) fn vote_slots(&self, inst: usize) -> GcSlots<u32> {
+    /// Appends instance `inst`'s vote lanes to `out`: a vote for leader
+    /// `ℓ` iff `n − t` distinct parties echoed one value for `ℓ` and `ℓ`
+    /// is not muted. At most one value can reach `n − t` echoes (two
+    /// would need `2(n − t) > n` senders), so the first one found is the
+    /// one.
+    pub(crate) fn push_votes(&self, inst: usize, out: &mut GcBatch<u32>) {
         let need = self.n - self.t;
-        self.lanes(inst)
-            .map(|lane| {
-                if self.muted[lane] {
-                    return None;
-                }
-                let (key, _) = self.echo.entries(lane).find(|&(_, c)| c as usize >= need)?;
-                Some(V::from_bits64(key).hash32())
-            })
-            .collect()
+        for lane in self.lanes(inst) {
+            let echoed = || self.echo.entries(lane).find(|&(_, c)| c as usize >= need);
+            let vote = (!self.muted[lane]).then(echoed).flatten();
+            let vote = vote.map(|(key, _)| V::from_bits64(key).hash32());
+            out.present.push(vote.is_some());
+            out.keys.push(vote.map_or(0, u64::from));
+        }
     }
 
     /// Grades every leader of instance `inst` into `out` (cleared first),
@@ -288,7 +292,7 @@ impl<V: GcValue> Arena<V> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::batch::GcBatchMsg;
+    use crate::batch::{GcBatchMsg, GcSlots};
     use crate::bundle::GcBundleMsg;
     use crate::BatchGradecast;
     use crate::BundleGradecast;
@@ -507,7 +511,9 @@ mod tests {
             core.vote.overflow.clone().into_iter().eq(vote_overflow),
             "{at}: vote overflow"
         );
-        assert_eq!(core.vote_slots(0), model.vote_slots(), "{at}: vote slots");
+        let mut votes = GcBatch::with_capacity(model.n);
+        core.push_votes(0, &mut votes);
+        assert_eq!(votes, GcBatch::of(&model.vote_slots()), "{at}: vote lanes");
         let mut grades = Vec::new();
         core.grade(0, &mut grades);
         assert_eq!(grades, model.grade_all(), "{at}: grades");
@@ -586,7 +592,7 @@ mod tests {
 
     /// A bundle at `k` with instance `j` fed one phase's Byzantine
     /// pattern, after every sender's honest bundle for the other
-    /// instances; its `(vote slots, grades)` for instance `j` must equal
+    /// instances; its `(vote lanes, grades)` for instance `j` must equal
     /// the batch's after every prefix, and the other instances must grade
     /// every leader 2.
     struct WireUnderTest {
@@ -604,7 +610,7 @@ mod tests {
             WireUnderTest { k, j, gc }
         }
 
-        fn echo(&mut self, sender: usize, slots: &GcSlots<u64>) -> GcSlots<u32> {
+        fn echo(&mut self, sender: usize, slots: &GcSlots<u64>) -> GcBatch<u32> {
             let msg = GcBundleMsg::echoes(only(self.k, self.j, slots.clone()));
             let votes = self
                 .gc
@@ -612,8 +618,8 @@ mod tests {
             let GcBundleMsg::Votes(votes) = votes else {
                 panic!("phase 3 votes")
             };
-            let inner = votes.slots().iter().nth(self.j).unwrap().1.clone();
-            inner
+            let (present, keys) = votes.instances().nth(self.j).unwrap().unwrap();
+            GcBatch::new(present.to_vec(), keys.to_vec())
         }
 
         fn start_votes(&mut self, n: usize) {
@@ -644,7 +650,7 @@ mod tests {
     /// Runs one seeded echo sequence and one vote sequence through the
     /// batch, comparing its core with the model after every prefix, and
     /// through a bundle at k ∈ {1, 3} with each instance in turn carrying
-    /// the sequence, comparing its vote slots and grades with the
+    /// the sequence, comparing its vote lanes and grades with the
     /// batch's; returns the model for coverage checks.
     fn run_prefixes(n: usize, seed: u64) -> PerSlotTallies {
         let t = (n - 1) / 3;
@@ -681,7 +687,7 @@ mod tests {
             assert_matches_model(&batch.arena, &model, &format!("n {n} echo {i}"));
             for b in &mut bundles {
                 let at = format!("n {n} echo {i} k {} j {}", b.k, b.j);
-                assert_eq!(&b.echo(*sender, slots), votes.slots(), "{at}");
+                assert_eq!(b.echo(*sender, slots), *votes, "{at}");
             }
         }
         bundles.iter_mut().for_each(|b| b.start_votes(n));

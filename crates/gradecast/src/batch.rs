@@ -36,13 +36,13 @@
 //! crate's one tally core (see the crate docs) at one instance: per
 //! leader, the `u64` key of the first entry seen (a value is its
 //! [`GcValue::bits64`], so no value is stored) and that key's `u32`
-//! distinct-sender count. A [`GcBatch`] carries, beside its wire-shaped
-//! [`GcSlots`], the matching **dense view**: an n-wide key vector
+//! distinct-sender count. A [`GcBatch`] is those lanes and nothing else:
+//! an n-wide byte-wide presence lane and an n-wide key lane
 //! ([`GcValue::bits64`] of an echo entry, the widened hash of a vote
-//! entry, 0 where absent) next to the slots' byte-wide presence lanes.
-//! The view is built once, where the batch is assembled, and rides the
-//! `Arc` all n receivers share; it is not on the wire
-//! ([`Payload::size_bytes`] reports bitmap + present entries only).
+//! entry, 0 where absent). The arena writes them straight into the
+//! outgoing batch, all n receivers share it through one `Arc`, and entries
+//! come back through [`GcValue::from_bits64`] where the wire needs them
+//! ([`Payload::size_bytes`] reports bitmap + present entries).
 //!
 //! Absorbing a batch is then one [`aa_kernels::tally_eq_u64`] sweep over
 //! those arrays, whatever the presence pattern: it counts every present
@@ -63,7 +63,7 @@
 //! sender gains nothing by repeating itself on an authenticated channel.
 //! A batch of the wrong width is dropped without using up that turn.
 
-use std::fmt;
+use std::marker::PhantomData;
 use std::sync::Arc;
 
 use sim_net::{PartyId, Payload};
@@ -77,7 +77,11 @@ use crate::grade::GradecastOutput;
 /// **injective** on the values a deployment actually gradecasts, and
 /// `from_bits64` its inverse there. Both wire types in this repository
 /// qualify exactly (`u64` is the identity, `real-aa`'s `R64` uses the
-/// IEEE-754 bit pattern, injective on finite reals).
+/// IEEE-754 bit pattern, injective on finite reals), and so do the `u32`
+/// vote hashes, widened.
+///
+/// Echo and vote entries are sized as `size_of::<Self>()` bytes each, so
+/// that must be the value's width on the wire (it is for all three).
 pub trait GcValue: Clone + Ord + std::fmt::Debug {
     /// An injective 64-bit encoding of the value.
     fn bits64(&self) -> u64;
@@ -106,8 +110,18 @@ impl GcValue for u64 {
     }
 }
 
+impl GcValue for u32 {
+    fn bits64(&self) -> u64 {
+        u64::from(*self)
+    }
+
+    fn from_bits64(bits: u64) -> Self {
+        bits as u32
+    }
+}
+
 /// Wire bytes of an n-slot presence bitmap.
-fn bitmap_bytes(n: usize) -> usize {
+pub(crate) fn bitmap_bytes(n: usize) -> usize {
     n.div_ceil(8)
 }
 
@@ -123,14 +137,6 @@ impl<T> GcSlots<T> {
     /// Builds slots from a per-leader option vector.
     pub fn from_options(slots: Vec<Option<T>>) -> Self {
         slots.into_iter().collect()
-    }
-
-    /// Builds slots from the presence vector and the entries of the
-    /// present slots in leader order (what a wire decoder has in hand).
-    /// `None` unless there is exactly one entry per present slot.
-    pub fn from_parts(present: Vec<bool>, entries: Vec<T>) -> Option<Self> {
-        let expected = present.iter().filter(|&&p| p).count();
-        (entries.len() == expected).then_some(GcSlots { present, entries })
     }
 
     /// `n` slots with only `slot` present — the shape of a message that
@@ -169,13 +175,6 @@ impl<T> GcSlots<T> {
     pub fn is_present(&self, slot: usize) -> bool {
         self.present.get(slot).copied().unwrap_or(false)
     }
-
-    /// Wire bytes of the bitmap plus per-entry payloads as sized by `f`.
-    /// Public so nested batch formats (the bundled wire in
-    /// [`crate::bundle`]) can size inner slots recursively.
-    pub fn wire_bytes_with(&self, f: impl Fn(&T) -> usize) -> usize {
-        bitmap_bytes(self.n()) + self.entries.iter().map(f).sum::<usize>()
-    }
 }
 
 impl<T> FromIterator<Option<T>> for GcSlots<T> {
@@ -191,37 +190,52 @@ impl<T> FromIterator<Option<T>> for GcSlots<T> {
     }
 }
 
-/// One sender's echo or vote batch as the batched wire shares it: the
-/// wire-shaped [`GcSlots`] plus their dense view, an n-wide tally-key
-/// vector the receivers' sweep reads in place (see the module docs).
-/// Built only through [`GcBatchMsg::echoes`] / [`GcBatchMsg::votes`], so
-/// the keys always agree with the slots; equality and `Debug` are the
-/// slots'.
-#[derive(Clone, PartialEq, Eq)]
+/// One sender's echo or vote batch: a presence lane and a key lane (an
+/// entry's [`GcValue::bits64`], 0 where absent), as the arena writes and
+/// the receivers' sweep reads it.
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct GcBatch<T> {
-    slots: GcSlots<T>,
-    /// Per leader: the tally key of its entry, 0 where the slot is absent.
-    keys: Box<[u64]>,
+    pub(crate) present: Vec<bool>,
+    pub(crate) keys: Vec<u64>,
+    entry: PhantomData<T>,
 }
 
-impl<T> GcBatch<T> {
-    fn new(slots: GcSlots<T>, key: impl Fn(&T) -> u64) -> Self {
-        let mut keys = vec![0; slots.n()].into_boxed_slice();
-        for (l, entry) in slots.iter() {
-            keys[l] = key(entry);
+impl<T: GcValue> GcBatch<T> {
+    pub(crate) fn new(present: Vec<bool>, keys: Vec<u64>) -> Self {
+        GcBatch {
+            present,
+            keys,
+            entry: PhantomData,
         }
-        GcBatch { slots, keys }
     }
 
-    /// The wire-shaped slots.
-    pub fn slots(&self) -> &GcSlots<T> {
-        &self.slots
+    pub(crate) fn with_capacity(lanes: usize) -> Self {
+        GcBatch::new(Vec::with_capacity(lanes), Vec::with_capacity(lanes))
     }
-}
 
-impl<T: fmt::Debug> fmt::Debug for GcBatch<T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        self.slots.fmt(f)
+    pub(crate) fn of(slots: &GcSlots<T>) -> Self {
+        let mut batch = GcBatch::with_capacity(slots.n());
+        batch.push_slots(slots);
+        batch
+    }
+
+    /// Appends `slots`' lanes.
+    pub(crate) fn push_slots(&mut self, slots: &GcSlots<T>) {
+        let at = self.keys.len();
+        self.present.extend_from_slice(&slots.present);
+        self.keys.resize(at + slots.n(), 0);
+        for (l, entry) in slots.iter() {
+            self.keys[at + l] = entry.bits64();
+        }
+    }
+
+    /// Wire bytes of one bitmap per width in `widths`, plus one entry per
+    /// present lane. A `GcValue` is fixed-width on the wire: an entry is
+    /// `size_of::<T>()` bytes (8 for `R64` and `u64`, 4 for a vote hash).
+    pub(crate) fn wire_bytes(&self, widths: &[usize]) -> usize {
+        let bitmaps: usize = widths.iter().map(|&w| bitmap_bytes(w)).sum();
+        let entries = self.present.iter().filter(|&&p| p).count();
+        bitmaps + entries * std::mem::size_of::<T>()
     }
 }
 
@@ -239,27 +253,25 @@ pub enum GcBatchMsg<V> {
 }
 
 impl<V: GcValue> GcBatchMsg<V> {
-    /// The echo batch carrying `slots` (dense view built here, once).
+    /// The echo batch carrying `slots`.
     pub fn echoes(slots: GcSlots<V>) -> Self {
-        GcBatchMsg::Echoes(Arc::new(GcBatch::new(slots, GcValue::bits64)))
+        GcBatchMsg::Echoes(Arc::new(GcBatch::of(&slots)))
     }
 
-    /// The vote batch carrying `slots` (dense view built here, once).
+    /// The vote batch carrying `slots`.
     pub fn votes(slots: GcSlots<u32>) -> Self {
-        GcBatchMsg::Votes(Arc::new(GcBatch::new(slots, |&h| u64::from(h))))
+        GcBatchMsg::Votes(Arc::new(GcBatch::of(&slots)))
     }
 }
 
-impl<V: Payload> Payload for GcBatchMsg<V> {
+impl<V: GcValue + Payload> Payload for GcBatchMsg<V> {
     fn size_bytes(&self) -> usize {
-        // Tag byte + batch body. Entry payloads are sized through their
-        // own `Payload` impls so heap-carrying values count their real
-        // wire size and trace byte accounting reconciles. The dense view
-        // is receiver-side layout, not wire bytes.
+        // Tag byte + batch body, as the wire carries them, so trace byte
+        // accounting reconciles.
         match self {
             GcBatchMsg::Lead(v) => 1 + v.size_bytes(),
-            GcBatchMsg::Echoes(batch) => 1 + batch.slots.wire_bytes_with(Payload::size_bytes),
-            GcBatchMsg::Votes(batch) => 1 + batch.slots.wire_bytes_with(|_| 4),
+            GcBatchMsg::Echoes(b) => 1 + b.wire_bytes(&[b.present.len()]),
+            GcBatchMsg::Votes(b) => 1 + b.wire_bytes(&[b.present.len()]),
         }
     }
 }
@@ -329,7 +341,9 @@ impl<V: GcValue> BatchGradecast<V> {
                 self.arena.absorb_lead(0, from, v);
             }
         }
-        GcBatchMsg::echoes(self.arena.echo_slots(0))
+        let mut echoes = GcBatch::with_capacity(self.arena.n);
+        self.arena.push_echoes(0, &mut echoes);
+        GcBatchMsg::Echoes(Arc::new(echoes))
     }
 
     /// Phase 3: consume round-2 echo batches, return the vote batch to
@@ -342,13 +356,14 @@ impl<V: GcValue> BatchGradecast<V> {
     {
         for (from, msg) in inbox {
             if let GcBatchMsg::Echoes(batch) = msg {
-                if batch.slots.n() == self.arena.n {
-                    let (keys, present) = (&batch.keys, &batch.slots.present);
-                    self.arena.echo.absorb(from, [0], keys, present);
+                if batch.present.len() == self.arena.n {
+                    self.arena.echo.absorb(from, [0], batch);
                 }
             }
         }
-        GcBatchMsg::votes(self.arena.vote_slots(0))
+        let mut votes = GcBatch::with_capacity(self.arena.n);
+        self.arena.push_votes(0, &mut votes);
+        GcBatchMsg::Votes(Arc::new(votes))
     }
 
     /// Phase 4: consume round-3 vote batches and produce the output for
@@ -361,9 +376,8 @@ impl<V: GcValue> BatchGradecast<V> {
     {
         for (from, msg) in inbox {
             if let GcBatchMsg::Votes(batch) = msg {
-                if batch.slots.n() == self.arena.n {
-                    let (keys, present) = (&batch.keys, &batch.slots.present);
-                    self.arena.vote.absorb(from, [0], keys, present);
+                if batch.present.len() == self.arena.n {
+                    self.arena.vote.absorb(from, [0], batch);
                 }
             }
         }
@@ -597,18 +611,6 @@ mod tests {
                     .collect()
             }
         }
-    }
-
-    #[test]
-    fn from_parts_wants_one_entry_per_present_slot() {
-        let options = vec![Some(7u64), None, Some(9)];
-        let parts = GcSlots::from_parts(vec![true, false, true], vec![7, 9]);
-        assert_eq!(parts, Some(GcSlots::from_options(options)));
-        assert_eq!(
-            GcSlots::from_parts(vec![true, false, true], vec![7u64]),
-            None
-        );
-        assert_eq!(GcSlots::from_parts(vec![false], vec![7u64]), None);
     }
 
     /// Hand-driven cores (`aa-check`, tests) may pass any `PartyId`: a
@@ -866,6 +868,18 @@ mod tests {
         assert_eq!(msg.size_bytes(), 1 + 2 + 24);
     }
 
+    /// Echo and vote entries are sized as `size_of::<T>()` (see
+    /// `GcBatch::wire_bytes`): that must be what the entry's own wire form
+    /// takes — a `u64` echo's `Payload` size, and the 4 bytes of a vote
+    /// hash.
+    #[test]
+    fn entries_are_sized_as_their_wire_form() {
+        assert_eq!(std::mem::size_of::<u64>(), u64::MAX.size_bytes());
+        assert_eq!(std::mem::size_of::<u32>(), 4);
+        let msg = GcBatchMsg::<u64>::votes(GcSlots::single(3, 2, 9u64.hash32()));
+        assert_eq!(msg.size_bytes(), 1 + 1 + 4);
+    }
+
     #[test]
     fn hash32_is_stable_and_spread() {
         // Pin the mixer so recorded traces stay replayable: a silent
@@ -873,20 +887,6 @@ mod tests {
         assert_eq!(0u64.hash32(), 0x5d7c_35e6);
         assert_eq!(1u64.hash32(), 0x3a1c_2af7);
         assert_ne!(1u64.hash32(), 2u64.hash32());
-    }
-
-    #[test]
-    fn heap_values_count_their_real_size() {
-        // A 100-byte string must contribute 100 bytes, not the 24-byte
-        // shallow size of the `String` header.
-        let v = "x".repeat(100);
-        let lead: GcBatchMsg<String> = GcBatchMsg::Lead(v.clone());
-        // `String` is sized as a `Payload` without being a `GcValue`; the
-        // keys play no part in wire bytes.
-        let slots = GcSlots::from_options(vec![None, Some(v), None]);
-        let echoes: GcBatchMsg<String> = GcBatchMsg::Echoes(Arc::new(GcBatch::new(slots, |_| 0)));
-        assert_eq!(lead.size_bytes(), 1 + 100);
-        assert_eq!(echoes.size_bytes(), 1 + 1 + 100);
     }
 
     #[test]

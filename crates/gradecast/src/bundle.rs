@@ -17,10 +17,11 @@
 //!
 //! [`BundleGradecast`] is the crate's one tally core at `k` instances
 //! (lane `j·n + ℓ` is leader `ℓ` of instance `j`);
-//! [`BatchGradecast`](crate::BatchGradecast) is the same core at `k = 1`. A [`GcBundle`]
-//! carries, beside its nested wire slots, one flat dense view — the key
-//! and presence lanes of its present instances, back to back — built
-//! once where it is assembled or decoded. A sender's bundle is absorbed by
+//! [`BatchGradecast`](crate::BatchGradecast) is the same core at `k = 1`. A
+//! [`GcBundle`] is the outer presence, each present instance's width, and
+//! the presence and key lanes of its present instances, back to back:
+//! what the arena writes, the codec carries and the tally reads, with no
+//! nested slots in between. A sender's bundle is absorbed by
 //! one kernel sweep per run of consecutive instances (one sweep when all
 //! are present) and the same per-slot rule on the leftovers, so instance
 //! `j` ends with exactly the grades a standalone batch fed the same slots
@@ -47,7 +48,7 @@ use std::sync::Arc;
 use sim_net::{PartyId, Payload};
 
 use crate::arena::Arena;
-use crate::batch::{GcSlots, GcValue};
+use crate::batch::{bitmap_bytes, GcBatch, GcSlots, GcValue};
 use crate::grade::GradecastOutput;
 
 /// A structurally invalid bundle request.
@@ -67,61 +68,106 @@ impl fmt::Display for BundleError {
 
 impl std::error::Error for BundleError {}
 
-/// One sender's echo or vote bundle as the bundled wire shares it: the
-/// nested wire slots (outer over instances, inner over leaders) plus
-/// their flat dense view (see the module docs). Built only through
-/// [`GcBundleMsg::echoes`] / [`GcBundleMsg::votes`], so the view always
-/// agrees with the slots; equality and `Debug` are the slots'.
-#[derive(Clone, PartialEq, Eq)]
+/// One sender's echo or vote bundle: the outer presence over instances
+/// (absent = finished at the sender), each present instance's width, and
+/// their lanes back to back. Mixed widths are representable, so a
+/// malformed bundle survives decoding and is dropped whole on absorption.
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct GcBundle<T> {
-    slots: GcSlots<GcSlots<T>>,
-    /// The width every present inner slot has; `None` when they differ
-    /// or none is present (nothing to absorb either way).
-    width: Option<usize>,
-    /// The present instances' tally keys, back to back (0 where absent).
-    keys: Box<[u64]>,
-    /// The present instances' presence lanes, back to back.
-    present: Box<[bool]>,
+    outer: Vec<bool>,
+    widths: Vec<usize>,
+    lanes: GcBatch<T>,
 }
 
-impl<T> GcBundle<T> {
-    fn new(slots: GcSlots<GcSlots<T>>, key: impl Fn(&T) -> u64) -> Self {
-        let widths = || slots.iter().map(|(_, inner)| inner.n());
-        let width = widths().next().filter(|&w| widths().all(|x| x == w));
-        let mut keys = Vec::with_capacity(widths().sum());
-        let mut present = Vec::with_capacity(keys.capacity());
-        for (_, inner) in slots.iter() {
-            let at = keys.len();
-            keys.resize(at + inner.n(), 0);
-            present.extend_from_slice(&inner.present);
-            for (l, entry) in inner.iter() {
-                keys[at + l] = key(entry);
-            }
-        }
+impl<T: GcValue> GcBundle<T> {
+    /// Instances present per `outer`, of `widths`, their lanes unwritten.
+    fn new(outer: Vec<bool>, widths: Vec<usize>) -> Self {
+        let lanes = GcBatch::with_capacity(widths.iter().sum());
         GcBundle {
-            slots,
-            width,
-            keys: keys.into(),
-            present: present.into(),
+            outer,
+            widths,
+            lanes,
         }
     }
 
-    /// The wire-shaped slots.
-    pub fn slots(&self) -> &GcSlots<GcSlots<T>> {
-        &self.slots
+    fn of(slots: &GcSlots<GcSlots<T>>) -> Self {
+        let widths = slots.iter().map(|(_, inner)| inner.n()).collect();
+        let mut bundle = GcBundle::new(slots.present.clone(), widths);
+        for (_, inner) in slots.iter() {
+            bundle.lanes.push_slots(inner);
+        }
+        bundle
     }
-}
 
-impl<T: fmt::Debug> fmt::Debug for GcBundle<T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        self.slots.fmt(f)
+    /// A bundle from its lanes, as a decoder has them; `None` unless the
+    /// present instances' widths sum to the lanes and absent keys are 0.
+    pub fn from_lanes(
+        outer: Vec<bool>,
+        widths: Vec<usize>,
+        present: Vec<bool>,
+        keys: Vec<u64>,
+    ) -> Option<Self> {
+        let lanes = widths.iter().try_fold(0usize, |sum, &w| sum.checked_add(w));
+        let shaped = widths.len() == outer.iter().filter(|&&p| p).count()
+            && lanes == Some(present.len())
+            && keys.len() == present.len()
+            && present.iter().zip(&keys).all(|(&p, &key)| p || key == 0);
+        let lanes = GcBatch::new(present, keys);
+        shaped.then_some(GcBundle {
+            outer,
+            widths,
+            lanes,
+        })
+    }
+
+    /// `base` (or a bundle one instance wide; if present there, instance 0
+    /// must be `n` wide) with instance 0 present and `entries` written
+    /// over its `n` slots: how an adversary speaks for instance 0.
+    pub fn with_first(
+        base: Option<&Self>,
+        n: usize,
+        entries: impl IntoIterator<Item = (usize, T)>,
+    ) -> Self {
+        let mut b = base
+            .cloned()
+            .unwrap_or_else(|| GcBundle::new(vec![false], vec![]));
+        if !std::mem::replace(&mut b.outer[0], true) {
+            b.widths.insert(0, n);
+            b.lanes.present.splice(0..0, std::iter::repeat_n(false, n));
+            b.lanes.keys.splice(0..0, std::iter::repeat_n(0, n));
+        }
+        for (l, entry) in entries {
+            assert!(l < n, "slot {l} outside the {n} leaders");
+            b.lanes.present[l] = true;
+            b.lanes.keys[l] = entry.bits64();
+        }
+        b
+    }
+
+    /// Per instance: its presence and key lanes, `None` where absent.
+    pub fn instances(&self) -> impl ExactSizeIterator<Item = Option<(&[bool], &[u64])>> {
+        let (mut at, mut widths) = (0, self.widths.iter());
+        self.outer.iter().map(move |&p| {
+            let lanes = at..at + if p { *widths.next()? } else { 0 };
+            at = lanes.end;
+            p.then(|| (&self.lanes.present[lanes.clone()], &self.lanes.keys[lanes]))
+        })
+    }
+
+    fn present_instances(&self) -> impl Iterator<Item = usize> + '_ {
+        (0..self.outer.len()).filter(|&j| self.outer[j])
+    }
+
+    /// The outer bitmap, then each present instance's bitmap and entries.
+    fn wire_bytes(&self) -> usize {
+        bitmap_bytes(self.outer.len()) + self.lanes.wire_bytes(&self.widths)
     }
 }
 
 /// A bundled gradecast message: one broadcast per sender per phase,
-/// shared by all k instances. The outer [`GcSlots`] ranges over
-/// instances (absent = the sender has finished that instance); inner
-/// bodies are the per-instance batched wire of [`crate::batch`].
+/// shared by all k instances. The outer presence ranges over instances
+/// (absent = the sender has finished that instance); each present
+/// instance carries the per-instance batched wire of [`crate::batch`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum GcBundleMsg<V> {
     /// Round 3i+1: the sender's own lead value for each active instance.
@@ -134,34 +180,30 @@ pub enum GcBundleMsg<V> {
 }
 
 impl<V: GcValue> GcBundleMsg<V> {
-    /// The echo bundle carrying `slots` (dense view built here, once).
+    /// The echo bundle carrying the nested `slots` (outer over instances,
+    /// inner over leaders).
     pub fn echoes(slots: GcSlots<GcSlots<V>>) -> Self {
-        GcBundleMsg::Echoes(Arc::new(GcBundle::new(slots, GcValue::bits64)))
+        GcBundleMsg::Echoes(Arc::new(GcBundle::of(&slots)))
     }
 
-    /// The vote bundle carrying `slots` (dense view built here, once).
+    /// The vote bundle carrying the nested `slots`.
     pub fn votes(slots: GcSlots<GcSlots<u32>>) -> Self {
-        GcBundleMsg::Votes(Arc::new(GcBundle::new(slots, |&h| u64::from(h))))
+        GcBundleMsg::Votes(Arc::new(GcBundle::of(&slots)))
     }
 }
 
-impl<V: Payload> Payload for GcBundleMsg<V> {
+impl<V: GcValue + Payload> Payload for GcBundleMsg<V> {
     fn size_bytes(&self) -> usize {
-        // Tag byte + outer bitmap + nested per-instance bodies, sized
-        // recursively with the same per-entry accounting as the batched
-        // wire so trace byte totals reconcile across both formats.
+        // Tag byte + outer bitmap + per-instance bodies, with the same
+        // per-entry accounting as the batched wire so trace byte totals
+        // reconcile across both formats.
         match self {
-            GcBundleMsg::Leads(slots) => 1 + slots.wire_bytes_with(Payload::size_bytes),
-            GcBundleMsg::Echoes(b) => {
-                1 + b
-                    .slots
-                    .wire_bytes_with(|inner| inner.wire_bytes_with(Payload::size_bytes))
+            GcBundleMsg::Leads(slots) => {
+                let entries = slots.iter().map(|(_, v)| v.size_bytes());
+                1 + bitmap_bytes(slots.n()) + entries.sum::<usize>()
             }
-            GcBundleMsg::Votes(b) => {
-                1 + b
-                    .slots
-                    .wire_bytes_with(|inner| inner.wire_bytes_with(|_| 4))
-            }
+            GcBundleMsg::Echoes(b) => 1 + b.wire_bytes(),
+            GcBundleMsg::Votes(b) => 1 + b.wire_bytes(),
         }
     }
 }
@@ -217,7 +259,21 @@ impl<V: GcValue> BundleGradecast<V> {
     /// Whether `bundle` is `k` instances of `n` slots (see the module
     /// docs on malformed bundles).
     fn shaped<T>(&self, bundle: &GcBundle<T>) -> bool {
-        bundle.slots.n() == self.k() && bundle.width == Some(self.arena.n)
+        bundle.outer.len() == self.k() && bundle.widths.iter().all(|&w| w == self.arena.n)
+    }
+
+    /// The `active` instances, `n` wide, written from the arena by `write`.
+    fn written<T: GcValue>(
+        &self,
+        active: &[bool],
+        write: impl Fn(&Arena<V>, usize, &mut GcBatch<T>),
+    ) -> Arc<GcBundle<T>> {
+        let widths = vec![self.arena.n; active.iter().filter(|&&a| a).count()];
+        let mut bundle = GcBundle::new(active.to_vec(), widths);
+        for j in (0..active.len()).filter(|&j| active[j]) {
+            write(&self.arena, j, &mut bundle.lanes);
+        }
+        Arc::new(bundle)
     }
 
     /// Phase 1: the bundled lead message — this party's own value per
@@ -244,8 +300,7 @@ impl<V: GcValue> BundleGradecast<V> {
                 }
             }
         }
-        let echoes = (0..self.k()).map(|j| active[j].then(|| self.arena.echo_slots(j)));
-        GcBundleMsg::echoes(echoes.collect())
+        GcBundleMsg::Echoes(self.written(active, Arena::push_echoes))
     }
 
     /// Phase 3: consume round-3i+2 echo bundles, return the vote bundle
@@ -259,13 +314,13 @@ impl<V: GcValue> BundleGradecast<V> {
         for (from, msg) in inbox {
             if let GcBundleMsg::Echoes(b) = msg {
                 if self.shaped(b) {
-                    let insts = b.slots.iter().map(|(j, _)| j);
-                    self.arena.echo.absorb(from, insts, &b.keys, &b.present);
+                    self.arena
+                        .echo
+                        .absorb(from, b.present_instances(), &b.lanes);
                 }
             }
         }
-        let votes = (0..self.k()).map(|j| active[j].then(|| self.arena.vote_slots(j)));
-        GcBundleMsg::votes(votes.collect())
+        GcBundleMsg::Votes(self.written(active, Arena::push_votes))
     }
 
     /// Phase 4: consume round-3i+3 vote bundles and grade every leader
@@ -297,8 +352,9 @@ impl<V: GcValue> BundleGradecast<V> {
         for (from, msg) in inbox {
             if let GcBundleMsg::Votes(b) = msg {
                 if self.shaped(b) {
-                    let insts = b.slots.iter().map(|(j, _)| j);
-                    self.arena.vote.absorb(from, insts, &b.keys, &b.present);
+                    self.arena
+                        .vote
+                        .absorb(from, b.present_instances(), &b.lanes);
                 }
             }
         }
@@ -409,6 +465,34 @@ mod tests {
     }
 
     #[test]
+    fn from_lanes_wants_the_lanes_of_the_present_widths() {
+        let lanes = |outer: &[bool], widths: &[usize], present: &[bool], keys: &[u64]| {
+            let (outer, widths) = (outer.to_vec(), widths.to_vec());
+            GcBundle::<u64>::from_lanes(outer, widths, present.to_vec(), keys.to_vec())
+        };
+        let (outer, present, keys) = ([true, false, true], [true, false, false], [7, 0, 0]);
+        let bundle = lanes(&outer, &[2, 1], &present, &keys).expect("well formed");
+        let instances: Vec<_> = bundle.instances().collect();
+        let want = [
+            Some((&present[..2], &keys[..2])),
+            None,
+            Some((&present[2..], &keys[2..])),
+        ];
+        assert_eq!(instances, want);
+        // Fewer and more widths than present instances.
+        assert_eq!(lanes(&outer, &[3], &present, &keys), None);
+        assert_eq!(lanes(&outer, &[1, 1, 1], &present, &keys), None);
+        // Widths that do not sum to the lanes, or overflow doing so.
+        assert_eq!(lanes(&outer, &[1, 1], &present, &keys), None);
+        assert_eq!(lanes(&outer, &[usize::MAX, 4], &present, &keys), None);
+        // Key and presence lanes of different lengths.
+        assert_eq!(lanes(&outer, &[2, 1], &present, &[7, 0]), None);
+        assert_eq!(lanes(&outer, &[2, 1], &present, &[7, 0, 0, 0]), None);
+        // A nonzero key in an absent lane.
+        assert_eq!(lanes(&outer, &[2, 1], &present, &[7, 0, 5]), None);
+    }
+
+    #[test]
     fn bundled_equals_independent_per_instance() {
         let (n, t, k) = (7, 2, 3);
         // Instance 0 all honest, instance 1 has a silent leader, instance
@@ -444,23 +528,17 @@ mod tests {
             if r != 0 {
                 return m;
             }
-            let GcBundleMsg::Echoes(outer) = &m else {
+            let GcBundleMsg::Echoes(honest) = &m else {
                 panic!("phase 2 produces echoes")
             };
             let rewritten = (0..k)
                 .map(|j| {
-                    let inner = outer
-                        .slots()
-                        .iter()
-                        .find(|(i, _)| *i == j)
-                        .unwrap()
-                        .1
-                        .clone();
-                    if j == 1 {
-                        Some(GcSlots::from_options(vec![Some(0xbad); n]))
-                    } else {
-                        Some(inner)
-                    }
+                    let (present, keys) = honest.instances().nth(j).unwrap().unwrap();
+                    let inner = present.iter().zip(keys).map(|(&p, &key)| match j {
+                        1 => Some(0xbad),
+                        _ => p.then_some(key),
+                    });
+                    Some(inner.collect())
                 })
                 .collect();
             GcBundleMsg::echoes(GcSlots::from_options(rewritten))
@@ -492,10 +570,7 @@ mod tests {
         let bundled =
             GcBundleMsg::echoes((0..k).map(|_| Some(inner.clone())).collect()).size_bytes();
         let independent = k * GcBatchMsg::echoes(inner.clone()).size_bytes();
-        assert_eq!(
-            bundled,
-            1 + k.div_ceil(8) + k * inner.wire_bytes_with(|v| v.size_bytes())
-        );
+        assert_eq!(bundled, 1 + k.div_ceil(8) + k * (n.div_ceil(8) + 8 * n));
         assert!(bundled < independent);
     }
 

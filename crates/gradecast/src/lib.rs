@@ -41,7 +41,8 @@
 //! [`BatchGradecast`] is the core at `k = 1` behind [`GcBatchMsg`],
 //! [`BundleGradecast`] the core at `k` behind [`GcBundleMsg`]. Every
 //! message is absorbed by one rule (a masked kernel sweep, then a per-slot
-//! rule on the leftovers) and graded by one routine.
+//! rule on the leftovers) and graded by one routine. Echo and vote
+//! messages ([`GcBatch`], [`GcBundle`]) are the core's own lanes.
 //!
 //! # Muting
 //!

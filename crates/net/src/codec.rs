@@ -13,7 +13,7 @@ use std::sync::Arc;
 
 use async_aa::{AsyncAaMsg, RbcMsg};
 use async_net::RelMsg;
-use gradecast::{GcBundleMsg, GcSlots};
+use gradecast::{GcBundle, GcBundleMsg, GcSlots, GcValue};
 use real_aa::{BundledAaMsg, R64};
 use sim_net::PartyId;
 
@@ -290,43 +290,90 @@ impl WireCodec for R64 {
     }
 }
 
+/// Appends a slot width and its presence bitmap.
+fn put_bitmap(out: &mut Vec<u8>, present: impl ExactSizeIterator<Item = bool>) {
+    out.extend_from_slice(&(present.len() as u32).to_le_bytes());
+    let bitmap = out.len();
+    out.resize(bitmap + present.len().div_ceil(8), 0);
+    for (slot, _) in present.enumerate().filter(|&(_, p)| p) {
+        out[bitmap + slot / 8] |= 1 << (slot % 8);
+    }
+}
+
+/// Reads a slot width and its bitmap onto `present`; returns the width.
+fn get_bitmap(r: &mut Reader<'_>, present: &mut Vec<bool>) -> Result<usize, CodecError> {
+    let n = r.u32()? as usize;
+    // The bitmap alone needs ⌈n/8⌉ bytes: reject impossible widths
+    // before allocating anything proportional to `n`.
+    let bitmap = r
+        .bytes(n.div_ceil(8))
+        .map_err(|_| CodecError::BadLength { announced: n })?;
+    let bit = |slot: usize| bitmap[slot / 8] & (1 << (slot % 8)) != 0;
+    // Padding bits past slot n−1 must be zero so encode∘decode is the
+    // identity on bytes, not just on values.
+    if (n..bitmap.len() * 8).any(bit) {
+        return Err(CodecError::BadValue {
+            what: "GcSlots padding",
+        });
+    }
+    present.extend((0..n).map(bit));
+    Ok(n)
+}
+
 impl<T: WireCodec> WireCodec for GcSlots<T> {
     fn encode(&self, out: &mut Vec<u8>) {
-        let n = self.n();
-        out.extend_from_slice(&(n as u32).to_le_bytes());
-        let bitmap = out.len();
-        out.resize(bitmap + n.div_ceil(8), 0);
-        for (slot, v) in self.iter() {
-            out[bitmap + slot / 8] |= 1 << (slot % 8);
+        put_bitmap(out, (0..self.n()).map(|slot| self.is_present(slot)));
+        for (_, v) in self.iter() {
             v.encode(out);
         }
     }
 
     fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        let n = r.u32()? as usize;
-        // The bitmap alone needs ⌈n/8⌉ bytes: reject impossible widths
-        // before allocating anything proportional to `n`.
-        if n.div_ceil(8) > r.remaining() {
-            return Err(CodecError::BadLength { announced: n });
+        let mut present = Vec::new();
+        get_bitmap(r, &mut present)?;
+        let entries = present
+            .into_iter()
+            .map(|p| p.then(|| T::decode(r)).transpose());
+        entries.collect()
+    }
+}
+
+/// A bundle has the bytes of nested slots (outer over instances, inner
+/// over leaders), written from and read into its lanes.
+impl<T: WireCodec + GcValue> WireCodec for GcBundle<T> {
+    fn encode(&self, out: &mut Vec<u8>) {
+        put_bitmap(out, self.instances().map(|inst| inst.is_some()));
+        for (present, keys) in self.instances().flatten() {
+            put_bitmap(out, present.iter().copied());
+            for (_, &key) in present.iter().zip(keys).filter(|(&p, _)| p) {
+                T::from_bits64(key).encode(out);
+            }
         }
-        let bitmap = r.bytes(n.div_ceil(8))?;
-        let bit = |slot: usize| bitmap[slot / 8] & (1 << (slot % 8)) != 0;
-        // Padding bits past slot n−1 must be zero so encode∘decode is
-        // the identity on bytes, not just on values.
-        if (n..bitmap.len() * 8).any(bit) {
-            return Err(CodecError::BadValue {
-                what: "GcSlots padding",
-            });
-        }
-        let present: Vec<bool> = (0..n).map(bit).collect();
-        let count = present.iter().filter(|&&p| p).count();
-        // An entry is at least a byte on the wire: the input bounds the
-        // capacity whatever the bitmap claims.
-        let mut entries = Vec::with_capacity(count.min(r.remaining()));
+    }
+
+    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        let mut outer = Vec::new();
+        get_bitmap(r, &mut outer)?;
+        let count = outer.iter().filter(|&&p| p).count();
+        let (mut widths, mut present, mut keys) =
+            (Vec::with_capacity(count), Vec::new(), Vec::new());
         for _ in 0..count {
-            entries.push(T::decode(r)?);
+            let at = present.len();
+            let n = get_bitmap(r, &mut present)?;
+            if widths.is_empty() {
+                // Room for `count` instances of the first width (exact
+                // if honest); every further lane is a bitmap bit of input.
+                let lanes = n.saturating_mul(count).min(n + 8 * r.remaining());
+                present.reserve_exact(lanes - n);
+                keys.reserve_exact(lanes);
+            }
+            keys.resize(at + n, 0);
+            for lane in (at..at + n).filter(|&lane| present[lane]) {
+                keys[lane] = T::decode(r)?.bits64();
+            }
+            widths.push(n);
         }
-        Ok(GcSlots::from_parts(present, entries).expect("one entry was decoded per set bit"))
+        Ok(GcBundle::from_lanes(outer, widths, present, keys).expect("lanes decoded per width"))
     }
 }
 
@@ -339,11 +386,11 @@ impl WireCodec for GcBundleMsg<R64> {
             }
             GcBundleMsg::Echoes(b) => {
                 out.push(1);
-                b.slots().encode(out);
+                b.encode(out);
             }
             GcBundleMsg::Votes(b) => {
                 out.push(2);
-                b.slots().encode(out);
+                b.encode(out);
             }
         }
     }
@@ -351,8 +398,8 @@ impl WireCodec for GcBundleMsg<R64> {
     fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
         match r.u8()? {
             0 => Ok(GcBundleMsg::Leads(Arc::new(GcSlots::decode(r)?))),
-            1 => Ok(GcBundleMsg::echoes(GcSlots::decode(r)?)),
-            2 => Ok(GcBundleMsg::votes(GcSlots::decode(r)?)),
+            1 => Ok(GcBundleMsg::Echoes(Arc::new(GcBundle::decode(r)?))),
+            2 => Ok(GcBundleMsg::Votes(Arc::new(GcBundle::decode(r)?))),
             tag => Err(CodecError::BadTag {
                 what: "GcBundleMsg",
                 tag,
@@ -613,6 +660,137 @@ mod tests {
             GcSlots::<u32>::from_bytes(&bytes[..9]),
             Err(CodecError::Truncated)
         );
+    }
+
+    /// The bundle wire, byte for byte: a width and a bitmap over
+    /// instances, then per present instance a width, a bitmap over
+    /// leaders and the present entries. `size_bytes` counts the tag, the
+    /// bitmaps and the entries, not the widths.
+    #[test]
+    fn bundle_bytes_are_outer_bitmap_then_present_instances() {
+        use sim_net::Payload;
+        let echoes = GcBundleMsg::echoes(slots(&[
+            Some(slots(&[Some(R64::new(7.0)), None, Some(R64::new(-2.5))])),
+            None,
+            Some(slots(&[None, None, None])),
+        ]));
+        let votes = GcBundleMsg::<R64>::votes(slots(&[
+            Some(slots(&[None, None, None])),
+            Some(slots(&[Some(0xdead_beef_u32), None, Some(1)])),
+            None,
+        ]));
+        let solo = GcBundleMsg::echoes(slots(&[Some(slots(&[Some(R64::new(1.0)), None]))]));
+        #[rustfmt::skip]
+        let pins: [(&GcBundleMsg<R64>, &[u8], usize); 3] = [
+            (&echoes, &[
+                1, 3, 0, 0, 0, 0b101,
+                3, 0, 0, 0, 0b101, 0, 0, 0, 0, 0, 0, 28, 64, 0, 0, 0, 0, 0, 0, 4, 192,
+                3, 0, 0, 0, 0,
+            ], 1 + 1 + (1 + 16) + 1),
+            (&votes, &[
+                2, 3, 0, 0, 0, 0b011,
+                3, 0, 0, 0, 0,
+                3, 0, 0, 0, 0b101, 239, 190, 173, 222, 1, 0, 0, 0,
+            ], 1 + 1 + 1 + (1 + 8)),
+            (&solo, &[
+                1, 1, 0, 0, 0, 0b1,
+                2, 0, 0, 0, 0b01, 0, 0, 0, 0, 0, 0, 240, 63,
+            ], 1 + 1 + (1 + 8)),
+        ];
+        for (msg, bytes, size) in pins {
+            assert_eq!(msg.to_bytes(), bytes, "{msg:?}");
+            assert_eq!(msg.size_bytes(), size, "{msg:?}");
+            assert_eq!(&GcBundleMsg::from_bytes(bytes).unwrap(), msg);
+        }
+    }
+
+    /// Party 0 (n = 4, t = 1, k = 3) steps iteration 0 on decoded
+    /// bundles; its echo and vote rounds hear exactly n − t senders (0, 1
+    /// and 3), so one lost echo or vote changes what it sends. Party 3's
+    /// honest echo and vote bundles each follow two malformed ones: outer
+    /// width k + 1, and instance 1 at inner width n − 1. Neither claims
+    /// an instance: party 0 sends what it sends without them — a vote
+    /// for every leader of every instance — and mutes no one.
+    #[test]
+    fn decoded_malformed_bundles_claim_no_instance() {
+        use real_aa::{BundledAaParty, RealAaConfig};
+        use sim_net::RoundCtx;
+        let (n, k) = (4, 3);
+        let cfg = RealAaConfig::new(n, 1, 0.5, 10.0).unwrap();
+        let wire = |m: &BundledAaMsg| BundledAaMsg::from_bytes(&m.to_bytes()).expect("decodes");
+        let party = |p: usize| {
+            let inputs = (0..k).map(|j| ((p * 7 + j * 3) % 11) as f64).collect();
+            BundledAaParty::new(PartyId(p), cfg, inputs).unwrap()
+        };
+        // All-present instances of the given widths, each entry `e`.
+        fn full<T: Clone>(e: T, widths: &[usize]) -> GcSlots<GcSlots<T>> {
+            let inner = |&w| Some(slots(&vec![Some(e.clone()); w]));
+            GcSlots::from_options(widths.iter().map(inner).collect())
+        }
+        // A `phase` (2 echoes, 3 votes) bundle carrying 1e9, outside
+        // every honest hull.
+        let junk = |phase: u32, widths: &[usize]| {
+            let v = R64::new(1e9);
+            let body = match phase {
+                2 => GcBundleMsg::echoes(full(v, widths)),
+                _ => GcBundleMsg::votes(full(v.hash32(), widths)),
+            };
+            wire(&BundledAaMsg { iter: 0, body })
+        };
+        let step = |p: &mut BundledAaParty, round, inbox: &[(PartyId, BundledAaMsg)]| {
+            let mut ctx = RoundCtx::new(PartyId(0), n);
+            p.step_on(round, inbox.iter().map(|(from, m)| (*from, m)), &mut ctx);
+            ctx.into_outbox()
+                .broadcasts()
+                .iter()
+                .map(wire)
+                .collect::<Vec<_>>()
+        };
+        let mut parties: Vec<BundledAaParty> = (0..n).map(party).collect();
+        let (mut reference, mut target) = (party(0), party(0));
+        let mut sent: Vec<(PartyId, BundledAaMsg)> = Vec::new();
+        for round in 1..=4 {
+            let heard: Vec<_> = sent
+                .iter()
+                .filter(|(from, _)| round <= 2 || from.index() != 2)
+                .cloned()
+                .collect();
+            let mut hostile = heard.clone();
+            if round > 2 {
+                let at = hostile
+                    .iter()
+                    .position(|(from, _)| from.index() == 3)
+                    .unwrap();
+                for widths in [vec![n; k + 1], vec![n, n - 1, n]] {
+                    hostile.insert(at, (PartyId(3), junk(round - 1, &widths)));
+                }
+            }
+            let want = step(&mut reference, round, &heard);
+            assert_eq!(step(&mut target, round, &hostile), want, "round {round}");
+            if round == 3 {
+                let GcBundleMsg::Votes(votes) = &want[0].body else {
+                    panic!("round 3 votes")
+                };
+                let mut instances = votes.instances();
+                assert_eq!(instances.len(), k);
+                assert!(instances.all(|inst| inst.is_some_and(|(p, _)| !p.contains(&false))));
+            }
+            sent = parties
+                .iter_mut()
+                .enumerate()
+                .flat_map(|(p, party)| {
+                    let mut ctx = RoundCtx::new(PartyId(p), n);
+                    party.step_on(round, sent.iter().map(|(from, m)| (*from, m)), &mut ctx);
+                    let out = ctx.into_outbox().broadcasts().to_vec();
+                    out.iter()
+                        .map(|m| (PartyId(p), wire(m)))
+                        .collect::<Vec<_>>()
+                })
+                .collect();
+        }
+        for j in 0..k {
+            assert_eq!(target.muted_count(j), 0, "instance {j}");
+        }
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! one OS process (or thread) per party, and still reproduces the
 //! in-process schedule bit for bit. The layers, bottom up:
 //!
-//! * [`frame`] — length-prefixed framing with an incremental,
+//! * [`frame`](mod@frame) — length-prefixed framing with an incremental,
 //!   desync-proof decoder;
 //! * [`mac`] — SipHash-2-4 under pairwise keys from a cluster secret;
 //! * [`codec`] — total binary codecs for the protocol messages;

@@ -2,7 +2,7 @@
 //!
 //! Each node owns one OS process (or thread, in the loopback cluster),
 //! talks to its peers over plain `TcpStream`s carrying MAC-authenticated
-//! [`WrapperMsg`] envelopes, and replays — bit for bit — the schedule the
+//! [`WrapperMsg`](crate::wire::WrapperMsg) envelopes, and replays — bit for bit — the schedule the
 //! in-process [`async_net::VirtualScheduler`] would produce for the same
 //! `(n, seed, min_delay)`. The trick is conservative virtual-time
 //! synchronization (Chandy–Misra–Bryant null messages):
@@ -18,7 +18,7 @@
 //!   strictly exceeds `min_delay`); a Null frame raises it to the
 //!   explicit promise it carries.
 //! * Pending events (arrived Data, local timers, self-deliveries) are
-//!   processed in the global [`VKey`] order, but only while their time is
+//!   processed in the global [`VKey`](async_net::VKey) order, but only while their time is
 //!   at most `bound = min_j L_j` — so no event can ever arrive "in the
 //!   past", and the node's activation order equals the reference
 //!   schedule restricted to this party.

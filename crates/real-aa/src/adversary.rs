@@ -19,7 +19,7 @@ use std::sync::Arc;
 use rand::Rng;
 use rand_chacha::ChaCha8Rng;
 
-use gradecast::{GcBundleMsg, GcSlots, GcValue};
+use gradecast::{GcBundle, GcBundleMsg, GcSlots, GcValue};
 use sim_net::{Adversary, AdversaryCtx, PartyId};
 
 use crate::bundle::BundledAaMsg;
@@ -175,7 +175,11 @@ impl BudgetSplitEquivocator {
                 .iter()
                 .chain(outbox.unicasts().iter().map(|e| &e.payload));
             let lead = payloads.find_map(|msg| match &msg.body {
-                GcBundleMsg::Leads(slots) => first(slots).map(|v| v.get()),
+                // Instance 0's lead.
+                GcBundleMsg::Leads(slots) => match slots.iter().next() {
+                    Some((0, v)) => Some(v.get()),
+                    _ => None,
+                },
                 _ => None,
             });
             match lead {
@@ -282,42 +286,6 @@ impl BudgetSplitEquivocator {
     }
 }
 
-/// Instance 0's entry of an outer bundle (`None` when absent).
-fn first<T>(outer: &GcSlots<T>) -> Option<&T> {
-    outer.iter().next().filter(|&(j, _)| j == 0).map(|(_, e)| e)
-}
-
-/// `outer` (a one-instance bundle when the sender had nothing to say)
-/// with instance 0 replaced by `f` of its entry there.
-fn rewrite_first<T: Clone>(
-    outer: Option<&GcSlots<T>>,
-    f: impl FnOnce(Option<&T>) -> T,
-) -> GcSlots<T> {
-    let entry = f(outer.and_then(first));
-    overwrite(
-        outer,
-        outer.map_or(1, GcSlots::n),
-        std::iter::once((0, entry)),
-    )
-}
-
-/// `base` (or `n` empty slots when the sender had nothing to say) with
-/// the given leader slots overwritten.
-fn overwrite<T: Clone>(
-    base: Option<&GcSlots<T>>,
-    n: usize,
-    slots: impl Iterator<Item = (usize, T)>,
-) -> GcSlots<T> {
-    let mut options = vec![None; n];
-    for (leader, entry) in base.into_iter().flat_map(GcSlots::iter) {
-        options[leader] = Some(entry.clone());
-    }
-    for (leader, entry) in slots {
-        options[leader] = Some(entry);
-    }
-    GcSlots::from_options(options)
-}
-
 impl Adversary<BundledAaMsg> for BudgetSplitEquivocator {
     fn round(&mut self, ctx: &mut AdversaryCtx<'_, BundledAaMsg>) {
         if ctx.round() == 1 {
@@ -346,7 +314,13 @@ impl Adversary<BundledAaMsg> for BudgetSplitEquivocator {
                             GcBundleMsg::Leads(slots) => Some(&**slots),
                             _ => None,
                         });
-                        let leads = Arc::new(rewrite_first(own, |_| R64::new(x)));
+                        // Its own leads (or one instance), x in instance 0.
+                        let mut leads = vec![None; own.map_or(1, GcSlots::n)];
+                        for (j, &v) in own.into_iter().flat_map(GcSlots::iter) {
+                            leads[j] = Some(v);
+                        }
+                        leads[0] = Some(R64::new(x));
+                        let leads = Arc::new(GcSlots::from_options(leads));
                         for &p in &self.honest[..s_size] {
                             let body = GcBundleMsg::Leads(Arc::clone(&leads));
                             ctx.send(q, p, BundledAaMsg { iter, body });
@@ -399,17 +373,17 @@ impl Adversary<BundledAaMsg> for BudgetSplitEquivocator {
                 let base = honest_batch.as_ref().map(|m| &m.body);
                 let body = if phase == 1 {
                     let base = match base {
-                        Some(GcBundleMsg::Echoes(bundle)) => Some(bundle.slots()),
+                        Some(GcBundleMsg::Echoes(bundle)) => Some(&**bundle),
                         _ => None,
                     };
-                    GcBundleMsg::echoes(rewrite_first(base, |inner| overwrite(inner, n, topups)))
+                    GcBundleMsg::Echoes(Arc::new(GcBundle::with_first(base, n, topups)))
                 } else {
                     let base = match base {
-                        Some(GcBundleMsg::Votes(bundle)) => Some(bundle.slots()),
+                        Some(GcBundleMsg::Votes(bundle)) => Some(&**bundle),
                         _ => None,
                     };
                     let topups = topups.map(|(q, x)| (q, x.hash32()));
-                    GcBundleMsg::votes(rewrite_first(base, |inner| overwrite(inner, n, topups)))
+                    GcBundleMsg::Votes(Arc::new(GcBundle::with_first(base, n, topups)))
                 };
                 ctx.send(b, to, BundledAaMsg { iter, body });
             }
@@ -443,14 +417,19 @@ impl RealAaChaos {
     }
 }
 
-/// `n` slots, each present with probability ½.
-fn random_slots<T>(
+/// A one-instance bundle, each of its `n` slots present with probability ½.
+fn random_first<T: GcValue>(
     rng: &mut ChaCha8Rng,
     n: usize,
     mut entry: impl FnMut(&mut ChaCha8Rng) -> T,
-) -> GcSlots<T> {
-    let slots = (0..n).map(|_| rng.gen_bool(0.5).then(|| entry(rng)));
-    GcSlots::from_options(slots.collect())
+) -> GcBundle<T> {
+    let mut slots = Vec::new();
+    for l in 0..n {
+        if rng.gen_bool(0.5) {
+            slots.push((l, entry(rng)));
+        }
+    }
+    GcBundle::with_first(None, n, slots)
 }
 
 impl Adversary<BundledAaMsg> for RealAaChaos {
@@ -473,11 +452,8 @@ impl Adversary<BundledAaMsg> for RealAaChaos {
                 let x = |rng: &mut ChaCha8Rng| R64::new(rng.gen_range(lo..=hi));
                 let body = match rng.gen_range(0..3) {
                     0 => GcBundleMsg::Leads(Arc::new(GcSlots::single(1, 0, x(rng)))),
-                    1 => GcBundleMsg::echoes(GcSlots::single(1, 0, random_slots(rng, n, x))),
-                    _ => {
-                        let votes = random_slots(rng, n, |rng| x(rng).hash32());
-                        GcBundleMsg::votes(GcSlots::single(1, 0, votes))
-                    }
+                    1 => GcBundleMsg::Echoes(Arc::new(random_first(rng, n, x))),
+                    _ => GcBundleMsg::Votes(Arc::new(random_first(rng, n, |rng| x(rng).hash32()))),
                 };
                 ctx.send(b, to, BundledAaMsg { iter, body });
             }

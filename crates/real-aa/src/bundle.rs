@@ -99,6 +99,8 @@ pub struct BundledAaParty {
     cfg: RealAaConfig,
     me: PartyId,
     insts: Vec<Instance>,
+    /// Per instance: still running here, as of the last grading.
+    active: Vec<bool>,
     /// The gradecast core; its per-instance muted sets carry across
     /// iterations.
     gc: BundleGradecast<R64>,
@@ -135,6 +137,7 @@ impl BundledAaParty {
             cfg,
             me,
             gc: BundleGradecast::new(me, cfg.n, cfg.t, insts.len())?,
+            active: vec![true; insts.len()],
             insts,
             output: None,
             scratch: Scratch::default(),
@@ -158,11 +161,6 @@ impl BundledAaParty {
     /// `inst >= k`.
     pub fn muted_count(&self, inst: usize) -> usize {
         self.gc.muted(inst).iter().filter(|&&m| m).count()
-    }
-
-    /// Which instances are still running here.
-    fn active(&self) -> Vec<bool> {
-        self.insts.iter().map(|i| i.output.is_none()).collect()
     }
 
     fn decide(&mut self) {
@@ -196,13 +194,15 @@ impl BundledAaParty {
             }
             Phase::Lead { grade, iter } => {
                 if let Some(at) = grade {
-                    let active = self.active();
                     let (insts, scratch) = (&mut self.insts, &mut self.scratch);
                     self.gc
-                        .on_votes_with(tagged(at.iter), &active, |j, grades, muted| {
+                        .on_votes_with(tagged(at.iter), &self.active, |j, grades, muted| {
                             insts[j].finish(&self.cfg, at, grades, muted, scratch, ctx);
                         });
-                    if self.insts.iter().all(|i| i.output.is_some()) {
+                    for (active, inst) in self.active.iter_mut().zip(&self.insts) {
+                        *active = inst.output.is_none();
+                    }
+                    if !self.active.contains(&true) {
                         self.decide();
                         return;
                     }
@@ -215,8 +215,8 @@ impl BundledAaParty {
                     .collect();
                 (iter, self.gc.lead_msg(leads))
             }
-            Phase::Echo(iter) => (iter, self.gc.on_leads(tagged(iter), &self.active())),
-            Phase::Vote(iter) => (iter, self.gc.on_echoes(tagged(iter), &self.active())),
+            Phase::Echo(iter) => (iter, self.gc.on_leads(tagged(iter), &self.active)),
+            Phase::Vote(iter) => (iter, self.gc.on_echoes(tagged(iter), &self.active)),
         };
         ctx.broadcast(BundledAaMsg { iter, body });
     }

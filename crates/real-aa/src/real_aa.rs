@@ -139,6 +139,8 @@ mod tests {
             body: GcBundleMsg::Leads(Arc::new(GcSlots::single(1, 0, R64::new(1.0)))),
         };
         assert_eq!(lead.size_bytes(), 4 + 1 + 1 + 8);
+        // Echo entries are sized as `size_of::<R64>()`: the same 8.
+        assert_eq!(std::mem::size_of::<R64>(), R64::new(1.0).size_bytes());
         // Full 8-slot echo batch at k = 1: 4 iter + 1 tag + 1 outer
         // bitmap + 1 inner bitmap + 8 × 8.
         let inner = GcSlots::from_options((0..8).map(|i| Some(R64::new(i as f64))).collect());

@@ -5,7 +5,7 @@ use std::sync::Arc;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
-use gradecast::{GcBundleMsg, GcSlots, GcValue};
+use gradecast::{GcBundle, GcBundleMsg, GcSlots, GcValue};
 use real_aa::{BundledAaMsg, PlainValueMsg, R64};
 use sim_net::{Adversary, AdversaryCtx, PartyId};
 
@@ -56,14 +56,11 @@ impl Adversary<TreeMsg> for TreeAaChaos {
             let span = -1.0..=self.index_span + 1.0;
             let leader = rng.gen_range(0..n);
             let x = R64::new(rng.gen_range(span.clone()));
+            let vote = [(leader, x.hash32())];
             let bodies = [
                 GcBundleMsg::Leads(Arc::new(GcSlots::single(1, 0, x))),
-                GcBundleMsg::echoes(GcSlots::single(1, 0, GcSlots::single(n, leader, x))),
-                GcBundleMsg::votes(GcSlots::single(
-                    1,
-                    0,
-                    GcSlots::single(n, leader, x.hash32()),
-                )),
+                GcBundleMsg::Echoes(Arc::new(GcBundle::with_first(None, n, [(leader, x)]))),
+                GcBundleMsg::Votes(Arc::new(GcBundle::with_first(None, n, vote))),
             ];
             let bursts = rng.gen_range(0..2 * n);
             for _ in 0..bursts {
@@ -181,16 +178,13 @@ mod tests {
     /// largest bundle honest leads alone can produce.
     #[test]
     fn chaos_traffic_reaches_the_engine() {
-        let honest_leaders = (0..CHAOS_N).map(|i| (i >= 2).then(|| R64::new(0.0)));
+        let honest_leaders = (2..CHAOS_N).map(|i| (i, R64::new(0.0)));
+        let echoes = GcBundle::with_first(None, CHAOS_N, honest_leaders);
         let honest_only = TreeMsg {
             phase: 1,
             inner: InnerMsg::Real(BundledAaMsg {
                 iter: 0,
-                body: GcBundleMsg::echoes(GcSlots::single(
-                    1,
-                    0,
-                    GcSlots::from_options(honest_leaders.collect()),
-                )),
+                body: GcBundleMsg::Echoes(Arc::new(echoes)),
             }),
         };
         for seed in 0..5 {

@@ -284,9 +284,9 @@ mod tests {
                 body: GcBundleMsg::Echoes(bundle),
                 ..
             })] => assert!(bundle
-                .slots()
-                .iter()
-                .all(|(_, echoes)| echoes.iter().count() == 0)),
+                .instances()
+                .flatten()
+                .all(|(present, _)| !present.contains(&true))),
             other => panic!("expected one empty echo bundle, got {other:?}"),
         }
     }
