@@ -1,11 +1,10 @@
-//! The one tally core both wires drive: `k` instances × `n` leaders of
-//! parallel gradecast in instance-major struct-of-arrays lanes (lane
-//! `j·n + ℓ` is leader `ℓ` of instance `j`), allocated once per party and
-//! reset in place each iteration. [`BatchGradecast`](crate::BatchGradecast)
-//! is an arena with `k = 1`, [`BundleGradecast`](crate::BundleGradecast)
-//! one with `k` lanes per leader. It writes echo and vote messages as
-//! presence and key lanes and [`Tally::absorb`] reads them in that form
-//! (see the [`crate::batch`] module docs for the rule).
+//! The one tally core: `k` instances × `n` leaders of parallel gradecast
+//! in instance-major struct-of-arrays lanes (lane `j·n + ℓ` is leader `ℓ`
+//! of instance `j`), allocated once per party and reset in place each
+//! iteration; [`BundleGradecast`](crate::BundleGradecast) drives it. It
+//! writes echo and vote messages as presence and key lanes and
+//! [`Tally::absorb`] reads them in that form (see the [`crate::batch`]
+//! module docs for the rule).
 
 use std::collections::BTreeMap;
 use std::ops::Range;
@@ -178,7 +177,8 @@ impl<V: GcValue> Arena<V> {
         }
     }
 
-    /// Starts the next batch: empties every tally, keeps the muted sets.
+    /// Starts the next iteration: empties every tally, keeps the muted
+    /// sets.
     pub(crate) fn reset(&mut self) {
         self.leads.present.fill(false);
         self.leads.keys.fill(0);
@@ -292,10 +292,10 @@ impl<V: GcValue> Arena<V> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::batch::{GcBatchMsg, GcSlots};
-    use crate::bundle::GcBundleMsg;
-    use crate::BatchGradecast;
+    use crate::bundle::{GcBundle, GcBundleMsg};
+    use crate::support::nested;
     use crate::BundleGradecast;
+    use std::sync::Arc;
     /// The tallies as the per-slot loop kept them before the dense view
     /// existed — explicit candidate flags, one three-way branch per present
     /// slot, no kernel — with its vote and grade rules, verbatim. The
@@ -303,8 +303,16 @@ mod tests {
     mod model {
         use std::collections::BTreeMap;
 
-        use crate::batch::{GcSlots, GcValue};
+        use crate::batch::GcValue;
         use crate::grade::{Grade, GradecastOutput};
+
+        /// `(leader, entry)` over the present slots, in leader order.
+        fn present<T>(slots: &[Option<T>]) -> impl Iterator<Item = (usize, &T)> {
+            slots
+                .iter()
+                .enumerate()
+                .filter_map(|(l, e)| Some((l, e.as_ref()?)))
+        }
 
         pub struct PerSlotTallies {
             pub n: usize,
@@ -343,12 +351,12 @@ mod tests {
                 }
             }
 
-            pub fn absorb_echoes(&mut self, sender: usize, slots: &GcSlots<u64>) {
-                if sender >= self.n || slots.n() != self.n || self.echo_from[sender] {
+            pub fn absorb_echoes(&mut self, sender: usize, slots: &[Option<u64>]) {
+                if sender >= self.n || slots.len() != self.n || self.echo_from[sender] {
                     return;
                 }
                 self.echo_from[sender] = true;
-                for (l, v) in slots.iter() {
+                for (l, v) in present(slots) {
                     let bits = v.bits64();
                     if !self.echo_set[l] {
                         self.echo_set[l] = true;
@@ -366,12 +374,12 @@ mod tests {
                 }
             }
 
-            pub fn absorb_votes(&mut self, sender: usize, slots: &GcSlots<u32>) {
-                if sender >= self.n || slots.n() != self.n || self.vote_from[sender] {
+            pub fn absorb_votes(&mut self, sender: usize, slots: &[Option<u32>]) {
+                if sender >= self.n || slots.len() != self.n || self.vote_from[sender] {
                     return;
                 }
                 self.vote_from[sender] = true;
-                for (l, &h) in slots.iter() {
+                for (l, &h) in present(slots) {
                     if !self.vote_set[l] {
                         self.vote_set[l] = true;
                         self.vote_bits[l] = u64::from(h);
@@ -384,7 +392,7 @@ mod tests {
                 }
             }
 
-            pub fn vote_slots(&self) -> GcSlots<u32> {
+            pub fn vote_slots(&self) -> Vec<Option<u32>> {
                 let votes = (0..self.n).map(|l| {
                     if self.muted[l] {
                         None
@@ -397,7 +405,7 @@ mod tests {
                             .map(|(_, (v, _))| v.hash32())
                     }
                 });
-                GcSlots::from_options(votes.collect())
+                votes.collect()
             }
 
             fn resolve_hash(&self, leader: usize, hash: u32) -> Option<(u64, u32)> {
@@ -513,7 +521,10 @@ mod tests {
         );
         let mut votes = GcBatch::with_capacity(model.n);
         core.push_votes(0, &mut votes);
-        assert_eq!(votes, GcBatch::of(&model.vote_slots()), "{at}: vote lanes");
+        let slots = model.vote_slots();
+        let present = slots.iter().map(Option::is_some).collect();
+        let keys = slots.iter().map(|v| v.map_or(0, u64::from)).collect();
+        assert_eq!(votes, GcBatch::new(present, keys), "{at}: vote lanes");
         let mut grades = Vec::new();
         core.grade(0, &mut grades);
         assert_eq!(grades, model.grade_all(), "{at}: grades");
@@ -526,7 +537,7 @@ mod tests {
         width: usize,
         honest: impl Fn(usize) -> T,
         stray: impl Fn(&mut ChaCha8Rng) -> T,
-    ) -> GcSlots<T> {
+    ) -> Vec<Option<T>> {
         let shape = rng.gen_range(0u8..5);
         let single = rng.gen_range(0..width);
         let options = (0..width).map(|l| {
@@ -542,7 +553,15 @@ mod tests {
             };
             (present && l + 1 < width).then_some(entry)
         });
-        GcSlots::from_options(options.collect())
+        options.collect()
+    }
+
+    /// `n` slots with only `slot` present.
+    fn single<T>(n: usize, slot: usize, entry: T) -> Vec<Option<T>> {
+        let mut entry = Some(entry);
+        (0..n)
+            .map(|l| if l == slot { entry.take() } else { None })
+            .collect()
     }
 
     /// A seeded `(sender, slots)` sequence for one phase. The opening
@@ -556,8 +575,8 @@ mod tests {
         n: usize,
         honest: impl Fn(usize) -> T + Copy,
         stray: impl Fn(&mut ChaCha8Rng) -> T + Copy,
-    ) -> Vec<(usize, GcSlots<T>)> {
-        let mut seq = vec![(2 % n, GcSlots::single(n, 1, honest(1)))];
+    ) -> Vec<(usize, Vec<Option<T>>)> {
+        let mut seq = vec![(2 % n, single(n, 1, honest(1)))];
         for _ in 0..2 * n.min(40) {
             let width = match rng.gen_range(0u8..12) {
                 0 => n - 1,
@@ -570,31 +589,34 @@ mod tests {
             };
             seq.push((sender, random_batch(rng, width, honest, stray)));
         }
-        seq.push((n - 1, GcSlots::single(n, n - 1, honest(n - 1))));
+        seq.push((n - 1, single(n, n - 1, honest(n - 1))));
         seq
     }
 
-    /// The `k`-wide outer slots with only instance `j` present.
-    fn only<T>(k: usize, j: usize, inner: GcSlots<T>) -> GcSlots<GcSlots<T>> {
-        let mut inner = Some(inner);
-        (0..k)
-            .map(|i| if i == j { inner.take() } else { None })
-            .collect()
+    /// The `k`-wide bundle with only instance `j` present, carrying `inner`.
+    fn only<T: GcValue>(k: usize, j: usize, inner: &[Option<T>]) -> GcBundle<T> {
+        nested(&single(k, j, inner.to_vec()))
     }
 
-    /// The `k`-wide outer slots with every instance but `j` carrying the
-    /// full `n`-wide slots `entry(leader)`.
-    fn all_but<T>(k: usize, j: usize, n: usize, entry: impl Fn(usize) -> T) -> GcSlots<GcSlots<T>> {
-        (0..k)
+    /// The `k`-wide bundle with every instance but `j` carrying the full
+    /// `n`-wide slots `entry(leader)`.
+    fn all_but<T: GcValue>(
+        k: usize,
+        j: usize,
+        n: usize,
+        entry: impl Fn(usize) -> T,
+    ) -> GcBundle<T> {
+        let slots: Vec<_> = (0..k)
             .map(|i| (i != j).then(|| (0..n).map(|l| Some(entry(l))).collect()))
-            .collect()
+            .collect();
+        nested(&slots)
     }
 
     /// A bundle at `k` with instance `j` fed one phase's Byzantine
     /// pattern, after every sender's honest bundle for the other
     /// instances; its `(vote lanes, grades)` for instance `j` must equal
-    /// the batch's after every prefix, and the other instances must grade
-    /// every leader 2.
+    /// the `k = 1` bundle's after every prefix, and the other instances
+    /// must grade every leader 2.
     struct WireUnderTest {
         k: usize,
         j: usize,
@@ -605,13 +627,13 @@ mod tests {
         fn new(n: usize, t: usize, k: usize, j: usize, muted: &[bool]) -> Self {
             let mut gc = BundleGradecast::new(PartyId(0), n, t, k).unwrap();
             gc.arena.muted_mut(j).copy_from_slice(muted);
-            let background = GcBundleMsg::echoes(all_but(k, j, n, |l| 1000 + l as u64));
+            let background = GcBundleMsg::Echoes(Arc::new(all_but(k, j, n, |l| 1000 + l as u64)));
             let _ = gc.on_echoes((0..n).map(|s| (PartyId(s), &background)), &vec![true; k]);
             WireUnderTest { k, j, gc }
         }
 
-        fn echo(&mut self, sender: usize, slots: &GcSlots<u64>) -> GcBatch<u32> {
-            let msg = GcBundleMsg::echoes(only(self.k, self.j, slots.clone()));
+        fn echo(&mut self, sender: usize, slots: &[Option<u64>]) -> GcBatch<u32> {
+            let msg = GcBundleMsg::Echoes(Arc::new(only(self.k, self.j, slots)));
             let votes = self
                 .gc
                 .on_echoes([(PartyId(sender), &msg)], &vec![true; self.k]);
@@ -624,15 +646,15 @@ mod tests {
 
         fn start_votes(&mut self, n: usize) {
             let hashes = all_but(self.k, self.j, n, |l| (1000 + l as u64).hash32());
-            let background = GcBundleMsg::votes(hashes);
+            let background = GcBundleMsg::Votes(Arc::new(hashes));
             let _ = self.gc.on_votes(
                 (0..n).map(|s| (PartyId(s), &background)),
                 &vec![true; self.k],
             );
         }
 
-        fn vote(&mut self, sender: usize, slots: &GcSlots<u32>) -> Vec<GradecastOutput<u64>> {
-            let msg = GcBundleMsg::votes(only(self.k, self.j, slots.clone()));
+        fn vote(&mut self, sender: usize, slots: &[Option<u32>]) -> Vec<GradecastOutput<u64>> {
+            let msg = GcBundleMsg::Votes(Arc::new(only(self.k, self.j, slots)));
             let mut grades = self
                 .gc
                 .on_votes([(PartyId(sender), &msg)], &vec![true; self.k]);
@@ -647,18 +669,16 @@ mod tests {
         }
     }
 
-    /// Runs one seeded echo sequence and one vote sequence through the
-    /// batch, comparing its core with the model after every prefix, and
-    /// through a bundle at k ∈ {1, 3} with each instance in turn carrying
-    /// the sequence, comparing its vote lanes and grades with the
-    /// batch's; returns the model for coverage checks.
+    /// Runs one seeded echo sequence and one vote sequence through a
+    /// bundle at k = 1, comparing its core with the model after every
+    /// prefix, and through a bundle at k = 3 with each instance in turn
+    /// carrying the sequence, comparing its vote lanes and grades with the
+    /// k = 1 bundle's; returns the model for coverage checks.
     fn run_prefixes(n: usize, seed: u64) -> PerSlotTallies {
         let t = (n - 1) / 3;
         let mut rng = ChaCha8Rng::seed_from_u64(seed << 16 | n as u64);
         let muted: Vec<bool> = (0..n).map(|_| rng.gen_bool(0.1)).collect();
-        let mut batch = BatchGradecast::<u64>::new(PartyId(0), n, t);
-        batch.muted_mut().copy_from_slice(&muted);
-        let mut bundles: Vec<WireUnderTest> = [(1, 0), (3, 0), (3, 1), (3, 2)]
+        let mut wires: Vec<WireUnderTest> = [(1, 0), (3, 0), (3, 1), (3, 2)]
             .into_iter()
             .map(|(k, j)| WireUnderTest::new(n, t, k, j, &muted))
             .collect();
@@ -679,27 +699,23 @@ mod tests {
 
         let echoes = random_sequence(&mut rng, n, honest, stray);
         for (i, (sender, slots)) in echoes.iter().enumerate() {
-            let msg = GcBatchMsg::echoes(slots.clone());
-            let GcBatchMsg::Votes(votes) = batch.on_echoes([(PartyId(*sender), &msg)]) else {
-                panic!("phase 3 votes")
-            };
+            let votes: Vec<_> = wires.iter_mut().map(|w| w.echo(*sender, slots)).collect();
             model.absorb_echoes(*sender, slots);
-            assert_matches_model(&batch.arena, &model, &format!("n {n} echo {i}"));
-            for b in &mut bundles {
-                let at = format!("n {n} echo {i} k {} j {}", b.k, b.j);
-                assert_eq!(b.echo(*sender, slots), *votes, "{at}");
+            assert_matches_model(&wires[0].gc.arena, &model, &format!("n {n} echo {i}"));
+            for (w, got) in wires.iter().zip(&votes).skip(1) {
+                let at = format!("n {n} echo {i} k {} j {}", w.k, w.j);
+                assert_eq!(*got, votes[0], "{at}");
             }
         }
-        bundles.iter_mut().for_each(|b| b.start_votes(n));
+        wires.iter_mut().for_each(|w| w.start_votes(n));
         let votes = random_sequence(&mut rng, n, honest_hash, stray_hash);
         for (i, (sender, slots)) in votes.iter().enumerate() {
-            let msg = GcBatchMsg::<u64>::votes(slots.clone());
-            let grades = batch.on_votes([(PartyId(*sender), &msg)]);
+            let grades: Vec<_> = wires.iter_mut().map(|w| w.vote(*sender, slots)).collect();
             model.absorb_votes(*sender, slots);
-            assert_matches_model(&batch.arena, &model, &format!("n {n} vote {i}"));
-            for b in &mut bundles {
-                let at = format!("n {n} vote {i} k {} j {}", b.k, b.j);
-                assert_eq!(b.vote(*sender, slots), grades, "{at}");
+            assert_matches_model(&wires[0].gc.arena, &model, &format!("n {n} vote {i}"));
+            for (w, got) in wires.iter().zip(&grades).skip(1) {
+                let at = format!("n {n} vote {i} k {} j {}", w.k, w.j);
+                assert_eq!(*got, grades[0], "{at}");
             }
         }
         model
@@ -710,10 +726,10 @@ mod tests {
     /// equivocating (the overflow path), key-0, duplicate-sender,
     /// out-of-range-sender and wrong-width batches over randomly muted
     /// leaders, at widths on both sides of a multiple of the SIMD step —
-    /// and the same patterns on the bundled wire, instance by instance,
-    /// against the batched one.
+    /// and the same patterns at k = 3, instance by instance, against
+    /// k = 1.
     #[test]
-    fn one_core_matches_the_model_on_both_wires_after_every_prefix() {
+    fn one_core_matches_the_model_after_every_prefix() {
         for n in [4usize, 7, 16, 31, 64, 67, 256] {
             // (an echo counted, an echo diverged, a vote diverged): over
             // the seeds the sequences reach every branch of the rule.

@@ -6,25 +6,25 @@
 //! syscalls) by k. This module amortizes the substrate: each party
 //! broadcasts **one** message per phase carrying a struct-of-arrays
 //! vector over all k instances — an outer presence bitmap (absent slot =
-//! instance already finished at that sender) whose entries are exactly
-//! the per-instance [`GcBatchMsg`](crate::GcBatchMsg) bodies of the
-//! batched wire, `Arc`-shared so inbox clones never copy the arrays.
-//! Delivered bytes per round stay O(n²) of framing shared across all k
-//! instances, plus the per-instance payload each instance would have
-//! paid anyway.
+//! instance already finished at that sender) whose present instances
+//! carry the per-instance wire of [`crate::batch`], `Arc`-shared so inbox
+//! clones never copy the arrays. Delivered bytes per round stay O(n²) of
+//! framing shared across all k instances, plus the per-instance payload
+//! each instance would have paid anyway. This is the crate's only wire: a
+//! single instance is `k = 1`.
 //!
 //! # One core, k lanes
 //!
 //! [`BundleGradecast`] is the crate's one tally core at `k` instances
-//! (lane `j·n + ℓ` is leader `ℓ` of instance `j`);
-//! [`BatchGradecast`](crate::BatchGradecast) is the same core at `k = 1`. A
-//! [`GcBundle`] is the outer presence, each present instance's width, and
+//! (lane `j·n + ℓ` is leader `ℓ` of instance `j`). A lead is one
+//! `Arc<[Option<V>]>`, one entry per instance. A [`GcBundle`] — an echo
+//! or a vote — is the outer presence, each present instance's width, and
 //! the presence and key lanes of its present instances, back to back:
 //! what the arena writes, the codec carries and the tally reads, with no
-//! nested slots in between. A sender's bundle is absorbed by
-//! one kernel sweep per run of consecutive instances (one sweep when all
-//! are present) and the same per-slot rule on the leftovers, so instance
-//! `j` ends with exactly the grades a standalone batch fed the same slots
+//! nested slots in between. A sender's bundle is absorbed by one kernel
+//! sweep per run of consecutive instances (one sweep when all are
+//! present) and the same per-slot rule on the leftovers, so instance `j`
+//! ends with exactly the grades a `k = 1` bundle fed the same slots
 //! would, and a Byzantine sender equivocating in one instance perturbs
 //! only that instance's lanes. `crates/real-aa/tests/bundle_equiv.rs`
 //! extends this to outcomes, trajectories and trace events.
@@ -36,11 +36,12 @@
 //!
 //! # Malformed bundles
 //!
-//! A bundle is `k` instances of `n` slots or nothing: one whose outer
-//! width is not `k` (so also one naming an instance `≥ k`), or any of
-//! whose present inner slots is not `n` wide, is dropped **whole**, like
-//! a wrong-width batch, and claims no instance. An honest bundle from the
-//! same sender is still absorbed after it.
+//! A bundle is `k` instances of `n` slots or nothing: a lead whose width
+//! is not `k` is ignored, and an echo or vote whose outer width is not
+//! `k` (so also one naming an instance `≥ k`), or any of whose present
+//! inner slots is not `n` wide, is dropped **whole** and claims no
+//! instance. An honest bundle from the same sender is still absorbed
+//! after it.
 
 use std::fmt;
 use std::sync::Arc;
@@ -48,7 +49,7 @@ use std::sync::Arc;
 use sim_net::{PartyId, Payload};
 
 use crate::arena::Arena;
-use crate::batch::{bitmap_bytes, GcBatch, GcSlots, GcValue};
+use crate::batch::{bitmap_bytes, GcBatch, GcValue};
 use crate::grade::GradecastOutput;
 
 /// A structurally invalid bundle request.
@@ -88,15 +89,6 @@ impl<T: GcValue> GcBundle<T> {
             widths,
             lanes,
         }
-    }
-
-    fn of(slots: &GcSlots<GcSlots<T>>) -> Self {
-        let widths = slots.iter().map(|(_, inner)| inner.n()).collect();
-        let mut bundle = GcBundle::new(slots.present.clone(), widths);
-        for (_, inner) in slots.iter() {
-            bundle.lanes.push_slots(inner);
-        }
-        bundle
     }
 
     /// A bundle from its lanes, as a decoder has them; `None` unless the
@@ -164,14 +156,15 @@ impl<T: GcValue> GcBundle<T> {
     }
 }
 
-/// A bundled gradecast message: one broadcast per sender per phase,
-/// shared by all k instances. The outer presence ranges over instances
-/// (absent = the sender has finished that instance); each present
-/// instance carries the per-instance batched wire of [`crate::batch`].
+/// A gradecast message: one broadcast per sender per phase, shared by all
+/// k instances. The outer presence ranges over instances (absent = the
+/// sender has finished that instance); each present instance carries the
+/// per-instance wire of [`crate::batch`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum GcBundleMsg<V> {
-    /// Round 3i+1: the sender's own lead value for each active instance.
-    Leads(Arc<GcSlots<V>>),
+    /// Round 3i+1: the sender's own lead value per instance, `None` for
+    /// the instances it has finished.
+    Leads(Arc<[Option<V>]>),
     /// Round 3i+2: per active instance, the sender's echo slots over all
     /// n leaders.
     Echoes(Arc<GcBundle<V>>),
@@ -179,28 +172,14 @@ pub enum GcBundleMsg<V> {
     Votes(Arc<GcBundle<u32>>),
 }
 
-impl<V: GcValue> GcBundleMsg<V> {
-    /// The echo bundle carrying the nested `slots` (outer over instances,
-    /// inner over leaders).
-    pub fn echoes(slots: GcSlots<GcSlots<V>>) -> Self {
-        GcBundleMsg::Echoes(Arc::new(GcBundle::of(&slots)))
-    }
-
-    /// The vote bundle carrying the nested `slots`.
-    pub fn votes(slots: GcSlots<GcSlots<u32>>) -> Self {
-        GcBundleMsg::Votes(Arc::new(GcBundle::of(&slots)))
-    }
-}
-
 impl<V: GcValue + Payload> Payload for GcBundleMsg<V> {
     fn size_bytes(&self) -> usize {
-        // Tag byte + outer bitmap + per-instance bodies, with the same
-        // per-entry accounting as the batched wire so trace byte totals
-        // reconcile across both formats.
+        // Tag byte + outer bitmap + per-instance bodies, as the wire
+        // carries them, so trace byte accounting reconciles.
         match self {
-            GcBundleMsg::Leads(slots) => {
-                let entries = slots.iter().map(|(_, v)| v.size_bytes());
-                1 + bitmap_bytes(slots.n()) + entries.sum::<usize>()
+            GcBundleMsg::Leads(leads) => {
+                let entries = leads.iter().flatten().map(Payload::size_bytes);
+                1 + bitmap_bytes(leads.len()) + entries.sum::<usize>()
             }
             GcBundleMsg::Echoes(b) => 1 + b.wire_bytes(),
             GcBundleMsg::Votes(b) => 1 + b.wire_bytes(),
@@ -208,8 +187,8 @@ impl<V: GcValue + Payload> Payload for GcBundleMsg<V> {
     }
 }
 
-/// k parallel-gradecast batches driven by one bundled wire message per
-/// phase: the crate's tally core at k instances.
+/// k parallel-gradecast instances driven by one wire message per phase:
+/// the crate's tally core at k instances.
 ///
 /// Every phase takes `active[j]` per instance: finished instances get no
 /// outer slot and no grades, exactly like a terminated standalone party.
@@ -229,8 +208,8 @@ impl<V: GcValue> BundleGradecast<V> {
     ///
     /// # Panics
     ///
-    /// As [`BatchGradecast::new`](crate::BatchGradecast::new): requires
-    /// `n > 3t` and `me < n`.
+    /// Panics unless `n > 3t` and `me < n` — gradecast's guarantees need
+    /// `t < n/3`, and constructing it outside that regime is a bug.
     pub fn new(me: PartyId, n: usize, t: usize, k: usize) -> Result<Self, BundleError> {
         if k == 0 {
             return Err(BundleError::Empty);
@@ -245,8 +224,8 @@ impl<V: GcValue> BundleGradecast<V> {
         self.arena.k
     }
 
-    /// Starts the next round of batches in place: every tally emptied,
-    /// every instance's muted set kept.
+    /// Starts the next iteration in place: every tally emptied, every
+    /// instance's muted set kept.
     pub fn reset(&mut self) {
         self.arena.reset();
     }
@@ -276,15 +255,16 @@ impl<V: GcValue> BundleGradecast<V> {
         Arc::new(bundle)
     }
 
-    /// Phase 1: the bundled lead message — this party's own value per
-    /// instance, `None` for instances it has finished.
-    pub fn lead_msg(&self, values: Vec<Option<V>>) -> GcBundleMsg<V> {
+    /// Phase 1: the lead message — this party's own value per instance,
+    /// `None` for instances it has finished.
+    pub fn lead_msg(&self, values: Arc<[Option<V>]>) -> GcBundleMsg<V> {
         assert_eq!(values.len(), self.k(), "one lead slot per instance");
-        GcBundleMsg::Leads(Arc::new(GcSlots::from_options(values)))
+        GcBundleMsg::Leads(values)
     }
 
-    /// Phase 2: consume round-3i+1 lead bundles, return the echo bundle
-    /// to broadcast.
+    /// Phase 2: consume round-3i+1 leads, return the echo bundle to
+    /// broadcast. The first lead per leader wins; leads from muted or
+    /// out-of-range leaders are ignored and get no slot.
     pub fn on_leads<'a, I>(&mut self, inbox: I, active: &[bool]) -> GcBundleMsg<V>
     where
         I: IntoIterator<Item = (PartyId, &'a GcBundleMsg<V>)>,
@@ -292,10 +272,12 @@ impl<V: GcValue> BundleGradecast<V> {
     {
         assert_eq!(active.len(), self.k(), "one active flag per instance");
         for (from, msg) in inbox {
-            if let GcBundleMsg::Leads(slots) = msg {
-                if slots.n() == self.k() {
-                    for (inst, v) in slots.iter() {
-                        self.arena.absorb_lead(inst, from, v);
+            if let GcBundleMsg::Leads(leads) = msg {
+                if leads.len() == self.k() {
+                    for (inst, v) in leads.iter().enumerate() {
+                        if let Some(v) = v {
+                            self.arena.absorb_lead(inst, from, v);
+                        }
                     }
                 }
             }
@@ -304,7 +286,8 @@ impl<V: GcValue> BundleGradecast<V> {
     }
 
     /// Phase 3: consume round-3i+2 echo bundles, return the vote bundle
-    /// to broadcast.
+    /// to broadcast. A vote slot for leader `ℓ` is present iff `n − t`
+    /// distinct parties echoed one value for `ℓ` and `ℓ` is not muted.
     pub fn on_echoes<'a, I>(&mut self, inbox: I, active: &[bool]) -> GcBundleMsg<V>
     where
         I: IntoIterator<Item = (PartyId, &'a GcBundleMsg<V>)>,
@@ -324,7 +307,8 @@ impl<V: GcValue> BundleGradecast<V> {
     }
 
     /// Phase 4: consume round-3i+3 vote bundles and grade every leader
-    /// of every active instance (`None` for inactive instances).
+    /// of every active instance (`None` for inactive instances), muted
+    /// ones too — muting suppresses *relaying*, not *evaluation*.
     pub fn on_votes<'a, I>(
         &mut self,
         inbox: I,
@@ -369,8 +353,8 @@ impl<V: GcValue> BundleGradecast<V> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::batch::{BatchGradecast, GcBatchMsg};
     use crate::grade::Grade;
+    use crate::support::nested;
     use aa_codec::Json;
 
     /// One lockstep bundled run: every party leads `lead_of(party, inst)`
@@ -419,8 +403,8 @@ mod tests {
             .collect()
     }
 
-    /// The independent reference: one standalone [`BatchGradecast`] run
-    /// per instance, same leads. Returns `outputs[party][inst][leader]`.
+    /// The independent reference: one standalone `k = 1` run per
+    /// instance, same leads. Returns `outputs[party][inst][leader]`.
     fn run_independent(
         n: usize,
         t: usize,
@@ -429,26 +413,12 @@ mod tests {
     ) -> Vec<Vec<Vec<GradecastOutput<u64>>>> {
         let mut out = vec![Vec::new(); n];
         for j in 0..k {
-            let mut ms: Vec<BatchGradecast<u64>> = (0..n)
-                .map(|i| BatchGradecast::new(PartyId(i), n, t))
-                .collect();
-            let leads: Vec<(PartyId, GcBatchMsg<u64>)> = (0..n)
-                .filter_map(|snd| lead_of(snd, j).map(|v| (PartyId(snd), GcBatchMsg::Lead(v))))
-                .collect();
-            let echoes: Vec<(PartyId, GcBatchMsg<u64>)> = (0..n)
-                .map(|r| {
-                    let batch = ms[r].on_leads(leads.iter().map(|(p, m)| (*p, m)));
-                    (PartyId(r), batch)
-                })
-                .collect();
-            let votes: Vec<(PartyId, GcBatchMsg<u64>)> = (0..n)
-                .map(|r| {
-                    let batch = ms[r].on_echoes(echoes.iter().map(|(p, m)| (*p, m)));
-                    (PartyId(r), batch)
-                })
-                .collect();
-            for (r, m) in ms.iter_mut().enumerate() {
-                out[r].push(m.on_votes(votes.iter().map(|(p, m)| (*p, m))));
+            let lead_of = |snd: usize, _: usize| lead_of(snd, j);
+            for (r, grades) in run_bundled(n, t, 1, lead_of, &vec![false; n], |_, m| m)
+                .into_iter()
+                .enumerate()
+            {
+                out[r].extend(grades);
             }
         }
         out
@@ -531,7 +501,7 @@ mod tests {
             let GcBundleMsg::Echoes(honest) = &m else {
                 panic!("phase 2 produces echoes")
             };
-            let rewritten = (0..k)
+            let rewritten: Vec<_> = (0..k)
                 .map(|j| {
                     let (present, keys) = honest.instances().nth(j).unwrap().unwrap();
                     let inner = present.iter().zip(keys).map(|(&p, &key)| match j {
@@ -541,7 +511,7 @@ mod tests {
                     Some(inner.collect())
                 })
                 .collect();
-            GcBundleMsg::echoes(GcSlots::from_options(rewritten))
+            GcBundleMsg::Echoes(Arc::new(nested(&rewritten)))
         };
         let tampered = run_bundled(n, t, k, lead_of, &silent, tamper);
         let honest = run_bundled(n, t, k, lead_of, &silent, |_, m| m);
@@ -566,28 +536,27 @@ mod tests {
         // what matters is it never grows with n, and the engine pays one
         // delivery instead of k.
         let (n, k) = (64usize, 16usize);
-        let inner = GcSlots::from_options((0..n).map(|l| Some(l as u64)).collect());
-        let bundled =
-            GcBundleMsg::echoes((0..k).map(|_| Some(inner.clone())).collect()).size_bytes();
-        let independent = k * GcBatchMsg::echoes(inner.clone()).size_bytes();
+        let echoes = |k: usize| {
+            let inner: Vec<_> = (0..n).map(|l| Some(l as u64)).collect();
+            GcBundleMsg::Echoes(Arc::new(nested(&vec![Some(inner); k]))).size_bytes()
+        };
+        let (bundled, independent) = (echoes(k), k * echoes(1));
         assert_eq!(bundled, 1 + k.div_ceil(8) + k * (n.div_ceil(8) + 8 * n));
         assert!(bundled < independent);
     }
 
     /// Encodes slots as the canonical JSON the repro/trace tooling uses:
     /// a presence bitmap array plus dense entries.
-    fn slots_to_json(slots: &GcSlots<u64>) -> Json {
-        let present = (0..slots.n())
-            .map(|i| Json::Bool(slots.is_present(i)))
-            .collect();
-        let entries = slots.iter().map(|(_, &v)| Json::int(v)).collect();
+    fn slots_to_json(slots: &[Option<u64>]) -> Json {
+        let present = slots.iter().map(|s| Json::Bool(s.is_some())).collect();
+        let entries = slots.iter().flatten().map(|&v| Json::int(v)).collect();
         Json::Obj(vec![
             ("present".into(), Json::Arr(present)),
             ("entries".into(), Json::Arr(entries)),
         ])
     }
 
-    fn slots_from_json(v: &Json) -> GcSlots<u64> {
+    fn slots_from_json(v: &Json) -> Arc<[Option<u64>]> {
         let present = v.get("present").and_then(Json::as_arr).unwrap();
         let mut entries = v
             .get("entries")
@@ -595,11 +564,10 @@ mod tests {
             .unwrap()
             .iter()
             .map(|e| e.as_u64().unwrap());
-        let options = present
+        present
             .iter()
             .map(|p| matches!(p, Json::Bool(true)).then(|| entries.next().unwrap()))
-            .collect();
-        GcSlots::from_options(options)
+            .collect()
     }
 
     #[test]
@@ -619,7 +587,7 @@ mod tests {
             vec![None; 9],
             (0..11).map(Some).collect::<Vec<_>>(),
         ] {
-            let slots = GcSlots::from_options(options);
+            let slots: Arc<[Option<u64>]> = options.into();
             let text = slots_to_json(&slots).to_string();
             let parsed = Json::parse(&text).unwrap();
             let decoded = slots_from_json(&parsed);

@@ -24,25 +24,24 @@
 //!   grade 2 at `≥ n − t` votes, grade 1 at `≥ t + 1`, grade 0 otherwise.
 //!
 //! All `n` instances (every party acting as leader once) run *in parallel*
-//! inside the same three rounds — this is how `RealAA` uses them, via
-//! [`BatchGradecast`]: one struct-of-arrays message per sender per phase
-//! carrying that sender's slot for every leader (see the [`batch`] module
-//! docs), so a round delivers O(n²) messages. [`BundleGradecast`] shares
-//! the same three rounds between `k` independent AA instances (see
-//! [`bundle`]). A standalone [`BatchGradecastProtocol`] adapter runs one
-//! parallel batch on a `sim-net` simulation for testing and message
-//! accounting. The textbook one-message-per-leader encoding survives only
-//! as the test oracle the batched tallies are pinned against.
+//! inside the same three rounds, and [`BundleGradecast`] shares those
+//! rounds between `k` independent AA instances: one struct-of-arrays
+//! message per sender per phase carries that sender's slot for every
+//! leader of every instance (see the [`batch`] and [`bundle`] module
+//! docs), so a round delivers O(n²) messages whatever `k` is. A single
+//! instance is `k = 1`; `RealAA` runs exactly that. The textbook
+//! one-message-per-leader encoding survives only as the test oracle the
+//! tallies are pinned against.
 //!
 //! # One core
 //!
-//! Both wires drive one tally core, an arena of `k × n` instance-major
-//! lanes allocated once per party and reset in place each iteration:
-//! [`BatchGradecast`] is the core at `k = 1` behind [`GcBatchMsg`],
-//! [`BundleGradecast`] the core at `k` behind [`GcBundleMsg`]. Every
-//! message is absorbed by one rule (a masked kernel sweep, then a per-slot
-//! rule on the leftovers) and graded by one routine. Echo and vote
-//! messages ([`GcBatch`], [`GcBundle`]) are the core's own lanes.
+//! [`BundleGradecast`] drives one tally core, an arena of `k × n`
+//! instance-major lanes allocated once per party and reset in place each
+//! iteration. Every message is absorbed by one rule (a masked kernel
+//! sweep, then a per-slot rule on the leftovers) and graded by one
+//! routine. A lead ([`GcBundleMsg::Leads`]) is one `Arc<[Option<V>]>`,
+//! one entry per instance; an echo or a vote ([`GcBundle`]) is the core's
+//! own presence and key lanes.
 //!
 //! # Muting
 //!
@@ -58,18 +57,30 @@
 //! # Example
 //!
 //! ```
-//! use gradecast::{BatchGradecastProtocol, Grade};
-//! use sim_net::{run_simulation, Passive, SimConfig};
+//! use std::sync::Arc;
 //!
-//! // Seven parties gradecast their ids in parallel; no corruption.
-//! let cfg = SimConfig { n: 7, t: 2, max_rounds: 8 };
-//! let report = run_simulation(
-//!     cfg,
-//!     |id, n| BatchGradecastProtocol::new(id, n, 2, id.index() as u64),
-//!     Passive,
-//! ).unwrap();
-//! for out in report.honest_outputs() {
-//!     for (leader, slot) in out.iter().enumerate() {
+//! use gradecast::{BundleGradecast, GcBundleMsg, Grade};
+//! use sim_net::PartyId;
+//!
+//! /// Every party heard every message of a phase: `(sender, message)`.
+//! fn heard(msgs: &[GcBundleMsg<u64>]) -> impl Iterator<Item = (PartyId, &GcBundleMsg<u64>)> {
+//!     msgs.iter().enumerate().map(|(p, m)| (PartyId(p), m))
+//! }
+//!
+//! // Seven parties gradecast their ids in parallel, one instance (k = 1),
+//! // no corruption: each broadcasts what its phase returns.
+//! let (n, t, active) = (7, 2, [true]);
+//! let mut parties: Vec<BundleGradecast<u64>> = (0..n)
+//!     .map(|p| BundleGradecast::new(PartyId(p), n, t, 1).unwrap())
+//!     .collect();
+//! let leads: Vec<_> = (0..n)
+//!     .map(|p| parties[p].lead_msg(Arc::new([Some(p as u64)])))
+//!     .collect();
+//! let echoes: Vec<_> = parties.iter_mut().map(|g| g.on_leads(heard(&leads), &active)).collect();
+//! let votes: Vec<_> = parties.iter_mut().map(|g| g.on_echoes(heard(&echoes), &active)).collect();
+//! for g in &mut parties {
+//!     let grades = g.on_votes(heard(&votes), &active).remove(0).unwrap();
+//!     for (leader, slot) in grades.iter().enumerate() {
 //!         assert_eq!(slot.grade, Grade::Two);
 //!         assert_eq!(slot.value, Some(leader as u64));
 //!     }
@@ -82,6 +93,12 @@ pub mod batch;
 pub mod bundle;
 mod grade;
 
-pub use batch::{BatchGradecast, BatchGradecastProtocol, GcBatch, GcBatchMsg, GcSlots, GcValue};
+pub use batch::GcValue;
+#[doc(hidden)]
+pub use batch::{BatchGradecast, GcBatchMsg};
 pub use bundle::{BundleError, BundleGradecast, GcBundle, GcBundleMsg};
 pub use grade::{Grade, GradecastOutput};
+
+#[cfg(test)]
+#[path = "../tests/support/mod.rs"]
+mod support;

@@ -2,20 +2,31 @@
 //! (randomized) Byzantine behaviour by up to `t` statically corrupted
 //! parties.
 
-use gradecast::{BatchGradecastProtocol, GcBatchMsg, GcSlots, GcValue, Grade};
+use std::sync::Arc;
+
+use gradecast::{BundleGradecast, GcBundle, GcBundleMsg, GcValue, Grade, GradecastOutput};
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use sim_net::{run_simulation, AdversaryCtx, PartyId, Payload, ScriptedAdversary, SimConfig};
 
-/// `n` slots, each present with probability ½.
-fn random_slots<T>(
+mod support;
+use support::Solo;
+
+/// A one-instance bundle over `n` leaders, each slot present with
+/// probability ½.
+fn random_slots<T: GcValue>(
     rng: &mut ChaCha8Rng,
     n: usize,
     mut entry: impl FnMut(&mut ChaCha8Rng) -> T,
-) -> GcSlots<T> {
-    let slots = (0..n).map(|_| rng.gen_bool(0.5).then(|| entry(rng)));
-    GcSlots::from_options(slots.collect())
+) -> Arc<GcBundle<T>> {
+    let mut slots = Vec::new();
+    for l in 0..n {
+        if rng.gen_bool(0.5) {
+            slots.push((l, entry(rng)));
+        }
+    }
+    Arc::new(GcBundle::with_first(None, n, slots))
 }
 
 /// A chaos adversary: statically corrupts `bad` parties; every round each
@@ -27,7 +38,7 @@ fn chaos<V>(
     bad: Vec<PartyId>,
     seed: u64,
     values: Vec<V>,
-) -> impl FnMut(&mut AdversaryCtx<'_, GcBatchMsg<V>>)
+) -> impl FnMut(&mut AdversaryCtx<'_, GcBundleMsg<V>>)
 where
     V: Payload + GcValue,
 {
@@ -45,9 +56,9 @@ where
                 let to = PartyId(rng.gen_range(0..n));
                 let pick = |rng: &mut ChaCha8Rng| values[rng.gen_range(0..values.len())].clone();
                 let msg = match rng.gen_range(0..3) {
-                    0 => GcBatchMsg::Lead(pick(&mut rng)),
-                    1 => GcBatchMsg::echoes(random_slots(&mut rng, n, pick)),
-                    _ => GcBatchMsg::votes(random_slots(&mut rng, n, |r| pick(r).hash32())),
+                    0 => GcBundleMsg::Leads(Arc::new([Some(pick(&mut rng))])),
+                    1 => GcBundleMsg::Echoes(random_slots(&mut rng, n, pick)),
+                    _ => GcBundleMsg::Votes(random_slots(&mut rng, n, |r| pick(r).hash32())),
                 };
                 ctx.send(p, to, msg);
             }
@@ -73,12 +84,8 @@ fn check_gradecast_properties(n: usize, t: usize, num_bad: usize, seed: u64) {
     };
     let adv = ScriptedAdversary(chaos(bad.clone(), seed, (0u64..5).collect()));
     let inputs: Vec<u64> = (0..n).map(|i| 100 + i as u64).collect();
-    let report = run_simulation(
-        cfg,
-        |id, nn| BatchGradecastProtocol::new(id, nn, t, inputs[id.index()]),
-        adv,
-    )
-    .unwrap();
+    let report =
+        run_simulation(cfg, |id, nn| Solo::new(id, nn, t, inputs[id.index()]), adv).unwrap();
 
     let honest_outs: Vec<_> = (0..n)
         .filter(|&i| !is_bad(i))
@@ -151,7 +158,7 @@ fn engineered_grade_split_zero_one() {
         t,
         max_rounds: 10,
     };
-    let adv = ScriptedAdversary(move |ctx: &mut AdversaryCtx<'_, GcBatchMsg<u64>>| {
+    let adv = ScriptedAdversary(move |ctx: &mut AdversaryCtx<'_, GcBundleMsg<u64>>| {
         match ctx.round() {
             1 => {
                 ctx.corrupt(PartyId(0)).unwrap();
@@ -159,14 +166,18 @@ fn engineered_grade_split_zero_one() {
                 // Lead 7 to honest parties 2,3,4 only (3 = n - 2t - ... the
                 // point: only 3 honest echoes will exist).
                 for i in 2..=4 {
-                    ctx.send(PartyId(0), PartyId(i), GcBatchMsg::Lead(7));
+                    ctx.send(
+                        PartyId(0),
+                        PartyId(i),
+                        GcBundleMsg::Leads(Arc::new([Some(7)])),
+                    );
                 }
             }
             2 => {
                 // Byzantine echoes top up to the n - t = 5 threshold at
                 // party 2 only: parties 2,3,4 echo (3 honest echoes reach
                 // everyone); p0+p1 echo only to party 2.
-                let echo = GcBatchMsg::echoes(GcSlots::single(n, 0, 7));
+                let echo = GcBundleMsg::Echoes(Arc::new(GcBundle::with_first(None, n, [(0, 7)])));
                 for b in [0, 1] {
                     ctx.send(PartyId(b), PartyId(2), echo.clone());
                 }
@@ -176,7 +187,8 @@ fn engineered_grade_split_zero_one() {
                 // Byzantine votes go to parties 2 and 3 only, lifting them
                 // to 3 votes = grade 1 while 4,5,6 see a single vote ->
                 // grade 0.
-                let vote = GcBatchMsg::votes(GcSlots::single(n, 0, 7u64.hash32()));
+                let vote = [(0, 7u64.hash32())];
+                let vote = GcBundleMsg::Votes(Arc::new(GcBundle::with_first(None, n, vote)));
                 for b in [0, 1] {
                     ctx.send(PartyId(b), PartyId(2), vote.clone());
                     ctx.send(PartyId(b), PartyId(3), vote.clone());
@@ -185,12 +197,8 @@ fn engineered_grade_split_zero_one() {
             _ => {}
         }
     });
-    let report = run_simulation(
-        cfg,
-        |id, nn| BatchGradecastProtocol::new(id, nn, t, id.index() as u64),
-        adv,
-    )
-    .unwrap();
+    let report =
+        run_simulation(cfg, |id, nn| Solo::new(id, nn, t, id.index() as u64), adv).unwrap();
     let grades: Vec<u8> = (2..7)
         .map(|i| report.outputs[i].as_ref().unwrap()[0].grade.as_u8())
         .collect();
@@ -219,7 +227,7 @@ fn grade_semantics_hold_under_equivocation() {
         let inputs: Vec<u64> = (0..n).map(|i| 100 + i as u64).collect();
         let report = run_simulation(
             cfg,
-            |id, nn| BatchGradecastProtocol::new(id, nn, t, inputs[id.index()]),
+            |id, nn| Solo::new(id, nn, t, inputs[id.index()]),
             EquivocatingAdversary::new(bad.to_vec(), seed),
         )
         .unwrap();
@@ -275,18 +283,14 @@ fn grade_semantics_hold_under_composed_equivocation_and_crash() {
         max_rounds: 10,
     };
     let inputs: Vec<u64> = (0..n).map(|i| 10 * i as u64).collect();
-    let adv: ComposedAdversary<GcBatchMsg<u64>> = ComposedAdversary::new(vec![
+    let adv: ComposedAdversary<GcBundleMsg<u64>> = ComposedAdversary::new(vec![
         Box::new(EquivocatingAdversary::new(vec![PartyId(2)], 13)),
         Box::new(CrashAdversary {
             crashes: vec![(PartyId(6), 2)],
         }),
     ]);
-    let report = run_simulation(
-        cfg,
-        |id, nn| BatchGradecastProtocol::new(id, nn, t, inputs[id.index()]),
-        adv,
-    )
-    .unwrap();
+    let report =
+        run_simulation(cfg, |id, nn| Solo::new(id, nn, t, inputs[id.index()]), adv).unwrap();
     assert!(report.corrupted[2] && report.corrupted[6]);
 
     let honest_outs: Vec<_> = (0..n)

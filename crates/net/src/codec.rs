@@ -13,7 +13,7 @@ use std::sync::Arc;
 
 use async_aa::{AsyncAaMsg, RbcMsg};
 use async_net::RelMsg;
-use gradecast::{GcBundle, GcBundleMsg, GcSlots, GcValue};
+use gradecast::{GcBundle, GcBundleMsg, GcValue};
 use real_aa::{BundledAaMsg, R64};
 use sim_net::PartyId;
 
@@ -66,7 +66,7 @@ impl fmt::Display for CodecError {
 impl std::error::Error for CodecError {}
 
 /// A bounds-checked cursor over a byte slice.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct Reader<'a> {
     buf: &'a [u8],
     pos: usize,
@@ -313,29 +313,11 @@ fn get_bitmap(r: &mut Reader<'_>, present: &mut Vec<bool>) -> Result<usize, Code
     // identity on bytes, not just on values.
     if (n..bitmap.len() * 8).any(bit) {
         return Err(CodecError::BadValue {
-            what: "GcSlots padding",
+            what: "bitmap padding",
         });
     }
     present.extend((0..n).map(bit));
     Ok(n)
-}
-
-impl<T: WireCodec> WireCodec for GcSlots<T> {
-    fn encode(&self, out: &mut Vec<u8>) {
-        put_bitmap(out, (0..self.n()).map(|slot| self.is_present(slot)));
-        for (_, v) in self.iter() {
-            v.encode(out);
-        }
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        let mut present = Vec::new();
-        get_bitmap(r, &mut present)?;
-        let entries = present
-            .into_iter()
-            .map(|p| p.then(|| T::decode(r)).transpose());
-        entries.collect()
-    }
 }
 
 /// A bundle has the bytes of nested slots (outer over instances, inner
@@ -358,15 +340,17 @@ impl<T: WireCodec + GcValue> WireCodec for GcBundle<T> {
         let (mut widths, mut present, mut keys) =
             (Vec::with_capacity(count), Vec::new(), Vec::new());
         for _ in 0..count {
-            let at = present.len();
-            let n = get_bitmap(r, &mut present)?;
             if widths.is_empty() {
                 // Room for `count` instances of the first width (exact
-                // if honest); every further lane is a bitmap bit of input.
-                let lanes = n.saturating_mul(count).min(n + 8 * r.remaining());
-                present.reserve_exact(lanes - n);
+                // if honest), each lane a bitmap bit of input: one block
+                // per lane vector whatever `count` is.
+                let n = r.clone().u32()? as usize;
+                let lanes = n.saturating_mul(count).min(8 * r.remaining());
+                present.reserve_exact(lanes);
                 keys.reserve_exact(lanes);
             }
+            let at = present.len();
+            let n = get_bitmap(r, &mut present)?;
             keys.resize(at + n, 0);
             for lane in (at..at + n).filter(|&lane| present[lane]) {
                 keys[lane] = T::decode(r)?.bits64();
@@ -377,12 +361,15 @@ impl<T: WireCodec + GcValue> WireCodec for GcBundle<T> {
     }
 }
 
-impl WireCodec for GcBundleMsg<R64> {
+/// A lead has the bytes of slots over instances: a width, a bitmap, the
+/// present values.
+impl<V: WireCodec + GcValue> WireCodec for GcBundleMsg<V> {
     fn encode(&self, out: &mut Vec<u8>) {
         match self {
-            GcBundleMsg::Leads(s) => {
+            GcBundleMsg::Leads(leads) => {
                 out.push(0);
-                s.encode(out);
+                put_bitmap(out, leads.iter().map(Option::is_some));
+                leads.iter().flatten().for_each(|v| v.encode(out));
             }
             GcBundleMsg::Echoes(b) => {
                 out.push(1);
@@ -397,7 +384,14 @@ impl WireCodec for GcBundleMsg<R64> {
 
     fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
         match r.u8()? {
-            0 => Ok(GcBundleMsg::Leads(Arc::new(GcSlots::decode(r)?))),
+            0 => {
+                let mut present = Vec::new();
+                get_bitmap(r, &mut present)?;
+                let leads = present
+                    .into_iter()
+                    .map(|p| p.then(|| V::decode(r)).transpose());
+                Ok(GcBundleMsg::Leads(leads.collect::<Result<_, _>>()?))
+            }
             1 => Ok(GcBundleMsg::Echoes(Arc::new(GcBundle::decode(r)?))),
             2 => Ok(GcBundleMsg::Votes(Arc::new(GcBundle::decode(r)?))),
             tag => Err(CodecError::BadTag {
@@ -517,34 +511,44 @@ mod tests {
         assert_eq!(AsyncAaMsg::from_bytes(&[]), Err(CodecError::Truncated));
     }
 
-    fn slots<T: Clone>(opts: &[Option<T>]) -> GcSlots<T> {
-        GcSlots::from_options(opts.to_vec())
+    /// The bundle of nested slots: per instance, `None` if absent, else
+    /// its slots over the leaders, `None` where absent.
+    fn nested<T: GcValue>(slots: &[Option<Vec<Option<T>>>]) -> Arc<GcBundle<T>> {
+        let outer = slots.iter().map(Option::is_some).collect();
+        let widths = slots.iter().flatten().map(Vec::len).collect();
+        let lanes = || slots.iter().flatten().flatten();
+        let present = lanes().map(Option::is_some).collect();
+        let keys = lanes().map(|e| e.as_ref().map_or(0, T::bits64)).collect();
+        let bundle = GcBundle::from_lanes(outer, widths, present, keys);
+        Arc::new(bundle.expect("nested slots are lanes"))
+    }
+
+    /// A lead message over `slots`, one per instance.
+    fn leads<T: Clone>(slots: &[Option<T>]) -> GcBundleMsg<T> {
+        GcBundleMsg::Leads(slots.into())
     }
 
     #[test]
     fn bundle_messages_roundtrip() {
         roundtrip(R64::new(-0.5));
         roundtrip(3u32);
-        roundtrip(slots(&[Some(R64::new(1.0)), None, Some(R64::new(-2.5))]));
-        roundtrip(slots::<u32>(&[None, None]));
-        roundtrip(GcBundleMsg::Leads(Arc::new(slots(&[
-            Some(R64::new(0.25)),
+        roundtrip(leads(&[Some(R64::new(1.0)), None, Some(R64::new(-2.5))]));
+        roundtrip(leads::<u32>(&[None, None]));
+        roundtrip(leads(&[Some(R64::new(0.25)), None]));
+        roundtrip(GcBundleMsg::Echoes(nested(&[
+            Some(vec![Some(R64::new(7.0)), None, Some(R64::new(0.0))]),
             None,
-        ]))));
-        roundtrip(GcBundleMsg::echoes(slots(&[
-            Some(slots(&[Some(R64::new(7.0)), None, Some(R64::new(0.0))])),
-            None,
-            Some(slots(&[None, None, None])),
+            Some(vec![None, None, None]),
         ])));
-        roundtrip(GcBundleMsg::<R64>::votes(slots(&[
+        roundtrip(GcBundleMsg::<R64>::Votes(nested(&[
             None,
-            Some(slots(&[Some(0xdead_u32), Some(1), None])),
+            Some(vec![Some(0xdead_u32), Some(1), None]),
         ])));
         roundtrip(RelMsg::Data {
             seq: 7,
             inner: BundledAaMsg {
                 iter: 2,
-                body: GcBundleMsg::Leads(Arc::new(slots(&[Some(R64::new(4.0))]))),
+                body: leads(&[Some(R64::new(4.0))]),
             },
         });
     }
@@ -638,26 +642,32 @@ mod tests {
 
     #[test]
     fn nonzero_bitmap_padding_is_rejected() {
-        // n = 3 with the unused high bits of the bitmap byte set: the
-        // same value as a clean encoding, so canonicality demands a
-        // rejection.
-        let mut bytes = 3u32.to_le_bytes().to_vec();
+        // A lead over n = 3 with the unused high bits of the bitmap byte
+        // set: the same value as a clean encoding, so canonicality
+        // demands a rejection.
+        let mut bytes = vec![0];
+        bytes.extend_from_slice(&3u32.to_le_bytes());
         bytes.push(0b1111_1000);
         assert_eq!(
-            GcSlots::<u32>::from_bytes(&bytes),
+            GcBundleMsg::<u32>::from_bytes(&bytes),
             Err(CodecError::BadValue {
-                what: "GcSlots padding"
+                what: "bitmap padding"
             })
         );
     }
 
     #[test]
     fn slot_bytes_are_width_bitmap_then_present_entries() {
-        let bytes = slots(&[Some(1u32), None, Some(2)]).to_bytes();
+        // A lead is its tag, then slots over instances.
+        let bytes = leads(&[Some(1u32), None, Some(2)]).to_bytes();
+        assert_eq!(bytes[0], 0);
+        let bytes = &bytes[1..];
         assert_eq!(bytes, [3, 0, 0, 0, 0b101, 1, 0, 0, 0, 2, 0, 0, 0]);
         // A bitmap that promises more entries than follow is a short read.
+        let mut short = vec![0];
+        short.extend_from_slice(&bytes[..9]);
         assert_eq!(
-            GcSlots::<u32>::from_bytes(&bytes[..9]),
+            GcBundleMsg::<u32>::from_bytes(&short),
             Err(CodecError::Truncated)
         );
     }
@@ -669,17 +679,17 @@ mod tests {
     #[test]
     fn bundle_bytes_are_outer_bitmap_then_present_instances() {
         use sim_net::Payload;
-        let echoes = GcBundleMsg::echoes(slots(&[
-            Some(slots(&[Some(R64::new(7.0)), None, Some(R64::new(-2.5))])),
+        let echoes = GcBundleMsg::Echoes(nested(&[
+            Some(vec![Some(R64::new(7.0)), None, Some(R64::new(-2.5))]),
             None,
-            Some(slots(&[None, None, None])),
+            Some(vec![None, None, None]),
         ]));
-        let votes = GcBundleMsg::<R64>::votes(slots(&[
-            Some(slots(&[None, None, None])),
-            Some(slots(&[Some(0xdead_beef_u32), None, Some(1)])),
+        let votes = GcBundleMsg::<R64>::Votes(nested(&[
+            Some(vec![None, None, None]),
+            Some(vec![Some(0xdead_beef_u32), None, Some(1)]),
             None,
         ]));
-        let solo = GcBundleMsg::echoes(slots(&[Some(slots(&[Some(R64::new(1.0)), None]))]));
+        let solo = GcBundleMsg::Echoes(nested(&[Some(vec![Some(R64::new(1.0)), None])]));
         #[rustfmt::skip]
         let pins: [(&GcBundleMsg<R64>, &[u8], usize); 3] = [
             (&echoes, &[
@@ -723,17 +733,17 @@ mod tests {
             BundledAaParty::new(PartyId(p), cfg, inputs).unwrap()
         };
         // All-present instances of the given widths, each entry `e`.
-        fn full<T: Clone>(e: T, widths: &[usize]) -> GcSlots<GcSlots<T>> {
-            let inner = |&w| Some(slots(&vec![Some(e.clone()); w]));
-            GcSlots::from_options(widths.iter().map(inner).collect())
+        fn full<T: GcValue>(e: T, widths: &[usize]) -> Arc<GcBundle<T>> {
+            let inner = |&w| Some(vec![Some(e.clone()); w]);
+            nested(&widths.iter().map(inner).collect::<Vec<_>>())
         }
         // A `phase` (2 echoes, 3 votes) bundle carrying 1e9, outside
         // every honest hull.
         let junk = |phase: u32, widths: &[usize]| {
             let v = R64::new(1e9);
             let body = match phase {
-                2 => GcBundleMsg::echoes(full(v, widths)),
-                _ => GcBundleMsg::votes(full(v.hash32(), widths)),
+                2 => GcBundleMsg::Echoes(full(v, widths)),
+                _ => GcBundleMsg::Votes(full(v.hash32(), widths)),
             };
             wire(&BundledAaMsg { iter: 0, body })
         };
@@ -795,9 +805,11 @@ mod tests {
 
     #[test]
     fn absurd_slot_count_is_rejected_before_allocation() {
-        let bytes = u32::MAX.to_le_bytes().to_vec();
+        // A lead announcing u32::MAX instances, with no bitmap behind it.
+        let mut bytes = vec![0];
+        bytes.extend_from_slice(&u32::MAX.to_le_bytes());
         assert_eq!(
-            GcSlots::<R64>::from_bytes(&bytes),
+            GcBundleMsg::<R64>::from_bytes(&bytes),
             Err(CodecError::BadLength {
                 announced: u32::MAX as usize
             })

@@ -19,7 +19,7 @@ use std::sync::Arc;
 use rand::Rng;
 use rand_chacha::ChaCha8Rng;
 
-use gradecast::{GcBundle, GcBundleMsg, GcSlots, GcValue};
+use gradecast::{GcBundle, GcBundleMsg, GcValue};
 use sim_net::{Adversary, AdversaryCtx, PartyId};
 
 use crate::bundle::BundledAaMsg;
@@ -176,10 +176,7 @@ impl BudgetSplitEquivocator {
                 .chain(outbox.unicasts().iter().map(|e| &e.payload));
             let lead = payloads.find_map(|msg| match &msg.body {
                 // Instance 0's lead.
-                GcBundleMsg::Leads(slots) => match slots.iter().next() {
-                    Some((0, v)) => Some(v.get()),
-                    _ => None,
-                },
+                GcBundleMsg::Leads(leads) => leads.first().and_then(|v| v.map(R64::get)),
                 _ => None,
             });
             match lead {
@@ -311,16 +308,13 @@ impl Adversary<BundledAaMsg> for BudgetSplitEquivocator {
                     Some(&(q, _, x)) => {
                         let own = ctx.tentative_outbox(q).broadcasts().first();
                         let own = own.and_then(|m| match &m.body {
-                            GcBundleMsg::Leads(slots) => Some(&**slots),
+                            GcBundleMsg::Leads(leads) => Some(leads.to_vec()),
                             _ => None,
                         });
                         // Its own leads (or one instance), x in instance 0.
-                        let mut leads = vec![None; own.map_or(1, GcSlots::n)];
-                        for (j, &v) in own.into_iter().flat_map(GcSlots::iter) {
-                            leads[j] = Some(v);
-                        }
+                        let mut leads = own.unwrap_or_else(|| vec![None]);
                         leads[0] = Some(R64::new(x));
-                        let leads = Arc::new(GcSlots::from_options(leads));
+                        let leads: Arc<[_]> = leads.into();
                         for &p in &self.honest[..s_size] {
                             let body = GcBundleMsg::Leads(Arc::clone(&leads));
                             ctx.send(q, p, BundledAaMsg { iter, body });
@@ -451,7 +445,7 @@ impl Adversary<BundledAaMsg> for RealAaChaos {
                     + rng.gen_range(0..2u32);
                 let x = |rng: &mut ChaCha8Rng| R64::new(rng.gen_range(lo..=hi));
                 let body = match rng.gen_range(0..3) {
-                    0 => GcBundleMsg::Leads(Arc::new(GcSlots::single(1, 0, x(rng)))),
+                    0 => GcBundleMsg::Leads(Arc::new([Some(x(rng))])),
                     1 => GcBundleMsg::Echoes(Arc::new(random_first(rng, n, x))),
                     _ => GcBundleMsg::Votes(Arc::new(random_first(rng, n, |rng| x(rng).hash32()))),
                 };

@@ -310,11 +310,12 @@ mod tests {
     use super::*;
     use std::sync::Arc;
 
+    use crate::support::nested;
     use async_net::{
         run_async, AsyncAdversary, AsyncConfig, DelayModel, PassiveAsync, RelMsg, Reliable,
         SilentAsync,
     };
-    use gradecast::{GcSlots, GcValue};
+    use gradecast::{GcBundle, GcValue};
     use sim_net::{
         run_simulation, run_simulation_traced, AdversaryCtx, EngineConfig, EventKind, Passive,
         SimConfig, StaticByzantine, Trace,
@@ -434,12 +435,12 @@ mod tests {
     /// far past any schedule for the last two.
     fn hostile_bundles(n: usize, k: usize) -> Vec<BundledAaMsg> {
         let v = R64::new(1e9);
-        let echoes = GcSlots::from_options(vec![Some(v); n]);
-        let votes = GcSlots::from_options(vec![Some(7); n]);
+        let echoes = vec![Some(v); n];
+        let votes = vec![Some(7); n];
         let bodies = [
-            GcBundleMsg::Leads(Arc::new(GcSlots::from_options(vec![Some(v); k]))),
-            GcBundleMsg::echoes(GcSlots::from_options(vec![Some(echoes); k])),
-            GcBundleMsg::votes(GcSlots::from_options(vec![Some(votes); k])),
+            GcBundleMsg::Leads(vec![Some(v); k].into()),
+            GcBundleMsg::Echoes(Arc::new(nested(&vec![Some(echoes); k]))),
+            GcBundleMsg::Votes(Arc::new(nested(&vec![Some(votes); k]))),
         ];
         [u32::MAX, 0x5555_5556, 0x5555_5554, 1000]
             .into_iter()
@@ -530,15 +531,18 @@ mod tests {
     /// is absent for `None` and otherwise carries 1e9 — outside every
     /// honest hull — in an all-present inner slot of width `w`.
     fn junk(phase: u32, outer: &[Option<usize>]) -> GcBundleMsg<R64> {
-        fn full<T: Clone>(e: T, w: usize) -> GcSlots<T> {
-            GcSlots::from_options(vec![Some(e); w])
+        fn full<T: GcValue>(e: T, outer: &[Option<usize>]) -> Arc<GcBundle<T>> {
+            let slots: Vec<_> = outer
+                .iter()
+                .map(|w| w.map(|w| vec![Some(e.clone()); w]))
+                .collect();
+            Arc::new(nested(&slots))
         }
         let v = R64::new(1e9);
-        let slots = outer.iter();
         match phase {
-            1 => GcBundleMsg::Leads(Arc::new(slots.map(|w| w.map(|_| v)).collect())),
-            2 => GcBundleMsg::echoes(slots.map(|w| w.map(|w| full(v, w))).collect()),
-            _ => GcBundleMsg::votes(slots.map(|w| w.map(|w| full(v.hash32(), w))).collect()),
+            1 => GcBundleMsg::Leads(outer.iter().map(|w| w.map(|_| v)).collect()),
+            2 => GcBundleMsg::Echoes(full(v, outer)),
+            _ => GcBundleMsg::Votes(full(v.hash32(), outer)),
         }
     }
 

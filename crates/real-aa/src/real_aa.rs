@@ -124,9 +124,9 @@ impl RealAaConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::support::{firsts, solo, spread};
+    use crate::support::{firsts, nested, solo, spread};
     use crate::{BundledAaMsg, R64};
-    use gradecast::{GcBundleMsg, GcSlots};
+    use gradecast::GcBundleMsg;
     use sim_net::{run_simulation, CrashAdversary, PartyId, Passive, Payload, SimConfig};
     use std::sync::Arc;
 
@@ -136,17 +136,17 @@ mod tests {
         // R64 is sized at 8 bytes, not size_of::<R64>() shallow).
         let lead = BundledAaMsg {
             iter: 0,
-            body: GcBundleMsg::Leads(Arc::new(GcSlots::single(1, 0, R64::new(1.0)))),
+            body: GcBundleMsg::Leads(Arc::new([Some(R64::new(1.0))])),
         };
         assert_eq!(lead.size_bytes(), 4 + 1 + 1 + 8);
         // Echo entries are sized as `size_of::<R64>()`: the same 8.
         assert_eq!(std::mem::size_of::<R64>(), R64::new(1.0).size_bytes());
         // Full 8-slot echo batch at k = 1: 4 iter + 1 tag + 1 outer
         // bitmap + 1 inner bitmap + 8 × 8.
-        let inner = GcSlots::from_options((0..8).map(|i| Some(R64::new(i as f64))).collect());
+        let inner = (0..8).map(|i| Some(R64::new(i as f64))).collect();
         let echoes = BundledAaMsg {
             iter: 1,
-            body: GcBundleMsg::echoes(GcSlots::single(1, 0, inner)),
+            body: GcBundleMsg::Echoes(Arc::new(nested(&[Some(inner)]))),
         };
         assert_eq!(echoes.size_bytes(), 4 + 1 + 1 + 1 + 64);
     }

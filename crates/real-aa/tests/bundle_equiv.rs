@@ -13,10 +13,8 @@
 //! sit below it (the gradecast crate's per-leader oracle and arena model)
 //! and beside it (`aa-spec`).
 
-use std::sync::Arc;
-
 use aa_trace::Json;
-use gradecast::{GcBundleMsg, GcSlots};
+use gradecast::GcBundleMsg;
 use real_aa::{BundledAaMsg, BundledAaParty, RealAaConfig, R64};
 use sim_net::{
     run_simulation_faulted_traced, Adversary, AdversaryCtx, CrashAdversary, CrashFault,
@@ -161,8 +159,7 @@ fn equivocator(k: usize) -> StaticByzantine<impl FnMut(&mut AdversaryCtx<'_, Bun
             if ctx.round() == 1 {
                 for i in 1..N {
                     let v = if i <= 3 { 0.0 } else { DIAM };
-                    let leads = GcSlots::from_options(vec![Some(R64::new(v)); k]);
-                    let body = GcBundleMsg::Leads(Arc::new(leads));
+                    let body = GcBundleMsg::Leads(vec![Some(R64::new(v)); k].into());
                     ctx.send(PartyId(0), PartyId(i), BundledAaMsg { iter: 0, body });
                 }
             }

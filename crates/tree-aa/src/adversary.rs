@@ -5,7 +5,7 @@ use std::sync::Arc;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
-use gradecast::{GcBundle, GcBundleMsg, GcSlots, GcValue};
+use gradecast::{GcBundle, GcBundleMsg, GcValue};
 use real_aa::{BundledAaMsg, PlainValueMsg, R64};
 use sim_net::{Adversary, AdversaryCtx, PartyId};
 
@@ -58,7 +58,7 @@ impl Adversary<TreeMsg> for TreeAaChaos {
             let x = R64::new(rng.gen_range(span.clone()));
             let vote = [(leader, x.hash32())];
             let bodies = [
-                GcBundleMsg::Leads(Arc::new(GcSlots::single(1, 0, x))),
+                GcBundleMsg::Leads(Arc::new([Some(x)])),
                 GcBundleMsg::Echoes(Arc::new(GcBundle::with_first(None, n, [(leader, x)]))),
                 GcBundleMsg::Votes(Arc::new(GcBundle::with_first(None, n, vote))),
             ];

@@ -187,7 +187,7 @@ fn rewrap<M: Payload>(outbox: Outbox<M>, wrap: impl Fn(M) -> InnerMsg) -> Outbox
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gradecast::{GcBundleMsg, GcSlots};
+    use gradecast::GcBundleMsg;
     use sim_net::{Inbox, Received};
     use std::sync::Arc;
 
@@ -231,10 +231,9 @@ mod tests {
             value: 1.0,
         });
         assert_eq!(plain.size_bytes(), 1 + 12);
-        let lead = GcSlots::single(1, 0, real_aa::R64::new(2.0));
         let real = InnerMsg::Real(BundledAaMsg {
             iter: 0,
-            body: GcBundleMsg::Leads(Arc::new(lead)),
+            body: GcBundleMsg::Leads(Arc::new([Some(real_aa::R64::new(2.0))])),
         });
         // 1 tag + 4 iter + 1 bundle tag + 1 outer bitmap + 8 value.
         assert_eq!(real.size_bytes(), 1 + 14);
