@@ -513,9 +513,10 @@ fn skew_vertex_outputs(tree: &Tree, honest_inputs: &[VertexId], outputs: &mut [V
     if let Some(v) = off_hull {
         outputs[0] = v;
     } else if let Some(&first) = outputs.first() {
+        let lca = tree.lca_table();
         let far = tree
             .vertices()
-            .max_by_key(|&v| tree.distance(first, v))
+            .max_by_key(|&v| lca.distance(first, v))
             .expect("non-empty tree");
         outputs[0] = far;
     }

@@ -99,7 +99,7 @@ fn main() {
         let honest: Vec<usize> = (0..n).filter(|&i| i != byz).collect();
         let paths: Vec<_> = honest
             .iter()
-            .map(|&i| parties[i].found_path().expect("path set").clone())
+            .map(|&i| parties[i].found_path().expect("path set"))
             .collect();
         let lens: Vec<usize> = paths.iter().map(|p| p.len()).collect();
         let min_len = *lens.iter().min().expect("non-empty");

@@ -8,7 +8,7 @@ use std::sync::Arc;
 use real_aa::{BundledAaParty, RealAaConfig};
 use sim_net::{run_simulation, Adversary, PartyId, Passive, Protocol, RunReport, SimConfig};
 use tree_aa::{EngineKind, TreeAaConfig, TreeAaParty};
-use tree_model::{LcaTable, Tree, VertexId};
+use tree_model::{Tree, VertexId};
 
 /// max − min of a value slice.
 pub fn spread(outs: &[f64]) -> f64 {
@@ -33,13 +33,13 @@ pub fn firsts(report: &RunReport<Vec<f64>>) -> Vec<f64> {
 
 /// Maximum pairwise tree distance of a vertex slice.
 ///
-/// Builds one binary-lifting [`LcaTable`] up front and answers each of the
-/// `k·(k−1)/2` pairs in `O(log |V|)`, instead of one BFS walk per pair.
+/// Answers each of the `k·(k−1)/2` pairs in `O(log |V|)` from the tree's
+/// memoised [`Tree::lca_table`], instead of one BFS walk per pair.
 pub fn vertex_spread(tree: &Tree, outs: &[VertexId]) -> usize {
     if outs.len() < 2 {
         return 0;
     }
-    let lca = LcaTable::new(tree);
+    let lca = tree.lca_table();
     let mut best = 0;
     for (i, &a) in outs.iter().enumerate() {
         for &b in &outs[i + 1..] {

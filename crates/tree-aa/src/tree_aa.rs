@@ -112,8 +112,10 @@ pub struct TreeAaParty {
     tree: Arc<Tree>,
     input: VertexId,
     phase1: InnerAa,
-    /// Set at the phase boundary.
-    path: Option<TreePath>,
+    /// Set at the phase boundary: the endpoint x of the found root path
+    /// `P(root, x)`, which fixes the rest of it — length `depth(x) + 1`,
+    /// position i the ancestor of x at depth i.
+    x: Option<VertexId>,
     phase2: Option<InnerAa>,
     output: Option<VertexId>,
 }
@@ -151,16 +153,17 @@ impl TreeAaParty {
             tree,
             input,
             phase1,
-            path: None,
+            x: None,
             phase2: None,
             output: None,
         }
     }
 
     /// The path this party obtained from `PathsFinder` (available after
-    /// the phase boundary; used by tests and experiments).
-    pub fn found_path(&self) -> Option<&TreePath> {
-        self.path.as_ref()
+    /// the phase boundary; used by tests and experiments). Built from its
+    /// endpoints on each call, in `O(depth)`.
+    pub fn found_path(&self) -> Option<TreePath> {
+        self.x.map(|x| self.tree.path(self.tree.root(), x))
     }
 
     fn begin_phase2(&mut self, j: f64) -> InnerAa {
@@ -170,10 +173,9 @@ impl TreeAaParty {
         let list = self.tree.euler_list();
         let idx = closest_int(j).clamp(0, list.len() as i64 - 1) as usize;
         let x = list.get(idx);
-        let path = self.tree.path(self.tree.root(), x);
         // P is the root path P(root, x): proj_P(v_IN) = lca(v_IN, x), and
         // a vertex's position on a root path is its depth.
-        let i2 = f64::from(self.tree.depth(self.tree.lca_naive(self.input, x)));
+        let i2 = f64::from(self.tree.depth(self.tree.lca_table().lca(self.input, x)));
         let engine = InnerAa::new(
             self.cfg.engine,
             self.me,
@@ -183,21 +185,19 @@ impl TreeAaParty {
             self.cfg.tree_diameter as f64,
             i2,
         );
-        self.path = Some(path);
+        self.x = Some(x);
         engine
     }
 
     fn finish(&mut self, j: f64) {
-        let path = self.path.as_ref().expect("phase 2 started");
-        let ci = closest_int(j).max(0) as usize;
-        let v = if ci >= path.len() {
+        let x = self.x.expect("phase 2 started");
+        let depth = self.tree.depth(x);
+        let v = match u32::try_from(closest_int(j).max(0)) {
+            Ok(ci) if ci <= depth => self.tree.lca_table().ancestor(x, ci),
             // Figure 5 fallback: this party holds the shorter path; the
             // longer one extends it by exactly one vertex, so the last
-            // vertex of the own path is 1-close to every honest output.
-            let (_, last) = path.endpoints();
-            last
-        } else {
-            path.get(ci).expect("index within path")
+            // vertex x of the own path is 1-close to every honest output.
+            _ => x,
         };
         self.output = Some(v);
     }
@@ -287,13 +287,12 @@ impl Protocol for TreeAaParty {
                 .unwrap_or_else(|| self.phase1.current_value());
             let mut engine = self.begin_phase2(j);
             ctx.emit_with(|| {
-                let path = self.path.as_ref().expect("phase 2 started");
-                let (root, vertex) = path.endpoints();
+                let x = self.x.expect("phase 2 started");
                 sim_net::ProtoEvent::new("treeaa.path")
                     .f64("j", j)
-                    .u64("len", path.len() as u64)
-                    .u64("root", root.index() as u64)
-                    .u64("vertex", vertex.index() as u64)
+                    .u64("len", u64::from(self.tree.depth(x)) + 1)
+                    .u64("root", self.tree.root().index() as u64)
+                    .u64("vertex", x.index() as u64)
             });
             let out = engine.step(self.me, self.cfg.n, 1, std::iter::empty());
             forward_phase(ctx, out, 2);
@@ -469,7 +468,7 @@ mod tests {
         }
         let paths: Vec<TreePath> = parties
             .iter()
-            .map(|p| p.found_path().expect("path found").clone())
+            .map(|p| p.found_path().expect("path found"))
             .collect();
         crate::validity::check_paths_finder(&tree, &inputs, &paths).unwrap();
     }

@@ -6,7 +6,8 @@ use crate::tree::{Tree, VertexId};
 /// queries in `O(log |V|)` after `O(|V| log |V|)` construction.
 ///
 /// The naive `O(depth)` climbers on [`Tree`] are the reference
-/// implementation; this table is used by the protocol code on large trees.
+/// implementation; protocol code reads the table memoised on the tree
+/// ([`Tree::lca_table`]).
 ///
 /// # Example
 ///
@@ -46,7 +47,8 @@ impl LcaTable {
         LcaTable { up, depth }
     }
 
-    /// The 2^k-limited ancestor jump used internally; exposed for tests.
+    /// The ancestor of index `v` at depth `target`, in one 2^k jump per
+    /// set bit of the depth difference.
     fn ancestor_at_depth(&self, mut v: usize, target: u32) -> usize {
         let mut diff = self.depth[v] - target;
         let mut k = 0;
@@ -58,6 +60,20 @@ impl LcaTable {
             k += 1;
         }
         v
+    }
+
+    /// The (inclusive) ancestor of `v` at `depth`: position `depth` on the
+    /// root path `P(root, v)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `depth` exceeds the depth of `v`.
+    pub fn ancestor(&self, v: VertexId, depth: u32) -> VertexId {
+        assert!(
+            depth <= self.depth[v.index()],
+            "no ancestor below the vertex"
+        );
+        VertexId(self.ancestor_at_depth(v.index(), depth))
     }
 
     /// The lowest common ancestor of `u` and `v`.
@@ -114,6 +130,13 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "no ancestor below the vertex")]
+    fn ancestor_below_the_vertex_panics() {
+        let tree = generate::path(3);
+        LcaTable::new(&tree).ancestor(tree.root(), 1);
     }
 
     #[test]

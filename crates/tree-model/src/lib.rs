@@ -11,7 +11,9 @@
 //!   with the lexicographically smallest label), built through
 //!   [`TreeBuilder`];
 //! * paths ([`TreePath`]), distances, and lowest common ancestors
-//!   ([`Tree::lca_naive`] and the binary-lifting [`LcaTable`]);
+//!   ([`Tree::lca_naive`], the reference climb, and the binary-lifting
+//!   [`LcaTable`], computed once per tree by [`Tree::lca_table`], whose
+//!   [`LcaTable::ancestor`] reads position i of a root path);
 //! * convex hulls of vertex sets ([`Tree::convex_hull`]) — the smallest
 //!   connected subtree containing the set;
 //! * the Euler-tour list representation ([`EulerList`],

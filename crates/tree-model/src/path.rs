@@ -172,9 +172,10 @@ impl Tree {
         (self.depth(u) + self.depth(v) - 2 * self.depth(l)) as usize
     }
 
-    /// LCA by parent climbing; `O(depth)`. The precomputed
-    /// [`LcaTable`](crate::LcaTable) answers in `O(log |V|)` after
-    /// `O(|V| log |V|)` setup and is preferred in hot loops.
+    /// LCA by parent climbing; `O(depth)`. The reference for the
+    /// tree's memoised [`LcaTable`](crate::LcaTable) ([`Tree::lca_table`]),
+    /// which answers in `O(log |V|)` after `O(|V| log |V|)` setup once per
+    /// tree and is preferred in hot loops.
     pub fn lca_naive(&self, u: VertexId, v: VertexId) -> VertexId {
         let (mut a, mut b) = (u, v);
         while self.depth(a) > self.depth(b) {

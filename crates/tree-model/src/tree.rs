@@ -7,6 +7,7 @@ use std::sync::OnceLock;
 
 use crate::euler::{list_construction, EulerList};
 use crate::label::Label;
+use crate::lca::LcaTable;
 
 /// A handle to a vertex of a [`Tree`].
 ///
@@ -237,6 +238,7 @@ impl TreeBuilder {
                 .collect(),
             dfs_order: order.into_iter().map(VertexId).collect(),
             euler: OnceLock::new(),
+            lca: OnceLock::new(),
         })
     }
 }
@@ -276,6 +278,9 @@ pub struct Tree {
     /// [`Tree::euler_list`]. Derived from the fields above only, so a
     /// clone may carry it or recompute it.
     euler: OnceLock<EulerList>,
+    /// The binary-lifting [`LcaTable`], filled on first use by
+    /// [`Tree::lca_table`]; derived like `euler`.
+    lca: OnceLock<LcaTable>,
 }
 
 impl Tree {
@@ -382,6 +387,13 @@ impl Tree {
     /// `Arc` of it) read the same list.
     pub fn euler_list(&self) -> &EulerList {
         self.euler.get_or_init(|| list_construction(self))
+    }
+
+    /// The binary-lifting [`LcaTable`], built on the first call and shared
+    /// like [`Tree::euler_list`]: LCA, distance and root-path position
+    /// queries in `O(log |V|)` with no allocation.
+    pub fn lca_table(&self) -> &LcaTable {
+        self.lca.get_or_init(|| LcaTable::new(self))
     }
 
     /// Whether `a` is an ancestor of `b` (inclusive: every vertex is an
@@ -518,6 +530,21 @@ mod tests {
             assert_eq!(copy.euler_list(), t.euler_list());
             assert!(!std::ptr::eq(copy.euler_list(), t.euler_list()));
         }
+    }
+
+    #[test]
+    fn lca_table_is_computed_once_and_shared() {
+        use std::sync::Arc;
+        let t = Arc::new(figure3());
+        let other = Arc::clone(&t);
+        let (a, b) = std::thread::scope(|s| {
+            let a = s.spawn(|| t.lca_table());
+            let b = s.spawn(|| other.lca_table());
+            (a.join().unwrap(), b.join().unwrap())
+        });
+        assert!(std::ptr::eq(a, b), "two threads, two Arc clones, one table");
+        assert!(std::ptr::eq(a, t.lca_table()));
+        assert!(!std::ptr::eq(Tree::clone(&t).lca_table(), a));
     }
 
     #[test]

@@ -302,12 +302,20 @@ fn family_trees() -> Vec<Tree> {
 fn root_path_projection_position_is_lca_depth_on_families_and_200_trees() {
     // What TreeAA computes at the phase boundary: on the root path
     // P(root, x), v projects onto lca(v, x), which sits at its own depth.
+    // TreeAA keeps only x and reads both from the memoised LCA table:
+    // position i of the path is x's ancestor at depth i.
     for t in family_trees().into_iter().chain(seeded_trees()) {
+        let lcas = t.lca_table();
         for x in t.vertices() {
             let path = t.path(t.root(), x);
+            assert_eq!(path.len(), t.depth(x) as usize + 1);
+            for i in 0..=t.depth(x) {
+                assert_eq!(Some(lcas.ancestor(x, i)), path.get(i as usize));
+            }
             let table = tree_model::ProjectionTable::new(&t, &path);
             for v in t.vertices() {
                 let lca = t.lca_naive(v, x);
+                assert_eq!(lcas.lca(v, x), lca);
                 assert_eq!(table.project(v), lca);
                 assert_eq!(table.position(v), t.depth(lca) as usize);
             }
@@ -325,6 +333,23 @@ fn memoised_euler_list_is_the_fresh_one_with_brute_force_occurrences() {
             assert_eq!(l.occurrences(v), positions);
             assert_eq!(l.first_occurrence(v), positions[0]);
             assert_eq!(l.last_occurrence(v), *positions.last().expect("occurs"));
+        }
+    }
+}
+
+#[test]
+fn memoised_lca_table_answers_as_a_fresh_one() {
+    for t in family_trees().into_iter().chain(seeded_trees()) {
+        let (memo, fresh) = (t.lca_table(), tree_model::LcaTable::new(&t));
+        for u in t.vertices() {
+            for v in t.vertices() {
+                assert_eq!(memo.lca(u, v), fresh.lca(u, v));
+                assert_eq!(memo.distance(u, v), fresh.distance(u, v));
+                assert_eq!(memo.is_ancestor(u, v), fresh.is_ancestor(u, v));
+            }
+            for d in 0..=t.depth(u) {
+                assert_eq!(memo.ancestor(u, d), fresh.ancestor(u, d));
+            }
         }
     }
 }
