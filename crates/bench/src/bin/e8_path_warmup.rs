@@ -1,6 +1,7 @@
 //! **E8 — Section 4 warm-up: AA on path input spaces.**
 //!
-//! Runs `PathAA` on growing path graphs with both engines, verifying
+//! Runs `PathAA` — projection AA on a path graph
+//! ([`ProjectionAaConfig::path_graph`]) — on growing path graphs with both engines, verifying
 //! Definition 2 each time and reporting rounds: the warm-up's cost is a
 //! single engine run, i.e. exactly half of `TreeAA`'s two-phase cost on
 //! the same path.
@@ -9,7 +10,7 @@ use std::sync::Arc;
 
 use bench::{spaced_inputs, vertex_spread, Table};
 use sim_net::{run_simulation, Passive, SimConfig};
-use tree_aa::{check_tree_aa, EngineKind, PathAaConfig, PathAaParty, TreeAaConfig};
+use tree_aa::{check_tree_aa, EngineKind, ProjectionAaConfig, ProjectionAaParty, TreeAaConfig};
 use tree_model::generate;
 
 fn main() {
@@ -28,14 +29,16 @@ fn main() {
         let mut rounds = Vec::new();
         let mut last_spread = 0;
         for engine in [EngineKind::Gradecast, EngineKind::Halving] {
-            let cfg = PathAaConfig::new(n, t, engine, &tree).expect("valid");
+            let cfg = ProjectionAaConfig::path_graph(n, t, engine, &tree).expect("valid");
             let report = run_simulation(
                 SimConfig {
                     n,
                     t,
                     max_rounds: cfg.rounds() + 5,
                 },
-                |id, _| PathAaParty::new(id, cfg.clone(), inputs[id.index()]),
+                |id, _| {
+                    ProjectionAaParty::new(id, cfg.clone(), Arc::clone(&tree), inputs[id.index()])
+                },
                 Passive,
             )
             .expect("simulation completes");

@@ -175,12 +175,15 @@ impl<T> Outcome<T> {
 
 /// A per-round silence detector.
 ///
-/// The rule: in any round where *some other party's* message arrived —
-/// evidence the network and the protocol schedule were live — every party
+/// The rule: in any round where *any* message arrived — the party's own
+/// broadcast included, since the network delivers it back to the sender —
+/// the network and the protocol schedule were live, and every other party
 /// that delivered nothing is suspected as of that round; a suspect that is
 /// heard again is cleared (crash-*recovery* is not a standing fault). In a
 /// round with no traffic at all, nobody is suspected: schedule-wide
-/// silence is indistinguishable from a quiet protocol phase.
+/// silence is indistinguishable from a quiet protocol phase. Counting the
+/// own message matters for a lone survivor: it hears nobody else, and
+/// must still suspect everyone who is gone.
 ///
 /// For the all-to-all protocols in this workspace (every honest party
 /// broadcasts in every round of its schedule), an honest, connected party
@@ -206,13 +209,11 @@ impl SilenceMonitor {
     }
 
     /// Feeds one round's observation: the deduplicated set of senders that
-    /// delivered to this party (as a membership bitmap) plus the party's
-    /// own id (never suspected).
+    /// delivered to this party (as a membership bitmap, the party's own
+    /// delivered message included) plus the party's own id (never
+    /// suspected).
     pub fn observe_round(&mut self, round: u32, me: usize, seen: &[bool]) {
-        let any_speaker = seen
-            .iter()
-            .enumerate()
-            .any(|(party, &present)| present && party != me);
+        let any_speaker = seen.iter().any(|&present| present);
         for (party, &present) in seen.iter().enumerate().take(self.n) {
             if party == me {
                 continue;
@@ -228,7 +229,6 @@ impl SilenceMonitor {
     /// Convenience: observes an inbox directly.
     pub fn observe_inbox<M>(&mut self, round: u32, me: usize, inbox: &Inbox<M>) {
         let mut seen = vec![false; self.n];
-        seen[me] = true; // a party always "hears" itself
         for r in inbox.iter() {
             if r.from.index() < self.n {
                 seen[r.from.index()] = true;
@@ -327,6 +327,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{PartyId, Received};
 
     #[test]
     fn outcome_accessors() {
@@ -397,9 +398,30 @@ mod tests {
     #[test]
     fn schedule_wide_silence_suspects_nobody() {
         let mut m = SilenceMonitor::new(3, 0);
-        // Only my own echo arrived: a quiet protocol phase, not a fault.
-        m.observe_round(2, 1, &[false, true, false]);
+        // Nothing arrived, not even my own message: a quiet protocol
+        // phase, not a fault.
+        m.observe_round(2, 1, &[false, false, false]);
         assert!(m.suspects().is_empty());
+    }
+
+    #[test]
+    fn a_lone_survivor_suspects_everyone_gone() {
+        let mut m = SilenceMonitor::new(4, 1);
+        // Only my own broadcast came back: the round was live, and the
+        // three parties that sent nothing are suspected, over budget.
+        m.observe_round(2, 1, &[false, true, false, false]);
+        assert_eq!(m.suspects().keys().copied().collect::<Vec<_>>(), [0, 2, 3]);
+        assert!(m.over_threshold());
+        // The same through an inbox holding only the own message.
+        let mut m = SilenceMonitor::new(4, 1);
+        let own = Received {
+            from: PartyId(1),
+            payload: (),
+        };
+        m.observe_inbox(2, 1, &Inbox::from_messages(vec![own]));
+        assert!(m.over_threshold());
+        m.observe_inbox(3, 1, &Inbox::<()>::empty());
+        assert_eq!(m.suspects().len(), 3, "an empty round changes nothing");
     }
 
     #[test]

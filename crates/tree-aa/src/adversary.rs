@@ -10,8 +10,7 @@ use real_aa::{BundledAaMsg, PlainValueMsg, R64};
 use sim_net::{Adversary, AdversaryCtx, PartyId};
 
 use crate::baseline::PlainVertexMsg;
-use crate::engine::InnerMsg;
-use crate::tree_aa::TreeMsg;
+use crate::engine::{InnerMsg, TreeMsg};
 
 /// Chaos against `TreeAA`/`PathsFinder`/projection parties: statically
 /// corrupts a set and sprays random phase-tagged engine messages with

@@ -4,8 +4,10 @@
 //! real-valued AA protocol runs underneath — it only needs Validity,
 //! ε-Agreement and a publicly computable round count (the Section 7 note
 //! makes the same point for the `t < n/2` authenticated setting). This
-//! module packages the two engines implemented in this workspace behind a
-//! small enum so every tree protocol can run with either:
+//! module packages the two engines implemented in this workspace behind
+//! [`InnerAa`], which tags their traffic with the phase of the run it
+//! belongs to ([`TreeMsg`]): every tree protocol speaks that one wire and
+//! runs with either engine:
 //!
 //! * [`EngineKind::Gradecast`] — `RealAA` of Ben-Or–Dolev–Hoch, 3 rounds
 //!   per iteration, `O(log δ / log log δ)` rounds total (round-optimal),
@@ -18,7 +20,7 @@ use real_aa::{
     halving_iterations, iterations_for, BundledAaMsg, BundledAaParty, IteratedAaConfig,
     IteratedAaParty, PlainValueMsg, RealAaConfig,
 };
-use sim_net::{Outbox, PartyId, Payload, Protocol, RoundCtx};
+use sim_net::{Inbox, PartyId, Payload, Protocol, RoundCtx};
 
 /// Which real-valued AA protocol powers the reduction.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -70,10 +72,32 @@ impl Payload for InnerMsg {
     }
 }
 
-/// A running instance of the selected engine, driven with *local* round
-/// numbers by the embedding protocol.
+/// The wire message of every tree protocol: engine traffic tagged with the
+/// phase of the engine run it belongs to.
+#[derive(Clone, Debug, PartialEq)]
+pub struct TreeMsg {
+    /// 1 = `PathsFinder`, 2 = projection.
+    pub phase: u8,
+    /// The engine message.
+    pub inner: InnerMsg,
+}
+
+impl Payload for TreeMsg {
+    fn size_bytes(&self) -> usize {
+        1 + self.inner.size_bytes()
+    }
+}
+
+/// One phase's engine run, driven with *local* round numbers by the
+/// embedding protocol.
 #[derive(Clone, Debug)]
-pub enum InnerAa {
+pub struct InnerAa {
+    phase: u8,
+    engine: Engine,
+}
+
+#[derive(Clone, Debug)]
+enum Engine {
     /// Gradecast-based `RealAA`: a one-instance bundle (boxed: it carries
     /// per-leader tallies and dwarfs the halving variant).
     Real(Box<BundledAaParty>),
@@ -82,80 +106,72 @@ pub enum InnerAa {
 }
 
 impl InnerAa {
-    /// Starts an engine of `kind` for party `me` with the given public
-    /// parameters and private input.
+    /// Starts an engine of `kind` for party `me`, tagged `phase`, that
+    /// reaches 1-agreement on `d`-close inputs from the private `input`.
     ///
     /// # Panics
     ///
-    /// Panics if the parameters are invalid (`n ≤ 3t`, bad `eps`/`d`) —
+    /// Panics if the parameters are invalid (`n ≤ 3t`, bad `d`) —
     /// embedding protocols validate their configs first.
     pub fn new(
         kind: EngineKind,
+        phase: u8,
         me: PartyId,
         n: usize,
         t: usize,
-        eps: f64,
         d: f64,
         input: f64,
     ) -> Self {
-        match kind {
+        let engine = match kind {
             EngineKind::Gradecast => {
-                let cfg = RealAaConfig::new(n, t, eps, d).expect("validated by caller");
+                let cfg = RealAaConfig::new(n, t, 1.0, d).expect("validated by caller");
                 let party = BundledAaParty::new(me, cfg, vec![input]).expect("one instance");
-                InnerAa::Real(Box::new(party))
+                Engine::Real(Box::new(party))
             }
             EngineKind::Halving => {
-                let cfg = IteratedAaConfig::new(n, t, eps, d).expect("validated by caller");
-                InnerAa::Halving(IteratedAaParty::new(me, cfg, input))
+                let cfg = IteratedAaConfig::new(n, t, 1.0, d).expect("validated by caller");
+                Engine::Halving(IteratedAaParty::new(me, cfg, input))
             }
-        }
+        };
+        InnerAa { phase, engine }
     }
 
-    /// Drives one local round: feeds the engine the inner messages
-    /// delivered this round — `(sender, message)` pairs borrowed from the
-    /// embedding protocol's inbox, nothing cloned; traffic of the other
-    /// engine is ignored — and returns the traffic it wants delivered
-    /// next round (already wrapped back into [`InnerMsg`]).
-    ///
-    /// The outbox keeps its shape: inner broadcasts stay broadcasts, so
-    /// the embedding protocol can re-broadcast them without expanding to
-    /// `n` per-recipient clones.
-    pub fn step<'a>(
-        &mut self,
-        me: PartyId,
-        n: usize,
-        local_round: u32,
-        received: impl Iterator<Item = (PartyId, &'a InnerMsg)>,
-    ) -> Outbox<InnerMsg> {
-        match self {
-            InnerAa::Real(p) => {
-                let mut ctx = RoundCtx::new(me, n);
-                let own = received.filter_map(|(from, m)| match m {
-                    InnerMsg::Real(m) => Some((from, m)),
+    /// Drives one local round: feeds the engine this phase's traffic of
+    /// its own kind from `inbox` (borrowed, nothing cloned; anything else
+    /// is ignored) and sends what it wants delivered next round through
+    /// `ctx`, tagged with the phase. Inner broadcasts stay broadcasts.
+    pub fn step(&mut self, local_round: u32, inbox: &Inbox<TreeMsg>, ctx: &mut RoundCtx<TreeMsg>) {
+        let phase = self.phase;
+        let mine = inbox.iter().filter(move |r| r.payload.phase == phase);
+        match &mut self.engine {
+            Engine::Real(p) => {
+                let mut inner = RoundCtx::new(ctx.me(), ctx.n());
+                let own = mine.filter_map(|r| match &r.payload.inner {
+                    InnerMsg::Real(m) => Some((r.from, m)),
                     InnerMsg::Plain(_) => None,
                 });
-                p.step_on(local_round, own, &mut ctx);
-                rewrap(ctx.into_outbox(), InnerMsg::Real)
+                p.step_on(local_round, own, &mut inner);
+                forward(inner, phase, InnerMsg::Real, ctx);
             }
-            InnerAa::Halving(p) => {
-                let mut ctx = RoundCtx::new(me, n);
-                let own = received.filter_map(|(from, m)| match m {
-                    InnerMsg::Plain(m) => Some((from, m)),
+            Engine::Halving(p) => {
+                let mut inner = RoundCtx::new(ctx.me(), ctx.n());
+                let own = mine.filter_map(|r| match &r.payload.inner {
+                    InnerMsg::Plain(m) => Some((r.from, m)),
                     InnerMsg::Real(_) => None,
                 });
-                p.step_on(local_round, own, &mut ctx);
-                rewrap(ctx.into_outbox(), InnerMsg::Plain)
+                p.step_on(local_round, own, &mut inner);
+                forward(inner, phase, InnerMsg::Plain, ctx);
             }
         }
     }
 
     /// The engine's output, once terminated.
     pub fn output(&self) -> Option<f64> {
-        match self {
+        match &self.engine {
             // `None` until the engine decides, so its one-element output
             // is cloned once, at the decision, not every round.
-            InnerAa::Real(p) => p.output().map(|out| out[0]),
-            InnerAa::Halving(p) => p.output(),
+            Engine::Real(p) => p.output().map(|out| out[0]),
+            Engine::Halving(p) => p.output(),
         }
     }
 
@@ -163,37 +179,52 @@ impl InnerAa {
     /// flight recorder logs as the party's position after each halving
     /// step.
     pub fn current_value(&self) -> f64 {
-        match self {
-            InnerAa::Real(p) => *p.history(0).last().expect("a history starts at the input"),
-            InnerAa::Halving(p) => p.current_value(),
+        match &self.engine {
+            Engine::Real(p) => *p.history(0).last().expect("a history starts at the input"),
+            Engine::Halving(p) => p.current_value(),
         }
     }
 }
 
-/// Re-wraps an engine's outbox into the composed message type, preserving
-/// the unicast/broadcast split (a broadcast stays one payload, not `n`).
-fn rewrap<M: Payload>(outbox: Outbox<M>, wrap: impl Fn(M) -> InnerMsg) -> Outbox<InnerMsg> {
-    let mut ctx = RoundCtx::new(outbox.sender(), outbox.n());
-    let (unicasts, broadcasts) = outbox.into_parts();
+/// Sends an engine's round through the embedding protocol's context,
+/// wrapped and phase-tagged, broadcasts first (one payload, not `n`).
+/// The engine's own trace events are dropped: the embedding protocol
+/// reports its decisions itself.
+fn forward<M: Payload>(
+    inner: RoundCtx<M>,
+    phase: u8,
+    wrap: fn(M) -> InnerMsg,
+    ctx: &mut RoundCtx<TreeMsg>,
+) {
+    let (unicasts, broadcasts) = inner.into_outbox().into_parts();
     for m in broadcasts {
-        ctx.broadcast(wrap(m));
+        let inner = wrap(m);
+        ctx.broadcast(TreeMsg { phase, inner });
     }
     for e in unicasts {
-        ctx.send(e.to, wrap(e.payload));
+        let inner = wrap(e.payload);
+        ctx.send(e.to, TreeMsg { phase, inner });
     }
-    ctx.into_outbox()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use gradecast::GcBundleMsg;
-    use sim_net::{Inbox, Received};
+    use sim_net::{Outbox, Received};
     use std::sync::Arc;
 
-    /// The `(sender, message)` view of a hand-built inbox.
-    fn pairs(inbox: &Inbox<InnerMsg>) -> impl Iterator<Item = (PartyId, &InnerMsg)> {
-        inbox.iter().map(|r| (r.from, &r.payload))
+    /// One local round of `eng` as party `me` of `n`, returning its outbox.
+    fn step(
+        eng: &mut InnerAa,
+        me: usize,
+        n: usize,
+        round: u32,
+        inbox: &Inbox<TreeMsg>,
+    ) -> Outbox<TreeMsg> {
+        let mut ctx = RoundCtx::new(PartyId(me), n);
+        eng.step(round, inbox, &mut ctx);
+        ctx.into_outbox()
     }
 
     /// Drive both engines by hand through their local rounds, all honest.
@@ -201,15 +232,16 @@ mod tests {
         let n = inputs.len();
         let t = (n - 1) / 3;
         let mut engines: Vec<InnerAa> = (0..n)
-            .map(|i| InnerAa::new(kind, PartyId(i), n, t, 1.0, d, inputs[i]))
+            .map(|i| InnerAa::new(kind, 1, PartyId(i), n, t, d, inputs[i]))
             .collect();
         let rounds = engine_rounds(kind, d, 1.0);
-        let mut inboxes: Vec<Inbox<InnerMsg>> = vec![Inbox::empty(); n];
+        let mut inboxes: Vec<Inbox<TreeMsg>> = vec![Inbox::empty(); n];
         for r in 1..=rounds + 1 {
-            let mut next: Vec<Vec<Received<InnerMsg>>> = vec![Vec::new(); n];
+            let mut next: Vec<Vec<Received<TreeMsg>>> = vec![Vec::new(); n];
             for (i, eng) in engines.iter_mut().enumerate() {
                 let inbox = std::mem::take(&mut inboxes[i]);
-                for env in eng.step(PartyId(i), n, r, pairs(&inbox)).envelopes() {
+                for env in step(eng, i, n, r, &inbox).envelopes() {
+                    assert_eq!(env.payload.phase, 1, "traffic carries the phase");
                     next[env.to.index()].push(Received {
                         from: env.from,
                         payload: env.payload,
@@ -237,6 +269,12 @@ mod tests {
         });
         // 1 tag + 4 iter + 1 bundle tag + 1 outer bitmap + 8 value.
         assert_eq!(real.size_bytes(), 1 + 14);
+        // 1 phase byte + 1 inner tag byte + (4 + 8) plain value bytes.
+        let msg = TreeMsg {
+            phase: 1,
+            inner: plain,
+        };
+        assert_eq!(msg.size_bytes(), 14);
     }
 
     #[test]
@@ -266,23 +304,34 @@ mod tests {
 
     #[test]
     fn cross_engine_messages_are_ignored() {
-        // A Real engine fed a Plain message must not panic or act on it.
-        let mut eng = InnerAa::new(EngineKind::Gradecast, PartyId(0), 4, 1, 1.0, 8.0, 3.0);
-        let _ = eng.step(PartyId(0), 4, 1, std::iter::empty());
-        let stray = Received {
+        // A Real engine of phase 2 fed a Plain message and a lead of
+        // phase 1 must not panic or act on either.
+        let mut eng = InnerAa::new(EngineKind::Gradecast, 2, PartyId(0), 4, 1, 8.0, 3.0);
+        let _ = step(&mut eng, 0, 4, 1, &Inbox::empty());
+        let stray = |phase, inner| Received {
             from: PartyId(1),
-            payload: InnerMsg::Plain(PlainValueMsg {
-                iter: 0,
-                value: 4.0,
-            }),
+            payload: TreeMsg { phase, inner },
         };
-        let out = eng.step(PartyId(0), 4, 2, pairs(&Inbox::from_messages(vec![stray])));
+        let plain = InnerMsg::Plain(PlainValueMsg {
+            iter: 0,
+            value: 4.0,
+        });
+        let lead = InnerMsg::Real(BundledAaMsg {
+            iter: 0,
+            body: GcBundleMsg::Leads(Arc::new([Some(real_aa::R64::new(4.0))])),
+        });
+        let inbox = Inbox::from_messages(vec![stray(2, plain), stray(1, lead)]);
+        let out = step(&mut eng, 0, 4, 2, &inbox);
         // Round 2 of gradecast with no leads echoes for no one.
         match out.broadcasts() {
-            [InnerMsg::Real(BundledAaMsg {
-                body: GcBundleMsg::Echoes(bundle),
-                ..
-            })] => assert!(bundle
+            [TreeMsg {
+                phase: 2,
+                inner:
+                    InnerMsg::Real(BundledAaMsg {
+                        body: GcBundleMsg::Echoes(bundle),
+                        ..
+                    }),
+            }] => assert!(bundle
                 .instances()
                 .flatten()
                 .all(|(present, _)| !present.contains(&true))),

@@ -16,17 +16,18 @@
 //!
 //! # The protocols
 //!
-//! * [`TreeAaParty`] — the paper's `TreeAA` (Section 7):
-//!   `PathsFinder` + projection, achieving
+//! * [`TreeAaParty`] — the paper's `TreeAA` (Section 7), composed of the
+//!   two parties below: a [`PathsFinderParty`], then a
+//!   [`ProjectionAaParty`] on the root path it found, achieving
 //!   `O(log |V(T)| / log log |V(T)|)` rounds via two runs of the
 //!   real-valued `RealAA` engine;
-//! * [`PathsFinderParty`] — the `PathsFinder` subprotocol (Section 6) on
-//!   its own: 1-close root paths intersecting the honest hull, built on
-//!   the Euler-list representation (`ListConstruction`, Lemma 2);
+//! * [`PathsFinderParty`] — the `PathsFinder` subprotocol (Section 6):
+//!   1-close root paths intersecting the honest hull, built on the
+//!   Euler-list representation (`ListConstruction`, Lemma 2);
 //! * [`ProjectionAaParty`] — the Section 5 stepping stone: AA on a tree
-//!   given a *publicly known* path intersecting the honest hull;
-//! * [`PathAaParty`] — the Section 4 warm-up: AA when the input space is
-//!   itself a path;
+//!   given a *publicly known* path intersecting the honest hull; on a path
+//!   graph ([`ProjectionAaConfig::path_graph`]) it is the Section 4
+//!   warm-up, AA when the input space is itself a path;
 //! * [`NowakRybickiParty`] — the `O(log D(T))`-round safe-area baseline
 //!   (Nowak & Rybicki, DISC 2019) that the paper's round complexity is
 //!   compared against.
@@ -34,7 +35,9 @@
 //! All protocols are generic over the inner real-valued AA engine
 //! ([`EngineKind`]): the gradecast-based `RealAA` (round-optimal) or the
 //! classic halving iteration — mirroring the paper's remark that the
-//! reduction is independent of the underlying real-valued protocol.
+//! reduction is independent of the underlying real-valued protocol. The
+//! three reduction protocols step one phase-tagged engine ([`InnerAa`])
+//! and share one wire message ([`TreeMsg`]).
 //!
 //! # Example
 //!
@@ -63,7 +66,6 @@
 pub mod adversary;
 mod baseline;
 mod engine;
-mod path_aa;
 mod paths_finder;
 mod projection;
 mod tree_aa;
@@ -72,9 +74,8 @@ mod validity;
 pub use baseline::{
     safe_area, safe_area_midpoint, NowakRybickiConfig, NowakRybickiParty, PlainVertexMsg,
 };
-pub use engine::{engine_rounds, EngineKind, InnerAa, InnerMsg};
-pub use path_aa::{PathAaConfig, PathAaParty};
+pub use engine::{engine_rounds, EngineKind, InnerAa, InnerMsg, TreeMsg};
 pub use paths_finder::{PathsFinderConfig, PathsFinderParty};
 pub use projection::{ProjectionAaConfig, ProjectionAaParty};
-pub use tree_aa::{TreeAaConfig, TreeAaParty, TreeMsg};
+pub use tree_aa::{TreeAaConfig, TreeAaParty};
 pub use validity::{check_paths_finder, check_tree_aa, Violation};

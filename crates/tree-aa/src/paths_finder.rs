@@ -2,17 +2,17 @@
 //!
 //! Honest parties obtain subpaths `P(v_root, ·)` of the input-space tree
 //! such that (Lemma 4): every path intersects the honest inputs' convex
-//! hull, and all paths are equal up to one trailing edge.
+//! hull, and all paths are equal up to one trailing edge. `TreeAA` runs
+//! this party as its phase 1.
 
 use std::sync::Arc;
 
 use sim_net::{Inbox, PartyId, Protocol, RoundCtx};
 use tree_model::{closest_int, Tree, TreePath, VertexId};
 
-use crate::engine::{engine_rounds, EngineKind, InnerAa};
-use crate::tree_aa::{forward_phase, phase_traffic, TreeMsg};
+use crate::engine::{engine_rounds, EngineKind, InnerAa, TreeMsg};
 
-/// Public parameters of a standalone `PathsFinder` run.
+/// Public parameters of a `PathsFinder` run.
 #[derive(Clone, Debug)]
 pub struct PathsFinderConfig {
     /// Number of parties.
@@ -54,19 +54,16 @@ impl PathsFinderConfig {
     }
 }
 
-/// One party of the standalone `PathsFinder` protocol. Output: the path
-/// `P(v_root, L_closestInt(j))`.
-///
-/// Inside `TreeAA` the same logic runs as phase 1; this standalone protocol
-/// exists so the subprotocol's Lemma 4 guarantees can be tested and
-/// measured in isolation.
+/// One party of `PathsFinder`: agree on the index `j` of the input's
+/// first occurrence in the Euler list `L`; output the root path
+/// `P(v_root, x)` to `x = L_closestInt(j)`.
 #[derive(Clone, Debug)]
 pub struct PathsFinderParty {
     cfg: PathsFinderConfig,
-    me: PartyId,
     tree: Arc<Tree>,
     engine: InnerAa,
-    output: Option<TreePath>,
+    /// The found path's endpoint `x`, once the engine decides.
+    x: Option<VertexId>,
 }
 
 impl PathsFinderParty {
@@ -82,22 +79,29 @@ impl PathsFinderParty {
             "input vertex out of range"
         );
         let i = tree.euler_list().first_occurrence(input) as f64;
-        let engine = InnerAa::new(
-            cfg.engine,
-            me,
-            cfg.n,
-            cfg.t,
-            1.0,
-            (cfg.list_len - 1) as f64,
-            i,
-        );
+        let d = (cfg.list_len - 1) as f64;
+        let engine = InnerAa::new(cfg.engine, 1, me, cfg.n, cfg.t, d, i);
         PathsFinderParty {
             cfg,
-            me,
             tree,
             engine,
-            output: None,
+            x: None,
         }
+    }
+
+    /// The agreed index `j` — or, before the engine decides, its running
+    /// estimate, which never leaves the hull of accepted values — and the
+    /// endpoint `L_closestInt(j)` it selects. Remark 1 keeps the index
+    /// within `[0, |L| − 1]` on every honest execution; it is clamped
+    /// there all the same.
+    pub(crate) fn endpoint(&self) -> (f64, VertexId) {
+        let j = self
+            .engine
+            .output()
+            .unwrap_or_else(|| self.engine.current_value());
+        let list = self.tree.euler_list();
+        let idx = closest_int(j).clamp(0, list.len() as i64 - 1) as usize;
+        (j, list.get(idx))
     }
 }
 
@@ -106,25 +110,23 @@ impl Protocol for PathsFinderParty {
     type Output = TreePath;
 
     fn step(&mut self, round: u32, inbox: &Inbox<TreeMsg>, ctx: &mut RoundCtx<TreeMsg>) {
-        if self.output.is_some() {
+        if self.x.is_some() {
             return;
         }
         if self.cfg.list_len <= 1 {
-            self.output = Some(self.tree.path(self.tree.root(), self.tree.root()));
+            self.x = Some(self.tree.root());
             return;
         }
-        let traffic = phase_traffic(inbox, 1);
-        let out = self.engine.step(self.me, self.cfg.n, round, traffic);
-        forward_phase(ctx, out, 1);
-        if let Some(j) = self.engine.output() {
-            let list = self.tree.euler_list();
-            let idx = closest_int(j).clamp(0, list.len() as i64 - 1) as usize;
-            self.output = Some(self.tree.path(self.tree.root(), list.get(idx)));
+        self.engine.step(round, inbox, ctx);
+        if self.engine.output().is_some() {
+            self.x = Some(self.endpoint().1);
         }
     }
 
+    /// The root path `P(v_root, x)`, built from its endpoint in
+    /// `O(depth(x))` on each call.
     fn output(&self) -> Option<TreePath> {
-        self.output.clone()
+        self.x.map(|x| self.tree.path(self.tree.root(), x))
     }
 }
 

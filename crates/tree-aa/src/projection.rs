@@ -1,13 +1,15 @@
-//! The Section 5 stepping stone: AA on a tree when a path intersecting the
-//! honest inputs' convex hull is *publicly known*.
+//! Projection AA — AA on a tree when a path intersecting the honest
+//! inputs' convex hull is *publicly known* (Section 5). On a path graph,
+//! projected onto itself, it is the Section 4 warm-up
+//! ([`ProjectionAaConfig::path_graph`]); `TreeAA` runs it as its phase 2,
+//! on the root path `PathsFinder` found.
 
 use std::sync::Arc;
 
 use sim_net::{Inbox, PartyId, Protocol, RoundCtx};
-use tree_model::{closest_int, ProjectionTable, Tree, TreePath, VertexId};
+use tree_model::{closest_int, Tree, TreePath, VertexId};
 
-use crate::engine::{engine_rounds, EngineKind, InnerAa};
-use crate::tree_aa::{forward_phase, phase_traffic, TreeMsg};
+use crate::engine::{engine_rounds, EngineKind, InnerAa, TreeMsg};
 
 /// Public parameters of a projection-AA run. The path is part of the
 /// public setup (the assumption Section 6 later removes).
@@ -19,36 +21,64 @@ pub struct ProjectionAaConfig {
     pub t: usize,
     /// The inner real-valued AA engine.
     pub engine: EngineKind,
-    /// The publicly known path (must intersect the honest inputs' hull for
-    /// Validity — that is this protocol's *precondition*, exactly as in
-    /// Section 5).
-    pub path: Arc<TreePath>,
+    /// The endpoints `(a, b)` of the publicly known path `P(a, b)`;
+    /// positions count from `a`. The path must intersect the honest
+    /// inputs' hull for Validity — that is this protocol's
+    /// *precondition*, exactly as in Section 5.
+    pub ends: (VertexId, VertexId),
+    /// The public bound on how far apart positions lie, the engine's
+    /// input range: `d(a, b)` for a known path, `D(T)` inside `TreeAA`,
+    /// where the path is found at run time.
+    pub span: usize,
 }
 
 impl ProjectionAaConfig {
-    /// Creates the configuration.
+    /// Creates the configuration for the known path `path`.
     ///
     /// # Errors
     ///
     /// Returns a description of the violated precondition if `n ≤ 3t`.
-    pub fn new(
-        n: usize,
-        t: usize,
-        engine: EngineKind,
-        path: Arc<TreePath>,
-    ) -> Result<Self, String> {
+    pub fn new(n: usize, t: usize, engine: EngineKind, path: &TreePath) -> Result<Self, String> {
         if n <= 3 * t {
             return Err(format!(
                 "projection AA requires n > 3t, got n = {n}, t = {t}"
             ));
         }
-        Ok(ProjectionAaConfig { n, t, engine, path })
+        Ok(ProjectionAaConfig {
+            n,
+            t,
+            engine,
+            ends: path.endpoints(),
+            span: path.edge_len(),
+        })
     }
 
-    /// Fixed communication rounds: one engine run with ε = 1 on positions
-    /// `[0, k − 1]` of the path.
+    /// The Section 4 warm-up: the input space is itself a path graph,
+    /// oriented from the endpoint with the lexicographically lower label
+    /// (the paper's `v_1`), and every vertex projects onto itself.
+    ///
+    /// # Errors
+    ///
+    /// Returns a description of the problem if `n ≤ 3t` or the tree is not
+    /// a path (a vertex of degree ≥ 3 exists).
+    pub fn path_graph(n: usize, t: usize, engine: EngineKind, tree: &Tree) -> Result<Self, String> {
+        if let Some(v) = tree.vertices().find(|&v| tree.degree(v) > 2) {
+            return Err(format!(
+                "input space is not a path: vertex `{}` has degree {}",
+                tree.label(v),
+                tree.degree(v)
+            ));
+        }
+        // Endpoints: degree <= 1 (one of them on a single vertex).
+        let mut ends: Vec<VertexId> = tree.vertices().filter(|&v| tree.degree(v) <= 1).collect();
+        ends.sort_by(|&a, &b| tree.label(a).cmp(tree.label(b)));
+        Self::new(n, t, engine, &tree.path(ends[0], ends[ends.len() - 1]))
+    }
+
+    /// Fixed communication rounds: one engine run with ε = 1 on
+    /// `[0, span]`.
     pub fn rounds(&self) -> u32 {
-        engine_rounds(self.engine, self.path.edge_len() as f64, 1.0)
+        engine_rounds(self.engine, self.span as f64, 1.0)
     }
 }
 
@@ -56,42 +86,57 @@ impl ProjectionAaConfig {
 /// path, agree on positions, output the vertex at the rounded position.
 #[derive(Clone, Debug)]
 pub struct ProjectionAaParty {
-    cfg: ProjectionAaConfig,
-    me: PartyId,
+    ends: (VertexId, VertexId),
+    tree: Arc<Tree>,
     engine: InnerAa,
     output: Option<VertexId>,
 }
 
 impl ProjectionAaParty {
     /// Creates the party with its input vertex, projecting it onto the
-    /// public path.
+    /// public path through the tree's memoised LCA table.
     ///
     /// # Panics
     ///
     /// Panics if `me` or `input` is out of range.
-    pub fn new(me: PartyId, cfg: ProjectionAaConfig, tree: &Tree, input: VertexId) -> Self {
+    pub fn new(me: PartyId, cfg: ProjectionAaConfig, tree: Arc<Tree>, input: VertexId) -> Self {
         assert!(me.index() < cfg.n, "party id out of range");
         assert!(
             input.index() < tree.vertex_count(),
             "input vertex out of range"
         );
-        let table = ProjectionTable::new(tree, &cfg.path);
-        let i = table.position(input) as f64;
-        let engine = InnerAa::new(
-            cfg.engine,
-            me,
-            cfg.n,
-            cfg.t,
-            1.0,
-            cfg.path.edge_len() as f64,
-            i,
-        );
+        let (a, b) = cfg.ends;
+        let i = tree.lca_table().path_position(a, b, input) as f64;
+        let engine = InnerAa::new(cfg.engine, 2, me, cfg.n, cfg.t, cfg.span as f64, i);
         ProjectionAaParty {
-            cfg,
-            me,
+            ends: cfg.ends,
+            tree,
             engine,
             output: None,
         }
+    }
+
+    /// The public path `P(a, b)`, built from its endpoints in `O(d(a, b))`.
+    pub(crate) fn path(&self) -> TreePath {
+        self.tree.path(self.ends.0, self.ends.1)
+    }
+
+    /// The position-agreement engine.
+    pub(crate) fn engine(&self) -> &InnerAa {
+        &self.engine
+    }
+
+    /// Outputs the path vertex at position `closestInt(j)`, clamped onto
+    /// the path. On a known path Remark 1 keeps it within the honest
+    /// positions; inside `TreeAA` a position one past the end is the
+    /// Figure 5 fallback — the party holds the shorter of two 1-close root
+    /// paths, and its last vertex is 1-close to every honest output.
+    pub(crate) fn settle(&mut self, j: f64) {
+        let (a, b) = self.ends;
+        let lcas = self.tree.lca_table();
+        let last = lcas.distance(a, b) as i64;
+        let ci = closest_int(j).clamp(0, last) as usize;
+        self.output = Some(lcas.path_vertex(a, b, ci));
     }
 }
 
@@ -103,14 +148,9 @@ impl Protocol for ProjectionAaParty {
         if self.output.is_some() {
             return;
         }
-        let traffic = phase_traffic(inbox, 2);
-        let out = self.engine.step(self.me, self.cfg.n, round, traffic);
-        forward_phase(ctx, out, 2);
+        self.engine.step(round, inbox, ctx);
         if let Some(j) = self.engine.output() {
-            // Remark 1 keeps closestInt(j) within the honest positions,
-            // hence on the path; clamp defensively all the same.
-            let ci = closest_int(j).clamp(0, self.cfg.path.len() as i64 - 1) as usize;
-            self.output = Some(self.cfg.path.get(ci).expect("clamped onto the path"));
+            self.settle(j);
         }
     }
 
@@ -123,7 +163,26 @@ impl Protocol for ProjectionAaParty {
 mod tests {
     use super::*;
     use sim_net::{run_simulation, Passive, SimConfig};
-    use tree_model::Tree;
+    use tree_model::generate;
+
+    /// Runs the protocol, all honest, returning the outputs and rounds.
+    fn run(
+        cfg: &ProjectionAaConfig,
+        tree: &Arc<Tree>,
+        inputs: &[VertexId],
+    ) -> (Vec<VertexId>, u32) {
+        let report = run_simulation(
+            SimConfig {
+                n: cfg.n,
+                t: cfg.t,
+                max_rounds: cfg.rounds() + 5,
+            },
+            |id, _| ProjectionAaParty::new(id, cfg.clone(), Arc::clone(tree), inputs[id.index()]),
+            Passive,
+        )
+        .unwrap();
+        (report.honest_outputs(), report.communication_rounds())
+    }
 
     /// The Figure 2 scenario: a known path v1..v8 and inputs hanging off
     /// it; outputs must be 1-close path vertices inside the inputs' hull.
@@ -149,23 +208,12 @@ mod tests {
             .unwrap(),
         );
         let spine = tree.path(tree.vertex("a1").unwrap(), tree.vertex("a8").unwrap());
-        let cfg =
-            ProjectionAaConfig::new(4, 1, EngineKind::Gradecast, Arc::new(spine.clone())).unwrap();
+        let cfg = ProjectionAaConfig::new(4, 1, EngineKind::Gradecast, &spine).unwrap();
         let inputs: Vec<VertexId> = ["u1", "a4", "u3", "a4"]
             .iter()
             .map(|l| tree.vertex(l).unwrap())
             .collect();
-        let report = run_simulation(
-            SimConfig {
-                n: 4,
-                t: 1,
-                max_rounds: cfg.rounds() + 5,
-            },
-            |id, _| ProjectionAaParty::new(id, cfg.clone(), &tree, inputs[id.index()]),
-            Passive,
-        )
-        .unwrap();
-        let outputs = report.honest_outputs();
+        let (outputs, _) = run(&cfg, &tree, &inputs);
         // 1-agreement.
         for &a in &outputs {
             for &b in &outputs {
@@ -182,24 +230,59 @@ mod tests {
 
     #[test]
     fn single_vertex_path_degenerates() {
-        let tree = Arc::new(tree_model::generate::star(5));
+        let tree = Arc::new(generate::star(5));
         let center = tree.root();
-        let p = Arc::new(tree.path(center, center));
-        let cfg = ProjectionAaConfig::new(4, 1, EngineKind::Gradecast, p).unwrap();
+        let cfg = ProjectionAaConfig::new(4, 1, EngineKind::Gradecast, &tree.path(center, center))
+            .unwrap();
         assert_eq!(cfg.rounds(), 0);
         let inputs: Vec<VertexId> = tree.vertices().take(4).collect();
-        let report = run_simulation(
-            SimConfig {
-                n: 4,
-                t: 1,
-                max_rounds: 5,
-            },
-            |id, _| ProjectionAaParty::new(id, cfg.clone(), &tree, inputs[id.index()]),
-            Passive,
-        )
-        .unwrap();
-        for o in report.honest_outputs() {
+        for o in run(&cfg, &tree, &inputs).0 {
             assert_eq!(o, center);
         }
+    }
+
+    #[test]
+    fn converges_on_a_path_with_expected_rounds() {
+        let tree = Arc::new(generate::path(100));
+        let cfg = ProjectionAaConfig::path_graph(7, 2, EngineKind::Gradecast, &tree).unwrap();
+        let m = tree.vertex_count();
+        let inputs: Vec<VertexId> = (0..7)
+            .map(|i| tree.vertices().nth((i * 13) % m).unwrap())
+            .collect();
+        let (outputs, rounds) = run(&cfg, &tree, &inputs);
+        assert_eq!(rounds, cfg.rounds());
+        for &a in &outputs {
+            for &b in &outputs {
+                assert!(tree.distance(a, b) <= 1, "1-agreement violated");
+            }
+        }
+        let hull = tree.convex_hull(&inputs);
+        for &o in &outputs {
+            assert!(hull.contains(o), "validity violated");
+        }
+    }
+
+    #[test]
+    fn rejects_non_path_input_space() {
+        let star = generate::star(5);
+        let err = ProjectionAaConfig::path_graph(4, 1, EngineKind::Gradecast, &star).unwrap_err();
+        assert!(err.contains("not a path"), "{err}");
+    }
+
+    #[test]
+    fn orientation_starts_at_lower_label() {
+        let tree = generate::path(5);
+        let cfg = ProjectionAaConfig::path_graph(4, 1, EngineKind::Gradecast, &tree).unwrap();
+        assert_eq!(tree.label(cfg.ends.0).as_str(), "v0000");
+        assert_eq!(tree.label(cfg.ends.1).as_str(), "v0004");
+    }
+
+    #[test]
+    fn single_vertex_path_is_trivial() {
+        let tree = Arc::new(generate::path(1));
+        let cfg = ProjectionAaConfig::path_graph(4, 1, EngineKind::Halving, &tree).unwrap();
+        assert_eq!(cfg.rounds(), 0);
+        let v = tree.root();
+        assert!(run(&cfg, &tree, &[v; 4]).0.iter().all(|&o| o == v));
     }
 }

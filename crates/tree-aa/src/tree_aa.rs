@@ -1,11 +1,14 @@
-//! `TreeAA` — the paper's final protocol (Section 7).
+//! `TreeAA` — the paper's final protocol (Section 7): `PathsFinder`, then
+//! projection onto the root path it found.
 
 use std::sync::Arc;
 
-use sim_net::{Inbox, Outbox, PartyId, Payload, Protocol, RoundCtx};
-use tree_model::{closest_int, Tree, TreePath, VertexId};
+use sim_net::{step_standalone, Inbox, PartyId, ProtoEvent, Protocol, RoundCtx};
+use tree_model::{Tree, TreePath, VertexId};
 
-use crate::engine::{engine_rounds, EngineKind, InnerAa, InnerMsg};
+use crate::engine::{engine_rounds, EngineKind, TreeMsg};
+use crate::paths_finder::{PathsFinderConfig, PathsFinderParty};
+use crate::projection::{ProjectionAaConfig, ProjectionAaParty};
 
 /// Public parameters of a `TreeAA` execution, derived from the public
 /// input-space tree.
@@ -75,22 +78,8 @@ impl TreeAaConfig {
     }
 }
 
-/// A `TreeAA` wire message: engine traffic tagged with its phase.
-#[derive(Clone, Debug, PartialEq)]
-pub struct TreeMsg {
-    /// 1 = `PathsFinder`, 2 = projection run.
-    pub phase: u8,
-    /// The engine message.
-    pub inner: InnerMsg,
-}
-
-impl Payload for TreeMsg {
-    fn size_bytes(&self) -> usize {
-        1 + self.inner.size_bytes()
-    }
-}
-
-/// One party of `TreeAA`.
+/// One party of `TreeAA`: a [`PathsFinderParty`] (phase 1), then a
+/// [`ProjectionAaParty`] on the root path it found (phase 2).
 ///
 /// Protocol (Section 7):
 /// 1. `v_root` := vertex with the lowest label; `L` :=
@@ -101,23 +90,22 @@ impl Payload for TreeMsg {
 ///    engine runs have fixed, publicly computable round counts, so all
 ///    honest parties switch phases simultaneously by construction.
 /// 4. Phase 2: run the engine with ε = 1 on the position of
-///    `proj_P(v_IN)` in `P`; obtain `j`.
+///    `proj_P(v_IN)` in `P`, over the public range `[0, D(T)]` (`P` itself
+///    is private); obtain `j`.
 /// 5. Output the vertex at position `closestInt(j)` of `P`, or `P`'s last
 ///    vertex when `closestInt(j)` points one past it (the Figure 5
 ///    fallback: the party holds the shorter of the two 1-close paths).
 #[derive(Clone, Debug)]
 pub struct TreeAaParty {
     cfg: TreeAaConfig,
-    me: PartyId,
     tree: Arc<Tree>,
     input: VertexId,
-    phase1: InnerAa,
-    /// Set at the phase boundary: the endpoint x of the found root path
-    /// `P(root, x)`, which fixes the rest of it — length `depth(x) + 1`,
-    /// position i the ancestor of x at depth i.
-    x: Option<VertexId>,
-    phase2: Option<InnerAa>,
-    output: Option<VertexId>,
+    phase1: PathsFinderParty,
+    /// Started at the phase boundary, on the found root path `P(root, x)`.
+    phase2: Option<ProjectionAaParty>,
+    /// A decision taken without phase 2: the trivial tree's, or a party
+    /// frozen past the schedule before the boundary.
+    early: Option<VertexId>,
 }
 
 impl TreeAaParty {
@@ -127,35 +115,25 @@ impl TreeAaParty {
     ///
     /// Panics if `me` or `input` is out of range for `cfg`/`tree`.
     pub fn new(me: PartyId, cfg: TreeAaConfig, tree: Arc<Tree>, input: VertexId) -> Self {
-        assert!(me.index() < cfg.n, "party id out of range");
-        assert!(
-            input.index() < tree.vertex_count(),
-            "input vertex out of range"
-        );
         assert_eq!(
             cfg.list_len,
             2 * tree.vertex_count() - 1,
             "config/tree mismatch"
         );
-        let i1 = tree.euler_list().first_occurrence(input) as f64;
-        let phase1 = InnerAa::new(
-            cfg.engine,
-            me,
-            cfg.n,
-            cfg.t,
-            1.0,
-            (cfg.list_len - 1) as f64,
-            i1,
-        );
+        let pf = PathsFinderConfig {
+            n: cfg.n,
+            t: cfg.t,
+            engine: cfg.engine,
+            list_len: cfg.list_len,
+        };
+        let phase1 = PathsFinderParty::new(me, pf, Arc::clone(&tree), input);
         TreeAaParty {
             cfg,
-            me,
             tree,
             input,
             phase1,
-            x: None,
             phase2: None,
-            output: None,
+            early: None,
         }
     }
 
@@ -163,74 +141,37 @@ impl TreeAaParty {
     /// the phase boundary; used by tests and experiments). Built from its
     /// endpoints on each call, in `O(depth)`.
     pub fn found_path(&self) -> Option<TreePath> {
-        self.x.map(|x| self.tree.path(self.tree.root(), x))
+        self.phase2.as_ref().map(ProjectionAaParty::path)
     }
 
-    fn begin_phase2(&mut self, j: f64) -> InnerAa {
-        // Clamp defensively: Remark 1 guarantees the index stays within
-        // the range of honest inputs, hence within [0, |L| - 1], on every
-        // honest execution.
-        let list = self.tree.euler_list();
-        let idx = closest_int(j).clamp(0, list.len() as i64 - 1) as usize;
-        let x = list.get(idx);
-        // P is the root path P(root, x): proj_P(v_IN) = lca(v_IN, x), and
-        // a vertex's position on a root path is its depth.
-        let i2 = f64::from(self.tree.depth(self.tree.lca_table().lca(self.input, x)));
-        let engine = InnerAa::new(
-            self.cfg.engine,
-            self.me,
-            self.cfg.n,
-            self.cfg.t,
-            1.0,
-            self.cfg.tree_diameter as f64,
-            i2,
-        );
-        self.x = Some(x);
-        engine
-    }
-
-    fn finish(&mut self, j: f64) {
-        let x = self.x.expect("phase 2 started");
-        let depth = self.tree.depth(x);
-        let v = match u32::try_from(closest_int(j).max(0)) {
-            Ok(ci) if ci <= depth => self.tree.lca_table().ancestor(x, ci),
-            // Figure 5 fallback: this party holds the shorter path; the
-            // longer one extends it by exactly one vertex, so the last
-            // vertex x of the own path is 1-close to every honest output.
-            _ => x,
+    /// The boundary round `r1 + 1`: phase 1's final local round processes
+    /// the last inbox and decides — its sends, if any, are dropped, since
+    /// nobody runs phase 1 any more — and phase 2 starts in the same
+    /// communication round.
+    fn begin_phase2(&mut self, round: u32, inbox: &Inbox<TreeMsg>, ctx: &mut RoundCtx<TreeMsg>) {
+        let _ = step_standalone(&mut self.phase1, ctx.me(), ctx.n(), round, inbox);
+        // A benign fault (crash window, partition freeze) can leave phase 1
+        // a local round short here; its running estimate then serves as
+        // the best-effort `j`. Accuracy under such runs is the degradation
+        // layer's concern.
+        let (j, x) = self.phase1.endpoint();
+        let cfg = ProjectionAaConfig {
+            n: self.cfg.n,
+            t: self.cfg.t,
+            engine: self.cfg.engine,
+            ends: (self.tree.root(), x),
+            span: self.cfg.tree_diameter,
         };
-        self.output = Some(v);
-    }
-}
-
-/// The engine traffic of `phase` delivered in `inbox`, as the borrowed
-/// `(sender, message)` pairs an inner engine steps on (shared by `TreeAA`
-/// and the standalone subprotocols).
-pub(crate) fn phase_traffic(
-    inbox: &Inbox<TreeMsg>,
-    phase: u8,
-) -> impl Iterator<Item = (PartyId, &InnerMsg)> {
-    inbox
-        .iter()
-        .filter(move |r| r.payload.phase == phase)
-        .map(|r| (r.from, &r.payload.inner))
-}
-
-/// Forwards an inner outbox through the outer context with its phase tag,
-/// keeping broadcasts structural (one payload, not `n` clones).
-pub(crate) fn forward_phase(ctx: &mut RoundCtx<TreeMsg>, outbox: Outbox<InnerMsg>, phase: u8) {
-    let (unicasts, broadcasts) = outbox.into_parts();
-    for inner in broadcasts {
-        ctx.broadcast(TreeMsg { phase, inner });
-    }
-    for e in unicasts {
-        ctx.send(
-            e.to,
-            TreeMsg {
-                phase,
-                inner: e.payload,
-            },
-        );
+        let mut phase2 = ProjectionAaParty::new(ctx.me(), cfg, Arc::clone(&self.tree), self.input);
+        ctx.emit_with(|| {
+            ProtoEvent::new("treeaa.path")
+                .f64("j", j)
+                .u64("len", u64::from(self.tree.depth(x)) + 1)
+                .u64("root", self.tree.root().index() as u64)
+                .u64("vertex", x.index() as u64)
+        });
+        phase2.step(1, &Inbox::empty(), ctx);
+        self.phase2 = Some(phase2);
     }
 }
 
@@ -239,89 +180,51 @@ impl Protocol for TreeAaParty {
     type Output = VertexId;
 
     fn step(&mut self, round: u32, inbox: &Inbox<TreeMsg>, ctx: &mut RoundCtx<TreeMsg>) {
-        if self.output.is_some() {
+        if self.output().is_some() {
             return;
         }
         if self.cfg.trivial() {
             // D(T) <= 1: outputting the input satisfies all three
             // properties (Section 2).
-            self.output = Some(self.input);
+            self.early = Some(self.input);
             return;
         }
+        let r1 = self.cfg.phase1_rounds();
         if round > self.cfg.total_rounds() + 1 {
             // Past the schedule: only reachable when a benign fault froze
             // this party through its decision round. Adopt the current
             // estimate — it stays in the hull of accepted values — rather
             // than staying silent forever; accuracy guarantees for such
             // runs are the degradation layer's concern.
-            if let Some(engine) = &self.phase2 {
-                let j = engine.current_value();
-                self.finish(j);
-            } else {
-                self.output = Some(self.input);
+            match &mut self.phase2 {
+                Some(phase2) => phase2.settle(phase2.engine().current_value()),
+                None => self.early = Some(self.input),
             }
-            return;
-        }
-        let r1 = self.cfg.phase1_rounds();
-        if round <= r1 {
-            // Phase 1, local rounds 1..=r1.
-            let traffic = phase_traffic(inbox, 1);
-            let out = self.phase1.step(self.me, self.cfg.n, round, traffic);
-            forward_phase(ctx, out, 1);
-            return;
-        }
-        if self.phase2.is_none() {
-            // The boundary round r1 + 1: finish phase 1 (its final
-            // local round processes the last inbox and terminates) and
-            // immediately start phase 2 in the same communication round.
-            let traffic = phase_traffic(inbox, 1);
-            let _ = self.phase1.step(self.me, self.cfg.n, round, traffic);
-            // A benign fault (crash window, partition freeze) can leave
-            // phase 1 a local round short at the boundary. Its running
-            // estimate never leaves the hull of accepted values, so it
-            // serves as the best-effort `j`; accuracy under such runs is
-            // the degradation layer's concern.
-            let j = self
-                .phase1
-                .output()
-                .unwrap_or_else(|| self.phase1.current_value());
-            let mut engine = self.begin_phase2(j);
+        } else if round <= r1 {
+            self.phase1.step(round, inbox, ctx);
+        } else if let Some(phase2) = &mut self.phase2 {
+            let local = round - r1;
+            phase2.step(local, inbox, ctx);
+            let engine = phase2.engine();
             ctx.emit_with(|| {
-                let x = self.x.expect("phase 2 started");
-                sim_net::ProtoEvent::new("treeaa.path")
-                    .f64("j", j)
-                    .u64("len", u64::from(self.tree.depth(x)) + 1)
-                    .u64("root", self.tree.root().index() as u64)
-                    .u64("vertex", x.index() as u64)
+                ProtoEvent::new("treeaa.pos")
+                    .u64("local", u64::from(local))
+                    .f64("pos", engine.current_value())
             });
-            let out = engine.step(self.me, self.cfg.n, 1, std::iter::empty());
-            forward_phase(ctx, out, 2);
-            self.phase2 = Some(engine);
-            return;
-        }
-        // Phase 2, local rounds 2..
-        let local = round - r1;
-        let engine = self.phase2.as_mut().expect("phase 2 running");
-        let out = engine.step(self.me, self.cfg.n, local, phase_traffic(inbox, 2));
-        forward_phase(ctx, out, 2);
-        ctx.emit_with(|| {
-            sim_net::ProtoEvent::new("treeaa.pos")
-                .u64("local", u64::from(local))
-                .f64("pos", engine.current_value())
-        });
-        if let Some(j) = engine.output() {
-            self.finish(j);
-            ctx.emit_with(|| {
-                let vertex = self.output.expect("finish sets the output");
-                sim_net::ProtoEvent::new("treeaa.out")
-                    .f64("j", j)
-                    .u64("vertex", vertex.index() as u64)
-            });
+            if let (Some(j), Some(vertex)) = (engine.output(), phase2.output()) {
+                ctx.emit_with(|| {
+                    ProtoEvent::new("treeaa.out")
+                        .f64("j", j)
+                        .u64("vertex", vertex.index() as u64)
+                });
+            }
+        } else {
+            self.begin_phase2(round, inbox, ctx);
         }
     }
 
     fn output(&self) -> Option<VertexId> {
-        self.output
+        self.early.or_else(|| self.phase2.as_ref()?.output())
     }
 }
 
@@ -351,20 +254,6 @@ mod tests {
         )
         .unwrap();
         (report.honest_outputs(), report.communication_rounds())
-    }
-
-    #[test]
-    fn wire_size_is_phase_tag_plus_inner() {
-        use real_aa::PlainValueMsg;
-        let msg = TreeMsg {
-            phase: 1,
-            inner: crate::engine::InnerMsg::Plain(PlainValueMsg {
-                iter: 0,
-                value: 3.0,
-            }),
-        };
-        // 1 phase byte + 1 inner tag byte + (4 + 8) plain value bytes.
-        assert_eq!(msg.size_bytes(), 14);
     }
 
     #[test]
@@ -436,6 +325,29 @@ mod tests {
         let inputs = vec![v; 4];
         let (outputs, _) = run_tree_aa(&tree, 4, 1, EngineKind::Gradecast, &inputs);
         assert!(outputs.iter().all(|&o| o == v), "outputs {outputs:?}");
+    }
+
+    #[test]
+    fn the_boundary_drops_a_lagging_phase1_engine_s_sends() {
+        // A party that missed phase-1 rounds (a crash window) reaches the
+        // boundary with its halving engine iterations short, so phase 1's
+        // last local round there still wants to send. Nobody runs phase 1
+        // any more: only phase 2's first round may leave the party.
+        let (n, me) = (4, PartyId(0));
+        let tree = Arc::new(generate::caterpillar(6, 2));
+        let cfg = TreeAaConfig::new(n, 1, EngineKind::Halving, &tree).unwrap();
+        let r1 = cfg.phase1_rounds();
+        let mut party = TreeAaParty::new(me, cfg, Arc::clone(&tree), tree.root());
+        for r in 1..r1 - 1 {
+            sim_net::step_standalone(&mut party, me, n, r, &Inbox::empty());
+        }
+        let out = sim_net::step_standalone(&mut party, me, n, r1 + 1, &Inbox::empty());
+        assert!(party.found_path().is_some(), "phase 2 started");
+        let phases: Vec<u8> = (out.broadcasts().iter())
+            .chain(out.unicasts().iter().map(|e| &e.payload))
+            .map(|m| m.phase)
+            .collect();
+        assert_eq!(phases, [2], "one phase-2 broadcast and nothing else");
     }
 
     #[test]

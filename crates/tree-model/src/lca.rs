@@ -2,8 +2,9 @@
 
 use crate::tree::{Tree, VertexId};
 
-/// Precomputed binary-lifting table answering LCA, distance, and ancestry
-/// queries in `O(log |V|)` after `O(|V| log |V|)` construction.
+/// Precomputed binary-lifting table answering LCA, distance, ancestry and
+/// path-position queries in `O(log |V|)` after `O(|V| log |V|)`
+/// construction.
 ///
 /// The naive `O(depth)` climbers on [`Tree`] are the reference
 /// implementation; protocol code reads the table memoised on the tree
@@ -105,6 +106,34 @@ impl LcaTable {
         self.depth[a.index()] <= self.depth[b.index()]
             && self.ancestor_at_depth(b.index(), self.depth[a.index()]) == a.index()
     }
+
+    /// The position, counted from `a`, of `v`'s projection onto the path
+    /// `P(a, b)` (Section 5's `proj_P(v)`): the deepest of the three
+    /// pairwise LCAs of `a`, `b` and `v`.
+    pub fn path_position(&self, a: VertexId, b: VertexId, v: VertexId) -> usize {
+        let proj = [self.lca(a, b), self.lca(a, v), self.lca(b, v)]
+            .into_iter()
+            .max_by_key(|p| self.depth[p.index()])
+            .expect("three candidates");
+        self.distance(a, proj)
+    }
+
+    /// The vertex at position `i`, counted from `a`, of the path `P(a, b)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` exceeds `d(a, b)`.
+    pub fn path_vertex(&self, a: VertexId, b: VertexId, i: usize) -> VertexId {
+        let top = self.depth[self.lca(a, b).index()];
+        let (up, down) = (self.depth[a.index()] - top, self.depth[b.index()] - top);
+        let i = u32::try_from(i).ok().filter(|&i| i <= up + down);
+        let i = i.expect("position past the end of the path");
+        VertexId(if i <= up {
+            self.ancestor_at_depth(a.index(), self.depth[a.index()] - i)
+        } else {
+            self.ancestor_at_depth(b.index(), top + i - up)
+        })
+    }
 }
 
 #[cfg(test)]
@@ -137,6 +166,14 @@ mod tests {
     fn ancestor_below_the_vertex_panics() {
         let tree = generate::path(3);
         LcaTable::new(&tree).ancestor(tree.root(), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "position past the end of the path")]
+    fn path_vertex_past_the_end_panics() {
+        let tree = generate::path(3);
+        let (a, b) = (tree.vertex("v0000").unwrap(), tree.vertex("v0002").unwrap());
+        LcaTable::new(&tree).path_vertex(b, a, 3);
     }
 
     #[test]

@@ -12,15 +12,18 @@
 //!   [`TreeBuilder`];
 //! * paths ([`TreePath`]), distances, and lowest common ancestors
 //!   ([`Tree::lca_naive`], the reference climb, and the binary-lifting
-//!   [`LcaTable`], computed once per tree by [`Tree::lca_table`], whose
-//!   [`LcaTable::ancestor`] reads position i of a root path);
+//!   [`LcaTable`], computed once per tree by [`Tree::lca_table`], which
+//!   also answers path queries by endpoints: [`LcaTable::path_position`]
+//!   projects a vertex onto `P(a, b)` and [`LcaTable::path_vertex`] reads
+//!   position i of it);
 //! * convex hulls of vertex sets ([`Tree::convex_hull`]) — the smallest
 //!   connected subtree containing the set;
 //! * the Euler-tour list representation ([`EulerList`],
 //!   [`list_construction`], computed once per tree by
 //!   [`Tree::euler_list`]) used by the `PathsFinder` subprotocol, with the
 //!   exact guarantees of Lemma 2 of the paper;
-//! * projections of vertices onto paths ([`ProjectionTable`], Lemma 1);
+//! * projections of vertices onto a materialised path
+//!   ([`ProjectionTable`], Lemma 1: one BFS, then `O(1)` per vertex);
 //! * the paper's `closestInt` rounding rule ([`closest_int`], Remarks 1–2);
 //! * deterministic and random tree generators for experiments
 //!   ([`generate`]).

@@ -300,10 +300,9 @@ fn family_trees() -> Vec<Tree> {
 
 #[test]
 fn root_path_projection_position_is_lca_depth_on_families_and_200_trees() {
-    // What TreeAA computes at the phase boundary: on the root path
-    // P(root, x), v projects onto lca(v, x), which sits at its own depth.
-    // TreeAA keeps only x and reads both from the memoised LCA table:
-    // position i of the path is x's ancestor at depth i.
+    // The root paths TreeAA projects onto at the phase boundary: on
+    // P(root, x), v projects onto lca(v, x), which sits at its own depth,
+    // and position i of the path is x's ancestor at depth i.
     for t in family_trees().into_iter().chain(seeded_trees()) {
         let lcas = t.lca_table();
         for x in t.vertices() {
@@ -318,6 +317,30 @@ fn root_path_projection_position_is_lca_depth_on_families_and_200_trees() {
                 assert_eq!(lcas.lca(v, x), lca);
                 assert_eq!(table.project(v), lca);
                 assert_eq!(table.position(v), t.depth(lca) as usize);
+            }
+        }
+    }
+}
+
+#[test]
+fn arbitrary_path_queries_match_a_materialised_path_on_families_and_200_trees() {
+    // `path_position` and `path_vertex` answer for any P(a, b), while every
+    // protocol path so far starts at the root; check both against the
+    // BFS-built `ProjectionTable` and `TreePath::get` on sampled pairs:
+    // every endpoint against a stride of partners, in both orientations.
+    for t in family_trees().into_iter().chain(seeded_trees()) {
+        let lcas = t.lca_table();
+        let vs: Vec<VertexId> = t.vertices().collect();
+        for (k, &a) in vs.iter().enumerate() {
+            for &b in vs.iter().skip(k % 3).step_by(3) {
+                let path = t.path(a, b);
+                for i in 0..path.len() {
+                    assert_eq!(Some(lcas.path_vertex(a, b, i)), path.get(i));
+                }
+                let table = tree_model::ProjectionTable::new(&t, &path);
+                for &v in &vs {
+                    assert_eq!(lcas.path_position(a, b, v), table.position(v));
+                }
             }
         }
     }

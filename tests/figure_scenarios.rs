@@ -58,19 +58,19 @@ fn figure2_projection_protocol() {
     let tree = Arc::new(figure3_tree());
     // Known path v1 .. v2 .. v4 .. v8 intersects the hull of the honest
     // inputs below (their hull contains v2).
-    let path = Arc::new(tree.path(tree.vertex("v1").unwrap(), tree.vertex("v8").unwrap()));
+    let path = tree.path(tree.vertex("v1").unwrap(), tree.vertex("v8").unwrap());
     let inputs: Vec<VertexId> = ["v6", "v5", "v3", "v7"]
         .iter()
         .map(|l| tree.vertex(l).unwrap())
         .collect();
-    let cfg = ProjectionAaConfig::new(4, 1, EngineKind::Gradecast, Arc::clone(&path)).unwrap();
+    let cfg = ProjectionAaConfig::new(4, 1, EngineKind::Gradecast, &path).unwrap();
     let report = run_simulation(
         SimConfig {
             n: 4,
             t: 1,
             max_rounds: cfg.rounds() + 5,
         },
-        |id, _| ProjectionAaParty::new(id, cfg.clone(), &tree, inputs[id.index()]),
+        |id, _| ProjectionAaParty::new(id, cfg.clone(), Arc::clone(&tree), inputs[id.index()]),
         Passive,
     )
     .unwrap();
