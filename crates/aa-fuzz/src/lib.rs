@@ -10,24 +10,34 @@
 //! because the round-bound analysis is tight there), random inputs, and a
 //! random adversary composed from the `sim-net` zoo — each of which is
 //! run through `tree-aa` (both inner engines), the `O(log D)` baseline,
-//! or `real-aa` and checked against six machine-checkable invariants
-//! (see [`run`]):
+//! or `real-aa` (solo and bundled).
 //!
-//! 1. sequential ≡ parallel engine determinism,
-//! 2. the protocol's explicit round bound,
-//! 3. convex-hull validity,
-//! 4. 1-agreement (ε-agreement for `real-aa`),
-//! 5. byte-identical flight-recorder traces across both step modes,
-//! 6. the `aa-trace` invariant checkers (round totals, hull monotonicity,
-//!    grade semantics) plus exact trace-vs-metrics accounting.
+//! Every case runs through **one pipeline**, [`run_case`] (see [`run`]):
+//! both step modes, the flight recorder on, every party wrapped in the
+//! silence monitor, under the case's fault plan (an empty one when the
+//! case has no fault atoms). It checks, in order:
+//!
+//! 1. sequential ≡ parallel: equal reports and byte-identical traces,
+//! 2. the protocol's explicit round bound, relaxed by the fault plan's
+//!    scheduled extent,
+//! 3. the `aa-trace` invariant checkers (round totals, hull monotonicity,
+//!    grade semantics; round totals only under a fault plan),
+//! 4. exact trace-vs-metrics accounting,
+//! 5. the degradation contract,
+//! 6. without a fault plan, convex-hull validity and 1-agreement
+//!    (ε-agreement for `real-aa`).
+//!
+//! [`run_batch`], [`minimize`](minimize::minimize), [`replay_corpus`] and
+//! [`record_scenario`] all call it, so a failure the batch finds is the
+//! failure the minimizer shrinks and the corpus replays.
 //!
 //! With `--faults` the stream additionally overlays benign-fault plans
 //! (healing partitions, crash/recovery windows, and occasional
-//! catastrophic over-budget crash sets) and checks the *degradation
-//! contract*: transient faults must still terminate within the relaxed
-//! round bound, and over-budget fault sets must surface as structured
-//! `Degraded` outcomes carrying checkable evidence certificates — never
-//! as silently unguaranteed values.
+//! catastrophic over-budget crash sets), putting the *degradation
+//! contract* to work: transient faults must still terminate within the
+//! relaxed round bound, and over-budget fault sets must surface as
+//! structured `Degraded` outcomes carrying checkable evidence
+//! certificates — never as silently unguaranteed values.
 //!
 //! Everything is a pure function of integers: case `i` of seed `s` is
 //! reproducible from `(s, i)` alone, two identical invocations produce
@@ -65,9 +75,7 @@ pub use corpus::{load_case, load_dir, save_case, CorpusEntry};
 pub use gen::{gen_case, with_faults};
 pub use json::Json;
 pub use minimize::{minimize, Minimized};
-pub use run::{
-    run_case, run_case_mutated, run_case_traced, CaseStats, CheckFailure, Mutation, TracedCase,
-};
+pub use run::{run_case, run_case_mutated, CaseStats, CheckFailure, Mutation, TracedCase};
 pub use scenario::{record_scenario, scenario, scenario_names, SCENARIO_NAMES};
 
 /// Options of a fuzzing batch (the `cli fuzz` subcommand maps onto this).
@@ -80,8 +88,8 @@ pub struct FuzzOptions {
     /// Whether to minimize failing cases before reporting them.
     pub minimize: bool,
     /// Whether to overlay each case with a generated benign-fault plan
-    /// (partitions, crash/recovery windows — see [`with_faults`]), adding
-    /// the degradation contract to the checked invariants.
+    /// (partitions, crash/recovery windows — see [`with_faults`]), putting
+    /// the degradation contract to work.
     pub faults: bool,
     /// Where to persist minimized repros (`None` disables persistence).
     pub corpus_dir: Option<PathBuf>,
@@ -115,10 +123,7 @@ pub fn run_batch(opts: &FuzzOptions, out: &mut dyn Write) -> io::Result<usize> {
         if opts.faults {
             case = with_faults(case, opts.seed, index);
         }
-        // The traced path checks the classic invariants *and* the
-        // flight-recorder contract (trace determinism, trace-level
-        // checkers, metrics accounting) on every case.
-        let Err(failure) = run_case_traced(&case) else {
+        let Err(failure) = run_case(&case) else {
             continue;
         };
         violations += 1;

@@ -141,6 +141,7 @@ fn candidates(case: &FuzzCase) -> Vec<FuzzCase> {
 mod tests {
     use super::*;
     use crate::case::{AdvAtom, AdvAtomKind, Family, FaultAtom, ProtocolKind, TreeSpec};
+    use aa_check::props::PropViolation;
 
     /// A rich case that passes un-mutated but fails under
     /// `SkewFirstOutput` — the shrinker should drive it to a tiny tree.
@@ -185,7 +186,7 @@ mod tests {
         assert!(run_case_mutated(&minimized.case, Mutation::SkewFirstOutput).is_err());
         assert!(matches!(
             minimized.failure,
-            CheckFailure::Validity(_) | CheckFailure::Agreement(_)
+            CheckFailure::Property(PropViolation::Validity(_) | PropViolation::Agreement(_))
         ));
     }
 

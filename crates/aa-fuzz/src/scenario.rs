@@ -12,7 +12,7 @@
 use sim_net::Trace;
 
 use crate::case::{AdvAtom, AdvAtomKind, Family, FaultAtom, FuzzCase, ProtocolKind, TreeSpec};
-use crate::run::run_case_traced;
+use crate::run::run_case;
 
 /// The names of all canonical scenarios, in registry order.
 pub const SCENARIO_NAMES: [&str; 10] = [
@@ -244,9 +244,9 @@ pub fn record_scenario(name: &str, seed: u64) -> Result<Trace, String> {
             SCENARIO_NAMES.join(", ")
         )
     })?;
-    let traced =
-        run_case_traced(&case).map_err(|e| format!("scenario `{name}` seed {seed}: {e}"))?;
-    let mut trace = traced.trace;
+    let mut trace = run_case(&case)
+        .map_err(|e| format!("scenario `{name}` seed {seed}: {e}"))?
+        .trace;
     trace.label = format!("{name}:{seed}");
     Ok(trace)
 }

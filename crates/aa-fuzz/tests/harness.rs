@@ -5,12 +5,12 @@
 use std::fs;
 
 use aa_fuzz::{
-    gen_case, minimize, replay_corpus, run_batch, run_case, run_case_mutated, save_case, FuzzCase,
-    FuzzOptions, Json, Mutation,
+    gen_case, minimize, replay_corpus, run_batch, run_case, run_case_mutated, save_case,
+    CheckFailure, FuzzCase, FuzzOptions, Json, Mutation,
 };
 
 /// A smoke sweep: the first 60 cases of the default seed all satisfy
-/// every invariant (determinism, round bound, validity, agreement).
+/// every invariant of the pipeline.
 #[test]
 fn smoke_sweep_finds_no_violations() {
     for index in 0..60 {
@@ -96,6 +96,32 @@ fn injected_bug_is_caught_minimized_and_persisted() {
     save_case(&dir, &minimized.case, &minimized.failure.to_string()).unwrap();
     assert_eq!(replay_corpus(&dir), Ok(1));
     let _ = fs::remove_dir_all(&dir);
+}
+
+/// A bug that only the trace shows — the outputs are untouched — is
+/// caught by the one pipeline, and the minimizer, which re-runs that same
+/// pipeline, shrinks it to a tiny repro instead of finding the case clean.
+#[test]
+fn trace_only_bug_is_caught_and_minimized() {
+    let case = gen_case(42, 0);
+    let failure = run_case_mutated(&case, Mutation::DropFirstRoundEnd)
+        .expect_err("a corrupted trace must be caught");
+    assert!(
+        matches!(failure, CheckFailure::TraceInvariant(_)),
+        "{failure:?}"
+    );
+
+    let minimized = minimize(&case, Mutation::DropFirstRoundEnd, 500);
+    assert!(
+        matches!(minimized.failure, CheckFailure::TraceInvariant(_)),
+        "{:?}",
+        minimized.failure
+    );
+    let vertex_count = minimized.case.tree.build().vertex_count();
+    assert!(
+        vertex_count <= 8,
+        "minimized to {vertex_count} vertices, want <= 8"
+    );
 }
 
 /// Replay reports still-failing corpus entries instead of silently

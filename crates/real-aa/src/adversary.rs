@@ -23,11 +23,8 @@ use gradecast::{GcBundle, GcBundleMsg, GcValue};
 use sim_net::{Adversary, AdversaryCtx, PartyId};
 
 use crate::bundle::BundledAaMsg;
+use crate::real_aa::FILL;
 use crate::value::R64;
-
-/// The public fill constant of [`crate::RealAaConfig::new`], which the
-/// adversary assumes when it predicts the honest update rule.
-const FILL: f64 = 0.0;
 
 /// Splits `budget` into `rounds` near-equal positive parts (the maximizer
 /// of `Π tᵢ` under `Σ tᵢ ≤ budget`, restricted to using every iteration).

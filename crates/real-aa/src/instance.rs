@@ -9,7 +9,7 @@ use gradecast::{Grade, GradecastOutput};
 use sim_net::{Payload, ProtoEvent, RoundCtx};
 
 use crate::multiset::trimmed_mean;
-use crate::real_aa::RealAaConfig;
+use crate::real_aa::{RealAaConfig, FILL};
 use crate::value::R64;
 
 /// What the schedule asks of a party in one round. Iteration `i`
@@ -183,7 +183,7 @@ fn apply_iteration(
             scratch.multiset.push(v);
             scratch.accepted.push(v);
         } else if !cfg.ablate_variable_multisets {
-            scratch.multiset.push(cfg.fill_value);
+            scratch.multiset.push(FILL);
         }
         if out.grade <= Grade::One && !cfg.ablate_no_muting {
             muted[leader] = true;

@@ -6,6 +6,13 @@
 
 use crate::rounds::iterations_for;
 
+/// The public constant substituted for leaders whose gradecast was not
+/// accepted (grade 0), keeping every multiset at exactly `n` entries.
+/// Any public value works (at most `t` slots are non-honest, so the fills
+/// are trimmed whenever they are extreme); the budget-split adversary
+/// assumes it when it predicts the honest update rule.
+pub(crate) const FILL: f64 = 0.0;
+
 /// Public parameters of a `RealAA(ε)` execution. All parties must be
 /// constructed with identical configs (the parameters are public in the
 /// model).
@@ -31,11 +38,6 @@ pub struct RealAaConfig {
     /// envelope; ε-agreement is only guaranteed when `r` is at least the
     /// formula value.
     pub iterations_override: Option<u32>,
-    /// The public constant substituted for leaders whose gradecast was not
-    /// accepted (grade 0), keeping every multiset at exactly `n` entries.
-    /// Any public value works (at most `t` slots are non-honest, so the
-    /// fills are trimmed whenever they are extreme); 0 by default.
-    pub fill_value: f64,
     /// **Ablation only — weakens the protocol.** Skip the fill rule and
     /// average the accepted values alone (variable-size multisets). A
     /// planted extreme value then shifts the trim window and the
@@ -75,7 +77,6 @@ impl RealAaConfig {
             diameter_bound,
             early_stopping: false,
             iterations_override: None,
-            fill_value: 0.0,
             ablate_variable_multisets: false,
             ablate_no_muting: false,
         })

@@ -414,9 +414,12 @@ where
     run_inner(cfg, factory, adversary, None, None)
 }
 
-/// [`run_simulation_with`] under a [`FaultPlan`]: the engine applies the
-/// plan's scheduled crash/recovery windows and partitions on top of
-/// whatever the Byzantine adversary does.
+/// [`run_simulation_with`] under a [`FaultPlan`], with the flight recorder
+/// on: the engine applies the plan's scheduled crash/recovery windows and
+/// partitions on top of whatever the Byzantine adversary does, and returns
+/// the report together with the run's [`Trace`]. An empty plan
+/// ([`FaultPlan::none`]) is observably identical to no plan: the report
+/// and trace equal [`run_simulation_traced`]'s.
 ///
 /// Lockstep fault semantics (the documented choice):
 ///
@@ -434,34 +437,16 @@ where
 ///   with severed recipients is delivered as per-recipient unicasts to the
 ///   reachable side.
 ///
+/// Every fault firing (crash, recovery, partition boundary, dropped
+/// message) appears in the trace in a fixed order, so faulted traces
+/// remain byte-identical across step modes.
+///
 /// # Errors
 ///
 /// As [`run_simulation`], plus [`SimError::BadFaultPlan`] if the plan is
 /// structurally invalid or uses probabilistic link faults (which have no
-/// lockstep meaning — run those through `async-net`).
-pub fn run_simulation_faulted<P, A, F>(
-    cfg: EngineConfig,
-    plan: &FaultPlan,
-    factory: F,
-    adversary: A,
-) -> Result<RunReport<P::Output>, SimError>
-where
-    P: Protocol + Send,
-    P::Msg: Send + Sync,
-    A: Adversary<P::Msg>,
-    F: FnMut(PartyId, usize) -> P,
-{
-    run_inner(cfg, factory, adversary, None, Some(plan))
-}
-
-/// [`run_simulation_faulted`] with the flight recorder on: every fault
-/// firing (crash, recovery, partition boundary, dropped message) appears
-/// in the trace in a fixed order, so faulted traces remain byte-identical
-/// across step modes.
-///
-/// # Errors
-///
-/// As [`run_simulation_faulted`]; the partial trace is discarded on error.
+/// lockstep meaning — run those through `async-net`). The partial trace is
+/// discarded on error.
 pub fn run_simulation_faulted_traced<P, A, F>(
     cfg: EngineConfig,
     plan: &FaultPlan,

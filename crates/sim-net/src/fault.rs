@@ -10,9 +10,10 @@
 //!
 //! Two substrates consume plans:
 //!
-//! * the lockstep engine (`run_simulation_faulted`) applies the subset that
-//!   is expressible in a synchronous round structure — crash/recovery
-//!   windows and partitions ([`FaultPlan::lockstep_compatible`]);
+//! * the lockstep engine (`run_simulation_faulted_traced`) applies the
+//!   subset that is expressible in a synchronous round structure —
+//!   crash/recovery windows and partitions
+//!   ([`FaultPlan::lockstep_compatible`]);
 //! * the asynchronous event loop (`async-net`) applies everything,
 //!   including probabilistic per-message drop, duplication and delay
 //!   spikes.

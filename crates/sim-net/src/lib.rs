@@ -79,9 +79,9 @@ pub use adversary::{
     EquivocatingAdversary, Passive, ScriptedAdversary, SelectiveOmission, StaticByzantine,
 };
 pub use engine::{
-    auto_threads, run_simulation, run_simulation_faulted, run_simulation_faulted_traced,
-    run_simulation_traced, run_simulation_with, EngineConfig, RunReport, SimConfig, SimError,
-    StepMode, PARALLEL_THRESHOLD,
+    auto_threads, run_simulation, run_simulation_faulted_traced, run_simulation_traced,
+    run_simulation_with, EngineConfig, RunReport, SimConfig, SimError, StepMode,
+    PARALLEL_THRESHOLD,
 };
 pub use fault::{CrashFault, FaultPlan, FaultPlanError, Partition};
 pub use mailbox::{Inbox, Outbox, Received};

@@ -15,8 +15,8 @@
 use std::collections::BTreeMap;
 
 use sim_net::{
-    run_simulation_faulted, run_simulation_faulted_traced, CrashFault, EngineConfig, EventKind,
-    FaultPlan, Inbox, Partition, Passive, Protocol, RoundCtx, SimConfig, SimError, StepMode,
+    run_simulation_faulted_traced, CrashFault, EngineConfig, EventKind, FaultPlan, Inbox,
+    Partition, Passive, Protocol, RoundCtx, SimConfig, SimError, StepMode,
 };
 
 /// Broadcasts every round it is up; records exactly which rounds it was
@@ -83,8 +83,8 @@ fn crash_plan(party: usize, crash_round: u32, recover_round: u32) -> FaultPlan {
 #[test]
 fn crashed_party_is_frozen_and_rejoins_at_the_absolute_round() {
     let plan = crash_plan(2, 2, 4);
-    let report =
-        run_simulation_faulted(cfg(4, 10), &plan, |_, _| Chatter::new(6), Passive).unwrap();
+    let (report, _) =
+        run_simulation_faulted_traced(cfg(4, 10), &plan, |_, _| Chatter::new(6), Passive).unwrap();
     assert_eq!(report.rounds_executed, 6);
     assert_eq!(report.crashed, vec![false; 4]);
 
@@ -145,8 +145,8 @@ fn crash_and_recovery_appear_in_per_round_trace_accounting() {
 #[test]
 fn permanently_crashed_party_does_not_block_termination() {
     let plan = crash_plan(2, 3, u32::MAX);
-    let report =
-        run_simulation_faulted(cfg(4, 10), &plan, |_, _| Chatter::new(5), Passive).unwrap();
+    let (report, _) =
+        run_simulation_faulted_traced(cfg(4, 10), &plan, |_, _| Chatter::new(5), Passive).unwrap();
     assert_eq!(report.rounds_executed, 5);
     assert_eq!(report.crashed, vec![false, false, true, false]);
     assert!(report.outputs[2].is_none());
@@ -234,8 +234,9 @@ fn faulted_runs_are_step_mode_invariant() {
 
 #[test]
 fn empty_plan_is_observably_identical_to_no_plan() {
-    let plain = sim_net::run_simulation(cfg(4, 10).sim, |_, _| Chatter::new(4), Passive).unwrap();
-    let faulted = run_simulation_faulted(
+    let (plain, plain_trace) =
+        sim_net::run_simulation_traced(cfg(4, 10), |_, _| Chatter::new(4), Passive).unwrap();
+    let (faulted, faulted_trace) = run_simulation_faulted_traced(
         cfg(4, 10),
         &FaultPlan::none(),
         |_, _| Chatter::new(4),
@@ -243,6 +244,10 @@ fn empty_plan_is_observably_identical_to_no_plan() {
     )
     .unwrap();
     assert_eq!(plain, faulted);
+    assert_eq!(
+        plain_trace.to_canonical_string(),
+        faulted_trace.to_canonical_string()
+    );
 }
 
 #[test]
@@ -251,13 +256,15 @@ fn incompatible_or_invalid_plans_are_rejected() {
         drop_permille: 100,
         ..FaultPlan::none()
     };
-    let err = run_simulation_faulted(cfg(4, 10), &probabilistic, |_, _| Chatter::new(3), Passive)
-        .unwrap_err();
+    let err =
+        run_simulation_faulted_traced(cfg(4, 10), &probabilistic, |_, _| Chatter::new(3), Passive)
+            .unwrap_err();
     assert!(matches!(err, SimError::BadFaultPlan { .. }), "{err}");
 
     let out_of_range = crash_plan(7, 1, 2);
-    let err = run_simulation_faulted(cfg(4, 10), &out_of_range, |_, _| Chatter::new(3), Passive)
-        .unwrap_err();
+    let err =
+        run_simulation_faulted_traced(cfg(4, 10), &out_of_range, |_, _| Chatter::new(3), Passive)
+            .unwrap_err();
     assert!(err.to_string().contains("party 7"), "{err}");
 }
 
@@ -285,7 +292,7 @@ fn monitored_wrapper_degrades_on_over_threshold_silence() {
         t: 1,
         max_rounds: 12,
     });
-    let report = run_simulation_faulted(
+    let (report, _) = run_simulation_faulted_traced(
         engine,
         &plan,
         |_, n| sim_net::Monitored::new(Chatter::new(6), n, 1),
@@ -305,7 +312,7 @@ fn monitored_wrapper_degrades_on_over_threshold_silence() {
     // Under the budget (a single recovering crash) the outcome stays a
     // plain Value.
     let ok_plan = crash_plan(3, 2, 4);
-    let report = run_simulation_faulted(
+    let (report, _) = run_simulation_faulted_traced(
         engine,
         &ok_plan,
         |_, n| sim_net::Monitored::new(Chatter::new(6), n, 1),

@@ -14,8 +14,8 @@ use std::fs;
 use std::path::PathBuf;
 
 use aa_fuzz::{
-    record_scenario, run_case_traced, AdvAtom, AdvAtomKind, Family, FuzzCase, ProtocolKind,
-    TreeSpec, SCENARIO_NAMES,
+    record_scenario, run_case, AdvAtom, AdvAtomKind, Family, FuzzCase, ProtocolKind, TreeSpec,
+    SCENARIO_NAMES,
 };
 use aa_trace::Trace;
 
@@ -168,7 +168,7 @@ fn golden_traces_cover_every_scenario() {
 
 /// The acceptance criterion of the tracing layer: the same seed and
 /// scenario produce byte-identical trace JSON under sequential and
-/// parallel stepping, across party counts ([`run_case_traced`] fails
+/// parallel stepping, across party counts ([`run_case`] fails
 /// with `TraceDeterminism` otherwise).
 #[test]
 fn traces_are_mode_invariant_across_party_counts() {
@@ -196,8 +196,7 @@ fn traces_are_mode_invariant_across_party_counts() {
             }],
             faults: Vec::new(),
         };
-        let traced =
-            run_case_traced(&case).unwrap_or_else(|e| panic!("n={n} {:?}: {e}", protocol.name()));
+        let traced = run_case(&case).unwrap_or_else(|e| panic!("n={n} {:?}: {e}", protocol.name()));
         assert_eq!(traced.trace.n, n);
         assert!(!traced.trace.events.is_empty());
     }
