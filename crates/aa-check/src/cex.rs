@@ -4,11 +4,9 @@
 //! script)` — execution is deterministic — so the stored trace can be
 //! regenerated byte for byte by replaying the script. The shrinker
 //! exploits the same purity: every candidate simplification is simply
-//! re-executed from scratch with a fresh visited map, and kept if *any*
-//! violation survives (a smaller counterexample for a different
-//! manifestation of the bug is still a better counterexample).
-
-use std::collections::HashMap;
+//! re-executed from scratch, and kept if *any* violation survives (a
+//! smaller counterexample for a different manifestation of the bug is
+//! still a better counterexample).
 
 use aa_trace::{EventKind, ProtoEvent, Trace};
 use sim_net::Outcome;
@@ -36,14 +34,7 @@ impl Counterexample {
     /// Re-executes the counterexample and re-emits its trace; the result
     /// is byte-identical to [`Counterexample::trace`].
     pub fn replay(&self, instance: &Instance) -> Trace {
-        let mut visited = HashMap::new();
-        let exec = execute(
-            instance,
-            &self.assignment,
-            &self.script,
-            self.depth,
-            &mut visited,
-        );
+        let exec = execute(instance, &self.assignment, &self.script, self.depth);
         emit_trace(
             instance,
             &self.assignment,
@@ -143,8 +134,7 @@ where
     let mut violation = violation;
     let try_candidate =
         |a: &LatticeAssignment, s: &[usize], classify: &mut F| -> Option<(String, Execution)> {
-            let mut visited = HashMap::new();
-            let exec = execute(instance, a, s, depth, &mut visited);
+            let exec = execute(instance, a, s, depth);
             classify(&exec, s).map(|v| (v, exec))
         };
     loop {
@@ -193,8 +183,7 @@ where
         }
     }
     // Final authoritative replay for the stored trace.
-    let mut visited = HashMap::new();
-    let exec = execute(instance, &assignment, &script, depth, &mut visited);
+    let exec = execute(instance, &assignment, &script, depth);
     let trace = emit_trace(instance, &assignment, &script, &exec, &violation);
     Counterexample {
         assignment,
@@ -313,14 +302,7 @@ mod tests {
         // Schedule-independent violation: fully minimized.
         assert!(cex.script.is_empty());
         // The minimized counterexample still violates when re-executed…
-        let mut visited = HashMap::new();
-        let exec = execute(
-            &instance,
-            &cex.assignment,
-            &cex.script,
-            cex.depth,
-            &mut visited,
-        );
+        let exec = execute(&instance, &cex.assignment, &cex.script, cex.depth);
         assert!(classify(&exec, &cex.script).is_some());
         // …and its replayed trace is byte-identical to the stored one.
         let replayed = cex.replay(&instance);

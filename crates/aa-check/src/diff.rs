@@ -22,8 +22,6 @@
 //! [`SeededScheduler`]: async_net::SeededScheduler
 //! [`DelayModel::Lockstep`]: async_net::DelayModel::Lockstep
 
-use std::collections::HashMap;
-
 use async_net::{run_async, AsyncConfig, DelayModel, PassiveAsync};
 use real_aa::{BundledAaParty, RealAaConfig};
 use sim_net::{run_simulation, Outcome, Passive, SimConfig};
@@ -56,8 +54,7 @@ pub fn differential(instance: &Instance, depth: usize) -> Result<(), String> {
     };
 
     // Leg 1: canonical explored run (empty script = FIFO tail).
-    let mut visited = HashMap::new();
-    let canonical = execute(&honest, &no_corruption, &[], depth, &mut visited);
+    let canonical = execute(&honest, &no_corruption, &[], depth);
     let canonical = canonical
         .result
         .map_err(|e| format!("canonical explored run failed: {e:?}"))?;

@@ -8,13 +8,14 @@
 //! depth-first order without keeping it in memory: each run records the
 //! branching factor and choice taken at every decision, and the next
 //! script is the deepest incrementable prefix (standard stateless
-//! backtracking).
+//! backtracking). One loop (`dfs`) serves the sequential explorer,
+//! symmetry reduction and every portfolio unit.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use async_aa::{AsyncTreeAaConfig, AsyncTreeAaParty};
-use async_net::{run_async_explored, AsyncConfig, AsyncReport, AsyncSimError, DelayModel};
+use async_net::{run_async_with, AsyncConfig, AsyncReport, AsyncSimError, DelayModel};
 use sim_net::Outcome;
 use tree_model::{Tree, VertexId};
 
@@ -60,7 +61,7 @@ pub struct Execution {
     pub taken: Vec<usize>,
     /// The branch was cut because every pending message was asleep.
     pub pruned_by_sleep: bool,
-    /// The branch was cut on a state visited at shallower depth.
+    /// The branch was cut on an orbit already visited (symmetry mode).
     pub pruned_by_visited: bool,
     /// Deliveries in order: `(from, to, payload bytes)`.
     pub deliveries: Vec<(usize, usize, usize)>,
@@ -74,31 +75,26 @@ impl Execution {
     }
 }
 
-/// Executes one script against `instance` under `assignment`.
-///
-/// `visited` carries state digests across the executions of one
-/// exploration; pass a fresh map to replay a script in isolation (e.g.
-/// when minimizing or replaying a counterexample).
+/// Executes one script against `instance` under `assignment`, in
+/// isolation: only the sleep-set rule can cut it.
 pub fn execute(
     instance: &Instance,
     assignment: &LatticeAssignment,
     script: &[usize],
     depth: usize,
-    visited: &mut HashMap<u64, (usize, u64)>,
 ) -> Execution {
-    execute_with(instance, assignment, script, depth, visited, None)
+    run_script(instance, assignment, script, depth, None)
 }
 
-/// [`execute`] with an explicit visited-map implementation and optional
-/// symmetry group: when `sym` is given, visited keys are canonicalized
-/// over the group (see [`crate::sched::SymMode`]).
-pub fn execute_with(
+/// [`execute`], optionally in symmetry mode: visited keys are
+/// canonicalized over the group and checked against (and recorded in)
+/// the exploration's map (see [`crate::sched::SymMode`]).
+fn run_script(
     instance: &Instance,
     assignment: &LatticeAssignment,
     script: &[usize],
     depth: usize,
-    visited: &mut dyn VisitedMap,
-    sym: Option<&SymmetryGroup>,
+    sym: Option<(&SymmetryGroup, &mut VisitedMap)>,
 ) -> Execution {
     let cfg = AsyncConfig {
         n: instance.n,
@@ -110,16 +106,15 @@ pub fn execute_with(
     let aa_cfg = instance.async_cfg();
     let tree = instance.tree.clone();
     let inputs = instance.inputs.clone();
-    let mut sched = EnumeratingScheduler::new(depth, script, visited);
-    if let Some(group) = sym {
-        sched.sym = Some(group.sym_mode(instance.n));
-    }
-    let result = run_async_explored(
+    let mut sched = EnumeratingScheduler::new(depth, script);
+    sched.sym = sym.map(|(group, visited)| group.sym_mode(instance.n, visited));
+    let result = run_async_with(
         &cfg,
         None,
         |me, _n| AsyncTreeAaParty::new(aa_cfg.clone(), tree.clone(), inputs[me.index()]),
         LatticeAdversary::new(instance.n, assignment.clone()),
         &mut sched,
+        None,
     );
     Execution {
         result,
@@ -140,19 +135,49 @@ pub struct ExploreStats {
     pub completed: usize,
     /// Branches cut by the sleep-set rule.
     pub pruned_sleep: usize,
-    /// Branches cut by the visited-state rule.
+    /// Branches cut by the visited-state rule (symmetry mode only).
     pub pruned_visited: usize,
     /// The exploration stopped at the execution budget before
     /// exhausting the schedule tree.
     pub truncated: bool,
 }
 
-/// The result of exploring one lattice assignment.
+/// The result of an exploration: sequential, symmetry-reduced, or a
+/// portfolio's merge of its units.
+#[derive(Debug, Default)]
 pub struct ExploreResult {
     /// Exploration counters.
     pub stats: ExploreStats,
     /// First violation found: the failing script and the description.
     pub failure: Option<(Vec<usize>, String)>,
+    /// Canonical terminal states of every completed execution
+    /// (symmetry mode; empty otherwise).
+    pub terminals: BTreeSet<String>,
+    /// Visited-pruned branches re-executed by the audit.
+    pub audited: usize,
+    /// Audit re-runs whose canonical terminal was *not* in `terminals`:
+    /// each is a pruned script plus the missing terminal — evidence that
+    /// the symmetry merge was unsound for this instance.
+    pub audit_failures: Vec<(Vec<usize>, String)>,
+}
+
+impl ExploreResult {
+    /// Folds `other` (a later subtree) into `self`: counters add,
+    /// terminals and audit failures union in order, and the earlier
+    /// failure wins.
+    pub(crate) fn absorb(&mut self, other: ExploreResult) {
+        self.stats.executions += other.stats.executions;
+        self.stats.completed += other.stats.completed;
+        self.stats.pruned_sleep += other.stats.pruned_sleep;
+        self.stats.pruned_visited += other.stats.pruned_visited;
+        self.stats.truncated |= other.stats.truncated;
+        self.terminals.extend(other.terminals);
+        self.audited += other.audited;
+        self.audit_failures.extend(other.audit_failures);
+        if self.failure.is_none() {
+            self.failure = other.failure;
+        }
+    }
 }
 
 /// Explores every delivery schedule of `instance` under `assignment` up
@@ -163,111 +188,67 @@ pub struct ExploreResult {
 /// `max_runs` bounds the number of executions; hitting it sets
 /// [`ExploreStats::truncated`] rather than erroring, so callers can
 /// report partial coverage honestly.
+///
+/// Without a `group` only the sleep-set rule prunes. With one, runs are
+/// also cut on orbit-canonical visited keys, and the reduction is gated
+/// by a soundness cross-check: up to `audit_sample` of the
+/// visited-pruned scripts are re-executed in isolation and their
+/// canonical terminal states must already be in the explored set.
 pub fn explore<F>(
     instance: &Instance,
     assignment: &LatticeAssignment,
     depth: usize,
     max_runs: usize,
+    group: Option<&SymmetryGroup>,
+    audit_sample: usize,
     mut classify: F,
 ) -> ExploreResult
 where
     F: FnMut(&Execution, &[usize]) -> Option<String>,
 {
-    let mut stats = ExploreStats::default();
-    let mut visited: HashMap<u64, (usize, u64)> = HashMap::new();
-    let mut script: Vec<usize> = Vec::new();
-    loop {
-        stats.executions += 1;
-        let exec = execute(instance, assignment, &script, depth, &mut visited);
-        if exec.pruned_by_sleep {
-            stats.pruned_sleep += 1;
-        } else if exec.pruned_by_visited {
-            stats.pruned_visited += 1;
-        } else {
-            stats.completed += 1;
-            if let Some(violation) = classify(&exec, &script) {
-                return ExploreResult {
-                    stats,
-                    failure: Some((script, violation)),
-                };
-            }
-        }
-        // Deepest incrementable decision → next script (DFS backtrack).
-        let next = (0..exec.taken.len())
-            .rev()
-            .find(|&k| exec.taken[k] + 1 < exec.branching[k]);
-        match next {
-            Some(k) => {
-                script = exec.taken[..k].to_vec();
-                script.push(exec.taken[k] + 1);
-            }
-            None => break,
-        }
-        if stats.executions >= max_runs {
-            stats.truncated = true;
-            break;
-        }
-    }
-    ExploreResult {
-        stats,
-        failure: None,
-    }
+    dfs(
+        instance,
+        assignment,
+        depth,
+        max_runs,
+        &[],
+        group,
+        audit_sample,
+        &mut classify,
+    )
 }
 
-/// The result of a symmetry-reduced exploration.
-pub struct SymExploreResult {
-    /// Exploration counters.
-    pub stats: ExploreStats,
-    /// First violation found: the failing script and the description.
-    pub failure: Option<(Vec<usize>, String)>,
-    /// Canonical terminal states of every completed execution.
-    pub terminals: BTreeSet<String>,
-    /// Visited-pruned branches re-executed by the audit.
-    pub audited: usize,
-    /// Audit re-runs whose canonical terminal was *not* in `terminals`:
-    /// each is a pruned script plus the missing terminal — evidence that
-    /// the symmetry merge was unsound for this instance.
-    pub audit_failures: Vec<(Vec<usize>, String)>,
-}
-
-/// [`explore`] with visited keys canonicalized over `group`, plus the
-/// soundness cross-check the reduction is gated on: up to `audit_sample`
-/// of the visited-pruned scripts are re-executed in isolation (fresh
-/// visited map, no symmetry) and their canonical terminal states must
-/// already be in the explored set.
-///
-/// With the identity group this degenerates to an unsymmetrized
-/// exploration whose keys hash event histories instead of engine
-/// digests; the lattice soundness gate asserts it explores exactly the
-/// same executions as [`explore`] on trees with trivial automorphisms.
-pub fn explore_sym<F>(
+/// The one deepest-incrementable-prefix walk: explores the scripts that
+/// extend `prefix`, never incrementing a decision inside it (an empty
+/// prefix is the whole tree, `[c]` one portfolio unit), under its own
+/// visited map in symmetry mode, then audits the pruned scripts it kept.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn dfs<F>(
     instance: &Instance,
     assignment: &LatticeAssignment,
     depth: usize,
     max_runs: usize,
-    group: &SymmetryGroup,
+    prefix: &[usize],
+    group: Option<&SymmetryGroup>,
     audit_sample: usize,
-    mut classify: F,
-) -> SymExploreResult
+    classify: &mut F,
+) -> ExploreResult
 where
     F: FnMut(&Execution, &[usize]) -> Option<String>,
 {
-    let mut stats = ExploreStats::default();
-    let mut visited: HashMap<u64, (usize, u64)> = HashMap::new();
-    let mut script: Vec<usize> = Vec::new();
-    let mut terminals = BTreeSet::new();
+    let mut result = ExploreResult::default();
+    let stats = &mut result.stats;
+    let mut visited = VisitedMap::default();
     let mut audit_scripts: Vec<Vec<usize>> = Vec::new();
-    let mut failure = None;
+    let mut script = prefix.to_vec();
     loop {
+        if stats.executions >= max_runs {
+            stats.truncated = true;
+            break;
+        }
         stats.executions += 1;
-        let exec = execute_with(
-            instance,
-            assignment,
-            &script,
-            depth,
-            &mut visited,
-            Some(group),
-        );
+        let sym = group.map(|g| (g, &mut visited));
+        let exec = run_script(instance, assignment, &script, depth, sym);
         if exec.pruned_by_sleep {
             stats.pruned_sleep += 1;
         } else if exec.pruned_by_visited {
@@ -277,74 +258,36 @@ where
             }
         } else {
             stats.completed += 1;
-            if let Some(t) = sym::canonical_terminal(group, &exec) {
-                terminals.insert(t);
+            if let Some(t) = group.and_then(|g| sym::canonical_terminal(g, &exec)) {
+                result.terminals.insert(t);
             }
             if let Some(violation) = classify(&exec, &script) {
-                failure = Some((script, violation));
-                break;
+                result.failure = Some((script, violation));
+                return result;
             }
         }
-        let next = (0..exec.taken.len())
+        // Deepest incrementable decision → next script (DFS backtrack).
+        let next = (prefix.len()..exec.taken.len())
             .rev()
             .find(|&k| exec.taken[k] + 1 < exec.branching[k]);
-        match next {
-            Some(k) => {
-                script = exec.taken[..k].to_vec();
-                script.push(exec.taken[k] + 1);
-            }
-            None => break,
-        }
-        if stats.executions >= max_runs {
-            stats.truncated = true;
-            break;
-        }
+        let Some(k) = next else { break };
+        script = exec.taken[..k].to_vec();
+        script.push(exec.taken[k] + 1);
     }
-    let (audited, audit_failures) = if failure.is_none() {
-        audit_pruned_scripts(
-            instance,
-            assignment,
-            depth,
-            group,
-            &audit_scripts,
-            &terminals,
-        )
-    } else {
-        (0, Vec::new())
-    };
-    SymExploreResult {
-        stats,
-        failure,
-        terminals,
-        audited,
-        audit_failures,
-    }
-}
-
-/// Re-executes pruned scripts in isolation and reports those whose
-/// canonical terminal is missing from `terminals`. Shared by the
-/// sequential and portfolio symmetry explorers.
-pub(crate) fn audit_pruned_scripts(
-    instance: &Instance,
-    assignment: &LatticeAssignment,
-    depth: usize,
-    group: &SymmetryGroup,
-    scripts: &[Vec<usize>],
-    terminals: &BTreeSet<String>,
-) -> (usize, Vec<(Vec<usize>, String)>) {
-    let mut failures = Vec::new();
-    for script in scripts {
-        let mut fresh: HashMap<u64, (usize, u64)> = HashMap::new();
-        let exec = execute_with(instance, assignment, script, depth, &mut fresh, None);
-        // A sleep-pruned or aborted continuation has no terminal of its
-        // own (its interleavings are owned by other branches) — skip.
-        if let Some(t) = sym::canonical_terminal(group, &exec) {
-            if !terminals.contains(&t) {
-                failures.push((script.clone(), t));
+    if let Some(g) = group {
+        result.audited = audit_scripts.len();
+        for script in audit_scripts {
+            // A sleep-pruned continuation has no terminal of its own (its
+            // interleavings are owned by other branches) — skip.
+            let exec = execute(instance, assignment, &script, depth);
+            if let Some(t) = sym::canonical_terminal(g, &exec) {
+                if !result.terminals.contains(&t) {
+                    result.audit_failures.push((script, t));
+                }
             }
         }
     }
-    (scripts.len(), failures)
+    result
 }
 
 #[cfg(test)]
@@ -372,12 +315,18 @@ mod tests {
         // (path2 would terminate at time 0 with no messages at all).
         let instance = tiny_instance(4, 0, 3);
         let assignment = &enumerate_assignments(0, 3)[0];
-        let result = explore(&instance, assignment, 3, 10_000, |exec, _| {
-            match &exec.result {
+        let result = explore(
+            &instance,
+            assignment,
+            3,
+            10_000,
+            None,
+            0,
+            |exec, _| match &exec.result {
                 Ok(_) => None,
                 Err(e) => Some(format!("unexpected error: {e:?}")),
-            }
-        });
+            },
+        );
         assert!(result.failure.is_none(), "{:?}", result.failure);
         assert!(!result.stats.truncated);
         assert!(result.stats.completed >= 1);
@@ -391,7 +340,7 @@ mod tests {
         let assignment = &enumerate_assignments(0, 3)[0];
         let run = || {
             let mut sig = Vec::new();
-            let r = explore(&instance, assignment, 3, 10_000, |exec, script| {
+            let r = explore(&instance, assignment, 3, 10_000, None, 0, |exec, script| {
                 sig.push((script.to_vec(), exec.deliveries.clone()));
                 None
             });
@@ -424,7 +373,7 @@ mod tests {
         assert!(group.order() >= 2, "order {}", group.order());
 
         let mut base_terminals = BTreeSet::new();
-        let base = explore(&instance, assignment, 3, 1_000_000, |exec, _| {
+        let base = explore(&instance, assignment, 3, 1_000_000, None, 0, |exec, _| {
             if let Some(t) = sym::canonical_terminal(&group, exec) {
                 base_terminals.insert(t);
             }
@@ -433,12 +382,12 @@ mod tests {
         assert!(base.failure.is_none());
         assert!(!base.stats.truncated);
 
-        let reduced = explore_sym(
+        let reduced = explore(
             &instance,
             assignment,
             3,
             1_000_000,
-            &group,
+            Some(&group),
             usize::MAX,
             |_, _| None,
         );
@@ -480,17 +429,25 @@ mod tests {
         assert_eq!(group.order(), 1);
 
         let mut base_scripts = Vec::new();
-        let base = explore(&instance, assignment, 3, 1_000_000, |exec, script| {
-            base_scripts.push((script.to_vec(), exec.deliveries.clone()));
-            None
-        });
-        let mut sym_scripts = Vec::new();
-        let reduced = explore_sym(
+        let base = explore(
             &instance,
             assignment,
             3,
             1_000_000,
-            &group,
+            None,
+            0,
+            |exec, script| {
+                base_scripts.push((script.to_vec(), exec.deliveries.clone()));
+                None
+            },
+        );
+        let mut sym_scripts = Vec::new();
+        let reduced = explore(
+            &instance,
+            assignment,
+            3,
+            1_000_000,
+            Some(&group),
             usize::MAX,
             |exec, script| {
                 sym_scripts.push((script.to_vec(), exec.deliveries.clone()));
@@ -507,15 +464,14 @@ mod tests {
         let instance = tiny_instance(4, 0, 3);
         let assignment = &enumerate_assignments(0, 3)[0];
         let mut count = 0;
-        let result = explore(&instance, assignment, 2, 10_000, |_, _| {
+        let result = explore(&instance, assignment, 2, 10_000, None, 0, |_, _| {
             count += 1;
             (count == 2).then(|| "synthetic violation".to_string())
         });
         let (script, violation) = result.failure.expect("second completed run fails");
         assert_eq!(violation, "synthetic violation");
         // The failing script replays to the same deliveries.
-        let mut fresh = HashMap::new();
-        let replay = execute(&instance, assignment, &script, 2, &mut fresh);
+        let replay = execute(&instance, assignment, &script, 2);
         assert!(replay.result.is_ok());
     }
 }

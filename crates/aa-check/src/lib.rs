@@ -8,9 +8,9 @@
 //!   and split-brain equivocation over the extreme and midpoint
 //!   vertices — and
 //! * every **asynchronous delivery schedule** up to a configurable
-//!   decision depth ([`explore`]), with sleep-set (DPOR) and
-//!   visited-state pruning collapsing commuting deliveries
-//!   ([`sched`]),
+//!   decision depth ([`explore`]), with sleep-set (DPOR) pruning
+//!   collapsing commuting deliveries ([`sched`]) and, optionally,
+//!   symmetric executions merged by orbit ([`sym`]),
 //!
 //! and checks validity, convex-hull containment, 1-agreement, the
 //! explicit termination bound, and the degradation contract on every
@@ -106,8 +106,9 @@ pub struct CheckOptions {
     /// Portfolio exploration: `Some(n)` partitions each assignment's
     /// schedule tree at the first decision and farms the units across
     /// `n` worker threads ([`portfolio`]). Reports are bit-identical
-    /// for every thread count, but the totals differ from the
-    /// sequential explorer's (visited maps are per-unit).
+    /// for every thread count. Untruncated totals equal the sequential
+    /// explorer's except under [`symmetry`](Self::symmetry), whose
+    /// visited maps are per-unit.
     pub threads: Option<usize>,
     /// Symmetry reduction: canonicalize visited states under the tree's
     /// automorphism group acting on party permutations ([`sym`]),
@@ -157,7 +158,7 @@ pub struct CheckReport {
     pub completed: usize,
     /// Branches cut by the sleep-set rule.
     pub pruned_sleep: usize,
-    /// Branches cut by the visited-state rule.
+    /// Branches cut by the visited-state rule (symmetry mode only).
     pub pruned_visited: usize,
     /// The run budget was exhausted before the schedule tree.
     pub truncated: bool,
@@ -417,8 +418,7 @@ pub fn check(opts: &CheckOptions) -> Result<CheckReport, String> {
     // Canonical fingerprint: the FIFO execution of the first assignment,
     // replayed in isolation so exploration order cannot perturb it.
     {
-        let mut visited = std::collections::HashMap::new();
-        let exec = explore::execute(&instance, &assignments[0], &[], opts.depth, &mut visited);
+        let exec = explore::execute(&instance, &assignments[0], &[], opts.depth);
         report.canonical_fingerprint =
             cex::emit_trace(&instance, &assignments[0], &[], &exec, "none").fingerprint();
     }
@@ -428,8 +428,7 @@ pub fn check(opts: &CheckOptions) -> Result<CheckReport, String> {
         let honest_only = LatticeAssignment {
             behaviors: Vec::new(),
         };
-        let mut visited = std::collections::HashMap::new();
-        let exec = explore::execute(&instance, &honest_only, &[], opts.depth, &mut visited);
+        let exec = explore::execute(&instance, &honest_only, &[], opts.depth);
         let violation = format!("differential: {detail}");
         let trace = cex::emit_trace(&instance, &honest_only, &[], &exec, &violation);
         report.violation = Some(Counterexample {
@@ -457,45 +456,35 @@ pub fn check(opts: &CheckOptions) -> Result<CheckReport, String> {
         let classify = |exec: &explore::Execution, _script: &[usize]| {
             classify_execution(&instance, opts.protocol, &projection, exec)
         };
-        let (stats, failure, terminals, audited, audit_failures) = match (opts.threads, &group) {
-            (Some(threads), _) => {
-                let r = portfolio::explore_portfolio(
-                    &instance,
-                    assignment,
-                    opts.depth,
-                    remaining,
-                    threads,
-                    group.as_ref(),
-                    opts.symmetry_audit,
-                    &classify,
-                );
-                (r.stats, r.failure, r.terminals, r.audited, r.audit_failures)
-            }
-            (None, Some(g)) => {
-                let r = explore::explore_sym(
-                    &instance,
-                    assignment,
-                    opts.depth,
-                    remaining,
-                    g,
-                    opts.symmetry_audit,
-                    classify,
-                );
-                (r.stats, r.failure, r.terminals, r.audited, r.audit_failures)
-            }
-            (None, None) => {
-                let r = explore::explore(&instance, assignment, opts.depth, remaining, classify);
-                (r.stats, r.failure, BTreeSet::new(), 0, Vec::new())
-            }
+        let r = match opts.threads {
+            Some(threads) => portfolio::explore_portfolio(
+                &instance,
+                assignment,
+                opts.depth,
+                remaining,
+                threads,
+                group.as_ref(),
+                opts.symmetry_audit,
+                &classify,
+            ),
+            None => explore::explore(
+                &instance,
+                assignment,
+                opts.depth,
+                remaining,
+                group.as_ref(),
+                opts.symmetry_audit,
+                classify,
+            ),
         };
-        report.executions += stats.executions;
-        report.completed += stats.completed;
-        report.pruned_sleep += stats.pruned_sleep;
-        report.pruned_visited += stats.pruned_visited;
-        report.truncated |= stats.truncated;
-        report.sym_audited += audited;
-        all_terminals.extend(terminals);
-        if let Some((script, violation)) = failure {
+        report.executions += r.stats.executions;
+        report.completed += r.stats.completed;
+        report.pruned_sleep += r.stats.pruned_sleep;
+        report.pruned_visited += r.stats.pruned_visited;
+        report.truncated |= r.stats.truncated;
+        report.sym_audited += r.audited;
+        all_terminals.extend(r.terminals);
+        if let Some((script, violation)) = r.failure {
             let cex = cex::minimize(
                 &instance,
                 opts.depth,
@@ -511,9 +500,8 @@ pub fn check(opts: &CheckOptions) -> Result<CheckReport, String> {
         // itself: report the pruned script whose canonical terminal was
         // never explored (unminimized — the run satisfies the protocol
         // properties; what failed is the reduction).
-        if let Some((script, terminal)) = audit_failures.into_iter().next() {
-            let mut fresh = std::collections::HashMap::new();
-            let exec = explore::execute(&instance, assignment, &script, opts.depth, &mut fresh);
+        if let Some((script, terminal)) = r.audit_failures.into_iter().next() {
+            let exec = explore::execute(&instance, assignment, &script, opts.depth);
             let violation = format!(
                 "symmetry audit: pruned branch reaches unexplored canonical terminal: {terminal}"
             );
@@ -602,6 +590,38 @@ mod tests {
         let r2 = check(&o).unwrap();
         assert_eq!(r1.to_string(), r2.to_string());
         assert_eq!(r1.canonical_fingerprint, r2.canonical_fingerprint);
+    }
+
+    #[test]
+    fn portfolio_budget_never_overshoots_max_runs() {
+        // path4 at depth 3 with t = 1 has thousands of schedules per
+        // assignment, so 100 runs truncate inside the first one, whose
+        // schedule tree splits into units that do not divide 100.
+        let mut o = opts(4, 1, 4);
+        o.depth = 3;
+        o.max_runs = 100;
+        let counters = |r: &CheckReport| {
+            (
+                r.executions,
+                r.completed,
+                r.pruned_sleep,
+                r.pruned_visited,
+                r.truncated,
+            )
+        };
+        let sequential = check(&o).unwrap();
+        assert_eq!(counters(&sequential), (100, 100, 0, 0, true));
+        let mut portfolio = Vec::new();
+        for threads in [1, 2, 4] {
+            o.threads = Some(threads);
+            let r = check(&o).unwrap();
+            assert!(r.truncated && r.executions <= o.max_runs, "{r}");
+            portfolio.push(counters(&r));
+        }
+        assert!(
+            portfolio.iter().all(|c| *c == portfolio[0]),
+            "{portfolio:?}"
+        );
     }
 
     #[test]

@@ -3,110 +3,36 @@
 //! The schedule tree of one lattice assignment is partitioned at its
 //! *first* decision: unit `c` owns every script whose first choice is
 //! `c` (the probe run discovers the first branching factor). Each unit
-//! is an independent deepest-incrementable-prefix DFS that never
-//! increments decision 0, so the units tile the tree exactly; they run
-//! on a work queue drained by a scoped thread pool.
+//! is the explorer's own DFS (`crate::explore::dfs`) over the scripts
+//! extending `[c]`, so the units tile the tree exactly; they run on a
+//! work queue drained by a scoped thread pool.
 //!
-//! Determinism is by construction, not by scheduling discipline: the
-//! shared visited map is lock-striped but keyed by `(unit, digest)`, so
-//! units never observe each other's entries, every unit's result is a
-//! pure function of `(instance, assignment, unit)`, and the merge folds
-//! unit results in unit order. Reruns are bit-identical for every
-//! thread count — including `--threads 1` — though the totals differ
-//! from the sequential explorer's (whose single visited map *does*
-//! share state across first-choice subtrees).
+//! Determinism is by construction, not by scheduling discipline: each
+//! unit keeps its own visited map, so every unit's result is a pure
+//! function of `(instance, assignment, unit, budget)`, and the merge
+//! folds unit results in unit order. Reruns are bit-identical for every
+//! thread count — including `--threads 1`. Without symmetry there is
+//! no visited map at all, and an untruncated portfolio's totals equal
+//! the sequential explorer's; under symmetry they differ (the
+//! sequential explorer's one map shares orbits across first-choice
+//! subtrees).
 
-use std::collections::{BTreeSet, HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::Mutex;
 
-use crate::explore::{audit_pruned_scripts, execute_with, Execution, ExploreStats, Instance};
+use crate::explore::{dfs, execute, Execution, ExploreResult, Instance};
 use crate::lattice::LatticeAssignment;
-use crate::sched::VisitedMap;
-use crate::sym::{self, SymmetryGroup};
-
-/// One lock stripe: `(unit, digest)` → `(depth, prefix)`.
-type VisitedShard = Mutex<HashMap<(u64, u64), (usize, u64)>>;
-
-/// The shared visited map behind a sharded lock. Keys are
-/// `(unit, digest)` pairs: the striping removes contention while the
-/// unit tag keeps exploration results independent of thread
-/// interleaving.
-pub struct ShardedVisited {
-    shards: Vec<VisitedShard>,
-}
-
-impl ShardedVisited {
-    /// A map with `shards` lock stripes (at least one).
-    pub fn new(shards: usize) -> Self {
-        ShardedVisited {
-            shards: (0..shards.max(1))
-                .map(|_| Mutex::new(HashMap::new()))
-                .collect(),
-        }
-    }
-
-    fn observe(&self, unit: u64, key: u64, depth: usize, prefix: u64) -> bool {
-        let shard = (key ^ unit) as usize % self.shards.len();
-        let mut map = self.shards[shard].lock().expect("no poisoned shards");
-        match map.get_mut(&(unit, key)) {
-            Some((seen, _)) if *seen < depth => false,
-            Some((seen, first)) if *seen == depth && *first != prefix => false,
-            Some(entry) => {
-                *entry = (depth, prefix);
-                true
-            }
-            None => {
-                map.insert((unit, key), (depth, prefix));
-                true
-            }
-        }
-    }
-}
-
-/// One unit's window into the shared map.
-struct UnitVisited<'a> {
-    unit: u64,
-    map: &'a ShardedVisited,
-}
-
-impl VisitedMap for UnitVisited<'_> {
-    fn observe(&mut self, key: u64, depth: usize, prefix: u64) -> bool {
-        self.map.observe(self.unit, key, depth, prefix)
-    }
-}
-
-/// The merged result of one portfolio exploration.
-pub struct PortfolioResult {
-    /// Summed exploration counters across units.
-    pub stats: ExploreStats,
-    /// The failure of the lowest-indexed failing unit (first failure in
-    /// that unit's DFS order) — deterministic, though not necessarily
-    /// the sequential explorer's first failure.
-    pub failure: Option<(Vec<usize>, String)>,
-    /// Union of canonical terminal states (symmetry mode only).
-    pub terminals: BTreeSet<String>,
-    /// Number of units the tree was partitioned into.
-    pub units: usize,
-    /// Visited-pruned branches re-executed by the audit.
-    pub audited: usize,
-    /// Audit re-runs whose canonical terminal was missing (unit order).
-    pub audit_failures: Vec<(Vec<usize>, String)>,
-}
-
-struct UnitResult {
-    stats: ExploreStats,
-    failure: Option<(Vec<usize>, String)>,
-    terminals: BTreeSet<String>,
-    audited: usize,
-    audit_failures: Vec<(Vec<usize>, String)>,
-}
+use crate::sym::SymmetryGroup;
 
 /// Explores one assignment's schedule tree across `threads` workers.
 ///
-/// `max_runs` is split evenly: each unit executes at most
-/// `⌈max_runs / units⌉` scripts, so the budget (and hence the merged
-/// stats) is independent of the thread count. `group` enables symmetry
-/// canonicalization exactly as in [`crate::explore::explore_sym`].
+/// `max_runs` is split across the units so that their caps sum to it
+/// exactly (the first `max_runs mod units` units get one run more), so
+/// the budget — and hence the merged stats — is independent of the
+/// thread count. `group` enables symmetry canonicalization exactly as
+/// in [`crate::explore::explore`]. A failure is the lowest-indexed
+/// failing unit's first — deterministic, though not necessarily the
+/// sequential explorer's first failure.
 #[allow(clippy::too_many_arguments)]
 pub fn explore_portfolio<F>(
     instance: &Instance,
@@ -117,154 +43,57 @@ pub fn explore_portfolio<F>(
     group: Option<&SymmetryGroup>,
     audit_sample: usize,
     classify: &F,
-) -> PortfolioResult
+) -> ExploreResult
 where
     F: Fn(&Execution, &[usize]) -> Option<String> + Sync,
 {
     // Probe: discover the first decision's branching factor. Unit c's
     // first run replays this schedule's sibling [c], so the probe itself
     // is not counted in the stats.
-    let branch0 = {
-        let mut probe_map: HashMap<u64, (usize, u64)> = HashMap::new();
-        let probe = execute_with(instance, assignment, &[], depth, &mut probe_map, group);
-        probe.branching.first().copied().unwrap_or(0)
-    };
-    let starts: Vec<Vec<usize>> = if branch0 == 0 {
+    let branch0 = execute(instance, assignment, &[], depth)
+        .branching
+        .first()
+        .copied()
+        .unwrap_or(0);
+    let prefixes: Vec<Vec<usize>> = if branch0 == 0 {
         vec![Vec::new()]
     } else {
         (0..branch0).map(|c| vec![c]).collect()
     };
-    let unit_cap = max_runs.div_ceil(starts.len()).max(1);
-    let sharded = ShardedVisited::new(threads.max(1) * 4);
+    let units = prefixes.len();
     let queue: Mutex<VecDeque<(usize, Vec<usize>)>> =
-        Mutex::new(starts.into_iter().enumerate().collect());
-    let units = queue.lock().expect("fresh lock").len();
-    let results: Vec<Mutex<Option<UnitResult>>> = (0..units).map(|_| Mutex::new(None)).collect();
+        Mutex::new(prefixes.into_iter().enumerate().collect());
+    let results: Vec<Mutex<Option<ExploreResult>>> = (0..units).map(|_| Mutex::new(None)).collect();
     std::thread::scope(|s| {
         for _ in 0..threads.clamp(1, units) {
             s.spawn(|| loop {
                 let job = queue.lock().expect("no poisoned queue").pop_front();
-                let Some((idx, start)) = job else { break };
-                let mut visited = UnitVisited {
-                    unit: idx as u64,
-                    map: &sharded,
-                };
-                let r = run_unit(
+                let Some((idx, prefix)) = job else { break };
+                let cap = max_runs / units + usize::from(idx < max_runs % units);
+                let r = dfs(
                     instance,
                     assignment,
                     depth,
-                    unit_cap,
+                    cap,
+                    &prefix,
                     group,
                     audit_sample,
-                    &mut visited,
-                    start,
-                    classify,
+                    &mut |exec, script| classify(exec, script),
                 );
                 *results[idx].lock().expect("no poisoned result slot") = Some(r);
             });
         }
     });
     // Deterministic merge in unit order.
-    let mut merged = PortfolioResult {
-        stats: ExploreStats::default(),
-        failure: None,
-        terminals: BTreeSet::new(),
-        units,
-        audited: 0,
-        audit_failures: Vec::new(),
-    };
+    let mut merged = ExploreResult::default();
     for slot in results {
-        let r = slot
-            .into_inner()
-            .expect("no poisoned result slot")
-            .expect("every unit ran");
-        merged.stats.executions += r.stats.executions;
-        merged.stats.completed += r.stats.completed;
-        merged.stats.pruned_sleep += r.stats.pruned_sleep;
-        merged.stats.pruned_visited += r.stats.pruned_visited;
-        merged.stats.truncated |= r.stats.truncated;
-        merged.terminals.extend(r.terminals);
-        merged.audited += r.audited;
-        merged.audit_failures.extend(r.audit_failures);
-        if merged.failure.is_none() {
-            merged.failure = r.failure;
-        }
+        merged.absorb(
+            slot.into_inner()
+                .expect("no poisoned result slot")
+                .expect("every unit ran"),
+        );
     }
     merged
-}
-
-/// One unit's DFS: the deepest-incrementable-prefix walk restricted to
-/// decisions ≥ 1 (decision 0 partitions the units).
-#[allow(clippy::too_many_arguments)]
-fn run_unit<F>(
-    instance: &Instance,
-    assignment: &LatticeAssignment,
-    depth: usize,
-    cap: usize,
-    group: Option<&SymmetryGroup>,
-    audit_sample: usize,
-    visited: &mut UnitVisited<'_>,
-    start: Vec<usize>,
-    classify: &F,
-) -> UnitResult
-where
-    F: Fn(&Execution, &[usize]) -> Option<String> + Sync,
-{
-    let mut stats = ExploreStats::default();
-    let mut terminals = BTreeSet::new();
-    let mut audit_scripts: Vec<Vec<usize>> = Vec::new();
-    let mut failure = None;
-    let mut script = start;
-    loop {
-        stats.executions += 1;
-        let exec = execute_with(instance, assignment, &script, depth, visited, group);
-        if exec.pruned_by_sleep {
-            stats.pruned_sleep += 1;
-        } else if exec.pruned_by_visited {
-            stats.pruned_visited += 1;
-            if group.is_some() && audit_scripts.len() < audit_sample {
-                audit_scripts.push(script.clone());
-            }
-        } else {
-            stats.completed += 1;
-            if let Some(g) = group {
-                if let Some(t) = sym::canonical_terminal(g, &exec) {
-                    terminals.insert(t);
-                }
-            }
-            if let Some(violation) = classify(&exec, &script) {
-                failure = Some((script, violation));
-                break;
-            }
-        }
-        let next = (1..exec.taken.len())
-            .rev()
-            .find(|&k| exec.taken[k] + 1 < exec.branching[k]);
-        match next {
-            Some(k) => {
-                script = exec.taken[..k].to_vec();
-                script.push(exec.taken[k] + 1);
-            }
-            None => break,
-        }
-        if stats.executions >= cap {
-            stats.truncated = true;
-            break;
-        }
-    }
-    let (audited, audit_failures) = match group {
-        Some(g) if failure.is_none() => {
-            audit_pruned_scripts(instance, assignment, depth, g, &audit_scripts, &terminals)
-        }
-        _ => (0, Vec::new()),
-    };
-    UnitResult {
-        stats,
-        failure,
-        terminals,
-        audited,
-        audit_failures,
-    }
 }
 
 #[cfg(test)]
@@ -287,7 +116,7 @@ mod tests {
         }
     }
 
-    fn signature(threads: usize) -> (ExploreStats, usize) {
+    fn signature(threads: usize) -> crate::ExploreStats {
         let instance = tiny_instance(4, 0, 3);
         let assignment = &enumerate_assignments(0, 3)[0];
         let r = explore_portfolio(
@@ -304,7 +133,7 @@ mod tests {
             },
         );
         assert!(r.failure.is_none(), "{:?}", r.failure);
-        (r.stats, r.units)
+        r.stats
     }
 
     #[test]
@@ -317,29 +146,42 @@ mod tests {
 
     #[test]
     fn units_tile_the_schedule_tree() {
-        // Every completed schedule of the sequential explorer appears in
-        // exactly one unit: completed counts match (the portfolio's
-        // visited maps are per-unit, so only `completed` — which is
-        // immune to visited pruning on this instance — is comparable).
-        let instance = tiny_instance(4, 0, 3);
-        let assignment = &enumerate_assignments(0, 3)[0];
-        let seq = crate::explore::explore(&instance, assignment, 3, 100_000, |_, _| None);
-        assert_eq!(seq.stats.pruned_visited, 0, "precondition: no merging");
-        let par = explore_portfolio(
-            &instance,
-            assignment,
-            3,
-            100_000,
-            4,
-            None,
-            0,
-            &|_: &Execution, _: &[usize]| None,
-        );
-        assert_eq!(par.stats.pruned_visited, 0);
-        assert_eq!(par.stats.completed, seq.stats.completed);
-        assert_eq!(par.stats.executions, seq.stats.executions);
-        assert_eq!(par.stats.pruned_sleep, seq.stats.pruned_sleep);
-        assert!(par.units > 1);
+        // Every schedule of the sequential explorer appears in exactly
+        // one unit, and without symmetry nothing but the sleep-set rule
+        // prunes, so untruncated stats are equal field for field — on an
+        // honest instance and on a Byzantine one (the last lattice
+        // assignment equivocates).
+        for (instance, assignment, depth) in [
+            (
+                tiny_instance(4, 0, 3),
+                enumerate_assignments(0, 3)[0].clone(),
+                3,
+            ),
+            (
+                tiny_instance(4, 1, 4),
+                enumerate_assignments(1, 4).pop().unwrap(),
+                2,
+            ),
+        ] {
+            let probe = execute(&instance, &assignment, &[], depth);
+            assert!(probe.branching[0] > 1, "precondition: several units");
+            let seq =
+                crate::explore::explore(&instance, &assignment, depth, 100_000, None, 0, |_, _| {
+                    None
+                });
+            assert!(!seq.stats.truncated);
+            let par = explore_portfolio(
+                &instance,
+                &assignment,
+                depth,
+                100_000,
+                4,
+                None,
+                0,
+                &|_: &Execution, _: &[usize]| None,
+            );
+            assert_eq!(par.stats, seq.stats, "{}", assignment.describe());
+        }
     }
 
     #[test]
@@ -355,25 +197,31 @@ mod tests {
     }
 
     #[test]
-    fn budget_split_is_thread_count_independent() {
+    fn budget_split_is_exact_and_thread_count_independent() {
         let instance = tiny_instance(4, 0, 3);
         let assignment = &enumerate_assignments(0, 3)[0];
-        let run = |threads| {
-            let r = explore_portfolio(
-                &instance,
-                assignment,
-                3,
-                40,
-                threads,
-                None,
-                0,
-                &|_: &Execution, _: &[usize]| None,
-            );
-            (r.stats, r.units)
-        };
-        let baseline = run(1);
-        assert!(baseline.0.truncated);
-        assert_eq!(run(4), baseline);
-        assert_eq!(run(7), baseline);
+        let units = execute(&instance, assignment, &[], 3).branching[0];
+        // Budgets below, at and off a multiple of the unit count.
+        for max_runs in [units - 1, 2 * units, 40, 41] {
+            let run = |threads| {
+                explore_portfolio(
+                    &instance,
+                    assignment,
+                    3,
+                    max_runs,
+                    threads,
+                    None,
+                    0,
+                    &|_: &Execution, _: &[usize]| None,
+                )
+                .stats
+            };
+            let baseline = run(1);
+            assert!(baseline.truncated);
+            assert_eq!(baseline.executions, max_runs, "max_runs = {max_runs}");
+            for threads in [2, 4, 7] {
+                assert_eq!(run(threads), baseline, "threads = {threads}");
+            }
+        }
     }
 }

@@ -19,12 +19,16 @@
 //!   when a *dependent* event (a delivery to the same recipient) runs.
 //!   If every pending message is asleep the whole branch is redundant
 //!   and the run stops with [`EnumeratingScheduler::pruned_by_sleep`].
-//! * **Visited states**: after every activation inside the enumeration
-//!   horizon, a canonical digest of (party states, pending queue in
-//!   order with sleep flags) is checked against states seen at strictly
-//!   shallower depth; on a hit the run aborts
-//!   ([`EnumeratingScheduler::pruned_by_visited`]) because the shallower
-//!   visit dominates every continuation still reachable from here.
+//! * **Visited states**, in symmetry mode only ([`SymMode`]): after
+//!   every activation inside the enumeration horizon, an orbit-canonical
+//!   key of the run so far is checked against the exploration's
+//!   [`VisitedMap`]; on a hit the run aborts
+//!   ([`EnumeratingScheduler::pruned_by_visited`]) because an earlier
+//!   visit of the same orbit covers every continuation still reachable
+//!   from here. Without symmetry there is no visited rule: keyed on the
+//!   engine state it pruned no branch on any measured instance, yet
+//!   cost a `Debug` rendering of every party and pending payload per
+//!   activation.
 //!
 //! Timers only fire at quiescence (no deliverable message), at
 //! `max(now, due)` in `(due, creation)` order — the natural enumeration
@@ -32,7 +36,6 @@
 
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
-use std::fmt::Debug;
 use std::hash::{Hash, Hasher};
 
 use async_net::{AsyncMetrics, SchedEvent, Scheduler};
@@ -43,14 +46,14 @@ use sim_net::{Envelope, PartyId, Payload};
 /// while never crossing a unit-time boundary within a plausible run.
 const TICK: f64 = 1e-6;
 
-/// Where visited-state digests live for one exploration.
-///
-/// The sequential explorer uses a plain [`HashMap`]; the portfolio
-/// explorer shares one sharded, lock-striped map across worker threads
-/// (see `crate::portfolio`). The revisit rule is identical either way:
-/// a key recorded at a strictly shallower decision depth dominates every
-/// continuation still reachable here, so the branch is pruned.
-pub trait VisitedMap {
+/// The orbit-canonical keys one symmetry-reduced exploration has seen,
+/// each with the decision depth and decision-prefix hash that recorded
+/// it. The sequential explorer keeps one per assignment; each portfolio
+/// unit keeps its own (see `crate::portfolio`).
+#[derive(Debug, Default)]
+pub struct VisitedMap(HashMap<u64, (usize, u64)>);
+
+impl VisitedMap {
     /// Applies the revisit rule for `key` observed at decision depth
     /// `depth` by a run whose decision prefix hashes to `prefix`:
     /// returns `false` (prune) when the key was recorded at a strictly
@@ -59,16 +62,8 @@ pub trait VisitedMap {
     /// script re-executes its ancestors' prefix, and those replays must
     /// not prune themselves). Otherwise records/refreshes the entry and
     /// returns `true`.
-    ///
-    /// The legacy (non-symmetry) explorer passes a constant `prefix`,
-    /// disabling the same-depth rule: its keys include sleep flags, so
-    /// same-depth collisions are exactly the replays.
-    fn observe(&mut self, key: u64, depth: usize, prefix: u64) -> bool;
-}
-
-impl VisitedMap for HashMap<u64, (usize, u64)> {
-    fn observe(&mut self, key: u64, depth: usize, prefix: u64) -> bool {
-        match self.get_mut(&key) {
+    pub fn observe(&mut self, key: u64, depth: usize, prefix: u64) -> bool {
+        match self.0.get_mut(&key) {
             Some((seen, _)) if *seen < depth => false,
             Some((seen, first)) if *seen == depth && *first != prefix => false,
             Some(entry) => {
@@ -76,7 +71,7 @@ impl VisitedMap for HashMap<u64, (usize, u64)> {
                 true
             }
             None => {
-                self.insert(key, (depth, prefix));
+                self.0.insert(key, (depth, prefix));
                 true
             }
         }
@@ -101,9 +96,10 @@ struct HistEvent {
 /// Hashes one payload once per group element (the relabeled images).
 pub type PayloadHasher<M> = Box<dyn Fn(&M) -> Vec<u64> + Send>;
 
-/// Symmetry-reduction state: per-party event histories plus the party
+/// Symmetry-reduction state: per-party event histories, the party
 /// permutations and payload relabeling of the instance's symmetry group
-/// (built by `crate::sym::SymmetryGroup::sym_mode`).
+/// (built by `crate::sym::SymmetryGroup::sym_mode`), and the
+/// exploration's [`VisitedMap`].
 ///
 /// In symmetry mode the visited key is not a digest of the engine state
 /// (which is opaque and cannot be relabeled) but of the *event history*
@@ -112,24 +108,33 @@ pub type PayloadHasher<M> = Box<dyn Fn(&M) -> Vec<u64> + Send>;
 /// histories, the per-(sender, recipient) pending-queue projections and
 /// the outstanding timers — minimized over every group element — yields
 /// one canonical key per symmetry orbit.
-pub struct SymMode<M> {
+pub struct SymMode<'v, M> {
     /// `(π, π⁻¹)` per group element.
     perms: Vec<(Vec<usize>, Vec<usize>)>,
     /// Per-group-element relabeled payload hasher.
     hasher: PayloadHasher<M>,
     /// Per-party event histories for the current execution.
     histories: Vec<Vec<HistEvent>>,
+    /// Keys seen so far; shared across the executions of one
+    /// exploration.
+    visited: &'v mut VisitedMap,
 }
 
-impl<M> SymMode<M> {
+impl<'v, M> SymMode<'v, M> {
     /// Builds the tracker for an `n`-party run under the given party
-    /// permutations and payload hasher.
-    pub fn new(perms: Vec<(Vec<usize>, Vec<usize>)>, hasher: PayloadHasher<M>, n: usize) -> Self {
+    /// permutations and payload hasher, recording keys into `visited`.
+    pub fn new(
+        perms: Vec<(Vec<usize>, Vec<usize>)>,
+        hasher: PayloadHasher<M>,
+        n: usize,
+        visited: &'v mut VisitedMap,
+    ) -> Self {
         assert!(!perms.is_empty(), "symmetry group must contain identity");
         SymMode {
             perms,
             hasher,
             histories: (0..n).map(|_| Vec::new()).collect(),
+            visited,
         }
     }
 }
@@ -165,14 +170,12 @@ pub struct EnumeratingScheduler<'v, M> {
     pub taken: Vec<usize>,
     /// Set when a branch died because every pending message was asleep.
     pub pruned_by_sleep: bool,
-    /// Set when the run aborted on a state already visited shallower.
+    /// Set when the run aborted on an orbit already visited (symmetry
+    /// mode only).
     pub pruned_by_visited: bool,
-    /// Digest of visited state → shallowest decision depth it was seen
-    /// at; shared across the executions of one exploration.
-    visited: &'v mut dyn VisitedMap,
-    /// Symmetry mode: when set, visited keys are canonicalized over the
-    /// instance's symmetry group instead of using the raw engine digest.
-    pub(crate) sym: Option<SymMode<M>>,
+    /// Symmetry mode: when set, runs are cut on orbit-canonical keys
+    /// already in its visited map.
+    pub(crate) sym: Option<SymMode<'v, M>>,
     /// When `true`, every pushed send is enqueued twice — the
     /// at-least-once link abstraction used to drive the [`Reliable`]
     /// sublayer's dedup logic through enumerated schedules.
@@ -182,10 +185,10 @@ pub struct EnumeratingScheduler<'v, M> {
     metrics: AsyncMetrics,
 }
 
-impl<'v, M: Payload + Debug> EnumeratingScheduler<'v, M> {
+impl<'v, M: Payload> EnumeratingScheduler<'v, M> {
     /// Creates a scheduler that replays `script` and enumerates up to
-    /// `depth` decisions, sharing `visited` with sibling executions.
-    pub fn new(depth: usize, script: &[usize], visited: &'v mut dyn VisitedMap) -> Self {
+    /// `depth` decisions.
+    pub fn new(depth: usize, script: &[usize]) -> Self {
         EnumeratingScheduler {
             depth,
             script: script.to_vec(),
@@ -198,7 +201,6 @@ impl<'v, M: Payload + Debug> EnumeratingScheduler<'v, M> {
             taken: Vec::new(),
             pruned_by_sleep: false,
             pruned_by_visited: false,
-            visited,
             sym: None,
             duplicate_sends: false,
             metrics: AsyncMetrics::default(),
@@ -217,21 +219,6 @@ impl<'v, M: Payload + Debug> EnumeratingScheduler<'v, M> {
         });
     }
 
-    /// Digest of the pending queue *in order* (content + sleep flags).
-    /// Queue order matters: it determines the canonical tail, so two
-    /// states may only be identified when their continuations coincide.
-    fn queue_digest(&self, state_digest: u64) -> u64 {
-        let mut h = DefaultHasher::new();
-        state_digest.hash(&mut h);
-        for msg in &self.pending {
-            msg.env.from.index().hash(&mut h);
-            msg.env.to.index().hash(&mut h);
-            format!("{:?}", msg.env.payload).hash(&mut h);
-            msg.asleep.hash(&mut h);
-        }
-        h.finish()
-    }
-
     /// Orbit-canonical visited key (symmetry mode): the minimum, over the
     /// group, of a digest of the relabeled run so far.
     ///
@@ -248,7 +235,7 @@ impl<'v, M: Payload + Debug> EnumeratingScheduler<'v, M> {
     ///   order), while the global interleaving does not. Sleep flags are
     ///   deliberately excluded — broadcasts enqueue recipients in party-id
     ///   order, so skipped-sibling sets do not mirror; the audit
-    ///   cross-check (`explore::explore_sym`) guards that approximation;
+    ///   cross-check (`explore::explore`) guards that approximation;
     /// * outstanding timers as a `(due, π(party), token)` multiset — ids
     ///   (creation order) do not mirror under `π` and only break ties
     ///   between simultaneous timers, another audit-guarded projection.
@@ -300,7 +287,7 @@ impl<'v, M: Payload + Debug> EnumeratingScheduler<'v, M> {
     }
 }
 
-impl<M: Payload + Debug> Scheduler<M> for EnumeratingScheduler<'_, M> {
+impl<M: Payload> Scheduler<M> for EnumeratingScheduler<'_, M> {
     fn push_send(&mut self, _now: f64, env: Envelope<M>) {
         if self.duplicate_sends {
             self.metrics.fault_dups += 1;
@@ -414,21 +401,16 @@ impl<M: Payload + Debug> Scheduler<M> for EnumeratingScheduler<'_, M> {
         &mut self.metrics
     }
 
-    fn wants_observations(&self) -> bool {
-        // Digests only matter while branching is still possible.
-        self.taken.len() < self.depth
-    }
-
-    fn observe_state(&mut self, digest: u64) -> bool {
-        let (key, prefix) = if self.sym.is_some() {
-            let mut h = DefaultHasher::new();
-            self.taken.hash(&mut h);
-            (self.canonical_key(), h.finish())
-        } else {
-            (self.queue_digest(digest), 0)
-        };
-        let depth = self.taken.len();
-        if self.visited.observe(key, depth, prefix) {
+    fn after_activation(&mut self) -> bool {
+        // Keys only matter while branching is still possible.
+        if self.sym.is_none() || self.taken.len() >= self.depth {
+            return true;
+        }
+        let key = self.canonical_key();
+        let mut h = DefaultHasher::new();
+        self.taken.hash(&mut h);
+        let sym = self.sym.as_mut().expect("checked above");
+        if sym.visited.observe(key, self.taken.len(), h.finish()) {
             true
         } else {
             self.pruned_by_visited = true;
@@ -451,8 +433,7 @@ mod tests {
 
     #[test]
     fn canonical_script_is_fifo() {
-        let mut visited = HashMap::new();
-        let mut s: EnumeratingScheduler<u64> = EnumeratingScheduler::new(2, &[], &mut visited);
+        let mut s: EnumeratingScheduler<u64> = EnumeratingScheduler::new(2, &[]);
         s.push_send(0.0, env(0, 1, 10));
         s.push_send(0.0, env(0, 2, 20));
         s.push_send(0.0, env(1, 2, 30));
@@ -469,11 +450,10 @@ mod tests {
 
     #[test]
     fn scripts_select_and_record_choices_and_sleep_earlier_siblings() {
-        let mut visited = HashMap::new();
         // Choice 2 at the first decision: deliver payload 30 first, and
         // the skipped siblings (10, 20) go to sleep. 30 goes to party 2,
         // which wakes 20 (same recipient) but not 10.
-        let mut s: EnumeratingScheduler<u64> = EnumeratingScheduler::new(3, &[2], &mut visited);
+        let mut s: EnumeratingScheduler<u64> = EnumeratingScheduler::new(3, &[2]);
         s.push_send(0.0, env(0, 1, 10));
         s.push_send(0.0, env(0, 2, 20));
         s.push_send(0.0, env(1, 2, 30));
@@ -495,8 +475,7 @@ mod tests {
 
     #[test]
     fn all_asleep_prunes_the_branch() {
-        let mut visited = HashMap::new();
-        let mut s: EnumeratingScheduler<u64> = EnumeratingScheduler::new(4, &[1], &mut visited);
+        let mut s: EnumeratingScheduler<u64> = EnumeratingScheduler::new(4, &[1]);
         s.push_send(0.0, env(0, 1, 10));
         s.push_send(0.0, env(0, 2, 20));
         // Deliver 20 (choice 1): 10 goes to sleep and nothing to party 1
@@ -509,8 +488,7 @@ mod tests {
 
     #[test]
     fn timers_fire_at_quiescence_in_due_order() {
-        let mut visited = HashMap::new();
-        let mut s: EnumeratingScheduler<u64> = EnumeratingScheduler::new(0, &[], &mut visited);
+        let mut s: EnumeratingScheduler<u64> = EnumeratingScheduler::new(0, &[]);
         s.push_timer(0.0, PartyId(0), 7, 5.0);
         s.push_timer(0.0, PartyId(1), 8, 2.0);
         s.push_send(0.0, env(0, 1, 10));
@@ -527,25 +505,52 @@ mod tests {
 
     #[test]
     fn visited_states_prune_only_when_seen_strictly_shallower() {
-        let mut visited = HashMap::new();
+        let mut visited = VisitedMap::default();
+        assert!(visited.observe(42, 1, 7)); // first visit: recorded
+        assert!(visited.observe(42, 1, 7)); // same depth, same prefix: replay
+        assert!(!visited.observe(42, 1, 8)); // same depth, other prefix: orbit sibling
+        assert!(!visited.observe(42, 2, 7)); // deeper than the recorded visit
+        assert!(visited.observe(43, 2, 7)); // another key is independent
+    }
+
+    #[test]
+    fn symmetry_mode_prunes_a_revisited_orbit_inside_the_horizon() {
+        fn sym_mode(visited: &mut VisitedMap) -> SymMode<'_, u64> {
+            let identity = (vec![0, 1], vec![0, 1]);
+            SymMode::new(vec![identity], Box::new(|&m| vec![m]), 2, visited)
+        }
+        let mut visited = VisitedMap::default();
         {
-            let mut s: EnumeratingScheduler<u64> = EnumeratingScheduler::new(4, &[], &mut visited);
+            let mut s: EnumeratingScheduler<u64> = EnumeratingScheduler::new(4, &[]);
+            s.sym = Some(sym_mode(&mut visited));
             s.taken = vec![0]; // pretend depth 1
-            assert!(s.observe_state(42)); // first visit: recorded
-            assert!(s.observe_state(42)); // same depth: replay, no prune
+            assert!(s.after_activation()); // first visit: recorded
+            assert!(s.after_activation()); // same prefix: replay, no prune
         }
         {
-            let mut s: EnumeratingScheduler<u64> = EnumeratingScheduler::new(4, &[], &mut visited);
-            s.taken = vec![0, 1]; // deeper than the recorded visit
-            assert!(!s.observe_state(42));
+            let mut s: EnumeratingScheduler<u64> = EnumeratingScheduler::new(4, &[]);
+            s.sym = Some(sym_mode(&mut visited));
+            s.taken = vec![0, 1]; // the same (empty) history, deeper
+            assert!(!s.after_activation());
             assert!(s.pruned_by_visited);
         }
+        {
+            // Past the horizon nothing is looked up.
+            let mut s: EnumeratingScheduler<u64> = EnumeratingScheduler::new(1, &[]);
+            s.sym = Some(sym_mode(&mut visited));
+            s.taken = vec![0, 1];
+            assert!(s.after_activation());
+        }
+        // Without symmetry there is no visited rule at all.
+        let mut s: EnumeratingScheduler<u64> = EnumeratingScheduler::new(4, &[]);
+        s.taken = vec![0, 1];
+        assert!(s.after_activation());
+        assert!(!s.pruned_by_visited);
     }
 
     #[test]
     fn duplicate_sends_enqueue_two_copies() {
-        let mut visited = HashMap::new();
-        let mut s: EnumeratingScheduler<u64> = EnumeratingScheduler::new(0, &[], &mut visited);
+        let mut s: EnumeratingScheduler<u64> = EnumeratingScheduler::new(0, &[]);
         s.duplicate_sends = true;
         s.push_send(0.0, env(0, 1, 10));
         assert_eq!(s.pending.len(), 2);

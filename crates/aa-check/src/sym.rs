@@ -21,7 +21,7 @@
 //! group ([`crate::sched::SymMode`]); two projections in that key (sleep
 //! flags and timer tie-break ids, which do not mirror) make the merge an
 //! *audit-gated* reduction rather than a theorem — see
-//! `crate::explore::explore_sym` for the cross-check that re-runs pruned
+//! `crate::explore::explore` for the cross-check that re-runs pruned
 //! branches and asserts their canonical terminals were already found.
 
 use std::collections::hash_map::DefaultHasher;
@@ -35,7 +35,7 @@ use tree_model::automorphisms;
 
 use crate::explore::{Execution, Instance};
 use crate::lattice::{ByzBehavior, LatticeAssignment};
-use crate::sched::SymMode;
+use crate::sched::{SymMode, VisitedMap};
 
 /// Cap on the filtered group size: canonicalization cost is linear in
 /// the group order, and beyond a few dozen elements extra symmetries
@@ -187,8 +187,13 @@ impl SymmetryGroup {
 
     /// Builds the scheduler-side tracker for this group (see
     /// [`SymMode`]): party permutation tables plus a payload hasher that
-    /// returns, per group element, the hash of the relabeled message.
-    pub(crate) fn sym_mode(&self, n: usize) -> SymMode<AsyncAaMsg> {
+    /// returns, per group element, the hash of the relabeled message;
+    /// orbit keys go into `visited`.
+    pub(crate) fn sym_mode<'v>(
+        &self,
+        n: usize,
+        visited: &'v mut VisitedMap,
+    ) -> SymMode<'v, AsyncAaMsg> {
         let perms = self
             .elems
             .iter()
@@ -208,6 +213,7 @@ impl SymmetryGroup {
                     .collect()
             }),
             n,
+            visited,
         )
     }
 }
@@ -499,14 +505,11 @@ mod tests {
     #[test]
     fn identity_group_canonical_terminal_is_stable() {
         use crate::explore::execute;
-        use std::collections::HashMap;
         let inst = instance(4, 0, Arc::new(generate::path(3)), vec![0, 1, 2, 0]);
         let assignment = LatticeAssignment { behaviors: vec![] };
         let g = SymmetryGroup::identity(4, 3);
-        let mut v1 = HashMap::new();
-        let mut v2 = HashMap::new();
-        let e1 = execute(&inst, &assignment, &[], 0, &mut v1);
-        let e2 = execute(&inst, &assignment, &[], 0, &mut v2);
+        let e1 = execute(&inst, &assignment, &[], 0);
+        let e2 = execute(&inst, &assignment, &[], 0);
         let t1 = canonical_terminal(&g, &e1).expect("completed run has a terminal");
         assert_eq!(t1, canonical_terminal(&g, &e2).unwrap());
         assert!(t1.contains("value("));

@@ -12,7 +12,7 @@
 //!   colliding acks or retransmit timers, even when the counter starts
 //!   at the wrap boundary.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 
 use aa_check::sched::EnumeratingScheduler;
 use async_net::{
@@ -81,10 +81,8 @@ fn explore_reliable(n: usize, depth: usize, first_seq: u64, max_runs: usize) -> 
             executions <= max_runs,
             "exploration did not finish within {max_runs} runs"
         );
-        // Fresh visited map per run: run_async_with performs no state
-        // observations, so only sleep-set pruning is active here.
-        let mut visited = HashMap::new();
-        let mut sched = EnumeratingScheduler::new(depth, &script, &mut visited);
+        // Without symmetry mode only sleep-set pruning is active here.
+        let mut sched = EnumeratingScheduler::new(depth, &script);
         sched.duplicate_sends = true;
         let result = run_async_with(
             &cfg,
@@ -92,6 +90,7 @@ fn explore_reliable(n: usize, depth: usize, first_seq: u64, max_runs: usize) -> 
             |_, _| Reliable::with_initial_seq(CountDistinct::new(n), n, first_seq),
             PassiveAsync,
             &mut sched,
+            None,
         );
         let pruned = sched.pruned_by_sleep;
         match result {
@@ -170,8 +169,7 @@ fn duplicate_ack_floods_cannot_unstick_the_wrap_counter() {
     loop {
         runs += 1;
         assert!(runs <= 10_000);
-        let mut visited = HashMap::new();
-        let mut sched = EnumeratingScheduler::new(4, &script, &mut visited);
+        let mut sched = EnumeratingScheduler::new(4, &script);
         sched.duplicate_sends = true; // every Data *and every Ack* doubled
         let result = run_async_with(
             &cfg,
@@ -179,6 +177,7 @@ fn duplicate_ack_floods_cannot_unstick_the_wrap_counter() {
             |_, _| Reliable::with_initial_seq(CountDistinct::new(2), 2, RETRANSMIT_BIT - 1),
             PassiveAsync,
             &mut sched,
+            None,
         );
         match result {
             Ok(report) => assert_eq!(report.outputs, vec![Some(2); 2]),

@@ -4,9 +4,9 @@
 //! same schedules.
 //!
 //! The spec explores the **full** schedule tree (no sleep sets, no
-//! visited-state merging, no symmetry), so set equality checks two
-//! things at once: that the spec and the engine implement the same
-//! protocol, and that every engine pruning rule is terminal-preserving.
+//! symmetry), so set equality checks two things at once: that the spec
+//! and the engine implement the same protocol, and that the engine's
+//! pruning rule is terminal-preserving.
 //! On mismatch the harness greedily minimizes a witness schedule for
 //! the diverging terminal and renders a replayable report.
 
@@ -107,8 +107,8 @@ impl std::fmt::Display for DiffFailure {
 }
 
 /// Runs the differential for one `(instance, assignment)` pair: engine
-/// enumeration (sleep sets + visited merging) vs. spec full-tree
-/// enumeration, compared as terminal-state sets in both directions.
+/// enumeration (sleep sets) vs. spec full-tree enumeration, compared as
+/// terminal-state sets in both directions.
 pub fn differential(
     inst: &Instance,
     assignment: &LatticeAssignment,
@@ -119,12 +119,20 @@ pub fn differential(
 
     // Engine side: canonical terminal -> first witness script.
     let mut engine: BTreeMap<String, Vec<usize>> = BTreeMap::new();
-    let result = explore(inst, assignment, depth, max_runs, |exec, script| {
-        if let Some(terminal) = canonical_terminal(&group, exec) {
-            engine.entry(terminal).or_insert_with(|| script.to_vec());
-        }
-        None
-    });
+    let result = explore(
+        inst,
+        assignment,
+        depth,
+        max_runs,
+        None,
+        0,
+        |exec, script| {
+            if let Some(terminal) = canonical_terminal(&group, exec) {
+                engine.entry(terminal).or_insert_with(|| script.to_vec());
+            }
+            None
+        },
+    );
     if result.stats.truncated {
         return Err(Box::new(DiffFailure::Truncated { side: "engine" }));
     }
@@ -260,9 +268,7 @@ fn minimize_engine_witness(
 ) -> Divergence {
     let group = SymmetryGroup::identity(inst.n, inst.tree.vertex_count());
     let witnesses = |s: &[usize]| -> Option<String> {
-        // Fresh visited map: replay in isolation, like cex replays.
-        let mut visited = std::collections::HashMap::new();
-        let exec = execute(inst, assignment, s, depth, &mut visited);
+        let exec = execute(inst, assignment, s, depth);
         let terminal = canonical_terminal(&group, &exec)?;
         (!spec.contains_key(&terminal)).then_some(terminal)
     };

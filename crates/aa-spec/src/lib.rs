@@ -12,11 +12,10 @@
 //!
 //! The payoff is the differential harness ([`diff`]): for every
 //! instance in the existing lattice, the set of reachable terminal
-//! states under `aa-check`'s pruned enumeration (sleep sets,
-//! visited-state merging) must equal the spec's reachable set over the
-//! same schedules — the spec explores the **full** schedule tree, so
-//! agreement simultaneously validates the protocol model and the
-//! soundness of every pruning rule. On mismatch the harness emits a
+//! states under `aa-check`'s sleep-set-pruned enumeration must equal
+//! the spec's reachable set over the same schedules — the spec explores
+//! the **full** schedule tree, so agreement simultaneously validates the
+//! protocol model and the soundness of the pruning rule. On mismatch the harness emits a
 //! minimized divergence report with a replayable witness schedule.
 //!
 //! Intentional symmetry with the engine: the spec replicates the

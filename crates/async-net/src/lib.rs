@@ -64,7 +64,6 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::error::Error;
 use std::fmt;
-use std::hash::{Hash, Hasher};
 
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -396,7 +395,7 @@ pub enum AsyncSimError {
         reason: String,
     },
     /// The [`Scheduler`] cut the run short via
-    /// [`Scheduler::observe_state`] — exploration tooling pruning an
+    /// [`Scheduler::after_activation`] — exploration tooling pruning an
     /// already-covered branch, not a protocol failure.
     Aborted {
         /// Events processed before the abort.
@@ -517,19 +516,10 @@ pub trait Scheduler<M: Payload> {
     /// this access.
     fn metrics_mut(&mut self) -> &mut AsyncMetrics;
 
-    /// Whether the run loop should report canonical state digests after
-    /// each activation (see [`run_async_explored`]). Defaults to `false`;
-    /// sampling schedulers never need them.
-    fn wants_observations(&self) -> bool {
-        false
-    }
-
-    /// Receives a digest of the global protocol state after an
-    /// activation. Returning `false` aborts the run with
-    /// [`AsyncSimError::Aborted`] — how exploration tools prune visited
-    /// branches.
-    fn observe_state(&mut self, digest: u64) -> bool {
-        let _ = digest;
+    /// Called after each honest activation. Returning `false` aborts the
+    /// run with [`AsyncSimError::Aborted`] — how exploration tools cut a
+    /// branch they have already covered. Defaults to `true`.
+    fn after_activation(&mut self) -> bool {
         true
     }
 }
@@ -700,7 +690,7 @@ where
     F: FnMut(PartyId, usize) -> P,
 {
     let mut sched = SeededScheduler::new(&cfg, None);
-    run_loop(&cfg, None, factory, adversary, &mut sched, None, None)
+    run_async_with(&cfg, None, factory, adversary, &mut sched, None)
 }
 
 /// [`run_async`] under a [`FaultPlan`]: probabilistic drop, duplication
@@ -741,105 +731,7 @@ where
     F: FnMut(PartyId, usize) -> P,
 {
     let mut sched = SeededScheduler::new(&cfg, Some(plan));
-    run_loop(&cfg, Some(plan), factory, adversary, &mut sched, None, None)
-}
-
-/// Runs an asynchronous protocol on a caller-supplied [`Scheduler`] —
-/// the substrate-level entry point behind [`run_async`] and
-/// [`run_async_faulted`]. `plan` drives the run loop's crash handling
-/// (deferred timers, dropped deliveries to crashed recipients); link
-/// faults are the scheduler's own business.
-///
-/// # Errors
-///
-/// As [`run_async_faulted`], plus [`AsyncSimError::Aborted`] if the
-/// scheduler cuts the run short.
-pub fn run_async_with<P, A, F, S>(
-    cfg: &AsyncConfig,
-    plan: Option<&FaultPlan>,
-    factory: F,
-    adversary: A,
-    sched: &mut S,
-) -> Result<AsyncReport<P::Output>, AsyncSimError>
-where
-    P: AsyncProtocol,
-    A: AsyncAdversary<P::Msg>,
-    F: FnMut(PartyId, usize) -> P,
-    S: Scheduler<P::Msg>,
-{
-    run_loop(cfg, plan, factory, adversary, sched, None, None)
-}
-
-/// [`run_async_with`] plus flight recording: protocol events emitted via
-/// [`AsyncCtx::emit_with`] are captured into `recorder`, stamped with
-/// their virtual time and per-party emission ordinal. Pair with a
-/// [`VirtualScheduler`] to produce the in-process reference trace the
-/// real-socket differential gate compares against.
-///
-/// # Errors
-///
-/// As [`run_async_with`].
-pub fn run_async_recorded<P, A, F, S>(
-    cfg: &AsyncConfig,
-    factory: F,
-    adversary: A,
-    sched: &mut S,
-    recorder: &mut AsyncRecorder,
-) -> Result<AsyncReport<P::Output>, AsyncSimError>
-where
-    P: AsyncProtocol,
-    A: AsyncAdversary<P::Msg>,
-    F: FnMut(PartyId, usize) -> P,
-    S: Scheduler<P::Msg>,
-{
-    run_loop(cfg, None, factory, adversary, sched, None, Some(recorder))
-}
-
-/// [`run_async_with`] for exploration: after every activation a
-/// canonical digest of the global protocol state (a deterministic hash
-/// of each party's `Debug` rendering) is reported to the scheduler via
-/// [`Scheduler::observe_state`], which may prune the run. Digests are
-/// only computed while [`Scheduler::wants_observations`] returns `true`.
-///
-/// # Errors
-///
-/// As [`run_async_with`].
-pub fn run_async_explored<P, A, F, S>(
-    cfg: &AsyncConfig,
-    plan: Option<&FaultPlan>,
-    factory: F,
-    adversary: A,
-    sched: &mut S,
-) -> Result<AsyncReport<P::Output>, AsyncSimError>
-where
-    P: AsyncProtocol + fmt::Debug,
-    A: AsyncAdversary<P::Msg>,
-    F: FnMut(PartyId, usize) -> P,
-    S: Scheduler<P::Msg>,
-{
-    run_loop(
-        cfg,
-        plan,
-        factory,
-        adversary,
-        sched,
-        Some(state_digest::<P>),
-        None,
-    )
-}
-
-/// A deterministic (fixed-key) digest of every party's `Debug` state —
-/// stable across runs and processes, so exploration reports reproduce
-/// bit-for-bit.
-fn state_digest<P: AsyncProtocol + fmt::Debug>(parties: &[Option<P>]) -> u64 {
-    let mut h = std::collections::hash_map::DefaultHasher::new();
-    for p in parties {
-        match p {
-            Some(p) => format!("{p:?}").hash(&mut h),
-            None => 0u8.hash(&mut h),
-        }
-    }
-    h.finish()
+    run_async_with(&cfg, Some(plan), factory, adversary, &mut sched, None)
 }
 
 /// Drains an activation context into the scheduler: sends, timers,
@@ -870,17 +762,28 @@ fn flush_ctx<M: Payload, S: Scheduler<M>>(
     }
 }
 
-/// The optional state-digest hook of [`run_async_explored`]: a pure
-/// function of every party's current state (crashed slots are `None`).
-type DigestFn<P> = fn(&[Option<P>]) -> u64;
-
-fn run_loop<P, A, F, S>(
+/// Runs an asynchronous protocol on a caller-supplied [`Scheduler`] —
+/// the substrate-level entry point behind [`run_async`] and
+/// [`run_async_faulted`]. `plan` drives the run loop's crash handling
+/// (deferred timers, dropped deliveries to crashed recipients); link
+/// faults are the scheduler's own business.
+///
+/// With a `recorder`, protocol events emitted via
+/// [`AsyncCtx::emit_with`] are captured into it, stamped with their
+/// virtual time and per-party emission ordinal. Pair with a
+/// [`VirtualScheduler`] to produce the in-process reference trace the
+/// real-socket differential gate compares against.
+///
+/// # Errors
+///
+/// As [`run_async_faulted`], plus [`AsyncSimError::Aborted`] if the
+/// scheduler cuts the run short.
+pub fn run_async_with<P, A, F, S>(
     cfg: &AsyncConfig,
     plan: Option<&FaultPlan>,
     mut factory: F,
     mut adversary: A,
     sched: &mut S,
-    digest: Option<DigestFn<P>>,
     mut recorder: Option<&mut AsyncRecorder>,
 ) -> Result<AsyncReport<P::Output>, AsyncSimError>
 where
@@ -1078,10 +981,8 @@ where
             }
             flush_ctx(sched, ctx, recorder.as_deref_mut());
         }
-        if let Some(dg) = digest {
-            if sched.wants_observations() && !sched.observe_state(dg(&parties)) {
-                return Err(AsyncSimError::Aborted { events });
-            }
+        if !sched.after_activation() {
+            return Err(AsyncSimError::Aborted { events });
         }
         if !was_done && parties[i].as_ref().expect("honest").output().is_some() {
             completion_time = completion_time.max(time);
@@ -1472,10 +1373,7 @@ mod tests {
         fn metrics_mut(&mut self) -> &mut AsyncMetrics {
             &mut self.metrics
         }
-        fn wants_observations(&self) -> bool {
-            self.abort_after.is_some()
-        }
-        fn observe_state(&mut self, _digest: u64) -> bool {
+        fn after_activation(&mut self) -> bool {
             self.observations += 1;
             Some(self.observations) != self.abort_after
         }
@@ -1497,16 +1395,13 @@ mod tests {
             |_, _| Census { heard: 0, need: 4 },
             PassiveAsync,
             &mut sched,
+            None,
         )
         .unwrap();
         assert_eq!(report.outputs, vec![Some(4); 4]);
         assert_eq!(report.messages_delivered, 16);
-    }
-
-    impl fmt::Debug for Census {
-        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-            write!(f, "Census({}/{})", self.heard, self.need)
-        }
+        // The hook ran once per honest activation (16 deliveries).
+        assert_eq!(sched.observations, 16);
     }
 
     #[test]
@@ -1522,12 +1417,13 @@ mod tests {
             abort_after: Some(3),
             ..Fifo::default()
         };
-        let err = run_async_explored(
+        let err = run_async_with(
             &cfg,
             None,
             |_, _| Census { heard: 0, need: 4 },
             PassiveAsync,
             &mut sched,
+            None,
         )
         .unwrap_err();
         assert_eq!(err, AsyncSimError::Aborted { events: 3 });

@@ -306,8 +306,7 @@ impl AsyncRecorder {
 mod tests {
     use super::*;
     use crate::{
-        run_async_recorded, AsyncConfig, AsyncCtx, AsyncProtocol, DelayModel, PassiveAsync,
-        ProtoEvent,
+        run_async_with, AsyncConfig, AsyncCtx, AsyncProtocol, DelayModel, PassiveAsync, ProtoEvent,
     };
 
     #[test]
@@ -387,8 +386,9 @@ mod tests {
             };
             let mut sched = VirtualScheduler::new(4, 11, 0.5);
             let mut rec = AsyncRecorder::new(4, 0, "vt-test");
-            let report = run_async_recorded(
+            let report = run_async_with(
                 &cfg,
+                None,
                 |_, n| Chatty {
                     heard: 0,
                     n,
@@ -396,7 +396,7 @@ mod tests {
                 },
                 PassiveAsync,
                 &mut sched,
-                &mut rec,
+                Some(&mut rec),
             )
             .unwrap();
             (report, rec.into_trace().to_canonical_string())

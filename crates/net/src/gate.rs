@@ -23,7 +23,7 @@ use std::sync::Arc;
 use aa_trace::{reconcile_proto, Trace};
 use async_aa::{AsyncAaMsg, AsyncTreeAaConfig, AsyncTreeAaParty};
 use async_net::{
-    run_async_recorded, splitmix64, AsyncConfig, AsyncRecorder, DelayModel, PassiveAsync, Reliable,
+    run_async_with, splitmix64, AsyncConfig, AsyncRecorder, DelayModel, PassiveAsync, Reliable,
     VirtualScheduler,
 };
 use sim_net::{Outcome, PartyId};
@@ -166,12 +166,13 @@ impl GateCase {
         let mut sched: VirtualScheduler<async_net::RelMsg<AsyncAaMsg>> =
             VirtualScheduler::new(n, self.seed, self.min_delay);
         let mut recorder = AsyncRecorder::new(n, self.t, &self.label);
-        let report = run_async_recorded(
+        let report = run_async_with(
             &cfg,
+            None,
             |p: PartyId, _| self.party(p.index()),
             PassiveAsync,
             &mut sched,
-            &mut recorder,
+            Some(&mut recorder),
         )
         .map_err(|e| e.to_string())?;
         let outcomes = report
