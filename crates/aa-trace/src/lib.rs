@@ -218,7 +218,7 @@ pub enum EventKind {
         party: usize,
         /// The peer being re-dialed.
         peer: usize,
-        /// 0-based attempt number within the backoff schedule.
+        /// 0-based attempt number within the current outage.
         attempt: usize,
     },
     /// A real-transport node declared a peer dead (crash-fault budget
@@ -228,16 +228,6 @@ pub enum EventKind {
         party: usize,
         /// The peer declared dead.
         peer: usize,
-    },
-    /// A real-transport node exhausted its reconnect backoff schedule
-    /// for a peer without re-establishing the connection.
-    NetBackoffExhausted {
-        /// The party that gave up dialing.
-        party: usize,
-        /// The unreachable peer.
-        peer: usize,
-        /// How many dial attempts were made.
-        attempts: usize,
     },
     /// A real-transport node restarted from its write-ahead log and
     /// rejoined the protocol mid-run.
@@ -359,16 +349,6 @@ impl TraceEvent {
                 fields.push(("party".to_string(), Json::int(*party as u64)));
                 fields.push(("peer".to_string(), Json::int(*peer as u64)));
             }
-            EventKind::NetBackoffExhausted {
-                party,
-                peer,
-                attempts,
-            } => {
-                fields.push(kind("net_backoff_exhausted"));
-                fields.push(("party".to_string(), Json::int(*party as u64)));
-                fields.push(("peer".to_string(), Json::int(*peer as u64)));
-                fields.push(("attempts".to_string(), Json::int(*attempts as u64)));
-            }
             EventKind::NetRecovery { party, replayed } => {
                 fields.push(kind("net_recovery"));
                 fields.push(("party".to_string(), Json::int(*party as u64)));
@@ -463,11 +443,6 @@ impl TraceEvent {
             "net_dead_peer" => EventKind::NetDeadPeer {
                 party: req_usize(json, "party")?,
                 peer: req_usize(json, "peer")?,
-            },
-            "net_backoff_exhausted" => EventKind::NetBackoffExhausted {
-                party: req_usize(json, "party")?,
-                peer: req_usize(json, "peer")?,
-                attempts: req_usize(json, "attempts")?,
             },
             "net_recovery" => EventKind::NetRecovery {
                 party: req_usize(json, "party")?,

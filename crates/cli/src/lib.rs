@@ -15,7 +15,7 @@
 //! they are unit-testable; `main.rs` is a thin shim.
 
 #![warn(missing_docs)]
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use lower_bound::{fekete_k, round_lower_bound, theorem2_formula};
@@ -91,7 +91,7 @@ pub enum Command {
     /// `check`: exhaustively model-check a small instance (bounded
     /// schedule enumeration × Byzantine message-lattice assignments).
     Check {
-        /// Number of parties (`n > 3t`, `n <= 5`).
+        /// Number of parties (`n > 3t`, `n <= 6`).
         n: usize,
         /// Corruption bound (defaults to `(n - 1) / 3`).
         t: usize,
@@ -157,8 +157,6 @@ pub enum Command {
         /// protocol mid-run. A missing or empty WAL falls back to a
         /// fresh start, so a supervisor can pass this unconditionally.
         recover: bool,
-        /// Override of the reconnect policy's dial-attempt budget.
-        reconnect_attempts: Option<u32>,
         /// Override of the reconnect policy's dead-peer deadline, in
         /// milliseconds of continuous disconnection.
         dead_after_ms: Option<u64>,
@@ -211,37 +209,56 @@ pub enum Command {
     Help,
 }
 
-/// Parses `--key value` style options after the subcommand.
-fn options(args: &[String]) -> Result<HashMap<String, String>, String> {
-    let mut map = HashMap::new();
-    let mut it = args.iter();
-    while let Some(k) = it.next() {
-        let key = k
-            .strip_prefix("--")
-            .ok_or_else(|| format!("expected an option starting with --, got `{k}`"))?;
-        if key == "dot"
-            || key == "minimize"
-            || key == "faults"
-            || key == "gate"
-            || key == "recover"
-            || key == "supervise"
-            || key == "symmetry"
-        {
-            map.insert(key.to_string(), "true".to_string());
-            continue;
-        }
-        let v = it
-            .next()
-            .ok_or_else(|| format!("option --{key} needs a value"))?;
-        map.insert(key.to_string(), v.clone());
-    }
-    Ok(map)
-}
+/// The options that take no value.
+const FLAGS: [&str; 7] = [
+    "dot",
+    "minimize",
+    "faults",
+    "gate",
+    "recover",
+    "supervise",
+    "symmetry",
+];
 
-fn req<'a>(opts: &'a HashMap<String, String>, key: &str) -> Result<&'a str, String> {
-    opts.get(key)
-        .map(String::as_str)
-        .ok_or_else(|| format!("missing required option --{key}"))
+/// The `--key value` options after a subcommand. Every read consumes
+/// its key, so the keys left over are the ones the subcommand ignores.
+struct Opts(BTreeMap<String, String>);
+
+impl Opts {
+    fn parse(args: &[String]) -> Result<Opts, String> {
+        let mut map = BTreeMap::new();
+        let mut it = args.iter();
+        while let Some(k) = it.next() {
+            let key = k
+                .strip_prefix("--")
+                .ok_or_else(|| format!("expected an option starting with --, got `{k}`"))?;
+            let v = if FLAGS.contains(&key) {
+                "true"
+            } else {
+                it.next()
+                    .ok_or_else(|| format!("option --{key} needs a value"))?
+            };
+            map.insert(key.to_string(), v.to_string());
+        }
+        Ok(Opts(map))
+    }
+
+    fn opt<T: std::str::FromStr>(&mut self, key: &str) -> Result<Option<T>, String> {
+        self.0.remove(key).map(|s| parse_num(&s, key)).transpose()
+    }
+
+    fn or<T: std::str::FromStr>(&mut self, key: &str, default: T) -> Result<T, String> {
+        Ok(self.opt(key)?.unwrap_or(default))
+    }
+
+    fn req<T: std::str::FromStr>(&mut self, key: &str) -> Result<T, String> {
+        self.opt(key)?
+            .ok_or_else(|| format!("missing required option --{key}"))
+    }
+
+    fn flag(&mut self, key: &str) -> bool {
+        self.0.remove(key).is_some()
+    }
 }
 
 fn parse_num<T: std::str::FromStr>(s: &str, what: &str) -> Result<T, String> {
@@ -252,8 +269,8 @@ fn parse_num<T: std::str::FromStr>(s: &str, what: &str) -> Result<T, String> {
 ///
 /// # Errors
 ///
-/// Returns a human-readable message for unknown commands, missing options
-/// or malformed values.
+/// Returns a human-readable message for unknown commands, missing,
+/// malformed or unknown options.
 pub fn parse_args(args: &[String]) -> Result<Command, String> {
     let Some(cmd) = args.first() else {
         return Ok(Command::Help);
@@ -265,129 +282,94 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
             _ => Err("usage: treeaa wal-dump <file>".into()),
         };
     }
-    let opts = options(&args[1..])?;
-    match cmd.as_str() {
-        "gen" => Ok(Command::Gen {
-            family: req(&opts, "family")?.to_string(),
-            size: parse_num(req(&opts, "size")?, "size")?,
-            dot: opts.contains_key("dot"),
-            seed: opts.get("seed").map_or(Ok(0), |s| parse_num(s, "seed"))?,
-        }),
-        "info" => Ok(Command::Info {
-            tree: req(&opts, "tree")?.to_string(),
-        }),
-        "run" => Ok(Command::Run {
-            tree: req(&opts, "tree")?.to_string(),
-            inputs: req(&opts, "inputs")?.to_string(),
-            t: opts.get("t").map_or(Ok(1), |s| parse_num(s, "t"))?,
-            protocol: opts
-                .get("protocol")
-                .cloned()
-                .unwrap_or_else(|| "treeaa".into()),
-            engine: opts
-                .get("engine")
-                .cloned()
-                .unwrap_or_else(|| "gradecast".into()),
-            adversary: opts
-                .get("adversary")
-                .cloned()
-                .unwrap_or_else(|| "none".into()),
-            seed: opts.get("seed").map_or(Ok(0), |s| parse_num(s, "seed"))?,
-        }),
-        "bounds" => Ok(Command::Bounds {
-            diameter: parse_num(req(&opts, "diameter")?, "diameter")?,
-            n: parse_num(req(&opts, "n")?, "n")?,
-            t: parse_num(req(&opts, "t")?, "t")?,
-        }),
-        "fuzz" => Ok(Command::Fuzz {
-            seed: opts.get("seed").map_or(Ok(0), |s| parse_num(s, "seed"))?,
-            cases: opts
-                .get("cases")
-                .map_or(Ok(100), |s| parse_num(s, "cases"))?,
-            minimize: opts.contains_key("minimize"),
-            faults: opts.contains_key("faults"),
-            corpus: opts.get("corpus").cloned().unwrap_or_default(),
-        }),
+    let mut o = Opts::parse(&args[1..])?;
+    let command = match cmd.as_str() {
+        "gen" => Command::Gen {
+            family: o.req("family")?,
+            size: o.req("size")?,
+            dot: o.flag("dot"),
+            seed: o.or("seed", 0)?,
+        },
+        "info" => Command::Info {
+            tree: o.req("tree")?,
+        },
+        "run" => Command::Run {
+            tree: o.req("tree")?,
+            inputs: o.req("inputs")?,
+            t: o.or("t", 1)?,
+            protocol: o.or("protocol", "treeaa".into())?,
+            engine: o.or("engine", "gradecast".into())?,
+            adversary: o.or("adversary", "none".into())?,
+            seed: o.or("seed", 0)?,
+        },
+        "bounds" => Command::Bounds {
+            diameter: o.req("diameter")?,
+            n: o.req("n")?,
+            t: o.req("t")?,
+        },
+        "fuzz" => Command::Fuzz {
+            seed: o.or("seed", 0)?,
+            cases: o.or("cases", 100)?,
+            minimize: o.flag("minimize"),
+            faults: o.flag("faults"),
+            corpus: o.or("corpus", String::new())?,
+        },
         "check" => {
-            let n: usize = parse_num(req(&opts, "n")?, "n")?;
-            Ok(Command::Check {
+            let n: usize = o.req("n")?;
+            Command::Check {
                 n,
-                t: opts
-                    .get("t")
-                    .map_or(Ok(n.saturating_sub(1) / 3), |s| parse_num(s, "t"))?,
-                tree: req(&opts, "tree")?.to_string(),
-                protocol: opts
-                    .get("protocol")
-                    .cloned()
-                    .unwrap_or_else(|| "tree-aa".into()),
-                depth: opts.get("depth").map_or(Ok(3), |s| parse_num(s, "depth"))?,
-                max_runs: opts
-                    .get("max-runs")
-                    .map_or(Ok(50_000), |s| parse_num(s, "max-runs"))?,
-                threads: opts
-                    .get("threads")
-                    .map_or(Ok(0), |s| parse_num(s, "threads"))?,
-                symmetry: opts.contains_key("symmetry"),
-                out: opts.get("out").cloned().unwrap_or_default(),
-            })
+                t: o.or("t", n.saturating_sub(1) / 3)?,
+                tree: o.req("tree")?,
+                protocol: o.or("protocol", "tree-aa".into())?,
+                depth: o.or("depth", 3)?,
+                max_runs: o.or("max-runs", 50_000)?,
+                threads: o.or("threads", 0)?,
+                symmetry: o.flag("symmetry"),
+                out: o.or("out", String::new())?,
+            }
         }
-        "serve" => Ok(Command::Serve {
-            tree: req(&opts, "tree")?.to_string(),
-            inputs: req(&opts, "inputs")?.to_string(),
-            party_id: parse_num(req(&opts, "party-id")?, "party-id")?,
-            t: opts.get("t").map_or(Ok(1), |s| parse_num(s, "t"))?,
-            seed: opts.get("seed").map_or(Ok(0), |s| parse_num(s, "seed"))?,
-            min_delay: opts
-                .get("min-delay")
-                .map_or(Ok(0.5), |s| parse_num(s, "min-delay"))?,
-            secret: opts
-                .get("secret")
-                .map_or(Ok(0), |s| parse_num(s, "secret"))?,
-            bind: opts
-                .get("bind")
-                .cloned()
-                .unwrap_or_else(|| "127.0.0.1:0".into()),
-            peers: opts.get("peers").cloned().unwrap_or_default(),
-            trace_out: opts.get("trace-out").cloned().unwrap_or_default(),
-            wal: opts.get("wal").cloned().unwrap_or_default(),
-            recover: opts.contains_key("recover"),
-            reconnect_attempts: opts
-                .get("reconnect-attempts")
-                .map(|s| parse_num(s, "reconnect-attempts"))
-                .transpose()?,
-            dead_after_ms: opts
-                .get("dead-after-ms")
-                .map(|s| parse_num(s, "dead-after-ms"))
-                .transpose()?,
-        }),
-        "cluster" => Ok(Command::Cluster {
-            tree: req(&opts, "tree")?.to_string(),
-            inputs: req(&opts, "inputs")?.to_string(),
-            t: opts.get("t").map_or(Ok(1), |s| parse_num(s, "t"))?,
-            seed: opts.get("seed").map_or(Ok(0), |s| parse_num(s, "seed"))?,
-            min_delay: opts
-                .get("min-delay")
-                .map_or(Ok(0.5), |s| parse_num(s, "min-delay"))?,
-            secret: opts
-                .get("secret")
-                .map_or(Ok(0), |s| parse_num(s, "secret"))?,
-            runs: opts.get("runs").map_or(Ok(1), |s| parse_num(s, "runs"))?,
-            gate: opts.contains_key("gate"),
-            supervise: opts.contains_key("supervise"),
-            chaos: opts
-                .get("chaos")
-                .map(|s| parse_num(s, "chaos"))
-                .transpose()?,
-            kill_after_ready: opts.get("kill-after-ready").cloned().unwrap_or_default(),
-            wal_dir: opts.get("wal-dir").cloned().unwrap_or_default(),
-        }),
-        "trace" => Ok(Command::Trace {
-            scenario: req(&opts, "scenario")?.to_string(),
-            seed: opts.get("seed").map_or(Ok(0), |s| parse_num(s, "seed"))?,
-            out: opts.get("out").cloned().unwrap_or_default(),
-        }),
-        "help" | "--help" | "-h" => Ok(Command::Help),
-        other => Err(format!("unknown command `{other}`; see `treeaa help`")),
+        "serve" => Command::Serve {
+            tree: o.req("tree")?,
+            inputs: o.req("inputs")?,
+            party_id: o.req("party-id")?,
+            t: o.or("t", 1)?,
+            seed: o.or("seed", 0)?,
+            min_delay: o.or("min-delay", 0.5)?,
+            secret: o.or("secret", 0)?,
+            bind: o.or("bind", "127.0.0.1:0".into())?,
+            peers: o.or("peers", String::new())?,
+            trace_out: o.or("trace-out", String::new())?,
+            wal: o.or("wal", String::new())?,
+            recover: o.flag("recover"),
+            dead_after_ms: o.opt("dead-after-ms")?,
+        },
+        "cluster" => Command::Cluster {
+            tree: o.req("tree")?,
+            inputs: o.req("inputs")?,
+            t: o.or("t", 1)?,
+            seed: o.or("seed", 0)?,
+            min_delay: o.or("min-delay", 0.5)?,
+            secret: o.or("secret", 0)?,
+            runs: o.or("runs", 1)?,
+            gate: o.flag("gate"),
+            supervise: o.flag("supervise"),
+            chaos: o.opt("chaos")?,
+            kill_after_ready: o.or("kill-after-ready", String::new())?,
+            wal_dir: o.or("wal-dir", String::new())?,
+        },
+        "trace" => Command::Trace {
+            scenario: o.req("scenario")?,
+            seed: o.or("seed", 0)?,
+            out: o.or("out", String::new())?,
+        },
+        "help" | "--help" | "-h" => Command::Help,
+        other => return Err(format!("unknown command `{other}`; see `treeaa help`")),
+    };
+    match o.0.keys().next() {
+        Some(key) => Err(format!(
+            "`{cmd}` takes no option --{key}; see `treeaa help`"
+        )),
+        None => Ok(command),
     }
 }
 
@@ -414,7 +396,7 @@ USAGE:
                 [--t <T>] [--seed <S>] [--min-delay <F>] [--secret <K>]
                 [--bind <addr:port>] [--peers <a0,a1,...>]
                 [--trace-out <file>] [--wal <file>] [--recover]
-                [--reconnect-attempts <K>] [--dead-after-ms <MS>]
+                [--dead-after-ms <MS>]
   treeaa cluster --tree <familyK|file> --inputs <l1,l2,...> [--t <T>]
                 [--seed <S>] [--min-delay <F>] [--secret <K>]
                 [--runs <R>] [--gate] [--supervise] [--chaos <S>]
@@ -437,10 +419,11 @@ bound, and over-budget fault sets must yield `Degraded` outcomes with
 checkable evidence certificates. Identical seed and case count give
 bit-identical output. Exits non-zero if any case fails.
 
-`check` exhaustively model-checks one small instance (n <= 5, trees of
+`check` exhaustively model-checks one small instance (n <= 6, trees of
 <= 7 vertices): every Byzantine value-assignment from a finite message
 lattice x every asynchronous delivery schedule up to --depth enumerated
-decisions, with sleep-set and visited-state pruning. Every completed
+decisions, with sleep-set pruning; --symmetry also merges visited
+states equal up to a tree automorphism. Every completed
 execution is checked for validity, convex-hull containment,
 1-agreement (or eps-agreement for real-aa), the termination bound and
 the degradation contract, and a canonical run is cross-checked against
@@ -452,8 +435,8 @@ non-zero on a violation.
 
 `trace` runs a named canonical scenario (path-honest, star-crash,
 caterpillar-equivocate, broom-realaa-equivocate, path-baseline-flaky,
-star-halving-honest, partition-heal, crash-recovery) under the
-deterministic flight recorder and emits
+star-halving-honest, partition-heal, crash-recovery, bundle-k4-honest,
+bundle-k4-crash) under the deterministic flight recorder and emits
 the canonical trace JSON — every round, send, delivery and protocol
 decision. The trace is byte-identical across step modes and runs, so
 `(scenario, seed)` reproduces the file exactly.
@@ -473,8 +456,9 @@ page cache outlives it), not power loss. With --recover it
 first replays that log (shaving any torn tail a crash left behind),
 re-handshakes under the same config fingerprint, and rejoins the
 protocol exactly where it died — recovery is invisible to the
-differential gate. --reconnect-attempts and --dead-after-ms loosen the
-reconnect policy so peers sit out a supervised restart.
+differential gate. --dead-after-ms is how long a peer's link may stay
+down before the peer is declared dead; raising it lets peers sit out a
+supervised restart.
 
 `cluster` is the local launcher and referee: it spawns n `serve`
 processes on 127.0.0.1 ephemeral ports (n = number of input labels),
@@ -657,8 +641,8 @@ struct ChildLaunch<'a> {
     trace_file: Option<&'a std::path::Path>,
     /// `--wal` file and whether to pass `--recover`.
     wal: Option<(&'a std::path::Path, bool)>,
-    /// `--reconnect-attempts` / `--dead-after-ms` overrides.
-    reconnect: Option<(u32, u64)>,
+    /// `--dead-after-ms` override.
+    dead_after_ms: Option<u64>,
 }
 
 /// Spawns one `serve` child with piped stdin/stdout.
@@ -692,9 +676,8 @@ fn spawn_serve_child(
             cmd.arg("--recover");
         }
     }
-    if let Some((attempts, dead_after)) = launch.reconnect {
-        cmd.args(["--reconnect-attempts", &attempts.to_string()])
-            .args(["--dead-after-ms", &dead_after.to_string()]);
+    if let Some(dead_after) = launch.dead_after_ms {
+        cmd.args(["--dead-after-ms", &dead_after.to_string()]);
     }
     let mut child = cmd.spawn().map_err(|e| format!("party {i}: {e}"))?;
     let stdout = child.stdout.take().expect("piped stdout");
@@ -783,19 +766,12 @@ fn run_cluster(
     use std::io::Write;
     use std::sync::mpsc;
 
-    // Chaos needs many dial attempts (relay resets are routine) but a
-    // dead-peer deadline well below the node's wall cap: a peer that
-    // exits just as a reset eats its final Done announcement would
-    // otherwise be waited on until the wall timeout. Plain supervision
-    // needs the opposite — few retries, but a deadline long enough to
-    // sit out a capped-backoff restart plus a WAL replay.
-    let reconnect = managed.map(|m| {
-        if m.chaos.is_some() {
-            (200u32, 15_000u64)
-        } else {
-            (60u32, 20_000u64)
-        }
-    });
+    // Chaos needs a dead-peer deadline well below the node's wall cap:
+    // a peer that exits just as a reset eats its final Done announcement
+    // would otherwise be waited on until the wall timeout. Plain
+    // supervision needs one long enough to sit out a capped-backoff
+    // restart plus a WAL replay.
+    let dead_after_ms = managed.map(|m| if m.chaos.is_some() { 15_000 } else { 20_000 });
     let max_restarts = if managed.is_some_and(|m| m.supervise) {
         MAX_RESTARTS
     } else {
@@ -811,7 +787,7 @@ fn run_cluster(
         let launch = ChildLaunch {
             trace_file: trace_files.map(|files| files[i].as_path()),
             wal: wal.as_deref().map(|w| (w, false)),
-            reconnect,
+            dead_after_ms,
             ..ChildLaunch::default()
         };
         let (child, stdout) = spawn_serve_child(spec, i, &launch)?;
@@ -979,7 +955,7 @@ fn run_cluster(
                         peers: Some(&peer_list),
                         trace_file: trace_files.map(|files| files[i].as_path()),
                         wal: wal.as_deref().map(|w| (w, true)),
-                        reconnect,
+                        dead_after_ms,
                     };
                     let (child, stdout) = spawn_serve_child(spec, i, &launch)?;
                     spawn_stdout_reader(i, stdout, tx.clone());
@@ -1316,7 +1292,6 @@ pub fn execute(cmd: Command, out: &mut impl std::io::Write) -> Result<(), String
             trace_out,
             wal,
             recover,
-            reconnect_attempts,
             dead_after_ms,
         } => {
             let case = build_gate_case(&tree, &inputs, t, seed, min_delay)?;
@@ -1343,9 +1318,6 @@ pub fn execute(cmd: Command, out: &mut impl std::io::Write) -> Result<(), String
             };
             let addrs = parse_peer_addrs(&peer_list, n)?;
             let mut cfg = net::node_config(&case, party_id, addrs, secret);
-            if let Some(attempts) = reconnect_attempts {
-                cfg.reconnect.attempts = attempts;
-            }
             if let Some(dead_after) = dead_after_ms {
                 cfg.reconnect.dead_after_ms = dead_after;
             }
@@ -1581,6 +1553,34 @@ mod tests {
     #[test]
     fn unknown_command_is_an_error() {
         assert!(parse_args(&argv("frobnicate")).is_err());
+    }
+
+    #[test]
+    fn an_option_the_subcommand_does_not_read_is_an_error() {
+        for (line, cmd, key) in [
+            (
+                "check --n 4 --tree path4 --depth 2 --dpeth 9",
+                "check",
+                "dpeth",
+            ),
+            ("gen --family path --size 2 --supervise", "gen", "supervise"),
+            (
+                "serve --tree path9 --inputs a,b,c,d --party-id 1 --reconnect-attempts 3",
+                "serve",
+                "reconnect-attempts",
+            ),
+        ] {
+            let err = parse_args(&argv(line)).unwrap_err();
+            assert!(err.contains(&format!("`{cmd}`")), "{err}");
+            assert!(err.contains(&format!("--{key}")), "{err}");
+        }
+    }
+
+    #[test]
+    fn usage_names_every_trace_scenario() {
+        for name in aa_fuzz::SCENARIO_NAMES {
+            assert!(USAGE.contains(name), "USAGE omits scenario {name}");
+        }
     }
 
     #[test]
@@ -1990,7 +1990,6 @@ mod tests {
                 trace_out: String::new(),
                 wal: String::new(),
                 recover: false,
-                reconnect_attempts: None,
                 dead_after_ms: None,
             }
         );
@@ -2002,13 +2001,12 @@ mod tests {
     fn parses_serve_durability_flags() {
         let cmd = parse_args(&argv(
             "serve --tree path9 --inputs a,b,c,d --party-id 1 --wal /tmp/n1.wal --recover \
-             --reconnect-attempts 60 --dead-after-ms 20000",
+             --dead-after-ms 20000",
         ))
         .unwrap();
         let Command::Serve {
             wal,
             recover,
-            reconnect_attempts,
             dead_after_ms,
             ..
         } = cmd
@@ -2017,7 +2015,6 @@ mod tests {
         };
         assert_eq!(wal, "/tmp/n1.wal");
         assert!(recover);
-        assert_eq!(reconnect_attempts, Some(60));
         assert_eq!(dead_after_ms, Some(20_000));
     }
 
@@ -2190,7 +2187,6 @@ mod tests {
                 trace_out: String::new(),
                 wal: String::new(),
                 recover: false,
-                reconnect_attempts: None,
                 dead_after_ms: None,
             },
             &mut Vec::new(),

@@ -254,7 +254,6 @@ struct PeerSt {
     done: bool,
     dead: bool,
     connected: bool,
-    reconnecting: bool,
     /// Counts connections to this peer. Reader and writer report a
     /// link's death with the epoch they were started under, so a stale
     /// connection dying late cannot take down its successor.
@@ -328,10 +327,6 @@ impl LinkTable {
     fn others(&self) -> impl Iterator<Item = usize> {
         let me = self.id.me;
         (0..self.id.n).filter(move |&j| j != me)
-    }
-
-    pub(crate) fn connected(&self, peer: usize) -> bool {
-        self.peers[peer].connected
     }
 
     /// How many links are up.
@@ -647,43 +642,42 @@ impl LinkTable {
         }
     }
 
-    /// Liveness bookkeeping for links that are down: declares dead the
-    /// peers `expired` says have been down for the dead-after period,
-    /// and returns the peers we dial whose reconnect should start now.
-    pub(crate) fn liveness(
-        &mut self,
-        all_finished: bool,
-        expired: impl Fn(usize) -> bool,
-    ) -> Vec<usize> {
-        let (me, mut redial) = (self.id.me, Vec::new());
+    /// Whether the link to `peer` is wanted and down: it is not up, the
+    /// peer is not dead, and it has not exited after the run. The
+    /// dialing thread of a lower peer redials while this holds.
+    pub(crate) fn wants_dial(&self, peer: usize) -> bool {
+        let all_finished = self
+            .others()
+            .all(|j| self.peers[j].done || self.peers[j].dead);
+        self.awaited(peer, all_finished)
+    }
+
+    /// [`LinkTable::wants_dial`] given whether every peer is finished.
+    /// A finished peer that hung up after sending its Done, once every
+    /// peer is finished, has exited: a redial would only be refused,
+    /// and nothing is owed either way.
+    fn awaited(&self, peer: usize, all_finished: bool) -> bool {
+        let p = &self.peers[peer];
+        let exited = p.done && self.done_sent && all_finished;
+        !(p.connected || p.dead || exited)
+    }
+
+    /// The one dead-peer rule, the same on both ends of a link: a peer
+    /// whose awaited link `expired` says has been down for the
+    /// dead-after period is declared dead.
+    pub(crate) fn liveness(&mut self, all_finished: bool, expired: impl Fn(usize) -> bool) {
         for j in self.others() {
-            let p = &mut self.peers[j];
-            // Endgame: every peer is finished and this one hung up
-            // after sending its Done — it has exited. Redialing would
-            // only be refused, and nothing is owed either way.
-            let exited = p.done && self.done_sent && all_finished;
-            if p.connected || p.dead || exited {
-                continue;
-            }
-            if expired(j) {
-                p.reconnecting = false;
-                self.declare_dead(j);
-            } else if j < me && !p.reconnecting {
-                p.reconnecting = true;
-                redial.push(j);
+            if self.awaited(j, all_finished) && expired(j) {
+                self.peers[j].dead = true;
+                self.stats.dead_peers += 1;
+                let party = self.id.me;
+                self.notes.push(EventKind::NetDeadPeer { party, peer: j });
             }
         }
-        redial
     }
 
-    fn declare_dead(&mut self, peer: usize) {
-        self.peers[peer].dead = true;
-        self.stats.dead_peers += 1;
-        let party = self.id.me;
-        self.notes.push(EventKind::NetDeadPeer { party, peer });
-    }
-
-    /// A reconnect attempt to `peer` is about to dial.
+    /// A redial of `peer` after its link went down is about to dial:
+    /// attempt `attempt` of the current outage.
     pub(crate) fn reconnect_attempt(&mut self, peer: usize, attempt: usize) {
         let party = self.id.me;
         self.notes.push(EventKind::NetReconnect {
@@ -691,28 +685,6 @@ impl LinkTable {
             peer,
             attempt,
         });
-    }
-
-    /// The reconnect to `peer` re-established the link.
-    pub(crate) fn reconnected(&mut self, peer: usize) {
-        self.stats.reconnects += 1;
-        self.peers[peer].reconnecting = false;
-    }
-
-    /// The reconnect policy ran out of attempts: the peer is declared
-    /// dead unless something else brought the link back meanwhile.
-    pub(crate) fn reconnect_exhausted(&mut self, peer: usize, attempts: usize) {
-        let party = self.id.me;
-        self.notes.push(EventKind::NetBackoffExhausted {
-            party,
-            peer,
-            attempts,
-        });
-        let p = &mut self.peers[peer];
-        p.reconnecting = false;
-        if !p.dead && !p.connected {
-            self.declare_dead(peer);
-        }
     }
 
     /// A party index read from WAL record `k`, checked before it is
@@ -1912,7 +1884,7 @@ mod tests {
         assert!(!ctl.finished, "the peers have not finished");
 
         // After the output, every peer is declared dead.
-        assert!(table.liveness(false, |_| true).is_empty());
+        table.liveness(false, |_| true);
         let drained = table.drain();
         let snap = drained.snap;
         assert!(snap.bound.is_infinite() && snap.all_finished && !snap.isolated);

@@ -21,9 +21,9 @@
 //!   and the virtual-time driver with its one activation path, shared
 //!   by the live run and WAL replay;
 //! * [`node`] — the per-party TCP node, a thin shell around the core:
-//!   connect/accept with peer handshakes, per-peer reader/writer
-//!   threads, capped-backoff reconnects, the WAL file, wall-clock
-//!   pacing;
+//!   one thread per link that dials or accepts, handshakes and reads
+//!   (redialing a lower peer after a capped backoff), a writer per
+//!   connection, the WAL file, wall-clock pacing;
 //! * [`cluster`] — an in-process loopback cluster (n nodes, n threads,
 //!   real sockets) used by the tests and the differential gate;
 //! * [`chaos`] — a seeded fault-injecting TCP relay (resets, stalls,

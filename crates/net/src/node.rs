@@ -30,10 +30,15 @@
 //!
 //! Termination: a node that produced its output broadcasts a Done frame
 //! and keeps cooperating (acks, echo relays) until every peer is done or
-//! dead, then tears the links down. Connection loss triggers capped-
-//! backoff reconnects by the dialing side (`i` dials every `j < i`);
-//! a peer unreachable past the policy's deadline is declared dead and
-//! excluded from the bound, leaving protocol-level degradation to the
+//! dead, then tears the links down.
+//!
+//! Each link has one thread for its lifetime: `i` dials every `j < i`
+//! from a thread per lower peer that dials, handshakes, reads the
+//! connection until it dies and redials after a capped backoff; a
+//! higher peer's connection is handshaken and read by the thread that
+//! accepted it. A peer whose link has been down for the policy's
+//! dead-after period — on either end — is declared dead and excluded
+//! from the bound, leaving protocol-level degradation to the
 //! silence-evidence machinery above the transport. The shell's threads
 //! block on sockets, queues and the node's condvar, never on a sleep.
 //!
@@ -104,21 +109,18 @@ const KEEPALIVE_MS: u64 = 100;
 /// Reconnection behaviour after a link drops.
 #[derive(Clone, Copy, Debug)]
 pub struct ReconnectPolicy {
-    /// Dial attempts before giving up on a peer.
-    pub attempts: u32,
     /// Delay before the first retry; doubles per attempt.
     pub base_delay_ms: u64,
     /// Cap on the per-attempt delay.
     pub max_delay_ms: u64,
-    /// A peer disconnected for this long is declared dead even on the
-    /// accepting side (which cannot dial).
+    /// A peer whose link has been down this long is declared dead, on
+    /// the dialing and the accepting end alike.
     pub dead_after_ms: u64,
 }
 
 impl Default for ReconnectPolicy {
     fn default() -> Self {
         ReconnectPolicy {
-            attempts: 4,
             base_delay_ms: 25,
             max_delay_ms: 400,
             dead_after_ms: 1500,
@@ -135,13 +137,12 @@ impl ReconnectPolicy {
         Duration::from_millis(ms)
     }
 
-    /// A policy patient enough to sit through a supervised restart:
-    /// many attempts, and a dead-peer deadline comfortably above the
-    /// supervisor's worst-case backoff-and-replay window.
+    /// A policy patient enough to sit through a supervised restart: a
+    /// dead-peer deadline comfortably above the supervisor's worst-case
+    /// backoff-and-replay window.
     #[must_use]
     pub fn patient() -> Self {
         ReconnectPolicy {
-            attempts: 40,
             base_delay_ms: 25,
             max_delay_ms: 400,
             dead_after_ms: 15_000,
@@ -429,8 +430,9 @@ struct Shared {
     /// Writer threads: joined *before* the sockets are torn down so
     /// queued frames (the final Done) still reach the wire.
     writer_handles: Mutex<Vec<JoinHandle<()>>>,
-    /// Reader, handshake and reconnect threads: unblocked by the socket
-    /// shutdown and the shutdown flag, joined last.
+    /// Link threads (each dials or accepts, then reads its connection):
+    /// unblocked by the socket shutdown, the shutdown flag and the
+    /// condvar, joined last.
     aux_handles: Mutex<Vec<JoinHandle<()>>>,
     id: LinkId,
 }
@@ -563,18 +565,19 @@ fn read_hello(
 
 /// Wires a freshly handshaken stream into the node: the table marks the
 /// link up and queues the gap-resend, the slot takes the new sender and
-/// stream (closing a connection it replaces), and the writer and reader
-/// threads start.
+/// a clone of the stream (closing a connection it replaces), and the
+/// writer thread starts. Returns the link's epoch; the calling thread
+/// goes on to read the stream.
 fn register_connection(
     shared: &Arc<Shared>,
     peer: usize,
-    stream: TcpStream,
+    stream: &TcpStream,
     peer_hello: &HelloBody,
-) -> Result<(), NetError> {
+) -> Result<u64, NetError> {
     stream.set_nodelay(true).ok();
     stream.set_read_timeout(None)?;
     stream.set_write_timeout(Some(Duration::from_secs(2)))?;
-    let reader_stream = stream.try_clone()?;
+    let slot_stream = stream.try_clone()?;
     let writer_stream = stream.try_clone()?;
     let (tx, rx) = mpsc::channel::<Vec<u8>>();
     let epoch = {
@@ -589,7 +592,7 @@ fn register_connection(
         inner.links[peer].close();
         inner.links[peer] = LinkSlot {
             tx: Some(tx),
-            stream: Some(stream),
+            stream: Some(slot_stream),
             down_since: None,
         };
         // Still inside the critical section: the gap-resend is in the
@@ -599,12 +602,9 @@ fn register_connection(
     };
     let sh = Arc::clone(shared);
     let writer = thread::spawn(move || writer_loop(&sh, peer, epoch, writer_stream, &rx));
-    let sh = Arc::clone(shared);
-    let reader = thread::spawn(move || reader_loop(&sh, peer, epoch, reader_stream));
     park(&shared.writer_handles, writer);
-    park(&shared.aux_handles, reader);
     shared.cv.notify_all();
-    Ok(())
+    Ok(epoch)
 }
 
 /// A reader or writer of connection `epoch` saw it die.
@@ -694,31 +694,68 @@ fn handle_frame(shared: &Shared, peer: usize, payload: &[u8]) -> bool {
 }
 
 /// Dials `peer`, performs the mutual Hello exchange, and registers the
-/// connection.
+/// connection; returns it with its epoch.
 ///
-/// `patience` is how long to wait for the peer's Hello response: the
-/// initial bring-up passes `min(handshake budget, 2 s)` per attempt,
-/// reconnects mid-run 2 s. Giving up on a half-open handshake is safe
-/// since wire v2 — if the peer registered the connection anyway and
-/// sent its first protocol frames into the dead socket, the redial
-/// re-negotiates with the have-set and those frames are gap-resent
-/// with their original schedule.
+/// The peer's Hello response is awaited for `min(handshake budget,
+/// 2 s)`. Giving up on a half-open handshake is safe since wire v2 — if
+/// the peer registered the connection anyway and sent its first
+/// protocol frames into the dead socket, the redial re-negotiates with
+/// the have-set and those frames are gap-resent with their original
+/// schedule.
 fn dial_handshake(
     shared: &Arc<Shared>,
     cfg: &NodeConfig,
     peer: usize,
-    patience: Duration,
-) -> Result<(), NetError> {
+) -> Result<(TcpStream, u64), NetError> {
     let mut stream = TcpStream::connect_timeout(&cfg.peers[peer], Duration::from_millis(500))?;
     write_hello(shared, peer, &mut stream)?;
+    let patience = cfg.handshake_timeout.min(Duration::from_secs(2));
     stream.set_read_timeout(Some(patience))?;
     let (_, peer_hello) = read_hello(shared, &mut stream, Some(peer))?;
-    register_connection(shared, peer, stream, &peer_hello)
+    let epoch = register_connection(shared, peer, &stream, &peer_hello)?;
+    Ok((stream, epoch))
 }
 
-/// One accepted connection: identify the dialer by its Hello, answer
-/// with ours, register.
-fn accept_handshake(shared: &Arc<Shared>, mut stream: TcpStream) -> Result<(), NetError> {
+/// The link to lower peer `peer`, on one thread for the whole run: dial,
+/// handshake, read the connection until it dies, then wait out a capped
+/// backoff on the condvar (teardown's notify ends it) and redial. Stops
+/// at teardown or once the table no longer wants the link. Redials after
+/// an outage are traced by attempt; the dead-peer deadline, not this
+/// thread, decides when they stop.
+fn dial_link(shared: &Arc<Shared>, cfg: &NodeConfig, peer: usize) {
+    // `attempt` counts failed dials since the link was last up; the
+    // dials before it first came up are not redials.
+    let (mut attempt, mut redial) = (0u32, false);
+    loop {
+        {
+            let mut inner = shared.lock();
+            if shared.shutdown.load(Ordering::SeqCst) || !inner.table.wants_dial(peer) {
+                return;
+            }
+            if redial {
+                inner.table.reconnect_attempt(peer, attempt as usize);
+            }
+        }
+        if let Ok((stream, epoch)) = dial_handshake(shared, cfg, peer) {
+            if redial {
+                shared.lock().table.stats.reconnects += 1;
+            }
+            (attempt, redial) = (0, true);
+            reader_loop(shared, peer, epoch, stream);
+        } else {
+            attempt += 1;
+        }
+        let backoff = cfg.reconnect.backoff(attempt);
+        let running = |_: &mut Inner| !shared.shutdown.load(Ordering::SeqCst);
+        let _ = shared
+            .cv
+            .wait_timeout_while(shared.lock(), backoff, running);
+    }
+}
+
+/// One accepted connection for its lifetime: identify the dialer by its
+/// Hello, answer with ours, register, then read it until it dies.
+fn accept_link(shared: &Arc<Shared>, mut stream: TcpStream) -> Result<(), NetError> {
     stream.set_read_timeout(Some(Duration::from_secs(2)))?;
     let (peer, peer_hello) = read_hello(shared, &mut stream, None)?;
     if peer < shared.id.me {
@@ -728,36 +765,9 @@ fn accept_handshake(shared: &Arc<Shared>, mut stream: TcpStream) -> Result<(), N
         )));
     }
     write_hello(shared, peer, &mut stream)?;
-    register_connection(shared, peer, stream, &peer_hello)
-}
-
-/// Background reconnect attempts for a dialed peer; declares it dead
-/// when the policy is exhausted.
-fn reconnect_loop(shared: &Arc<Shared>, cfg: &NodeConfig, peer: usize) {
-    let cv = &shared.cv;
-    let running = |_: &mut Inner| !shared.shutdown.load(Ordering::SeqCst);
-    for attempt in 0..cfg.reconnect.attempts {
-        // On the condvar, not a sleep: teardown's notify ends the backoff.
-        let _ = cv.wait_timeout_while(shared.lock(), cfg.reconnect.backoff(attempt), running);
-        if shared.shutdown.load(Ordering::SeqCst) {
-            return;
-        }
-        shared
-            .lock()
-            .table
-            .reconnect_attempt(peer, attempt as usize);
-        shared.cv.notify_all();
-        if dial_handshake(shared, cfg, peer, Duration::from_secs(2)).is_ok() {
-            shared.lock().table.reconnected(peer);
-            shared.cv.notify_all();
-            return;
-        }
-    }
-    shared
-        .lock()
-        .table
-        .reconnect_exhausted(peer, cfg.reconnect.attempts as usize);
-    shared.cv.notify_all();
+    let epoch = register_connection(shared, peer, &stream, &peer_hello)?;
+    reader_loop(shared, peer, epoch, stream);
+    Ok(())
 }
 
 /// Runs the protocol over real sockets until global termination.
@@ -860,9 +870,10 @@ fn open_wal(
     Ok((Some(writer), Some(scan.records)))
 }
 
-/// Lifetime acceptor: serves both the initial handshakes from higher
-/// peers and any re-dials after a drop. It blocks in `accept()` until
-/// [`teardown`] dials it; an unspecified IP is dialed on loopback.
+/// Lifetime acceptor: hands every connection from a higher peer — the
+/// initial one and any re-dial after a drop — to a link thread of its
+/// own. It blocks in `accept()` until [`teardown`] dials it; an
+/// unspecified IP is dialed on loopback.
 fn spawn_acceptor(shared: &Arc<Shared>, listener: TcpListener) -> Result<(), NetError> {
     let mut wake = listener.local_addr()?;
     match &mut wake {
@@ -882,7 +893,7 @@ fn spawn_acceptor(shared: &Arc<Shared>, listener: TcpListener) -> Result<(), Net
             // written into it are lost.
             let shared = Arc::clone(&sh);
             let handle = thread::spawn(move || {
-                let _ = accept_handshake(&shared, stream);
+                let _ = accept_link(&shared, stream);
             });
             park(&sh.aux_handles, handle);
         }
@@ -919,42 +930,27 @@ fn teardown(shared: &Shared) {
     }
 }
 
-/// Initial link bring-up: dial lower peers (retrying while the cluster
-/// boots), wait for higher peers to dial us. Two robustness rules keep
-/// a lossy (chaos) network from burning the budget: per-attempt
-/// patience is bounded well below the whole budget, and a link that
-/// came up but dropped again while we wait for the rest is redialed —
-/// the main loop's reconnect machinery is not running yet, so the
-/// bring-up must do its own healing.
-fn bring_up(cfg: &NodeConfig, shared: &Arc<Shared>, start: Instant) -> Result<(), NetError> {
-    let attempt_patience = cfg.handshake_timeout.min(Duration::from_secs(2));
-    loop {
-        for peer in 0..cfg.me {
-            if !shared.lock().table.connected(peer) {
-                // A failed dial is retried on the next pass.
-                let _ = dial_handshake(shared, cfg, peer, attempt_patience);
-            }
-        }
-        let inner = shared.lock();
-        let up = inner.table.links_up();
-        if up == cfg.n - 1 {
-            return Ok(());
-        }
-        if start.elapsed() >= cfg.handshake_timeout {
-            return Err(NetError::Handshake(format!(
-                "only {up}/{} links up",
-                cfg.n - 1
-            )));
-        }
-        let _ = shared
-            .cv
-            .wait_timeout(inner, Duration::from_millis(20))
-            .expect("net lock");
+/// Initial link bring-up: the link threads dial the lower peers and
+/// accept the higher ones, redialing a link that drops meanwhile; this
+/// waits on the condvar until every link is up or the budget is spent.
+fn bring_up(cfg: &NodeConfig, shared: &Shared, start: Instant) -> Result<(), NetError> {
+    let budget = cfg.handshake_timeout.saturating_sub(start.elapsed());
+    let (inner, _) = shared
+        .cv
+        .wait_timeout_while(shared.lock(), budget, |i| i.table.links_up() < cfg.n - 1)
+        .expect("net lock");
+    let up = inner.table.links_up();
+    if up < cfg.n - 1 {
+        return Err(NetError::Handshake(format!(
+            "only {up}/{} links up",
+            cfg.n - 1
+        )));
     }
+    Ok(())
 }
 
 /// The virtual-time main loop (see the module docs for the invariants):
-/// replay, the acceptor, bring-up, then drain → activate the safe prefix
+/// replay, the acceptor and the dialing threads, bring-up, then drain → activate the safe prefix
 /// → control plane → liveness, until the table says the run is over.
 fn drive_node<P, R>(
     cfg: &NodeConfig,
@@ -991,12 +987,19 @@ where
     };
 
     // Ordering 5: replay rebuilds what a Hello reads before the acceptor
-    // exists (dialers wait in the kernel backlog).
+    // and the dialing threads exist (dialers wait in the kernel backlog).
     let recovered = replay.is_some();
     if let Some(records) = replay {
         driver.replay(records, &mut shared.lock().table, probe)?;
     }
     spawn_acceptor(shared, listener)?;
+    for peer in 0..cfg.me {
+        let (sh, th_cfg) = (Arc::clone(shared), cfg.clone());
+        park(
+            &shared.aux_handles,
+            thread::spawn(move || dial_link(&sh, &th_cfg, peer)),
+        );
+    }
     bring_up(cfg, shared, start)?;
     on_ready();
     if !recovered {
@@ -1046,18 +1049,14 @@ where
             }
             activity |= ctl.announced;
 
-            // Promote silent links to dead, kick reconnects for peers we dial.
+            // Promote links down for the dead-after period to dead.
             let links = &inner.links;
             let expired = |j: usize| {
-                let down_for = links[j].down_since.map_or(Duration::ZERO, |t| t.elapsed());
-                down_for >= dead_after
+                links[j]
+                    .down_since
+                    .is_some_and(|t| t.elapsed() >= dead_after)
             };
-            for j in inner.table.liveness(snap.all_finished, expired) {
-                let sh = Arc::clone(shared);
-                let th_cfg = cfg.clone();
-                let handle = thread::spawn(move || reconnect_loop(&sh, &th_cfg, j));
-                park(&shared.aux_handles, handle);
-            }
+            inner.table.liveness(snap.all_finished, expired);
         }
         if !activity {
             // A critical section of its own, not the guard above carried
@@ -1086,7 +1085,6 @@ mod tests {
     #[test]
     fn backoff_doubles_from_base_and_respects_the_cap() {
         let p = ReconnectPolicy {
-            attempts: 10,
             base_delay_ms: 25,
             max_delay_ms: 400,
             dead_after_ms: 1500,
@@ -1218,12 +1216,11 @@ mod tests {
     }
 
     #[test]
-    fn a_scripted_disconnect_traces_reconnects_then_exhaustion_then_death() {
+    fn a_scripted_disconnect_traces_redials_until_the_deadline_declares_death() {
         let policy = ReconnectPolicy {
-            attempts: 3,
             base_delay_ms: 5,
             max_delay_ms: 20,
-            dead_after_ms: 60_000,
+            dead_after_ms: 500,
         };
         let (trace, stats) = scripted_disconnect_trace(policy, 1);
         let fault_events: Vec<&EventKind> = trace
@@ -1233,16 +1230,17 @@ mod tests {
             .filter(|k| {
                 matches!(
                     k,
-                    EventKind::NetReconnect { .. }
-                        | EventKind::NetBackoffExhausted { .. }
-                        | EventKind::NetDeadPeer { .. }
+                    EventKind::NetReconnect { .. } | EventKind::NetDeadPeer { .. }
                 )
             })
             .collect();
-        // Exactly: one reconnect attempt per policy slot, then the
-        // exhaustion marker, then the dead-peer declaration.
-        assert_eq!(fault_events.len(), 5, "events: {fault_events:?}");
-        for (i, ev) in fault_events.iter().take(3).enumerate() {
+        // Exactly: redials numbered 0, 1, … for as long as the link is
+        // down, then the dead-peer declaration, after which the dialing
+        // thread stops.
+        let (last, redials) = fault_events.split_last().expect("events");
+        assert_eq!(**last, EventKind::NetDeadPeer { party: 1, peer: 0 });
+        assert!(!redials.is_empty(), "events: {fault_events:?}");
+        for (i, ev) in redials.iter().enumerate() {
             assert_eq!(
                 **ev,
                 EventKind::NetReconnect {
@@ -1252,18 +1250,6 @@ mod tests {
                 }
             );
         }
-        assert_eq!(
-            *fault_events[3],
-            EventKind::NetBackoffExhausted {
-                party: 1,
-                peer: 0,
-                attempts: 3
-            }
-        );
-        assert_eq!(
-            *fault_events[4],
-            EventKind::NetDeadPeer { party: 1, peer: 0 }
-        );
         assert_eq!(stats.dead_peers, 1);
         assert_eq!(stats.reconnects, 0);
 
@@ -1274,18 +1260,17 @@ mod tests {
     }
 
     #[test]
-    fn the_dead_peer_deadline_fires_without_waiting_for_backoff_exhaustion() {
+    fn the_dead_peer_deadline_fires_while_the_dialer_backs_off() {
         let started = Instant::now();
         let (trace, stats) = scripted_disconnect_trace(
             ReconnectPolicy {
-                attempts: 100,
                 base_delay_ms: 30_000,
                 max_delay_ms: 30_000,
                 dead_after_ms: 40,
             },
             1,
         );
-        // Teardown included: the reconnect thread is parked in its first
+        // Teardown included: the dialing thread is parked in its first
         // 30 s backoff when the run ends, and teardown's notify ends it.
         let elapsed = started.elapsed();
         assert!(elapsed < Duration::from_secs(5), "took {elapsed:?}");
@@ -1296,8 +1281,39 @@ mod tests {
         assert!(!trace
             .events
             .iter()
-            .any(|e| matches!(e.kind, EventKind::NetBackoffExhausted { .. })));
+            .any(|e| matches!(e.kind, EventKind::NetReconnect { .. })));
         assert_eq!(stats.dead_peers, 1);
+    }
+
+    #[test]
+    fn a_silent_peer_does_not_hold_up_the_dial_to_another() {
+        let (secret, cfg_fp) = (0x5eed, 0xfeed_f00d);
+        let silent = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let answering = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let my_listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let peers = [&silent, &answering, &my_listener].map(|l| l.local_addr().expect("addr"));
+        let mut cfg = NodeConfig::new(2, 3, 0, peers.to_vec(), secret, cfg_fp, 7);
+        cfg.handshake_timeout = Duration::from_secs(1);
+        // Peer 0 accepts node 2's dial and never answers its Hello.
+        let mute = thread::spawn(move || silent.accept().map(|(stream, _)| stream));
+        let started = Instant::now();
+        let node = thread::spawn(move || run_node(&cfg, my_listener, InstantProto, || {}));
+
+        // Peer 1 gets node 2's Hello without waiting out peer 0's patience.
+        let (mut stream, _) = answering.accept().expect("accept");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(2)))
+            .expect("timeout");
+        let hello = WrapperMsg::decode(&read_one_frame(&mut stream).expect("hello"));
+        let waited = started.elapsed();
+        let hello = hello.expect("decode hello");
+        assert_eq!((hello.kind, hello.from, hello.to), (FrameKind::Hello, 2, 1));
+        assert!(waited < Duration::from_millis(500), "took {waited:?}");
+
+        // Nobody answers, so bring-up runs out of its budget.
+        let result = node.join().expect("node thread");
+        assert!(matches!(result, Err(NetError::Handshake(_))), "{result:?}");
+        drop(mute.join().expect("mute peer"));
     }
 
     /// `treeaa serve --bind 0.0.0.0:0` hands the node such a listener:

@@ -35,7 +35,6 @@ fn case_for(seed: u64) -> GateCase {
 /// eventually-connected plan into a degraded run.
 fn tolerant() -> ReconnectPolicy {
     let mut p = ReconnectPolicy::patient();
-    p.attempts = 200;
     p.dead_after_ms = 60_000;
     p
 }
