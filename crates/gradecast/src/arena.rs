@@ -150,6 +150,9 @@ pub(crate) struct Arena<V> {
     muted: Vec<bool>,
     /// Per lane: the lead received (first lead wins) — the echo lanes.
     leads: GcBatch<V>,
+    /// Per instance: how many leads it absorbed, its echo bundle's
+    /// present lanes.
+    led: Vec<usize>,
     pub(crate) echo: Tally,
     pub(crate) vote: Tally,
 }
@@ -172,6 +175,7 @@ impl<V: GcValue> Arena<V> {
             k: lanes / n,
             muted,
             leads: GcBatch::new(vec![false; lanes], vec![0; lanes]),
+            led: vec![0; lanes / n],
             echo: Tally::new(n, lanes),
             vote: Tally::new(n, lanes),
         }
@@ -182,6 +186,7 @@ impl<V: GcValue> Arena<V> {
     pub(crate) fn reset(&mut self) {
         self.leads.present.fill(false);
         self.leads.keys.fill(0);
+        self.led.fill(0);
         self.echo.reset();
         self.vote.reset();
     }
@@ -208,32 +213,38 @@ impl<V: GcValue> Arena<V> {
             if !self.muted[lane] && !self.leads.present[lane] {
                 self.leads.present[lane] = true;
                 self.leads.keys[lane] = v.bits64();
+                self.led[inst] += 1;
             }
         }
     }
 
-    /// Appends instance `inst`'s echo lanes, the leads absorbed, to `out`.
-    pub(crate) fn push_echoes(&self, inst: usize, out: &mut GcBatch<V>) {
+    /// Appends instance `inst`'s echo lanes, the leads absorbed, to `out`;
+    /// returns how many are present.
+    pub(crate) fn push_echoes(&self, inst: usize, out: &mut GcBatch<V>) -> usize {
         let lanes = self.lanes(inst);
         out.present
             .extend_from_slice(&self.leads.present[lanes.clone()]);
         out.keys.extend_from_slice(&self.leads.keys[lanes]);
+        self.led[inst]
     }
 
     /// Appends instance `inst`'s vote lanes to `out`: a vote for leader
     /// `ℓ` iff `n − t` distinct parties echoed one value for `ℓ` and `ℓ`
     /// is not muted. At most one value can reach `n − t` echoes (two
     /// would need `2(n − t) > n` senders), so the first one found is the
-    /// one.
-    pub(crate) fn push_votes(&self, inst: usize, out: &mut GcBatch<u32>) {
+    /// one. Returns how many votes it appended.
+    pub(crate) fn push_votes(&self, inst: usize, out: &mut GcBatch<u32>) -> usize {
         let need = self.n - self.t;
+        let mut votes = 0;
         for lane in self.lanes(inst) {
             let echoed = || self.echo.entries(lane).find(|&(_, c)| c as usize >= need);
             let vote = (!self.muted[lane]).then(echoed).flatten();
             let vote = vote.map(|(key, _)| V::from_bits64(key).hash32());
+            votes += usize::from(vote.is_some());
             out.present.push(vote.is_some());
             out.keys.push(vote.map_or(0, u64::from));
         }
+        votes
     }
 
     /// Grades every leader of instance `inst` into `out` (cleared first),
@@ -520,8 +531,9 @@ mod tests {
             "{at}: vote overflow"
         );
         let mut votes = GcBatch::with_capacity(model.n);
-        core.push_votes(0, &mut votes);
+        let voted = core.push_votes(0, &mut votes);
         let slots = model.vote_slots();
+        assert_eq!(voted, slots.iter().flatten().count(), "{at}: votes counted");
         let present = slots.iter().map(Option::is_some).collect();
         let keys = slots.iter().map(|v| v.map_or(0, u64::from)).collect();
         assert_eq!(votes, GcBatch::new(present, keys), "{at}: vote lanes");

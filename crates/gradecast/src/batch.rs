@@ -147,15 +147,6 @@ impl<T: GcValue> GcBatch<T> {
     pub(crate) fn with_capacity(lanes: usize) -> Self {
         GcBatch::new(Vec::with_capacity(lanes), Vec::with_capacity(lanes))
     }
-
-    /// Wire bytes of one bitmap per width in `widths`, plus one entry per
-    /// present lane. A `GcValue` is fixed-width on the wire: an entry is
-    /// `size_of::<T>()` bytes (8 for `R64` and `u64`, 4 for a vote hash).
-    pub(crate) fn wire_bytes(&self, widths: &[usize]) -> usize {
-        let bitmaps: usize = widths.iter().map(|&w| bitmap_bytes(w)).sum();
-        let entries = self.present.iter().filter(|&&p| p).count();
-        bitmaps + entries * std::mem::size_of::<T>()
-    }
 }
 
 /// [`GcBundleMsg`] under its one-instance name.
@@ -669,7 +660,7 @@ mod tests {
     }
 
     /// Echo and vote entries are sized as `size_of::<T>()` (see
-    /// `GcBatch::wire_bytes`): that must be what the entry's own wire form
+    /// `GcBundle`'s `wire`): that must be what the entry's own wire form
     /// takes — a `u64` echo's `Payload` size, and the 4 bytes of a vote
     /// hash.
     #[test]

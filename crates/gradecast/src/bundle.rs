@@ -78,13 +78,27 @@ pub struct GcBundle<T> {
     outer: Vec<bool>,
     widths: Vec<usize>,
     lanes: GcBatch<T>,
+    /// Wire bytes after the tag: the outer bitmap, one bitmap per present
+    /// instance and one `size_of::<T>()` entry per present lane. Counted
+    /// where the lanes are built, so a delivery reads it in O(1); a
+    /// function of the fields above, so equality is unchanged by it.
+    wire: usize,
+}
+
+/// Wire bytes of one `T` entry: a `GcValue` is fixed-width on the wire
+/// (8 for `R64` and `u64`, 4 for a vote hash).
+fn entry_bytes<T>() -> usize {
+    std::mem::size_of::<T>()
 }
 
 impl<T: GcValue> GcBundle<T> {
-    /// Instances present per `outer`, of `widths`, their lanes unwritten.
+    /// Instances present per `outer`, of `widths`, their lanes unwritten
+    /// (so far no entry on the wire).
     fn new(outer: Vec<bool>, widths: Vec<usize>) -> Self {
         let lanes = GcBatch::with_capacity(widths.iter().sum());
+        let bitmaps: usize = widths.iter().map(|&w| bitmap_bytes(w)).sum();
         GcBundle {
+            wire: bitmap_bytes(outer.len()) + bitmaps,
             outer,
             widths,
             lanes,
@@ -99,16 +113,30 @@ impl<T: GcValue> GcBundle<T> {
         present: Vec<bool>,
         keys: Vec<u64>,
     ) -> Option<Self> {
-        let lanes = widths.iter().try_fold(0usize, |sum, &w| sum.checked_add(w));
-        let shaped = widths.len() == outer.iter().filter(|&&p| p).count()
-            && lanes == Some(present.len())
-            && keys.len() == present.len()
-            && present.iter().zip(&keys).all(|(&p, &key)| p || key == 0);
-        let lanes = GcBatch::new(present, keys);
-        shaped.then_some(GcBundle {
+        // One pass over the widths for their sum and their bitmaps, one
+        // over the lanes for the key rule and the present count.
+        let (lanes, bitmaps) = widths
+            .iter()
+            .try_fold((0usize, 0usize), |(sum, bitmaps), &w| {
+                Some((sum.checked_add(w)?, bitmaps + bitmap_bytes(w)))
+            })?;
+        if widths.len() != outer.iter().filter(|&&p| p).count()
+            || lanes != present.len()
+            || keys.len() != present.len()
+        {
+            return None;
+        }
+        let entries = present
+            .iter()
+            .zip(&keys)
+            .try_fold(0usize, |n, (&p, &key)| {
+                (p || key == 0).then_some(n + usize::from(p))
+            })?;
+        Some(GcBundle {
+            wire: bitmap_bytes(outer.len()) + bitmaps + entries * entry_bytes::<T>(),
             outer,
             widths,
-            lanes,
+            lanes: GcBatch::new(present, keys),
         })
     }
 
@@ -127,10 +155,13 @@ impl<T: GcValue> GcBundle<T> {
             b.widths.insert(0, n);
             b.lanes.present.splice(0..0, std::iter::repeat_n(false, n));
             b.lanes.keys.splice(0..0, std::iter::repeat_n(0, n));
+            b.wire += bitmap_bytes(n);
         }
         for (l, entry) in entries {
             assert!(l < n, "slot {l} outside the {n} leaders");
-            b.lanes.present[l] = true;
+            if !std::mem::replace(&mut b.lanes.present[l], true) {
+                b.wire += entry_bytes::<T>();
+            }
             b.lanes.keys[l] = entry.bits64();
         }
         b
@@ -148,11 +179,6 @@ impl<T: GcValue> GcBundle<T> {
 
     fn present_instances(&self) -> impl Iterator<Item = usize> + '_ {
         (0..self.outer.len()).filter(|&j| self.outer[j])
-    }
-
-    /// The outer bitmap, then each present instance's bitmap and entries.
-    fn wire_bytes(&self) -> usize {
-        bitmap_bytes(self.outer.len()) + self.lanes.wire_bytes(&self.widths)
     }
 }
 
@@ -181,8 +207,8 @@ impl<V: GcValue + Payload> Payload for GcBundleMsg<V> {
                 let entries = leads.iter().flatten().map(Payload::size_bytes);
                 1 + bitmap_bytes(leads.len()) + entries.sum::<usize>()
             }
-            GcBundleMsg::Echoes(b) => 1 + b.wire_bytes(),
-            GcBundleMsg::Votes(b) => 1 + b.wire_bytes(),
+            GcBundleMsg::Echoes(b) => 1 + b.wire,
+            GcBundleMsg::Votes(b) => 1 + b.wire,
         }
     }
 }
@@ -241,16 +267,17 @@ impl<V: GcValue> BundleGradecast<V> {
         bundle.outer.len() == self.k() && bundle.widths.iter().all(|&w| w == self.arena.n)
     }
 
-    /// The `active` instances, `n` wide, written from the arena by `write`.
+    /// The `active` instances, `n` wide, written from the arena by
+    /// `write`, which returns how many present lanes it wrote.
     fn written<T: GcValue>(
         &self,
         active: &[bool],
-        write: impl Fn(&Arena<V>, usize, &mut GcBatch<T>),
+        write: impl Fn(&Arena<V>, usize, &mut GcBatch<T>) -> usize,
     ) -> Arc<GcBundle<T>> {
         let widths = vec![self.arena.n; active.iter().filter(|&&a| a).count()];
         let mut bundle = GcBundle::new(active.to_vec(), widths);
         for j in (0..active.len()).filter(|&j| active[j]) {
-            write(&self.arena, j, &mut bundle.lanes);
+            bundle.wire += write(&self.arena, j, &mut bundle.lanes) * entry_bytes::<T>();
         }
         Arc::new(bundle)
     }

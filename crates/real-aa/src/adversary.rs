@@ -382,11 +382,13 @@ impl Adversary<BundledAaMsg> for BudgetSplitEquivocator {
     }
 }
 
-/// A chaos adversary for `RealAA`: statically corrupts a set and sprays
-/// random, arbitrarily tagged one-instance bundles — each speaking for a
-/// random subset of leaders — with values drawn from around the honest
-/// input range. Used by the property tests: whatever it does, validity
-/// and ε-agreement must hold.
+/// A chaos adversary for `RealAA`: statically takes a set over
+/// ([`AdversaryCtx::take_over`]: the engine stops running their protocol,
+/// whose traffic this adversary never reads) and sprays random,
+/// arbitrarily tagged one-instance bundles — each speaking for a random
+/// subset of leaders — with values drawn from around the honest input
+/// range. Used by the property tests: whatever it does, validity and
+/// ε-agreement must hold.
 #[derive(Clone, Debug)]
 pub struct RealAaChaos {
     byz: Vec<PartyId>,
@@ -427,7 +429,7 @@ impl Adversary<BundledAaMsg> for RealAaChaos {
     fn round(&mut self, ctx: &mut AdversaryCtx<'_, BundledAaMsg>) {
         if ctx.round() == 1 {
             for &b in &self.byz {
-                ctx.corrupt(b).expect("static set within budget");
+                ctx.take_over(b).expect("static set within budget");
             }
         }
         let n = ctx.n();

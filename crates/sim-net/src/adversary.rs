@@ -36,13 +36,20 @@ impl Error for BudgetExceeded {}
 /// The adversary's per-round view and capabilities.
 ///
 /// Handed to [`Adversary::round`] once per round, *after* every party
-/// (honest and corrupted) has produced its tentative messages for the round
-/// — this is the **rushing** power. Through it the adversary can:
+/// (honest, and corrupted but not taken over) has produced its tentative
+/// messages for the round — this is the **rushing** power. Through it the
+/// adversary can:
 ///
 /// * read all tentative traffic of the round ([`AdversaryCtx::traffic`]);
 /// * adaptively corrupt parties up to the budget `t`
 ///   ([`AdversaryCtx::corrupt`]) — a corrupted party's tentative messages
-///   for this and later rounds are discarded unless explicitly forwarded;
+///   for this and later rounds are discarded unless explicitly forwarded.
+///   The party itself keeps running as the adversary's puppet: the engine
+///   steps it every round, so its tentative traffic can be read, forwarded
+///   or replayed;
+/// * take a party over instead ([`AdversaryCtx::take_over`]): the same
+///   corruption, but the engine stops running the party's protocol from
+///   the next round on — for strategies that only ever speak for it;
 /// * forward a corrupted party's tentative messages selectively
 ///   ([`AdversaryCtx::forward`]), which is how omission faults are modeled;
 /// * inject arbitrary messages from corrupted senders
@@ -53,6 +60,8 @@ pub struct AdversaryCtx<'a, M> {
     pub(crate) t: usize,
     pub(crate) corrupted: &'a mut Vec<bool>,
     pub(crate) corrupted_count: &'a mut usize,
+    /// Per party: taken over, so frozen from the next round on.
+    pub(crate) taken: &'a mut Vec<bool>,
     /// Tentative outboxes of all parties this round, indexed by sender.
     pub(crate) tentative: &'a [Outbox<M>],
     /// Adversary-authored traffic for this round.
@@ -122,10 +131,38 @@ impl<'a, M: Payload> AdversaryCtx<'a, M> {
         Ok(())
     }
 
+    /// Corrupts `p` like [`AdversaryCtx::corrupt`] and takes it over: from
+    /// the next round on the engine no longer runs `p`'s protocol. The
+    /// adversary speaks for `p` only through [`AdversaryCtx::send`].
+    ///
+    /// A taken-over party is frozen, as a party down under a fault plan
+    /// is: it is not stepped and emits no protocol events, its tentative
+    /// outbox is empty (so [`AdversaryCtx::forward`] delivers nothing),
+    /// and nothing is put into its inbox. Messages sent *to* it still
+    /// count in the metrics and appear in the trace. In this round `p`
+    /// has already been stepped, and its tentative traffic is readable as
+    /// usual. In a [`ComposedAdversary`] the freeze holds for every part:
+    /// from the next round on, later parts too see `p`'s outbox empty.
+    ///
+    /// Idempotent, and idempotent with `corrupt`: taking over a corrupted
+    /// party costs no budget, and corrupting a taken-over one changes
+    /// nothing.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`BudgetExceeded`] if `p` is honest and the budget is
+    /// exhausted; `p` then stays honest and running.
+    pub fn take_over(&mut self, p: PartyId) -> Result<(), BudgetExceeded> {
+        self.corrupt(p)?;
+        self.taken[p.index()] = true;
+        Ok(())
+    }
+
     /// All tentative messages of the round as materialised envelopes: what
     /// every party (honest or corrupted) would send this round if left
     /// alone. Honest entries are exactly what will be delivered; corrupted
-    /// entries are delivered only if forwarded.
+    /// entries are delivered only if forwarded. A party taken over in an
+    /// earlier round contributes nothing.
     ///
     /// Broadcasts are expanded (and their payloads cloned) per recipient
     /// here — this is the adversary's convenience view, not the engine's
@@ -136,7 +173,8 @@ impl<'a, M: Payload> AdversaryCtx<'a, M> {
     }
 
     /// The tentative outbox of one party this round, in structured form
-    /// (unicast envelopes plus broadcast payloads).
+    /// (unicast envelopes plus broadcast payloads); empty for a party taken
+    /// over in an earlier round.
     pub fn tentative_outbox(&self, p: PartyId) -> &Outbox<M> {
         &self.tentative[p.index()]
     }
@@ -454,43 +492,47 @@ mod tests {
         );
     }
 
-    fn empty_tentative(n: usize) -> Vec<Outbox<u64>> {
-        (0..n).map(|i| Outbox::new(PartyId(i), n)).collect()
+    /// The engine-side state an [`AdversaryCtx`] borrows, at n = 4, t = 2.
+    struct Fixture {
+        corrupted: Vec<bool>,
+        count: usize,
+        taken: Vec<bool>,
+        tentative: Vec<Outbox<u64>>,
+        injected: Vec<Envelope<u64>>,
+        forwarded: Vec<bool>,
     }
 
-    fn ctx_fixture<'a>(
-        corrupted: &'a mut Vec<bool>,
-        count: &'a mut usize,
-        tentative: &'a [Outbox<u64>],
-        injected: &'a mut Vec<Envelope<u64>>,
-        forwarded: &'a mut Vec<bool>,
-    ) -> AdversaryCtx<'a, u64> {
-        AdversaryCtx {
-            round: 1,
-            n: 4,
-            t: 2,
-            corrupted,
-            corrupted_count: count,
-            tentative,
-            injected,
-            forwarded,
+    impl Fixture {
+        fn new() -> Self {
+            Fixture {
+                corrupted: vec![false; 4],
+                count: 0,
+                taken: vec![false; 4],
+                tentative: (0..4).map(|i| Outbox::new(PartyId(i), 4)).collect(),
+                injected: Vec::new(),
+                forwarded: vec![false; 4],
+            }
+        }
+
+        fn ctx(&mut self) -> AdversaryCtx<'_, u64> {
+            AdversaryCtx {
+                round: 1,
+                n: 4,
+                t: 2,
+                corrupted: &mut self.corrupted,
+                corrupted_count: &mut self.count,
+                taken: &mut self.taken,
+                tentative: &self.tentative,
+                injected: &mut self.injected,
+                forwarded: &mut self.forwarded,
+            }
         }
     }
 
     #[test]
     fn budget_is_enforced() {
-        let mut corrupted = vec![false; 4];
-        let mut count = 0;
-        let tentative = empty_tentative(4);
-        let mut injected = Vec::new();
-        let mut forwarded = vec![false; 4];
-        let mut ctx = ctx_fixture(
-            &mut corrupted,
-            &mut count,
-            &tentative,
-            &mut injected,
-            &mut forwarded,
-        );
+        let mut fixture = Fixture::new();
+        let mut ctx = fixture.ctx();
         assert_eq!(ctx.remaining_budget(), 2);
         ctx.corrupt(PartyId(0)).unwrap();
         ctx.corrupt(PartyId(0)).unwrap(); // idempotent, costs nothing
@@ -505,6 +547,44 @@ mod tests {
             })
         );
         assert_eq!(ctx.corrupted(), vec![PartyId(0), PartyId(1)]);
+    }
+
+    #[test]
+    fn take_over_spends_the_corruption_budget() {
+        let mut fixture = Fixture::new();
+        let mut ctx = fixture.ctx();
+        ctx.take_over(PartyId(0)).unwrap();
+        ctx.take_over(PartyId(0)).unwrap(); // idempotent, costs nothing
+        ctx.corrupt(PartyId(1)).unwrap();
+        assert_eq!(ctx.remaining_budget(), 0);
+        assert_eq!(
+            ctx.take_over(PartyId(2)),
+            Err(BudgetExceeded {
+                round: 1,
+                budget: 2,
+                spend: 2
+            })
+        );
+        assert_eq!(ctx.corrupted(), vec![PartyId(0), PartyId(1)]);
+        // The refused party stays honest and running.
+        assert_eq!(fixture.taken, [true, false, false, false]);
+    }
+
+    #[test]
+    fn take_over_and_corrupt_are_idempotent_with_each_other() {
+        let mut fixture = Fixture::new();
+        let mut ctx = fixture.ctx();
+        // After `corrupt`, taking over costs nothing more…
+        ctx.corrupt(PartyId(0)).unwrap();
+        ctx.take_over(PartyId(0)).unwrap();
+        assert_eq!(ctx.remaining_budget(), 1);
+        // …and `corrupt` after `take_over` changes nothing.
+        ctx.take_over(PartyId(1)).unwrap();
+        ctx.corrupt(PartyId(1)).unwrap();
+        assert_eq!(ctx.remaining_budget(), 0);
+        assert_eq!(fixture.taken, [true, true, false, false]);
+        assert_eq!(fixture.corrupted, [true, true, false, false]);
+        assert_eq!(fixture.count, 2);
     }
 
     #[test]
@@ -619,59 +699,29 @@ mod tests {
     #[test]
     #[should_panic(expected = "authenticated")]
     fn cannot_send_as_honest_party() {
-        let mut corrupted = vec![false; 4];
-        let mut count = 0;
-        let tentative = empty_tentative(4);
-        let mut injected = Vec::new();
-        let mut forwarded = vec![false; 4];
-        let mut ctx = ctx_fixture(
-            &mut corrupted,
-            &mut count,
-            &tentative,
-            &mut injected,
-            &mut forwarded,
-        );
+        let mut fixture = Fixture::new();
+        let mut ctx = fixture.ctx();
         ctx.send(PartyId(3), PartyId(0), 1);
     }
 
     #[test]
     fn equivocation_is_possible_from_corrupted() {
-        let mut corrupted = vec![false; 4];
-        let mut count = 0;
-        let tentative = empty_tentative(4);
-        let mut injected = Vec::new();
-        let mut forwarded = vec![false; 4];
+        let mut fixture = Fixture::new();
         {
-            let mut ctx = ctx_fixture(
-                &mut corrupted,
-                &mut count,
-                &tentative,
-                &mut injected,
-                &mut forwarded,
-            );
+            let mut ctx = fixture.ctx();
             ctx.corrupt(PartyId(0)).unwrap();
             ctx.send(PartyId(0), PartyId(1), 10);
             ctx.send(PartyId(0), PartyId(2), 20); // different value to p2
         }
-        assert_eq!(injected.len(), 2);
-        assert_ne!(injected[0].payload, injected[1].payload);
+        assert_eq!(fixture.injected.len(), 2);
+        assert_ne!(fixture.injected[0].payload, fixture.injected[1].payload);
     }
 
     #[test]
     #[should_panic(expected = "requires a corrupted party")]
     fn forward_requires_corruption() {
-        let mut corrupted = vec![false; 4];
-        let mut count = 0;
-        let tentative = empty_tentative(4);
-        let mut injected = Vec::new();
-        let mut forwarded = vec![false; 4];
-        let mut ctx = ctx_fixture(
-            &mut corrupted,
-            &mut count,
-            &tentative,
-            &mut injected,
-            &mut forwarded,
-        );
+        let mut fixture = Fixture::new();
+        let mut ctx = fixture.ctx();
         ctx.forward(PartyId(1));
     }
 }

@@ -7,14 +7,20 @@
 //! 1. **Step.** Every party's `step` is a pure function of its state and
 //!    inbox, so parties are stepped either sequentially or concurrently
 //!    (see [`StepMode`]) with bit-identical results — outboxes are always
-//!    collected in party-id order.
+//!    collected in party-id order. Honest parties and the adversary's
+//!    puppets ([`AdversaryCtx::corrupt`]) are stepped; frozen parties —
+//!    taken over ([`AdversaryCtx::take_over`]) or down under a
+//!    [`FaultPlan`] — are not, and cost nothing.
 //! 2. **Adversary.** The rushing adversary sees all tentative [`Outbox`]es
 //!    and acts.
 //! 3. **Delivery.** Broadcast payloads are *moved* into one shared
 //!    per-round list (`Arc`) that every inbox references — a broadcast
 //!    costs one allocation and one `size_bytes` call regardless of `n`.
 //!    Unicasts and injections go into per-party direct lists whose
-//!    allocations persist across rounds.
+//!    allocations persist across rounds; one addressed to a taken-over
+//!    party is counted and traced, then dropped. Every delivered message
+//!    costs one `size_bytes` call, so a payload should know its size
+//!    rather than walk itself (gradecast bundles count theirs when built).
 
 use std::error::Error;
 use std::fmt;
@@ -76,12 +82,13 @@ pub enum StepMode {
 /// party scans an inbox of n 8-byte broadcasts) measures 12 µs at n=256,
 /// 189 µs at n=1024, and 2.9 ms at n=4096 — so a degenerate scan-only
 /// protocol only breaks even near n ≈ 2048. But the protocols this
-/// engine exists to run sit 10–100× above that floor: a traced TreeAA
+/// engine exists to run sit well above that floor: an untraced TreeAA
 /// run at n=256, t=85 (the `sim-treeaa-wide` benchmark, 2-core host,
-/// gradecast tallies on the SSE2 sweep) spends ≈ 370 ms stepping its 256
-/// parties over 46 rounds — ≈ 8 ms per round, ≈ 11 ms in a round that
-/// absorbs echo or vote batches and ≈ 1.2 ms in one that absorbs only
-/// leads — still 10–100× the pool's cost, so the crossover stays well
+/// two workers, gradecast tallies on the SSE2 sweep) spends 150–175 ms
+/// of wall time stepping its 171 honest parties over 46 rounds (the 85
+/// that `TreeAaChaos` takes over are frozen) — ≈ 3–7 ms in a round that
+/// absorbs echo or vote bundles and ≈ 0.5 ms in one that absorbs only
+/// leads — still 5–60× the pool's cost, so the crossover stays well
 /// below n = 256. The threshold is set between the
 /// two measured crossovers, biased toward the protocol suite; workloads
 /// at either degenerate end can always pin `Sequential` or
@@ -198,17 +205,18 @@ impl<O: Clone> RunReport<O> {
 }
 
 /// Steps every party once, sequentially, collecting outboxes in id order.
-/// Parties marked `down` (crashed under a fault plan) are frozen: not
-/// stepped, producing an empty outbox and no events. When `tracing`,
-/// per-party protocol events are collected alongside (also in id order);
-/// otherwise the events vector stays empty and unallocated.
+/// Parties marked `frozen` (taken over by the adversary, or down under a
+/// fault plan) are not stepped, producing an empty outbox and no events.
+/// When `tracing`, per-party protocol events are collected alongside
+/// (also in id order); otherwise the events vector stays empty and
+/// unallocated.
 fn step_sequential<P: Protocol>(
     parties: &mut [P],
     inboxes: &[Inbox<P::Msg>],
     round: u32,
     n: usize,
     tracing: bool,
-    down: &[bool],
+    frozen: &[bool],
 ) -> (Vec<Outbox<P::Msg>>, Vec<EventLog>) {
     let mut outboxes = Vec::with_capacity(parties.len());
     let mut events = if tracing {
@@ -217,7 +225,7 @@ fn step_sequential<P: Protocol>(
         Vec::new()
     };
     for (i, party) in parties.iter_mut().enumerate() {
-        let (outbox, log) = step_one(party, i, &inboxes[i], round, n, tracing, down[i]);
+        let (outbox, log) = step_one(party, i, &inboxes[i], round, n, tracing, frozen[i]);
         if tracing {
             events.push(log);
         }
@@ -231,8 +239,8 @@ fn step_sequential<P: Protocol>(
 type StepOutput<M> = (Outbox<M>, EventLog);
 
 /// Steps party `id` once in a fresh context (traced when `tracing`),
-/// unless it is `down`: then it is frozen and produces an empty outbox
-/// and no events. Both stepping paths run every party through this.
+/// unless it is `frozen`: then it produces an empty outbox and no events.
+/// Both stepping paths run every party through this.
 fn step_one<P: Protocol>(
     party: &mut P,
     id: usize,
@@ -240,14 +248,14 @@ fn step_one<P: Protocol>(
     round: u32,
     n: usize,
     tracing: bool,
-    down: bool,
+    frozen: bool,
 ) -> StepOutput<P::Msg> {
     let mut ctx = if tracing {
         RoundCtx::traced(PartyId(id), n)
     } else {
         RoundCtx::new(PartyId(id), n)
     };
-    if !down {
+    if !frozen {
         party.step(round, inbox, &mut ctx);
     }
     let log = ctx.take_log();
@@ -297,7 +305,7 @@ fn step_parallel<P>(
     n: usize,
     threads: usize,
     tracing: bool,
-    down: &[bool],
+    frozen: &[bool],
 ) -> (Vec<Outbox<P::Msg>>, Vec<EventLog>)
 where
     P: Protocol + Send,
@@ -308,7 +316,7 @@ where
     let count = parties.len();
     let threads = threads.clamp(1, count);
     if threads == 1 {
-        return step_sequential(parties, inboxes, round, n, tracing, down);
+        return step_sequential(parties, inboxes, round, n, tracing, frozen);
     }
     let grain = count.div_ceil(threads * GRAIN_SLICES_PER_THREAD).max(1);
     let mut slots: Vec<Option<StepOutput<P::Msg>>> = (0..count).map(|_| None).collect();
@@ -337,7 +345,15 @@ where
                         // past the scope.
                         let (party, slot) =
                             unsafe { (&mut *parties_base.0.add(i), &mut *slots_base.0.add(i)) };
-                        *slot = Some(step_one(party, i, &inboxes[i], round, n, tracing, down[i]));
+                        *slot = Some(step_one(
+                            party,
+                            i,
+                            &inboxes[i],
+                            round,
+                            n,
+                            tracing,
+                            frozen[i],
+                        ));
                     }
                 }
             });
@@ -551,6 +567,10 @@ where
     let mut metrics = Metrics::default();
     // Fault-plan state: which parties are currently down (crashed).
     let mut down = vec![false; n];
+    // Parties the adversary has taken over, and which parties are frozen
+    // this round: down or taken over.
+    let mut taken = vec![false; n];
+    let mut frozen = vec![false; n];
 
     let tracing = trace.is_some();
     for round in 1..=max_rounds {
@@ -571,14 +591,20 @@ where
             }
         }
 
-        // 1. Step every party (corrupted ones too: their tentative traffic
-        //    is shown to the adversary, supporting omission/semi-honest
-        //    strategies), collecting tentative outboxes in id order.
-        //    Parties down under the fault plan are frozen, not stepped.
+        // 1. Step every party that is not frozen, collecting tentative
+        //    outboxes in id order. Corrupted parties are stepped too —
+        //    their tentative traffic is shown to the adversary, supporting
+        //    omission/semi-honest strategies — unless the adversary took
+        //    them over in an earlier round. Frozen parties (taken over, or
+        //    down under the fault plan) are not stepped and produce an
+        //    empty outbox.
+        for (f, (&d, &k)) in frozen.iter_mut().zip(down.iter().zip(&taken)) {
+            *f = d || k;
+        }
         let (tentative, party_events) = if threads > 1 {
-            step_parallel(&mut parties, &inboxes, round, n, threads, tracing, &down)
+            step_parallel(&mut parties, &inboxes, round, n, threads, tracing, &frozen)
         } else {
-            step_sequential(&mut parties, &inboxes, round, n, tracing, &down)
+            step_sequential(&mut parties, &inboxes, round, n, tracing, &frozen)
         };
         if let Some(tr) = trace.as_deref_mut() {
             tr.push(round, EventKind::RoundStart);
@@ -621,6 +647,7 @@ where
                 t,
                 corrupted: &mut corrupted,
                 corrupted_count: &mut corrupted_count,
+                taken: &mut taken,
                 tentative: &tentative,
                 injected: &mut injected,
                 forwarded: &mut forwarded,
@@ -646,7 +673,9 @@ where
         //    sender id, then unicasts by sender id, injections last in
         //    injection order. Broadcast payloads are moved into the shared
         //    list exactly once — no per-recipient clone, and `size_bytes`
-        //    runs once per broadcast.
+        //    runs once per broadcast. A message to a taken-over party is
+        //    counted and traced like any other, but never enters its
+        //    inbox: nothing will read it.
         let mut rm = RoundMetrics::default();
         let mut shared: Vec<Received<P::Msg>> = Vec::with_capacity(prev_broadcasts);
         for inbox in &mut inboxes {
@@ -690,10 +719,12 @@ where
                                 },
                             );
                         }
-                        inbox.direct.push(Received {
-                            from: PartyId(i),
-                            payload: payload.clone(),
-                        });
+                        if !taken[j] {
+                            inbox.direct.push(Received {
+                                from: PartyId(i),
+                                payload: payload.clone(),
+                            });
+                        }
                     }
                     continue;
                 }
@@ -749,10 +780,12 @@ where
                         },
                     );
                 }
-                inboxes[env.to.index()].direct.push(Received {
-                    from: env.from,
-                    payload: env.payload,
-                });
+                if !taken[env.to.index()] {
+                    inboxes[env.to.index()].direct.push(Received {
+                        from: env.from,
+                        payload: env.payload,
+                    });
+                }
             }
         }
         for env in injected {
@@ -772,10 +805,12 @@ where
             if let Some(tr) = trace.as_deref_mut() {
                 tr.push(round, EventKind::Inject { from, to, bytes });
             }
-            inboxes[env.to.index()].direct.push(Received {
-                from: env.from,
-                payload: env.payload,
-            });
+            if !taken[to] {
+                inboxes[to].direct.push(Received {
+                    from: env.from,
+                    payload: env.payload,
+                });
+            }
         }
         prev_broadcasts = shared.len();
         let shared = Arc::new(shared);

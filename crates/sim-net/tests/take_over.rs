@@ -1,0 +1,254 @@
+//! The take-over contract of [`AdversaryCtx::take_over`]:
+//!
+//! * from the round after the take-over the party is frozen — not
+//!   stepped, no protocol events, an empty tentative outbox, so
+//!   `forward` delivers nothing;
+//! * messages to it still count in the metrics and appear in the trace,
+//!   but never enter its inbox;
+//! * a take-over runs identically in both step modes;
+//! * in a `ComposedAdversary`, later parts see the frozen party's empty
+//!   outbox.
+
+use std::cell::RefCell;
+use std::rc::Rc;
+use std::sync::Arc;
+
+use sim_net::{
+    run_simulation_traced, Adversary, AdversaryCtx, ComposedAdversary, EngineConfig, EventKind,
+    Inbox, PartyId, Payload, ProtoEvent, Protocol, RoundCtx, RunReport, ScriptedAdversary,
+    SimConfig, StepMode, Trace,
+};
+
+/// Broadcasts and emits one protocol event every round; done after four
+/// rounds.
+struct Chatter {
+    done: bool,
+}
+
+impl Protocol for Chatter {
+    type Msg = u64;
+    type Output = ();
+
+    fn step(&mut self, round: u32, _inbox: &Inbox<u64>, ctx: &mut RoundCtx<u64>) {
+        ctx.emit_with(|| ProtoEvent::new("chatter.step"));
+        ctx.broadcast(u64::from(round));
+        self.done = round >= 4;
+    }
+
+    fn output(&self) -> Option<()> {
+        self.done.then_some(())
+    }
+}
+
+/// A payload whose live copies are countable: every copy holds the
+/// adversary's `Arc`, so its strong count says how many copies the
+/// engine still keeps anywhere.
+#[derive(Clone, Debug)]
+struct Token(#[allow(dead_code)] Arc<()>);
+
+impl Payload for Token {
+    fn size_bytes(&self) -> usize {
+        8
+    }
+}
+
+fn traced(n: usize, mode: StepMode, adversary: impl Adversary<u64>) -> (RunReport<()>, Trace) {
+    let cfg = EngineConfig {
+        sim: SimConfig {
+            n,
+            t: 1,
+            max_rounds: 6,
+        },
+        step_mode: mode,
+    };
+    run_simulation_traced(cfg, |_, _| Chatter { done: false }, adversary).unwrap()
+}
+
+/// Rounds in which `party` emitted a protocol event.
+fn proto_rounds(trace: &Trace, party: usize) -> Vec<u32> {
+    let mut rounds: Vec<u32> = trace
+        .events
+        .iter()
+        .filter(|e| matches!(e.kind, EventKind::Proto { party: p, .. } if p == party))
+        .map(|e| e.round)
+        .collect();
+    rounds.dedup();
+    rounds
+}
+
+/// Rounds in which `party`'s own broadcast was delivered.
+fn broadcast_rounds(trace: &Trace, party: usize) -> Vec<u32> {
+    trace
+        .events
+        .iter()
+        .filter(|e| matches!(e.kind, EventKind::Broadcast { from, .. } if from == party))
+        .map(|e| e.round)
+        .collect()
+}
+
+#[test]
+fn a_taken_over_party_is_frozen_from_the_next_round() {
+    let mut outbox_seen = Vec::new();
+    let adversary = ScriptedAdversary(|ctx: &mut AdversaryCtx<'_, u64>| {
+        if ctx.round() == 2 {
+            ctx.take_over(PartyId(0)).unwrap();
+        }
+        outbox_seen.push(ctx.tentative_outbox(PartyId(0)).broadcasts().len());
+        if ctx.is_corrupted(PartyId(0)) {
+            ctx.forward(PartyId(0));
+        }
+    });
+    let (report, trace) = traced(4, StepMode::Sequential, adversary);
+    assert_eq!(report.rounds_executed, 4);
+    assert!(report.corrupted[0] && report.outputs[0].is_none());
+    // Stepped in rounds 1 and 2 (the take-over round), never after.
+    assert_eq!(proto_rounds(&trace, 0), [1, 2]);
+    assert_eq!(proto_rounds(&trace, 1), [1, 2, 3, 4]);
+    assert_eq!(outbox_seen, [1, 1, 0, 0]);
+    // Forwarding delivers the take-over round's broadcast, then nothing.
+    assert_eq!(broadcast_rounds(&trace, 0), [1, 2]);
+    let forwards = trace
+        .events
+        .iter()
+        .filter(|e| e.kind == EventKind::Forward { party: 0 })
+        .count();
+    assert_eq!(forwards, 3);
+    aa_trace::check_round_totals(&trace).unwrap();
+}
+
+/// Relays every token sent to it on to parties 0 and 2, as unicasts;
+/// done after four rounds.
+struct Relay {
+    done: bool,
+}
+
+impl Protocol for Relay {
+    type Msg = Token;
+    type Output = ();
+
+    fn step(&mut self, round: u32, inbox: &Inbox<Token>, ctx: &mut RoundCtx<Token>) {
+        for m in inbox.iter() {
+            ctx.send(PartyId(0), m.payload.clone());
+            ctx.send(PartyId(2), m.payload.clone());
+        }
+        self.done = round >= 4;
+    }
+
+    fn output(&self) -> Option<()> {
+        self.done.then_some(())
+    }
+}
+
+#[test]
+fn deliveries_to_a_taken_over_party_are_counted_but_not_queued() {
+    let (to_taken, to_honest) = (Arc::new(()), Arc::new(()));
+    let mut live = Vec::new();
+    let adversary = ScriptedAdversary(|ctx: &mut AdversaryCtx<'_, Token>| {
+        // What round r - 1 delivered is still queued, if anywhere, when
+        // the adversary of round r runs.
+        live.push((Arc::strong_count(&to_taken), Arc::strong_count(&to_honest)));
+        if ctx.round() == 1 {
+            ctx.take_over(PartyId(0)).unwrap();
+            for _ in 0..3 {
+                ctx.send(PartyId(0), PartyId(0), Token(Arc::clone(&to_taken)));
+                ctx.send(PartyId(0), PartyId(1), Token(Arc::clone(&to_honest)));
+            }
+        }
+    });
+    let (report, trace) = run_simulation_traced(
+        EngineConfig::from(SimConfig {
+            n: 4,
+            t: 1,
+            max_rounds: 6,
+        }),
+        |_, _| Relay { done: false },
+        adversary,
+    )
+    .unwrap();
+    // Besides the adversary's own copy: in round 2 the three injected
+    // tokens wait in party 1's inbox and its six relays in its tentative
+    // outbox, while the three injected to the taken-over party 0 are
+    // gone. In round 3 party 1's relays wait in party 2's inbox (none in
+    // party 0's) and party 2's six relays in its outbox; round 4 alike.
+    assert_eq!(live, [(1, 1), (1, 10), (1, 10), (1, 10)]);
+    // Every message to party 0 still counts and is traced: the six
+    // injections of round 1, the six relays of rounds 2 and 3.
+    let counts: Vec<(usize, usize, usize)> = report
+        .metrics
+        .per_round
+        .iter()
+        .map(|r| (r.honest_messages, r.byzantine_messages, r.bytes))
+        .collect();
+    assert_eq!(counts, [(0, 6, 48), (6, 0, 48), (6, 0, 48), (6, 0, 48)]);
+    let to_party_0 = |round: u32| {
+        trace
+            .events
+            .iter()
+            .filter(|e| e.round == round)
+            .filter(|e| match e.kind {
+                EventKind::Inject { to, bytes, .. } | EventKind::Unicast { to, bytes, .. } => {
+                    to == 0 && bytes == 8
+                }
+                _ => false,
+            })
+            .count()
+    };
+    assert_eq!([1, 2, 3, 4].map(to_party_0), [3, 3, 3, 3]);
+    aa_trace::check_round_totals(&trace).unwrap();
+    let totals = aa_trace::recomputed_totals(&trace);
+    assert_eq!(totals.messages(), report.metrics.total_messages());
+    assert_eq!(totals.bytes, report.metrics.total_bytes());
+}
+
+/// Takes party 1 over in round 2 and speaks for it with per-recipient
+/// content from then on.
+fn taking_over(ctx: &mut AdversaryCtx<'_, u64>) {
+    if ctx.round() == 2 {
+        ctx.take_over(PartyId(1)).unwrap();
+    }
+    if ctx.is_corrupted(PartyId(1)) {
+        for to in 0..ctx.n() {
+            ctx.send(
+                PartyId(1),
+                PartyId(to),
+                u64::from(ctx.round()) * 10 + to as u64,
+            );
+        }
+    }
+}
+
+#[test]
+fn a_take_over_runs_identically_in_both_step_modes() {
+    let run = |mode| traced(7, mode, ScriptedAdversary(taking_over));
+    let (report_seq, trace_seq) = run(StepMode::Sequential);
+    let (report_par, trace_par) = run(StepMode::Parallel { threads: 3 });
+    assert_eq!(report_seq, report_par);
+    assert_eq!(
+        trace_seq.to_canonical_string(),
+        trace_par.to_canonical_string()
+    );
+    assert_eq!(proto_rounds(&trace_seq, 1), [1, 2]);
+}
+
+#[test]
+fn a_later_part_of_a_composed_adversary_sees_the_frozen_outbox() {
+    let seen = Rc::new(RefCell::new(Vec::new()));
+    let mut composed: ComposedAdversary<u64> = ComposedAdversary::new(Vec::new());
+    composed.push(ScriptedAdversary(|ctx: &mut AdversaryCtx<'_, u64>| {
+        if ctx.round() == 1 {
+            ctx.take_over(PartyId(2)).unwrap();
+        }
+    }));
+    let log = Rc::clone(&seen);
+    composed.push(ScriptedAdversary(move |ctx: &mut AdversaryCtx<'_, u64>| {
+        let outbox = ctx.tentative_outbox(PartyId(2));
+        log.borrow_mut()
+            .push((ctx.is_corrupted(PartyId(2)), outbox.broadcasts().len()));
+        ctx.forward(PartyId(2));
+    }));
+    let (_, trace) = traced(4, StepMode::Sequential, composed);
+    // Round 1: corrupted, but stepped before the take-over; later rounds:
+    // frozen, for the later part as for the engine.
+    assert_eq!(*seen.borrow(), [(true, 1), (true, 0), (true, 0), (true, 0)]);
+    assert_eq!(broadcast_rounds(&trace, 2), [1]);
+}

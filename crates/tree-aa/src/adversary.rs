@@ -13,9 +13,10 @@ use crate::baseline::PlainVertexMsg;
 use crate::engine::{InnerMsg, TreeMsg};
 
 /// Chaos against `TreeAA`/`PathsFinder`/projection parties: statically
-/// corrupts a set and sprays random phase-tagged engine messages with
-/// values across (and beyond) the index domain. Safety properties must
-/// survive anything it does.
+/// takes a set over ([`AdversaryCtx::take_over`]: the engine stops running
+/// their protocol, whose traffic this adversary never reads) and sprays
+/// random phase-tagged engine messages with values across (and beyond)
+/// the index domain. Safety properties must survive anything it does.
 ///
 /// Each round a corrupted party picks one leader slot and one value and
 /// builds its hostile one-instance lead / single-slot echo / single-slot
@@ -46,7 +47,7 @@ impl Adversary<TreeMsg> for TreeAaChaos {
     fn round(&mut self, ctx: &mut AdversaryCtx<'_, TreeMsg>) {
         if ctx.round() == 1 {
             for &b in &self.byz {
-                ctx.corrupt(b).expect("static set within budget");
+                ctx.take_over(b).expect("static set within budget");
             }
         }
         let n = ctx.n();
@@ -79,8 +80,9 @@ impl Adversary<TreeMsg> for TreeAaChaos {
     }
 }
 
-/// Chaos against the Nowak–Rybicki baseline: equivocates random (possibly
-/// invalid) vertex claims per recipient, per iteration.
+/// Chaos against the Nowak–Rybicki baseline: takes a static set over
+/// ([`AdversaryCtx::take_over`]) and equivocates random (possibly invalid)
+/// vertex claims per recipient, per iteration.
 #[derive(Clone, Debug)]
 pub struct NrChaos {
     byz: Vec<PartyId>,
@@ -105,7 +107,7 @@ impl Adversary<PlainVertexMsg> for NrChaos {
     fn round(&mut self, ctx: &mut AdversaryCtx<'_, PlainVertexMsg>) {
         if ctx.round() == 1 {
             for &b in &self.byz.clone() {
-                ctx.corrupt(b).expect("static set within budget");
+                ctx.take_over(b).expect("static set within budget");
             }
         }
         let n = ctx.n();
