@@ -296,53 +296,6 @@ fn first_zero(xs: &[f64]) -> f64 {
     xs.iter().copied().find(|&x| x == 0.0).unwrap_or(0.0)
 }
 
-/// Scalar reference for [`min_max_usize`].
-pub fn min_max_usize_ref(xs: &[usize]) -> Option<(usize, usize)> {
-    let (&first, rest) = xs.split_first()?;
-    let mut lo = first;
-    let mut hi = first;
-    for &x in rest {
-        if x < lo {
-            lo = x;
-        }
-        if x > hi {
-            hi = x;
-        }
-    }
-    Some((lo, hi))
-}
-
-/// Min and max of a position slice in one chunked pass, or `None` on
-/// empty input. Integer comparisons are exact, so kernel and reference
-/// agree on every input unconditionally.
-pub fn min_max_usize(xs: &[usize]) -> Option<(usize, usize)> {
-    if xs.len() < CHUNK_DISPATCH {
-        return min_max_usize_ref(xs);
-    }
-    let mut lo = [xs[0]; LANES];
-    let mut hi = [xs[0]; LANES];
-    let chunks = xs.chunks_exact(LANES);
-    let tail = chunks.remainder();
-    for chunk in chunks {
-        for j in 0..LANES {
-            let x = chunk[j];
-            lo[j] = lo[j].min(x);
-            hi[j] = hi[j].max(x);
-        }
-    }
-    let mut l = lo[0];
-    let mut h = hi[0];
-    for j in 1..LANES {
-        l = l.min(lo[j]);
-        h = h.max(hi[j]);
-    }
-    for &x in tail {
-        l = l.min(x);
-        h = h.max(x);
-    }
-    Some((l, h))
-}
-
 /// Scalar reference for [`eq_count_u64`].
 pub fn eq_count_u64_ref(vals: &[u64], cands: &[u64], counts: &mut [u32]) -> usize {
     assert_eq!(vals.len(), cands.len());
@@ -464,8 +417,6 @@ mod tests {
         assert_eq!(sum_f64(&[2.5]), 2.5);
         assert_eq!(min_max_f64(&[]), None);
         assert_eq!(min_max_f64(&[7.0]), Some((7.0, 7.0)));
-        assert_eq!(min_max_usize(&[]), None);
-        assert_eq!(min_max_usize(&[3]), Some((3, 3)));
     }
 
     #[test]

@@ -5,8 +5,8 @@
 //! lengths, signed zeros, and adversarially repeated values.
 
 use aa_kernels::{
-    eq_count_u64, eq_count_u64_ref, min_max_f64, min_max_f64_ref, min_max_usize, min_max_usize_ref,
-    sum_f64, sum_f64_ref, tally_eq_u64, tally_eq_u64_ref, CHUNK_DISPATCH, LANES,
+    eq_count_u64, eq_count_u64_ref, min_max_f64, min_max_f64_ref, sum_f64, sum_f64_ref,
+    tally_eq_u64, tally_eq_u64_ref, CHUNK_DISPATCH, LANES,
 };
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
@@ -43,14 +43,6 @@ fn arb_floats() -> impl Strategy<Value = Vec<f64>> {
                 _ => rng.gen_range(-1.0f64..1.0),
             })
             .collect()
-    })
-}
-
-fn arb_usizes() -> impl Strategy<Value = Vec<usize>> {
-    (0usize..EDGE_LENS.len(), any::<u64>()).prop_map(|(li, seed)| {
-        let n = EDGE_LENS[li];
-        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
-        (0..n).map(|_| rng.gen_range(0usize..10_000)).collect()
     })
 }
 
@@ -155,11 +147,6 @@ proptest! {
         let r = min_max_f64_ref(&xs).expect("non-empty");
         prop_assert_eq!(k.0.to_bits(), r.0.to_bits());
         prop_assert_eq!(k.1.to_bits(), r.1.to_bits());
-    }
-
-    #[test]
-    fn min_max_usize_kernel_matches_reference(xs in arb_usizes()) {
-        prop_assert_eq!(min_max_usize(&xs), min_max_usize_ref(&xs));
     }
 
     #[test]

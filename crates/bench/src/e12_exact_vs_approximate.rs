@@ -1,25 +1,26 @@
-//! **E12 — Section 6's motivation: exact vs approximate path agreement.**
-//!
-//! The paper observes that finding a common path exactly "comes down to
-//! solving Byzantine Agreement", costing `t + 1 = O(n)` rounds, and builds
-//! `PathsFinder` to get 1-close paths in `O(log|V|/log log|V|)` rounds
-//! instead. This experiment measures both sides: phase-king BA rounds
-//! (which grow linearly in `t`) against `PathsFinder` rounds (which do not
-//! grow with `n` at all, only — slowly — with `|V|`).
-
 use std::sync::Arc;
 
-use bench::Table;
 use byz_agreement::{PhaseKingConfig, PhaseKingParty};
-use sim_net::{run_simulation, Passive, SimConfig};
 use tree_aa::{EngineKind, PathsFinderConfig, PathsFinderParty};
 use tree_model::generate;
 
-fn main() {
+use crate::{run_honest, Table};
+
+/// **E12 — Section 6's motivation: exact vs approximate path agreement.**
+///
+/// The paper observes that finding a common path exactly "comes down to
+/// solving Byzantine Agreement", costing `t + 1 = O(n)` rounds, and builds
+/// `PathsFinder` to get 1-close paths in `O(log|V|/log log|V|)` rounds
+/// instead. This experiment measures both sides: phase-king BA rounds
+/// (which grow linearly in `t`) against `PathsFinder` rounds (which do not
+/// grow with `n` at all, only — slowly — with `|V|`).
+pub fn e12() -> String {
+    let mut out = String::new();
     let tree = Arc::new(generate::caterpillar(342, 2)); // |V| = 1026
     let list = tree.euler_list();
-    println!(
-        "## E12: exact BA vs PathsFinder on |V| = {} (list length {})\n",
+    outln!(
+        out,
+        "### E12: exact BA vs PathsFinder on |V| = {} (list length {})\n",
         tree.vertex_count(),
         list.len()
     );
@@ -35,17 +36,10 @@ fn main() {
         // BA on Euler indices (exact agreement; unanimity validity only).
         let ba = PhaseKingConfig::new(n, t).expect("valid");
         let inputs: Vec<u64> = (0..n).map(|i| (i * 97 % list.len()) as u64).collect();
-        let report = run_simulation(
-            SimConfig {
-                n,
-                t,
-                max_rounds: ba.rounds() + 5,
-            },
-            |id, _| PhaseKingParty::new(id, ba, inputs[id.index()]),
-            Passive,
-        )
-        .expect("simulation completes");
-        let ba_rounds = report.communication_rounds();
+        let ba_rounds = run_honest(n, t, ba.rounds(), |id, _| {
+            PhaseKingParty::new(id, ba, inputs[id.index()])
+        })
+        .communication_rounds();
 
         // PathsFinder on the same tree.
         let pf = PathsFinderConfig::new(n, t, EngineKind::Gradecast, &tree).expect("valid");
@@ -56,17 +50,10 @@ fn main() {
                     .expect("ok")
             })
             .collect();
-        let report = run_simulation(
-            SimConfig {
-                n,
-                t,
-                max_rounds: pf.rounds() + 5,
-            },
-            |id, _| PathsFinderParty::new(id, pf.clone(), Arc::clone(&tree), vins[id.index()]),
-            Passive,
-        )
-        .expect("simulation completes");
-        let pf_rounds = report.communication_rounds();
+        let pf_rounds = run_honest(n, t, pf.rounds(), |id, _| {
+            PathsFinderParty::new(id, pf.clone(), Arc::clone(&tree), vins[id.index()])
+        })
+        .communication_rounds();
 
         table.row(vec![
             n.to_string(),
@@ -76,12 +63,14 @@ fn main() {
             pf_rounds.to_string(),
         ]);
     }
-    table.print();
-    println!(
+    outln!(out, "{}", table.render());
+    outln!(
+        out,
         "\nReading: exact agreement pays Θ(t) rounds and keeps growing with the \
          system size, while PathsFinder is flat in n — and BA's unanimity \
          validity would not even give convex validity on the tree (see the \
          byz-agreement crate docs). Both observations together are Section 6's \
          rationale for agreeing on paths only approximately."
     );
+    out
 }

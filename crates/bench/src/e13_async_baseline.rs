@@ -1,26 +1,28 @@
-//! **E13 — The asynchronous state of the art, measured.**
-//!
-//! The paper's round-complexity claim is synchronous; the asynchronous
-//! `O(log D)` protocol of Nowak & Rybicki remains the state of the art in
-//! that model (Section 1.2). This experiment runs our implementation of it
-//! (Bracha RBC + witness technique, crate `async-aa`) and reports its
-//! asynchronous time (normalized max-delay units — the async analogue of
-//! rounds) and message complexity across diameters and delay models,
-//! next to the synchronous protocols on the same trees.
-
 use std::sync::Arc;
 
 use async_aa::{AsyncTreeAaConfig, AsyncTreeAaParty};
 use async_net::{run_async, AsyncConfig, DelayModel, SilentAsync};
-use bench::{spaced_inputs, Table};
 use sim_net::{Outcome, PartyId};
 use tree_aa::{check_tree_aa, EngineKind, NowakRybickiConfig, TreeAaConfig};
 use tree_model::generate;
 
-fn main() {
+use crate::{spaced_inputs, Table};
+
+/// **E13 — The asynchronous state of the art, measured.**
+///
+/// The paper's round-complexity claim is synchronous; the asynchronous
+/// `O(log D)` protocol of Nowak & Rybicki remains the state of the art in
+/// that model (Section 1.2). This experiment runs our implementation of it
+/// (Bracha RBC + witness technique, crate `async-aa`) and reports its
+/// asynchronous time (normalized max-delay units — the async analogue of
+/// rounds) and message complexity across diameters and delay models,
+/// next to the synchronous protocols on the same trees.
+pub fn e13() -> String {
+    let mut out = String::new();
     let (n, t) = (7usize, 2usize);
-    println!(
-        "## E13: async tree AA (RBC + witnesses) vs synchronous protocols (n = {n}, t = {t})\n"
+    outln!(
+        out,
+        "### E13: async tree AA (RBC + witnesses) vs synchronous protocols (n = {n}, t = {t})\n"
     );
     let mut table = Table::new(&[
         "|V| (path)",
@@ -83,8 +85,9 @@ fn main() {
             nr.rounds().to_string(),
         ]);
     }
-    table.print();
-    println!(
+    outln!(out, "{}", table.render());
+    outln!(
+        out,
         "\nReading: the async protocol needs a constant number of causal hops per \
          iteration (RBC depth 3 + report), so its normalized time grows with \
          log2(D) exactly like the synchronous baseline's rounds — the O(log D) \
@@ -92,4 +95,5 @@ fn main() {
          asymptotically. Silent-Byzantine runs confirm it only ever waits for \
          n - t parties."
     );
+    out
 }

@@ -1,24 +1,28 @@
-//! **E1 — Theorem 3: round complexity of `RealAA`.**
-//!
-//! Sweeps δ = D/ε and reports, per (n, t): the protocol's fixed round
-//! count `3·R`, the paper's stated bound `⌈7·log₂δ/log₂log₂δ⌉ (+3)`, the
-//! halving baseline's rounds, and the exact Fekete round lower bound —
-//! then validates each configuration by running it against the
-//! budget-split adversary and checking ε-agreement and validity.
-//!
-//! Expected shape: `RealAA` rounds grow like `log δ / log log δ`, visibly
-//! flatter than the baseline's `log δ`, and sit between the lower bound
-//! and the paper bound.
-
-use bench::{firsts, solo, spread, Table};
 use lower_bound::round_lower_bound;
 use real_aa::adversary::{equal_split_schedule, BudgetSplitEquivocator};
 use real_aa::{halving_iterations, rounds_bound, RealAaConfig};
-use sim_net::{run_simulation, PartyId, SimConfig};
+use sim_net::PartyId;
 
-fn main() {
+use crate::{even_inputs, firsts, run_solo, spread, Table};
+
+/// **E1 — Theorem 3: round complexity of `RealAA`.**
+///
+/// Sweeps δ = D/ε and reports, per (n, t): the protocol's fixed round
+/// count `3·R`, the paper's stated bound `⌈7·log₂δ/log₂log₂δ⌉ (+3)`, the
+/// halving baseline's rounds, and the exact Fekete round lower bound —
+/// then validates each configuration by running it against the
+/// budget-split adversary and checking ε-agreement and validity.
+///
+/// Expected shape: `RealAA` rounds grow like `log δ / log log δ`, visibly
+/// flatter than the baseline's `log δ`, and sit between the lower bound
+/// and the paper bound.
+pub fn e1() -> String {
+    let mut out = String::new();
     for (n, t) in [(16usize, 5usize), (31, 10), (61, 20)] {
-        println!("\n## E1: RealAA rounds vs delta (n = {n}, t = {t}, eps = 1)\n");
+        outln!(
+            out,
+            "\n### E1: RealAA rounds vs delta (n = {n}, t = {t}, eps = 1)\n"
+        );
         let mut table = Table::new(&[
             "delta",
             "RealAA rounds (3R)",
@@ -34,18 +38,8 @@ fn main() {
             let byz: Vec<PartyId> = (0..t).map(PartyId).collect();
             let schedule = equal_split_schedule(t, cfg.iterations() as usize);
             let adv = BudgetSplitEquivocator::new(n, byz.clone(), schedule);
-            let inputs: Vec<f64> = (0..n).map(|i| d * i as f64 / (n - 1) as f64).collect();
-            let report = run_simulation(
-                SimConfig {
-                    n,
-                    t,
-                    max_rounds: cfg.rounds() + 5,
-                },
-                |id, _| solo(id, cfg, inputs[id.index()]),
-                adv,
-            )
-            .expect("simulation completes");
-            let outs = firsts(&report);
+            let inputs = even_inputs(n, d);
+            let outs = firsts(&run_solo(cfg, &inputs, adv));
             let s = spread(&outs);
             let lo = inputs[t..].iter().cloned().fold(f64::INFINITY, f64::min);
             let hi = inputs[t..]
@@ -64,6 +58,7 @@ fn main() {
                 (s <= 1.0).to_string(),
             ]);
         }
-        table.print();
+        outln!(out, "{}", table.render());
     }
+    out
 }

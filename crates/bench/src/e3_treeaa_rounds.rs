@@ -1,22 +1,9 @@
-//! **E3 — Theorem 4: `TreeAA` round complexity across tree families.**
-//!
-//! Sweeps |V(T)| for several tree families and reports the measured
-//! communication rounds of `TreeAA` (gradecast engine), `TreeAA` over the
-//! halving engine, and the Nowak–Rybicki `O(log D)` baseline, plus the
-//! paper's asymptotic target `log|V| / log log|V|`.
-//!
-//! Expected shape: on high-diameter families (paths, caterpillars) the
-//! gradecast `TreeAA` needs asymptotically fewer rounds than the
-//! `O(log D)` baseline; on low-diameter families (stars, balanced trees)
-//! the baseline's `log D` is tiny and wins — exactly the regime split
-//! discussed in the paper's conclusions (optimality holds for
-//! `D(T) ∈ |V|^Θ(1)`).
-
 use std::sync::Arc;
 
-use bench::{run_tree_aa_honest, spaced_inputs, vertex_spread, Table};
 use tree_aa::{check_tree_aa, EngineKind, NowakRybickiConfig};
 use tree_model::{generate, Tree};
+
+use crate::{run_tree_aa_honest, spaced_inputs, vertex_spread, Table};
 
 fn families(size: usize) -> Vec<(&'static str, Tree)> {
     vec![
@@ -31,9 +18,23 @@ fn families(size: usize) -> Vec<(&'static str, Tree)> {
     ]
 }
 
-fn main() {
+/// **E3 — Theorem 4: `TreeAA` round complexity across tree families.**
+///
+/// Sweeps |V(T)| for several tree families and reports the measured
+/// communication rounds of `TreeAA` (gradecast engine), `TreeAA` over the
+/// halving engine, and the Nowak–Rybicki `O(log D)` baseline, plus the
+/// paper's asymptotic target `log|V| / log log|V|`.
+///
+/// Expected shape: on high-diameter families (paths, caterpillars) the
+/// gradecast `TreeAA` needs asymptotically fewer rounds than the
+/// `O(log D)` baseline; on low-diameter families (stars, balanced trees)
+/// the baseline's `log D` is tiny and wins — exactly the regime split
+/// discussed in the paper's conclusions (optimality holds for
+/// `D(T) ∈ |V|^Θ(1)`).
+pub fn e3() -> String {
+    let mut out = String::new();
     let (n, t) = (7usize, 2usize);
-    println!("## E3: TreeAA rounds vs |V(T)| (n = {n}, t = {t})\n");
+    outln!(out, "### E3: TreeAA rounds vs |V(T)| (n = {n}, t = {t})\n");
     let mut table = Table::new(&[
         "family",
         "|V|",
@@ -72,9 +73,11 @@ fn main() {
             ]);
         }
     }
-    table.print();
-    println!(
+    outln!(out, "{}", table.render());
+    outln!(
+        out,
         "\nNote: TreeAA rounds are deterministic (fixed-round engines); the spread \
          column confirms 1-agreement on every run."
     );
+    out
 }

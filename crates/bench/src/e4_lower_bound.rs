@@ -1,21 +1,25 @@
-//! **E4 — Theorem 2: lower bound vs achieved rounds (optimality gap).**
-//!
-//! On path input spaces (`D(T) = |V| − 1`, the `D ∈ |V|^Θ(1)` regime) with
-//! `t = Θ(n)`, compares the exact Fekete round lower bound and the
-//! Theorem 2 closed form against the rounds `TreeAA` actually uses. The
-//! ratio achieved/lower-bound should stay bounded by a constant as the
-//! tree grows — that is what "asymptotically optimal" means here.
-
 use std::sync::Arc;
 
-use bench::{run_tree_aa_honest, spaced_inputs, Table};
 use lower_bound::{round_lower_bound, theorem2_formula};
 use tree_aa::{check_tree_aa, EngineKind};
 use tree_model::generate;
 
-fn main() {
+use crate::{run_tree_aa_honest, spaced_inputs, Table};
+
+/// **E4 — Theorem 2: lower bound vs achieved rounds (optimality gap).**
+///
+/// On path input spaces (`D(T) = |V| − 1`, the `D ∈ |V|^Θ(1)` regime) with
+/// `t = Θ(n)`, compares the exact Fekete round lower bound and the
+/// Theorem 2 closed form against the rounds `TreeAA` actually uses. The
+/// ratio achieved/lower-bound should stay bounded by a constant as the
+/// tree grows — that is what "asymptotically optimal" means here.
+pub fn e4() -> String {
+    let mut out = String::new();
     let (n, t) = (16usize, 5usize);
-    println!("## E4: lower bound vs TreeAA rounds on paths (n = {n}, t = {t})\n");
+    outln!(
+        out,
+        "### E4: lower bound vs TreeAA rounds on paths (n = {n}, t = {t})\n"
+    );
     let mut table = Table::new(&[
         "|V|",
         "D(T)",
@@ -42,9 +46,11 @@ fn main() {
             format!("{:.2}", rounds as f64 / exact as f64),
         ]);
     }
-    table.print();
-    println!(
+    outln!(out, "{}", table.render());
+    outln!(
+        out,
         "\nThe ratio column should stay O(1) as |V| grows: TreeAA is \
          asymptotically round-optimal for D(T) ∈ |V|^Θ(1), t ∈ Θ(n)."
     );
+    out
 }

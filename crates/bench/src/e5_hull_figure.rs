@@ -1,15 +1,15 @@
-//! **E5 — Figure 1: convex hulls on trees.**
-//!
-//! Reproduces the Figure 1 example (the hull of `{u1, u2, u3}` is
-//! `{u1, …, u5}`) and then cross-validates the `O(|V|)` hull algorithm
-//! against the definitional characterization (`w ∈ ⟨S⟩` iff `w` lies on a
-//! path between two members of `S`) over randomized trees.
-
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use tree_model::{generate, Tree, VertexId};
 
-fn main() {
+/// **E5 — Figure 1: convex hulls on trees.**
+///
+/// Reproduces the Figure 1 example (the hull of `{u1, u2, u3}` is
+/// `{u1, …, u5}`) and then cross-validates the `O(|V|)` hull algorithm
+/// against the definitional characterization (`w ∈ ⟨S⟩` iff `w` lies on a
+/// path between two members of `S`) over randomized trees.
+pub fn e5() -> String {
+    let mut out = String::new();
     // The exact Figure 1 scenario.
     let tree = Tree::from_labeled_edges(
         ["u1", "u2", "u3", "u4", "u5", "w1", "w2"],
@@ -30,10 +30,10 @@ fn main() {
     let hull = tree.convex_hull(&s);
     let mut labels: Vec<String> = hull.iter().map(|v| tree.label(v).to_string()).collect();
     labels.sort();
-    println!("## E5: Figure 1 convex hull\n");
-    println!("hull of {{u1, u2, u3}} = {{{}}}", labels.join(", "));
+    outln!(out, "### E5: Figure 1 convex hull\n");
+    outln!(out, "hull of {{u1, u2, u3}} = {{{}}}", labels.join(", "));
     assert_eq!(labels, ["u1", "u2", "u3", "u4", "u5"], "Figure 1 mismatch");
-    println!("matches the paper's Figure 1: yes\n");
+    outln!(out, "matches the paper's Figure 1: yes\n");
 
     // Randomized cross-validation of the hull law.
     let mut rng = ChaCha8Rng::seed_from_u64(5);
@@ -55,5 +55,9 @@ fn main() {
             checked += 1;
         }
     }
-    println!("randomized hull-law checks: {checked} memberships verified, 0 mismatches");
+    outln!(
+        out,
+        "randomized hull-law checks: {checked} memberships verified, 0 mismatches"
+    );
+    out
 }

@@ -1,20 +1,9 @@
-//! **E6 — Figures 3 and 4: `ListConstruction` and the
-//! valid-subtree-but-invalid-vertex phenomenon.**
-//!
-//! First reproduces the paper's Euler list for the Figure 3 tree
-//! verbatim. Then reproduces the Section 6 discussion around Figure 4:
-//! with honest inputs `{v3, v6, v5}` (hull `{v5, v2, v3, v6}`), a
-//! Byzantine party that runs `PathsFinder` *honestly but with a planted
-//! input* can steer the agreed list index into `L(v4) ∪ L(v8)` — vertices
-//! **outside** the honest hull — yet every resulting root path still
-//! intersects the hull (Lemma 3), which is all `TreeAA` needs.
-
 use std::sync::Arc;
 
-use bench::Table;
-use sim_net::{run_simulation, Passive, SimConfig};
 use tree_aa::{EngineKind, PathsFinderConfig, PathsFinderParty};
 use tree_model::{Tree, VertexId};
+
+use crate::{run_honest, Table};
 
 fn figure3() -> Tree {
     Tree::from_labeled_edges(
@@ -32,7 +21,18 @@ fn figure3() -> Tree {
     .expect("valid tree")
 }
 
-fn main() {
+/// **E6 — Figures 3 and 4: `ListConstruction` and the
+/// valid-subtree-but-invalid-vertex phenomenon.**
+///
+/// First reproduces the paper's Euler list for the Figure 3 tree
+/// verbatim. Then reproduces the Section 6 discussion around Figure 4:
+/// with honest inputs `{v3, v6, v5}` (hull `{v5, v2, v3, v6}`), a
+/// Byzantine party that runs `PathsFinder` *honestly but with a planted
+/// input* can steer the agreed list index into `L(v4) ∪ L(v8)` — vertices
+/// **outside** the honest hull — yet every resulting root path still
+/// intersects the hull (Lemma 3), which is all `TreeAA` needs.
+pub fn e6() -> String {
+    let mut out = String::new();
     let tree = Arc::new(figure3());
     let list = tree.euler_list();
     let labels: Vec<&str> = list
@@ -40,18 +40,22 @@ fn main() {
         .iter()
         .map(|&v| tree.label(v).as_str())
         .collect();
-    println!("## E6a: ListConstruction on the Figure 3 tree\n");
-    println!("L = [{}]", labels.join(", "));
+    outln!(out, "### E6a: ListConstruction on the Figure 3 tree\n");
+    outln!(out, "L = [{}]", labels.join(", "));
     let expected = [
         "v1", "v2", "v3", "v6", "v3", "v7", "v3", "v2", "v4", "v8", "v4", "v2", "v5", "v2", "v1",
     ];
     assert_eq!(labels, expected, "Euler list mismatch with the paper");
-    println!(
+    outln!(
+        out,
         "matches the paper's list: yes (|L| = {} = 2|V| - 1)\n",
         list.len()
     );
 
-    println!("## E6b: steering PathsFinder outside the honest hull (Figure 4)\n");
+    outln!(
+        out,
+        "### E6b: steering PathsFinder outside the honest hull (Figure 4)\n"
+    );
     let honest_inputs: Vec<VertexId> = ["v3", "v6", "v5"]
         .iter()
         .map(|l| tree.vertex(l).expect("present"))
@@ -76,16 +80,9 @@ fn main() {
             honest_inputs[2],
             planted,
         ];
-        let report = run_simulation(
-            SimConfig {
-                n,
-                t,
-                max_rounds: cfg.rounds() + 5,
-            },
-            |id, _| PathsFinderParty::new(id, cfg.clone(), Arc::clone(&tree), inputs[id.index()]),
-            Passive,
-        )
-        .expect("simulation completes");
+        let report = run_honest(n, t, cfg.rounds(), |id, _| {
+            PathsFinderParty::new(id, cfg.clone(), Arc::clone(&tree), inputs[id.index()])
+        });
         // Party 3 is "byzantine by input": evaluate only honest parties.
         let paths: Vec<_> = (0..3)
             .map(|i| report.outputs[i].clone().expect("output"))
@@ -112,8 +109,9 @@ fn main() {
             all_intersect.to_string(),
         ]);
     }
-    table.print();
-    println!(
+    outln!(out, "{}", table.render());
+    outln!(
+        out,
         "\n{escapes} planted inputs steered the agreed vertex outside the honest hull \
          (into the subtree of a valid vertex), and every path still intersected the \
          hull — exactly the Figure 4 phenomenon and why TreeAA's second phase exists."
@@ -122,4 +120,5 @@ fn main() {
         escapes > 0,
         "expected at least one hull escape to demonstrate Figure 4"
     );
+    out
 }

@@ -1,30 +1,31 @@
-//! **E7 — Figure 5: the one-edge path ambiguity and the `v_k` fallback.**
-//!
-//! `PathsFinder` only guarantees paths equal up to one trailing edge; a
-//! party holding the shorter path can receive `closestInt(j) = k + 1` from
-//! the second engine run and cannot know which neighbor extends its path —
-//! so `TreeAA` outputs its own last vertex `v_k` instead.
-//!
-//! Divergent engine outputs require an adversary that keeps honest values
-//! split through the *final* iteration. Against the gradecast engine that
-//! costs one fresh Byzantine leader per attacked iteration (it is silenced
-//! immediately); against the **halving engine** a single equivocator can
-//! split every iteration for free — so this experiment runs `TreeAA` over
-//! the halving engine with a persistent high/low equivocator, which is the
-//! easiest way to drive the honest `j`s exactly one apart. It counts: runs
-//! with diverged paths, runs where the `v_k` fallback fired, and safety
-//! violations (which must be zero — the fallback is exactly what makes
-//! Definition 2 hold in this case).
-
 use std::sync::Arc;
 
-use bench::Table;
 use real_aa::PlainValueMsg;
 use sim_net::{step_standalone, Inbox, Outbox, PartyId, Protocol, Received, RoundCtx};
 use tree_aa::{check_tree_aa, EngineKind, InnerMsg, TreeAaConfig, TreeAaParty, TreeMsg};
 use tree_model::{generate, VertexId};
 
-fn main() {
+use crate::Table;
+
+/// **E7 — Figure 5: the one-edge path ambiguity and the `v_k` fallback.**
+///
+/// `PathsFinder` only guarantees paths equal up to one trailing edge; a
+/// party holding the shorter path can receive `closestInt(j) = k + 1` from
+/// the second engine run and cannot know which neighbor extends its path —
+/// so `TreeAA` outputs its own last vertex `v_k` instead.
+///
+/// Divergent engine outputs require an adversary that keeps honest values
+/// split through the *final* iteration. Against the gradecast engine that
+/// costs one fresh Byzantine leader per attacked iteration (it is silenced
+/// immediately); against the **halving engine** a single equivocator can
+/// split every iteration for free — so this experiment runs `TreeAA` over
+/// the halving engine with a persistent high/low equivocator, which is the
+/// easiest way to drive the honest `j`s exactly one apart. It counts: runs
+/// with diverged paths, runs where the `v_k` fallback fired, and safety
+/// violations (which must be zero — the fallback is exactly what makes
+/// Definition 2 hold in this case).
+pub fn e7() -> String {
+    let mut out = String::new();
     // A spider gives the root-path structure of Figure 5: several branches
     // below a shared root, so the "one past the end" position is genuinely
     // ambiguous for the shorter-path holder.
@@ -135,7 +136,10 @@ fn main() {
         }
     }
 
-    println!("## E7: Figure 5 path ambiguity under persistent equivocation\n");
+    outln!(
+        out,
+        "### E7: Figure 5 path ambiguity under persistent equivocation\n"
+    );
     let mut table = Table::new(&[
         "runs",
         "paths diverged",
@@ -148,10 +152,11 @@ fn main() {
         fallback_fired.to_string(),
         violations.to_string(),
     ]);
-    table.print();
+    outln!(out, "{}", table.render());
     assert_eq!(violations, 0, "Definition 2 must hold in every run");
     assert!(
         diverged_paths > 0,
         "expected some path divergence to exercise Figure 5"
     );
+    out
 }

@@ -1,21 +1,24 @@
-//! **E8 — Section 4 warm-up: AA on path input spaces.**
-//!
-//! Runs `PathAA` — projection AA on a path graph
-//! ([`ProjectionAaConfig::path_graph`]) — on growing path graphs with both engines, verifying
-//! Definition 2 each time and reporting rounds: the warm-up's cost is a
-//! single engine run, i.e. exactly half of `TreeAA`'s two-phase cost on
-//! the same path.
-
 use std::sync::Arc;
 
-use bench::{spaced_inputs, vertex_spread, Table};
-use sim_net::{run_simulation, Passive, SimConfig};
 use tree_aa::{check_tree_aa, EngineKind, ProjectionAaConfig, ProjectionAaParty, TreeAaConfig};
 use tree_model::generate;
 
-fn main() {
+use crate::{run_honest, spaced_inputs, vertex_spread, Table};
+
+/// **E8 — Section 4 warm-up: AA on path input spaces.**
+///
+/// Runs `PathAA` — projection AA on a path graph
+/// ([`ProjectionAaConfig::path_graph`]) — on growing path graphs with both engines, verifying
+/// Definition 2 each time and reporting rounds: the warm-up's cost is a
+/// single engine run, i.e. exactly half of `TreeAA`'s two-phase cost on
+/// the same path.
+pub fn e8() -> String {
+    let mut out = String::new();
     let (n, t) = (7usize, 2usize);
-    println!("## E8: warm-up PathAA on path graphs (n = {n}, t = {t})\n");
+    outln!(
+        out,
+        "### E8: warm-up PathAA on path graphs (n = {n}, t = {t})\n"
+    );
     let mut table = Table::new(&[
         "|V| = D+1",
         "PathAA rounds (gradecast)",
@@ -30,18 +33,9 @@ fn main() {
         let mut last_spread = 0;
         for engine in [EngineKind::Gradecast, EngineKind::Halving] {
             let cfg = ProjectionAaConfig::path_graph(n, t, engine, &tree).expect("valid");
-            let report = run_simulation(
-                SimConfig {
-                    n,
-                    t,
-                    max_rounds: cfg.rounds() + 5,
-                },
-                |id, _| {
-                    ProjectionAaParty::new(id, cfg.clone(), Arc::clone(&tree), inputs[id.index()])
-                },
-                Passive,
-            )
-            .expect("simulation completes");
+            let report = run_honest(n, t, cfg.rounds(), |id, _| {
+                ProjectionAaParty::new(id, cfg.clone(), Arc::clone(&tree), inputs[id.index()])
+            });
             let outs = report.honest_outputs();
             check_tree_aa(&tree, &inputs, &outs).expect("definition 2 holds");
             rounds.push(report.communication_rounds());
@@ -58,5 +52,6 @@ fn main() {
             last_spread.to_string(),
         ]);
     }
-    table.print();
+    outln!(out, "{}", table.render());
+    out
 }

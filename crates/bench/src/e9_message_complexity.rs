@@ -1,24 +1,28 @@
-//! **E9 — Message and communication complexity accounting.**
-//!
-//! The related-work discussion credits the `RealAA` building block with
-//! `O(R · n³)` messages (n parallel gradecasts, each echo/vote phase all-
-//! to-all): one message per (sender, leader, recipient). This
-//! implementation packs a sender's slots for all `n` leaders into one
-//! message per phase, so it delivers `Θ(R · n²)` messages carrying
-//! `Θ(R · n³)` slots. The experiment measures both: messages against
-//! `R · n²`, and bytes against `R · n³` — the per-slot cost, which tends
-//! to 12 (an 8-byte echo plus a 4-byte vote hash per leader).
-
 use std::sync::Arc;
 
-use bench::{solo, spaced_inputs, Table};
 use real_aa::RealAaConfig;
-use sim_net::{run_simulation, Passive, SimConfig};
+use sim_net::Passive;
 use tree_aa::{EngineKind, NowakRybickiConfig, NowakRybickiParty, TreeAaConfig, TreeAaParty};
 use tree_model::generate;
 
-fn main() {
-    println!("## E9a: RealAA message complexity vs n (delta = 2^10, eps = 1)\n");
+use crate::{even_inputs, run_honest, run_solo, spaced_inputs, Table};
+
+/// **E9 — Message and communication complexity accounting.**
+///
+/// The related-work discussion credits the `RealAA` building block with
+/// `O(R · n³)` messages (n parallel gradecasts, each echo/vote phase all-
+/// to-all): one message per (sender, leader, recipient). This
+/// implementation packs a sender's slots for all `n` leaders into one
+/// message per phase, so it delivers `Θ(R · n²)` messages carrying
+/// `Θ(R · n³)` slots. The experiment measures both: messages against
+/// `R · n²`, and bytes against `R · n³` — the per-slot cost, which tends
+/// to 12 (an 8-byte echo plus a 4-byte vote hash per leader).
+pub fn e9() -> String {
+    let mut out = String::new();
+    outln!(
+        out,
+        "### E9a: RealAA message complexity vs n (delta = 2^10, eps = 1)\n"
+    );
     let mut table = Table::new(&[
         "n",
         "t",
@@ -32,17 +36,8 @@ fn main() {
         let n = 3 * t + 1;
         let d = 1024.0;
         let cfg = RealAaConfig::new(n, t, 1.0, d).expect("valid");
-        let inputs: Vec<f64> = (0..n).map(|i| d * i as f64 / (n - 1) as f64).collect();
-        let report = run_simulation(
-            SimConfig {
-                n,
-                t,
-                max_rounds: cfg.rounds() + 5,
-            },
-            |id, _| solo(id, cfg, inputs[id.index()]),
-            Passive,
-        )
-        .expect("simulation completes");
+        let inputs = even_inputs(n, d);
+        let report = run_solo(cfg, &inputs, Passive);
         let msgs = report.metrics.total_messages();
         let bytes = report.metrics.total_bytes();
         let iters = cfg.iterations() as f64;
@@ -58,15 +53,19 @@ fn main() {
             format!("{per_slot:.2}"),
         ]);
     }
-    table.print();
-    println!(
+    outln!(out, "{}", table.render());
+    outln!(
+        out,
         "\nThree messages per ordered pair per iteration (lead, echo batch, vote \
          batch), and a per-(sender, leader, recipient) slot cost falling toward \
          12 bytes as the fixed framing amortizes: the O(R * n^3) of the \
          gradecast-based engine is carried as bytes, not as messages.\n"
     );
 
-    println!("## E9b: protocol comparison on one tree (caterpillar, |V| = 513, n = 7, t = 2)\n");
+    outln!(
+        out,
+        "### E9b: protocol comparison on one tree (caterpillar, |V| = 513, n = 7, t = 2)\n"
+    );
     let tree = Arc::new(generate::caterpillar(171, 2));
     let (n, t) = (7usize, 2usize);
     let inputs = spaced_inputs(&tree, n, 83);
@@ -74,16 +73,9 @@ fn main() {
 
     for engine in [EngineKind::Gradecast, EngineKind::Halving] {
         let cfg = TreeAaConfig::new(n, t, engine, &tree).expect("valid");
-        let report = run_simulation(
-            SimConfig {
-                n,
-                t,
-                max_rounds: cfg.total_rounds() + 5,
-            },
-            |id, _| TreeAaParty::new(id, cfg.clone(), Arc::clone(&tree), inputs[id.index()]),
-            Passive,
-        )
-        .expect("simulation completes");
+        let report = run_honest(n, t, cfg.total_rounds(), |id, _| {
+            TreeAaParty::new(id, cfg.clone(), Arc::clone(&tree), inputs[id.index()])
+        });
         table.row(vec![
             format!("TreeAA ({engine:?})"),
             report.communication_rounds().to_string(),
@@ -92,21 +84,15 @@ fn main() {
         ]);
     }
     let cfg = NowakRybickiConfig::new(n, t, &tree).expect("valid");
-    let report = run_simulation(
-        SimConfig {
-            n,
-            t,
-            max_rounds: cfg.rounds() + 5,
-        },
-        |id, _| NowakRybickiParty::new(id, cfg.clone(), Arc::clone(&tree), inputs[id.index()]),
-        Passive,
-    )
-    .expect("simulation completes");
+    let report = run_honest(n, t, cfg.rounds(), |id, _| {
+        NowakRybickiParty::new(id, cfg.clone(), Arc::clone(&tree), inputs[id.index()])
+    });
     table.row(vec![
         "Nowak-Rybicki".to_string(),
         report.communication_rounds().to_string(),
         report.metrics.total_messages().to_string(),
         report.metrics.total_bytes().to_string(),
     ]);
-    table.print();
+    outln!(out, "{}", table.render());
+    out
 }

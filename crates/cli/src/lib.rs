@@ -21,7 +21,7 @@ use std::sync::Arc;
 use lower_bound::{fekete_k, round_lower_bound, theorem2_formula};
 use rand::SeedableRng;
 use sim_net::{run_simulation, CrashAdversary, PartyId, Passive, SelectiveOmission, SimConfig};
-use tree_aa::adversary::TreeAaChaos;
+use tree_aa::adversary::{NrChaos, TreeAaChaos};
 use tree_aa::{
     check_tree_aa, EngineKind, NowakRybickiConfig, NowakRybickiParty, TreeAaConfig, TreeAaParty,
 };
@@ -1237,6 +1237,11 @@ pub fn execute(cmd: Command, out: &mut impl std::io::Write) -> Result<(), String
                     };
                     let report = match adversary.as_str() {
                         "none" => run_simulation(sim, factory, Passive),
+                        "chaos" => run_simulation(
+                            sim,
+                            factory,
+                            NrChaos::new(byz.clone(), seed, tree.vertex_count()),
+                        ),
                         "crash" => run_simulation(
                             sim,
                             factory,
@@ -1645,6 +1650,7 @@ mod tests {
             ("treeaa", "gradecast", "omission"),
             ("baseline", "gradecast", "none"),
             ("baseline", "gradecast", "omission"),
+            ("baseline", "gradecast", "chaos"),
         ] {
             let mut out = Vec::new();
             execute(

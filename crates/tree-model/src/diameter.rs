@@ -126,166 +126,3 @@ mod tests {
         assert_eq!(p1.edge_len(), t.diameter());
     }
 }
-
-impl Tree {
-    /// The eccentricity of `v`: its distance to the farthest vertex.
-    ///
-    /// # Example
-    ///
-    /// ```
-    /// use tree_model::generate;
-    ///
-    /// let t = generate::path(5);
-    /// assert_eq!(t.eccentricity(t.root()), 4); // endpoint of the path
-    /// ```
-    pub fn eccentricity(&self, v: VertexId) -> usize {
-        let mut dist = vec![usize::MAX; self.vertex_count()];
-        dist[v.index()] = 0;
-        let mut queue = std::collections::VecDeque::from([v]);
-        while let Some(u) = queue.pop_front() {
-            for &w in self.neighbors(u) {
-                if dist[w.index()] == usize::MAX {
-                    dist[w.index()] = dist[u.index()] + 1;
-                    queue.push_back(w);
-                }
-            }
-        }
-        // The tree is connected, so BFS visits everything and the array
-        // holds no `usize::MAX` sentinels; the max scan over it is a flat
-        // kernel sweep rather than a per-pop comparison.
-        aa_kernels::min_max_usize(&dist).map_or(0, |(_, hi)| hi)
-    }
-
-    /// The height of the tree as rooted at the canonical root: the depth
-    /// of the deepest vertex. This bounds the length of every
-    /// `PathsFinder` output path.
-    pub fn height(&self) -> usize {
-        let depths: Vec<usize> = self.vertices().map(|v| self.depth(v) as usize).collect();
-        aa_kernels::min_max_usize(&depths).map_or(0, |(_, hi)| hi)
-    }
-
-    /// A centroid of the tree: a vertex whose removal leaves components of
-    /// at most `⌊|V|/2⌋` vertices. Ties (a tree has one or two centroids)
-    /// are broken toward the smaller label, so the choice is canonical and
-    /// publicly computable.
-    ///
-    /// # Example
-    ///
-    /// ```
-    /// use tree_model::generate;
-    ///
-    /// let t = generate::path(5);
-    /// let c = t.centroid();
-    /// assert_eq!(t.label(c).as_str(), "v0002"); // the middle vertex
-    /// ```
-    pub fn centroid(&self) -> VertexId {
-        let n = self.vertex_count();
-        // Subtree sizes via reverse preorder.
-        let mut sub = vec![1usize; n];
-        for &v in self.dfs_preorder().iter().rev() {
-            for &c in self.children(v) {
-                sub[v.index()] += sub[c.index()];
-            }
-        }
-        let mut best: Option<VertexId> = None;
-        let mut best_load = usize::MAX;
-        for v in self.vertices() {
-            let mut load = n - sub[v.index()]; // parent side
-            for &c in self.children(v) {
-                load = load.max(sub[c.index()]);
-            }
-            let better = load < best_load
-                || (load == best_load && best.is_some_and(|b| self.label(v) < self.label(b)));
-            if better {
-                best = Some(v);
-                best_load = load;
-            }
-        }
-        best.expect("non-empty tree has a centroid")
-    }
-}
-
-#[cfg(test)]
-mod centroid_tests {
-    use crate::generate;
-
-    #[test]
-    fn centroid_of_star_is_the_center() {
-        let t = generate::star(9);
-        assert_eq!(t.centroid(), t.root());
-    }
-
-    #[test]
-    fn centroid_minimizes_max_component() {
-        for t in [
-            generate::path(10),
-            generate::caterpillar(5, 2),
-            generate::spider(3, 4),
-            generate::balanced_kary(2, 4),
-        ] {
-            let n = t.vertex_count();
-            let c = t.centroid();
-            // Check the defining property directly: every component of
-            // T \ {c} has at most n/2 vertices.
-            for &nb in t.neighbors(c) {
-                // Size of nb's component when c is removed = vertices
-                // closer to nb than to c.
-                let count = t
-                    .vertices()
-                    .filter(|&v| t.distance(v, nb) < t.distance(v, c))
-                    .count();
-                assert!(count <= n / 2, "component of size {count} > {}", n / 2);
-            }
-        }
-    }
-
-    #[test]
-    fn eccentricity_extremes() {
-        let t = generate::path(7);
-        let ends: Vec<_> = t.vertices().filter(|&v| t.degree(v) == 1).collect();
-        for e in ends {
-            assert_eq!(t.eccentricity(e), 6);
-        }
-        let mid = t.centroid();
-        assert_eq!(t.eccentricity(mid), 3);
-        // max eccentricity == diameter
-        let d = t.vertices().map(|v| t.eccentricity(v)).max().unwrap();
-        assert_eq!(d, t.diameter());
-    }
-
-    #[test]
-    fn height_bounds_depths() {
-        for t in [
-            generate::path(9),
-            generate::balanced_kary(3, 3),
-            generate::broom(4, 5),
-        ] {
-            let h = t.height();
-            assert!(t.vertices().all(|v| (t.depth(v) as usize) <= h));
-            assert!(t.vertices().any(|v| t.depth(v) as usize == h));
-            assert!(h <= t.diameter().max(1));
-        }
-    }
-
-    #[test]
-    fn kernel_scans_match_naive_above_chunk_threshold() {
-        // path(300) makes the dist/depth arrays longer than the kernel's
-        // chunk-dispatch threshold, so the lane-folded sweep (not the
-        // small-slice fallback) must reproduce the sequential extrema.
-        let t = generate::path(300);
-        for v in t.vertices().step_by(37) {
-            let naive = t.vertices().map(|u| t.distance(v, u)).max().unwrap();
-            assert_eq!(t.eccentricity(v), naive);
-        }
-        let naive_h = t.vertices().map(|v| t.depth(v) as usize).max().unwrap();
-        assert_eq!(t.height(), naive_h);
-    }
-
-    #[test]
-    fn single_vertex_degenerates() {
-        let t = generate::path(1);
-        assert_eq!(t.height(), 0);
-        assert_eq!(t.centroid(), t.root());
-        assert_eq!(t.eccentricity(t.root()), 0);
-    }
-}
