@@ -4,15 +4,9 @@ use std::process::ExitCode;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let cmd = match treeaa_cli::parse_args(&args) {
-        Ok(cmd) => cmd,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let mut stdout = std::io::stdout().lock();
-    match treeaa_cli::execute(cmd, &mut stdout) {
+    let result = treeaa_cli::parse_args(&args)
+        .and_then(|cmd| treeaa_cli::execute(cmd, &mut std::io::stdout().lock()));
+    match result {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("error: {e}");

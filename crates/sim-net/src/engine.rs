@@ -63,7 +63,7 @@ pub enum StepMode {
     Sequential,
     /// Always concurrent on `threads` OS threads (clamped to `1..=n`)
     /// which self-schedule over the party range in grain-sized chunks
-    /// claimed from a shared atomic cursor. `threads: 0` means one thread
+    /// claimed from a shared queue. `threads: 0` means one thread
     /// per available core.
     Parallel {
         /// Worker thread count; `0` = number of available cores.
@@ -262,42 +262,22 @@ fn step_one<P: Protocol>(
     (ctx.into_outbox(), log)
 }
 
-/// A raw pointer a scoped worker may carry across its thread boundary.
-///
-/// Safety rationale for the `Send`/`Sync` impls: the stepping loop hands
-/// out party indices through an atomic cursor that yields each index to
-/// exactly one worker, so no two threads ever materialise references to
-/// the same element behind this pointer, and the owning scope outlives
-/// every worker.
-struct SendPtr<T>(*mut T);
-
-// Manual impls: the derives would bound on `T: Copy`, but the pointer is
-// copyable regardless of what it points to.
-impl<T> Clone for SendPtr<T> {
-    fn clone(&self) -> Self {
-        *self
-    }
-}
-impl<T> Copy for SendPtr<T> {}
-
-unsafe impl<T: Send> Send for SendPtr<T> {}
-unsafe impl<T: Send> Sync for SendPtr<T> {}
-
 /// How many grain-sized chunks the party range is split into per worker,
 /// on average. More slices = better load balance when step costs are
-/// skewed (work-stealing via the shared cursor), fewer = less cursor
-/// contention; 8 is comfortably past the point where either effect
+/// skewed (work-stealing via the shared chunk queue), fewer = less
+/// lock contention; 8 is comfortably past the point where either effect
 /// matters for inbox-scanning protocols.
 const GRAIN_SLICES_PER_THREAD: usize = 8;
 
 /// Steps every party once on `threads` scoped OS threads that
 /// self-schedule over the party range: workers repeatedly claim the next
-/// grain-sized chunk of indices from a shared atomic cursor, so a worker
-/// stuck on an expensive party stops claiming and the others absorb the
-/// remainder (work stealing without per-thread deques — the shared queue
-/// *is* the steal target). Each party writes its outbox into its own
-/// pre-assigned slot, so the collected order is the party-id order no
-/// matter how chunks land on threads.
+/// grain-sized chunk of parties (with the matching chunk of output slots)
+/// from a shared iterator, so a worker stuck on an expensive party stops
+/// claiming and the others absorb the remainder (work stealing without
+/// per-thread deques — the shared queue *is* the steal target). Each
+/// party writes its outbox into its own pre-assigned slot, so the
+/// collected order is the party-id order no matter how chunks land on
+/// threads.
 fn step_parallel<P>(
     parties: &mut [P],
     inboxes: &[Inbox<P::Msg>],
@@ -311,8 +291,6 @@ where
     P: Protocol + Send,
     P::Msg: Send + Sync,
 {
-    use std::sync::atomic::{AtomicUsize, Ordering};
-
     let count = parties.len();
     let threads = threads.clamp(1, count);
     if threads == 1 {
@@ -320,41 +298,31 @@ where
     }
     let grain = count.div_ceil(threads * GRAIN_SLICES_PER_THREAD).max(1);
     let mut slots: Vec<Option<StepOutput<P::Msg>>> = (0..count).map(|_| None).collect();
-    let cursor = AtomicUsize::new(0);
-    let parties_base = SendPtr(parties.as_mut_ptr());
-    let slots_base = SendPtr(slots.as_mut_ptr());
+    let chunks = std::sync::Mutex::new(
+        parties
+            .chunks_mut(grain)
+            .zip(slots.chunks_mut(grain))
+            .enumerate(),
+    );
     std::thread::scope(|scope| {
         for _ in 0..threads {
-            let cursor = &cursor;
-            scope.spawn(move || {
-                // Capture the `SendPtr` wrappers whole: edition-2021
-                // disjoint capture would otherwise move just the raw
-                // pointer fields, which are not `Send`.
-                let (parties_base, slots_base) = (parties_base, slots_base);
-                loop {
-                    let start = cursor.fetch_add(grain, Ordering::Relaxed);
-                    if start >= count {
-                        break;
-                    }
-                    let end = (start + grain).min(count);
-                    for i in start..end {
-                        // SAFETY: `i` lies in a [start, end) range
-                        // obtained from a fetch_add on the shared cursor,
-                        // so this worker is the only one to touch index
-                        // `i`; both buffers live on the caller's stack
-                        // past the scope.
-                        let (party, slot) =
-                            unsafe { (&mut *parties_base.0.add(i), &mut *slots_base.0.add(i)) };
-                        *slot = Some(step_one(
-                            party,
-                            i,
-                            &inboxes[i],
-                            round,
-                            n,
-                            tracing,
-                            frozen[i],
-                        ));
-                    }
+            let chunks = &chunks;
+            scope.spawn(move || loop {
+                let next = chunks.lock().expect("no step runs under the lock").next();
+                let Some((c, (parties, slots))) = next else {
+                    break;
+                };
+                for (j, (party, slot)) in parties.iter_mut().zip(slots).enumerate() {
+                    let i = c * grain + j;
+                    *slot = Some(step_one(
+                        party,
+                        i,
+                        &inboxes[i],
+                        round,
+                        n,
+                        tracing,
+                        frozen[i],
+                    ));
                 }
             });
         }
@@ -368,7 +336,7 @@ where
         Vec::new()
     };
     for slot in slots {
-        let (outbox, evs) = slot.expect("the cursor covered every index");
+        let (outbox, evs) = slot.expect("the chunks covered every index");
         outboxes.push(outbox);
         if tracing {
             events.push(evs);
