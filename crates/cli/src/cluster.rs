@@ -216,8 +216,6 @@ struct ServeOutcome {
     party: usize,
     vertex: String,
     degraded: bool,
-    over_budget: bool,
-    retx: u64,
 }
 
 fn parse_outcome_line(line: &str) -> Result<ServeOutcome, String> {
@@ -229,8 +227,6 @@ fn parse_outcome_line(line: &str) -> Result<ServeOutcome, String> {
         party: usize::MAX,
         vertex: String::new(),
         degraded: false,
-        over_budget: false,
-        retx: 0,
     };
     for field in rest.split_whitespace() {
         let (k, v) = field
@@ -240,8 +236,6 @@ fn parse_outcome_line(line: &str) -> Result<ServeOutcome, String> {
             "party" => o.party = parse_num(v, "party")?,
             "vertex" => o.vertex = v.to_string(),
             "degraded" => o.degraded = parse_num(v, "degraded")?,
-            "over_budget" => o.over_budget = parse_num(v, "over_budget")?,
-            "retx" => o.retx = parse_num(v, "retx")?,
             _ => {}
         }
     }
@@ -691,8 +685,7 @@ mod tests {
         .unwrap();
         assert_eq!(o.party, 2);
         assert_eq!(o.vertex, "v0003");
-        assert!(o.degraded && o.over_budget);
-        assert_eq!(o.retx, 7);
+        assert!(o.degraded);
         assert!(parse_outcome_line("READY").is_err());
         assert!(parse_outcome_line("OUTCOME party=1").is_err());
     }

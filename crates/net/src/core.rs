@@ -15,11 +15,11 @@
 //! Methods return what to send and what to log ([`Outbox`]); nothing
 //! here holds a socket, a channel, a file or a clock. Wall time enters
 //! as values the shell computed ("the keepalive is due", "down for the
-//! dead-after period"). Of the six load-bearing orderings, four are
-//! stated at the method that enforces them ([`LinkTable::drain`],
-//! [`LinkTable::link_up`], [`Outbox`], [`Driver::run_ready`]) and two in
-//! the shell (one-frame handshake reads; writers joined before sockets
-//! close), with the accept-after-replay gate.
+//! dead-after period"). Of the five load-bearing orderings, three are
+//! stated where the core enforces them ([`LinkTable::drain`],
+//! [`LinkTable::link_up`], [`Outbox`] with [`Driver::run_ready`]) and
+//! two in the shell (the accept-after-replay gate; each writer sends
+//! its queue before it ends its connection).
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
@@ -416,6 +416,9 @@ impl LinkTable {
         let p = &mut self.peers[peer];
         p.connected = true;
         p.epoch += 1;
+        if peer < self.id.me && p.epoch > 1 {
+            self.stats.reconnects += 1;
+        }
         // A fresh connection starts from a clean promise slate, and
         // re-announces our Done if we already produced output. An ack
         // owed on the dropped connection is re-owed here (the peer is
@@ -736,6 +739,8 @@ pub(crate) struct Driver<P: AsyncProtocol> {
     out_lseq: Vec<u64>,
     events: u64,
     retransmissions: u64,
+    /// Authenticated frames whose payload did not decode.
+    undecodable: u64,
 }
 
 impl<P> Driver<P>
@@ -759,6 +764,7 @@ where
             out_lseq: vec![0; cfg.n],
             events: 0,
             retransmissions: 0,
+            undecodable: 0,
         }
     }
 
@@ -832,15 +838,15 @@ where
 
     /// Takes in one [`LinkTable::drain`]: rejections and liveness
     /// transitions go to the trace, received Data among the pending
-    /// events. Returns how many frames carried an undecodable payload
-    /// (traced as drops here; the caller owns the counter).
+    /// events. A frame whose payload does not decode is traced as a
+    /// drop and counted; [`Driver::finish`] reports it as malformed.
     ///
     /// # Errors
     ///
     /// [`NetError::Isolated`] when every peer died before an output:
     /// nothing can ever arrive, and the unbounded `bound` would let
     /// retransmission timers spin the event loop to its cap.
-    pub(crate) fn absorb(&mut self, drained: Drained) -> Result<u64, NetError> {
+    pub(crate) fn absorb(&mut self, drained: Drained) -> Result<(), NetError> {
         let me = self.me;
         if drained.snap.isolated {
             return Err(NetError::Isolated {
@@ -855,12 +861,11 @@ where
         for note in drained.notes {
             self.recorder.record_net(self.vnow, note);
         }
-        let mut undecodable = 0;
         for mut m in drained.frames {
             let from = m.from as usize;
             let Ok(payload) = P::Msg::from_bytes(&m.body) else {
                 self.recorder.record_drop(self.vnow, from, me);
-                undecodable += 1;
+                self.undecodable += 1;
                 continue;
             };
             let key = VKey {
@@ -878,7 +883,7 @@ where
             let wire = self.durable.then(|| (m.vsend, std::mem::take(&mut m.body)));
             self.pending.insert(key, (Event::Deliver(env), wire));
         }
-        Ok(undecodable)
+        Ok(())
     }
 
     /// Processes the safe prefix of the global [`VKey`] order: every
@@ -1049,6 +1054,7 @@ where
     /// Ends the run: the report, with the link table's counters.
     pub(crate) fn finish(self, mut stats: NetStats) -> NodeReport<P::Output> {
         stats.retransmissions = self.retransmissions;
+        stats.rejected_malformed += self.undecodable;
         NodeReport {
             output: self.proto.output(),
             trace: self.recorder.into_record(),
@@ -1312,7 +1318,8 @@ mod tests {
             let mut progress = self.read_wires(wires);
             let drained = self.table.drain();
             let snap = drained.snap;
-            assert_eq!(self.driver.absorb(drained).expect("peers alive"), 0);
+            self.driver.absorb(drained).expect("peers alive");
+            assert_eq!(self.driver.undecodable, 0);
             progress |= self.activate(Some(snap), wires);
             let (vnow, ready) = (self.driver.vnow(), self.driver.has_output());
             let (finished, sent) = self.on_table(wires, |t, out| {
@@ -1333,8 +1340,8 @@ mod tests {
     }
 
     impl World {
-        /// Both halves of a handshake between `i` and `j`, as
-        /// `dial_handshake` and `accept_handshake` run them. Whatever the
+        /// Both halves of a handshake between `i` and `j`, as the
+        /// shell's `handshake` runs them at each end. Whatever the
         /// old connection still had in flight is read after the Hellos
         /// are written and before they are admitted — the window in
         /// which a frame is both received and gap-resent.
@@ -1551,7 +1558,8 @@ mod tests {
                 bound: time,
                 ..drained.snap
             };
-            assert_eq!(live.driver.absorb(drained).expect("peers alive"), 0);
+            live.driver.absorb(drained).expect("peers alive");
+            assert_eq!(live.driver.undecodable, 0);
             assert!(live.activate(Some(snap), &mut wires));
         }
         let steps = |log: &[WalRecord]| -> Vec<WalRecord> {
@@ -1888,10 +1896,34 @@ mod tests {
         let drained = table.drain();
         let snap = drained.snap;
         assert!(snap.bound.is_infinite() && snap.all_finished && !snap.isolated);
-        assert_eq!(driver.absorb(drained).expect("output came first"), 0);
+        driver.absorb(drained).expect("output came first");
         let ran = driver.run_ready(snap, &|_| 0, &mut |_| Ok(()), &mut |_| unreachable!());
         assert!(matches!(ran, Ok(false)), "{ran:?}");
         let ctl = table.control(driver.vnow(), driver.has_output(), false, snap, &mut out);
         assert!(ctl.finished);
+    }
+
+    #[test]
+    fn an_undecodable_payload_is_dropped_and_reported_as_malformed() {
+        let cfg = config(0);
+        let mut table = LinkTable::new(LinkId::of(&cfg));
+        let mut driver = Driver::new(&cfg, Nagging, false);
+        let garbage = WrapperMsg {
+            kind: FrameKind::Data,
+            from: 1,
+            to: 0,
+            wire_seq: 0,
+            lseq: 0,
+            vsend: 0.0,
+            vdeliver: 0.75,
+            body: vec![1, 2, 3],
+            mac: 0,
+        };
+        assert!(table.accept(1, garbage, 40));
+        driver.absorb(table.drain()).expect("peers alive");
+        assert!(driver.pending.is_empty());
+        let report = driver.finish(table.stats);
+        assert_eq!(report.stats.rejected_malformed, 1);
+        assert_eq!(report.stats.frames_received, 1);
     }
 }

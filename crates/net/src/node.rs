@@ -36,11 +36,14 @@
 //! from a thread per lower peer that dials, handshakes, reads the
 //! connection until it dies and redials after a capped backoff; a
 //! higher peer's connection is handshaken and read by the thread that
-//! accepted it. A peer whose link has been down for the policy's
-//! dead-after period — on either end — is declared dead and excluded
-//! from the bound, leaving protocol-level degradation to the
-//! silence-evidence machinery above the transport. The shell's threads
-//! block on sockets, queues and the node's condvar, never on a sleep.
+//! accepted it. A connection is read, its Hello included, through one
+//! [`FrameBuffer`], and ended by its writer, which shuts the socket
+//! down behind the last frame queued. A peer whose link has been down
+//! for the policy's dead-after period — on either end — is declared
+//! dead and excluded from the bound, leaving protocol-level degradation
+//! to the silence-evidence machinery above the transport. The shell's
+//! threads block on sockets, queues and the node's condvar, never on a
+//! sleep.
 //!
 //! # Durability and crash recovery
 //!
@@ -85,7 +88,7 @@ use async_net::AsyncProtocol;
 
 use crate::codec::WireCodec;
 use crate::core::{DataOut, Driver, Event, LinkId, LinkTable, Outbox, Reject};
-use crate::frame::{FrameBuffer, MAX_FRAME, PREFIX_LEN};
+use crate::frame::{FrameBuffer, FrameError};
 use crate::wal::{self, WalHeader, WalRecord, WalWriter};
 use crate::wire::{HelloBody, WIRE_VERSION};
 
@@ -348,7 +351,8 @@ pub struct NetStats {
     pub rejected_replay: u64,
     /// Frames rejected as structurally malformed.
     pub rejected_malformed: u64,
-    /// Successful reconnects.
+    /// Successful redials: links to a lower peer up again after the
+    /// first.
     pub reconnects: u64,
     /// Protocol-level retransmissions (from the `Reliable` layer).
     pub retransmissions: u64,
@@ -391,13 +395,14 @@ pub struct NodeReport<O> {
 struct LinkSlot {
     /// The writer thread's queue.
     tx: Option<mpsc::Sender<Vec<u8>>>,
-    /// A clone of the connection, kept to unblock its reader.
+    /// A clone of the connection, kept to cut it.
     stream: Option<TcpStream>,
     down_since: Option<Instant>,
 }
 
 impl LinkSlot {
-    /// Closes the connection: the writer drains its queue and exits, the
+    /// Cuts the connection at once: the queue is discarded and the
+    /// socket shut down, so the writer's remaining frames fail and the
     /// reader's blocking read returns.
     fn close(&mut self) {
         self.tx = None;
@@ -427,13 +432,9 @@ struct Shared {
     /// The write-ahead log, when the run is durable.
     /// Lock order: `inner` before `wal`, never the reverse.
     wal: Mutex<Option<WalWriter>>,
-    /// Writer threads: joined *before* the sockets are torn down so
-    /// queued frames (the final Done) still reach the wire.
-    writer_handles: Mutex<Vec<JoinHandle<()>>>,
-    /// Link threads (each dials or accepts, then reads its connection):
-    /// unblocked by the socket shutdown, the shutdown flag and the
-    /// condvar, joined last.
-    aux_handles: Mutex<Vec<JoinHandle<()>>>,
+    /// Link threads (each dials or accepts, then runs its connection
+    /// with a writer of its own), joined at teardown.
+    link_threads: Mutex<Vec<JoinHandle<()>>>,
     id: LinkId,
 }
 
@@ -451,8 +452,7 @@ impl Shared {
             shutdown: AtomicBool::new(false),
             acceptor: Mutex::new(None),
             wal: Mutex::new(wal),
-            writer_handles: Mutex::new(Vec::new()),
-            aux_handles: Mutex::new(Vec::new()),
+            link_threads: Mutex::new(Vec::new()),
             id,
         })
     }
@@ -495,46 +495,95 @@ impl Shared {
             None => Ok(()),
         }
     }
+
+    /// Keeps a link thread's handle for the final join, first joining
+    /// the ones that already finished — the list tracks live threads,
+    /// not every thread the run ever started.
+    fn park(&self, handle: JoinHandle<()>) {
+        let mut hs = self.link_threads.lock().expect("net lock");
+        let mut i = 0;
+        while i < hs.len() {
+            if hs[i].is_finished() {
+                let _ = hs.swap_remove(i).join();
+            } else {
+                i += 1;
+            }
+        }
+        hs.push(handle);
+    }
 }
 
-/// Keeps a helper thread's handle for the final join, first joining the
-/// ones that already finished — the list tracks live threads, not every
-/// thread the run ever started.
-fn park(handles: &Mutex<Vec<JoinHandle<()>>>, handle: JoinHandle<()>) {
-    let mut hs = handles.lock().expect("net lock");
-    let mut i = 0;
-    while i < hs.len() {
-        if hs[i].is_finished() {
-            let _ = hs.swap_remove(i).join();
-        } else {
-            i += 1;
+/// A connection's incoming bytes for its whole life: the socket, the
+/// one [`FrameBuffer`] everything it delivers goes through, and one
+/// read buffer. The Hello exchange and then [`reader_loop`] pull frames
+/// from the same value, so frames the peer sent right behind its Hello
+/// wait in the buffer until the link is registered.
+struct Conn {
+    stream: TcpStream,
+    frames: FrameBuffer,
+    /// Inline, so it lives on the link thread's stack: a heap buffer per
+    /// connection raised the peak RSS of back-to-back runs by ≈ 10 %.
+    chunk: [u8; 1 << 16],
+}
+
+impl Conn {
+    fn new(stream: TcpStream) -> Conn {
+        Conn {
+            stream,
+            frames: FrameBuffer::new(),
+            chunk: [0; 1 << 16],
         }
     }
-    hs.push(handle);
+
+    /// The next frame, reading the socket as needed; `Ok(None)` once
+    /// the socket ends (EOF, an error or its read timeout). An
+    /// oversized length prefix is the error, found before anything is
+    /// allocated for the frame.
+    fn next_frame(&mut self) -> Result<Option<Vec<u8>>, FrameError> {
+        loop {
+            if let Some(payload) = self.frames.next_frame()? {
+                return Ok(Some(payload));
+            }
+            match self.stream.read(&mut self.chunk) {
+                Ok(0) | Err(_) => return Ok(None),
+                Ok(k) => self.frames.push(&self.chunk[..k]),
+            }
+        }
+    }
 }
 
-/// Reads exactly one frame from `stream` (which must have a read
-/// timeout set), failing on EOF, timeout, or framing errors.
-///
-/// Ordering 4: this must consume EXACTLY the frame's bytes, never more.
-/// The peer's first protocol frames can already sit behind the Hello in
-/// the socket buffer (the peer registers the link the moment its Hello
-/// response is written, and may start the protocol before we finish
-/// reading it). A buffered read here would swallow those frames and
-/// silently lose them — forcing retransmissions that shift the whole
-/// delay schedule.
-fn read_one_frame(stream: &mut TcpStream) -> Result<Vec<u8>, NetError> {
-    let mut prefix = [0u8; PREFIX_LEN];
-    stream.read_exact(&mut prefix)?;
-    let len = u32::from_be_bytes(prefix) as usize;
-    if len > MAX_FRAME {
-        return Err(NetError::Handshake(format!(
-            "oversized handshake frame ({len} bytes)"
-        )));
+/// The Hello exchange on a fresh connection, for both ends. The dialer
+/// of `dialed` writes its Hello first; the acceptor (`None`) reads
+/// first, learns the peer from its Hello and checks the canonical
+/// direction (the higher index dials the lower). The peer's Hello is
+/// awaited for `patience`, authenticated off the lock and admitted by
+/// the replay filter under it; ours has its `wire_seq` reservation
+/// logged before it is written. Returns the peer and its Hello.
+fn handshake(
+    shared: &Shared,
+    conn: &mut Conn,
+    dialed: Option<usize>,
+    patience: Duration,
+) -> Result<(usize, HelloBody), NetError> {
+    conn.stream.set_read_timeout(Some(patience))?;
+    if let Some(peer) = dialed {
+        write_hello(shared, peer, &mut conn.stream)?;
     }
-    let mut payload = vec![0u8; len];
-    stream.read_exact(&mut payload)?;
-    Ok(payload)
+    let payload = conn
+        .next_frame()
+        .map_err(|e| NetError::Handshake(e.to_string()))?
+        .ok_or_else(|| NetError::Handshake("connection ended before a Hello".into()))?;
+    let (peer, wire_seq, hello) = shared.id.open_hello(&payload, dialed)?;
+    shared.lock().table.admit_hello(peer, wire_seq)?;
+    if dialed.is_none() {
+        if peer < shared.id.me {
+            return Err(NetError::Handshake(format!(
+                "peer {peer} must accept our dial, not dial us"
+            )));
+        }
+        write_hello(shared, peer, &mut conn.stream)?;
+    }
+    Ok((peer, hello))
 }
 
 /// Writes our Hello to `stream`; its `wire_seq` reservation is logged
@@ -550,30 +599,21 @@ fn write_hello(shared: &Shared, peer: usize, stream: &mut TcpStream) -> Result<(
     Ok(stream.write_all(&bytes)?)
 }
 
-/// Reads and authenticates the peer's Hello (MAC off the lock, replay
-/// filter under it).
-fn read_hello(
+/// A fresh connection for its whole life: the handshake, then the
+/// registration — the table marks the link up and queues the
+/// gap-resend, the slot takes the new queue and a clone of the stream
+/// (cutting a connection it replaces) — then this thread reads it while
+/// a scoped writer drains its queue, until it dies. An error means the
+/// link never came up.
+fn run_connection(
     shared: &Shared,
-    stream: &mut TcpStream,
-    expected_from: Option<usize>,
-) -> Result<(usize, HelloBody), NetError> {
-    let payload = read_one_frame(stream)?;
-    let (from, wire_seq, hello) = shared.id.open_hello(&payload, expected_from)?;
-    shared.lock().table.admit_hello(from, wire_seq)?;
-    Ok((from, hello))
-}
-
-/// Wires a freshly handshaken stream into the node: the table marks the
-/// link up and queues the gap-resend, the slot takes the new sender and
-/// a clone of the stream (closing a connection it replaces), and the
-/// writer thread starts. Returns the link's epoch; the calling thread
-/// goes on to read the stream.
-fn register_connection(
-    shared: &Arc<Shared>,
-    peer: usize,
-    stream: &TcpStream,
-    peer_hello: &HelloBody,
-) -> Result<u64, NetError> {
+    stream: TcpStream,
+    dialed: Option<usize>,
+    patience: Duration,
+) -> Result<(), NetError> {
+    let mut conn = Conn::new(stream);
+    let (peer, peer_hello) = handshake(shared, &mut conn, dialed, patience)?;
+    let stream = &conn.stream;
     stream.set_nodelay(true).ok();
     stream.set_read_timeout(None)?;
     stream.set_write_timeout(Some(Duration::from_secs(2)))?;
@@ -582,13 +622,13 @@ fn register_connection(
     let (tx, rx) = mpsc::channel::<Vec<u8>>();
     let epoch = {
         let mut guard = shared.lock();
-        // Checked under the lock teardown takes to close the slots, so a
-        // link is either refused here or closed there.
+        // Checked under the lock teardown takes to drop the queues, so a
+        // link is either refused here or ended there.
         if shared.shutdown.load(Ordering::SeqCst) {
             return Err(NetError::Handshake("node shutting down".into()));
         }
         let inner = &mut *guard;
-        let epoch = inner.table.link_up(peer, peer_hello, &mut inner.out);
+        let epoch = inner.table.link_up(peer, &peer_hello, &mut inner.out);
         inner.links[peer].close();
         inner.links[peer] = LinkSlot {
             tx: Some(tx),
@@ -600,11 +640,12 @@ fn register_connection(
         shared.flush(inner);
         epoch
     };
-    let sh = Arc::clone(shared);
-    let writer = thread::spawn(move || writer_loop(&sh, peer, epoch, writer_stream, &rx));
-    park(&shared.writer_handles, writer);
     shared.cv.notify_all();
-    Ok(epoch)
+    thread::scope(|s| {
+        s.spawn(move || writer_loop(shared, peer, epoch, writer_stream, rx));
+        reader_loop(shared, peer, epoch, &mut conn);
+    });
+    Ok(())
 }
 
 /// A reader or writer of connection `epoch` saw it die.
@@ -619,12 +660,21 @@ fn link_down(shared: &Shared, peer: usize, epoch: u64) {
     shared.cv.notify_all();
 }
 
+/// Writes connection `epoch`'s queue to its socket; a failed write
+/// takes the link down.
+///
+/// Ordering 6: the writer is the one that ends its connection. Once its
+/// queue closes (teardown drops it, or link-down emptied the slot), it
+/// has handed every frame queued before the close to the kernel, which
+/// sends them ahead of the FIN this shutdown queues — so the final Done
+/// and DoneAck reach the wire. The shutdown also ends the reader's
+/// blocking read.
 fn writer_loop(
     shared: &Shared,
     peer: usize,
     epoch: u64,
     mut stream: TcpStream,
-    rx: &mpsc::Receiver<Vec<u8>>,
+    rx: mpsc::Receiver<Vec<u8>>,
 ) {
     while let Ok(bytes) = rx.recv() {
         if stream.write_all(&bytes).is_err() {
@@ -632,48 +682,36 @@ fn writer_loop(
             return;
         }
     }
-    let _ = stream.flush();
+    let _ = stream.shutdown(Shutdown::Both);
 }
 
-fn reader_loop(shared: &Shared, peer: usize, epoch: u64, mut stream: TcpStream) {
-    let mut fb = FrameBuffer::new();
-    let mut buf = [0u8; 65536];
+fn reader_loop(shared: &Shared, peer: usize, epoch: u64, conn: &mut Conn) {
     let mut bad_streak = 0u32;
-    'conn: loop {
-        if shared.shutdown.load(Ordering::SeqCst) {
-            break;
-        }
-        let k = match stream.read(&mut buf) {
-            Ok(0) | Err(_) => break,
-            Ok(k) => k,
-        };
-        fb.push(&buf[..k]);
-        loop {
-            match fb.next_frame() {
-                Ok(Some(payload)) => {
-                    if handle_frame(shared, peer, &payload) {
-                        bad_streak = 0;
-                        continue;
-                    }
-                    bad_streak += 1;
-                    if bad_streak < REJECT_CUT_THRESHOLD {
-                        continue;
-                    }
-                    // The stream has desynchronized from the frame layer
-                    // (corruption below us).
+    loop {
+        match conn.next_frame() {
+            Ok(Some(payload)) => {
+                if handle_frame(shared, peer, &payload) {
+                    bad_streak = 0;
+                    continue;
                 }
-                Ok(None) => break,
-                // Oversized prefix: the stream is garbage.
-                Err(_) => {
-                    shared.lock().table.reject(peer, Reject::Malformed);
-                    shared.cv.notify_all();
+                bad_streak += 1;
+                if bad_streak < REJECT_CUT_THRESHOLD {
+                    continue;
                 }
+                // The stream has desynchronized from the frame layer
+                // (corruption below us).
             }
-            // Cut the link and let reconnect + gap-resend rebuild a
-            // clean one.
-            let _ = stream.shutdown(Shutdown::Both);
-            break 'conn;
+            Ok(None) => break,
+            // Oversized prefix: the stream is garbage.
+            Err(_) => {
+                shared.lock().table.reject(peer, Reject::Malformed);
+                shared.cv.notify_all();
+            }
         }
+        // Cut the link and let reconnect + gap-resend rebuild a clean
+        // one.
+        let _ = conn.stream.shutdown(Shutdown::Both);
+        break;
     }
     link_down(shared, peer, epoch);
 }
@@ -693,36 +731,20 @@ fn handle_frame(shared: &Shared, peer: usize, payload: &[u8]) -> bool {
     accepted
 }
 
-/// Dials `peer`, performs the mutual Hello exchange, and registers the
-/// connection; returns it with its epoch.
-///
-/// The peer's Hello response is awaited for `min(handshake budget,
-/// 2 s)`. Giving up on a half-open handshake is safe since wire v2 — if
-/// the peer registered the connection anyway and sent its first
-/// protocol frames into the dead socket, the redial re-negotiates with
-/// the have-set and those frames are gap-resent with their original
-/// schedule.
-fn dial_handshake(
-    shared: &Arc<Shared>,
-    cfg: &NodeConfig,
-    peer: usize,
-) -> Result<(TcpStream, u64), NetError> {
-    let mut stream = TcpStream::connect_timeout(&cfg.peers[peer], Duration::from_millis(500))?;
-    write_hello(shared, peer, &mut stream)?;
-    let patience = cfg.handshake_timeout.min(Duration::from_secs(2));
-    stream.set_read_timeout(Some(patience))?;
-    let (_, peer_hello) = read_hello(shared, &mut stream, Some(peer))?;
-    let epoch = register_connection(shared, peer, &stream, &peer_hello)?;
-    Ok((stream, epoch))
-}
-
 /// The link to lower peer `peer`, on one thread for the whole run: dial,
-/// handshake, read the connection until it dies, then wait out a capped
+/// run the connection until it dies, then wait out a capped
 /// backoff on the condvar (teardown's notify ends it) and redial. Stops
 /// at teardown or once the table no longer wants the link. Redials after
 /// an outage are traced by attempt; the dead-peer deadline, not this
 /// thread, decides when they stop.
-fn dial_link(shared: &Arc<Shared>, cfg: &NodeConfig, peer: usize) {
+///
+/// The peer's Hello is awaited for `min(handshake budget, 2 s)`. Giving
+/// up on a half-open handshake is safe since wire v2 — if the peer
+/// registered the connection anyway and sent its first protocol frames
+/// into the dead socket, the redial re-negotiates with the have-set and
+/// those frames are gap-resent with their original schedule.
+fn dial_link(shared: &Shared, cfg: &NodeConfig, peer: usize) {
+    let patience = cfg.handshake_timeout.min(Duration::from_secs(2));
     // `attempt` counts failed dials since the link was last up; the
     // dials before it first came up are not redials.
     let (mut attempt, mut redial) = (0u32, false);
@@ -736,14 +758,12 @@ fn dial_link(shared: &Arc<Shared>, cfg: &NodeConfig, peer: usize) {
                 inner.table.reconnect_attempt(peer, attempt as usize);
             }
         }
-        if let Ok((stream, epoch)) = dial_handshake(shared, cfg, peer) {
-            if redial {
-                shared.lock().table.stats.reconnects += 1;
-            }
-            (attempt, redial) = (0, true);
-            reader_loop(shared, peer, epoch, stream);
-        } else {
-            attempt += 1;
+        let served = TcpStream::connect_timeout(&cfg.peers[peer], Duration::from_millis(500))
+            .map_err(NetError::from)
+            .and_then(|stream| run_connection(shared, stream, Some(peer), patience));
+        match served {
+            Ok(()) => (attempt, redial) = (0, true),
+            Err(_) => attempt += 1,
         }
         let backoff = cfg.reconnect.backoff(attempt);
         let running = |_: &mut Inner| !shared.shutdown.load(Ordering::SeqCst);
@@ -751,23 +771,6 @@ fn dial_link(shared: &Arc<Shared>, cfg: &NodeConfig, peer: usize) {
             .cv
             .wait_timeout_while(shared.lock(), backoff, running);
     }
-}
-
-/// One accepted connection for its lifetime: identify the dialer by its
-/// Hello, answer with ours, register, then read it until it dies.
-fn accept_link(shared: &Arc<Shared>, mut stream: TcpStream) -> Result<(), NetError> {
-    stream.set_read_timeout(Some(Duration::from_secs(2)))?;
-    let (peer, peer_hello) = read_hello(shared, &mut stream, None)?;
-    if peer < shared.id.me {
-        // Canonical direction: the higher index dials the lower.
-        return Err(NetError::Handshake(format!(
-            "peer {peer} must accept our dial, not dial us"
-        )));
-    }
-    write_hello(shared, peer, &mut stream)?;
-    let epoch = register_connection(shared, peer, &stream, &peer_hello)?;
-    reader_loop(shared, peer, epoch, stream);
-    Ok(())
 }
 
 /// Runs the protocol over real sockets until global termination.
@@ -892,20 +895,21 @@ fn spawn_acceptor(shared: &Arc<Shared>, listener: TcpListener) -> Result<(), Net
             // up a connection we then register — and the first frames
             // written into it are lost.
             let shared = Arc::clone(&sh);
-            let handle = thread::spawn(move || {
-                let _ = accept_link(&shared, stream);
-            });
-            park(&sh.aux_handles, handle);
+            sh.park(thread::spawn(move || {
+                let _ = run_connection(&shared, stream, None, Duration::from_secs(2));
+            }));
         }
     });
     *shared.acceptor.lock().expect("net lock") = Some((handle, wake));
     Ok(())
 }
 
-/// The acceptor goes first (woken by one dial, detached if that fails).
-/// Then ordering 6: close the writer queues and join the writers, so
-/// queued frames (the final Done) are flushed; only then shut the
-/// sockets down to unblock the readers, and join everything else.
+/// Ends the run's threads in one pass. The acceptor goes first (woken
+/// by one dial, detached if that fails). Dropping every queue then has
+/// each writer send what it holds and end its connection (ordering 6,
+/// see [`writer_loop`]), which ends its link thread's read; the notify
+/// ends the dialers' backoffs. Every link thread is joined last, each
+/// after its writer.
 fn teardown(shared: &Shared) {
     shared.shutdown.store(true, Ordering::SeqCst);
     if let Some((acceptor, wake)) = shared.acceptor.lock().expect("net lock").take() {
@@ -917,15 +921,8 @@ fn teardown(shared: &Shared) {
         slot.tx = None;
     }
     shared.cv.notify_all();
-    let writers = std::mem::take(&mut *shared.writer_handles.lock().expect("net lock"));
-    for h in writers {
-        let _ = h.join();
-    }
-    for slot in &mut shared.lock().links {
-        slot.close();
-    }
-    let aux = std::mem::take(&mut *shared.aux_handles.lock().expect("net lock"));
-    for h in aux {
+    let threads = std::mem::take(&mut *shared.link_threads.lock().expect("net lock"));
+    for h in threads {
         let _ = h.join();
     }
 }
@@ -995,10 +992,7 @@ where
     spawn_acceptor(shared, listener)?;
     for peer in 0..cfg.me {
         let (sh, th_cfg) = (Arc::clone(shared), cfg.clone());
-        park(
-            &shared.aux_handles,
-            thread::spawn(move || dial_link(&sh, &th_cfg, peer)),
-        );
+        shared.park(thread::spawn(move || dial_link(&sh, &th_cfg, peer)));
     }
     bring_up(cfg, shared, start)?;
     on_ready();
@@ -1024,10 +1018,7 @@ where
         };
         let snap = drained.snap;
         let mut activity = drained.has_input();
-        let undecodable = driver.absorb(drained)?;
-        if undecodable > 0 {
-            shared.lock().table.stats.rejected_malformed += undecodable;
-        }
+        driver.absorb(drained)?;
 
         let mut log = |rec: WalRecord| shared.append_wal(&rec);
         activity |= driver.run_ready(snap, probe, &mut log, &mut wire)?;
@@ -1080,7 +1071,11 @@ mod tests {
     use crate::wire::{FrameKind, WrapperMsg};
     use aa_trace::EventKind;
     use async_net::AsyncCtx;
-    use sim_net::Envelope;
+    use gradecast::GcBundleMsg;
+    use sim_net::{Envelope, PartyId};
+
+    const SECRET: u64 = 0x5eed;
+    const CFG_FP: u64 = 0xfeed_f00d;
 
     #[test]
     fn backoff_doubles_from_base_and_respects_the_cap() {
@@ -1117,40 +1112,260 @@ mod tests {
         }
     }
 
-    /// Fake peer 0 answers one handshake from node 1 (its Hello carrying
-    /// `wire_seq`, which the node's replay filter wants increasing),
-    /// lingers, then cuts the connection.
-    fn answer_one_handshake(listener: &TcpListener, secret: u64, cfg_fp: u64, wire_seq: u64) {
-        let (mut stream, _) = listener.accept().expect("accept");
-        stream
-            .set_read_timeout(Some(Duration::from_secs(2)))
-            .expect("timeout");
-        let payload = read_one_frame(&mut stream).expect("node hello");
-        let msg = WrapperMsg::decode(&payload).expect("decode hello");
-        assert_eq!(msg.kind, FrameKind::Hello);
-        let reply = WrapperMsg {
-            kind: FrameKind::Hello,
-            from: 0,
-            to: 1,
+    /// A protocol that outputs how many messages it was delivered, once
+    /// there was one.
+    #[derive(Default)]
+    struct CountProto(u8);
+
+    impl AsyncProtocol for CountProto {
+        type Msg = u64;
+        type Output = u8;
+
+        fn on_start(&mut self, _ctx: &mut AsyncCtx<u64>) {}
+
+        fn on_message(&mut self, _env: Envelope<u64>, _ctx: &mut AsyncCtx<u64>) {
+            self.0 += 1;
+        }
+
+        fn output(&self) -> Option<u8> {
+            (self.0 > 0).then_some(self.0)
+        }
+    }
+
+    /// An envelope of `kind` from fake party `from` to `to`, unsigned.
+    fn envelope(kind: FrameKind, from: u32, to: u32, wire_seq: u64) -> WrapperMsg {
+        WrapperMsg {
+            kind,
+            from,
+            to,
             wire_seq,
             lseq: 0,
             vsend: 0.0,
             vdeliver: 0.0,
-            body: HelloBody {
-                config_fp: cfg_fp,
-                version: WIRE_VERSION,
-                have_prefix: 0,
-                have_extras: Vec::new(),
-            }
-            .to_bytes(),
+            body: Vec::new(),
             mac: 0,
         }
-        .signed(pair_key(secret, 0, 1));
-        stream.write_all(&frame(&reply.encode())).expect("reply");
+    }
+
+    /// A Hello from fake party `from` to `to` with an empty have-set.
+    fn hello(from: u32, to: u32, wire_seq: u64) -> WrapperMsg {
+        let body = HelloBody {
+            config_fp: CFG_FP,
+            version: WIRE_VERSION,
+            have_prefix: 0,
+            have_extras: Vec::new(),
+        };
+        WrapperMsg {
+            body: body.to_bytes(),
+            ..envelope(FrameKind::Hello, from, to, wire_seq)
+        }
+    }
+
+    /// `msg` signed under its pair's key and framed.
+    fn sealed(msg: WrapperMsg) -> Vec<u8> {
+        let key = pair_key(SECRET, msg.from as usize, msg.to as usize);
+        frame(&msg.signed(key).encode())
+    }
+
+    /// A fake peer's end of an accepted or dialed connection, reading
+    /// through the shell's own [`Conn`].
+    fn fake_end(stream: TcpStream) -> Conn {
+        stream
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .expect("timeout");
+        Conn::new(stream)
+    }
+
+    /// The next frame the node sent, decoded; `None` once it closed.
+    fn next_msg(conn: &mut Conn) -> Option<WrapperMsg> {
+        let payload = conn.next_frame().expect("framing")?;
+        Some(WrapperMsg::decode(&payload).expect("decode"))
+    }
+
+    /// Fake peer 0 answers one handshake from node 1 (its Hello carrying
+    /// `wire_seq`, which the node's replay filter wants increasing),
+    /// lingers, then cuts the connection.
+    fn answer_one_handshake(listener: &TcpListener, wire_seq: u64) {
+        let mut conn = fake_end(listener.accept().expect("accept").0);
+        let node_hello = next_msg(&mut conn).expect("node hello");
+        assert_eq!(node_hello.kind, FrameKind::Hello);
+        let reply = sealed(hello(0, 1, wire_seq));
+        conn.stream.write_all(&reply).expect("reply");
         // Linger briefly so the node's first frames have a live socket,
         // then cut the connection.
         thread::sleep(Duration::from_millis(60));
-        let _ = stream.shutdown(Shutdown::Both);
+        let _ = conn.stream.shutdown(Shutdown::Both);
+    }
+
+    /// Fake peer 0 of node 1 for a whole run: answers the node's Hello
+    /// with its own followed, in the same `write_all`, by `behind` and a
+    /// Done and a DoneAck (the node's Done acknowledged ahead of time),
+    /// each sealed with the next `wire_seq`. Then, once `unread` returns,
+    /// it reads until the node ends the connection. Returns the kinds
+    /// the node sent after its Hello.
+    fn fake_lower_peer(
+        listener: TcpListener,
+        behind: Vec<WrapperMsg>,
+        unread: impl FnOnce(),
+    ) -> Vec<FrameKind> {
+        let mut conn = fake_end(listener.accept().expect("accept").0);
+        let node_hello = next_msg(&mut conn).expect("node hello");
+        assert_eq!(node_hello.kind, FrameKind::Hello);
+        let done = [FrameKind::Done, FrameKind::DoneAck].map(|k| envelope(k, 0, 1, 0));
+        let mut bytes = sealed(hello(0, 1, 0));
+        for (wire_seq, msg) in (1..).zip(behind.into_iter().chain(done)) {
+            bytes.extend(sealed(WrapperMsg { wire_seq, ..msg }));
+        }
+        conn.stream.write_all(&bytes).expect("hello and frames");
+        unread();
+        std::iter::from_fn(|| next_msg(&mut conn).map(|m| m.kind)).collect()
+    }
+
+    /// Runs node 1 of 2 with `proto` against [`fake_lower_peer`].
+    fn run_against_fake_lower_peer<P>(
+        proto: P,
+        behind: Vec<WrapperMsg>,
+        unread: impl FnOnce() + Send + 'static,
+    ) -> (NodeReport<P::Output>, Vec<FrameKind>)
+    where
+        P: AsyncProtocol,
+        P::Msg: WireCodec,
+    {
+        let peer_listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let my_listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let peers = [&peer_listener, &my_listener].map(|l| l.local_addr().expect("addr"));
+        let fake = thread::spawn(move || fake_lower_peer(peer_listener, behind, unread));
+        let mut cfg = NodeConfig::new(1, 2, 0, peers.to_vec(), SECRET, CFG_FP, 7);
+        cfg.wall_timeout = Duration::from_secs(5);
+        let report = run_node(&cfg, my_listener, proto, || {}).expect("node run");
+        (report, fake.join().expect("fake peer"))
+    }
+
+    #[test]
+    fn frames_behind_the_hello_are_delivered_once() {
+        let data = WrapperMsg {
+            vdeliver: async_net::link_delay(7, 0, 1, 0, 0.5),
+            body: 42u64.to_bytes(),
+            ..envelope(FrameKind::Data, 0, 1, 0)
+        };
+        // The promise that lets the node's bound pass the delivery time.
+        let null = WrapperMsg {
+            vsend: 2.0,
+            ..envelope(FrameKind::Null, 0, 1, 0)
+        };
+        let frames = vec![data, null];
+        let (report, _) = run_against_fake_lower_peer(CountProto::default(), frames, || {});
+        assert_eq!(report.output, Some(1));
+        let s = report.stats;
+        assert_eq!(
+            (s.rejected_mac, s.rejected_replay, s.rejected_malformed),
+            (0, 0, 0)
+        );
+        assert_eq!(
+            (s.dup_frames, s.resent_frames, s.retransmissions),
+            (0, 0, 0)
+        );
+        assert_eq!(s.frames_received, 4, "{s:?}");
+    }
+
+    /// Outputs at once, after queueing party 0 more Data than a
+    /// loopback connection's kernel buffers hold (128 leads of 8192
+    /// values, ≈ 8 MiB). Each time it is asked for its output it says so
+    /// on its channel; the node first asks once the start activation's
+    /// frames are queued.
+    struct Flood(mpsc::Sender<()>);
+
+    impl AsyncProtocol for Flood {
+        type Msg = GcBundleMsg<u64>;
+        type Output = u8;
+
+        fn on_start(&mut self, ctx: &mut AsyncCtx<Self::Msg>) {
+            let leads: Arc<[Option<u64>]> = vec![Some(7); 8192].into();
+            for _ in 0..128 {
+                ctx.send(PartyId(0), GcBundleMsg::Leads(Arc::clone(&leads)));
+            }
+        }
+
+        fn on_message(&mut self, _env: Envelope<Self::Msg>, _ctx: &mut AsyncCtx<Self::Msg>) {}
+
+        fn output(&self) -> Option<u8> {
+            let _ = self.0.send(());
+            Some(1)
+        }
+    }
+
+    #[test]
+    fn teardown_drains_every_queue_before_it_closes() {
+        // The node is done in its first pass after the flood, while its
+        // writer still holds most of the Data with nobody reading: the
+        // Done and the DoneAck that pass queued sit behind megabytes.
+        // The fake starts reading well after the node began its teardown.
+        let (flooded, unread) = mpsc::channel();
+        let unread = move || {
+            unread.recv().expect("the flood was queued");
+            thread::sleep(Duration::from_millis(100));
+        };
+        let (report, seen) = run_against_fake_lower_peer(Flood(flooded), Vec::new(), unread);
+        assert_eq!(report.output, Some(1));
+        // The fake read to EOF, and everything queued came before it.
+        let data = seen.iter().filter(|&&k| k == FrameKind::Data).count();
+        assert_eq!(data, 128);
+        assert!(seen.contains(&FrameKind::Done), "{seen:?}");
+        assert!(seen.contains(&FrameKind::DoneAck), "{seen:?}");
+    }
+
+    #[test]
+    fn a_hostile_first_frame_is_a_refused_handshake_at_either_end() {
+        let oversized = u32::MAX.to_be_bytes().to_vec();
+        let not_hello = |from, to| sealed(envelope(FrameKind::Data, from, to, 0));
+        let patience = Duration::from_secs(2);
+        for (what, down, up) in [
+            ("oversized", oversized.clone(), oversized),
+            ("non-Hello", not_hello(0, 1), not_hello(1, 0)),
+        ] {
+            // Dialing end: node 1 dials fake peer 0, which answers the
+            // node's Hello with `down`.
+            let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+            let addr = listener.local_addr().expect("addr");
+            let cfg = NodeConfig::new(1, 2, 0, vec![addr, addr], SECRET, CFG_FP, 7);
+            let shared = Shared::new(&cfg, None);
+            let fake = thread::spawn(move || {
+                let mut conn = fake_end(listener.accept().expect("accept").0);
+                let node_hello = next_msg(&mut conn).expect("node hello");
+                assert_eq!(node_hello.kind, FrameKind::Hello);
+                conn.stream.write_all(&down).expect("hostile reply");
+                // The node drops the connection and sends nothing more.
+                next_msg(&mut conn).map(|m| m.kind)
+            });
+            let started = Instant::now();
+            let mut conn = Conn::new(TcpStream::connect(addr).expect("dial"));
+            let refused = handshake(&shared, &mut conn, Some(0), patience);
+            drop(conn);
+            // Refused at once: the node did not wait for, let alone
+            // allocate, the 4 GiB an oversized prefix announces.
+            assert!(started.elapsed() < Duration::from_secs(1), "{what}");
+            assert!(matches!(refused, Err(NetError::Handshake(_))), "{what}");
+            assert_eq!(fake.join().expect("fake peer"), None, "{what}");
+            assert_eq!(shared.lock().table.links_up(), 0, "{what}");
+
+            // Accepting end: fake peer 1 dials node 0 and opens with `up`.
+            let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+            let addr = listener.local_addr().expect("addr");
+            let cfg = NodeConfig::new(0, 2, 0, vec![addr, addr], SECRET, CFG_FP, 7);
+            let shared = Shared::new(&cfg, None);
+            let fake = thread::spawn(move || {
+                let mut conn = fake_end(TcpStream::connect(addr).expect("dial"));
+                conn.stream.write_all(&up).expect("hostile hello");
+                // The node never answers with its Hello.
+                next_msg(&mut conn).map(|m| m.kind)
+            });
+            let mut conn = Conn::new(listener.accept().expect("accept").0);
+            let refused = handshake(&shared, &mut conn, None, patience);
+            drop(conn);
+            assert!(matches!(refused, Err(NetError::Handshake(_))), "{what}");
+            assert_eq!(fake.join().expect("fake peer"), None, "{what}");
+            assert_eq!(shared.lock().table.links_up(), 0, "{what}");
+        }
     }
 
     /// The shell holds exactly one registered stream and one writer
@@ -1171,8 +1386,6 @@ mod tests {
         policy: ReconnectPolicy,
         handshakes: u64,
     ) -> (aa_trace::Trace, NetStats) {
-        let secret = 0x5eed;
-        let cfg_fp = 0xfeed_f00d;
         let peer_listener = TcpListener::bind("127.0.0.1:0").expect("bind");
         let peer_addr = peer_listener.local_addr().expect("addr");
         let my_listener = TcpListener::bind("127.0.0.1:0").expect("bind");
@@ -1180,14 +1393,14 @@ mod tests {
 
         let fake = thread::spawn(move || {
             for k in 0..handshakes {
-                answer_one_handshake(&peer_listener, secret, cfg_fp, k);
+                answer_one_handshake(&peer_listener, k);
             }
             // Dropping the listener here makes every further reconnect
             // dial fail fast with a refusal instead of a slow timeout.
             drop(peer_listener);
         });
 
-        let mut cfg = NodeConfig::new(1, 2, 0, vec![peer_addr, my_addr], secret, cfg_fp, 7);
+        let mut cfg = NodeConfig::new(1, 2, 0, vec![peer_addr, my_addr], SECRET, CFG_FP, 7);
         cfg.reconnect = policy;
         cfg.handshake_timeout = Duration::from_secs(5);
         cfg.wall_timeout = Duration::from_secs(20);
@@ -1287,12 +1500,11 @@ mod tests {
 
     #[test]
     fn a_silent_peer_does_not_hold_up_the_dial_to_another() {
-        let (secret, cfg_fp) = (0x5eed, 0xfeed_f00d);
         let silent = TcpListener::bind("127.0.0.1:0").expect("bind");
         let answering = TcpListener::bind("127.0.0.1:0").expect("bind");
         let my_listener = TcpListener::bind("127.0.0.1:0").expect("bind");
         let peers = [&silent, &answering, &my_listener].map(|l| l.local_addr().expect("addr"));
-        let mut cfg = NodeConfig::new(2, 3, 0, peers.to_vec(), secret, cfg_fp, 7);
+        let mut cfg = NodeConfig::new(2, 3, 0, peers.to_vec(), SECRET, CFG_FP, 7);
         cfg.handshake_timeout = Duration::from_secs(1);
         // Peer 0 accepts node 2's dial and never answers its Hello.
         let mute = thread::spawn(move || silent.accept().map(|(stream, _)| stream));
@@ -1300,13 +1512,9 @@ mod tests {
         let node = thread::spawn(move || run_node(&cfg, my_listener, InstantProto, || {}));
 
         // Peer 1 gets node 2's Hello without waiting out peer 0's patience.
-        let (mut stream, _) = answering.accept().expect("accept");
-        stream
-            .set_read_timeout(Some(Duration::from_secs(2)))
-            .expect("timeout");
-        let hello = WrapperMsg::decode(&read_one_frame(&mut stream).expect("hello"));
+        let mut conn = fake_end(answering.accept().expect("accept").0);
+        let hello = next_msg(&mut conn).expect("hello");
         let waited = started.elapsed();
-        let hello = hello.expect("decode hello");
         assert_eq!((hello.kind, hello.from, hello.to), (FrameKind::Hello, 2, 1));
         assert!(waited < Duration::from_millis(500), "took {waited:?}");
 
@@ -1322,7 +1530,7 @@ mod tests {
     fn teardown_wakes_an_acceptor_on_the_unspecified_address() {
         let listener = TcpListener::bind("0.0.0.0:0").expect("bind");
         let addr = listener.local_addr().expect("addr");
-        let cfg = NodeConfig::new(0, 1, 0, vec![addr], 0x5eed, 0xfeed_f00d, 7);
+        let cfg = NodeConfig::new(0, 1, 0, vec![addr], SECRET, CFG_FP, 7);
         let node_cfg = cfg.clone();
         let (tx, rx) = mpsc::channel();
         thread::spawn(move || {
