@@ -183,14 +183,6 @@ pub enum EventKind {
         /// The intended recipient.
         to: usize,
     },
-    /// A fault plan duplicated a message on the link `from -> to` (the
-    /// extra copy is delivered and charged like a normal send).
-    FaultDuplicate {
-        /// The sender.
-        from: usize,
-        /// The recipient of the duplicate copy.
-        to: usize,
-    },
     /// A fault plan crashed a party (benign crash, distinct from
     /// adversarial [`EventKind::Corrupt`]: the party may recover).
     FaultCrash {
@@ -313,11 +305,6 @@ impl TraceEvent {
                 fields.push(("from".to_string(), Json::int(*from as u64)));
                 fields.push(("to".to_string(), Json::int(*to as u64)));
             }
-            EventKind::FaultDuplicate { from, to } => {
-                fields.push(kind("fault_dup"));
-                fields.push(("from".to_string(), Json::int(*from as u64)));
-                fields.push(("to".to_string(), Json::int(*to as u64)));
-            }
             EventKind::FaultCrash { party } => {
                 fields.push(kind("fault_crash"));
                 fields.push(("party".to_string(), Json::int(*party as u64)));
@@ -416,10 +403,6 @@ impl TraceEvent {
                 bytes: req_usize(json, "bytes")?,
             },
             "fault_drop" => EventKind::FaultDrop {
-                from: req_usize(json, "from")?,
-                to: req_usize(json, "to")?,
-            },
-            "fault_dup" => EventKind::FaultDuplicate {
                 from: req_usize(json, "from")?,
                 to: req_usize(json, "to")?,
             },
@@ -565,14 +548,13 @@ impl Trace {
         Trace::from_json(&Json::parse(text)?)
     }
 
-    /// Whether any fault-plan event (drop, duplicate, crash, recover,
-    /// partition boundary) was recorded.
+    /// Whether any fault-plan event (drop, crash, recover, partition
+    /// boundary) was recorded.
     pub fn has_faults(&self) -> bool {
         self.events.iter().any(|e| {
             matches!(
                 e.kind,
                 EventKind::FaultDrop { .. }
-                    | EventKind::FaultDuplicate { .. }
                     | EventKind::FaultCrash { .. }
                     | EventKind::FaultRecover { .. }
                     | EventKind::PartitionStart { .. }
@@ -1266,7 +1248,6 @@ mod tests {
                     bytes: 8,
                     byzantine: false,
                 },
-                EventKind::FaultDuplicate { from: 1, to: 0 },
             ],
         );
         round(

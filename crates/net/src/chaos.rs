@@ -41,6 +41,8 @@ use std::time::{Duration, Instant};
 use async_net::splitmix64;
 use sim_net::{CrashFault, FaultPlan, Partition};
 
+use crate::node::park;
+
 /// How a [`ChaosProxy`] distorts the traffic it relays.
 #[derive(Clone, Debug)]
 pub struct ChaosConfig {
@@ -59,6 +61,8 @@ struct ProxyShared {
     stop: AtomicBool,
     epoch: Instant,
     conn_counter: AtomicU64,
+    /// Forwarding threads, two per relayed connection; finished ones
+    /// are joined as new ones start, the rest at shutdown.
     relays: Mutex<Vec<JoinHandle<()>>>,
 }
 
@@ -187,11 +191,13 @@ fn spawn_relay_pair(shared: &Arc<ProxyShared>, client: TcpStream, server: TcpStr
     let base = shared.cfg.plan.seed
         ^ (shared.cfg.node as u64).wrapping_mul(0x9e37_79b9)
         ^ conn.wrapping_mul(0x1000_0001);
-    let mut relays = shared.relays.lock().expect("chaos lock");
     for (dir, (from, to)) in [(0u64, (client, s2)), (1u64, (server, c2))] {
         let sh = Arc::clone(shared);
         let seed = splitmix64(base ^ (dir << 32));
-        relays.push(thread::spawn(move || relay(&sh, from, to, seed)));
+        park(
+            &shared.relays,
+            thread::spawn(move || relay(&sh, from, to, seed)),
+        );
     }
 }
 
@@ -335,6 +341,42 @@ mod tests {
         client.read_exact(&mut back).expect("echo");
         assert_eq!(&back, b"hello");
         echo.join().expect("echo thread");
+        proxy.stop();
+    }
+
+    #[test]
+    fn finished_relay_threads_are_joined_as_new_ones_start() {
+        let target = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let clean = ChaosConfig {
+            plan: FaultPlan::none(),
+            node: 0,
+            round_ms: 1000,
+        };
+        let proxy = spawn_chaos_proxy(target.local_addr().expect("addr"), clean).expect("proxy");
+        for conn in 0..4 {
+            let mut client = TcpStream::connect(proxy.addr).expect("dial proxy");
+            let (mut server, _) = target.accept().expect("accept");
+            client.write_all(b"x").expect("send");
+            let mut byte = [0u8; 1];
+            server.read_exact(&mut byte).expect("relayed");
+            drop((client, server));
+            // Only this connection's two threads are kept, and both end
+            // with it; a proxy that kept every thread holds 2 × (conn + 1).
+            let deadline = Instant::now() + Duration::from_secs(5);
+            loop {
+                let relays = proxy.shared.relays.lock().expect("chaos lock");
+                if relays.len() == 2 && relays.iter().all(JoinHandle::is_finished) {
+                    break;
+                }
+                assert!(
+                    Instant::now() < deadline,
+                    "connection {conn}: {} relay threads kept",
+                    relays.len()
+                );
+                drop(relays);
+                thread::sleep(Duration::from_millis(10));
+            }
+        }
         proxy.stop();
     }
 

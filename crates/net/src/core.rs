@@ -150,9 +150,10 @@ impl LinkId {
     }
 
     /// The stateless half of a handshake: authenticates a Hello against
-    /// `expected_from` (or any peer if `None`) and checks wire version
-    /// and configuration. Returns the sender, the Hello's `wire_seq`
-    /// (for [`LinkTable::admit_hello`]) and the decoded body.
+    /// `expected_from` (or any peer if `None`). Returns the sender, the
+    /// Hello's `wire_seq` (for [`LinkTable::admit_hello`]) and the
+    /// decoded body, whose wire version and configuration
+    /// [`LinkId::check_hello`] judges.
     pub(crate) fn open_hello(
         &self,
         payload: &[u8],
@@ -175,6 +176,13 @@ impl LinkId {
         }
         let hello =
             HelloBody::from_bytes(&msg.body).map_err(|e| NetError::Handshake(e.to_string()))?;
+        Ok((from, msg.wire_seq, hello))
+    }
+
+    /// Whether authenticated peer `from` speaks our wire version and runs
+    /// our configuration.
+    pub(crate) fn check_hello(&self, from: usize, hello: &HelloBody) -> Result<(), NetError> {
+        let fail = |m: String| Err(NetError::Handshake(m));
         if hello.version != WIRE_VERSION {
             return fail(format!(
                 "peer {from} speaks wire version {}, expected {WIRE_VERSION}",
@@ -187,7 +195,7 @@ impl LinkId {
                 hello.config_fp, self.config_fp
             ));
         }
-        Ok((from, msg.wire_seq, hello))
+        Ok(())
     }
 }
 
@@ -311,6 +319,8 @@ pub(crate) struct LinkTable {
     notes: Vec<EventKind>,
     /// Our Done has been announced (the protocol produced its output).
     done_sent: bool,
+    /// Why the last refused handshake was refused, for bring-up's error.
+    pub(crate) last_refusal: Option<String>,
 }
 
 impl LinkTable {
@@ -321,6 +331,7 @@ impl LinkTable {
             stats: NetStats::default(),
             notes: Vec::new(),
             done_sent: false,
+            last_refusal: None,
         }
     }
 
@@ -450,6 +461,12 @@ impl LinkTable {
             p.connected = false;
         }
         was_up
+    }
+
+    /// Counts a handshake refused at either end and keeps its reason.
+    pub(crate) fn refuse(&mut self, why: &str) {
+        self.stats.refused_handshakes += 1;
+        self.last_refusal = Some(why.to_string());
     }
 
     /// Counts a rejected frame and queues its `fault_drop` trace record.

@@ -369,6 +369,11 @@ pub struct NetStats {
     pub revived_peers: u64,
     /// Retained frames evicted past the per-link retention cap.
     pub retain_evicted: u64,
+    /// Handshakes refused at either end: another configuration or wire
+    /// version, a replayed Hello, a hostile first frame, no Hello before
+    /// the connection ended or the wait ran out. A failed dial is not
+    /// one, nor a connection turned away during teardown.
+    pub refused_handshakes: u64,
 }
 
 /// What a completed (or degraded-but-terminated) node run produced.
@@ -495,22 +500,23 @@ impl Shared {
             None => Ok(()),
         }
     }
+}
 
-    /// Keeps a link thread's handle for the final join, first joining
-    /// the ones that already finished — the list tracks live threads,
-    /// not every thread the run ever started.
-    fn park(&self, handle: JoinHandle<()>) {
-        let mut hs = self.link_threads.lock().expect("net lock");
-        let mut i = 0;
-        while i < hs.len() {
-            if hs[i].is_finished() {
-                let _ = hs.swap_remove(i).join();
-            } else {
-                i += 1;
-            }
+/// Keeps a thread's handle in `threads` for the final join, first
+/// joining the ones that already finished — the list tracks live
+/// threads, not every thread the run ever started. The node's link
+/// threads and the chaos relay's forwarding threads are kept this way.
+pub(crate) fn park(threads: &Mutex<Vec<JoinHandle<()>>>, handle: JoinHandle<()>) {
+    let mut hs = threads.lock().expect("thread list lock");
+    let mut i = 0;
+    while i < hs.len() {
+        if hs[i].is_finished() {
+            let _ = hs.swap_remove(i).join();
+        } else {
+            i += 1;
         }
-        hs.push(handle);
     }
+    hs.push(handle);
 }
 
 /// A connection's incoming bytes for its whole life: the socket, the
@@ -558,7 +564,10 @@ impl Conn {
 /// direction (the higher index dials the lower). The peer's Hello is
 /// awaited for `patience`, authenticated off the lock and admitted by
 /// the replay filter under it; ours has its `wire_seq` reservation
-/// logged before it is written. Returns the peer and its Hello.
+/// logged before it is written. Each end judges the peer's wire version
+/// and configuration only once both Hellos are out, so a mismatch is
+/// refused at both ends with its reason. Returns the peer and its
+/// Hello.
 fn handshake(
     shared: &Shared,
     conn: &mut Conn,
@@ -583,6 +592,7 @@ fn handshake(
         }
         write_hello(shared, peer, &mut conn.stream)?;
     }
+    shared.id.check_hello(peer, &hello)?;
     Ok((peer, hello))
 }
 
@@ -604,7 +614,8 @@ fn write_hello(shared: &Shared, peer: usize, stream: &mut TcpStream) -> Result<(
 /// gap-resend, the slot takes the new queue and a clone of the stream
 /// (cutting a connection it replaces) — then this thread reads it while
 /// a scoped writer drains its queue, until it dies. An error means the
-/// link never came up.
+/// link never came up; a refused handshake is counted and its reason
+/// kept for [`bring_up`].
 fn run_connection(
     shared: &Shared,
     stream: TcpStream,
@@ -612,7 +623,11 @@ fn run_connection(
     patience: Duration,
 ) -> Result<(), NetError> {
     let mut conn = Conn::new(stream);
-    let (peer, peer_hello) = handshake(shared, &mut conn, dialed, patience)?;
+    let (peer, peer_hello) = handshake(shared, &mut conn, dialed, patience).inspect_err(|e| {
+        if let NetError::Handshake(why) = e {
+            shared.lock().table.refuse(why);
+        }
+    })?;
     let stream = &conn.stream;
     stream.set_nodelay(true).ok();
     stream.set_read_timeout(None)?;
@@ -895,9 +910,12 @@ fn spawn_acceptor(shared: &Arc<Shared>, listener: TcpListener) -> Result<(), Net
             // up a connection we then register — and the first frames
             // written into it are lost.
             let shared = Arc::clone(&sh);
-            sh.park(thread::spawn(move || {
-                let _ = run_connection(&shared, stream, None, Duration::from_secs(2));
-            }));
+            park(
+                &sh.link_threads,
+                thread::spawn(move || {
+                    let _ = run_connection(&shared, stream, None, Duration::from_secs(2));
+                }),
+            );
         }
     });
     *shared.acceptor.lock().expect("net lock") = Some((handle, wake));
@@ -938,10 +956,11 @@ fn bring_up(cfg: &NodeConfig, shared: &Shared, start: Instant) -> Result<(), Net
         .expect("net lock");
     let up = inner.table.links_up();
     if up < cfg.n - 1 {
-        return Err(NetError::Handshake(format!(
-            "only {up}/{} links up",
-            cfg.n - 1
-        )));
+        let mut why = format!("only {up}/{} links up", cfg.n - 1);
+        if let Some(refusal) = &inner.table.last_refusal {
+            why += &format!("; last refusal: {refusal}");
+        }
+        return Err(NetError::Handshake(why));
     }
     Ok(())
 }
@@ -992,7 +1011,10 @@ where
     spawn_acceptor(shared, listener)?;
     for peer in 0..cfg.me {
         let (sh, th_cfg) = (Arc::clone(shared), cfg.clone());
-        shared.park(thread::spawn(move || dial_link(&sh, &th_cfg, peer)));
+        park(
+            &shared.link_threads,
+            thread::spawn(move || dial_link(&sh, &th_cfg, peer)),
+        );
     }
     bring_up(cfg, shared, start)?;
     on_ready();
@@ -1522,6 +1544,38 @@ mod tests {
         let result = node.join().expect("node thread");
         assert!(matches!(result, Err(NetError::Handshake(_))), "{result:?}");
         drop(mute.join().expect("mute peer"));
+    }
+
+    #[test]
+    fn a_peer_with_another_configuration_is_refused_at_both_ends_with_the_reason() {
+        let listeners = [(); 2].map(|_| TcpListener::bind("127.0.0.1:0").expect("bind"));
+        let peers: Vec<SocketAddr> = listeners
+            .iter()
+            .map(|l| l.local_addr().expect("addr"))
+            .collect();
+        let nodes: Vec<_> = listeners
+            .into_iter()
+            .enumerate()
+            .map(|(me, listener)| {
+                let fp = CFG_FP + me as u64;
+                let mut cfg = NodeConfig::new(me, 2, 0, peers.clone(), SECRET, fp, 7);
+                cfg.handshake_timeout = Duration::from_secs(1);
+                thread::spawn(move || {
+                    let shared = Shared::new(&cfg, None);
+                    let result =
+                        drive_node(&cfg, &shared, listener, InstantProto, None, &|_| 0, || {});
+                    teardown(&shared);
+                    let refused = shared.lock().table.stats.refused_handshakes;
+                    (result.err(), refused)
+                })
+            })
+            .collect();
+        for (me, node) in nodes.into_iter().enumerate() {
+            let (err, refused) = node.join().expect("node thread");
+            let err = err.map(|e| e.to_string()).unwrap_or_default();
+            assert!(err.contains("runs configuration"), "node {me}: {err:?}");
+            assert!(refused >= 1, "node {me}: {refused} refusals");
+        }
     }
 
     /// `treeaa serve --bind 0.0.0.0:0` hands the node such a listener:

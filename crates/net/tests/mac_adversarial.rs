@@ -233,18 +233,36 @@ fn mismatched_config_fingerprint_is_refused_at_handshake() {
     .signed(pair_key(SECRET, 1, 0));
     stream.write_all(&frame(&msg.encode())).unwrap();
 
-    // The node must not answer with a Hello: the connection just dies.
+    // The node answers the authenticated Hello with its own, so the peer
+    // can name the mismatch too, then closes: nothing else follows.
+    let mut prefix = [0u8; 4];
+    stream.read_exact(&mut prefix).expect("node hello prefix");
+    let mut payload = vec![0u8; u32::from_be_bytes(prefix) as usize];
+    stream.read_exact(&mut payload).expect("node hello");
+    let answer = WrapperMsg::decode(&payload).expect("node hello");
+    assert_eq!(
+        (answer.kind, answer.from, answer.to),
+        (FrameKind::Hello, 0, 1)
+    );
+    assert!(
+        answer.verify(pair_key(SECRET, 0, 1)),
+        "node hello must be MACed"
+    );
+    let body = HelloBody::from_bytes(&answer.body).expect("hello body");
+    assert_eq!(body.config_fp, CONFIG_FP);
     let mut buf = [0u8; 1];
     let got = stream.read(&mut buf);
     assert!(
         matches!(got, Ok(0)) || got.is_err(),
-        "node answered a mismatched-fingerprint hello"
+        "node kept a mismatched-fingerprint connection"
     );
 
-    // The node itself errors out of bring-up (no valid peer ever came).
+    // The node itself errors out of bring-up (no valid peer ever came),
+    // naming the refusal.
     let err = node
         .join()
         .expect("thread")
         .expect_err("must fail bring-up");
     assert!(matches!(err, net::NetError::Handshake(_)), "got {err}");
+    assert!(err.to_string().contains("runs configuration"), "got {err}");
 }

@@ -7,16 +7,21 @@
 //!   but never enter its inbox;
 //! * a take-over runs identically in both step modes;
 //! * in a `ComposedAdversary`, later parts see the frozen party's empty
-//!   outbox.
+//!   outbox;
+//! * under a fault plan, every copy outside the shared broadcast list —
+//!   a cut broadcast's, a unicast, an injection — is dropped across a
+//!   cut or from a down sender, and otherwise counted, traced and queued
+//!   unless its recipient is taken over.
 
 use std::cell::RefCell;
 use std::rc::Rc;
 use std::sync::Arc;
 
 use sim_net::{
-    run_simulation_traced, Adversary, AdversaryCtx, ComposedAdversary, EngineConfig, EventKind,
-    Inbox, PartyId, Payload, ProtoEvent, Protocol, RoundCtx, RunReport, ScriptedAdversary,
-    SimConfig, StepMode, Trace,
+    run_simulation_faulted_traced, run_simulation_traced, Adversary, AdversaryCtx,
+    ComposedAdversary, CrashFault, EngineConfig, EventKind, FaultPlan, Inbox, Partition, PartyId,
+    Payload, ProtoEvent, Protocol, RoundCtx, RunReport, ScriptedAdversary, SimConfig, StepMode,
+    Trace,
 };
 
 /// Broadcasts and emits one protocol event every round; done after four
@@ -251,4 +256,160 @@ fn a_later_part_of_a_composed_adversary_sees_the_frozen_outbox() {
     // frozen, for the later part as for the engine.
     assert_eq!(*seen.borrow(), [(true, 1), (true, 0), (true, 0), (true, 0)]);
     assert_eq!(broadcast_rounds(&trace, 2), [1]);
+}
+
+/// Broadcasts its token and sends it to party 0 every round; done after
+/// six rounds.
+struct Talker {
+    token: Token,
+    done: bool,
+}
+
+impl Protocol for Talker {
+    type Msg = Token;
+    type Output = ();
+
+    fn step(&mut self, round: u32, _inbox: &Inbox<Token>, ctx: &mut RoundCtx<Token>) {
+        ctx.broadcast(self.token.clone());
+        ctx.send(PartyId(0), self.token.clone());
+        self.done = round >= 6;
+    }
+
+    fn output(&self) -> Option<()> {
+        self.done.then_some(())
+    }
+}
+
+/// FNV-1a (64-bit) of `bytes`.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Every way a copy leaves the shared broadcast list, in one faulted run:
+/// party 0 is taken over in round 1; party 1 is corrupted and forwarded
+/// every round, and down in round 4; parties {0, 1, 2} are cut off from
+/// {3, 4, 5} in rounds 2 and 3, while honest party 4 is down. Party 0
+/// (live) injects to everyone and party 1 injects to party 3 every
+/// round, so injections cross the cut, come from a down sender and reach
+/// the taken-over party.
+#[test]
+fn every_per_recipient_copy_follows_one_rule_in_both_step_modes() {
+    let plan = FaultPlan {
+        partitions: vec![Partition {
+            side: vec![0, 1, 2],
+            from_round: 2,
+            heal_round: 4,
+        }],
+        crashes: vec![
+            CrashFault {
+                party: 1,
+                crash_round: 4,
+                recover_round: 5,
+            },
+            CrashFault {
+                party: 4,
+                crash_round: 2,
+                recover_round: 4,
+            },
+        ],
+        ..FaultPlan::none()
+    };
+    let run = |mode| {
+        let tokens: Vec<Arc<()>> = (0..6).map(|_| Arc::new(())).collect();
+        let (live_inject, down_inject) = (Arc::new(()), Arc::new(()));
+        let mut live = Vec::new();
+        let adversary = ScriptedAdversary(|ctx: &mut AdversaryCtx<'_, Token>| {
+            // What round r - 1 queued is still held, if anywhere, when the
+            // adversary of round r runs.
+            live.push([
+                Arc::strong_count(&tokens[1]),
+                Arc::strong_count(&tokens[3]),
+                Arc::strong_count(&live_inject),
+                Arc::strong_count(&down_inject),
+            ]);
+            if ctx.round() == 1 {
+                ctx.take_over(PartyId(0)).unwrap();
+                ctx.corrupt(PartyId(1)).unwrap();
+            }
+            ctx.forward(PartyId(1));
+            for to in 0..ctx.n() {
+                ctx.send(PartyId(0), PartyId(to), Token(Arc::clone(&live_inject)));
+            }
+            ctx.send(PartyId(1), PartyId(3), Token(Arc::clone(&down_inject)));
+        });
+        let cfg = EngineConfig {
+            sim: SimConfig {
+                n: 6,
+                t: 2,
+                max_rounds: 8,
+            },
+            step_mode: mode,
+        };
+        let (report, trace) = run_simulation_faulted_traced(
+            cfg,
+            &plan,
+            |id, _| Talker {
+                token: Token(Arc::clone(&tokens[id.index()])),
+                done: false,
+            },
+            adversary,
+        )
+        .unwrap();
+        (report, trace, live)
+    };
+    for mode in [StepMode::Sequential, StepMode::Parallel { threads: 3 }] {
+        let (report, trace, live) = run(mode);
+        assert_eq!(report.rounds_executed, 6, "{mode:?}");
+        // Besides the test's copy and the party's own, a talker's token
+        // is held twice by its tentative outbox when it was stepped, once
+        // by the shared list when last round's broadcast went there, and
+        // once per queued recipient when it crossed an active cut. Party
+        // 1's cut broadcasts of rounds 2 and 3 are queued for parties 1
+        // and 2 only: none is kept for the taken-over party 0, and its
+        // unicasts to party 0 are never queued. An injection is held
+        // once per queued recipient besides the adversary's copy; party
+        // 1's, dropped across the cut and while it is down, is held only
+        // after rounds 1 and 5.
+        assert_eq!(
+            live,
+            [
+                [4, 4, 1, 1],
+                [5, 5, 6, 2],
+                [6, 7, 3, 1],
+                [4, 7, 3, 1],
+                [4, 5, 6, 1],
+                [5, 5, 6, 2],
+            ],
+            "{mode:?}"
+        );
+        let counts: Vec<(usize, usize, usize)> = report
+            .metrics
+            .per_round
+            .iter()
+            .map(|r| (r.honest_messages, r.byzantine_messages, r.bytes))
+            .collect();
+        assert_eq!(
+            counts,
+            [
+                (28, 14, 336),
+                (10, 7, 136),
+                (10, 7, 136),
+                (28, 6, 272),
+                (28, 14, 336),
+                (28, 14, 336),
+            ],
+            "{mode:?}"
+        );
+        assert_eq!(
+            format!("{:016x}", fnv1a(trace.to_canonical_string().as_bytes())),
+            "f024b0c390f7864d",
+            "{mode:?}"
+        );
+        aa_trace::check_round_totals(&trace).unwrap();
+        let totals = aa_trace::recomputed_totals(&trace);
+        assert_eq!(totals.messages(), report.metrics.total_messages());
+        assert_eq!(totals.bytes, report.metrics.total_bytes());
+    }
 }
