@@ -9,8 +9,7 @@
 //!   vertices — and
 //! * every **asynchronous delivery schedule** up to a configurable
 //!   decision depth ([`explore`]), with sleep-set (DPOR) pruning
-//!   collapsing commuting deliveries ([`sched`]) and, optionally,
-//!   symmetric executions merged by orbit ([`sym`]),
+//!   collapsing commuting deliveries ([`sched`]),
 //!
 //! and checks validity, convex-hull containment, 1-agreement, the
 //! explicit termination bound, and the degradation contract on every
@@ -32,9 +31,7 @@ pub mod lattice;
 pub mod portfolio;
 pub mod props;
 pub mod sched;
-pub mod sym;
 
-use std::collections::BTreeSet;
 use std::fmt;
 use std::sync::Arc;
 
@@ -46,7 +43,6 @@ pub use cex::Counterexample;
 pub use explore::{ExploreStats, Instance};
 pub use lattice::{enumerate_assignments, ByzBehavior, LatticeAssignment};
 pub use props::PropViolation;
-pub use sym::SymmetryGroup;
 
 /// Which protocol stack's guarantees to check on explored executions.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -106,22 +102,14 @@ pub struct CheckOptions {
     /// Portfolio exploration: `Some(n)` partitions each assignment's
     /// schedule tree at the first decision and farms the units across
     /// `n` worker threads ([`portfolio`]). Reports are bit-identical
-    /// for every thread count. Untruncated totals equal the sequential
-    /// explorer's except under [`symmetry`](Self::symmetry), whose
-    /// visited maps are per-unit.
+    /// for every thread count, and untruncated totals equal the
+    /// sequential explorer's.
     pub threads: Option<usize>,
-    /// Symmetry reduction: canonicalize visited states under the tree's
-    /// automorphism group acting on party permutations ([`sym`]),
-    /// audit-gated by re-running a sample of pruned branches.
-    pub symmetry: bool,
-    /// Max visited-pruned branches per assignment (per unit under
-    /// `threads`) re-executed by the symmetry audit.
-    pub symmetry_audit: usize,
 }
 
 impl CheckOptions {
     /// Defaults for an instance: depth 3, 50 000 runs, 200 000 events,
-    /// sequential and unsymmetrized.
+    /// sequential.
     pub fn new(n: usize, t: usize, tree: Arc<Tree>, protocol: CheckProtocol) -> Self {
         CheckOptions {
             n,
@@ -133,8 +121,6 @@ impl CheckOptions {
             max_runs: 50_000,
             max_events: 200_000,
             threads: None,
-            symmetry: false,
-            symmetry_audit: 64,
         }
     }
 }
@@ -158,8 +144,6 @@ pub struct CheckReport {
     pub completed: usize,
     /// Branches cut by the sleep-set rule.
     pub pruned_sleep: usize,
-    /// Branches cut by the visited-state rule (symmetry mode only).
-    pub pruned_visited: usize,
     /// The run budget was exhausted before the schedule tree.
     pub truncated: bool,
     /// Fingerprint of the canonical (FIFO, honest-only) execution's
@@ -167,13 +151,6 @@ pub struct CheckReport {
     pub canonical_fingerprint: u64,
     /// Thread count the exploration ran with (`None` = sequential).
     pub threads: Option<usize>,
-    /// Largest symmetry-group order across assignments (symmetry mode).
-    pub group_order: Option<usize>,
-    /// Distinct canonical terminal states across all completed
-    /// executions (symmetry mode).
-    pub terminal_states: Option<usize>,
-    /// Visited-pruned branches re-executed by the symmetry audit.
-    pub sym_audited: usize,
     /// The minimized counterexample, if any property failed.
     pub violation: Option<Counterexample>,
 }
@@ -188,11 +165,10 @@ impl fmt::Display for CheckReport {
         writeln!(f, "lattice assignments: {}", self.assignments)?;
         writeln!(
             f,
-            "executions: {} (completed {}, pruned: sleep {}, visited {}){}",
+            "executions: {} (completed {}, pruned: sleep {}){}",
             self.executions,
             self.completed,
             self.pruned_sleep,
-            self.pruned_visited,
             if self.truncated {
                 " [truncated at run budget]"
             } else {
@@ -206,13 +182,6 @@ impl fmt::Display for CheckReport {
         )?;
         if let Some(threads) = self.threads {
             writeln!(f, "portfolio: {threads} threads")?;
-        }
-        if let (Some(order), Some(terminals)) = (self.group_order, self.terminal_states) {
-            writeln!(
-                f,
-                "symmetry: max group order {order}, canonical terminal states {terminals}, audited {} pruned branches",
-                self.sym_audited
-            )?;
         }
         match &self.violation {
             None => write!(f, "verdict: PASS — no violations in any explored execution"),
@@ -286,7 +255,6 @@ fn classify_execution(
         Ok(report) => report,
         // Pruned branches are filtered before classification; a stall
         // that was *not* pruned is a genuine asynchronous deadlock.
-        Err(AsyncSimError::Aborted { .. }) => return None,
         Err(AsyncSimError::Stalled { events }) => {
             return Some(format!(
                 "asynchronous deadlock: honest parties undecided after {events} events"
@@ -404,16 +372,11 @@ pub fn check(opts: &CheckOptions) -> Result<CheckReport, String> {
         executions: 0,
         completed: 0,
         pruned_sleep: 0,
-        pruned_visited: 0,
         truncated: false,
         canonical_fingerprint: 0,
         threads: opts.threads,
-        group_order: None,
-        terminal_states: None,
-        sym_audited: 0,
         violation: None,
     };
-    let mut all_terminals: BTreeSet<String> = BTreeSet::new();
 
     // Canonical fingerprint: the FIFO execution of the first assignment,
     // replayed in isolation so exploration order cannot perturb it.
@@ -447,43 +410,19 @@ pub fn check(opts: &CheckOptions) -> Result<CheckReport, String> {
             report.truncated = true;
             break;
         }
-        let group = opts
-            .symmetry
-            .then(|| SymmetryGroup::for_instance(&instance, assignment));
-        if let Some(g) = &group {
-            report.group_order = Some(report.group_order.unwrap_or(0).max(g.order()));
-        }
         let classify = |exec: &explore::Execution, _script: &[usize]| {
             classify_execution(&instance, opts.protocol, &projection, exec)
         };
         let r = match opts.threads {
             Some(threads) => portfolio::explore_portfolio(
-                &instance,
-                assignment,
-                opts.depth,
-                remaining,
-                threads,
-                group.as_ref(),
-                opts.symmetry_audit,
-                &classify,
+                &instance, assignment, opts.depth, remaining, threads, &classify,
             ),
-            None => explore::explore(
-                &instance,
-                assignment,
-                opts.depth,
-                remaining,
-                group.as_ref(),
-                opts.symmetry_audit,
-                classify,
-            ),
+            None => explore::explore(&instance, assignment, opts.depth, remaining, classify),
         };
         report.executions += r.stats.executions;
         report.completed += r.stats.completed;
         report.pruned_sleep += r.stats.pruned_sleep;
-        report.pruned_visited += r.stats.pruned_visited;
         report.truncated |= r.stats.truncated;
-        report.sym_audited += r.audited;
-        all_terminals.extend(r.terminals);
         if let Some((script, violation)) = r.failure {
             let cex = cex::minimize(
                 &instance,
@@ -496,29 +435,6 @@ pub fn check(opts: &CheckOptions) -> Result<CheckReport, String> {
             report.violation = Some(cex);
             break;
         }
-        // A failed audit is a soundness violation of the symmetry merge
-        // itself: report the pruned script whose canonical terminal was
-        // never explored (unminimized — the run satisfies the protocol
-        // properties; what failed is the reduction).
-        if let Some((script, terminal)) = r.audit_failures.into_iter().next() {
-            let exec = explore::execute(&instance, assignment, &script, opts.depth);
-            let violation = format!(
-                "symmetry audit: pruned branch reaches unexplored canonical terminal: {terminal}"
-            );
-            let trace = cex::emit_trace(&instance, assignment, &script, &exec, &violation);
-            report.violation = Some(Counterexample {
-                assignment: assignment.clone(),
-                script,
-                violation,
-                depth: opts.depth,
-                trace,
-            });
-            break;
-        }
-    }
-    if opts.symmetry {
-        report.terminal_states = Some(all_terminals.len());
-        report.group_order = report.group_order.or(Some(1));
     }
     Ok(report)
 }
@@ -600,17 +516,9 @@ mod tests {
         let mut o = opts(4, 1, 4);
         o.depth = 3;
         o.max_runs = 100;
-        let counters = |r: &CheckReport| {
-            (
-                r.executions,
-                r.completed,
-                r.pruned_sleep,
-                r.pruned_visited,
-                r.truncated,
-            )
-        };
+        let counters = |r: &CheckReport| (r.executions, r.completed, r.pruned_sleep, r.truncated);
         let sequential = check(&o).unwrap();
-        assert_eq!(counters(&sequential), (100, 100, 0, 0, true));
+        assert_eq!(counters(&sequential), (100, 100, 0, true));
         let mut portfolio = Vec::new();
         for threads in [1, 2, 4] {
             o.threads = Some(threads);
@@ -622,6 +530,30 @@ mod tests {
             portfolio.iter().all(|c| *c == portfolio[0]),
             "{portfolio:?}"
         );
+
+        // Untruncated, the units tile every assignment's schedule tree
+        // and only the sleep-set rule prunes, so every thread count
+        // renders the sequential report apart from its `portfolio:` line.
+        o.depth = 2;
+        o.max_runs = 50_000;
+        o.threads = None;
+        let sequential = check(&o).unwrap();
+        assert_eq!(sequential.assignments, 7);
+        assert_eq!(sequential.executions, 1_338, "{sequential}");
+        assert!(!sequential.truncated && sequential.violation.is_none());
+        for threads in [1, 2, 4] {
+            o.threads = Some(threads);
+            let rendered = check(&o).unwrap().to_string();
+            let without_portfolio: Vec<&str> = rendered
+                .lines()
+                .filter(|l| *l != format!("portfolio: {threads} threads"))
+                .collect();
+            assert_eq!(
+                without_portfolio.join("\n"),
+                sequential.to_string(),
+                "threads = {threads}"
+            );
+        }
     }
 
     #[test]

@@ -7,41 +7,32 @@
 //! extending `[c]`, so the units tile the tree exactly; they run on a
 //! work queue drained by a scoped thread pool.
 //!
-//! Determinism is by construction, not by scheduling discipline: each
-//! unit keeps its own visited map, so every unit's result is a pure
-//! function of `(instance, assignment, unit, budget)`, and the merge
-//! folds unit results in unit order. Reruns are bit-identical for every
-//! thread count — including `--threads 1`. Without symmetry there is
-//! no visited map at all, and an untruncated portfolio's totals equal
-//! the sequential explorer's; under symmetry they differ (the
-//! sequential explorer's one map shares orbits across first-choice
-//! subtrees).
+//! Determinism is by construction, not by scheduling discipline: every
+//! unit's result is a pure function of `(instance, assignment, unit,
+//! budget)`, and the merge folds unit results in unit order. Reruns are
+//! bit-identical for every thread count — including `--threads 1` — and
+//! an untruncated portfolio's totals equal the sequential explorer's.
 
 use std::collections::VecDeque;
 use std::sync::Mutex;
 
 use crate::explore::{dfs, execute, Execution, ExploreResult, Instance};
 use crate::lattice::LatticeAssignment;
-use crate::sym::SymmetryGroup;
 
 /// Explores one assignment's schedule tree across `threads` workers.
 ///
 /// `max_runs` is split across the units so that their caps sum to it
 /// exactly (the first `max_runs mod units` units get one run more), so
 /// the budget — and hence the merged stats — is independent of the
-/// thread count. `group` enables symmetry canonicalization exactly as
-/// in [`crate::explore::explore`]. A failure is the lowest-indexed
-/// failing unit's first — deterministic, though not necessarily the
-/// sequential explorer's first failure.
-#[allow(clippy::too_many_arguments)]
+/// thread count. A failure is the lowest-indexed failing unit's first —
+/// deterministic, though not necessarily the sequential explorer's
+/// first failure.
 pub fn explore_portfolio<F>(
     instance: &Instance,
     assignment: &LatticeAssignment,
     depth: usize,
     max_runs: usize,
     threads: usize,
-    group: Option<&SymmetryGroup>,
-    audit_sample: usize,
     classify: &F,
 ) -> ExploreResult
 where
@@ -76,8 +67,6 @@ where
                     depth,
                     cap,
                     &prefix,
-                    group,
-                    audit_sample,
                     &mut |exec, script| classify(exec, script),
                 );
                 *results[idx].lock().expect("no poisoned result slot") = Some(r);
@@ -125,8 +114,6 @@ mod tests {
             3,
             10_000,
             threads,
-            None,
-            0,
             &|exec: &Execution, _: &[usize]| match &exec.result {
                 Ok(_) => None,
                 Err(e) => Some(format!("unexpected error: {e:?}")),
@@ -147,10 +134,10 @@ mod tests {
     #[test]
     fn units_tile_the_schedule_tree() {
         // Every schedule of the sequential explorer appears in exactly
-        // one unit, and without symmetry nothing but the sleep-set rule
-        // prunes, so untruncated stats are equal field for field — on an
-        // honest instance and on a Byzantine one (the last lattice
-        // assignment equivocates).
+        // one unit, and nothing but the sleep-set rule prunes, so
+        // untruncated stats are equal field for field — on an honest
+        // instance and on a Byzantine one (the last lattice assignment
+        // equivocates).
         for (instance, assignment, depth) in [
             (
                 tiny_instance(4, 0, 3),
@@ -165,10 +152,7 @@ mod tests {
         ] {
             let probe = execute(&instance, &assignment, &[], depth);
             assert!(probe.branching[0] > 1, "precondition: several units");
-            let seq =
-                crate::explore::explore(&instance, &assignment, depth, 100_000, None, 0, |_, _| {
-                    None
-                });
+            let seq = crate::explore::explore(&instance, &assignment, depth, 100_000, |_, _| None);
             assert!(!seq.stats.truncated);
             let par = explore_portfolio(
                 &instance,
@@ -176,8 +160,6 @@ mod tests {
                 depth,
                 100_000,
                 4,
-                None,
-                0,
                 &|_: &Execution, _: &[usize]| None,
             );
             assert_eq!(par.stats, seq.stats, "{}", assignment.describe());
@@ -189,8 +171,8 @@ mod tests {
         let instance = tiny_instance(4, 0, 3);
         let assignment = &enumerate_assignments(0, 3)[0];
         let fail_all = |_: &Execution, _: &[usize]| Some("synthetic".to_string());
-        let r1 = explore_portfolio(&instance, assignment, 2, 10_000, 4, None, 0, &fail_all);
-        let r2 = explore_portfolio(&instance, assignment, 2, 10_000, 2, None, 0, &fail_all);
+        let r1 = explore_portfolio(&instance, assignment, 2, 10_000, 4, &fail_all);
+        let r2 = explore_portfolio(&instance, assignment, 2, 10_000, 2, &fail_all);
         let f1 = r1.failure.expect("fails");
         let f2 = r2.failure.expect("fails");
         assert_eq!(f1, f2);
@@ -210,8 +192,6 @@ mod tests {
                     3,
                     max_runs,
                     threads,
-                    None,
-                    0,
                     &|_: &Execution, _: &[usize]| None,
                 )
                 .stats

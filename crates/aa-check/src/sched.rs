@@ -1,5 +1,5 @@
 //! The enumerating [`Scheduler`]: one deterministic execution per choice
-//! script, with sleep-set and visited-state pruning.
+//! script, with sleep-set pruning.
 //!
 //! The checker explores delivery schedules by *re-execution*: a run is a
 //! pure function of its **choice script** — at each of the first `depth`
@@ -11,32 +11,18 @@
 //! taken (`taken`), which is exactly what the driver needs to enumerate
 //! the next unexplored script.
 //!
-//! Two prunings collapse redundant interleavings:
-//!
-//! * **Sleep sets** (DPOR): when the driver explores the siblings of a
-//!   decision in order, each later sibling's subtree need not re-deliver
-//!   the earlier siblings first — they are put to sleep and wake only
-//!   when a *dependent* event (a delivery to the same recipient) runs.
-//!   If every pending message is asleep the whole branch is redundant
-//!   and the run stops with [`EnumeratingScheduler::pruned_by_sleep`].
-//! * **Visited states**, in symmetry mode only ([`SymMode`]): after
-//!   every activation inside the enumeration horizon, an orbit-canonical
-//!   key of the run so far is checked against the exploration's
-//!   [`VisitedMap`]; on a hit the run aborts
-//!   ([`EnumeratingScheduler::pruned_by_visited`]) because an earlier
-//!   visit of the same orbit covers every continuation still reachable
-//!   from here. Without symmetry there is no visited rule: keyed on the
-//!   engine state it pruned no branch on any measured instance, yet
-//!   cost a `Debug` rendering of every party and pending payload per
-//!   activation.
+//! One pruning rule collapses redundant interleavings, **sleep sets**
+//! (DPOR): when the driver explores the siblings of a decision in order,
+//! each later sibling's subtree need not re-deliver the earlier siblings
+//! first — they are put to sleep and wake only when a *dependent* event
+//! (a delivery to the same recipient) runs. If every pending message is
+//! asleep the whole branch is redundant and the run stops with
+//! [`EnumeratingScheduler::pruned_by_sleep`]. There is no visited-state
+//! rule: every branch that is not sleep-pruned runs to completion.
 //!
 //! Timers only fire at quiescence (no deliverable message), at
 //! `max(now, due)` in `(due, creation)` order — the natural enumeration
 //! analogue of "timers are slower than any message chain".
-
-use std::collections::hash_map::DefaultHasher;
-use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
 
 use async_net::{AsyncMetrics, SchedEvent, Scheduler};
 use sim_net::{Envelope, PartyId, Payload};
@@ -46,111 +32,16 @@ use sim_net::{Envelope, PartyId, Payload};
 /// while never crossing a unit-time boundary within a plausible run.
 const TICK: f64 = 1e-6;
 
-/// The orbit-canonical keys one symmetry-reduced exploration has seen,
-/// each with the decision depth and decision-prefix hash that recorded
-/// it. The sequential explorer keeps one per assignment; each portfolio
-/// unit keeps its own (see `crate::portfolio`).
-#[derive(Debug, Default)]
-pub struct VisitedMap(HashMap<u64, (usize, u64)>);
-
-impl VisitedMap {
-    /// Applies the revisit rule for `key` observed at decision depth
-    /// `depth` by a run whose decision prefix hashes to `prefix`:
-    /// returns `false` (prune) when the key was recorded at a strictly
-    /// shallower depth, or at the *same* depth by a *different* prefix
-    /// (an orbit sibling rather than a DFS replay — every descendant
-    /// script re-executes its ancestors' prefix, and those replays must
-    /// not prune themselves). Otherwise records/refreshes the entry and
-    /// returns `true`.
-    pub fn observe(&mut self, key: u64, depth: usize, prefix: u64) -> bool {
-        match self.0.get_mut(&key) {
-            Some((seen, _)) if *seen < depth => false,
-            Some((seen, first)) if *seen == depth && *first != prefix => false,
-            Some(entry) => {
-                *entry = (depth, prefix);
-                true
-            }
-            None => {
-                self.0.insert(key, (depth, prefix));
-                true
-            }
-        }
-    }
-}
-
-/// One recorded scheduler event in a party's history (symmetry mode).
-struct HistEvent {
-    /// Clock value right after the event was popped.
-    now_bits: u64,
-    /// `0` = delivery, `1` = timer fire.
-    kind: u8,
-    /// Sender index for deliveries (unused for timers).
-    from: usize,
-    /// Timer token (unused for deliveries).
-    token: u64,
-    /// Per-group-element hash of the relabeled payload (empty for
-    /// timers).
-    payload_g: Vec<u64>,
-}
-
-/// Hashes one payload once per group element (the relabeled images).
-pub type PayloadHasher<M> = Box<dyn Fn(&M) -> Vec<u64> + Send>;
-
-/// Symmetry-reduction state: per-party event histories, the party
-/// permutations and payload relabeling of the instance's symmetry group
-/// (built by `crate::sym::SymmetryGroup::sym_mode`), and the
-/// exploration's [`VisitedMap`].
-///
-/// In symmetry mode the visited key is not a digest of the engine state
-/// (which is opaque and cannot be relabeled) but of the *event history*
-/// that produced it: each party's state is a deterministic function of
-/// its input and its timestamped delivery/timer sequence, so hashing the
-/// histories, the per-(sender, recipient) pending-queue projections and
-/// the outstanding timers — minimized over every group element — yields
-/// one canonical key per symmetry orbit.
-pub struct SymMode<'v, M> {
-    /// `(π, π⁻¹)` per group element.
-    perms: Vec<(Vec<usize>, Vec<usize>)>,
-    /// Per-group-element relabeled payload hasher.
-    hasher: PayloadHasher<M>,
-    /// Per-party event histories for the current execution.
-    histories: Vec<Vec<HistEvent>>,
-    /// Keys seen so far; shared across the executions of one
-    /// exploration.
-    visited: &'v mut VisitedMap,
-}
-
-impl<'v, M> SymMode<'v, M> {
-    /// Builds the tracker for an `n`-party run under the given party
-    /// permutations and payload hasher, recording keys into `visited`.
-    pub fn new(
-        perms: Vec<(Vec<usize>, Vec<usize>)>,
-        hasher: PayloadHasher<M>,
-        n: usize,
-        visited: &'v mut VisitedMap,
-    ) -> Self {
-        assert!(!perms.is_empty(), "symmetry group must contain identity");
-        SymMode {
-            perms,
-            hasher,
-            histories: (0..n).map(|_| Vec::new()).collect(),
-            visited,
-        }
-    }
-}
-
 /// A message sitting in the enumeration queue (kept in creation order —
 /// position 0 is the canonical FIFO head).
 struct PendingMsg<M> {
     env: Envelope<M>,
     /// Asleep: not choosable until a same-recipient delivery wakes it.
     asleep: bool,
-    /// Per-group-element relabeled payload hashes (symmetry mode only).
-    payload_g: Vec<u64>,
 }
 
 /// See the [module docs](self).
-pub struct EnumeratingScheduler<'v, M> {
+pub struct EnumeratingScheduler<M> {
     /// Enumeration horizon: decisions beyond this index take choice 0.
     depth: usize,
     /// Choices to replay; shorter than `depth` means canonical tail.
@@ -170,12 +61,6 @@ pub struct EnumeratingScheduler<'v, M> {
     pub taken: Vec<usize>,
     /// Set when a branch died because every pending message was asleep.
     pub pruned_by_sleep: bool,
-    /// Set when the run aborted on an orbit already visited (symmetry
-    /// mode only).
-    pub pruned_by_visited: bool,
-    /// Symmetry mode: when set, runs are cut on orbit-canonical keys
-    /// already in its visited map.
-    pub(crate) sym: Option<SymMode<'v, M>>,
     /// When `true`, every pushed send is enqueued twice — the
     /// at-least-once link abstraction used to drive the [`Reliable`]
     /// sublayer's dedup logic through enumerated schedules.
@@ -185,7 +70,7 @@ pub struct EnumeratingScheduler<'v, M> {
     metrics: AsyncMetrics,
 }
 
-impl<'v, M: Payload> EnumeratingScheduler<'v, M> {
+impl<M: Payload> EnumeratingScheduler<M> {
     /// Creates a scheduler that replays `script` and enumerates up to
     /// `depth` decisions.
     pub fn new(depth: usize, script: &[usize]) -> Self {
@@ -200,94 +85,17 @@ impl<'v, M: Payload> EnumeratingScheduler<'v, M> {
             branching: Vec::new(),
             taken: Vec::new(),
             pruned_by_sleep: false,
-            pruned_by_visited: false,
-            sym: None,
             duplicate_sends: false,
             metrics: AsyncMetrics::default(),
         }
     }
 
     fn enqueue(&mut self, env: Envelope<M>) {
-        let payload_g = match &self.sym {
-            Some(sym) => (sym.hasher)(&env.payload),
-            None => Vec::new(),
-        };
-        self.pending.push(PendingMsg {
-            env,
-            asleep: false,
-            payload_g,
-        });
-    }
-
-    /// Orbit-canonical visited key (symmetry mode): the minimum, over the
-    /// group, of a digest of the relabeled run so far.
-    ///
-    /// Hashed per group element `g = (σ, π)`:
-    ///
-    /// * the clock, and each party slot `j`'s event history taken from
-    ///   party `π⁻¹(j)` with senders mapped through `π` and payloads
-    ///   through the precomputed `σ/π`-relabeled hash — the histories
-    ///   determine the party states, since a party is a deterministic
-    ///   function of its input and its timestamped event sequence;
-    /// * the pending queue as per-`(π(from), π(to))` projections in queue
-    ///   order: FIFO order *within* a sender→recipient pair survives the
-    ///   relabeling (both runs push a pair's messages in the same causal
-    ///   order), while the global interleaving does not. Sleep flags are
-    ///   deliberately excluded — broadcasts enqueue recipients in party-id
-    ///   order, so skipped-sibling sets do not mirror; the audit
-    ///   cross-check (`explore::explore`) guards that approximation;
-    /// * outstanding timers as a `(due, π(party), token)` multiset — ids
-    ///   (creation order) do not mirror under `π` and only break ties
-    ///   between simultaneous timers, another audit-guarded projection.
-    fn canonical_key(&self) -> u64 {
-        let sym = self.sym.as_ref().expect("canonical_key requires sym mode");
-        let mut best = u64::MAX;
-        for (gi, (pi, pi_inv)) in sym.perms.iter().enumerate() {
-            let mut h = DefaultHasher::new();
-            self.now.to_bits().hash(&mut h);
-            for &src in pi_inv {
-                let hist = &sym.histories[src];
-                hist.len().hash(&mut h);
-                for ev in hist {
-                    ev.now_bits.hash(&mut h);
-                    ev.kind.hash(&mut h);
-                    if ev.kind == 0 {
-                        pi[ev.from].hash(&mut h);
-                        ev.payload_g.get(gi).copied().unwrap_or(0).hash(&mut h);
-                    } else {
-                        ev.token.hash(&mut h);
-                    }
-                }
-            }
-            let mut pairs: Vec<(usize, usize, u64)> = self
-                .pending
-                .iter()
-                .map(|m| {
-                    (
-                        pi[m.env.from.index()],
-                        pi[m.env.to.index()],
-                        m.payload_g.get(gi).copied().unwrap_or(0),
-                    )
-                })
-                .collect();
-            // Stable sort: queue order within each (from, to) pair is
-            // preserved.
-            pairs.sort_by_key(|&(f, t, _)| (f, t));
-            pairs.hash(&mut h);
-            let mut timers: Vec<(u64, usize, u64)> = self
-                .timers
-                .iter()
-                .map(|&(due, _, p, tok)| (due.to_bits(), pi[p.index()], tok))
-                .collect();
-            timers.sort_unstable();
-            timers.hash(&mut h);
-            best = best.min(h.finish());
-        }
-        best
+        self.pending.push(PendingMsg { env, asleep: false });
     }
 }
 
-impl<M: Payload> Scheduler<M> for EnumeratingScheduler<'_, M> {
+impl<M: Payload> Scheduler<M> for EnumeratingScheduler<M> {
     fn push_send(&mut self, _now: f64, env: Envelope<M>) {
         if self.duplicate_sends {
             self.metrics.fault_dups += 1;
@@ -365,15 +173,6 @@ impl<M: Payload> Scheduler<M> for EnumeratingScheduler<'_, M> {
                 msg.env.to.index(),
                 msg.env.payload.size_bytes(),
             ));
-            if let Some(sym) = &mut self.sym {
-                sym.histories[msg.env.to.index()].push(HistEvent {
-                    now_bits: self.now.to_bits(),
-                    kind: 0,
-                    from: msg.env.from.index(),
-                    token: 0,
-                    payload_g: msg.payload_g,
-                });
-            }
             return Some((self.now, SchedEvent::Deliver(msg.env)));
         }
         // Quiescence: fire the earliest timer, jumping the clock to it.
@@ -385,37 +184,11 @@ impl<M: Payload> Scheduler<M> for EnumeratingScheduler<'_, M> {
             .map(|(i, _)| i)?;
         let (due, _, party, token) = self.timers.remove(best);
         self.now = (self.now + TICK).max(due);
-        if let Some(sym) = &mut self.sym {
-            sym.histories[party.index()].push(HistEvent {
-                now_bits: self.now.to_bits(),
-                kind: 1,
-                from: 0,
-                token,
-                payload_g: Vec::new(),
-            });
-        }
         Some((self.now, SchedEvent::Timer { party, token }))
     }
 
     fn metrics_mut(&mut self) -> &mut AsyncMetrics {
         &mut self.metrics
-    }
-
-    fn after_activation(&mut self) -> bool {
-        // Keys only matter while branching is still possible.
-        if self.sym.is_none() || self.taken.len() >= self.depth {
-            return true;
-        }
-        let key = self.canonical_key();
-        let mut h = DefaultHasher::new();
-        self.taken.hash(&mut h);
-        let sym = self.sym.as_mut().expect("checked above");
-        if sym.visited.observe(key, self.taken.len(), h.finish()) {
-            true
-        } else {
-            self.pruned_by_visited = true;
-            false
-        }
     }
 }
 
@@ -483,7 +256,6 @@ mod tests {
         let _ = s.pop().unwrap();
         assert!(s.pop().is_none());
         assert!(s.pruned_by_sleep);
-        assert!(!s.pruned_by_visited);
     }
 
     #[test]
@@ -501,51 +273,6 @@ mod tests {
         assert!(matches!(e2, SchedEvent::Timer { token: 7, .. }));
         assert!((t2 - 5.0).abs() < 1e-9);
         assert!(s.pop().is_none());
-    }
-
-    #[test]
-    fn visited_states_prune_only_when_seen_strictly_shallower() {
-        let mut visited = VisitedMap::default();
-        assert!(visited.observe(42, 1, 7)); // first visit: recorded
-        assert!(visited.observe(42, 1, 7)); // same depth, same prefix: replay
-        assert!(!visited.observe(42, 1, 8)); // same depth, other prefix: orbit sibling
-        assert!(!visited.observe(42, 2, 7)); // deeper than the recorded visit
-        assert!(visited.observe(43, 2, 7)); // another key is independent
-    }
-
-    #[test]
-    fn symmetry_mode_prunes_a_revisited_orbit_inside_the_horizon() {
-        fn sym_mode(visited: &mut VisitedMap) -> SymMode<'_, u64> {
-            let identity = (vec![0, 1], vec![0, 1]);
-            SymMode::new(vec![identity], Box::new(|&m| vec![m]), 2, visited)
-        }
-        let mut visited = VisitedMap::default();
-        {
-            let mut s: EnumeratingScheduler<u64> = EnumeratingScheduler::new(4, &[]);
-            s.sym = Some(sym_mode(&mut visited));
-            s.taken = vec![0]; // pretend depth 1
-            assert!(s.after_activation()); // first visit: recorded
-            assert!(s.after_activation()); // same prefix: replay, no prune
-        }
-        {
-            let mut s: EnumeratingScheduler<u64> = EnumeratingScheduler::new(4, &[]);
-            s.sym = Some(sym_mode(&mut visited));
-            s.taken = vec![0, 1]; // the same (empty) history, deeper
-            assert!(!s.after_activation());
-            assert!(s.pruned_by_visited);
-        }
-        {
-            // Past the horizon nothing is looked up.
-            let mut s: EnumeratingScheduler<u64> = EnumeratingScheduler::new(1, &[]);
-            s.sym = Some(sym_mode(&mut visited));
-            s.taken = vec![0, 1];
-            assert!(s.after_activation());
-        }
-        // Without symmetry there is no visited rule at all.
-        let mut s: EnumeratingScheduler<u64> = EnumeratingScheduler::new(4, &[]);
-        s.taken = vec![0, 1];
-        assert!(s.after_activation());
-        assert!(!s.pruned_by_visited);
     }
 
     #[test]

@@ -81,7 +81,7 @@ fn explore_reliable(n: usize, depth: usize, first_seq: u64, max_runs: usize) -> 
             executions <= max_runs,
             "exploration did not finish within {max_runs} runs"
         );
-        // Without symmetry mode only sleep-set pruning is active here.
+        // Only the sleep-set rule cuts runs.
         let mut sched = EnumeratingScheduler::new(depth, &script);
         sched.duplicate_sends = true;
         let result = run_async_with(

@@ -3,18 +3,17 @@
 //! pruned enumeration must equal the spec's reachable set over the
 //! same schedules.
 //!
-//! The spec explores the **full** schedule tree (no sleep sets, no
-//! symmetry), so set equality checks two things at once: that the spec
-//! and the engine implement the same protocol, and that the engine's
-//! pruning rule is terminal-preserving.
+//! The spec explores the **full** schedule tree (no sleep sets), so set
+//! equality checks two things at once: that the spec and the engine
+//! implement the same protocol, and that the engine's pruning rule is
+//! terminal-preserving.
 //! On mismatch the harness greedily minimizes a witness schedule for
 //! the diverging terminal and renders a replayable report.
 
 use std::collections::BTreeMap;
 
-use aa_check::explore::{execute, explore};
-use aa_check::sym::canonical_terminal;
-use aa_check::{ByzBehavior, Instance, LatticeAssignment, SymmetryGroup};
+use aa_check::explore::{execute, explore, terminal};
+use aa_check::{ByzBehavior, Instance, LatticeAssignment};
 
 use crate::state::{spec_explore, spec_run, SpecBehavior, SpecInstance};
 use crate::tree::SpecTree;
@@ -115,24 +114,14 @@ pub fn differential(
     depth: usize,
     max_runs: usize,
 ) -> Result<DiffReport, Box<DiffFailure>> {
-    let group = SymmetryGroup::identity(inst.n, inst.tree.vertex_count());
-
-    // Engine side: canonical terminal -> first witness script.
+    // Engine side: terminal -> first witness script.
     let mut engine: BTreeMap<String, Vec<usize>> = BTreeMap::new();
-    let result = explore(
-        inst,
-        assignment,
-        depth,
-        max_runs,
-        None,
-        0,
-        |exec, script| {
-            if let Some(terminal) = canonical_terminal(&group, exec) {
-                engine.entry(terminal).or_insert_with(|| script.to_vec());
-            }
-            None
-        },
-    );
+    let result = explore(inst, assignment, depth, max_runs, |exec, script| {
+        if let Some(terminal) = terminal(exec) {
+            engine.entry(terminal).or_insert_with(|| script.to_vec());
+        }
+        None
+    });
     if result.stats.truncated {
         return Err(Box::new(DiffFailure::Truncated { side: "engine" }));
     }
@@ -266,10 +255,8 @@ fn minimize_engine_witness(
     script: &[usize],
     depth: usize,
 ) -> Divergence {
-    let group = SymmetryGroup::identity(inst.n, inst.tree.vertex_count());
     let witnesses = |s: &[usize]| -> Option<String> {
-        let exec = execute(inst, assignment, s, depth);
-        let terminal = canonical_terminal(&group, &exec)?;
+        let terminal = terminal(&execute(inst, assignment, s, depth))?;
         (!spec.contains_key(&terminal)).then_some(terminal)
     };
     let (script, terminal) = minimize_script(script, witnesses);

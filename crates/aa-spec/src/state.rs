@@ -316,8 +316,8 @@ impl SpecState {
         }
     }
 
-    /// Renders the halted state in the engine's identity-group
-    /// `canonical_terminal` format, for set comparison.
+    /// Renders the halted state in the engine's terminal format
+    /// (`aa_check::explore::terminal`), for set comparison.
     ///
     /// # Panics
     ///

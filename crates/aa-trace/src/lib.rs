@@ -954,30 +954,45 @@ pub fn reconcile_proto(reference: &Trace, networked: &Trace) -> Result<usize, St
             reference.n, reference.t, networked.n, networked.t
         ));
     }
-    let a = proto_projection(reference)?;
-    let b = proto_projection(networked)?;
-    for (i, (ea, eb)) in a.iter().zip(&b).enumerate() {
-        let (ra, rb) = (ea.to_json().to_string(), eb.to_json().to_string());
+    first_divergence(
+        ("reference", &proto_projection(reference)?),
+        ("networked", &proto_projection(networked)?),
+    )
+}
+
+/// Compares two named event sequences by their canonical renderings and
+/// returns how many events they share when they are identical.
+///
+/// # Errors
+///
+/// Names the first differing event index with both renderings, or, when
+/// one sequence is a prefix of the other, the longer side, how many
+/// extra events it has and the first of them.
+pub fn first_divergence(
+    (left, a): (&str, &[TraceEvent]),
+    (right, b): (&str, &[TraceEvent]),
+) -> Result<usize, String> {
+    for (i, (ea, eb)) in a.iter().zip(b).enumerate() {
+        let (ra, rb) = (ea.to_string(), eb.to_string());
         if ra != rb {
             return Err(format!(
-                "first divergence at proto event {i}:\n  reference: {ra}\n  networked: {rb}"
+                "first divergence at event {i}:\n  {left}: {ra}\n  {right}: {rb}"
             ));
         }
     }
-    if a.len() != b.len() {
-        let (longer, who) = if a.len() > b.len() {
-            (&a, "reference")
-        } else {
-            (&b, "networked")
-        };
-        return Err(format!(
-            "{} has {} extra proto event(s), first: {}",
-            who,
-            longer.len() - a.len().min(b.len()),
-            longer[a.len().min(b.len())]
-        ));
+    let common = a.len().min(b.len());
+    let (who, longer) = if a.len() > b.len() {
+        (left, a)
+    } else {
+        (right, b)
+    };
+    match longer.get(common) {
+        None => Ok(common),
+        Some(first) => Err(format!(
+            "{who} has {} extra event(s) after the {common} shared, first: {first}",
+            longer.len() - common
+        )),
     }
-    Ok(a.len())
 }
 
 #[cfg(test)]
@@ -1386,6 +1401,11 @@ mod tests {
         }
         let err = reconcile_proto(&reference, &tampered).unwrap_err();
         assert!(err.contains("event 1"), "{err}");
+        assert!(
+            err.contains(&format!("reference: {}", reference.events[1]))
+                && err.contains(&format!("networked: {}", tampered.events[1])),
+            "{err}"
+        );
 
         // A missing event is reported as an extra on the other side.
         let mut short = merged.clone();

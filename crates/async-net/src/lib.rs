@@ -394,13 +394,6 @@ pub enum AsyncSimError {
         /// Human-readable reason.
         reason: String,
     },
-    /// The [`Scheduler`] cut the run short via
-    /// [`Scheduler::after_activation`] — exploration tooling pruning an
-    /// already-covered branch, not a protocol failure.
-    Aborted {
-        /// Events processed before the abort.
-        events: usize,
-    },
 }
 
 impl fmt::Display for AsyncSimError {
@@ -411,9 +404,6 @@ impl fmt::Display for AsyncSimError {
                 write!(f, "asynchronous deadlock after {events} delivery events")
             }
             AsyncSimError::BadFaultPlan { reason } => write!(f, "bad fault plan: {reason}"),
-            AsyncSimError::Aborted { events } => {
-                write!(f, "run aborted by the scheduler after {events} events")
-            }
         }
     }
 }
@@ -515,13 +505,6 @@ pub trait Scheduler<M: Payload> {
     /// also bumps `timer_fires`, `fault_drops` and `delivered` through
     /// this access.
     fn metrics_mut(&mut self) -> &mut AsyncMetrics;
-
-    /// Called after each honest activation. Returning `false` aborts the
-    /// run with [`AsyncSimError::Aborted`] — how exploration tools cut a
-    /// branch they have already covered. Defaults to `true`.
-    fn after_activation(&mut self) -> bool {
-        true
-    }
 }
 
 /// An event in the delivery queue, ordered by time then sequence number
@@ -776,8 +759,7 @@ fn flush_ctx<M: Payload, S: Scheduler<M>>(
 ///
 /// # Errors
 ///
-/// As [`run_async_faulted`], plus [`AsyncSimError::Aborted`] if the
-/// scheduler cuts the run short.
+/// As [`run_async_faulted`].
 pub fn run_async_with<P, A, F, S>(
     cfg: &AsyncConfig,
     plan: Option<&FaultPlan>,
@@ -980,9 +962,6 @@ where
                 Activation::Timer(token) => p.on_timer(token, &mut ctx),
             }
             flush_ctx(sched, ctx, recorder.as_deref_mut());
-        }
-        if !sched.after_activation() {
-            return Err(AsyncSimError::Aborted { events });
         }
         if !was_done && parties[i].as_ref().expect("honest").output().is_some() {
             completion_time = completion_time.max(time);
@@ -1343,8 +1322,6 @@ mod tests {
         timers: std::collections::VecDeque<(f64, PartyId, u64)>,
         now: f64,
         metrics: AsyncMetrics,
-        observations: usize,
-        abort_after: Option<usize>,
     }
 
     impl Scheduler<u64> for Fifo {
@@ -1373,10 +1350,6 @@ mod tests {
         fn metrics_mut(&mut self) -> &mut AsyncMetrics {
             &mut self.metrics
         }
-        fn after_activation(&mut self) -> bool {
-            self.observations += 1;
-            Some(self.observations) != self.abort_after
-        }
     }
 
     #[test]
@@ -1400,34 +1373,6 @@ mod tests {
         .unwrap();
         assert_eq!(report.outputs, vec![Some(4); 4]);
         assert_eq!(report.messages_delivered, 16);
-        // The hook ran once per honest activation (16 deliveries).
-        assert_eq!(sched.observations, 16);
-    }
-
-    #[test]
-    fn observing_scheduler_can_abort_the_run() {
-        let cfg = AsyncConfig {
-            n: 4,
-            t: 0,
-            seed: 0,
-            delay: DelayModel::Lockstep,
-            max_events: 10_000,
-        };
-        let mut sched = Fifo {
-            abort_after: Some(3),
-            ..Fifo::default()
-        };
-        let err = run_async_with(
-            &cfg,
-            None,
-            |_, _| Census { heard: 0, need: 4 },
-            PassiveAsync,
-            &mut sched,
-            None,
-        )
-        .unwrap_err();
-        assert_eq!(err, AsyncSimError::Aborted { events: 3 });
-        assert_eq!(sched.observations, 3);
     }
 
     #[test]

@@ -24,28 +24,22 @@ pub struct Check {
     pub max_runs: usize,
     /// Portfolio worker threads (0 = sequential exploration).
     pub threads: usize,
-    /// Symmetry reduction: canonicalize visited states under the
-    /// tree's automorphism group (audit-gated).
-    pub symmetry: bool,
     /// File for the counterexample trace JSON if a check fails
     /// (empty disables saving).
     pub out: String,
 }
 
 impl Subcommand for Check {
-    const FLAGS: &'static [&'static str] = &["symmetry"];
     const HELP: &'static str = "
   treeaa check  --n <N> --tree <familyK|file> [--t <T>]
                 [--protocol tree-aa|real-aa] [--depth <D>]
-                [--max-runs <K>] [--threads <W>] [--symmetry]
-                [--out <file>]
+                [--max-runs <K>] [--threads <W>] [--out <file>]
 
 `check` exhaustively model-checks one small instance (n <= 6, trees of
 <= 7 vertices): every Byzantine value-assignment from a finite message
 lattice x every asynchronous delivery schedule up to --depth enumerated
-decisions, with sleep-set pruning; --symmetry also merges visited
-states equal up to a tree automorphism. Every completed
-execution is checked for validity, convex-hull containment,
+decisions, with sleep-set pruning. Every completed execution is
+checked for validity, convex-hull containment,
 1-agreement (or eps-agreement for real-aa), the termination bound and
 the degradation contract, and a canonical run is cross-checked against
 the lockstep synchronous simulators. --tree takes a generated family
@@ -65,7 +59,6 @@ non-zero on a violation.
             depth: o.or("depth", 3)?,
             max_runs: o.or("max-runs", 50_000)?,
             threads: o.or("threads", 0)?,
-            symmetry: o.flag("symmetry"),
             out: o.or("out", String::new())?,
         })
     }
@@ -77,7 +70,6 @@ non-zero on a violation.
         opts.depth = self.depth;
         opts.max_runs = self.max_runs;
         opts.threads = (self.threads > 0).then_some(self.threads);
-        opts.symmetry = self.symmetry;
         let report = aa_check::check(&opts)?;
         writeln!(out, "{report}").map_err(io)?;
         let Some(cex) = report.violation else {
@@ -98,7 +90,7 @@ mod tests {
     use crate::tests::argv;
     use crate::{execute, parse_args, Command};
 
-    fn check(tree: &str, depth: usize, max_runs: usize, threads: usize, symmetry: bool) -> Command {
+    fn check(tree: &str, depth: usize, max_runs: usize, threads: usize) -> Command {
         Command::Check(Check {
             n: 4,
             t: 1,
@@ -107,7 +99,6 @@ mod tests {
             depth,
             max_runs,
             threads,
-            symmetry,
             out: String::new(),
         })
     }
@@ -116,12 +107,12 @@ mod tests {
     fn parses_check_with_defaults() {
         assert_eq!(
             parse_args(&argv("check --n 4 --tree path4 --protocol tree-aa")).unwrap(),
-            check("path4", 3, 50_000, 0, false)
+            check("path4", 3, 50_000, 0)
         );
         assert_eq!(
             parse_args(&argv(
                 "check --n 5 --t 1 --tree star5 --protocol real-aa --depth 2 \
-                 --max-runs 999 --threads 4 --symmetry --out cex.json"
+                 --max-runs 999 --threads 4 --out cex.json"
             ))
             .unwrap(),
             Command::Check(Check {
@@ -132,7 +123,6 @@ mod tests {
                 depth: 2,
                 max_runs: 999,
                 threads: 4,
-                symmetry: true,
                 out: "cex.json".into(),
             })
         );
@@ -146,7 +136,7 @@ mod tests {
     fn check_passes_and_is_bit_identical() {
         let run = || {
             let mut out = Vec::new();
-            execute(check("path4", 2, 50_000, 0, false), &mut out).unwrap();
+            execute(check("path4", 2, 50_000, 0), &mut out).unwrap();
             String::from_utf8(out).unwrap()
         };
         let first = run();
@@ -157,20 +147,18 @@ mod tests {
         assert!(!first.contains("[truncated"), "{first}");
     }
 
-    // `--threads` and `--symmetry` flow through to the checker: the
-    // report names the portfolio width and the symmetry reduction, and
-    // the portfolio rerun is bit-identical for any thread count.
+    // `--threads` flows through to the checker: the report names the
+    // portfolio width, and the portfolio rerun is bit-identical.
     #[test]
-    fn check_symmetry_portfolio_flags_flow_through() {
+    fn check_threads_flag_flows_through() {
         let run = |threads: usize| {
             let mut out = Vec::new();
-            execute(check("star4", 2, 50_000, threads, true), &mut out).unwrap();
+            execute(check("star4", 2, 50_000, threads), &mut out).unwrap();
             String::from_utf8(out).unwrap()
         };
         let two = run(2);
         assert!(two.contains("verdict: PASS"), "{two}");
         assert!(two.contains("portfolio: 2 threads"), "{two}");
-        assert!(two.contains("symmetry: max group order"), "{two}");
         assert_eq!(two, run(2), "portfolio reruns must be bit-identical");
     }
 
@@ -187,18 +175,10 @@ mod tests {
         let file = dir.join("check.tree");
         std::fs::write(&file, &buf).unwrap();
         let mut out = Vec::new();
-        execute(
-            check(&file.to_string_lossy(), 1, 10_000, 0, false),
-            &mut out,
-        )
-        .unwrap();
+        execute(check(&file.to_string_lossy(), 1, 10_000, 0), &mut out).unwrap();
         assert!(String::from_utf8(out).unwrap().contains("verdict: PASS"));
 
-        let err = execute(
-            check("definitely-not-a-tree", 1, 10, 0, false),
-            &mut Vec::new(),
-        )
-        .unwrap_err();
+        let err = execute(check("definitely-not-a-tree", 1, 10, 0), &mut Vec::new()).unwrap_err();
         assert!(err.contains("neither a tree family spec"), "{err}");
     }
 }

@@ -120,7 +120,7 @@ fn trace_check_and_fuzz_print_what_they_printed() {
         ),
         (
             "check --n 4 --tree path4 --depth 2".into(),
-            0x0141_cf55_21d9_7541,
+            0xb0ce_ebd9_ea12_4d91,
         ),
         ("fuzz --seed 42 --cases 5".into(), 0x7152_01cb_7e02_c389),
     ]);
@@ -202,8 +202,7 @@ USAGE:
                 [--corpus <dir>]
   treeaa check  --n <N> --tree <familyK|file> [--t <T>]
                 [--protocol tree-aa|real-aa] [--depth <D>]
-                [--max-runs <K>] [--threads <W>] [--symmetry]
-                [--out <file>]
+                [--max-runs <K>] [--threads <W>] [--out <file>]
   treeaa trace  --scenario <name> [--seed <S>] [--out <file>]
   treeaa serve  --tree <familyK|file> --inputs <l1,l2,...> --party-id <I>
                 [--t <T>] [--seed <S>] [--secret <K>]
@@ -235,9 +234,8 @@ bit-identical output. Exits non-zero if any case fails.
 `check` exhaustively model-checks one small instance (n <= 6, trees of
 <= 7 vertices): every Byzantine value-assignment from a finite message
 lattice x every asynchronous delivery schedule up to --depth enumerated
-decisions, with sleep-set pruning; --symmetry also merges visited
-states equal up to a tree automorphism. Every completed
-execution is checked for validity, convex-hull containment,
+decisions, with sleep-set pruning. Every completed execution is
+checked for validity, convex-hull containment,
 1-agreement (or eps-agreement for real-aa), the termination bound and
 the degradation contract, and a canonical run is cross-checked against
 the lockstep synchronous simulators. --tree takes a generated family

@@ -53,7 +53,6 @@
 //! ```
 
 #![warn(missing_docs)]
-mod automorphism;
 mod diameter;
 mod euler;
 mod generate_mod;
@@ -66,7 +65,6 @@ mod project;
 mod round;
 mod tree;
 
-pub use automorphism::automorphisms;
 pub use diameter::DiameterInfo;
 pub use euler::{list_construction, EulerList};
 pub use hull::ConvexHull;

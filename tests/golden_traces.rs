@@ -17,7 +17,7 @@ use aa_fuzz::{
     record_scenario, run_case, AdvAtom, AdvAtomKind, Family, FuzzCase, ProtocolKind, TreeSpec,
     SCENARIO_NAMES,
 };
-use aa_trace::Trace;
+use aa_trace::{first_divergence, Trace};
 
 fn golden_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("golden-traces")
@@ -50,20 +50,9 @@ fn assert_traces_identical(file: &str, golden: &Trace, fresh: &Trace) {
         (fresh.n, fresh.t, &fresh.label),
         "{file}: trace header diverged"
     );
-    for (i, (g, f)) in golden.events.iter().zip(&fresh.events).enumerate() {
-        assert_eq!(
-            g,
-            f,
-            "{file}: first divergence at event {i} of {}:\n  golden: {g}\n  fresh:  {f}",
-            golden.events.len()
-        );
+    if let Err(e) = first_divergence(("golden", &golden.events), ("fresh", &fresh.events)) {
+        panic!("{file}: {e}");
     }
-    assert_eq!(
-        golden.events.len(),
-        fresh.events.len(),
-        "{file}: traces agree on the first {} events but lengths differ",
-        golden.events.len().min(fresh.events.len())
-    );
 }
 
 #[test]
