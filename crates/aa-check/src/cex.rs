@@ -118,8 +118,9 @@ pub fn emit_trace(
 
 /// Greedy shrinking: repeatedly tries to (1) drop trailing script
 /// choices, (2) zero out individual choices, and (3) simplify Byzantine
-/// behaviours toward silence, keeping any candidate that still fails
-/// `classify`. Terminates when a full pass makes no progress.
+/// behaviours toward silence, keeping any candidate that runs to its end
+/// (is not sleep-pruned) and still fails `classify`. Terminates when a
+/// full pass makes no progress.
 pub fn minimize<F>(
     instance: &Instance,
     depth: usize,
@@ -132,9 +133,15 @@ where
     F: FnMut(&Execution, &[usize]) -> Option<String>,
 {
     let mut violation = violation;
+    // A sleep-pruned candidate was cut short, not run to its end: its
+    // terminal belongs to another branch, so it never stands for a
+    // violation (a classifier would read the cut as a deadlock).
     let try_candidate =
         |a: &LatticeAssignment, s: &[usize], classify: &mut F| -> Option<(String, Execution)> {
             let exec = execute(instance, a, s, depth);
+            if exec.pruned_by_sleep {
+                return None;
+            }
             classify(&exec, s).map(|v| (v, exec))
         };
     loop {
@@ -311,6 +318,45 @@ mod tests {
             cex.trace.to_canonical_string()
         );
         assert_eq!(replayed.fingerprint(), cex.trace.fingerprint());
+    }
+
+    #[test]
+    fn a_sleep_pruned_candidate_is_never_accepted() {
+        // path4, t = 1, the Byzantine party silent: script [3, 3, 3] at
+        // depth 4 is cut by the sleep-set rule. The classifier reads a cut
+        // run as a deadlock, as `classify_execution` does, and fails only
+        // the seed otherwise, so truncating the seed to [3, 3, 3] is the
+        // one step that would swap its violation for a false deadlock.
+        let tree = Arc::new(generate::path(4));
+        let vs: Vec<VertexId> = tree.vertices().collect();
+        let instance = Instance {
+            n: 4,
+            t: 1,
+            tree,
+            inputs: vs,
+            max_events: 200_000,
+        };
+        let silent = LatticeAssignment {
+            behaviors: vec![ByzBehavior::Silent],
+        };
+        assert!(execute(&instance, &silent, &[3, 3, 3], 4).pruned_by_sleep);
+        let seed = vec![3, 3, 3, 1];
+        let cex = minimize(
+            &instance,
+            4,
+            silent,
+            seed.clone(),
+            "seed violation".to_string(),
+            |exec, s| {
+                if exec.pruned_by_sleep {
+                    Some("asynchronous deadlock".to_string())
+                } else {
+                    (s == seed.as_slice()).then(|| "seed violation".to_string())
+                }
+            },
+        );
+        assert_eq!(cex.script, [3, 3, 3, 1]);
+        assert_eq!(cex.violation, "seed violation");
     }
 
     #[test]

@@ -88,9 +88,10 @@ pub enum StepMode {
 /// protocol only breaks even near n ≈ 2048. But the protocols this
 /// engine exists to run sit well above that floor: an untraced TreeAA
 /// run at n=256, t=85 (the `sim-treeaa-wide` benchmark, 2-core host,
-/// two workers, gradecast tallies on the SSE2 sweep) spends 150–175 ms
-/// of wall time stepping its 171 honest parties over 46 rounds (the 85
-/// that `TreeAaChaos` takes over are frozen) — ≈ 3–7 ms in a round that
+/// two workers) spends 105–120 ms of wall time stepping its 171 honest
+/// parties over 46 rounds with gradecast tallies on the AVX2 sweep, and
+/// 135–165 ms on the SSE2 sweep (the 85 parties that `TreeAaChaos` takes
+/// over are frozen). On the SSE2 sweep that is ≈ 3–7 ms in a round that
 /// absorbs echo or vote bundles and ≈ 0.5 ms in one that absorbs only
 /// leads — still 5–60× the pool's cost, so the crossover stays well
 /// below n = 256. The threshold is set between the
@@ -366,8 +367,8 @@ impl<M: Payload> Delivery<'_, M> {
     /// from a down sender — only an injection can claim one, since a down
     /// party is not stepped — the copy is dropped and traced as
     /// `fault_drop`, costing nothing. Otherwise it is counted and traced
-    /// as `unicast` or `inject`, and queued unless `to` is taken over:
-    /// nothing will read it.
+    /// as `unicast` or `inject`, and queued unless `to` is taken over or
+    /// down next round: nothing will read it.
     ///
     /// Inlined into each call site, with no event built untraced: as a
     /// call it made injection-heavy rounds ≈ 10 % slower.
@@ -397,7 +398,7 @@ impl<M: Payload> Delivery<'_, M> {
             };
             tr.push(self.round, kind);
         }
-        if !self.taken[to] {
+        if !self.taken[to] && !self.plan.is_some_and(|p| p.crashed_in(to, self.round + 1)) {
             let payload = match body {
                 Body::Owned(payload) => payload,
                 Body::Shared(payload, _) => payload.clone(),

@@ -365,20 +365,23 @@ fn every_per_recipient_copy_follows_one_rule_in_both_step_modes() {
         // Besides the test's copy and the party's own, a talker's token
         // is held twice by its tentative outbox when it was stepped, once
         // by the shared list when last round's broadcast went there, and
-        // once per queued recipient when it crossed an active cut. Party
-        // 1's cut broadcasts of rounds 2 and 3 are queued for parties 1
-        // and 2 only: none is kept for the taken-over party 0, and its
-        // unicasts to party 0 are never queued. An injection is held
-        // once per queued recipient besides the adversary's copy; party
-        // 1's, dropped across the cut and while it is down, is held only
-        // after rounds 1 and 5.
+        // once per queued recipient when it crossed an active cut. No
+        // copy is queued for the taken-over party 0, nor for a party that
+        // is down in the next round: party 1's cut broadcast of round 2
+        // is queued for parties 1 and 2, that of round 3 for party 2
+        // only (party 1 is down in round 4), and party 3's of round 2 for
+        // parties 3 and 5 (party 4 is down in round 3). An injection is
+        // held once per queued recipient besides the adversary's copy:
+        // party 0's of round 1 skips party 4, that of round 3 reaches
+        // party 2 only; party 1's, dropped across the cut and while it is
+        // down, is held only after rounds 1 and 5.
         assert_eq!(
             live,
             [
                 [4, 4, 1, 1],
-                [5, 5, 6, 2],
-                [6, 7, 3, 1],
-                [4, 7, 3, 1],
+                [5, 5, 5, 2],
+                [6, 6, 3, 1],
+                [3, 7, 2, 1],
                 [4, 5, 6, 1],
                 [5, 5, 6, 2],
             ],
