@@ -336,8 +336,12 @@ mod tests {
             label: "dump".into(),
         };
         let mut wal = net::WalWriter::create(&path, &header).unwrap();
-        wal.append(&net::WalRecord::Reserve { peer: 2, upto: 64 })
-            .unwrap();
+        let mark = net::wal::WalMark {
+            time_bits: 2.5f64.to_bits(),
+            events: 64,
+            probe: 0xdead_beef,
+        };
+        wal.append(&net::WalRecord::Mark(mark)).unwrap();
         drop(wal);
         let intact = std::fs::read(&path).unwrap();
         std::fs::write(&path, [&intact[..], &[0, 0, 0, 17, 2]].concat()).unwrap();
@@ -357,7 +361,7 @@ mod tests {
         assert!(lines[0].starts_with(r#"{"k": "hdr", "fp": "000000000000feed""#));
         assert_eq!(
             lines[1],
-            r#"{"k": "res", "peer": 2, "upto": "0000000000000040"}"#
+            r#"{"k": "mark", "vt": "4004000000000000", "events": "0000000000000040", "probe": "00000000deadbeef"}"#
         );
         assert_eq!(
             lines[2],

@@ -139,11 +139,29 @@ fn wal_dump_prints_a_fixed_log() {
         wire_version: net::WIRE_VERSION,
         label: "pins".into(),
     };
+    // A log one recovery wrote to: the second header opens the second
+    // incarnation.
     let mut wal = net::WalWriter::create(&path, &header).unwrap();
-    wal.append(&net::WalRecord::Reserve { peer: 2, upto: 64 })
-        .unwrap();
-    wal.append(&net::WalRecord::Reserve { peer: 3, upto: 128 })
-        .unwrap();
+    let timer = net::wal::WalEvent {
+        time_bits: 1.5f64.to_bits(),
+        class: 1,
+        a: 1,
+        b: 0,
+        c: 7,
+        remote: None,
+    };
+    let mark = net::wal::WalMark {
+        time_bits: 1.5f64.to_bits(),
+        events: 1,
+        probe: 0xabcd,
+    };
+    for rec in [
+        net::WalRecord::Event(timer),
+        net::WalRecord::Mark(mark),
+        net::WalRecord::Header(header),
+    ] {
+        wal.append(&rec).unwrap();
+    }
     drop(wal);
     let mut bytes = std::fs::read(&path).unwrap();
     bytes.extend_from_slice(&[0, 0, 0, 17, 2]);
@@ -183,9 +201,10 @@ RealAA rounds for eps = 1       21
 ";
 
 const WAL_DUMP: &str = r#"{"k": "hdr", "fp": "000000000000feed", "me": 1, "n": 4, "t": 1, "seed": "0000000000000007", "mind": "3fe0000000000000", "wire": 2, "label": "pins"}
-{"k": "res", "peer": 2, "upto": "0000000000000040"}
-{"k": "res", "peer": 3, "upto": "0000000000000080"}
-{"k": "end", "records": 3, "valid_len": 132, "torn_tail_bytes": 5}
+{"k": "ev", "vt": "3ff8000000000000", "class": 1, "a": "0000000000000001", "b": "0000000000000000", "c": "0000000000000007"}
+{"k": "mark", "vt": "3ff8000000000000", "events": "0000000000000001", "probe": "000000000000abcd"}
+{"k": "hdr", "fp": "000000000000feed", "me": 1, "n": 4, "t": 1, "seed": "0000000000000007", "mind": "3fe0000000000000", "wire": 2, "label": "pins"}
+{"k": "end", "records": 4, "valid_len": 231, "torn_tail_bytes": 5}
 "#;
 
 const HELP: &str = r#"treeaa — Byzantine approximate agreement on trees (PODC 2025 reproduction)

@@ -47,24 +47,26 @@
 //!
 //! # Durability and crash recovery
 //!
-//! With a [`Durability`] attached ([`run_node_durable`]), the node
-//! appends every protocol-relevant transition to a [`crate::wal`] log
-//! *before* acting on it: `wire_seq` reservations before frames hit the
-//! wire, processed events (with the raw payload for remote deliveries)
-//! before they activate the protocol, and periodic integrity marks
-//! carrying a caller-supplied state probe. Appends are flushed to the
-//! OS, not `fsync`ed: the log survives the process being killed (the
-//! page cache outlives it), not power loss. A SIGKILLed node restarted
-//! with `recover` replays the log through a fresh protocol instance —
-//! deterministically reconstructing its pending heap, per-link `lseq`
-//! ordinals, retention buffers, and trace — then re-handshakes and
-//! resumes mid-protocol without perturbing the virtual-time schedule.
+//! With a [`Durability`] attached ([`run_node_durable`]), the main loop
+//! owns the [`crate::wal`] log and appends to it alone: the run's
+//! header before any socket exists, each processed event (with the raw
+//! payload for remote deliveries) before it activates the protocol, and
+//! periodic integrity marks carrying a caller-supplied state probe.
+//! Appends are flushed to the OS, not `fsync`ed: the log survives the
+//! process being killed (the page cache outlives it), not power loss. A
+//! SIGKILLed node restarted with `recover` replays the log through a
+//! fresh protocol instance — deterministically reconstructing its
+//! pending heap, per-link `lseq` ordinals, retention buffers, and trace
+//! — then re-handshakes and resumes mid-protocol without perturbing the
+//! virtual-time schedule.
 //!
 //! Two transport mechanisms make the rejoin loss-free:
 //!
-//! * **`wire_seq` reservation blocks** guarantee the recovered node's
-//!   frames are never mistaken for replays by peers whose filters
-//!   already saw pre-crash sequence numbers.
+//! * **Incarnations** keep the recovered node's frames from being
+//!   mistaken for replays by peers whose filters already saw pre-crash
+//!   sequence numbers: a node whose log holds `k` headers is
+//!   incarnation `k`, appends its header again, and numbers the frames
+//!   of every link from `k << 40` on.
 //! * **Handshake gap-resend**: every Hello carries the set of Data
 //!   `lseq` ordinals its sender has received on the reverse link, and
 //!   both sides of a (re)connect answer by resending exactly the
@@ -87,7 +89,7 @@ use aa_trace::TraceRecord;
 use async_net::AsyncProtocol;
 
 use crate::codec::WireCodec;
-use crate::core::{DataOut, Driver, Event, LinkId, LinkTable, Outbox, Reject};
+use crate::core::{reincarnate, DataOut, Driver, Event, LinkId, LinkTable, Outbox, Reject};
 use crate::frame::{FrameBuffer, FrameError};
 use crate::wal::{self, WalHeader, WalRecord, WalWriter};
 use crate::wire::{HelloBody, WIRE_VERSION};
@@ -160,8 +162,8 @@ pub struct Durability {
     /// Where this node's WAL lives.
     pub wal_path: PathBuf,
     /// Replay an existing WAL at `wal_path` before going live. A
-    /// missing or empty file falls back to a fresh start, so a
-    /// supervisor can pass `recover` unconditionally.
+    /// missing file, or one without a complete record, falls back to a
+    /// fresh start, so a supervisor can pass `recover` unconditionally.
     pub recover: bool,
 }
 
@@ -421,11 +423,22 @@ impl LinkSlot {
 struct Inner {
     table: LinkTable,
     /// Scratch the table's methods fill and the critical section that
-    /// filled it empties ([`Shared::flush`]; `drive_node`'s Data path).
+    /// filled it empties ([`Inner::flush`]; `drive_node`'s Data path).
     out: Outbox,
     links: Vec<LinkSlot>,
-    /// First WAL append failure (surfaced as a run error).
-    wal_error: Option<String>,
+}
+
+impl Inner {
+    /// Queues what the table just decided on the writers, inside the
+    /// critical section that decided it. A send error is surfaced by the
+    /// writer thread.
+    fn flush(&mut self) {
+        for (peer, bytes) in self.out.drain(..) {
+            if let Some(tx) = &self.links[peer].tx {
+                let _ = tx.send(bytes);
+            }
+        }
+    }
 }
 
 struct Shared {
@@ -434,9 +447,6 @@ struct Shared {
     shutdown: AtomicBool,
     /// The acceptor thread and the address that wakes it from `accept()`.
     acceptor: Mutex<Option<(JoinHandle<()>, SocketAddr)>>,
-    /// The write-ahead log, when the run is durable.
-    /// Lock order: `inner` before `wal`, never the reverse.
-    wal: Mutex<Option<WalWriter>>,
     /// Link threads (each dials or accepts, then runs its connection
     /// with a writer of its own), joined at teardown.
     link_threads: Mutex<Vec<JoinHandle<()>>>,
@@ -444,19 +454,17 @@ struct Shared {
 }
 
 impl Shared {
-    fn new(cfg: &NodeConfig, wal: Option<WalWriter>) -> Arc<Shared> {
+    fn new(cfg: &NodeConfig, incarnation: u64) -> Arc<Shared> {
         let id = LinkId::of(cfg);
         Arc::new(Shared {
             inner: Mutex::new(Inner {
-                table: LinkTable::new(id),
+                table: LinkTable::new(id, incarnation),
                 out: Outbox::default(),
                 links: (0..cfg.n).map(|_| LinkSlot::default()).collect(),
-                wal_error: None,
             }),
             cv: Condvar::new(),
             shutdown: AtomicBool::new(false),
             acceptor: Mutex::new(None),
-            wal: Mutex::new(wal),
             link_threads: Mutex::new(Vec::new()),
             id,
         })
@@ -464,41 +472,6 @@ impl Shared {
 
     fn lock(&self) -> MutexGuard<'_, Inner> {
         self.inner.lock().expect("net lock")
-    }
-
-    /// Carries out what the table just decided, inside the critical
-    /// section that decided it: the log first, then the wire (ordering
-    /// 3, see [`Outbox`]). A send error is surfaced by the writer thread.
-    fn flush(&self, inner: &mut Inner) {
-        self.flush_log(inner);
-        for (peer, bytes) in inner.out.frames.drain(..) {
-            if let Some(tx) = &inner.links[peer].tx {
-                let _ = tx.send(bytes);
-            }
-        }
-    }
-
-    /// The log half of [`Shared::flush`].
-    fn flush_log(&self, inner: &mut Inner) {
-        if inner.out.log.is_empty() {
-            return;
-        }
-        let mut wal = self.wal.lock().expect("wal lock");
-        for rec in inner.out.log.drain(..) {
-            if let Some(Err(e)) = wal.as_mut().map(|w| w.append(&rec)) {
-                inner.wal_error.get_or_insert(e.to_string());
-            }
-        }
-    }
-
-    /// Appends one record to the WAL, if one is attached.
-    fn append_wal(&self, rec: &WalRecord) -> Result<(), NetError> {
-        match self.wal.lock().expect("wal lock").as_mut() {
-            Some(w) => w
-                .append(rec)
-                .map_err(|e| NetError::Io(format!("wal append: {e}"))),
-            None => Ok(()),
-        }
     }
 }
 
@@ -563,8 +536,8 @@ impl Conn {
 /// first, learns the peer from its Hello and checks the canonical
 /// direction (the higher index dials the lower). The peer's Hello is
 /// awaited for `patience`, authenticated off the lock and admitted by
-/// the replay filter under it; ours has its `wire_seq` reservation
-/// logged before it is written. Each end judges the peer's wire version
+/// the replay filter under it; ours is built under the lock and written
+/// off it. Each end judges the peer's wire version
 /// and configuration only once both Hellos are out, so a mismatch is
 /// refused at both ends with its reason. Returns the peer and its
 /// Hello.
@@ -576,7 +549,8 @@ fn handshake(
 ) -> Result<(usize, HelloBody), NetError> {
     conn.stream.set_read_timeout(Some(patience))?;
     if let Some(peer) = dialed {
-        write_hello(shared, peer, &mut conn.stream)?;
+        let hello = shared.lock().table.hello(peer);
+        conn.stream.write_all(&hello)?;
     }
     let payload = conn
         .next_frame()
@@ -590,23 +564,11 @@ fn handshake(
                 "peer {peer} must accept our dial, not dial us"
             )));
         }
-        write_hello(shared, peer, &mut conn.stream)?;
+        let ours = shared.lock().table.hello(peer);
+        conn.stream.write_all(&ours)?;
     }
     shared.id.check_hello(peer, &hello)?;
     Ok((peer, hello))
-}
-
-/// Writes our Hello to `stream`; its `wire_seq` reservation is logged
-/// first.
-fn write_hello(shared: &Shared, peer: usize, stream: &mut TcpStream) -> Result<(), NetError> {
-    let bytes = {
-        let mut guard = shared.lock();
-        let inner = &mut *guard;
-        let bytes = inner.table.hello(peer, &mut inner.out);
-        shared.flush(inner);
-        bytes
-    };
-    Ok(stream.write_all(&bytes)?)
 }
 
 /// A fresh connection for its whole life: the handshake, then the
@@ -652,7 +614,7 @@ fn run_connection(
         };
         // Still inside the critical section: the gap-resend is in the
         // new queue before anyone else can see the link (ordering 2).
-        shared.flush(inner);
+        inner.flush();
         epoch
     };
     shared.cv.notify_all();
@@ -851,41 +813,45 @@ where
 {
     cfg.validate()?;
     // Open (or recover) the WAL before anything touches the network.
-    let (wal, replay) = open_wal(cfg, durability)?;
-    let shared = Shared::new(cfg, wal);
-    let result = drive_node(cfg, &shared, listener, proto, replay, &probe, on_ready);
+    let wal = open_wal(cfg, durability)?;
+    let shared = Shared::new(cfg, wal.incarnation);
+    let result = drive_node(cfg, &shared, listener, proto, wal, &probe, on_ready);
     teardown(&shared);
     result
 }
 
-/// Opens the run's WAL: a fresh log, or — recovering — the existing
-/// one reopened for append past its valid prefix, with the records to
-/// replay.
-fn open_wal(
-    cfg: &NodeConfig,
-    durability: Option<&Durability>,
-) -> Result<(Option<WalWriter>, Option<Vec<WalRecord>>), NetError> {
+/// A run's log: the writer the main loop appends through (none when the
+/// run is not durable), the incarnation it opened and what the earlier
+/// ones logged, to replay (nothing on a fresh log).
+#[derive(Default)]
+struct Wal {
+    writer: Option<WalWriter>,
+    incarnation: u64,
+    replay: Vec<WalRecord>,
+}
+
+/// Opens the run's WAL: recovering, the existing log is scanned, and
+/// [`reincarnate`] checks it; the file is then cut back to its valid
+/// prefix and the header appended. A fresh run's log is cut back to
+/// nothing instead, and so is a missing one or one without a complete
+/// record (killed during its first append, before any socket existed).
+fn open_wal(cfg: &NodeConfig, durability: Option<&Durability>) -> Result<Wal, NetError> {
     let Some(d) = durability else {
-        return Ok((None, None));
+        return Ok(Wal::default());
     };
-    let header = cfg.wal_header();
     let existing = d.recover && std::fs::metadata(&d.wal_path).is_ok_and(|m| m.len() > 0);
-    if !existing {
-        return Ok((Some(WalWriter::create(&d.wal_path, &header)?), None));
-    }
-    let scan = wal::read_wal(&d.wal_path)?;
-    match scan.records.first() {
-        Some(WalRecord::Header(h)) if *h == header => {}
-        Some(WalRecord::Header(h)) => {
-            return Err(NetError::Recovery(format!(
-                "wal belongs to another run (config {:#018x}, expected {:#018x})",
-                h.config_fp, cfg.config_fp
-            )))
-        }
-        _ => return Err(NetError::Recovery("wal has no header record".into())),
-    }
-    let writer = WalWriter::append_to(&d.wal_path, scan.valid_len)?;
-    Ok((Some(writer), Some(scan.records)))
+    let scan = existing.then(|| wal::read_wal(&d.wal_path)).transpose()?;
+    let (replay, valid_len) = scan.map_or((Vec::new(), 0), |s| (s.records, s.valid_len));
+    let mut writer = None;
+    let incarnation = reincarnate(&replay, &cfg.wal_header(), |rec| {
+        let w = writer.insert(WalWriter::append_to(&d.wal_path, valid_len)?);
+        Ok(w.append(&rec)?)
+    })?;
+    Ok(Wal {
+        writer,
+        incarnation,
+        replay,
+    })
 }
 
 /// Lifetime acceptor: hands every connection from a higher peer — the
@@ -966,14 +932,16 @@ fn bring_up(cfg: &NodeConfig, shared: &Shared, start: Instant) -> Result<(), Net
 }
 
 /// The virtual-time main loop (see the module docs for the invariants):
-/// replay, the acceptor and the dialing threads, bring-up, then drain → activate the safe prefix
-/// → control plane → liveness, until the table says the run is over.
+/// replay, the acceptor and the dialing threads, bring-up, then drain →
+/// activate the safe prefix → control plane → liveness, until the table
+/// says the run is over. The WAL's one writer lives here, and no append
+/// runs under the node's lock.
 fn drive_node<P, R>(
     cfg: &NodeConfig,
     shared: &Arc<Shared>,
     listener: TcpListener,
     proto: P,
-    replay: Option<Vec<WalRecord>>,
+    wal: Wal,
     probe: &dyn Fn(&P) -> u64,
     on_ready: R,
 ) -> Result<NodeReport<P::Output>, NetError>
@@ -983,18 +951,17 @@ where
     R: FnOnce(),
 {
     let start = Instant::now();
-    let durable = shared.wal.lock().expect("wal lock").is_some();
-    let mut driver = Driver::new(cfg, proto, durable);
-    // One live activation's message to a remote peer. Its reservation is
-    // logged under the lock, but the frame is queued after the release:
-    // the send wakes the writer thread, and a wake-up taken with the
-    // node's lock held parks every reader of this node behind it.
+    let (mut writer, replay) = (wal.writer, wal.replay);
+    let mut driver = Driver::new(cfg, proto, writer.is_some());
+    // One live activation's message to a remote peer. The frame is
+    // queued after the lock's release: the send wakes the writer thread,
+    // and a wake-up taken with the node's lock held parks every reader
+    // of this node behind it.
     let mut wire = |d: DataOut| {
         let mut guard = shared.lock();
         let inner = &mut *guard;
         inner.table.send_data(d, &mut inner.out);
-        shared.flush_log(inner);
-        let frame = inner.out.frames.pop();
+        let frame = inner.out.pop();
         let send = frame.and_then(|(peer, bytes)| Some((inner.links[peer].tx.clone()?, bytes)));
         drop(guard);
         if let Some((tx, bytes)) = send {
@@ -1004,9 +971,9 @@ where
 
     // Ordering 5: replay rebuilds what a Hello reads before the acceptor
     // and the dialing threads exist (dialers wait in the kernel backlog).
-    let recovered = replay.is_some();
-    if let Some(records) = replay {
-        driver.replay(records, &mut shared.lock().table, probe)?;
+    let recovered = !replay.is_empty();
+    if recovered {
+        driver.replay(replay, &mut shared.lock().table, probe)?;
     }
     spawn_acceptor(shared, listener)?;
     for peer in 0..cfg.me {
@@ -1023,6 +990,10 @@ where
         driver.activate(0.0, Event::Start, &mut wire);
     }
 
+    let mut log = |rec: WalRecord| {
+        let appended = writer.as_mut().map_or(Ok(()), |w| w.append(&rec));
+        appended.map_err(|e| NetError::Io(format!("wal append: {e}")))
+    };
     let dead_after = Duration::from_millis(cfg.reconnect.dead_after_ms);
     let mut last_keepalive = start;
     loop {
@@ -1031,18 +1002,11 @@ where
                 elapsed_ms: start.elapsed().as_millis() as u64,
             });
         }
-        let drained = {
-            let mut inner = shared.lock();
-            if let Some(e) = inner.wal_error.take() {
-                return Err(NetError::Io(format!("wal append: {e}")));
-            }
-            inner.table.drain()
-        };
+        let drained = shared.lock().table.drain();
         let snap = drained.snap;
         let mut activity = drained.has_input();
         driver.absorb(drained)?;
 
-        let mut log = |rec: WalRecord| shared.append_wal(&rec);
         activity |= driver.run_ready(snap, probe, &mut log, &mut wire)?;
 
         let keepalive_due = last_keepalive.elapsed() >= Duration::from_millis(KEEPALIVE_MS);
@@ -1056,7 +1020,7 @@ where
             let ctl = inner
                 .table
                 .control(vnow, output_ready, keepalive_due, snap, &mut inner.out);
-            shared.flush(inner);
+            inner.flush();
             if ctl.finished {
                 break;
             }
@@ -1350,7 +1314,7 @@ mod tests {
             let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
             let addr = listener.local_addr().expect("addr");
             let cfg = NodeConfig::new(1, 2, 0, vec![addr, addr], SECRET, CFG_FP, 7);
-            let shared = Shared::new(&cfg, None);
+            let shared = Shared::new(&cfg, 0);
             let fake = thread::spawn(move || {
                 let mut conn = fake_end(listener.accept().expect("accept").0);
                 let node_hello = next_msg(&mut conn).expect("node hello");
@@ -1374,7 +1338,7 @@ mod tests {
             let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
             let addr = listener.local_addr().expect("addr");
             let cfg = NodeConfig::new(0, 2, 0, vec![addr, addr], SECRET, CFG_FP, 7);
-            let shared = Shared::new(&cfg, None);
+            let shared = Shared::new(&cfg, 0);
             let fake = thread::spawn(move || {
                 let mut conn = fake_end(TcpStream::connect(addr).expect("dial"));
                 conn.stream.write_all(&up).expect("hostile hello");
@@ -1427,14 +1391,14 @@ mod tests {
         cfg.handshake_timeout = Duration::from_secs(5);
         cfg.wall_timeout = Duration::from_secs(20);
         // `run_node`, opened up to look at the slots before teardown.
-        let shared = Shared::new(&cfg, None);
+        let shared = Shared::new(&cfg, 0);
         let at_ready = Arc::clone(&shared);
         let result = drive_node(
             &cfg,
             &shared,
             my_listener,
             InstantProto,
-            None,
+            Wal::default(),
             &|_| 0,
             move || {
                 assert_one_slot_per_live_link(&at_ready, 1);
@@ -1561,9 +1525,16 @@ mod tests {
                 let mut cfg = NodeConfig::new(me, 2, 0, peers.clone(), SECRET, fp, 7);
                 cfg.handshake_timeout = Duration::from_secs(1);
                 thread::spawn(move || {
-                    let shared = Shared::new(&cfg, None);
-                    let result =
-                        drive_node(&cfg, &shared, listener, InstantProto, None, &|_| 0, || {});
+                    let shared = Shared::new(&cfg, 0);
+                    let result = drive_node(
+                        &cfg,
+                        &shared,
+                        listener,
+                        InstantProto,
+                        Wal::default(),
+                        &|_| 0,
+                        || {},
+                    );
                     teardown(&shared);
                     let refused = shared.lock().table.stats.refused_handshakes;
                     (result.err(), refused)
@@ -1599,7 +1570,7 @@ mod tests {
 
         // Linux also routes a dial to 0.0.0.0 to loopback; hosts that
         // refuse one need the mapping, so the wake address is checked too.
-        let shared = Shared::new(&cfg, None);
+        let shared = Shared::new(&cfg, 0);
         let listener = TcpListener::bind("0.0.0.0:0").expect("bind");
         spawn_acceptor(&shared, listener).expect("acceptor");
         let wake = shared
@@ -1610,5 +1581,63 @@ mod tests {
             .map(|a| a.1);
         assert!(wake.is_some_and(|a| a.ip().is_loopback()), "{wake:?}");
         teardown(&shared);
+    }
+
+    /// A node killed during its first header append left a proper
+    /// prefix of that record, and no socket: recovering from it is a
+    /// fresh start. A log that opens with another record is refused.
+    #[test]
+    fn a_torn_first_header_recovers_as_a_fresh_start() {
+        let path = std::env::temp_dir().join(format!("treeaa-torn-hdr-{}.wal", std::process::id()));
+        // One party, so the run needs no peer; its own address is unused.
+        let cfg = NodeConfig::new(
+            0,
+            1,
+            0,
+            vec![(Ipv4Addr::LOCALHOST, 0).into()],
+            SECRET,
+            CFG_FP,
+            7,
+        );
+        let run = || {
+            let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+            let durability = Durability {
+                wal_path: path.clone(),
+                recover: true,
+            };
+            run_node_durable(
+                &cfg,
+                listener,
+                InstantProto,
+                Some(&durability),
+                |_| 0,
+                || {},
+            )
+        };
+        let framed = |rec: WalRecord| {
+            let mut bytes = Vec::new();
+            rec.write_to(&mut Vec::new(), &mut bytes).expect("framed");
+            bytes
+        };
+        let whole = framed(WalRecord::Header(cfg.wal_header()));
+        for cut in 0..whole.len() {
+            std::fs::write(&path, &whole[..cut]).expect("torn log");
+            let report = run().unwrap_or_else(|e| panic!("cut {cut}: {e}"));
+            assert_eq!(report.output, Some(1));
+            assert_eq!(std::fs::read(&path).expect("log"), whole, "cut {cut}");
+        }
+
+        let mark = wal::WalMark {
+            time_bits: 0,
+            events: 0,
+            probe: 0,
+        };
+        std::fs::write(&path, framed(WalRecord::Mark(mark))).expect("headless log");
+        let err = run().expect_err("a log must open with its header");
+        assert!(
+            err.to_string().contains("wal has no header record"),
+            "{err}"
+        );
+        std::fs::remove_file(&path).ok();
     }
 }

@@ -1,11 +1,12 @@
 //! Write-ahead log for durable `serve` nodes.
 //!
 //! Each node appends its protocol-relevant state transitions — the
-//! configuration header, `wire_seq` reservation watermarks, every
-//! processed event (with the raw body for remote deliveries), and
-//! periodic integrity marks — so that a SIGKILL'd process can be
-//! restarted with `--recover` and deterministically replay itself back
-//! to the exact pre-crash state (see `node::run_node_durable`).
+//! configuration header (once per incarnation: a recovered process
+//! appends it again), every processed event (with the raw body for
+//! remote deliveries), and periodic integrity marks — so that a
+//! SIGKILL'd process can be restarted with `--recover` and
+//! deterministically replay itself back to the exact pre-crash state
+//! (see `node::run_node_durable`).
 //!
 //! # On-disk format
 //!
@@ -22,7 +23,6 @@
 //! 0x01 Header  format:u8 (= WAL_FORMAT)  config_fp:u64  me:u64  n:u64
 //!              t:u64  seed:u64  min_delay_bits:u64  wire_version:u32
 //!              label_len:u32  label (UTF-8)
-//! 0x02 Reserve peer:u64  upto:u64
 //! 0x03 Event   time_bits:u64  class:u8  a:u64  b:u64  c:u64   (local)
 //! 0x04 Event   the same five fields, then  from:u64  lseq:u64
 //!              vsend_bits:u64  body_len:u32  body (raw)        (remote)
@@ -32,7 +32,9 @@
 //! No optional fields, no padding, trailing bytes rejected: every record
 //! has exactly one encoding, and a remote event costs its body plus 74
 //! bytes. A payload starting with `{` is refused by name — that is how
-//! the earlier JSON-with-hex payloads began.
+//! the earlier JSON-with-hex payloads began — and so is a header of
+//! another format, such as format 2's, whose logs held `wire_seq`
+//! reservations under tag 0x02.
 //!
 //! # Reopen policy
 //!
@@ -50,7 +52,7 @@
 use std::fmt;
 use std::fs::{File, OpenOptions};
 use std::io::{BufWriter, Read, Seek, SeekFrom, Write};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 use aa_trace::{fnv1a_64, fnv1a_64_extend, Json};
 
@@ -62,10 +64,9 @@ use crate::frame::MAX_FRAME;
 pub const MAX_WAL_RECORD: usize = MAX_FRAME + 62;
 
 /// The payload format version, second byte of every header record.
-const WAL_FORMAT: u8 = 2;
+const WAL_FORMAT: u8 = 3;
 
 const TAG_HEADER: u8 = 1;
-const TAG_RESERVE: u8 = 2;
 const TAG_LOCAL: u8 = 3;
 const TAG_REMOTE: u8 = 4;
 const TAG_MARK: u8 = 5;
@@ -198,18 +199,9 @@ pub struct WalMark {
 /// One WAL record.
 #[derive(Clone, Debug, PartialEq)]
 pub enum WalRecord {
-    /// The run-identifying header (first record).
+    /// The run-identifying header: the first record, and again at the
+    /// start of each recovered incarnation.
     Header(WalHeader),
-    /// `wire_seq` reservation: sequence numbers below `upto` on the
-    /// directed link to `peer` may already be on the wire. Appended
-    /// *before* any frame in the block is sent, so a recovered node
-    /// resumes past every sequence number a peer might have seen.
-    Reserve {
-        /// The destination peer.
-        peer: usize,
-        /// Exclusive upper bound of the reserved block.
-        upto: u64,
-    },
     /// A processed protocol event.
     Event(WalEvent),
     /// A periodic integrity mark.
@@ -251,11 +243,6 @@ impl WalRecord {
                 put("wire", Json::int(u64::from(h.wire_version)));
                 put("label", Json::Str(h.label.clone()));
             }
-            WalRecord::Reserve { peer, upto } => {
-                put("k", Json::Str("res".into()));
-                put("peer", int(*peer));
-                put("upto", hx(*upto));
-            }
             WalRecord::Event(ev) => {
                 put("k", Json::Str("ev".into()));
                 put("vt", hx(ev.time_bits));
@@ -292,10 +279,6 @@ impl WalRecord {
                 head.extend_from_slice(&h.wire_version.to_le_bytes());
                 head.extend_from_slice(&(h.label.len() as u32).to_le_bytes());
                 head.extend_from_slice(h.label.as_bytes());
-            }
-            WalRecord::Reserve { peer, upto } => {
-                head.push(TAG_RESERVE);
-                put_u64s(head, &[*peer as u64, *upto]);
             }
             WalRecord::Event(ev) => {
                 head.push(if ev.remote.is_some() {
@@ -351,9 +334,7 @@ impl WalRecord {
         let mut r = Reader::new(payload);
         let rec = match r.u8()? {
             TAG_HEADER => {
-                if r.u8()? != WAL_FORMAT {
-                    return Err(bad("wal format version"));
-                }
+                r.u8()?; // the format, which `WalCursor::next_record` checked
                 WalRecord::Header(WalHeader {
                     config_fp: r.u64()?,
                     me: index(&mut r)?,
@@ -369,10 +350,6 @@ impl WalRecord {
                     },
                 })
             }
-            TAG_RESERVE => WalRecord::Reserve {
-                peer: index(&mut r)?,
-                upto: r.u64()?,
-            },
             tag @ (TAG_LOCAL | TAG_REMOTE) => {
                 let mut ev = WalEvent {
                     time_bits: r.u64()?,
@@ -484,6 +461,13 @@ impl WalCursor {
         if payload.first() == Some(&b'{') {
             return self.poison(WalError::Mismatch(JSON_ERA.into()));
         }
+        if let [TAG_HEADER, format, ..] = *payload {
+            if format != WAL_FORMAT {
+                return self.poison(WalError::Mismatch(format!(
+                    "log written by WAL format {format}, this build reads format {WAL_FORMAT}"
+                )));
+            }
+        }
         match WalRecord::decode(payload) {
             Ok(rec) => {
                 self.pos += total;
@@ -551,7 +535,6 @@ pub fn read_wal(path: &Path) -> Result<WalScan, WalError> {
 #[derive(Debug)]
 pub struct WalWriter {
     out: BufWriter<File>,
-    path: PathBuf,
     /// Scratch for a record's fixed-width fields: appends allocate nothing.
     head: Vec<u8>,
 }
@@ -563,30 +546,28 @@ impl WalWriter {
     ///
     /// Propagates filesystem errors.
     pub fn create(path: &Path, header: &WalHeader) -> Result<WalWriter, WalError> {
-        let file = File::create(path)?;
-        let mut w = WalWriter {
-            out: BufWriter::new(file),
-            path: path.to_path_buf(),
-            head: Vec::with_capacity(128),
-        };
+        let mut w = WalWriter::append_to(path, 0)?;
         w.append(&WalRecord::Header(header.clone()))?;
         Ok(w)
     }
 
-    /// Reopens an existing WAL for append, truncating a torn tail at
-    /// `valid_len` first (as reported by [`read_wal`]).
+    /// Opens a WAL for append, truncating a torn tail at `valid_len`
+    /// first (as reported by [`read_wal`]; 0 starts a fresh log, and a
+    /// missing file is created).
     ///
     /// # Errors
     ///
     /// Propagates filesystem errors.
     pub fn append_to(path: &Path, valid_len: u64) -> Result<WalWriter, WalError> {
-        let file = OpenOptions::new().read(true).write(true).open(path)?;
+        let mut file = OpenOptions::new()
+            .write(true)
+            .create(true)
+            .truncate(false)
+            .open(path)?;
         file.set_len(valid_len)?;
-        let mut file = file;
         file.seek(SeekFrom::End(0))?;
         Ok(WalWriter {
             out: BufWriter::new(file),
-            path: path.to_path_buf(),
             head: Vec::with_capacity(128),
         })
     }
@@ -602,12 +583,6 @@ impl WalWriter {
         rec.write_to(&mut self.head, &mut self.out)?;
         self.out.flush()?;
         Ok(())
-    }
-
-    /// The file this writer appends to.
-    #[must_use]
-    pub fn path(&self) -> &Path {
-        &self.path
     }
 }
 
@@ -627,7 +602,6 @@ mod tests {
                 wire_version: 2,
                 label: "serve-7".into(),
             }),
-            WalRecord::Reserve { peer: 0, upto: 256 },
             WalRecord::Event(WalEvent {
                 time_bits: 0.375f64.to_bits(),
                 class: 0,
@@ -680,35 +654,37 @@ mod tests {
     /// The layout in the module docs, byte for byte.
     #[test]
     fn the_documented_layout_is_what_is_written() {
-        let bytes = framed(&WalRecord::Reserve {
-            peer: 3,
-            upto: 0x0102,
-        });
-        let payload = [2, 3, 0, 0, 0, 0, 0, 0, 0, 2, 1, 0, 0, 0, 0, 0, 0];
-        assert_eq!(bytes[..4], [0, 0, 0, 17]);
-        assert_eq!(bytes[4..21], payload);
-        assert_eq!(bytes[21..], fnv1a_64(&payload).to_le_bytes());
+        let bytes = framed(&WalRecord::Mark(WalMark {
+            time_bits: 0x0102,
+            events: 3,
+            probe: 4,
+        }));
+        let mut payload = vec![TAG_MARK, 2, 1, 0, 0, 0, 0, 0, 0, 3];
+        payload.extend_from_slice(&[0; 7]);
+        payload.extend_from_slice(&[4, 0, 0, 0, 0, 0, 0, 0]);
+        assert_eq!(bytes[..4], [0, 0, 0, 25]);
+        assert_eq!(bytes[4..29], payload);
+        assert_eq!(bytes[29..], fnv1a_64(&payload).to_le_bytes());
 
         let recs = sample_records();
         let header = framed(&recs[0]);
         assert_eq!(header[4..6], [TAG_HEADER, WAL_FORMAT]);
         assert_eq!(header.len(), 4 + 58 + "serve-7".len() + 8);
-        assert_eq!(framed(&recs[2]).len(), 74 + 4, "remote event: body + 74");
-        assert_eq!(framed(&recs[3]).len(), 4 + 34 + 8, "local event");
-        assert_eq!(framed(&recs[4]).len(), 4 + 25 + 8, "mark");
+        assert_eq!(framed(&recs[1]).len(), 74 + 4, "remote event: body + 74");
+        assert_eq!(framed(&recs[2]).len(), 4 + 34 + 8, "local event");
     }
 
     #[test]
     fn display_json_names_a_body_by_length_and_fnv() {
         let recs = sample_records();
-        let line = recs[2].to_json().to_string();
+        let line = recs[1].to_json().to_string();
         assert!(line.contains(r#""k": "ev""#) && line.contains(r#""body_len": 4"#));
         let fnv = format!(r#""body_fnv": "{:016x}""#, fnv1a_64(&[0, 1, 2, 0xff]));
         assert!(line.contains(&fnv), "{line}");
         assert!(!line.contains("000102ff"), "no hex body: {line}");
         assert_eq!(
-            recs[1].to_json().to_string(),
-            r#"{"k": "res", "peer": 0, "upto": "0000000000000100"}"#
+            recs[3].to_json().to_string(),
+            r#"{"k": "mark", "vt": "4004000000000000", "events": "0000000000000002", "probe": "00000000deadbeef"}"#
         );
     }
 
@@ -747,9 +723,9 @@ mod tests {
         );
         // Nothing of the refused record reached the file, and the
         // writer is still usable.
-        w.append(&WalRecord::Reserve { peer: 0, upto: 1 }).unwrap();
+        w.append(&sample_records()[3]).unwrap();
         drop(w);
-        assert_eq!(std::fs::metadata(&path).unwrap().len(), before + 4 + 17 + 8);
+        assert_eq!(std::fs::metadata(&path).unwrap().len(), before + 4 + 25 + 8);
         assert_eq!(read_wal(&path).unwrap().records.len(), 3);
         std::fs::remove_file(&path).ok();
     }
@@ -802,7 +778,7 @@ mod tests {
 
     #[test]
     fn checksum_corruption_is_a_typed_error() {
-        let rec = WalRecord::Reserve { peer: 1, upto: 512 };
+        let rec = sample_records().pop().expect("the mark");
         let mut bytes = framed(&rec);
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0x40;

@@ -209,7 +209,7 @@ pub struct HelloBody {
     /// received (contiguous prefix).
     pub have_prefix: u64,
     /// Received `lseq`s at or above `have_prefix` (out-of-order tail),
-    /// strictly increasing.
+    /// strictly increasing: decoding refuses any other order.
     pub have_extras: Vec<u64>,
 }
 
@@ -244,6 +244,12 @@ impl WireCodec for HelloBody {
         let mut have_extras = Vec::with_capacity(count);
         for _ in 0..count {
             have_extras.push(r.u64()?);
+        }
+        // `has` binary-searches them: out of order, it would skip or
+        // repeat gap-resends.
+        if !have_extras.is_sorted_by(|a, b| a < b) {
+            let what = "hello have_extras (not strictly increasing)";
+            return Err(CodecError::BadValue { what });
         }
         Ok(HelloBody {
             config_fp,
@@ -352,5 +358,23 @@ mod tests {
             HelloBody::from_bytes(&bytes),
             Err(CodecError::BadLength { .. }) | Err(CodecError::Truncated)
         ));
+
+        // The extras must be strictly increasing, as `has` assumes.
+        for extras in [vec![14, 17, 15], vec![14, 17, 17], vec![3, 3]] {
+            let bytes = HelloBody {
+                config_fp: 1,
+                version: WIRE_VERSION,
+                have_prefix: 0,
+                have_extras: extras.clone(),
+            }
+            .to_bytes();
+            assert!(
+                matches!(
+                    HelloBody::from_bytes(&bytes),
+                    Err(CodecError::BadValue { .. })
+                ),
+                "{extras:?}"
+            );
+        }
     }
 }

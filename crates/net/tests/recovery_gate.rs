@@ -13,10 +13,11 @@
 use std::fs;
 use std::path::{Path, PathBuf};
 
+use aa_trace::fnv1a_64;
 use net::{
     differential_gate, node_config, proto_fingerprint, read_wal, run_local_cluster_opts,
     run_node_durable, ClusterOpts, Durability, GateCase, NetError, ReconnectPolicy, WalCursor,
-    WalError,
+    WalError, WalHeader, WalRecord, WIRE_VERSION,
 };
 
 const SPIDER9: &str =
@@ -230,4 +231,67 @@ fn a_json_era_log_is_refused_by_name() {
         "{text}"
     );
     assert_eq!(fs::read(&wal_path).expect("reread"), fixture);
+}
+
+/// A log of WAL format 2 — its header, then one of the `wire_seq`
+/// reservations that format logged (tag 0x02), built here byte by byte —
+/// is refused at record 0 by name: by the scanner and by
+/// `run_node_durable(.., recover)` before anything touches the network,
+/// and the file is left as it was.
+#[test]
+fn a_format_2_log_is_refused_by_name() {
+    let case = GateCase::from_text(SPIDER9, &[0, 5, 8, 3], 1, 42).expect("valid case");
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("addr");
+    let cfg = node_config(&case, 2, vec![addr; 4], 0xd00d_f00d);
+    let header = WalRecord::Header(WalHeader {
+        config_fp: cfg.config_fp,
+        me: cfg.me,
+        n: cfg.n,
+        t: cfg.t,
+        seed: cfg.seed,
+        min_delay_bits: cfg.min_delay.to_bits(),
+        wire_version: WIRE_VERSION,
+        label: cfg.label.clone(),
+    });
+    let mut framed = Vec::new();
+    header
+        .write_to(&mut Vec::new(), &mut framed)
+        .expect("header");
+    let mut header = framed[4..framed.len() - 8].to_vec();
+    header[1] = 2; // the format byte
+    let reserve = [&[2u8][..], &1u64.to_le_bytes(), &256u64.to_le_bytes()].concat();
+    let mut log = Vec::new();
+    for payload in [header, reserve] {
+        log.extend_from_slice(&(payload.len() as u32).to_be_bytes());
+        log.extend_from_slice(&payload);
+        log.extend_from_slice(&fnv1a_64(&payload).to_le_bytes());
+    }
+    let scratch = TempDir::new("format2");
+    let wal_path = scratch.0.join("node2.wal");
+    fs::write(&wal_path, &log).expect("place log");
+
+    let why = "log written by WAL format 2, this build reads format 3";
+    assert_eq!(
+        read_wal(&wal_path).unwrap_err(),
+        WalError::Mismatch(why.into())
+    );
+    let durability = Durability {
+        wal_path: wal_path.clone(),
+        recover: true,
+    };
+    let err = run_node_durable(
+        &cfg,
+        listener,
+        case.party(2),
+        Some(&durability),
+        |p| p.state_fingerprint(),
+        || {},
+    )
+    .expect_err("recovery across the format change must be refused");
+    let NetError::Recovery(text) = &err else {
+        panic!("expected NetError::Recovery, got {err:?}");
+    };
+    assert!(text.contains(why), "{text}");
+    assert_eq!(fs::read(&wal_path).expect("reread"), log);
 }

@@ -103,7 +103,7 @@ fn next(state: &mut u64) -> u64 {
 
 /// A record of any variant, derived from the seed stream.
 fn record(s: &mut u64) -> WalRecord {
-    match next(s) % 4 {
+    match next(s) % 3 {
         0 => WalRecord::Header(WalHeader {
             config_fp: next(s),
             me: (next(s) % 64) as usize,
@@ -114,11 +114,7 @@ fn record(s: &mut u64) -> WalRecord {
             wire_version: (next(s) & 0xffff) as u32,
             label: format!("wal-prop-{:x}", next(s) & 0xffff),
         }),
-        1 => WalRecord::Reserve {
-            peer: (next(s) % 64) as usize,
-            upto: next(s),
-        },
-        2 => {
+        1 => {
             let remote = if next(s).is_multiple_of(2) {
                 let len = (next(s) % 512) as usize;
                 Some(WalRemote {
@@ -298,9 +294,10 @@ proptest! {
 }
 
 /// Hostile payloads behind a checksum that passes: each is `Malformed`
-/// at its own offset, the cursor consumes nothing, and the decoder
-/// allocates no more than the record's own length — in particular not
-/// the length a field announces.
+/// at its own offset (a header of an unknown format is a `Mismatch`
+/// naming it), the cursor consumes nothing, and the decoder allocates
+/// no more than the record's own length — in particular not the length
+/// a field announces.
 #[test]
 fn hostile_payloads_with_a_valid_checksum_are_malformed_and_cheap() {
     let event = framed(&remote_event(vec![7; 300]));
@@ -357,7 +354,6 @@ fn hostile_payloads_with_a_valid_checksum_are_malformed_and_cheap() {
             "label length of 4 GiB",
             patched(header, 54, &u32::MAX.to_le_bytes()),
         ),
-        ("unknown header format", patched(header, 1, &[1])),
         ("empty payload", Vec::new()),
     ];
     for (what, payload) in cases {
@@ -378,4 +374,13 @@ fn hostile_payloads_with_a_valid_checksum_are_malformed_and_cheap() {
             bytes.len()
         );
     }
+
+    let bytes = frame_payload(&patched(header, 1, &[1]));
+    let mut cursor = WalCursor::new();
+    cursor.push(&bytes);
+    let (got, allocated) = allocated_by(|| cursor.next_record());
+    let why = "log written by WAL format 1, this build reads format 3";
+    assert_eq!(got, Err(WalError::Mismatch(why.into())));
+    assert_eq!(cursor.consumed(), 0);
+    assert!(allocated <= bytes.len().max(128), "allocated {allocated}");
 }

@@ -1,4 +1,4 @@
-//! The classic iteration-based AA baseline (Dolev et al. [12]): one
+//! The classic iteration-based AA baseline (Dolev et al. \[12\]): one
 //! broadcast round per iteration, trim-and-halve update, `O(log(D/ε))`
 //! rounds. `RealAA` is benchmarked against this throughout the experiment
 //! harness.

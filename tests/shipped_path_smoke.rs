@@ -10,6 +10,7 @@
 use std::sync::Arc;
 
 use aa_trace::{merge_traces, EventKind, Trace};
+use net::wal::WalMark;
 use net::{
     differential_gate, read_wal, run_local_cluster, run_local_nodes, ClusterOpts, GateCase,
     NodeConfig, WalHeader, WalRecord, WalWriter, WIRE_VERSION,
@@ -183,14 +184,17 @@ fn wal_write_torn_tail_read_round_trip() {
         wire_version: WIRE_VERSION,
         label: "smoke".into(),
     };
-    let reserves: Vec<WalRecord> = (0..3)
-        .map(|peer| WalRecord::Reserve {
-            peer,
-            upto: 64 * (peer as u64 + 1),
+    let marks: Vec<WalRecord> = (0..3u64)
+        .map(|k| {
+            WalRecord::Mark(WalMark {
+                time_bits: (k as f64).to_bits(),
+                events: 64 * (k + 1),
+                probe: 0xfeed ^ k,
+            })
         })
         .collect();
     let mut wal = WalWriter::create(&path, &header).unwrap();
-    for rec in &reserves {
+    for rec in &marks {
         wal.append(rec).unwrap();
     }
     drop(wal);
@@ -198,22 +202,22 @@ fn wal_write_torn_tail_read_round_trip() {
     // A crash mid-append leaves a partial record at the end of the file.
     let intact = std::fs::read(&path).unwrap();
     let mut partial = Vec::new();
-    reserves[0].write_to(&mut Vec::new(), &mut partial).unwrap();
+    marks[0].write_to(&mut Vec::new(), &mut partial).unwrap();
     let torn = [&intact[..], &partial[..7]].concat();
     std::fs::write(&path, torn).unwrap();
 
     let scan = read_wal(&path).unwrap();
     assert_eq!(scan.valid_len, intact.len() as u64);
     assert_eq!(scan.records[0], WalRecord::Header(header));
-    assert_eq!(scan.records[1..], reserves[..]);
+    assert_eq!(scan.records[1..], marks[..]);
 
     // Recovery truncates the tail and appends where the valid log ended.
     let mut wal = WalWriter::append_to(&path, scan.valid_len).unwrap();
-    wal.append(&reserves[2]).unwrap();
+    wal.append(&marks[2]).unwrap();
     drop(wal);
     let rescan = read_wal(&path).unwrap();
     assert_eq!(rescan.records.len(), scan.records.len() + 1);
-    assert_eq!(rescan.records.last(), Some(&reserves[2]));
+    assert_eq!(rescan.records.last(), Some(&marks[2]));
     std::fs::remove_file(&path).unwrap();
 }
 
