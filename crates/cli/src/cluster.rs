@@ -65,7 +65,8 @@ for event — the differential gate — and prints the schedule-blind
 deployment as a load driver; every run must pass. A liveness watchdog
 turns a silent stall into a diagnostic dump and a non-zero exit instead
 of a hang. Exits non-zero on any disagreement, degradation, or gate
-divergence.
+divergence, and, without --chaos, when any node rejected a replayed
+frame (a recovered node must number its frames past its earlier lives).
 
 With --supervise every child runs durably (a WAL under --wal-dir)
 behind a stable supervisor-owned relay; a child that exits before its
@@ -172,6 +173,14 @@ legitimately shifts the retransmission schedule.
                         o.party
                     ));
                 }
+                // Without chaos relays nothing on the path can replay a
+                // frame: a rejected replay is a node reusing `wire_seq`s.
+                if o.replays > 0 && self.chaos.is_none() {
+                    return Err(format!(
+                        "run {run}: party {} rejected {} replayed frame(s) without --chaos",
+                        o.party, o.replays
+                    ));
+                }
             }
             let outputs: Vec<VertexId> = outcomes
                 .iter()
@@ -216,6 +225,8 @@ struct ServeOutcome {
     party: usize,
     vertex: String,
     degraded: bool,
+    /// Frames this node's replay filter rejected (`NetStats::rejected_replay`).
+    replays: u64,
 }
 
 fn parse_outcome_line(line: &str) -> Result<ServeOutcome, String> {
@@ -227,6 +238,7 @@ fn parse_outcome_line(line: &str) -> Result<ServeOutcome, String> {
         party: usize::MAX,
         vertex: String::new(),
         degraded: false,
+        replays: u64::MAX,
     };
     for field in rest.split_whitespace() {
         let (k, v) = field
@@ -236,10 +248,11 @@ fn parse_outcome_line(line: &str) -> Result<ServeOutcome, String> {
             "party" => o.party = parse_num(v, "party")?,
             "vertex" => o.vertex = v.to_string(),
             "degraded" => o.degraded = parse_num(v, "degraded")?,
+            "replays" => o.replays = parse_num(v, "replays")?,
             _ => {}
         }
     }
-    if o.party == usize::MAX || o.vertex.is_empty() {
+    if o.party == usize::MAX || o.vertex.is_empty() || o.replays == u64::MAX {
         return Err(format!("incomplete OUTCOME line: `{line}`"));
     }
     Ok(o)
@@ -680,13 +693,17 @@ mod tests {
     #[test]
     fn outcome_lines_roundtrip_through_the_parser() {
         let o = parse_outcome_line(
-            "OUTCOME party=2 vertex=v0003 degraded=true over_budget=true retx=7 vtime=16.000",
+            "OUTCOME party=2 vertex=v0003 degraded=true over_budget=true retx=7 replays=3 \
+             vtime=16.000",
         )
         .unwrap();
         assert_eq!(o.party, 2);
         assert_eq!(o.vertex, "v0003");
         assert!(o.degraded);
+        assert_eq!(o.replays, 3);
         assert!(parse_outcome_line("READY").is_err());
         assert!(parse_outcome_line("OUTCOME party=1").is_err());
+        // A line without the replay count is incomplete.
+        assert!(parse_outcome_line("OUTCOME party=1 vertex=v0000 degraded=false").is_err());
     }
 }

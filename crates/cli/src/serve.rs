@@ -154,11 +154,13 @@ supervised restart.
         };
         writeln!(
             out,
-            "OUTCOME party={party_id} vertex={} degraded={} over_budget={} retx={} vtime={:.3}",
+            "OUTCOME party={party_id} vertex={} degraded={} over_budget={} retx={} replays={} \
+             vtime={:.3}",
             case.tree.label(*outcome.value()),
             outcome.is_degraded(),
             over_budget,
             report.stats.retransmissions,
+            report.stats.rejected_replay,
             report.vtime,
         )
         .map_err(io)?;

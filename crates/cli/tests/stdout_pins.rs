@@ -89,7 +89,7 @@ fn run_prints_rounds_messages_and_outputs_for_every_row() {
     let file = tree_file("path", 9);
     let rows = [
         ("treeaa", "gradecast", "none", 0xde1d_cbb7_327b_60fb),
-        ("treeaa", "gradecast", "chaos", 0x7e6f_b434_ded8_de2f),
+        ("treeaa", "gradecast", "chaos", 0x1973_8ffe_6073_1ae9),
         ("treeaa", "halving", "none", 0x7408_2d0a_ed12_b609),
         ("treeaa", "gradecast", "crash", 0x71af_701b_3056_2f2e),
         ("treeaa", "gradecast", "omission", 0x65cd_1e15_28b1_3d80),
@@ -301,7 +301,8 @@ for event — the differential gate — and prints the schedule-blind
 deployment as a load driver; every run must pass. A liveness watchdog
 turns a silent stall into a diagnostic dump and a non-zero exit instead
 of a hang. Exits non-zero on any disagreement, degradation, or gate
-divergence.
+divergence, and, without --chaos, when any node rejected a replayed
+frame (a recovered node must number its frames past its earlier lives).
 
 With --supervise every child runs durably (a WAL under --wal-dir)
 behind a stable supervisor-owned relay; a child that exits before its

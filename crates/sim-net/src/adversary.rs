@@ -6,6 +6,7 @@ use std::fmt;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
+use crate::engine::{Body, Delivery};
 use crate::mailbox::Outbox;
 use crate::message::{Envelope, PartyId, Payload};
 
@@ -55,26 +56,22 @@ impl Error for BudgetExceeded {}
 /// * inject arbitrary messages from corrupted senders
 ///   ([`AdversaryCtx::send`]), with per-recipient content (equivocation).
 pub struct AdversaryCtx<'a, M> {
-    pub(crate) round: u32,
     pub(crate) n: usize,
     pub(crate) t: usize,
-    pub(crate) corrupted: &'a mut Vec<bool>,
     pub(crate) corrupted_count: &'a mut usize,
-    /// Per party: taken over, so frozen from the next round on.
-    pub(crate) taken: &'a mut Vec<bool>,
     /// Tentative outboxes of all parties this round, indexed by sender.
     pub(crate) tentative: &'a [Outbox<M>],
-    /// Adversary-authored traffic for this round.
-    pub(crate) injected: &'a mut Vec<Envelope<M>>,
     /// Per-sender flag: forward the tentative outbox of this corrupted
     /// sender as-is.
     pub(crate) forwarded: &'a mut Vec<bool>,
+    /// The per-copy rule `send` delivers through; holds who is corrupted.
+    pub(crate) net: Delivery<'a, M>,
 }
 
 impl<'a, M: Payload> AdversaryCtx<'a, M> {
     /// Current round (1-based).
     pub fn round(&self) -> u32 {
-        self.round
+        self.net.round
     }
 
     /// Number of parties.
@@ -89,13 +86,13 @@ impl<'a, M: Payload> AdversaryCtx<'a, M> {
 
     /// Whether `p` is corrupted.
     pub fn is_corrupted(&self, p: PartyId) -> bool {
-        self.corrupted[p.index()]
+        self.net.corrupted[p.index()]
     }
 
     /// Ids of all corrupted parties.
     pub fn corrupted(&self) -> Vec<PartyId> {
         (0..self.n)
-            .filter(|&i| self.corrupted[i])
+            .filter(|&i| self.net.corrupted[i])
             .map(PartyId)
             .collect()
     }
@@ -116,17 +113,17 @@ impl<'a, M: Payload> AdversaryCtx<'a, M> {
     /// Returns [`BudgetExceeded`] if `p` is honest and the budget is
     /// exhausted.
     pub fn corrupt(&mut self, p: PartyId) -> Result<(), BudgetExceeded> {
-        if self.corrupted[p.index()] {
+        if self.net.corrupted[p.index()] {
             return Ok(());
         }
         if *self.corrupted_count >= self.t {
             return Err(BudgetExceeded {
-                round: self.round,
+                round: self.net.round,
                 budget: self.t,
                 spend: *self.corrupted_count,
             });
         }
-        self.corrupted[p.index()] = true;
+        self.net.corrupted[p.index()] = true;
         *self.corrupted_count += 1;
         Ok(())
     }
@@ -138,7 +135,8 @@ impl<'a, M: Payload> AdversaryCtx<'a, M> {
     /// A taken-over party is frozen, as a party down under a fault plan
     /// is: it is not stepped and emits no protocol events, its tentative
     /// outbox is empty (so [`AdversaryCtx::forward`] delivers nothing),
-    /// and nothing is put into its inbox. Messages sent *to* it still
+    /// and nothing is put into its inbox — what was sent to it earlier in
+    /// this round is dropped from its lane. Messages sent *to* it still
     /// count in the metrics and appear in the trace. In this round `p`
     /// has already been stepped, and its tentative traffic is readable as
     /// usual. In a [`ComposedAdversary`] the freeze holds for every part:
@@ -154,7 +152,8 @@ impl<'a, M: Payload> AdversaryCtx<'a, M> {
     /// exhausted; `p` then stays honest and running.
     pub fn take_over(&mut self, p: PartyId) -> Result<(), BudgetExceeded> {
         self.corrupt(p)?;
-        self.taken[p.index()] = true;
+        self.net.taken[p.index()] = true;
+        self.net.lanes[p.index()].clear();
         Ok(())
     }
 
@@ -189,13 +188,20 @@ impl<'a, M: Payload> AdversaryCtx<'a, M> {
     /// an honest party indicates a bug in the adversary.
     pub fn forward(&mut self, p: PartyId) {
         assert!(
-            self.corrupted[p.index()],
+            self.net.corrupted[p.index()],
             "forward() requires a corrupted party"
         );
         self.forwarded[p.index()] = true;
     }
 
     /// Sends `msg` from corrupted party `from` to `to` this round.
+    ///
+    /// The copy is delivered now, by the rule every per-recipient copy
+    /// follows: from a down sender or across an active cut it is dropped
+    /// (`fault_drop`); otherwise it is counted, traced (`inject`) and
+    /// queued unless `to` is taken over or down next round. The recipient
+    /// reads its injections after the round's broadcasts and unicasts, in
+    /// the order they were sent, and the trace lists them so too.
     ///
     /// # Panics
     ///
@@ -204,15 +210,12 @@ impl<'a, M: Payload> AdversaryCtx<'a, M> {
     /// `to` is out of range.
     pub fn send(&mut self, from: PartyId, to: PartyId, msg: M) {
         assert!(
-            self.corrupted[from.index()],
+            self.net.corrupted[from.index()],
             "adversary can only send from corrupted parties (channels are authenticated)"
         );
         assert!(to.index() < self.n, "recipient {to} out of range");
-        self.injected.push(Envelope {
-            from,
-            to,
-            payload: msg,
-        });
+        self.net
+            .copy(from.index(), to.index(), true, Body::Owned(msg));
     }
 
     /// Sends `msg` from corrupted `from` to every party.
@@ -498,8 +501,10 @@ mod tests {
         count: usize,
         taken: Vec<bool>,
         tentative: Vec<Outbox<u64>>,
-        injected: Vec<Envelope<u64>>,
         forwarded: Vec<bool>,
+        down: Vec<bool>,
+        inboxes: Vec<crate::mailbox::Inbox<u64>>,
+        lanes: Vec<Vec<crate::mailbox::Received<u64>>>,
     }
 
     impl Fixture {
@@ -509,22 +514,31 @@ mod tests {
                 count: 0,
                 taken: vec![false; 4],
                 tentative: (0..4).map(|i| Outbox::new(PartyId(i), 4)).collect(),
-                injected: Vec::new(),
                 forwarded: vec![false; 4],
+                down: vec![false; 4],
+                inboxes: (0..4).map(|_| crate::mailbox::Inbox::empty()).collect(),
+                lanes: (0..4).map(|_| Vec::new()).collect(),
             }
         }
 
         fn ctx(&mut self) -> AdversaryCtx<'_, u64> {
             AdversaryCtx {
-                round: 1,
                 n: 4,
                 t: 2,
-                corrupted: &mut self.corrupted,
                 corrupted_count: &mut self.count,
-                taken: &mut self.taken,
                 tentative: &self.tentative,
-                injected: &mut self.injected,
                 forwarded: &mut self.forwarded,
+                net: Delivery {
+                    round: 1,
+                    plan: None,
+                    down: &self.down,
+                    taken: &mut self.taken,
+                    corrupted: &mut self.corrupted,
+                    inboxes: &mut self.inboxes,
+                    lanes: &mut self.lanes,
+                    events: None,
+                    metrics: crate::metrics::RoundMetrics::default(),
+                },
             }
         }
     }
@@ -713,8 +727,8 @@ mod tests {
             ctx.send(PartyId(0), PartyId(1), 10);
             ctx.send(PartyId(0), PartyId(2), 20); // different value to p2
         }
-        assert_eq!(fixture.injected.len(), 2);
-        assert_ne!(fixture.injected[0].payload, fixture.injected[1].payload);
+        let lane = |i: usize| -> Vec<u64> { fixture.lanes[i].iter().map(|r| r.payload).collect() };
+        assert_eq!((lane(1), lane(2)), (vec![10], vec![20]));
     }
 
     #[test]

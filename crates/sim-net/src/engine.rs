@@ -13,29 +13,30 @@
 //!    taken over ([`AdversaryCtx::take_over`]) or down under a
 //!    [`FaultPlan`] — are not, and cost nothing.
 //! 2. **Adversary.** The rushing adversary sees all tentative [`Outbox`]es
-//!    and acts.
+//!    and acts. Each message it sends is delivered there and then
+//!    ([`AdversaryCtx::send`]), into the recipient's injection lane.
 //! 3. **Delivery.** Broadcast payloads are *moved* into one shared
 //!    per-round list (`Arc`) that every inbox references — a broadcast
 //!    costs one allocation and one `size_bytes` call regardless of `n`.
 //!    Every other copy — a broadcast's across an active cut, a unicast,
 //!    an injection — passes one rule: across a cut or from a down sender
 //!    it is dropped and costs nothing; otherwise it is counted, traced,
-//!    and queued in the recipient's direct list (whose allocation
-//!    persists across rounds) unless the recipient is taken over. A
-//!    unicast or injection costs one `size_bytes` call when delivered,
-//!    so a payload should know its size rather than walk itself
-//!    (gradecast bundles count theirs when built).
+//!    and queued in one of the recipient's lanes (whose allocations
+//!    persist across rounds) unless the recipient is taken over or down
+//!    next round. A unicast or injection costs one `size_bytes` call
+//!    when delivered, so a payload should know its size rather than walk
+//!    itself (gradecast bundles count theirs when built).
 
 use std::error::Error;
 use std::fmt;
 use std::sync::Arc;
 
-use aa_trace::{EventKind, EventLog, Trace};
+use aa_trace::{EventKind, EventLog, Trace, TraceEvent};
 
 use crate::adversary::{Adversary, AdversaryCtx};
 use crate::fault::FaultPlan;
 use crate::mailbox::{Inbox, Outbox, Received};
-use crate::message::{Envelope, PartyId, Payload};
+use crate::message::{PartyId, Payload};
 use crate::metrics::{Metrics, RoundMetrics};
 use crate::party::{Protocol, RoundCtx};
 
@@ -325,7 +326,7 @@ where
 }
 
 /// The payload of one copy outside the shared broadcast list.
-enum Body<'a, M> {
+pub(crate) enum Body<'a, M> {
     /// A unicast's or an injection's payload: sized only if delivered,
     /// moved into the inbox if queued.
     Owned(M),
@@ -334,20 +335,36 @@ enum Body<'a, M> {
     Shared(&'a M, usize),
 }
 
-/// One round's delivery phase: the state every copy is checked against,
-/// and the inboxes, trace and metrics it writes.
-struct Delivery<'a, M> {
-    round: u32,
-    plan: Option<&'a FaultPlan>,
-    down: &'a [bool],
-    taken: &'a [bool],
-    corrupted: &'a [bool],
-    inboxes: &'a mut [Inbox<M>],
-    trace: Option<&'a mut Trace>,
-    metrics: RoundMetrics,
+/// One phase of a round's delivery: the state every copy outside the
+/// shared broadcast list is checked against, and the lanes, trace events
+/// and metrics it writes. The adversary phase's sits in [`AdversaryCtx`]
+/// (its `send` delivers through it); the delivery phase has its own.
+pub(crate) struct Delivery<'a, M> {
+    pub(crate) round: u32,
+    pub(crate) plan: Option<&'a FaultPlan>,
+    pub(crate) down: &'a [bool],
+    pub(crate) taken: &'a mut [bool],
+    pub(crate) corrupted: &'a mut [bool],
+    /// Their `direct` lanes take the unicasts and cut broadcasts' copies.
+    pub(crate) inboxes: &'a mut [Inbox<M>],
+    /// The injection lanes, swapped into the inboxes at delivery.
+    pub(crate) lanes: &'a mut [Vec<Received<M>>],
+    pub(crate) events: Option<&'a mut Vec<TraceEvent>>,
+    pub(crate) metrics: RoundMetrics,
 }
 
 impl<M: Payload> Delivery<'_, M> {
+    /// Appends the event `kind` builds, only when tracing.
+    #[inline(always)]
+    fn trace(&mut self, kind: impl FnOnce() -> EventKind) {
+        if let Some(events) = self.events.as_deref_mut() {
+            events.push(TraceEvent {
+                round: self.round,
+                kind: kind(),
+            });
+        }
+    }
+
     /// Counts `copies` messages of `bytes` each from `from`; returns
     /// whether they are the adversary's.
     #[inline(always)]
@@ -363,21 +380,19 @@ impl<M: Payload> Delivery<'_, M> {
     }
 
     /// Delivers one copy from `from` to `to`: a cut broadcast's, a unicast
-    /// or (when `inject`) an adversary injection. Across an active cut or
-    /// from a down sender — only an injection can claim one, since a down
-    /// party is not stepped — the copy is dropped and traced as
-    /// `fault_drop`, costing nothing. Otherwise it is counted and traced
-    /// as `unicast` or `inject`, and queued unless `to` is taken over or
-    /// down next round: nothing will read it.
+    /// or (when `inject`, at send time) an adversary injection. Across an
+    /// active cut or from a down sender — only an injection can claim one,
+    /// since a down party is not stepped — the copy is dropped and traced
+    /// as `fault_drop`, costing nothing. Otherwise it is counted and
+    /// traced as `unicast` or `inject`, and queued unless `to` is taken
+    /// over or down next round: nothing will read it.
     ///
     /// Inlined into each call site, with no event built untraced: as a
     /// call it made injection-heavy rounds ≈ 10 % slower.
     #[inline(always)]
-    fn copy(&mut self, from: usize, to: usize, inject: bool, body: Body<'_, M>) {
+    pub(crate) fn copy(&mut self, from: usize, to: usize, inject: bool, body: Body<'_, M>) {
         if self.down[from] || self.plan.is_some_and(|p| p.severed(self.round, from, to)) {
-            if let Some(tr) = self.trace.as_deref_mut() {
-                tr.push(self.round, EventKind::FaultDrop { from, to });
-            }
+            self.trace(|| EventKind::FaultDrop { from, to });
             return;
         }
         let bytes = match &body {
@@ -385,8 +400,8 @@ impl<M: Payload> Delivery<'_, M> {
             Body::Shared(_, bytes) => *bytes,
         };
         let byzantine = self.charge(from, 1, bytes);
-        if let Some(tr) = self.trace.as_deref_mut() {
-            let kind = if inject {
+        self.trace(|| {
+            if inject {
                 EventKind::Inject { from, to, bytes }
             } else {
                 EventKind::Unicast {
@@ -395,15 +410,19 @@ impl<M: Payload> Delivery<'_, M> {
                     bytes,
                     byzantine,
                 }
-            };
-            tr.push(self.round, kind);
-        }
+            }
+        });
         if !self.taken[to] && !self.plan.is_some_and(|p| p.crashed_in(to, self.round + 1)) {
             let payload = match body {
                 Body::Owned(payload) => payload,
                 Body::Shared(payload, _) => payload.clone(),
             };
-            self.inboxes[to].direct.push(Received {
+            let lane = if inject {
+                &mut self.lanes[to]
+            } else {
+                &mut self.inboxes[to].direct
+            };
+            lane.push(Received {
                 from: PartyId(from),
                 payload,
             });
@@ -589,6 +608,15 @@ where
         StepMode::Auto => auto_threads(n, cores),
     };
 
+    // Per recipient, the injections the adversary queues this round,
+    // swapped with the inbox's injection lane at delivery; what the swap
+    // hands back is dropped right before the next adversary phase refills
+    // the (then cache-warm) lane. Their trace events wait in
+    // `injection_events` until the unicasts' are written. Allocated before
+    // the parties: after them, this small block raised a k = 10⁴ bundle
+    // run's page faults by a quarter (glibc's heap layout).
+    let mut lanes: Vec<Vec<Received<P::Msg>>> = (0..n).map(|_| Vec::new()).collect();
+    let mut injection_events: Vec<TraceEvent> = Vec::new();
     let mut factory = factory;
     let mut parties: Vec<P> = (0..n).map(|i| factory(PartyId(i), n)).collect();
     let mut corrupted = vec![false; n];
@@ -663,28 +691,37 @@ where
         }
 
         // 2. The adversary observes everything and acts (rushing,
-        //    adaptive).
+        //    adaptive). Each injection passes `Delivery::copy` as it is
+        //    sent, into its recipient's lane.
         let corrupted_before = if tracing {
             corrupted.clone()
         } else {
             Vec::new()
         };
-        let mut injected: Vec<Envelope<P::Msg>> = Vec::new();
         let mut forwarded = vec![false; n];
-        {
+        lanes.iter_mut().for_each(Vec::clear);
+        let injection_metrics = {
             let mut actx = AdversaryCtx {
-                round,
                 n,
                 t,
-                corrupted: &mut corrupted,
                 corrupted_count: &mut corrupted_count,
-                taken: &mut taken,
                 tentative: &tentative,
-                injected: &mut injected,
                 forwarded: &mut forwarded,
+                net: Delivery {
+                    round,
+                    plan,
+                    down: &down,
+                    taken: &mut taken,
+                    corrupted: &mut corrupted,
+                    inboxes: &mut inboxes,
+                    lanes: &mut lanes,
+                    events: tracing.then_some(&mut injection_events),
+                    metrics: RoundMetrics::default(),
+                },
             };
             adversary.round(&mut actx);
-        }
+            actx.net.metrics
+        };
         if let Some(tr) = trace.as_deref_mut() {
             for i in 0..n {
                 if corrupted[i] && !corrupted_before[i] {
@@ -699,29 +736,31 @@ where
         }
 
         // 3. Deliver: honest tentative traffic verbatim; corrupted
-        //    tentative traffic only if forwarded; plus adversary
-        //    injections. Delivery order is deterministic: broadcasts by
-        //    sender id, then unicasts by sender id, injections last in
+        //    tentative traffic only if forwarded; the injections are
+        //    queued already. Delivery order is deterministic: broadcasts
+        //    by sender id, then unicasts by sender id, injections last in
         //    injection order. Broadcast payloads are moved into the shared
         //    list exactly once — no per-recipient clone, and `size_bytes`
         //    runs once per broadcast. Every other copy goes through
         //    `Delivery::copy`.
-        for inbox in &mut inboxes {
+        for (inbox, lane) in inboxes.iter_mut().zip(&mut lanes) {
             inbox.direct.clear();
+            std::mem::swap(&mut inbox.injected, lane);
         }
         let mut shared: Vec<Received<P::Msg>> = Vec::with_capacity(prev_broadcasts);
         let mut delivery = Delivery {
             round,
             plan,
             down: &down,
-            taken: &taken,
-            corrupted: &corrupted,
+            taken: &mut taken,
+            corrupted: &mut corrupted,
             inboxes: &mut inboxes,
-            trace: trace.as_deref_mut(),
-            metrics: RoundMetrics::default(),
+            lanes: &mut lanes,
+            events: trace.as_deref_mut().map(|tr| &mut tr.events),
+            metrics: injection_metrics,
         };
         for (i, outbox) in tentative.into_iter().enumerate() {
-            if corrupted[i] && !forwarded[i] {
+            if delivery.corrupted[i] && !forwarded[i] {
                 continue;
             }
             let (unicasts, broadcasts) = outbox.into_parts();
@@ -738,16 +777,11 @@ where
                     continue;
                 }
                 let byzantine = delivery.charge(i, n, bytes);
-                if let Some(tr) = delivery.trace.as_deref_mut() {
-                    tr.push(
-                        round,
-                        EventKind::Broadcast {
-                            from: i,
-                            bytes,
-                            byzantine,
-                        },
-                    );
-                }
+                delivery.trace(|| EventKind::Broadcast {
+                    from: i,
+                    bytes,
+                    byzantine,
+                });
                 shared.push(Received {
                     from: PartyId(i),
                     payload,
@@ -757,12 +791,10 @@ where
                 delivery.copy(i, env.to.index(), false, Body::Owned(env.payload));
             }
         }
-        for env in injected {
-            debug_assert!(corrupted[env.from.index()]);
-            let (from, to) = (env.from.index(), env.to.index());
-            delivery.copy(from, to, true, Body::Owned(env.payload));
-        }
         let rm = delivery.metrics;
+        if let Some(tr) = trace.as_deref_mut() {
+            tr.events.append(&mut injection_events);
+        }
         prev_broadcasts = shared.len();
         let shared = Arc::new(shared);
         for inbox in &mut inboxes {

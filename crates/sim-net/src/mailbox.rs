@@ -11,8 +11,8 @@
 //! * an [`Outbox`] keeps unicasts as explicit envelopes and broadcasts as a
 //!   bare payload list — a broadcast costs one `push`, not `n` clones;
 //! * an [`Inbox`] hands every recipient the round's broadcast traffic as a
-//!   single shared list (an [`Arc`] built once by the engine) plus a small
-//!   per-recipient `direct` list of unicasts and adversary injections.
+//!   single shared list (an [`Arc`] built once by the engine) plus small
+//!   per-recipient lanes of unicasts and of adversary injections.
 //!
 //! Recipients cannot tell the difference: [`Inbox::iter`] yields each
 //! message once with its authenticated sender, exactly as if the envelopes
@@ -38,14 +38,16 @@ pub struct Received<M> {
 /// One party's view of the messages delivered to it this round.
 ///
 /// Iteration order is deterministic: first the round's broadcasts (by
-/// sender id, emission order within a sender), then direct traffic —
-/// unicasts by sender id, adversary injections last in injection order.
+/// sender id, emission order within a sender), then unicasts by sender
+/// id, then adversary injections in injection order.
 #[derive(Clone, Debug)]
 pub struct Inbox<M> {
     /// The round's broadcast traffic, shared by every recipient.
     pub(crate) broadcasts: Arc<Vec<Received<M>>>,
-    /// Unicasts and injections addressed to this party only.
+    /// Unicasts (and cut broadcasts' copies) addressed to this party.
     pub(crate) direct: Vec<Received<M>>,
+    /// Adversary injections addressed to this party, queued when sent.
+    pub(crate) injected: Vec<Received<M>>,
 }
 
 impl<M> Default for Inbox<M> {
@@ -53,6 +55,7 @@ impl<M> Default for Inbox<M> {
         Inbox {
             broadcasts: Arc::new(Vec::new()),
             direct: Vec::new(),
+            injected: Vec::new(),
         }
     }
 }
@@ -70,8 +73,8 @@ impl<M> Inbox<M> {
     /// (see `tree-aa`) and for tests.
     pub fn from_messages(messages: Vec<Received<M>>) -> Self {
         Inbox {
-            broadcasts: Arc::new(Vec::new()),
             direct: messages,
+            ..Inbox::default()
         }
     }
 
@@ -91,7 +94,7 @@ impl<M> Inbox<M> {
 
     /// Number of messages delivered.
     pub fn len(&self) -> usize {
-        self.broadcasts.len() + self.direct.len()
+        self.broadcasts.len() + self.direct.len() + self.injected.len()
     }
 
     /// Whether nothing was delivered.
@@ -99,20 +102,22 @@ impl<M> Inbox<M> {
         self.len() == 0
     }
 
-    /// All delivered messages: shared broadcasts first, then direct
-    /// traffic.
+    /// All delivered messages: shared broadcasts first, then unicasts,
+    /// then injections.
     pub fn iter(&self) -> impl Iterator<Item = &Received<M>> {
-        self.broadcasts.iter().chain(self.direct.iter())
+        self.into_iter()
     }
 }
 
 impl<'a, M> IntoIterator for &'a Inbox<M> {
     type Item = &'a Received<M>;
-    type IntoIter =
-        std::iter::Chain<std::slice::Iter<'a, Received<M>>, std::slice::Iter<'a, Received<M>>>;
+    type IntoIter = std::iter::Chain<
+        std::iter::Chain<std::slice::Iter<'a, Received<M>>, std::slice::Iter<'a, Received<M>>>,
+        std::slice::Iter<'a, Received<M>>,
+    >;
 
     fn into_iter(self) -> Self::IntoIter {
-        self.broadcasts.iter().chain(self.direct.iter())
+        (self.broadcasts.iter().chain(&self.direct)).chain(&self.injected)
     }
 }
 
@@ -217,10 +222,14 @@ mod tests {
                 from: PartyId(2),
                 payload: 20,
             }],
+            injected: vec![Received {
+                from: PartyId(1),
+                payload: 30,
+            }],
         };
         let seen: Vec<(usize, u64)> = inbox.iter().map(|r| (r.from.index(), r.payload)).collect();
-        assert_eq!(seen, [(0, 10), (2, 20)]);
-        assert_eq!(inbox.len(), 2);
+        assert_eq!(seen, [(0, 10), (2, 20), (1, 30)]);
+        assert_eq!(inbox.len(), 3);
         assert!(!inbox.is_empty());
     }
 
@@ -248,11 +257,11 @@ mod tests {
         }]);
         let a = Inbox {
             broadcasts: Arc::clone(&shared),
-            direct: Vec::new(),
+            ..Inbox::default()
         };
         let b = Inbox {
             broadcasts: Arc::clone(&shared),
-            direct: Vec::new(),
+            ..Inbox::default()
         };
         assert!(Arc::ptr_eq(&a.broadcasts, &b.broadcasts));
         assert_eq!(a.len(), b.len());

@@ -11,7 +11,9 @@
 //! * under a fault plan, every copy outside the shared broadcast list —
 //!   a cut broadcast's, a unicast, an injection — is dropped across a
 //!   cut or from a down sender, and otherwise counted, traced and queued
-//!   unless its recipient is taken over.
+//!   unless its recipient is taken over or down next round;
+//! * an injection meets that rule when it is sent, and a take-over later
+//!   in the same round drops what was sent to the party.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -408,6 +410,123 @@ fn every_per_recipient_copy_follows_one_rule_in_both_step_modes() {
         assert_eq!(
             format!("{:016x}", fnv1a(trace.to_canonical_string().as_bytes())),
             "f024b0c390f7864d",
+            "{mode:?}"
+        );
+        aa_trace::check_round_totals(&trace).unwrap();
+        let totals = aa_trace::recomputed_totals(&trace);
+        assert_eq!(totals.messages(), report.metrics.total_messages());
+        assert_eq!(totals.bytes, report.metrics.total_bytes());
+    }
+}
+
+/// An injection is judged when it is sent, by the same rule as every
+/// other per-recipient copy, in one faulted run (n = 7, t = 3): party 0
+/// is taken over and party 1 corrupted and forwarded in round 1;
+/// parties {0, 1, 2} are cut off from {3, 4, 5, 6} in rounds 2 and 3;
+/// party 2 is down in round 3 and party 1 in round 4. Every round party
+/// 0 injects to everyone — across the cut, and in round 2 to party 2,
+/// which is down next round — and party 1 injects to party 3, also while
+/// it is down. In round 5 party 0 sends to party 5, then takes party 5
+/// over, then sends to it again, and party 5 injects to party 4.
+#[test]
+fn an_injection_follows_the_copy_rule_when_it_is_sent() {
+    let plan = FaultPlan {
+        partitions: vec![Partition {
+            side: vec![0, 1, 2],
+            from_round: 2,
+            heal_round: 4,
+        }],
+        crashes: vec![
+            CrashFault {
+                party: 1,
+                crash_round: 4,
+                recover_round: 5,
+            },
+            CrashFault {
+                party: 2,
+                crash_round: 3,
+                recover_round: 4,
+            },
+        ],
+        ..FaultPlan::none()
+    };
+    let run = |mode| {
+        let tokens: Vec<Arc<()>> = (0..7).map(|_| Arc::new(())).collect();
+        let injects: Vec<Arc<()>> = (0..4).map(|_| Arc::new(())).collect();
+        let mut live = Vec::new();
+        let adversary = ScriptedAdversary(|ctx: &mut AdversaryCtx<'_, Token>| {
+            // What round r - 1 queued is still held, if anywhere, when the
+            // adversary of round r runs.
+            let mut counts: Vec<usize> = [1, 3, 5].map(|p| Arc::strong_count(&tokens[p])).into();
+            counts.extend(injects.iter().map(Arc::strong_count));
+            live.push(counts);
+            let token = |i: usize| Token(Arc::clone(&injects[i]));
+            if ctx.round() == 1 {
+                ctx.take_over(PartyId(0)).unwrap();
+                ctx.corrupt(PartyId(1)).unwrap();
+            }
+            ctx.forward(PartyId(1));
+            for to in 0..ctx.n() {
+                ctx.send(PartyId(0), PartyId(to), token(0));
+            }
+            ctx.send(PartyId(1), PartyId(3), token(1));
+            if ctx.round() == 5 {
+                ctx.send(PartyId(0), PartyId(5), token(2));
+                ctx.take_over(PartyId(5)).unwrap();
+                ctx.send(PartyId(0), PartyId(5), token(2));
+                ctx.send(PartyId(5), PartyId(4), token(3));
+            }
+        });
+        let cfg = EngineConfig {
+            sim: SimConfig {
+                n: 7,
+                t: 3,
+                max_rounds: 8,
+            },
+            step_mode: mode,
+        };
+        let (report, trace) = run_simulation_faulted_traced(
+            cfg,
+            &plan,
+            |id, _| Talker {
+                token: Token(Arc::clone(&tokens[id.index()])),
+                done: false,
+            },
+            adversary,
+        )
+        .unwrap();
+        (report, trace, live)
+    };
+    for mode in [StepMode::Sequential, StepMode::Parallel { threads: 3 }] {
+        let (report, trace, live) = run(mode);
+        // Columns: the talker tokens of parties 1, 3 and 5, then party
+        // 0's injection, party 1's, party 0's to party 5 around the
+        // take-over, and party 5's. Party 0's injection of round 2 is
+        // queued for party 1 only: party 0 is taken over, party 2 is down
+        // next round and the others are across the cut. Party 1's is
+        // queued after rounds 1 and 5 only: across the cut in rounds 2
+        // and 3, from a down sender in round 4. Nothing sent to party 5
+        // in round 5 is queued, before its take-over or after it.
+        assert_eq!(
+            live,
+            [
+                [4, 4, 4, 1, 1, 1, 1],
+                [5, 5, 5, 7, 2, 1, 1],
+                [5, 8, 8, 2, 1, 1, 1],
+                [3, 8, 8, 2, 1, 1, 1],
+                [4, 5, 5, 7, 1, 1, 1],
+                [5, 5, 2, 6, 2, 1, 2],
+            ],
+            "{mode:?}"
+        );
+        assert_eq!(
+            format!("{:016x}", fnv1a(trace.to_canonical_string().as_bytes())),
+            "93caeb20ddf0835d",
+            "{mode:?}"
+        );
+        assert_eq!(
+            format!("{:016x}", fnv1a(format!("{report:?}").as_bytes())),
+            "1900bfa25d870bdd",
             "{mode:?}"
         );
         aa_trace::check_round_totals(&trace).unwrap();
