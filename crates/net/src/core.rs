@@ -1222,7 +1222,8 @@ mod tests {
         /// Die when the log holds this many records: right after the
         /// append that gets it there (`false`: nothing the record
         /// describes has happened yet), or right before the next one
-        /// (`true`: everything it describes is on the wire).
+        /// (`true`: its activation ran; its frames left only if a
+        /// control step came between).
         cut: Option<(usize, bool)>,
         dead: bool,
     }
@@ -1256,6 +1257,8 @@ mod tests {
         table: LinkTable,
         driver: Driver<Rounds>,
         out: Outbox,
+        /// The pass's Data, in activation order, until its control step.
+        data: Vec<DataOut>,
         log: Log,
         finished: bool,
     }
@@ -1268,6 +1271,7 @@ mod tests {
                 table: LinkTable::new(LinkId::of(&cfg), incarnation),
                 driver: Driver::new(&cfg, Rounds::new(me), true),
                 out: Outbox::default(),
+                data: Vec::new(),
                 log: Log {
                     records,
                     cut: None,
@@ -1293,29 +1297,36 @@ mod tests {
         }
 
         /// The safe prefix of `snap` (`None`: the start activation),
-        /// each message flushed as the shell's `send_data` does.
-        fn activate(&mut self, snap: Option<Snapshot>, wires: &mut Wires) -> bool {
+        /// its Data kept for the control step as the shell's pass does.
+        fn activate(&mut self, snap: Option<Snapshot>) -> bool {
             let Node {
-                me,
-                table,
-                driver,
-                out,
-                log,
-                ..
+                driver, data, log, ..
             } = self;
-            let log = std::cell::RefCell::new(log);
-            let mut wire = |d| {
-                table.send_data(d, out);
-                flush(*me, out, &log.borrow(), wires);
-            };
+            let mut wire = |d| data.push(d);
             let Some(snap) = snap else {
                 driver.activate(0.0, Event::Start, &mut wire);
                 return true;
             };
-            let mut append = |rec| log.borrow_mut().append(rec);
+            let mut append = |rec| log.append(rec);
             driver
                 .run_ready(snap, &probe, &mut append, &mut wire)
                 .unwrap_or(true)
+        }
+
+        /// The control step's critical section: the pass's Data, then
+        /// what `ctl` decides, carried out together.
+        fn seal<T>(
+            &mut self,
+            wires: &mut Wires,
+            ctl: impl FnOnce(&mut LinkTable, &mut Outbox) -> T,
+        ) -> T {
+            let data = std::mem::take(&mut self.data);
+            self.on_table(wires, |t, out| {
+                for d in data {
+                    t.send_data(d, out);
+                }
+                ctl(t, out)
+            })
         }
 
         /// What the reader threads do with the bytes queued for this
@@ -1333,22 +1344,27 @@ mod tests {
             any
         }
 
-        /// One pass of the main loop, after the readers' work. Returns
-        /// whether anything happened.
-        fn step(&mut self, wires: &mut Wires) -> bool {
-            let mut progress = self.read_wires(wires);
+        /// A main-loop pass up to its control step, after the readers'
+        /// work: whether anything happened, and the pass's snapshot.
+        fn run_pass(&mut self, wires: &mut Wires) -> (bool, Snapshot) {
+            let progress = self.read_wires(wires);
             let drained = self.table.drain();
             let snap = drained.snap;
             self.driver.absorb(drained).expect("peers alive");
             assert_eq!(self.driver.undecodable, 0);
-            progress |= self.activate(Some(snap), wires);
+            (self.activate(Some(snap)) || progress, snap)
+        }
+
+        /// The pass's control step. Returns whether it sent anything or
+        /// ended the run.
+        fn control(&mut self, snap: Snapshot, wires: &mut Wires) -> bool {
             let (vnow, ready) = (self.driver.vnow(), self.driver.has_output());
-            let (finished, sent) = self.on_table(wires, |t, out| {
+            let (finished, sent) = self.seal(wires, |t, out| {
                 let ctl = t.control(vnow, ready, false, snap, out);
                 (ctl.finished, !out.is_empty())
             });
             self.finished = finished && !self.log.dead;
-            progress || sent || self.finished
+            sent || self.finished
         }
     }
 
@@ -1358,9 +1374,73 @@ mod tests {
         /// `epoch[i][j]`: the epoch of node i's current link to j.
         epoch: [[u64; N]; N],
         crashes: usize,
+        /// `(x, j)`: reset the link between `x` and `j` in the first
+        /// pass of `x` that has Data for `j` while `j` still lacks Data
+        /// of an earlier pass, between the activations and the control
+        /// step.
+        reset: Option<(usize, usize)>,
+        /// The `(kind, lseq)` of every frame queued toward `j` by that
+        /// pass's control step, and how many of them the handshake's
+        /// gap-resend queued before it.
+        after_reset: Option<(Vec<(FrameKind, u64)>, usize)>,
     }
 
     impl World {
+        /// Every link up and every start activation run; nothing sent.
+        fn new() -> World {
+            let mut w = World {
+                nodes: (0..N).map(Node::fresh).collect(),
+                wires: Wires::new(),
+                epoch: [[0; N]; N],
+                crashes: 0,
+                reset: None,
+                after_reset: None,
+            };
+            for i in 0..N {
+                for j in 0..i {
+                    w.handshake(i, j);
+                }
+            }
+            for node in &mut w.nodes {
+                node.activate(None);
+            }
+            w
+        }
+
+        /// One main-loop pass of node `i`, the scripted reset included.
+        /// Returns whether anything happened.
+        fn step(&mut self, i: usize) -> bool {
+            let (progress, snap) = self.nodes[i].run_pass(&mut self.wires);
+            let due = self.reset.filter(|&(x, j)| {
+                let (sender, receiver) = (&self.nodes[x], &self.nodes[j]);
+                let have = &receiver.table.peers[x].have;
+                let unread = sender.table.peers[j]
+                    .retain
+                    .keys()
+                    .any(|&l| !have.contains(l));
+                x == i && unread && sender.data.iter().any(|d| d.to == j)
+            });
+            if let Some((x, j)) = due {
+                self.reset = None;
+                // The connection dies with what it had in flight both
+                // ways, and a new one is handshaken at once.
+                for (a, b) in [(x, j), (j, x)] {
+                    self.wires.remove(&(a, b));
+                    assert!(self.nodes[a].table.link_down(b, self.epoch[a][b]));
+                }
+                self.handshake(x, j);
+                let resent = self.wires.get(&(x, j)).map_or(0, VecDeque::len);
+                let sent = self.nodes[x].control(snap, &mut self.wires);
+                let frames = self.wires[&(x, j)].iter().map(|bytes| {
+                    let msg = WrapperMsg::decode(&bytes[PREFIX_LEN..]).expect("own frame");
+                    (msg.kind, msg.lseq)
+                });
+                self.after_reset = Some((frames.collect(), resent));
+                return progress || sent;
+            }
+            self.nodes[i].control(snap, &mut self.wires) || progress
+        }
+
         /// Both halves of a handshake between `i` and `j`, as the
         /// shell's `handshake` runs them at each end. Whatever the
         /// old connection still had in flight is read after the Hellos
@@ -1396,7 +1476,7 @@ mod tests {
                     if self.nodes[i].finished {
                         continue;
                     }
-                    progress |= self.nodes[i].step(&mut self.wires);
+                    progress |= self.step(i);
                     if self.nodes[i].log.dead {
                         return Some(i);
                     }
@@ -1453,20 +1533,7 @@ mod tests {
         /// `cuts` in turn: at `(len, late)` of its log (see [`Log::cut`]),
         /// the next cut armed once it has recovered from the last.
         fn run(victim: usize, cuts: &[(usize, bool)]) -> World {
-            let mut w = World {
-                nodes: (0..N).map(Node::fresh).collect(),
-                wires: Wires::new(),
-                epoch: [[0; N]; N],
-                crashes: 0,
-            };
-            for i in 0..N {
-                for j in 0..i {
-                    w.handshake(i, j);
-                }
-            }
-            for node in &mut w.nodes {
-                node.activate(None, &mut w.wires);
-            }
+            let mut w = World::new();
             let mut cuts = cuts.iter().copied();
             w.nodes[victim].log.cut = cuts.next();
             let all: Vec<usize> = (0..N).collect();
@@ -1579,6 +1646,39 @@ mod tests {
         }
     }
 
+    /// A link that resets and re-handshakes between one node's
+    /// activations and its control step: the gap-resend goes out ahead
+    /// of the pass's Data (ordering 2), and every Data frame is still
+    /// delivered exactly once.
+    #[test]
+    fn a_link_reset_inside_a_pass_resends_first_and_loses_nothing() {
+        let clean = World::run(0, &[]);
+        let mut w = World::new();
+        w.reset = Some((0, 1));
+        // Node 0 runs twice for each pass of node 1, so Data of its
+        // first pass is still unread when the second has more.
+        assert_eq!(w.settle(&[0, 2, 0, 1]), None);
+        assert!(w.nodes.iter().all(|n| n.finished), "the script stalled");
+        let (frames, resent) = w.after_reset.take().expect("the reset came due");
+        let lseqs: Vec<u64> = frames
+            .iter()
+            .filter(|(kind, _)| *kind == FrameKind::Data)
+            .map(|&(_, lseq)| lseq)
+            .collect();
+        // Something was resent, the pass sent Data too, and the lseqs run
+        // in ascending order: the resend before the pass's Data.
+        assert!(resent > 0 && lseqs.len() > resent, "{frames:?}");
+        assert!(frames[..resent]
+            .iter()
+            .all(|(kind, _)| *kind == FrameKind::Data));
+        assert!(lseqs.windows(2).all(|p| p[0] < p[1]), "{lseqs:?}");
+        for (i, node) in w.nodes.iter().enumerate() {
+            recover_invariant(&node.log.records, &[], &clean.nodes[i].log.records)
+                .unwrap_or_else(|e| panic!("node {i}: {e}"));
+        }
+        assert_eq!(w.outputs(), clean.outputs());
+    }
+
     /// The incarnation is the count of headers, each checked; the header
     /// is logged only once the log passed.
     #[test]
@@ -1640,7 +1740,7 @@ mod tests {
         for j in others(x) {
             live.on_table(&mut wires, |t, out| t.link_up(j, &nobody_has_anything, out));
         }
-        live.activate(None, &mut wires);
+        live.activate(None);
         for (wire_seq, rec) in log.iter().enumerate() {
             let WalRecord::Event(ev) = rec else { continue };
             let time = f64::from_bits(ev.time_bits);
@@ -1664,8 +1764,9 @@ mod tests {
             };
             live.driver.absorb(drained).expect("peers alive");
             assert_eq!(live.driver.undecodable, 0);
-            assert!(live.activate(Some(snap), &mut wires));
+            assert!(live.activate(Some(snap)));
         }
+        live.seal(&mut wires, |_, _| ());
         let steps = |log: &[WalRecord]| -> Vec<WalRecord> {
             let keep = |r: &&WalRecord| matches!(r, WalRecord::Event(_) | WalRecord::Mark(_));
             log.iter().filter(keep).cloned().collect()

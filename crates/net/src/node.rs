@@ -22,11 +22,12 @@
 //!   at most `bound = min_j L_j` — so no event can ever arrive "in the
 //!   past", and the node's activation order equals the reference
 //!   schedule restricted to this party.
-//! * After draining, the node promises `bound + min_delay` to its peers:
-//!   any later activation happens strictly after `bound`, so any later
-//!   Data has `vdeliver > bound + min_delay`. Mutual promises advance
-//!   idle nodes by `min_delay` per exchange, which is what lets silence
-//!   timers fire even when crashed peers send nothing.
+//! * After draining, the node sends the pass's Data, then promises
+//!   `bound + min_delay` to its peers: the pass's Data may be due
+//!   sooner, but any later activation happens strictly after `bound`,
+//!   so any later Data has `vdeliver > bound + min_delay`. Mutual
+//!   promises advance idle nodes by `min_delay` per exchange, which is
+//!   what lets silence timers fire even when crashed peers send nothing.
 //!
 //! Termination: a node that produced its output broadcasts a Done frame
 //! and keeps cooperating (acks, echo relays) until every peer is done or
@@ -43,7 +44,8 @@
 //! dead and excluded from the bound, leaving protocol-level degradation
 //! to the silence-evidence machinery above the transport. The shell's
 //! threads block on sockets, queues and the node's condvar, never on a
-//! sleep.
+//! sleep. A pass's frames to a peer reach its writer as one batch,
+//! written with vectored writes.
 //!
 //! # Durability and crash recovery
 //!
@@ -77,10 +79,10 @@
 //!   set without ever touching the replay filter.
 
 use std::fmt;
-use std::io::{Read, Write};
+use std::io::{ErrorKind, IoSlice, Read, Write};
 use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
@@ -342,6 +344,8 @@ pub struct NetStats {
     pub frames_received: u64,
     /// Null (virtual-time promise) frames sent.
     pub nulls_sent: u64,
+    /// Frame batches handed to the kernel: one per peer per pass that sends it any.
+    pub writes: u64,
     /// Framed bytes (length prefix + envelope) enqueued to writers, Null
     /// frames included, Hellos not.
     pub bytes_sent: u64,
@@ -395,13 +399,16 @@ pub struct NodeReport<O> {
     pub vtime: f64,
 }
 
+/// One pass's frames to one peer, in order: a writer's unit of work.
+type Batch = Vec<Vec<u8>>;
+
 /// The shell's end of one link: what the core's `connected` flag stands
 /// for in sockets and channels. Replaced whole on link-up, emptied on
 /// link-down, so a reconnecting peer costs no descriptor per attempt.
 #[derive(Default)]
 struct LinkSlot {
     /// The writer thread's queue.
-    tx: Option<mpsc::Sender<Vec<u8>>>,
+    tx: Option<mpsc::Sender<Batch>>,
     /// A clone of the connection, kept to cut it.
     stream: Option<TcpStream>,
     down_since: Option<Instant>,
@@ -423,21 +430,23 @@ impl LinkSlot {
 struct Inner {
     table: LinkTable,
     /// Scratch the table's methods fill and the critical section that
-    /// filled it empties ([`Inner::flush`]; `drive_node`'s Data path).
+    /// filled it empties ([`Inner::flush`]).
     out: Outbox,
     links: Vec<LinkSlot>,
 }
 
 impl Inner {
-    /// Queues what the table just decided on the writers, inside the
-    /// critical section that decided it. A send error is surfaced by the
-    /// writer thread.
-    fn flush(&mut self) {
+    /// Empties what the table just decided into one batch per peer, in
+    /// the order decided, paired with the peer's queue (none if its link
+    /// is down). A send error is surfaced by the writer thread.
+    fn flush(&mut self) -> Vec<(mpsc::Sender<Batch>, Batch)> {
+        let mut batches = vec![Batch::new(); self.links.len()];
         for (peer, bytes) in self.out.drain(..) {
-            if let Some(tx) = &self.links[peer].tx {
-                let _ = tx.send(bytes);
-            }
+            batches[peer].push(bytes);
         }
+        let slots = self.links.iter().zip(batches);
+        let full = slots.filter(|(_, b)| !b.is_empty());
+        full.filter_map(|(s, b)| Some((s.tx.clone()?, b))).collect()
     }
 }
 
@@ -445,6 +454,8 @@ struct Shared {
     inner: Mutex<Inner>,
     cv: Condvar,
     shutdown: AtomicBool,
+    /// [`NetStats::writes`], counted by the writers.
+    writes: AtomicU64,
     /// The acceptor thread and the address that wakes it from `accept()`.
     acceptor: Mutex<Option<(JoinHandle<()>, SocketAddr)>>,
     /// Link threads (each dials or accepts, then runs its connection
@@ -464,6 +475,7 @@ impl Shared {
             }),
             cv: Condvar::new(),
             shutdown: AtomicBool::new(false),
+            writes: AtomicU64::new(0),
             acceptor: Mutex::new(None),
             link_threads: Mutex::new(Vec::new()),
             id,
@@ -596,7 +608,7 @@ fn run_connection(
     stream.set_write_timeout(Some(Duration::from_secs(2)))?;
     let slot_stream = stream.try_clone()?;
     let writer_stream = stream.try_clone()?;
-    let (tx, rx) = mpsc::channel::<Vec<u8>>();
+    let (tx, rx) = mpsc::channel::<Batch>();
     let epoch = {
         let mut guard = shared.lock();
         // Checked under the lock teardown takes to drop the queues, so a
@@ -614,7 +626,9 @@ fn run_connection(
         };
         // Still inside the critical section: the gap-resend is in the
         // new queue before anyone else can see the link (ordering 2).
-        inner.flush();
+        for (tx, batch) in inner.flush() {
+            let _ = tx.send(batch);
+        }
         epoch
     };
     shared.cv.notify_all();
@@ -637,8 +651,8 @@ fn link_down(shared: &Shared, peer: usize, epoch: u64) {
     shared.cv.notify_all();
 }
 
-/// Writes connection `epoch`'s queue to its socket; a failed write
-/// takes the link down.
+/// Writes connection `epoch`'s batches to its socket ([`write_batch`]);
+/// a failed write takes the link down.
 ///
 /// Ordering 6: the writer is the one that ends its connection. Once its
 /// queue closes (teardown drops it, or link-down emptied the slot), it
@@ -651,15 +665,33 @@ fn writer_loop(
     peer: usize,
     epoch: u64,
     mut stream: TcpStream,
-    rx: mpsc::Receiver<Vec<u8>>,
+    rx: mpsc::Receiver<Batch>,
 ) {
-    while let Ok(bytes) = rx.recv() {
-        if stream.write_all(&bytes).is_err() {
+    while let Ok(batch) = rx.recv() {
+        if write_batch(&mut stream, &batch).is_err() {
             link_down(shared, peer, epoch);
             return;
         }
+        shared.writes.fetch_add(1, Ordering::Relaxed);
     }
     let _ = stream.shutdown(Shutdown::Both);
+}
+
+/// Puts `batch` on the socket with vectored writes, advancing past
+/// partial ones. The frames are never copied together: that would hold
+/// a second copy of every batch while it is written.
+fn write_batch(stream: &mut TcpStream, batch: &[Vec<u8>]) -> std::io::Result<()> {
+    let mut slices: Vec<IoSlice> = batch.iter().map(|f| IoSlice::new(f)).collect();
+    let mut rest = &mut slices[..];
+    while !rest.is_empty() {
+        match stream.write_vectored(rest) {
+            Ok(0) => return Err(ErrorKind::WriteZero.into()),
+            Ok(k) => IoSlice::advance_slices(&mut rest, k),
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(())
 }
 
 fn reader_loop(shared: &Shared, peer: usize, epoch: u64, conn: &mut Conn) {
@@ -815,8 +847,11 @@ where
     // Open (or recover) the WAL before anything touches the network.
     let wal = open_wal(cfg, durability)?;
     let shared = Shared::new(cfg, wal.incarnation);
-    let result = drive_node(cfg, &shared, listener, proto, wal, &probe, on_ready);
+    let mut result = drive_node(cfg, &shared, listener, proto, wal, &probe, on_ready);
     teardown(&shared);
+    if let Ok(report) = &mut result {
+        report.stats.writes = shared.writes.load(Ordering::Relaxed);
+    }
     result
 }
 
@@ -953,21 +988,8 @@ where
     let start = Instant::now();
     let (mut writer, replay) = (wal.writer, wal.replay);
     let mut driver = Driver::new(cfg, proto, writer.is_some());
-    // One live activation's message to a remote peer. The frame is
-    // queued after the lock's release: the send wakes the writer thread,
-    // and a wake-up taken with the node's lock held parks every reader
-    // of this node behind it.
-    let mut wire = |d: DataOut| {
-        let mut guard = shared.lock();
-        let inner = &mut *guard;
-        inner.table.send_data(d, &mut inner.out);
-        let frame = inner.out.pop();
-        let send = frame.and_then(|(peer, bytes)| Some((inner.links[peer].tx.clone()?, bytes)));
-        drop(guard);
-        if let Some((tx, bytes)) = send {
-            let _ = tx.send(bytes);
-        }
-    };
+    // The pass's Data, in activation order; its control step seals it.
+    let mut data: Vec<DataOut> = Vec::new();
 
     // Ordering 5: replay rebuilds what a Hello reads before the acceptor
     // and the dialing threads exist (dialers wait in the kernel backlog).
@@ -987,7 +1009,7 @@ where
     on_ready();
     if !recovered {
         // Virtual time starts: the protocol's one-shot start activation.
-        driver.activate(0.0, Event::Start, &mut wire);
+        driver.activate(0.0, Event::Start, &mut |d| data.push(d));
     }
 
     let mut log = |rec: WalRecord| {
@@ -1007,34 +1029,41 @@ where
         let mut activity = drained.has_input();
         driver.absorb(drained)?;
 
-        activity |= driver.run_ready(snap, probe, &mut log, &mut wire)?;
+        activity |= driver.run_ready(snap, probe, &mut log, &mut |d| data.push(d))?;
 
         let keepalive_due = last_keepalive.elapsed() >= Duration::from_millis(KEEPALIVE_MS);
         if keepalive_due {
             last_keepalive = Instant::now();
         }
-        {
+        let (batches, ctl) = {
             let mut guard = shared.lock();
             let inner = &mut *guard;
+            // The pass's Data before the promise that follows it, which
+            // may exceed their delivery times.
+            for d in data.drain(..) {
+                inner.table.send_data(d, &mut inner.out);
+            }
             let (vnow, output_ready) = (driver.vnow(), driver.has_output());
             let ctl = inner
                 .table
                 .control(vnow, output_ready, keepalive_due, snap, &mut inner.out);
-            inner.flush();
-            if ctl.finished {
-                break;
+            if !ctl.finished {
+                // Promote links down for the dead-after period to dead.
+                let down_for = |j: usize| inner.links[j].down_since.map(|t| t.elapsed());
+                let expired = |j| down_for(j).is_some_and(|d| d >= dead_after);
+                inner.table.liveness(snap.all_finished, expired);
             }
-            activity |= ctl.announced;
-
-            // Promote links down for the dead-after period to dead.
-            let links = &inner.links;
-            let expired = |j: usize| {
-                links[j]
-                    .down_since
-                    .is_some_and(|t| t.elapsed() >= dead_after)
-            };
-            inner.table.liveness(snap.all_finished, expired);
+            (inner.flush(), ctl)
+        };
+        // Sent after the lock's release: a wake-up taken with the lock
+        // held parks every reader of this node behind it.
+        for (tx, batch) in batches {
+            let _ = tx.send(batch);
         }
+        if ctl.finished {
+            break;
+        }
+        activity |= ctl.announced;
         if !activity {
             // A critical section of its own, not the guard above carried
             // into the wait: carried over, no wake-up is ever missed, the
@@ -1187,13 +1216,13 @@ mod tests {
     /// with its own followed, in the same `write_all`, by `behind` and a
     /// Done and a DoneAck (the node's Done acknowledged ahead of time),
     /// each sealed with the next `wire_seq`. Then, once `unread` returns,
-    /// it reads until the node ends the connection. Returns the kinds
+    /// it reads until the node ends the connection. Returns the frames
     /// the node sent after its Hello.
     fn fake_lower_peer(
         listener: TcpListener,
         behind: Vec<WrapperMsg>,
         unread: impl FnOnce(),
-    ) -> Vec<FrameKind> {
+    ) -> Vec<WrapperMsg> {
         let mut conn = fake_end(listener.accept().expect("accept").0);
         let node_hello = next_msg(&mut conn).expect("node hello");
         assert_eq!(node_hello.kind, FrameKind::Hello);
@@ -1204,7 +1233,7 @@ mod tests {
         }
         conn.stream.write_all(&bytes).expect("hello and frames");
         unread();
-        std::iter::from_fn(|| next_msg(&mut conn).map(|m| m.kind)).collect()
+        std::iter::from_fn(|| next_msg(&mut conn)).collect()
     }
 
     /// Runs node 1 of 2 with `proto` against [`fake_lower_peer`].
@@ -1212,7 +1241,7 @@ mod tests {
         proto: P,
         behind: Vec<WrapperMsg>,
         unread: impl FnOnce() + Send + 'static,
-    ) -> (NodeReport<P::Output>, Vec<FrameKind>)
+    ) -> (NodeReport<P::Output>, Vec<WrapperMsg>)
     where
         P: AsyncProtocol,
         P::Msg: WireCodec,
@@ -1294,10 +1323,149 @@ mod tests {
         let (report, seen) = run_against_fake_lower_peer(Flood(flooded), Vec::new(), unread);
         assert_eq!(report.output, Some(1));
         // The fake read to EOF, and everything queued came before it.
-        let data = seen.iter().filter(|&&k| k == FrameKind::Data).count();
+        let kinds: Vec<FrameKind> = seen.iter().map(|m| m.kind).collect();
+        let data = kinds.iter().filter(|&&k| k == FrameKind::Data).count();
         assert_eq!(data, 128);
-        assert!(seen.contains(&FrameKind::Done), "{seen:?}");
-        assert!(seen.contains(&FrameKind::DoneAck), "{seen:?}");
+        assert!(kinds.contains(&FrameKind::Done), "{kinds:?}");
+        assert!(kinds.contains(&FrameKind::DoneAck), "{kinds:?}");
+    }
+
+    /// Sends party 0 `BURST` messages from each of three timers, at
+    /// virtual times 1, 2 and 3. It outputs one pass after the last has
+    /// fired: the first time it is asked after that, it says no, so
+    /// that pass ends with a promise rather than a Done.
+    #[derive(Default)]
+    struct Ticks {
+        fired: u64,
+        asked: std::cell::Cell<bool>,
+    }
+
+    const BURST: u64 = 3;
+
+    impl AsyncProtocol for Ticks {
+        type Msg = u64;
+        type Output = u64;
+
+        fn on_start(&mut self, ctx: &mut AsyncCtx<u64>) {
+            for t in 1..=3 {
+                ctx.set_timer(t as f64, t);
+            }
+        }
+
+        fn on_message(&mut self, _env: Envelope<u64>, _ctx: &mut AsyncCtx<u64>) {}
+
+        fn on_timer(&mut self, token: u64, ctx: &mut AsyncCtx<u64>) {
+            for k in 0..BURST {
+                ctx.send(PartyId(0), token << 8 | k);
+            }
+            self.fired += 1;
+        }
+
+        fn output(&self) -> Option<u64> {
+            (self.fired == 3 && self.asked.replace(true)).then_some(self.fired)
+        }
+    }
+
+    /// A Null promises that every Data frame still to come is due after
+    /// it. The peer promises far ahead, so all three timers fire in one
+    /// pass whose Data is due long before the promise that pass makes:
+    /// the Data must reach the wire first.
+    #[test]
+    fn no_data_frame_follows_a_promise_beyond_its_delivery_time() {
+        let far = WrapperMsg {
+            vsend: 1000.0,
+            ..envelope(FrameKind::Null, 0, 1, 0)
+        };
+        let (report, seen) = run_against_fake_lower_peer(Ticks::default(), vec![far], || {});
+        assert_eq!(report.output, Some(3));
+        let mut promised = f64::NEG_INFINITY;
+        for m in &seen {
+            match m.kind {
+                FrameKind::Null => promised = promised.max(m.vsend),
+                FrameKind::Data => assert!(
+                    m.vdeliver > promised,
+                    "Data due at {} after a promise of {promised}",
+                    m.vdeliver
+                ),
+                _ => {}
+            }
+        }
+        let data = seen.iter().filter(|m| m.kind == FrameKind::Data).count();
+        assert_eq!(data as u64, 3 * BURST);
+        assert!(promised > 1000.0, "the far promise was passed on");
+    }
+
+    #[test]
+    fn flush_hands_each_peer_one_batch_in_fifo_order() {
+        let addr: SocketAddr = (Ipv4Addr::LOCALHOST, 0).into();
+        let cfg = NodeConfig::new(0, 4, 1, vec![addr; 4], SECRET, CFG_FP, 7);
+        let shared = Shared::new(&cfg, 0);
+        let mut inner = shared.lock();
+        let queues: Vec<mpsc::Receiver<Batch>> = (1..4)
+            .map(|peer| {
+                let (tx, rx) = mpsc::channel();
+                inner.links[peer].tx = Some(tx);
+                rx
+            })
+            .collect();
+        for (k, peer) in [1, 2, 1, 1, 2, 3].into_iter().enumerate() {
+            inner.out.push((peer, vec![k as u8]));
+        }
+        for (tx, batch) in inner.flush() {
+            tx.send(batch).expect("queue open");
+        }
+        assert!(inner.out.is_empty());
+        let got: Vec<Vec<Batch>> = queues.iter().map(|rx| rx.try_iter().collect()).collect();
+        let frames = |ks: &[u8]| -> Vec<Batch> { vec![ks.iter().map(|&k| vec![k]).collect()] };
+        assert_eq!(got, [frames(&[0, 2, 3]), frames(&[1, 4]), frames(&[5])]);
+    }
+
+    /// Sends every other party `BURST` messages in its start activation
+    /// and outputs at once.
+    struct Burst;
+
+    impl AsyncProtocol for Burst {
+        type Msg = u64;
+        type Output = u8;
+
+        fn on_start(&mut self, ctx: &mut AsyncCtx<u64>) {
+            let me = ctx.me();
+            for to in (0..ctx.n()).map(PartyId).filter(|&p| p != me) {
+                for k in 0..BURST {
+                    ctx.send(to, k);
+                }
+            }
+        }
+
+        fn on_message(&mut self, _env: Envelope<u64>, _ctx: &mut AsyncCtx<u64>) {}
+
+        fn output(&self) -> Option<u8> {
+            Some(1)
+        }
+    }
+
+    /// Two real nodes on loopback: a pass's frames to a peer leave in one
+    /// write, so a node writes fewer times than it sends frames.
+    #[test]
+    fn a_pass_reaches_each_peer_in_one_write() {
+        let listeners = [(); 2].map(|_| TcpListener::bind("127.0.0.1:0").expect("bind"));
+        let peers: Vec<SocketAddr> = listeners
+            .iter()
+            .map(|l| l.local_addr().expect("addr"))
+            .collect();
+        let nodes: Vec<_> = listeners
+            .into_iter()
+            .enumerate()
+            .map(|(me, listener)| {
+                let cfg = NodeConfig::new(me, 2, 0, peers.clone(), SECRET, CFG_FP, 7);
+                thread::spawn(move || run_node(&cfg, listener, Burst, || {}))
+            })
+            .collect();
+        for (me, node) in nodes.into_iter().enumerate() {
+            let s = node.join().expect("node thread").expect("node run").stats;
+            assert!(s.writes >= 1, "node {me}: {s:?}");
+            assert!(s.writes < s.frames_sent + s.nulls_sent, "node {me}: {s:?}");
+        }
     }
 
     #[test]
