@@ -109,16 +109,6 @@ impl<M: Payload> Scheduler<M> for EnumeratingScheduler<M> {
         self.next_id += 1;
     }
 
-    fn push_at(&mut self, time: f64, what: SchedEvent<M>) {
-        match what {
-            SchedEvent::Deliver(env) => self.enqueue(env),
-            SchedEvent::Timer { party, token } => {
-                self.timers.push((time, self.next_id, party, token));
-                self.next_id += 1;
-            }
-        }
-    }
-
     fn pop(&mut self) -> Option<(f64, SchedEvent<M>)> {
         if !self.pending.is_empty() {
             let k = self.taken.len();

@@ -490,12 +490,10 @@ pub trait Scheduler<M: Payload> {
     /// (and, for fault-modelling schedulers, whether) it is delivered.
     fn push_send(&mut self, now: f64, env: Envelope<M>);
 
-    /// Accepts a timer set at time `now` to fire `delay` units later.
+    /// Accepts a timer set at time `now` to fire `delay` units later. The
+    /// run loop also defers a crashed party's timer to its recovery
+    /// instant `rt` through `push_timer(rt, party, token, 0.0)`.
     fn push_timer(&mut self, now: f64, party: PartyId, token: u64, delay: f64);
-
-    /// Re-queues an event at an absolute time (used by the run loop to
-    /// defer a crashed party's timers to its recovery instant).
-    fn push_at(&mut self, time: f64, what: SchedEvent<M>);
 
     /// Pops the next event together with its delivery time, or `None`
     /// when no event remains.
@@ -639,10 +637,6 @@ impl<M: Payload> Scheduler<M> for SeededScheduler<'_, M> {
 
     fn push_timer(&mut self, now: f64, party: PartyId, token: u64, delay: f64) {
         self.push_raw(now + delay, SchedEvent::Timer { party, token });
-    }
-
-    fn push_at(&mut self, time: f64, what: SchedEvent<M>) {
-        self.push_raw(time, what);
     }
 
     fn pop(&mut self) -> Option<(f64, SchedEvent<M>)> {
@@ -913,7 +907,7 @@ where
                         // Defer the timer to the recovery instant; a
                         // never-recovering party's timers die with it.
                         if let Some(rt) = recovery_time(plan, i, round) {
-                            sched.push_at(rt, SchedEvent::Timer { party, token });
+                            sched.push_timer(rt, party, token, 0.0);
                         }
                         continue;
                     }
@@ -1247,23 +1241,24 @@ mod tests {
             }],
             ..FaultPlan::none()
         };
-        // Timer set at 0 with delay 1.5 fires at 1.5 (down) -> defers to 3.
+        // Two timers set at 0 with delay 1.5, token 9 then token 7, fire
+        // at 1.5 — or, for party 1 (down), are deferred to 3.
         struct Stamp {
-            fired_at: Option<f64>,
+            fired: Vec<(u64, u64)>,
         }
         impl AsyncProtocol for Stamp {
             type Msg = u64;
-            type Output = u64;
+            type Output = Vec<(u64, u64)>;
             fn on_start(&mut self, ctx: &mut AsyncCtx<u64>) {
+                ctx.set_timer(1.5, 9);
                 ctx.set_timer(1.5, 7);
             }
             fn on_message(&mut self, _e: Envelope<u64>, _ctx: &mut AsyncCtx<u64>) {}
             fn on_timer(&mut self, token: u64, ctx: &mut AsyncCtx<u64>) {
-                assert_eq!(token, 7);
-                self.fired_at = Some(ctx.now());
+                self.fired.push((token, ctx.now().to_bits()));
             }
-            fn output(&self) -> Option<u64> {
-                self.fired_at.map(|t| t as u64)
+            fn output(&self) -> Option<Vec<(u64, u64)>> {
+                (self.fired.len() == 2).then(|| self.fired.clone())
             }
         }
         let cfg = AsyncConfig {
@@ -1274,10 +1269,14 @@ mod tests {
             max_events: 1_000,
         };
         let report =
-            run_async_faulted(cfg, &plan, |_, _| Stamp { fired_at: None }, PassiveAsync).unwrap();
-        // Party 0's timer fires on time at 1.5; party 1's defers to 3.0.
-        assert_eq!(report.outputs, vec![Some(1), Some(3)]);
-        assert!(report.metrics.fault_drops > 0 || report.metrics.timer_fires == 2);
+            run_async_faulted(cfg, &plan, |_, _| Stamp { fired: Vec::new() }, PassiveAsync)
+                .unwrap();
+        // Party 0's timers fire on time at 1.5; party 1's are deferred to
+        // exactly 3.0, the recovery instant, and still fire in the order
+        // they were set (not by token).
+        let at = |time: f64| vec![(9, time.to_bits()), (7, time.to_bits())];
+        assert_eq!(report.outputs, vec![Some(at(1.5)), Some(at(3.0))]);
+        assert_eq!(report.metrics.timer_fires, 4);
     }
 
     #[test]
@@ -1330,12 +1329,6 @@ mod tests {
         }
         fn push_timer(&mut self, now: f64, party: PartyId, token: u64, delay: f64) {
             self.timers.push_back((now + delay, party, token));
-        }
-        fn push_at(&mut self, time: f64, what: SchedEvent<u64>) {
-            match what {
-                SchedEvent::Deliver(env) => self.msgs.push_back(env),
-                SchedEvent::Timer { party, token } => self.timers.push_back((time, party, token)),
-            }
         }
         fn pop(&mut self) -> Option<(f64, SchedEvent<u64>)> {
             self.now += 1e-6;

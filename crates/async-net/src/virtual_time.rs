@@ -153,20 +153,15 @@ impl<M> VirtualScheduler<M> {
             metrics: AsyncMetrics::default(),
         }
     }
-
-    /// The next link ordinal for `from → to` (0-based, then bumped).
-    fn next_lseq(&mut self, from: usize, to: usize) -> u64 {
-        let c = self.link_seq.entry((from, to)).or_insert(0);
-        let v = *c;
-        *c += 1;
-        v
-    }
 }
 
 impl<M: Payload> Scheduler<M> for VirtualScheduler<M> {
     fn push_send(&mut self, now: f64, env: Envelope<M>) {
         let (from, to) = (env.from.index(), env.to.index());
-        let lseq = self.next_lseq(from, to);
+        // The link's Data ordinal: 0-based, then bumped.
+        let next = self.link_seq.entry((from, to)).or_insert(0);
+        let lseq = *next;
+        *next += 1;
         let delay = link_delay(self.seed, from, to, lseq, self.min_delay);
         self.heap.push(Reverse(VEvent {
             key: VKey {
@@ -194,37 +189,6 @@ impl<M: Payload> Scheduler<M> for VirtualScheduler<M> {
             },
             what: SchedEvent::Timer { party, token },
         }));
-    }
-
-    fn push_at(&mut self, time: f64, what: SchedEvent<M>) {
-        // Only the run loop's crash-deferral path lands here; virtual-time
-        // runs carry no fault plan, but keep the semantics total anyway.
-        let key = match &what {
-            SchedEvent::Deliver(env) => {
-                let (from, to) = (env.from.index(), env.to.index());
-                let lseq = self.next_lseq(from, to);
-                VKey {
-                    time,
-                    class: 0,
-                    a: from as u64,
-                    b: to as u64,
-                    c: lseq,
-                }
-            }
-            SchedEvent::Timer { party, token } => {
-                let i = party.index();
-                let ts = self.timer_seq[i];
-                self.timer_seq[i] += 1;
-                VKey {
-                    time,
-                    class: 1,
-                    a: i as u64,
-                    b: ts,
-                    c: *token,
-                }
-            }
-        };
-        self.heap.push(Reverse(VEvent { key, what }));
     }
 
     fn pop(&mut self) -> Option<(f64, SchedEvent<M>)> {

@@ -162,18 +162,17 @@ the records before it.
         use aa_trace::Json;
         let file = self.file;
         let bytes = std::fs::read(&file).map_err(|e| format!("cannot read `{file}`: {e}"))?;
-        let mut cursor = net::WalCursor::new();
-        cursor.push(&bytes);
-        let mut records = 0u64;
-        while let Some(rec) = cursor.next_record().map_err(|e| e.to_string())? {
+        let (scan, err) = net::scan_wal(&bytes);
+        for rec in &scan.records {
             writeln!(out, "{}", rec.to_json()).map_err(io)?;
-            records += 1;
         }
+        err.map_or(Ok(()), |e| Err(e.to_string()))?;
+        let torn = bytes.len() as u64 - scan.valid_len;
         let end = Json::Obj(vec![
             ("k".into(), Json::Str("end".into())),
-            ("records".into(), Json::int(records)),
-            ("valid_len".into(), Json::int(cursor.consumed())),
-            ("torn_tail_bytes".into(), Json::int(cursor.pending() as u64)),
+            ("records".into(), Json::int(scan.records.len() as u64)),
+            ("valid_len".into(), Json::int(scan.valid_len)),
+            ("torn_tail_bytes".into(), Json::int(torn)),
         ]);
         writeln!(out, "{end}").map_err(io)
     }

@@ -58,5 +58,5 @@ pub use node::{
     run_node, run_node_durable, Durability, NetError, NetStats, NodeConfig, NodeReport,
     ReconnectPolicy,
 };
-pub use wal::{read_wal, WalCursor, WalError, WalHeader, WalRecord, WalScan, WalWriter};
+pub use wal::{read_wal, scan_wal, WalError, WalHeader, WalRecord, WalScan, WalWriter};
 pub use wire::{FrameKind, HelloBody, WrapperMsg, WIRE_VERSION};

@@ -51,7 +51,7 @@
 
 use std::fmt;
 use std::fs::{File, OpenOptions};
-use std::io::{BufWriter, Read, Seek, SeekFrom, Write};
+use std::io::{BufWriter, Seek, SeekFrom, Write};
 use std::path::Path;
 
 use aa_trace::{fnv1a_64, fnv1a_64_extend, Json};
@@ -334,7 +334,7 @@ impl WalRecord {
         let mut r = Reader::new(payload);
         let rec = match r.u8()? {
             TAG_HEADER => {
-                r.u8()?; // the format, which `WalCursor::next_record` checked
+                r.u8()?; // the format, which `scan_wal` checked
                 WalRecord::Header(WalHeader {
                     config_fp: r.u64()?,
                     me: index(&mut r)?,
@@ -391,142 +391,79 @@ impl WalRecord {
     }
 }
 
-/// Incremental WAL decoder: push bytes in any chunking, pop complete
-/// records. Mirrors the frame layer's `FrameBuffer`: a truncated tail is
-/// "not yet a record"; an oversized prefix or a checksum failure is a
-/// hard error that poisons the cursor.
-#[derive(Debug, Default)]
-pub struct WalCursor {
-    buf: Vec<u8>,
-    pos: usize,
-    consumed: u64,
-    poisoned: Option<WalError>,
-}
-
-impl WalCursor {
-    /// An empty cursor.
-    #[must_use]
-    pub fn new() -> Self {
-        WalCursor::default()
-    }
-
-    /// Appends raw log bytes.
-    pub fn push(&mut self, bytes: &[u8]) {
-        self.buf.extend_from_slice(bytes);
-    }
-
-    /// Total bytes consumed as complete, checksummed records — the valid
-    /// prefix length to truncate a torn log back to.
-    #[must_use]
-    pub fn consumed(&self) -> u64 {
-        self.consumed
-    }
-
-    /// Bytes buffered but not yet consumed (a torn tail, if the stream
-    /// has ended).
-    #[must_use]
-    pub fn pending(&self) -> usize {
-        self.buf.len() - self.pos
-    }
-
-    /// Pops the next complete record, `Ok(None)` if more bytes are
-    /// needed.
-    ///
-    /// # Errors
-    ///
-    /// [`WalError::Oversized`], [`WalError::Checksum`] or
-    /// [`WalError::Malformed`]; the cursor stays poisoned afterwards.
-    pub fn next_record(&mut self) -> Result<Option<WalRecord>, WalError> {
-        if let Some(err) = &self.poisoned {
-            return Err(err.clone());
-        }
-        let offset = self.consumed;
-        let avail = &self.buf[self.pos..];
-        if avail.len() < 4 {
-            return Ok(None);
-        }
-        let announced = u32::from_be_bytes(avail[..4].try_into().expect("4 bytes")) as usize;
-        if announced > MAX_WAL_RECORD {
-            return self.poison(WalError::Oversized { offset, announced });
-        }
-        let total = 4 + announced + 8;
-        if avail.len() < total {
-            return Ok(None);
-        }
-        let payload = &avail[4..4 + announced];
-        let sum = u64::from_le_bytes(avail[4 + announced..total].try_into().expect("8 bytes"));
-        if fnv1a_64(payload) != sum {
-            return self.poison(WalError::Checksum { offset });
-        }
-        if payload.first() == Some(&b'{') {
-            return self.poison(WalError::Mismatch(JSON_ERA.into()));
-        }
-        if let [TAG_HEADER, format, ..] = *payload {
-            if format != WAL_FORMAT {
-                return self.poison(WalError::Mismatch(format!(
-                    "log written by WAL format {format}, this build reads format {WAL_FORMAT}"
-                )));
-            }
-        }
-        match WalRecord::decode(payload) {
-            Ok(rec) => {
-                self.pos += total;
-                self.consumed += total as u64;
-                if self.pos > 65536 && self.pos * 2 > self.buf.len() {
-                    self.buf.drain(..self.pos);
-                    self.pos = 0;
-                }
-                Ok(Some(rec))
-            }
-            Err(e) => self.poison(WalError::Malformed {
-                offset,
-                reason: e.to_string(),
-            }),
-        }
-    }
-
-    fn poison(&mut self, err: WalError) -> Result<Option<WalRecord>, WalError> {
-        self.poisoned = Some(err.clone());
-        Err(err)
-    }
-}
-
-/// The result of scanning a WAL file.
+/// The result of scanning a WAL.
 #[derive(Debug)]
 pub struct WalScan {
     /// Every complete, checksummed record, in append order.
     pub records: Vec<WalRecord>,
     /// Length of the valid prefix in bytes; anything beyond is a torn
-    /// tail from a mid-write crash.
+    /// tail from a mid-write crash, or the first bad record.
     pub valid_len: u64,
 }
 
-/// Reads an entire WAL file, stopping cleanly at a torn tail.
+/// Scans a whole log in one pass: every complete, checksummed record up
+/// to the first bad one, and that record's typed error, if any. A torn
+/// tail — the bytes end mid-record — is not an error: the scan stops at
+/// the last complete record, and `valid_len` is where a writer reopens
+/// the log.
+///
+/// The errors: [`WalError::Oversized`], [`WalError::Checksum`],
+/// [`WalError::Malformed`], and [`WalError::Mismatch`] for a JSON-era
+/// record or a header of another format. The bad record starts at
+/// `valid_len`, the offset the first three name.
+#[must_use]
+pub fn scan_wal(bytes: &[u8]) -> (WalScan, Option<WalError>) {
+    let mut scan = WalScan {
+        records: Vec::new(),
+        valid_len: 0,
+    };
+    let err = loop {
+        let offset = scan.valid_len;
+        let avail = &bytes[offset as usize..];
+        let Some(prefix) = avail.get(..4) else {
+            break None;
+        };
+        let announced = u32::from_be_bytes(prefix.try_into().expect("4 bytes")) as usize;
+        if announced > MAX_WAL_RECORD {
+            break Some(WalError::Oversized { offset, announced });
+        }
+        let Some(framed) = avail.get(4..4 + announced + 8) else {
+            break None;
+        };
+        let (payload, sum) = framed.split_at(announced);
+        if fnv1a_64(payload).to_le_bytes() != sum {
+            break Some(WalError::Checksum { offset });
+        }
+        if payload.first() == Some(&b'{') {
+            break Some(WalError::Mismatch(JSON_ERA.into()));
+        }
+        if let [TAG_HEADER, format, ..] = *payload {
+            if format != WAL_FORMAT {
+                break Some(WalError::Mismatch(format!(
+                    "log written by WAL format {format}, this build reads format {WAL_FORMAT}"
+                )));
+            }
+        }
+        match WalRecord::decode(payload).map_err(|e| e.to_string()) {
+            Ok(rec) => scan.records.push(rec),
+            Err(reason) => break Some(WalError::Malformed { offset, reason }),
+        }
+        scan.valid_len += 4 + framed.len() as u64;
+    };
+    (scan, err)
+}
+
+/// Reads and scans an entire WAL file ([`scan_wal`]).
 ///
 /// # Errors
 ///
-/// I/O failures and hard corruption ([`WalError::Checksum`],
-/// [`WalError::Oversized`], [`WalError::Malformed`]) are errors; a torn
-/// tail is not (it is simply excluded from `valid_len`).
+/// I/O failures and the scan's typed errors; a torn tail is not an
+/// error (it is simply excluded from `valid_len`).
 pub fn read_wal(path: &Path) -> Result<WalScan, WalError> {
-    let mut file = File::open(path)?;
-    let mut cursor = WalCursor::new();
-    let mut chunk = [0u8; 65536];
-    loop {
-        let got = file.read(&mut chunk)?;
-        if got == 0 {
-            break;
-        }
-        cursor.push(&chunk[..got]);
+    match scan_wal(&std::fs::read(path)?) {
+        (scan, None) => Ok(scan),
+        (_, Some(err)) => Err(err),
     }
-    let mut records = Vec::new();
-    while let Some(rec) = cursor.next_record()? {
-        records.push(rec);
-    }
-    Ok(WalScan {
-        records,
-        valid_len: cursor.consumed(),
-    })
 }
 
 /// An append handle on a WAL file. Every record is flushed to the OS on
@@ -639,16 +576,11 @@ mod tests {
 
     #[test]
     fn records_roundtrip_through_framing() {
-        let mut cursor = WalCursor::new();
-        for rec in sample_records() {
-            cursor.push(&framed(&rec));
-        }
-        let mut out = Vec::new();
-        while let Some(r) = cursor.next_record().unwrap() {
-            out.push(r);
-        }
-        assert_eq!(out, sample_records());
-        assert_eq!(cursor.pending(), 0);
+        let bytes: Vec<u8> = sample_records().iter().flat_map(framed).collect();
+        let (scan, err) = scan_wal(&bytes);
+        assert_eq!(err, None);
+        assert_eq!(scan.records, sample_records());
+        assert_eq!(scan.valid_len, bytes.len() as u64);
     }
 
     /// The layout in the module docs, byte for byte.
@@ -736,12 +668,10 @@ mod tests {
         let mut bytes = (payload.len() as u32).to_be_bytes().to_vec();
         bytes.extend_from_slice(payload);
         bytes.extend_from_slice(&fnv1a_64(payload).to_le_bytes());
-        let mut cursor = WalCursor::new();
-        cursor.push(&bytes);
-        let err = cursor.next_record().unwrap_err();
-        assert_eq!(err, WalError::Mismatch(JSON_ERA.into()));
-        assert_eq!(cursor.next_record().unwrap_err(), err, "poisoned");
-        assert_eq!(cursor.consumed(), 0);
+        let (scan, err) = scan_wal(&bytes);
+        assert_eq!(err, Some(WalError::Mismatch(JSON_ERA.into())));
+        assert!(scan.records.is_empty());
+        assert_eq!(scan.valid_len, 0);
     }
 
     #[test]
@@ -776,21 +706,20 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
+    /// The scan stops at the first bad record and returns the records
+    /// before it: a clean record after the corrupt one is not read.
     #[test]
     fn checksum_corruption_is_a_typed_error() {
-        let rec = sample_records().pop().expect("the mark");
-        let mut bytes = framed(&rec);
-        let mid = bytes.len() / 2;
-        bytes[mid] ^= 0x40;
-        let mut cursor = WalCursor::new();
-        cursor.push(&bytes);
-        let err = cursor.next_record().unwrap_err();
-        assert!(
-            matches!(err, WalError::Checksum { .. } | WalError::Malformed { .. }),
-            "got {err:?}"
-        );
-        // Poisoned: pushing a clean record afterwards does not recover.
-        cursor.push(&framed(&rec));
-        assert!(cursor.next_record().is_err());
+        let recs = sample_records();
+        let first = framed(&recs[0]);
+        let mut bad = framed(&recs[3]);
+        let mid = bad.len() / 2;
+        bad[mid] ^= 0x40;
+        let bytes = [first.clone(), bad, framed(&recs[3])].concat();
+        let (scan, err) = scan_wal(&bytes);
+        let offset = first.len() as u64;
+        assert_eq!(err, Some(WalError::Checksum { offset }));
+        assert_eq!(scan.records, recs[..1]);
+        assert_eq!(scan.valid_len, offset);
     }
 }

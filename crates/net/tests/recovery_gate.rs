@@ -16,8 +16,8 @@ use std::path::{Path, PathBuf};
 use aa_trace::fnv1a_64;
 use net::{
     differential_gate, node_config, proto_fingerprint, read_wal, run_local_cluster_opts,
-    run_node_durable, ClusterOpts, Durability, GateCase, NetError, ReconnectPolicy, WalCursor,
-    WalError, WalHeader, WalRecord, WIRE_VERSION,
+    run_node_durable, ClusterOpts, Durability, GateCase, NetError, ReconnectPolicy, WalError,
+    WalHeader, WalRecord, WIRE_VERSION,
 };
 
 const SPIDER9: &str =
@@ -48,11 +48,12 @@ impl Drop for TempDir {
 fn cut_wal_in_half(dir: &Path, node: usize) -> usize {
     let path = dir.join(format!("node{node}.wal"));
     let bytes = fs::read(&path).expect("read wal");
-    let mut cursor = WalCursor::new();
-    cursor.push(&bytes);
     let mut boundaries = Vec::new();
-    while cursor.next_record().expect("valid wal").is_some() {
-        boundaries.push(cursor.consumed());
+    let mut framed = Vec::new();
+    for rec in read_wal(&path).expect("valid wal").records {
+        rec.write_to(&mut Vec::new(), &mut framed)
+            .expect("a record read back writes again");
+        boundaries.push(framed.len());
     }
     assert!(
         boundaries.len() >= 4,
@@ -62,8 +63,8 @@ fn cut_wal_in_half(dir: &Path, node: usize) -> usize {
     let keep = boundaries.len() / 2;
     // Mimic a torn tail on top of the cut: recovery must shave the
     // partial record before replaying.
-    let mut torn = bytes[..boundaries[keep - 1] as usize].to_vec();
-    torn.extend_from_slice(&bytes[boundaries[keep - 1] as usize..][..3.min(bytes.len())]);
+    let mut torn = bytes[..boundaries[keep - 1]].to_vec();
+    torn.extend_from_slice(&bytes[boundaries[keep - 1]..][..3.min(bytes.len())]);
     fs::write(&path, torn).expect("truncate wal");
     keep
 }

@@ -1,8 +1,8 @@
 //! WAL framing properties, mirroring the frame-codec suite: arbitrary
-//! records must round-trip through [`WalCursor`] under arbitrary byte
-//! chunking, a torn final record must be truncated (never fatal), a
-//! checksum flip must surface as the typed [`WalError::Checksum`], and
-//! garbage input must never panic or over-consume. On top of the framing,
+//! records must round-trip through [`scan_wal`], a torn final record
+//! must be truncated (never fatal), a checksum flip must surface as the
+//! typed [`WalError::Checksum`], and garbage input must never panic or
+//! over-consume. On top of the framing,
 //! the binary payload codec is pinned: one encoding per record, every
 //! single-bit flip rejected, hostile payloads behind a *valid* checksum
 //! rejected without allocating by an announced length, and a remote
@@ -15,7 +15,7 @@ use std::cell::Cell;
 
 use aa_trace::fnv1a_64;
 use net::wal::{WalEvent, WalMark, WalRemote};
-use net::{WalCursor, WalError, WalHeader, WalRecord};
+use net::{scan_wal, WalError, WalHeader, WalRecord};
 use proptest::prelude::*;
 
 /// Counts the bytes each thread asks the allocator for, so a test can
@@ -158,35 +158,18 @@ fn log_from(seed: u64) -> (Vec<WalRecord>, Vec<u8>, Vec<usize>) {
     (records, wire, boundaries)
 }
 
-/// Feeds `bytes` into `cursor` in pseudo-random chunks.
-fn push_chunked(cursor: &mut WalCursor, bytes: &[u8], seed: u64) {
-    let mut s = seed;
-    let mut pos = 0;
-    while pos < bytes.len() {
-        let k = 1 + (next(&mut s) as usize) % 97;
-        let end = (pos + k).min(bytes.len());
-        cursor.push(&bytes[pos..end]);
-        pos = end;
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Any record sequence survives any chunking bit-for-bit, in order,
-    /// and the cursor accounts for every byte.
+    /// Any record sequence survives bit-for-bit, in order, and the scan
+    /// accounts for every byte.
     #[test]
-    fn roundtrip_any_records_any_chunking(seed in any::<u64>(), chunk_seed in any::<u64>()) {
+    fn roundtrip_any_records(seed in any::<u64>()) {
         let (records, wire, _) = log_from(seed);
-        let mut cursor = WalCursor::new();
-        push_chunked(&mut cursor, &wire, chunk_seed);
-        for expect in &records {
-            let got = cursor.next_record().expect("valid log").expect("complete record");
-            prop_assert_eq!(&got, expect);
-        }
-        prop_assert_eq!(cursor.next_record().expect("clean tail"), None);
-        prop_assert_eq!(cursor.consumed(), wire.len() as u64);
-        prop_assert_eq!(cursor.pending(), 0);
+        let (scan, err) = scan_wal(&wire);
+        prop_assert_eq!(err, None);
+        prop_assert_eq!(&scan.records, &records);
+        prop_assert_eq!(scan.valid_len, wire.len() as u64);
         // Canonical form: what decoded re-encodes to the bytes it came
         // from, so a log and its re-appended copy have equal length.
         let again: Vec<u8> = records.iter().flat_map(framed).collect();
@@ -194,8 +177,8 @@ proptest! {
     }
 
     /// Every single-bit flip of a framed record — prefix, payload or
-    /// checksum — ends in a typed error or "need more bytes": never a
-    /// panic, never a record (which could only be a *different* one).
+    /// checksum — ends in a typed error or a torn tail: never a panic,
+    /// never a record (which could only be a *different* one).
     #[test]
     fn no_single_bit_flip_yields_a_record(seed in any::<u64>()) {
         let mut s = seed;
@@ -203,17 +186,16 @@ proptest! {
         for bit in 0..bytes.len() * 8 {
             let mut flipped = bytes.clone();
             flipped[bit / 8] ^= 1 << (bit % 8);
-            let mut cursor = WalCursor::new();
-            cursor.push(&flipped);
-            match cursor.next_record() {
-                Ok(None) => prop_assert!(bit < 32, "only a longer prefix waits: bit {}", bit),
-                Ok(Some(rec)) => prop_assert!(false, "bit {} decoded as {:?}", bit, rec),
-                Err(WalError::Checksum { offset: 0 }
+            let (scan, err) = scan_wal(&flipped);
+            prop_assert!(scan.records.is_empty(), "bit {} decoded as {:?}", bit, scan.records);
+            prop_assert_eq!(scan.valid_len, 0);
+            match err {
+                None => prop_assert!(bit < 32, "only a longer prefix reads as torn: bit {}", bit),
+                Some(WalError::Checksum { offset: 0 }
                 | WalError::Malformed { offset: 0, .. }
                 | WalError::Oversized { offset: 0, .. }) => {}
-                Err(other) => prop_assert!(false, "bit {}: {:?}", bit, other),
+                Some(other) => prop_assert!(false, "bit {}: {:?}", bit, other),
             }
-            prop_assert_eq!(cursor.consumed(), 0);
         }
     }
 
@@ -227,9 +209,8 @@ proptest! {
 
     /// Cutting the log mid-record (a crash mid-append) loses only the
     /// torn record: every complete record before the cut decodes, the
-    /// cursor reports no error, and `consumed()` lands exactly on the
-    /// last complete record boundary — the truncation point recovery
-    /// uses.
+    /// scan reports no error, and `valid_len` lands exactly on the last
+    /// complete record boundary — the truncation point recovery uses.
     #[test]
     fn a_torn_tail_is_truncated_not_fatal(seed in any::<u64>(), cut_pick in any::<u64>()) {
         let (records, wire, boundaries) = log_from(seed);
@@ -239,20 +220,15 @@ proptest! {
         let span = boundaries[idx] - start;
         let cut = start + 1 + (cut_pick >> 32) as usize % (span - 1).max(1);
 
-        let mut cursor = WalCursor::new();
-        cursor.push(&wire[..cut]);
-        let mut got = Vec::new();
-        while let Some(r) = cursor.next_record().expect("torn tail is not an error") {
-            got.push(r);
-        }
-        prop_assert_eq!(&got[..], &records[..idx]);
-        prop_assert_eq!(cursor.consumed(), start as u64);
-        prop_assert_eq!(cursor.pending(), cut - start);
+        let (scan, err) = scan_wal(&wire[..cut]);
+        prop_assert_eq!(err, None, "a torn tail is not an error");
+        prop_assert_eq!(&scan.records[..], &records[..idx]);
+        prop_assert_eq!(scan.valid_len, start as u64);
     }
 
     /// Flipping any bit of a record's payload or checksum yields the
     /// typed [`WalError::Checksum`] at that record's offset; every
-    /// record before it still decodes, and the cursor stays poisoned.
+    /// record before it still decodes, and none after it is read.
     #[test]
     fn checksum_corruption_is_a_typed_error(seed in any::<u64>(), flip_pick in any::<u64>()) {
         let (records, mut wire, boundaries) = log_from(seed);
@@ -264,38 +240,28 @@ proptest! {
         let at = start + 4 + (flip_pick >> 24) as usize % span;
         wire[at] ^= 1 << ((flip_pick >> 56) % 8);
 
-        let mut cursor = WalCursor::new();
-        cursor.push(&wire);
-        for expect in &records[..idx] {
-            let got = cursor.next_record().expect("prefix is intact").expect("complete");
-            prop_assert_eq!(&got, expect);
-        }
-        let err = cursor.next_record().expect_err("corrupt record");
-        prop_assert_eq!(err, WalError::Checksum { offset: start as u64 });
-        // Poisoned: the same typed error, forever.
-        let again = cursor.next_record().expect_err("cursor stays poisoned");
-        prop_assert_eq!(again, WalError::Checksum { offset: start as u64 });
+        let (scan, err) = scan_wal(&wire);
+        prop_assert_eq!(&scan.records[..], &records[..idx]);
+        prop_assert_eq!(scan.valid_len, start as u64);
+        prop_assert_eq!(err, Some(WalError::Checksum { offset: start as u64 }));
     }
 
     /// Arbitrary garbage never panics and never consumes bytes it did
-    /// not verify: the cursor either waits for more input or reports a
-    /// typed error.
+    /// not verify: the scan ends in a torn tail or a typed error.
     #[test]
     fn garbage_never_panics_or_over_consumes(seed in any::<u64>(), len in 0usize..4096) {
         let mut s = seed;
         let garbage: Vec<u8> = (0..len).map(|_| (next(&mut s) & 0xff) as u8).collect();
-        let mut cursor = WalCursor::new();
-        cursor.push(&garbage);
-        // Draining Ok(Some(_)) records is astronomically unlikely on
-        // garbage, but legal; stop on clean-tail or typed error.
-        while let Ok(Some(_)) = cursor.next_record() {}
-        prop_assert!(cursor.consumed() <= garbage.len() as u64);
+        // A record decoding from garbage is astronomically unlikely, but
+        // legal.
+        let (scan, _) = scan_wal(&garbage);
+        prop_assert!(scan.valid_len <= garbage.len() as u64);
     }
 }
 
 /// Hostile payloads behind a checksum that passes: each is `Malformed`
 /// at its own offset (a header of an unknown format is a `Mismatch`
-/// naming it), the cursor consumes nothing, and the decoder allocates
+/// naming it), the scan consumes nothing, and the decoder allocates
 /// no more than the record's own length — in particular not the length
 /// a field announces.
 #[test]
@@ -358,16 +324,14 @@ fn hostile_payloads_with_a_valid_checksum_are_malformed_and_cheap() {
     ];
     for (what, payload) in cases {
         let bytes = frame_payload(&payload);
-        let mut cursor = WalCursor::new();
-        cursor.push(&bytes);
-        let (got, allocated) = allocated_by(|| cursor.next_record());
+        let ((scan, got), allocated) = allocated_by(|| scan_wal(&bytes));
         assert!(
-            matches!(got, Err(WalError::Malformed { offset: 0, .. })),
+            matches!(got, Some(WalError::Malformed { offset: 0, .. })),
             "{what}: {got:?}"
         );
-        assert_eq!(cursor.consumed(), 0, "{what}");
-        // The floor of 128 is the error text (built, then cloned into
-        // the poisoned cursor), which a 12-byte record cannot outweigh.
+        assert_eq!(scan.valid_len, 0, "{what}");
+        // The floor of 128 is the error text, which a 12-byte record
+        // cannot outweigh.
         assert!(
             allocated <= bytes.len().max(128),
             "{what}: allocated {allocated} bytes for a {}-byte record",
@@ -376,11 +340,9 @@ fn hostile_payloads_with_a_valid_checksum_are_malformed_and_cheap() {
     }
 
     let bytes = frame_payload(&patched(header, 1, &[1]));
-    let mut cursor = WalCursor::new();
-    cursor.push(&bytes);
-    let (got, allocated) = allocated_by(|| cursor.next_record());
+    let ((scan, got), allocated) = allocated_by(|| scan_wal(&bytes));
     let why = "log written by WAL format 1, this build reads format 3";
-    assert_eq!(got, Err(WalError::Mismatch(why.into())));
-    assert_eq!(cursor.consumed(), 0);
+    assert_eq!(got, Some(WalError::Mismatch(why.into())));
+    assert_eq!(scan.valid_len, 0);
     assert!(allocated <= bytes.len().max(128), "allocated {allocated}");
 }

@@ -135,8 +135,8 @@ impl<'a, M: Payload> AdversaryCtx<'a, M> {
     /// A taken-over party is frozen, as a party down under a fault plan
     /// is: it is not stepped and emits no protocol events, its tentative
     /// outbox is empty (so [`AdversaryCtx::forward`] delivers nothing),
-    /// and nothing is put into its inbox — what was sent to it earlier in
-    /// this round is dropped from its lane. Messages sent *to* it still
+    /// and nothing more is put into its inbox — what was sent to it
+    /// earlier in this round is never read. Messages sent *to* it still
     /// count in the metrics and appear in the trace. In this round `p`
     /// has already been stepped, and its tentative traffic is readable as
     /// usual. In a [`ComposedAdversary`] the freeze holds for every part:
@@ -153,7 +153,6 @@ impl<'a, M: Payload> AdversaryCtx<'a, M> {
     pub fn take_over(&mut self, p: PartyId) -> Result<(), BudgetExceeded> {
         self.corrupt(p)?;
         self.net.taken[p.index()] = true;
-        self.net.lanes[p.index()].clear();
         Ok(())
     }
 
@@ -504,7 +503,6 @@ mod tests {
         forwarded: Vec<bool>,
         down: Vec<bool>,
         inboxes: Vec<crate::mailbox::Inbox<u64>>,
-        lanes: Vec<Vec<crate::mailbox::Received<u64>>>,
     }
 
     impl Fixture {
@@ -517,7 +515,6 @@ mod tests {
                 forwarded: vec![false; 4],
                 down: vec![false; 4],
                 inboxes: (0..4).map(|_| crate::mailbox::Inbox::empty()).collect(),
-                lanes: (0..4).map(|_| Vec::new()).collect(),
             }
         }
 
@@ -535,7 +532,6 @@ mod tests {
                     taken: &mut self.taken,
                     corrupted: &mut self.corrupted,
                     inboxes: &mut self.inboxes,
-                    lanes: &mut self.lanes,
                     events: None,
                     metrics: crate::metrics::RoundMetrics::default(),
                 },
@@ -727,7 +723,8 @@ mod tests {
             ctx.send(PartyId(0), PartyId(1), 10);
             ctx.send(PartyId(0), PartyId(2), 20); // different value to p2
         }
-        let lane = |i: usize| -> Vec<u64> { fixture.lanes[i].iter().map(|r| r.payload).collect() };
+        let lane =
+            |i: usize| -> Vec<u64> { fixture.inboxes[i].iter().map(|r| r.payload).collect() };
         assert_eq!((lane(1), lane(2)), (vec![10], vec![20]));
     }
 

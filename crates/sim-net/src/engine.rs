@@ -14,7 +14,8 @@
 //!    [`FaultPlan`] — are not, and cost nothing.
 //! 2. **Adversary.** The rushing adversary sees all tentative [`Outbox`]es
 //!    and acts. Each message it sends is delivered there and then
-//!    ([`AdversaryCtx::send`]), into the recipient's injection lane.
+//!    ([`AdversaryCtx::send`]), straight into the recipient's inbox,
+//!    whose injections from the last round were cleared just before.
 //! 3. **Delivery.** Broadcast payloads are *moved* into one shared
 //!    per-round list (`Arc`) that every inbox references — a broadcast
 //!    costs one allocation and one `size_bytes` call regardless of `n`.
@@ -336,19 +337,19 @@ pub(crate) enum Body<'a, M> {
 }
 
 /// One phase of a round's delivery: the state every copy outside the
-/// shared broadcast list is checked against, and the lanes, trace events
-/// and metrics it writes. The adversary phase's sits in [`AdversaryCtx`]
-/// (its `send` delivers through it); the delivery phase has its own.
+/// shared broadcast list is checked against, and the inboxes, trace
+/// events and metrics it writes. The adversary phase's sits in
+/// [`AdversaryCtx`] (its `send` delivers through it); the delivery phase
+/// has its own.
 pub(crate) struct Delivery<'a, M> {
     pub(crate) round: u32,
     pub(crate) plan: Option<&'a FaultPlan>,
     pub(crate) down: &'a [bool],
     pub(crate) taken: &'a mut [bool],
     pub(crate) corrupted: &'a mut [bool],
-    /// Their `direct` lanes take the unicasts and cut broadcasts' copies.
+    /// Their `direct` lanes take the unicasts and cut broadcasts' copies,
+    /// their `injected` lanes the adversary's injections.
     pub(crate) inboxes: &'a mut [Inbox<M>],
-    /// The injection lanes, swapped into the inboxes at delivery.
-    pub(crate) lanes: &'a mut [Vec<Received<M>>],
     pub(crate) events: Option<&'a mut Vec<TraceEvent>>,
     pub(crate) metrics: RoundMetrics,
 }
@@ -417,10 +418,11 @@ impl<M: Payload> Delivery<'_, M> {
                 Body::Owned(payload) => payload,
                 Body::Shared(payload, _) => payload.clone(),
             };
+            let inbox = &mut self.inboxes[to];
             let lane = if inject {
-                &mut self.lanes[to]
+                &mut inbox.injected
             } else {
-                &mut self.inboxes[to].direct
+                &mut inbox.direct
             };
             lane.push(Received {
                 from: PartyId(from),
@@ -608,22 +610,16 @@ where
         StepMode::Auto => auto_threads(n, cores),
     };
 
-    // Per recipient, the injections the adversary queues this round,
-    // swapped with the inbox's injection lane at delivery; what the swap
-    // hands back is dropped right before the next adversary phase refills
-    // the (then cache-warm) lane. Their trace events wait in
-    // `injection_events` until the unicasts' are written. Allocated before
-    // the parties: after them, this small block raised a k = 10⁴ bundle
-    // run's page faults by a quarter (glibc's heap layout).
-    let mut lanes: Vec<Vec<Received<P::Msg>>> = (0..n).map(|_| Vec::new()).collect();
+    // The injections' trace events wait here until the unicasts' are
+    // written.
     let mut injection_events: Vec<TraceEvent> = Vec::new();
     let mut factory = factory;
     let mut parties: Vec<P> = (0..n).map(|i| factory(PartyId(i), n)).collect();
     let mut corrupted = vec![false; n];
     let mut corrupted_count = 0usize;
-    // Per-party inboxes. The `direct` vectors are persistent arenas —
-    // cleared, never dropped — and the broadcast list is rebuilt once per
-    // round and shared by all n of them.
+    // Per-party inboxes. The `direct` and `injected` vectors are
+    // persistent arenas — cleared, never dropped — and the broadcast list
+    // is rebuilt once per round and shared by all n of them.
     let mut inboxes: Vec<Inbox<P::Msg>> = (0..n).map(|_| Inbox::empty()).collect();
     let mut prev_broadcasts = 0usize;
     let mut metrics = Metrics::default();
@@ -692,14 +688,17 @@ where
 
         // 2. The adversary observes everything and acts (rushing,
         //    adaptive). Each injection passes `Delivery::copy` as it is
-        //    sent, into its recipient's lane.
+        //    sent, into its recipient's inbox. The step has read last
+        //    round's injections, so those are cleared first.
         let corrupted_before = if tracing {
             corrupted.clone()
         } else {
             Vec::new()
         };
         let mut forwarded = vec![false; n];
-        lanes.iter_mut().for_each(Vec::clear);
+        for inbox in &mut inboxes {
+            inbox.injected.clear();
+        }
         let injection_metrics = {
             let mut actx = AdversaryCtx {
                 n,
@@ -714,7 +713,6 @@ where
                     taken: &mut taken,
                     corrupted: &mut corrupted,
                     inboxes: &mut inboxes,
-                    lanes: &mut lanes,
                     events: tracing.then_some(&mut injection_events),
                     metrics: RoundMetrics::default(),
                 },
@@ -743,9 +741,8 @@ where
         //    list exactly once — no per-recipient clone, and `size_bytes`
         //    runs once per broadcast. Every other copy goes through
         //    `Delivery::copy`.
-        for (inbox, lane) in inboxes.iter_mut().zip(&mut lanes) {
+        for inbox in &mut inboxes {
             inbox.direct.clear();
-            std::mem::swap(&mut inbox.injected, lane);
         }
         let mut shared: Vec<Received<P::Msg>> = Vec::with_capacity(prev_broadcasts);
         let mut delivery = Delivery {
@@ -755,7 +752,6 @@ where
             taken: &mut taken,
             corrupted: &mut corrupted,
             inboxes: &mut inboxes,
-            lanes: &mut lanes,
             events: trace.as_deref_mut().map(|tr| &mut tr.events),
             metrics: injection_metrics,
         };

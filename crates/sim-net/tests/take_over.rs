@@ -12,8 +12,8 @@
 //!   a cut broadcast's, a unicast, an injection — is dropped across a
 //!   cut or from a down sender, and otherwise counted, traced and queued
 //!   unless its recipient is taken over or down next round;
-//! * an injection meets that rule when it is sent, and a take-over later
-//!   in the same round drops what was sent to the party.
+//! * an injection meets that rule when it is sent, and what was sent to
+//!   a party before a take-over later in the same round is never read.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -151,9 +151,6 @@ fn deliveries_to_a_taken_over_party_are_counted_but_not_queued() {
     let (to_taken, to_honest) = (Arc::new(()), Arc::new(()));
     let mut live = Vec::new();
     let adversary = ScriptedAdversary(|ctx: &mut AdversaryCtx<'_, Token>| {
-        // What round r - 1 delivered is still queued, if anywhere, when
-        // the adversary of round r runs.
-        live.push((Arc::strong_count(&to_taken), Arc::strong_count(&to_honest)));
         if ctx.round() == 1 {
             ctx.take_over(PartyId(0)).unwrap();
             for _ in 0..3 {
@@ -161,6 +158,9 @@ fn deliveries_to_a_taken_over_party_are_counted_but_not_queued() {
                 ctx.send(PartyId(0), PartyId(1), Token(Arc::clone(&to_honest)));
             }
         }
+        // After the adversary's sends, what round r queued is held, if
+        // anywhere, beside round r's tentative outboxes.
+        live.push((Arc::strong_count(&to_taken), Arc::strong_count(&to_honest)));
     });
     let (report, trace) = run_simulation_traced(
         EngineConfig::from(SimConfig {
@@ -172,12 +172,14 @@ fn deliveries_to_a_taken_over_party_are_counted_but_not_queued() {
         adversary,
     )
     .unwrap();
-    // Besides the adversary's own copy: in round 2 the three injected
-    // tokens wait in party 1's inbox and its six relays in its tentative
-    // outbox, while the three injected to the taken-over party 0 are
-    // gone. In round 3 party 1's relays wait in party 2's inbox (none in
-    // party 0's) and party 2's six relays in its outbox; round 4 alike.
-    assert_eq!(live, [(1, 1), (1, 10), (1, 10), (1, 10)]);
+    // Besides the adversary's own copy: in round 1 the three tokens
+    // injected to party 1 wait in its inbox, while none of the three
+    // injected to the taken-over party 0 is queued. In round 2 party 1
+    // has read them (they are gone) and its six relays wait in its
+    // tentative outbox. In round 3 party 1's relays wait in party 2's
+    // inbox (none in party 0's) and party 2's six relays in its outbox;
+    // round 4 alike.
+    assert_eq!(live, [(1, 4), (1, 7), (1, 10), (1, 10)]);
     // Every message to party 0 still counts and is traced: the six
     // injections of round 1, the six relays of rounds 2 and 3.
     let counts: Vec<(usize, usize, usize)> = report
@@ -323,14 +325,6 @@ fn every_per_recipient_copy_follows_one_rule_in_both_step_modes() {
         let (live_inject, down_inject) = (Arc::new(()), Arc::new(()));
         let mut live = Vec::new();
         let adversary = ScriptedAdversary(|ctx: &mut AdversaryCtx<'_, Token>| {
-            // What round r - 1 queued is still held, if anywhere, when the
-            // adversary of round r runs.
-            live.push([
-                Arc::strong_count(&tokens[1]),
-                Arc::strong_count(&tokens[3]),
-                Arc::strong_count(&live_inject),
-                Arc::strong_count(&down_inject),
-            ]);
             if ctx.round() == 1 {
                 ctx.take_over(PartyId(0)).unwrap();
                 ctx.corrupt(PartyId(1)).unwrap();
@@ -340,6 +334,14 @@ fn every_per_recipient_copy_follows_one_rule_in_both_step_modes() {
                 ctx.send(PartyId(0), PartyId(to), Token(Arc::clone(&live_inject)));
             }
             ctx.send(PartyId(1), PartyId(3), Token(Arc::clone(&down_inject)));
+            // After the adversary's sends: what round r - 1 delivered and
+            // round r queued is held, if anywhere.
+            live.push([
+                Arc::strong_count(&tokens[1]),
+                Arc::strong_count(&tokens[3]),
+                Arc::strong_count(&live_inject),
+                Arc::strong_count(&down_inject),
+            ]);
         });
         let cfg = EngineConfig {
             sim: SimConfig {
@@ -373,18 +375,19 @@ fn every_per_recipient_copy_follows_one_rule_in_both_step_modes() {
         // is queued for parties 1 and 2, that of round 3 for party 2
         // only (party 1 is down in round 4), and party 3's of round 2 for
         // parties 3 and 5 (party 4 is down in round 3). An injection is
-        // held once per queued recipient besides the adversary's copy:
-        // party 0's of round 1 skips party 4, that of round 3 reaches
-        // party 2 only; party 1's, dropped across the cut and while it is
-        // down, is held only after rounds 1 and 5.
+        // held once per queued recipient besides the adversary's copy,
+        // from its round's adversary until the next one: party 0's of
+        // round 1 skips party 4, that of round 3 reaches party 2 only;
+        // party 1's, dropped across the cut and while it is down, is held
+        // only in rounds 1, 5 and 6.
         assert_eq!(
             live,
             [
-                [4, 4, 1, 1],
-                [5, 5, 5, 2],
-                [6, 6, 3, 1],
-                [3, 7, 2, 1],
-                [4, 5, 6, 1],
+                [4, 4, 5, 2],
+                [5, 5, 3, 1],
+                [6, 6, 2, 1],
+                [3, 7, 6, 1],
+                [4, 5, 6, 2],
                 [5, 5, 6, 2],
             ],
             "{mode:?}"
@@ -455,11 +458,6 @@ fn an_injection_follows_the_copy_rule_when_it_is_sent() {
         let injects: Vec<Arc<()>> = (0..4).map(|_| Arc::new(())).collect();
         let mut live = Vec::new();
         let adversary = ScriptedAdversary(|ctx: &mut AdversaryCtx<'_, Token>| {
-            // What round r - 1 queued is still held, if anywhere, when the
-            // adversary of round r runs.
-            let mut counts: Vec<usize> = [1, 3, 5].map(|p| Arc::strong_count(&tokens[p])).into();
-            counts.extend(injects.iter().map(Arc::strong_count));
-            live.push(counts);
             let token = |i: usize| Token(Arc::clone(&injects[i]));
             if ctx.round() == 1 {
                 ctx.take_over(PartyId(0)).unwrap();
@@ -476,6 +474,11 @@ fn an_injection_follows_the_copy_rule_when_it_is_sent() {
                 ctx.send(PartyId(0), PartyId(5), token(2));
                 ctx.send(PartyId(5), PartyId(4), token(3));
             }
+            // After the adversary's sends: what round r - 1 delivered and
+            // round r queued is held, if anywhere.
+            let mut counts: Vec<usize> = [1, 3, 5].map(|p| Arc::strong_count(&tokens[p])).into();
+            counts.extend(injects.iter().map(Arc::strong_count));
+            live.push(counts);
         });
         let cfg = EngineConfig {
             sim: SimConfig {
@@ -504,18 +507,21 @@ fn an_injection_follows_the_copy_rule_when_it_is_sent() {
         // take-over, and party 5's. Party 0's injection of round 2 is
         // queued for party 1 only: party 0 is taken over, party 2 is down
         // next round and the others are across the cut. Party 1's is
-        // queued after rounds 1 and 5 only: across the cut in rounds 2
-        // and 3, from a down sender in round 4. Nothing sent to party 5
-        // in round 5 is queued, before its take-over or after it.
+        // queued in rounds 1, 5 and 6 only: across the cut in rounds 2
+        // and 3, from a down sender in round 4. In round 5 the two copies
+        // party 0 sends to party 5 before taking it over (its injection
+        // to everyone and the first of column 6) are queued, unread, until
+        // round 6's adversary phase clears them; the one sent after is
+        // not queued. Party 5's injection is queued for party 4.
         assert_eq!(
             live,
             [
-                [4, 4, 4, 1, 1, 1, 1],
-                [5, 5, 5, 7, 2, 1, 1],
+                [4, 4, 4, 7, 2, 1, 1],
+                [5, 5, 5, 2, 1, 1, 1],
                 [5, 8, 8, 2, 1, 1, 1],
-                [3, 8, 8, 2, 1, 1, 1],
-                [4, 5, 5, 7, 1, 1, 1],
-                [5, 5, 2, 6, 2, 1, 2],
+                [3, 8, 8, 7, 1, 1, 1],
+                [4, 5, 5, 7, 2, 2, 2],
+                [5, 5, 2, 6, 2, 1, 1],
             ],
             "{mode:?}"
         );
