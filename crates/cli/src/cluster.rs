@@ -41,8 +41,9 @@ pub struct Cluster {
     /// printed `READY` (the supervised crash-recovery e2e); empty
     /// kills nobody. Requires `--supervise`.
     pub kill_after_ready: String,
-    /// Directory for the children's WALs in supervised mode (empty
-    /// uses a per-run scratch directory).
+    /// Directory for the children's WALs under `--supervise` or
+    /// `--chaos` (empty uses a per-run scratch directory). Requires one
+    /// of them.
     pub wal_dir: String,
 }
 
@@ -78,6 +79,9 @@ deployment is READY — the crash-recovery e2e.
 resets, byte corruption, latency stalls, transient blackouts);
 correctness is still refereed, but --gate is refused because chaos
 legitimately shifts the retransmission schedule.
+--wal-dir keeps the WALs of a --supervise or --chaos run (by default
+a scratch directory, removed after a passing run); without either flag
+no child writes one, and the option is refused.
 ";
 
     fn parse(o: &mut Opts) -> Result<Self, String> {
@@ -122,6 +126,11 @@ legitimately shifts the retransmission schedule.
             );
         }
         let managed = self.supervise || self.chaos.is_some();
+        if !self.wal_dir.is_empty() && !managed {
+            return Err(
+                "--wal-dir needs --supervise or --chaos (only their children keep a WAL)".into(),
+            );
+        }
         let exe = std::env::current_exe().map_err(io)?;
         let spec = ClusterSpec {
             exe: &exe,
@@ -688,6 +697,21 @@ mod tests {
         let err =
             execute(cluster("--supervise --kill-after-ready 9"), &mut Vec::new()).unwrap_err();
         assert!(err.contains("out of range"), "{err}");
+    }
+
+    #[test]
+    fn cluster_refuses_a_wal_dir_no_child_would_write() {
+        let dir = std::env::temp_dir().join(format!("treeaa-unused-wals-{}", std::process::id()));
+        let cmd = format!(
+            "cluster --tree path9 --inputs v0000,v0003,v0006,v0008 --wal-dir {}",
+            dir.display()
+        );
+        let err = execute(parse_args(&argv(&cmd)).unwrap(), &mut Vec::new()).unwrap_err();
+        assert!(
+            err.contains("--supervise") && err.contains("--chaos"),
+            "{err}"
+        );
+        assert!(!dir.exists(), "a refused run made its WAL dir");
     }
 
     #[test]

@@ -314,6 +314,9 @@ deployment is READY — the crash-recovery e2e.
 resets, byte corruption, latency stalls, transient blackouts);
 correctness is still refereed, but --gate is refused because chaos
 legitimately shifts the retransmission schedule.
+--wal-dir keeps the WALs of a --supervise or --chaos run (by default
+a scratch directory, removed after a passing run); without either flag
+no child writes one, and the option is refused.
 
 `wal-dump` prints a node's (binary) write-ahead log as one canonical
 JSON line per record — message bodies as length and FNV-1a, not bytes —

@@ -5,6 +5,14 @@
 //! writes echo and vote messages as presence and key lanes and
 //! [`Tally::absorb`] reads them in that form (see the [`crate::batch`]
 //! module docs for the rule).
+//!
+//! The honest case is dense. A fresh tally adopts its first sender whole
+//! (the **bulk adopt**: keys into `bits`, presence into `cnt`, the
+//! per-slot rule over counts of 0). Vote writing and grading read each
+//! lane's candidate directly (the **dense pass**), then re-run the general
+//! rule on the instance's lanes with overflow entries (the **overflow
+//! patch**, one map range per tally). A lane without them has only its
+//! candidate, where both rules agree; a Byzantine instance slows no other.
 
 use std::collections::BTreeMap;
 use std::ops::Range;
@@ -19,6 +27,9 @@ use crate::grade::{Grade, GradecastOutput};
 #[derive(Clone, Debug)]
 pub(crate) struct Tally {
     n: usize,
+    /// Whether no instance was absorbed since the last reset: every count
+    /// is 0, so the next sender is adopted whole.
+    fresh: bool,
     /// Per (instance, sender): whether that sender's lanes were absorbed.
     from: Vec<bool>,
     /// Per lane: the key of the first entry absorbed — the candidate,
@@ -36,6 +47,7 @@ impl Tally {
     fn new(n: usize, lanes: usize) -> Self {
         Tally {
             n,
+            fresh: true,
             from: vec![false; lanes],
             bits: vec![0; lanes],
             cnt: vec![0; lanes],
@@ -46,6 +58,7 @@ impl Tally {
     /// Empties the tallies. Candidates need no clearing: a count of 0
     /// marks them unset.
     fn reset(&mut self) {
+        self.fresh = true;
         self.from.fill(false);
         self.cnt.fill(0);
         self.overflow.clear();
@@ -56,7 +69,8 @@ impl Tally {
     /// to back. An instance the sender already spoke in is skipped; the
     /// rest are absorbed by one kernel sweep per run of consecutive
     /// instances, then the per-slot rule on the lanes the sweep reports
-    /// uncounted. An out-of-range sender is dropped.
+    /// uncounted — or, by a fresh tally, one bulk adopt per run. An
+    /// out-of-range sender is dropped.
     pub(crate) fn absorb<T>(
         &mut self,
         from: PartyId,
@@ -80,13 +94,23 @@ impl Tally {
             len += n;
         }
         self.sweep(lane..lane + len, at, msg);
+        // The last run is empty iff no instance was absorbed.
+        self.fresh &= len == 0;
     }
 
     /// Sweep, then leftovers, over arena `lanes` against the message lanes
-    /// from `at` on.
+    /// from `at` on; a bulk adopt if the tally is fresh.
     fn sweep<T>(&mut self, lanes: Range<usize>, at: usize, msg: &GcBatch<T>) {
         let view = at..at + lanes.len();
         let (keys, present) = (&msg.keys[view.clone()], &msg.present[view]);
+        if self.fresh {
+            // The per-slot rule over counts of 0: adopt every present key.
+            self.bits[lanes.clone()].copy_from_slice(keys);
+            for (c, &p) in self.cnt[lanes].iter_mut().zip(present) {
+                *c = u32::from(p);
+            }
+            return;
+        }
         let mut uncounted = aa_kernels::tally_eq_u64(
             keys,
             present,
@@ -128,6 +152,13 @@ impl Tally {
         first
             .into_iter()
             .chain(overflow.map(|(&(_, key), &c)| (key, c)))
+    }
+
+    /// The lanes in `lanes` with overflow entries, in order, one item per
+    /// entry.
+    fn overflowed(&self, lanes: Range<usize>) -> impl Iterator<Item = usize> + '_ {
+        let entries = self.overflow.range((lanes.start, 0)..(lanes.end, 0));
+        entries.map(|(&(lane, _), _)| lane)
     }
 }
 
@@ -230,19 +261,28 @@ impl<V: GcValue> Arena<V> {
 
     /// Appends instance `inst`'s vote lanes to `out`: a vote for leader
     /// `ℓ` iff `n − t` distinct parties echoed one value for `ℓ` and `ℓ`
-    /// is not muted. At most one value can reach `n − t` echoes (two
-    /// would need `2(n − t) > n` senders), so the first one found is the
-    /// one. Returns how many votes it appended.
+    /// is not muted. Dense from the echo candidates, then the overflow
+    /// patch. Returns how many votes it appended.
     pub(crate) fn push_votes(&self, inst: usize, out: &mut GcBatch<u32>) -> usize {
-        let need = self.n - self.t;
+        let (lanes, at) = (self.lanes(inst), out.keys.len());
+        let need = (self.n - self.t) as u32;
         let mut votes = 0;
-        for lane in self.lanes(inst) {
-            let echoed = || self.echo.entries(lane).find(|&(_, c)| c as usize >= need);
+        for lane in lanes.clone() {
+            let vote = self.echo.cnt[lane] >= need && !self.muted[lane];
+            votes += usize::from(vote);
+            out.present.push(vote);
+            let hash = || V::from_bits64(self.echo.bits[lane]).hash32();
+            out.keys.push(if vote { u64::from(hash()) } else { 0 });
+        }
+        // At most one value can reach `n − t` echoes (two would need
+        // `2(n − t) > n` senders), so the first one found is the one.
+        for lane in self.echo.overflowed(lanes.clone()) {
+            let echoed = || self.echo.entries(lane).find(|&(_, c)| c >= need);
             let vote = (!self.muted[lane]).then(echoed).flatten();
             let vote = vote.map(|(key, _)| V::from_bits64(key).hash32());
-            votes += usize::from(vote.is_some());
-            out.present.push(vote.is_some());
-            out.keys.push(vote.map_or(0, u64::from));
+            let i = at + lane - lanes.start;
+            votes = votes + usize::from(vote.is_some()) - usize::from(out.present[i]);
+            (out.present[i], out.keys[i]) = (vote.is_some(), vote.map_or(0, u64::from));
         }
         votes
     }
@@ -255,12 +295,24 @@ impl<V: GcValue> Arena<V> {
     /// resolved hash with the most votes (smallest value on ties) — grade
     /// 2 at `n − t` votes, 1 at `t + 1`, 0 otherwise. Unresolvable hashes
     /// carry ≤ t votes (see the [`crate::batch`] docs) and cannot change
-    /// the outcome, so dropping them is exact.
+    /// the outcome, so dropping them is exact. Dense from the vote and
+    /// echo candidates, then the overflow patch.
     pub(crate) fn grade(&self, inst: usize, out: &mut Vec<GradecastOutput<V>>) {
         out.clear();
-        out.extend(self.lanes(inst).map(|lane| self.grade_lane(lane)));
+        let lanes = self.lanes(inst);
+        out.extend(lanes.clone().map(|lane| {
+            let (c, echoed) = (self.vote.cnt[lane], self.echo.cnt[lane] > 0);
+            let v = (c > 0 && echoed).then(|| V::from_bits64(self.echo.bits[lane]));
+            let v = v.filter(|v| u64::from(v.hash32()) == self.vote.bits[lane]);
+            self.graded(v.map(|v| (v, c)))
+        }));
+        let patch = self.echo.overflowed(lanes.clone());
+        for lane in patch.chain(self.vote.overflowed(lanes.clone())) {
+            out[lane - lanes.start] = self.grade_lane(lane);
+        }
     }
 
+    /// The general grading rule for `lane`.
     fn grade_lane(&self, lane: usize) -> GradecastOutput<V> {
         let mut top = None;
         for (hash, c) in self.vote.entries(lane) {
@@ -270,6 +322,11 @@ impl<V: GcValue> Arena<V> {
                 }
             }
         }
+        self.graded(top)
+    }
+
+    /// A leader's grade from its top `(value, votes)`, if it has one.
+    fn graded(&self, top: Option<(V, u32)>) -> GradecastOutput<V> {
         match top {
             Some((v, c)) if c as usize >= self.n - self.t => GradecastOutput {
                 value: Some(v),
@@ -731,6 +788,112 @@ mod tests {
             }
         }
         model
+    }
+
+    /// A phase's first bundle dropped whole — too narrow, or from a
+    /// sender out of range — leaves the tally fresh, and the next sender
+    /// is adopted whole, in both phases.
+    #[test]
+    fn a_dropped_first_bundle_leaves_the_bulk_adopt_to_the_next_sender() {
+        let (n, k) = (4, 3);
+        // Instance j lacks leader j.
+        let slots: Vec<Option<Vec<Option<u64>>>> = (0..k)
+            .map(|j| Some((0..n).map(|l| (l != j).then_some(10 + l as u64)).collect()))
+            .collect();
+        let lanes = slots.iter().flatten().flatten();
+        let cnt: Vec<u32> = lanes.clone().map(|e| u32::from(e.is_some())).collect();
+        let hashes: Vec<_> = slots
+            .iter()
+            .map(|s| {
+                s.as_ref()
+                    .map(|s| s.iter().map(|e| e.map(|v| v.hash32())).collect())
+            })
+            .collect();
+        let echoes = GcBundleMsg::Echoes(Arc::new(nested(&slots)));
+        let votes = GcBundleMsg::Votes(Arc::new(nested(&hashes)));
+        let narrow = (
+            GcBundleMsg::Echoes(Arc::new(nested(&slots[1..]))),
+            GcBundleMsg::Votes(Arc::new(nested(&hashes[1..]))),
+        );
+        let active = vec![true; k];
+        for (from, (echo_first, vote_first)) in [
+            (PartyId(0), (&narrow.0, &narrow.1)),
+            (PartyId(n), (&echoes, &votes)),
+        ] {
+            let mut gc = BundleGradecast::<u64>::new(PartyId(0), n, 1, k).unwrap();
+            let _ = gc.on_echoes([(from, echo_first)], &active);
+            assert!(
+                gc.arena.echo.fresh,
+                "a dropped echo bundle claimed the tally"
+            );
+            let _ = gc.on_echoes([(PartyId(1), &echoes)], &active);
+            let _ = gc.on_votes([(from, vote_first)], &active);
+            assert!(
+                gc.arena.vote.fresh,
+                "a dropped vote bundle claimed the tally"
+            );
+            let _ = gc.on_votes([(PartyId(1), &votes)], &active);
+            let (echo, vote) = (&gc.arena.echo, &gc.arena.vote);
+            assert!(!echo.fresh && !vote.fresh);
+            assert_eq!((&echo.cnt, &vote.cnt), (&cnt, &cnt));
+            let keys = lanes.clone().map(|e| e.unwrap_or(0));
+            assert!(echo.bits.iter().copied().eq(keys));
+            let keys = lanes
+                .clone()
+                .map(|e| e.map_or(0, |v| u64::from(v.hash32())));
+            assert!(vote.bits.iter().copied().eq(keys));
+        }
+    }
+
+    /// A stray first entry for every leader of one instance becomes the
+    /// candidate, and the honest key of the other senders reaches the
+    /// thresholds in the overflow table: the vote and the grade come from
+    /// the patch, and the instances around it stay dense.
+    #[test]
+    fn the_overflow_patch_votes_and_grades_a_key_behind_a_stray_candidate() {
+        /// `k` instances of `n` slots, all present, `entry(inst, leader)`.
+        fn full<T: GcValue>(k: usize, n: usize, entry: impl Fn(usize, usize) -> T) -> GcBundle<T> {
+            let inst = |i| Some((0..n).map(|l| Some(entry(i, l))).collect());
+            nested(&(0..k).map(inst).collect::<Vec<_>>())
+        }
+        let (k, j, stray) = (3, 1, 99u64);
+        for n in [4, 7, 16] {
+            let t = (n - 1) / 3;
+            let honest = |_, l: usize| 10 + l as u64;
+            let lied = |i, l| if i == j { stray } else { honest(i, l) };
+            // Sender 0 speaks first and lies; the others are honest.
+            let inbox = |lie: GcBundleMsg<u64>, truth: GcBundleMsg<u64>| {
+                let mut heard = vec![(PartyId(0), lie)];
+                heard.extend((1..n).map(|s| (PartyId(s), truth.clone())));
+                heard
+            };
+            let mut gc = BundleGradecast::<u64>::new(PartyId(0), n, t, k).unwrap();
+            let active = vec![true; k];
+            let heard = inbox(
+                GcBundleMsg::Echoes(Arc::new(full(k, n, lied))),
+                GcBundleMsg::Echoes(Arc::new(full(k, n, honest))),
+            );
+            let voted = gc.on_echoes(heard.iter().map(|(s, m)| (*s, m)), &active);
+            let honest_votes = full(k, n, |i, l| honest(i, l).hash32());
+            assert_eq!(
+                voted,
+                GcBundleMsg::Votes(Arc::new(honest_votes.clone())),
+                "n {n}"
+            );
+            assert_eq!(gc.arena.echo.cnt[j * n..(j + 1) * n], vec![1; n]);
+            let heard = inbox(
+                GcBundleMsg::Votes(Arc::new(full(k, n, |i, l| lied(i, l).hash32()))),
+                GcBundleMsg::Votes(Arc::new(honest_votes)),
+            );
+            let grades = gc.on_votes(heard.iter().map(|(s, m)| (*s, m)), &active);
+            for (i, grades) in grades.into_iter().enumerate() {
+                let want = (0..n).map(|l| GradecastOutput {
+                    value: Some(honest(i, l)),
+                    grade: Grade::Two,
+                });
+                assert!(grades.unwrap().into_iter().eq(want), "n {n}: instance {i}");
+            }
+        }
     }
 
     /// Sweep-then-leftovers against the per-slot model after every

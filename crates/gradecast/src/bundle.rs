@@ -22,11 +22,13 @@
 //! the presence and key lanes of its present instances, back to back:
 //! what the arena writes, the codec carries and the tally reads, with no
 //! nested slots in between. A sender's bundle is absorbed by one kernel
-//! sweep per run of consecutive instances (one sweep when all are
-//! present) and the same per-slot rule on the leftovers, so instance `j`
-//! ends with exactly the grades a `k = 1` bundle fed the same slots
-//! would, and a Byzantine sender equivocating in one instance perturbs
-//! only that instance's lanes. `crates/real-aa/tests/bundle_equiv.rs`
+//! sweep per run of consecutive instances (a phase's first sender by one
+//! bulk adopt) and the same per-slot rule on the leftovers; votes and
+//! grades are one dense pass over the candidates, the general rule re-run
+//! only on lanes with overflow entries. So instance `j` ends with exactly
+//! the grades a `k = 1` bundle fed the same slots would, and a Byzantine
+//! sender equivocating in one instance perturbs (and slows) only that
+//! instance's lanes. `crates/real-aa/tests/bundle_equiv.rs`
 //! extends this to outcomes, trajectories and trace events.
 //!
 //! An absent *outer* slot means the sender had nothing to say for that

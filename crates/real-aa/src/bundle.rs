@@ -127,10 +127,11 @@ impl BundledAaParty {
     /// Panics if an input is not finite or `me` is out of range (honest
     /// inputs are real values; a non-finite input is a harness bug).
     pub fn new(me: PartyId, cfg: RealAaConfig, inputs: Vec<f64>) -> Result<Self, BundleError> {
+        let iterations = cfg.iterations();
         let insts: Vec<Instance> = inputs
             .into_iter()
             .enumerate()
-            .map(|(j, v)| Instance::new(v, j))
+            .map(|(j, v)| Instance::new(v, j, iterations))
             .collect();
         assert!(me.index() < cfg.n, "party id out of range");
         Ok(BundledAaParty {

@@ -77,12 +77,16 @@ pub(crate) struct Instance {
 }
 
 impl Instance {
-    /// Panics on a non-finite input (honest inputs are real values).
-    pub(crate) fn new(input: f64, inst: usize) -> Self {
+    /// An instance with room in its history for the input and each of
+    /// the schedule's `iterations`. Panics on a non-finite input (honest
+    /// inputs are real values).
+    pub(crate) fn new(input: f64, inst: usize, iterations: u32) -> Self {
         assert!(input.is_finite(), "honest inputs must be finite");
+        let mut history = Vec::with_capacity(iterations as usize + 1);
+        history.push(input);
         Instance {
             value: input,
-            history: vec![input],
+            history,
             output: None,
             inst,
         }

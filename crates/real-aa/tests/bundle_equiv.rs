@@ -13,14 +13,19 @@
 //! sit below it (the gradecast crate's per-leader oracle and arena model)
 //! and beside it (`aa-spec`).
 
+mod support;
+
+use std::sync::Arc;
+
 use aa_trace::Json;
-use gradecast::GcBundleMsg;
+use gradecast::{GcBundleMsg, GcValue};
 use real_aa::{BundledAaMsg, BundledAaParty, RealAaConfig, R64};
 use sim_net::{
     run_simulation_faulted_traced, Adversary, AdversaryCtx, CrashAdversary, CrashFault,
     EngineConfig, EventKind, FaultPlan, Partition, PartyId, Passive, SimConfig, StaticByzantine,
     StepMode, Trace,
 };
+use support::nested;
 
 const N: usize = 7;
 const T: usize = 2;
@@ -167,6 +172,44 @@ fn equivocator(k: usize) -> StaticByzantine<impl FnMut(&mut AdversaryCtx<'_, Bun
     }
 }
 
+/// Party 0 lies in instance `at` of a `width`-wide bundle (nowhere if
+/// `at` is `None`) and is silent in the others, in every iteration: it
+/// equivocates its lead, 0.0 to parties 1..=3 and DIAM to 4..=6, and
+/// echoes and votes a value no honest party holds for every leader. That
+/// instance's echo and vote tallies get overflow entries (or a stray
+/// candidate, with the honest keys in the overflow); the others have
+/// none.
+fn lone_equivocator(
+    width: usize,
+    at: Option<usize>,
+) -> StaticByzantine<impl FnMut(&mut AdversaryCtx<'_, BundledAaMsg>)> {
+    StaticByzantine {
+        parties: vec![PartyId(0)],
+        behave: move |ctx: &mut AdversaryCtx<'_, BundledAaMsg>| {
+            let Some(at) = at else { return };
+            // `entry` for every leader in instance `at`, no other instance.
+            fn only<T: Clone>(width: usize, at: usize, entry: T) -> Vec<Option<Vec<Option<T>>>> {
+                (0..width)
+                    .map(|j| (j == at).then(|| vec![Some(entry.clone()); N]))
+                    .collect()
+            }
+            let stray = R64::new(1.25);
+            let iter = (ctx.round() - 1) / 3;
+            for i in 1..N {
+                let body = match (ctx.round() - 1) % 3 {
+                    0 => {
+                        let v = R64::new(if i <= 3 { 0.0 } else { DIAM });
+                        GcBundleMsg::Leads((0..width).map(|j| (j == at).then_some(v)).collect())
+                    }
+                    1 => GcBundleMsg::Echoes(Arc::new(nested(&only(width, at, stray)))),
+                    _ => GcBundleMsg::Votes(Arc::new(nested(&only(width, at, stray.hash32())))),
+                };
+                ctx.send(PartyId(0), PartyId(i), BundledAaMsg { iter, body });
+            }
+        },
+    }
+}
+
 #[test]
 fn honest_bundles_match_solo_runs() {
     for k in [2, 3, 17] {
@@ -200,6 +243,27 @@ fn equivocating_bundles_match_solo_runs() {
         for mode in MODES {
             assert_k_invariant(cfg(false), k, mode, &FaultPlan::none(), equivocator);
         }
+    }
+}
+
+#[test]
+fn one_equivocating_instance_in_a_wide_bundle_matches_its_solo_runs() {
+    // Instance 9 of 17 takes the general rule through the overflow
+    // patch; the other 16 stay dense around it.
+    const K: usize = 17;
+    const AT: usize = 9;
+    for mode in MODES {
+        // The harness builds the bundle's adversary first, then one per
+        // solo run, in instance order.
+        let mut solo_runs = 0;
+        assert_k_invariant(cfg(false), K, mode, &FaultPlan::none(), |width| {
+            if width == K {
+                return lone_equivocator(K, Some(AT));
+            }
+            let j = solo_runs;
+            solo_runs += 1;
+            lone_equivocator(1, (j == AT).then_some(0))
+        });
     }
 }
 
